@@ -90,10 +90,10 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-fn save_json<T: serde::Serialize>(out: &Path, name: &str, value: &T) {
+fn save_json<T: stdx::json::ToJson>(out: &Path, name: &str, value: &T) {
     std::fs::create_dir_all(out).expect("create out dir");
     let path = out.join(format!("BENCH_{name}.json"));
-    std::fs::write(&path, serde_json::to_string_pretty(value).unwrap()).expect("write json");
+    std::fs::write(&path, stdx::json::to_string_pretty(value)).expect("write json");
     println!("  [saved {}]", path.display());
 }
 
@@ -118,15 +118,15 @@ fn testbed_runs(testbed: Testbed, scale: u64, out: &Path) -> Vec<DatasetRun> {
     };
     let cache = out.join(format!("runs_{tag}_{scale}.json"));
     if let Ok(bytes) = std::fs::read(&cache) {
-        if let Ok(runs) = serde_json::from_slice::<Vec<DatasetRun>>(&bytes) {
+        if let Ok(runs) = stdx::json::from_slice::<Vec<DatasetRun>>(&bytes) {
             println!("  [using cached {}]", cache.display());
             return runs;
         }
     }
-    let work = tempfile::tempdir().expect("workdir");
+    let work = stdx::tempdir().expect("workdir");
     let runs = experiments::run_testbed(testbed, scale, work.path()).expect("assembly failed");
     std::fs::create_dir_all(out).expect("create out dir");
-    std::fs::write(&cache, serde_json::to_string_pretty(&runs).unwrap()).expect("write cache");
+    std::fs::write(&cache, stdx::json::to_string_pretty(&runs)).expect("write cache");
     runs
 }
 
@@ -271,7 +271,7 @@ fn run_table5(scale: u64, out: &Path) {
 }
 
 fn run_table6(scale: u64, out: &Path) {
-    let work = tempfile::tempdir().expect("workdir");
+    let work = stdx::tempdir().expect("workdir");
     let rows = experiments::table6(scale, work.path()).expect("table6 failed");
     println!("\n=== Table VI: SGA vs LaSAGNA (scale 1/{scale}) ===");
     println!(
@@ -297,7 +297,7 @@ fn run_table6(scale: u64, out: &Path) {
 }
 
 fn run_fig8(scale: u64, out: &Path) {
-    let work = tempfile::tempdir().expect("workdir");
+    let work = stdx::tempdir().expect("workdir");
     let points = experiments::fig8(scale, work.path()).expect("fig8 failed");
     println!("\n=== Fig. 8: sort time vs host/device block-sizes, K40 (scale 1/{scale}) ===");
     println!(
@@ -318,7 +318,7 @@ fn run_fig8(scale: u64, out: &Path) {
 }
 
 fn run_fig9(scale: u64, out: &Path) {
-    let work = tempfile::tempdir().expect("workdir");
+    let work = stdx::tempdir().expect("workdir");
     let points = experiments::fig9(scale, work.path()).expect("fig9 failed");
     println!("\n=== Fig. 9: sort time vs host block-size across GPUs (scale 1/{scale}) ===");
     println!(
@@ -339,7 +339,7 @@ fn run_fig9(scale: u64, out: &Path) {
 }
 
 fn run_fig10(scale: u64, nodes: &[usize], out: &Path) {
-    let work = tempfile::tempdir().expect("workdir");
+    let work = stdx::tempdir().expect("workdir");
     let points = experiments::fig10(scale, nodes, work.path()).expect("fig10 failed");
     println!(
         "\n=== Fig. 10: H.Genome on {:?} nodes (scale 1/{scale}) ===",
@@ -375,7 +375,7 @@ fn run_fig10(scale: u64, nodes: &[usize], out: &Path) {
 }
 
 fn run_reduce_ablation(scale: u64, nodes: &[usize], out: &Path) {
-    let work = tempfile::tempdir().expect("workdir");
+    let work = stdx::tempdir().expect("workdir");
     let points =
         experiments::reduce_strategies(scale, nodes, work.path()).expect("reduce ablation failed");
     println!("\n=== Reduce-strategy ablation: token vs fingerprint-range (scale 1/{scale}) ===");
@@ -393,7 +393,7 @@ fn run_reduce_ablation(scale: u64, nodes: &[usize], out: &Path) {
 }
 
 fn run_mapscheme(scale: u64, out: &Path) {
-    let work = tempfile::tempdir().expect("workdir");
+    let work = stdx::tempdir().expect("workdir");
     let rows = experiments::mapscheme(scale, work.path()).expect("mapscheme failed");
     println!("\n=== Map-kernel ablation: H.Genome, K40 (scale 1/{scale}) ===");
     println!(
@@ -412,7 +412,7 @@ fn run_mapscheme(scale: u64, out: &Path) {
 }
 
 fn run_disks(scale: u64, out: &Path) {
-    let work = tempfile::tempdir().expect("workdir");
+    let work = stdx::tempdir().expect("workdir");
     let rows = experiments::disks(scale, work.path()).expect("disks failed");
     println!("\n=== Storage media sweep: H.Genome, 64 GB testbed (scale 1/{scale}) ===");
     println!(
@@ -455,7 +455,7 @@ fn run_dbgcheck(scale: u64, out: &Path) {
 }
 
 fn run_validate(scale: u64, out: &Path) {
-    let work = tempfile::tempdir().expect("workdir");
+    let work = stdx::tempdir().expect("workdir");
     let rows = bench::validate::validate(scale, work.path()).expect("validate failed");
     println!("\n=== Paper-claim validation (scale 1/{scale}) ===");
     for r in &rows {
@@ -476,7 +476,7 @@ fn run_validate(scale: u64, out: &Path) {
 }
 
 fn run_fpcheck(scale: u64, out: &Path) {
-    let work = tempfile::tempdir().expect("workdir");
+    let work = stdx::tempdir().expect("workdir");
     let rows = experiments::fpcheck(scale, work.path()).expect("fpcheck failed");
     println!("\n=== Fingerprint width vs false-positive edges (scale 1/{scale}) ===");
     println!("{:>6} {:>10} {:>14}", "bits", "edges", "false edges");
@@ -487,7 +487,7 @@ fn run_fpcheck(scale: u64, out: &Path) {
 }
 
 fn run_faults(out: &Path) {
-    let work = tempfile::tempdir().expect("workdir");
+    let work = stdx::tempdir().expect("workdir");
     let rows = experiments::faults(work.path()).expect("fault harness failed");
     println!("\n=== Fault-injection matrix (see ROBUSTNESS.md) ===");
     println!("{:<48} {:>9} {:>10}", "scenario", "injected", "recovered");
@@ -513,7 +513,7 @@ fn run_faults(out: &Path) {
 }
 
 fn run_serve(out: &Path) {
-    let work = tempfile::tempdir().expect("workdir");
+    let work = stdx::tempdir().expect("workdir");
     let rows = experiments::serve(work.path()).expect("serve bench failed");
     println!("\n=== Query service: throughput / latency sweep (SERVING.md) ===");
     println!(
@@ -554,7 +554,7 @@ fn run_serve(out: &Path) {
 }
 
 fn run_serve_net(out: &Path) {
-    let work = tempfile::tempdir().expect("workdir");
+    let work = stdx::tempdir().expect("workdir");
     let rows = experiments::serve_net(work.path()).expect("serve-net bench failed");
     println!("\n=== Network serving: loopback TCP, clean + chaos (SERVING.md) ===");
     println!(
@@ -606,7 +606,7 @@ fn run_serve_net(out: &Path) {
 }
 
 fn run_serve_cluster(out: &Path) {
-    let work = tempfile::tempdir().expect("workdir");
+    let work = stdx::tempdir().expect("workdir");
     let rows = experiments::serve_cluster(work.path()).expect("serve-cluster bench failed");
     println!("\n=== Cluster serving: sharded + replicated scatter-gather (SERVING.md) ===");
     println!(
@@ -665,7 +665,7 @@ fn run_serve_cluster(out: &Path) {
 }
 
 fn run_serve_reload(out: &Path) {
-    let work = tempfile::tempdir().expect("workdir");
+    let work = stdx::tempdir().expect("workdir");
     let rows = experiments::serve_reload(work.path()).expect("serve-reload bench failed");
     println!("\n=== Hot reload under load: zero-downtime generation swap (SERVING.md) ===");
     println!(
@@ -729,13 +729,25 @@ fn run_serve_reload(out: &Path) {
 
 fn run_schedcheck(out: &Path) {
     use schedcheck::{explore_dfs, explore_pct, AuthMode, DfsConfig, PctConfig, ScenarioConfig};
+    use stdx::json::{ToJson, Value};
 
-    #[derive(serde::Serialize)]
     struct Row {
         strategy: &'static str,
         scenario: &'static str,
-        #[serde(flatten)]
         report: schedcheck::ExploreReport,
+    }
+    /// One flat object per row: the two labels, then the report's fields.
+    impl ToJson for Row {
+        fn to_json(&self) -> Value {
+            let mut members = vec![
+                ("strategy".to_owned(), self.strategy.to_json()),
+                ("scenario".to_owned(), self.scenario.to_json()),
+            ];
+            if let Value::Object(report) = self.report.to_json() {
+                members.extend(report);
+            }
+            Value::Object(members)
+        }
     }
 
     println!("\n=== Schedule exploration: serving concurrency protocol (ROBUSTNESS.md) ===");

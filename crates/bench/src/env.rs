@@ -118,7 +118,7 @@ mod tests {
 
     #[test]
     fn pipeline_construction_succeeds_at_default_scale() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = stdx::tempdir().unwrap();
         let env = ScaledEnv {
             testbed: Testbed::queenbee2(),
             scale: crate::DEFAULT_SCALE,

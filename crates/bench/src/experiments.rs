@@ -13,12 +13,11 @@ use dnet::{Cluster, ClusterConfig, ReduceStrategy};
 use genome::{DatasetPreset, ReadSet};
 use gstream::{ExternalSorter, HostMem, IoStats, KvPair, RecordWriter, SortConfig, SpillDir};
 use lasagna::{AssemblyConfig, AssemblyReport, Pipeline, StringGraph};
-use serde::{Deserialize, Serialize};
 use std::path::Path;
 use vgpu::{Device, GpuProfile};
 
 /// Row of Table I.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table1Row {
     /// Dataset name.
     pub dataset: String,
@@ -37,6 +36,10 @@ pub struct Table1Row {
     /// Scaled genome length.
     pub scaled_genome: usize,
 }
+
+stdx::impl_json!(struct Table1Row {
+    dataset, length, paper_reads, paper_bases, l_min, scaled_reads, scaled_bases, scaled_genome
+});
 
 /// Regenerate Table I at the given scale.
 pub fn table1(scale: u64) -> Vec<Table1Row> {
@@ -59,7 +62,7 @@ pub fn table1(scale: u64) -> Vec<Table1Row> {
 }
 
 /// One dataset's assembly measurement on one testbed.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DatasetRun {
     /// Dataset name.
     pub dataset: String,
@@ -68,6 +71,8 @@ pub struct DatasetRun {
     /// Contigs validated against the reference: misassembly count.
     pub misassembled: u64,
 }
+
+stdx::impl_json!(struct DatasetRun { dataset, report, misassembled });
 
 /// Tables II+IV (or III+V): assemble every preset on a testbed.
 pub fn run_testbed(
@@ -97,7 +102,7 @@ pub fn run_testbed(
 }
 
 /// Table VI: SGA vs LaSAGNA at 64 GB and 128 GB.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table6Row {
     /// Dataset name.
     pub dataset: String,
@@ -118,6 +123,10 @@ pub struct Table6Row {
     /// Measured SGA/LaSAGNA wall speedup at 64 GB, when both ran.
     pub measured_speedup_64: Option<f64>,
 }
+
+stdx::impl_json!(struct Table6Row {
+    dataset, sga_64_wall, sga_128_wall, lasagna_64_wall, lasagna_128_wall, lasagna_64_modeled, lasagna_128_modeled, paper_speedup_64, measured_speedup_64
+});
 
 /// Run Table VI.
 pub fn table6(scale: u64, workdir: &Path) -> Result<Vec<Table6Row>, String> {
@@ -191,25 +200,17 @@ pub fn write_sort_input(
     let pairs = (2_500_000_000 / scale).max(1_000) as usize;
     let path = spill.scratch_path("fig_sort_input");
     let mut w = RecordWriter::create(&path, spill.io().clone())?;
-    // Deterministic pseudo-random keys (splitmix64 over both halves).
-    let mut state = 0x9E3779B97F4A7C15u64;
-    let mut next = move || {
-        state = state.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
-    };
+    // Deterministic pseudo-random keys.
+    let mut rng = stdx::SplitMix64::new(0x9E37_79B9_7F4A_7C15);
     for i in 0..pairs {
-        let key = ((next() as u128) << 64) | next() as u128;
-        w.write(KvPair::new(key, i as u32))?;
+        w.write(KvPair::new(rng.next_u128(), i as u32))?;
     }
     w.finish()?;
     Ok((path, pairs as u64))
 }
 
 /// One point of the Fig. 8 sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SortPoint {
     /// GPU profile name.
     pub gpu: String,
@@ -224,6 +225,10 @@ pub struct SortPoint {
     /// `modeled × scale`: comparable to the paper's y-axis.
     pub paper_scale_seconds: f64,
 }
+
+stdx::impl_json!(struct SortPoint {
+    gpu, host_block_pairs, device_block_pairs, disk_passes, modeled_seconds, paper_scale_seconds
+});
 
 fn sort_once(
     gpu: GpuProfile,
@@ -317,7 +322,7 @@ pub fn fig9(scale: u64, workdir: &Path) -> gstream::Result<Vec<SortPoint>> {
 }
 
 /// One Fig. 10 configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig10Point {
     /// Node count.
     pub nodes: usize,
@@ -332,6 +337,10 @@ pub struct Fig10Point {
     /// Edges in the merged graph.
     pub edges: u64,
 }
+
+stdx::impl_json!(struct Fig10Point {
+    nodes, phases, total_modeled, paper_scale_seconds, network_bytes, edges
+});
 
 /// Fig. 10: H.Genome on 1-8 SuperMic nodes.
 pub fn fig10(scale: u64, nodes_list: &[usize], workdir: &Path) -> Result<Vec<Fig10Point>, String> {
@@ -370,7 +379,7 @@ pub fn fig10(scale: u64, nodes_list: &[usize], workdir: &Path) -> Result<Vec<Fig
 }
 
 /// One fingerprint-kernel-scheme data point.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SchemeRow {
     /// Kernel organization.
     pub scheme: String,
@@ -379,6 +388,8 @@ pub struct SchemeRow {
     /// Modeled device kernel seconds within map.
     pub kernel_seconds: f64,
 }
+
+stdx::impl_json!(struct SchemeRow { scheme, map_modeled, kernel_seconds });
 
 /// Map-kernel ablation: the paper's block-per-read Hillis-Steele kernel vs
 /// the thread-per-read strawman it rejects for "excessive memory
@@ -418,7 +429,7 @@ pub fn mapscheme(scale: u64, workdir: &Path) -> Result<Vec<SchemeRow>, String> {
 }
 
 /// One storage-media data point.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DiskRow {
     /// Media label.
     pub media: String,
@@ -429,6 +440,8 @@ pub struct DiskRow {
     /// Sort-phase modeled seconds (the I/O-bound phase).
     pub sort_modeled: f64,
 }
+
+stdx::impl_json!(struct DiskRow { media, read_mb_s, total_modeled, sort_modeled });
 
 /// Storage-media sweep: the paper argues "LaSAGNA will benefit from the
 /// use of local disks and faster media such as solid-state drives"
@@ -469,7 +482,7 @@ pub fn disks(scale: u64, workdir: &Path) -> Result<Vec<DiskRow>, String> {
 }
 
 /// One de Bruijn feasibility row.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DbgCheckRow {
     /// Dataset name.
     pub dataset: String,
@@ -484,6 +497,8 @@ pub struct DbgCheckRow {
     /// Unitig N50 when the assembly fit.
     pub n50: Option<u64>,
 }
+
+stdx::impl_json!(struct DbgCheckRow { dataset, testbed, fits, billed_bytes, budget_bytes, n50 });
 
 /// Reproduce the paper's Table VI footnote: "We do not include the results
 /// of de Bruijn graph-based assemblers because most of them are not
@@ -553,7 +568,7 @@ pub fn dbgcheck(scale: u64) -> Vec<DbgCheckRow> {
 }
 
 /// Reduce-strategy comparison point (the paper's future-work ablation).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StrategyPoint {
     /// Node count.
     pub nodes: usize,
@@ -568,6 +583,10 @@ pub struct StrategyPoint {
     /// Edges in the merged graph (identical across strategies).
     pub edges: u64,
 }
+
+stdx::impl_json!(struct StrategyPoint {
+    nodes, strategy, reduce_modeled, shuffle_modeled, total_modeled, edges
+});
 
 /// Compare the paper's length-token reduce against its proposed
 /// fingerprint-range partitioning (Section IV-D future work) on the
@@ -627,7 +646,7 @@ pub fn reduce_strategies(
 }
 
 /// One fingerprint-width data point.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FpCheckRow {
     /// Fingerprint width in bits.
     pub bits: u32,
@@ -636,6 +655,8 @@ pub struct FpCheckRow {
     /// Edges whose overlap is not real.
     pub false_edges: u64,
 }
+
+stdx::impl_json!(struct FpCheckRow { bits, edges, false_edges });
 
 /// The zero-false-positive check (Section IV-B): 128-bit fingerprints must
 /// admit no false edges; truncated widths progressively do.
@@ -666,7 +687,7 @@ pub fn fpcheck(scale: u64, workdir: &Path) -> Result<Vec<FpCheckRow>, String> {
 }
 
 /// One crash-and-recover scenario in the fault-injection harness.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FaultRow {
     /// Scenario label, e.g. `"crash gstream.write #4, resume"`.
     pub scenario: String,
@@ -677,6 +698,8 @@ pub struct FaultRow {
     /// Counts or the error backing the verdict.
     pub detail: String,
 }
+
+stdx::impl_json!(struct FaultRow { scenario, injected, recovered, detail });
 
 /// The fault matrix (ROBUSTNESS.md): crash the single-node pipeline at
 /// every failpoint and resume from the checkpoint manifest; kill
@@ -970,7 +993,7 @@ pub fn faults(workdir: &Path) -> Result<Vec<FaultRow>, String> {
 
 /// One query-service configuration's measured throughput and latency
 /// (`BENCH_serve.json`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ServeRow {
     /// Worker threads in the service pool.
     pub workers: usize,
@@ -998,6 +1021,10 @@ pub struct ServeRow {
     /// Postings-cache hit rate over the run (hits / lookups).
     pub cache_hit_rate: f64,
 }
+
+stdx::impl_json!(struct ServeRow {
+    workers, cache_mb, reads, mapped, reads_per_sec, p50_ms, p99_ms, hist_p50_ms, hist_p90_ms, hist_p99_ms, hist_p999_ms, cache_hit_rate
+});
 
 /// Percentiles of a latency histogram recorded in microseconds,
 /// reported in milliseconds: (p50, p90, p99, p99.9).
@@ -1126,7 +1153,7 @@ fn serve_fixture(
 
 /// One network-serving scenario's measured behaviour
 /// (`BENCH_serve_net.json`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ServeNetRow {
     /// What ran: `clean`, or a chaos failpoint description.
     pub scenario: String,
@@ -1165,8 +1192,12 @@ pub struct ServeNetRow {
     pub drained_clean: bool,
 }
 
+stdx::impl_json!(struct ServeNetRow {
+    scenario, reads, mapped, reads_per_sec, p50_ms, p99_ms, hist_p50_ms, hist_p90_ms, hist_p99_ms, hist_p999_ms, gates, per_client, retries, identical_to_in_process, drained_clean
+});
+
 /// Reads accepted/shed at each qnet admission gate.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct GateTotals {
     /// Reads admitted through all four gates and answered.
     pub accepted: u64,
@@ -1177,6 +1208,8 @@ pub struct GateTotals {
     /// Reads shed by the per-client fairness bucket.
     pub fairness_shed: u64,
 }
+
+stdx::impl_json!(struct GateTotals { accepted, rejected, deadline_shed, fairness_shed });
 
 fn gate_totals(agg: &obs::SpanAgg) -> GateTotals {
     GateTotals {
@@ -1350,7 +1383,7 @@ pub fn serve_net(workdir: &Path) -> Result<Vec<ServeNetRow>, String> {
 
 /// One cluster-serving scenario's measured behaviour
 /// (`BENCH_serve_cluster.json`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ServeClusterRow {
     /// What ran: a clean shard-count sweep point, or a chaos scenario.
     pub scenario: String,
@@ -1387,6 +1420,10 @@ pub struct ServeClusterRow {
     /// every offered read was either merged or dead-lettered.
     pub counters_conserve: bool,
 }
+
+stdx::impl_json!(struct ServeClusterRow {
+    scenario, n_shards, replicas, reads, mapped, reads_per_sec, p50_ms, p99_ms, hedges_fired, hedges_won, failovers, shards_dead, merged_reads, dead_letters, identical_to_single_node, counters_conserve
+});
 
 /// Start an in-process sharded cluster over the fixture store:
 /// `n_shards` × `replicas` qnet servers, each with the full contig
@@ -1625,7 +1662,7 @@ pub fn serve_cluster(workdir: &Path) -> Result<Vec<ServeClusterRow>, String> {
 
 /// One hot-reload serving scenario's measured behaviour
 /// (`BENCH_serve_reload.json`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ServeReloadRow {
     /// What ran: clean rolling reloads, or a reload-chaos scenario.
     pub scenario: String,
@@ -1659,6 +1696,10 @@ pub struct ServeReloadRow {
     /// included in the wall clock).
     pub reads_per_sec: f64,
 }
+
+stdx::impl_json!(struct ServeReloadRow {
+    scenario, reads, reloads_requested, reloads_ok, rollbacks, shed, reconnects, final_generation, generations_served, identical_to_oracle, reload_ms, reads_per_sec
+});
 
 /// Export `contigs` as generation `id` into `dir` — store, index, and
 /// manifest entry — the layout the wire `Reload` verb consumes.
@@ -1973,12 +2014,51 @@ mod tests {
         assert_eq!(rows[2].length, 150);
     }
 
+    /// The archived artifacts under `repro-out/` were written by the JSON
+    /// library the workspace used to depend on. Reading each one into its
+    /// row type and writing it back must reproduce it byte for byte: field
+    /// names, field order, integer and float layout, indentation.
+    #[test]
+    fn archived_artifacts_round_trip_byte_for_byte() {
+        fn check<T: stdx::json::ToJson + stdx::json::FromJson>(file: &str) {
+            let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+                .join("../../repro-out")
+                .join(file);
+            let text = std::fs::read_to_string(&path).unwrap();
+            let rows: Vec<T> =
+                stdx::json::from_str(&text).unwrap_or_else(|e| panic!("{file}: {e}"));
+            assert!(!rows.is_empty(), "{file}");
+            assert_eq!(
+                stdx::json::to_string_pretty(&rows),
+                text.trim_end(),
+                "{file}"
+            );
+        }
+        for file in ["runs_k40_20000.json", "runs_k20x_20000.json"] {
+            check::<DatasetRun>(file);
+        }
+        for file in ["table2.json", "table3.json", "table4.json", "table5.json"] {
+            check::<DatasetRun>(file);
+        }
+        check::<Table1Row>("table1.json");
+        check::<Table6Row>("table6.json");
+        check::<SortPoint>("fig8.json");
+        check::<SortPoint>("fig9.json");
+        check::<Fig10Point>("fig10.json");
+        check::<StrategyPoint>("reduce_ablation.json");
+        check::<SchemeRow>("mapscheme.json");
+        check::<DiskRow>("disks.json");
+        check::<DbgCheckRow>("dbgcheck.json");
+        check::<FpCheckRow>("fpcheck.json");
+        check::<crate::validate::ClaimResult>("validate.json");
+    }
+
     #[test]
     fn sort_input_is_deterministic() {
-        let d1 = tempfile::tempdir().unwrap();
+        let d1 = stdx::tempdir().unwrap();
         let s1 = SpillDir::create(d1.path(), IoStats::default()).unwrap();
         let (p1, n1) = write_sort_input(1_000_000, &s1).unwrap();
-        let d2 = tempfile::tempdir().unwrap();
+        let d2 = stdx::tempdir().unwrap();
         let s2 = SpillDir::create(d2.path(), IoStats::default()).unwrap();
         let (p2, n2) = write_sort_input(1_000_000, &s2).unwrap();
         assert_eq!(n1, n2);
@@ -1987,7 +2067,7 @@ mod tests {
 
     #[test]
     fn fig8_points_show_fewer_passes_with_bigger_host_blocks() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = stdx::tempdir().unwrap();
         let points = fig8(2_000_000, dir.path()).unwrap();
         assert_eq!(points.len(), 20);
         // Group by device size; passes must be non-increasing in m_h.
@@ -2007,7 +2087,7 @@ mod tests {
 
     #[test]
     fn fig9_orders_gpus_by_bandwidth_at_large_host_blocks() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = stdx::tempdir().unwrap();
         let points = fig9(2_000_000, dir.path()).unwrap();
         // At the largest host block (single disk pass), device time
         // matters most: V100 must beat K40.
@@ -2024,7 +2104,7 @@ mod tests {
 
     #[test]
     fn fpcheck_gives_zero_false_edges_at_128_bits() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = stdx::tempdir().unwrap();
         let rows = fpcheck(2_000_000, dir.path()).unwrap();
         let full = rows.iter().find(|r| r.bits == 128).unwrap();
         assert_eq!(full.false_edges, 0);

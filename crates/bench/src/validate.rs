@@ -7,11 +7,10 @@
 
 use crate::env::Testbed;
 use crate::experiments;
-use serde::{Deserialize, Serialize};
 use std::path::Path;
 
 /// Outcome of one claim check.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ClaimResult {
     /// Short claim identifier.
     pub claim: String,
@@ -22,6 +21,8 @@ pub struct ClaimResult {
     /// Measured evidence.
     pub evidence: String,
 }
+
+stdx::impl_json!(struct ClaimResult { claim, source, pass, evidence });
 
 fn claim(claim: &str, source: &str, pass: bool, evidence: String) -> ClaimResult {
     ClaimResult {
@@ -287,7 +288,7 @@ mod tests {
     /// EXPERIMENTS.md. One failing claim = a regression in the repro.
     #[test]
     fn all_paper_claims_hold_at_small_scale() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = stdx::tempdir().unwrap();
         let results = validate(60_000, dir.path()).unwrap();
         let failures: Vec<&ClaimResult> = results.iter().filter(|r| !r.pass).collect();
         assert!(failures.is_empty(), "failed claims: {:#?}", failures);

@@ -4,7 +4,6 @@ use crate::graph::DbgGraph;
 use crate::kmer::Kmer;
 use genome::{PackedSeq, ReadSet};
 use gstream::{HostMem, HostMemError};
-use serde::{Deserialize, Serialize};
 
 /// DBG assembler failure modes.
 #[derive(Debug)]
@@ -41,7 +40,7 @@ impl DbgError {
 }
 
 /// Assembly outcome.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct DbgReport {
     /// Distinct canonical k-mers.
     pub nodes: u64,

@@ -10,9 +10,9 @@
 //! the requester; rank-local messages are free, as they are under GASNet.
 
 use crate::netmodel::NetStats;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use gstream::spill::PartitionKind;
 use gstream::KvPair;
+use std::sync::mpsc::{channel, Receiver, Sender};
 
 /// A request an active message can carry.
 #[derive(Debug)]
@@ -98,7 +98,7 @@ impl AmClient {
         if remote {
             seconds += self.net.add_message(64); // request header
         }
-        let (reply_tx, reply_rx) = unbounded();
+        let (reply_tx, reply_rx) = channel();
         self.tx
             .send((req, reply_tx))
             .expect("AM server hung up before shutdown");
@@ -124,7 +124,7 @@ pub struct AmServer {
 impl AmServer {
     /// Create a server and a factory for client handles to it.
     pub fn new(target: usize, net: NetStats) -> (AmClient, AmServer) {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         (
             AmClient {
                 target,

@@ -1,12 +1,12 @@
 //! Interconnect bandwidth model and counters.
 
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::sync::Mutex;
+use stdx::lock;
 
 /// Point-to-point network model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetModel {
     /// Sustained bandwidth in bytes per second.
     pub bandwidth_bytes_per_s: f64,
@@ -82,7 +82,7 @@ impl NetStats {
         let secs = self.model.transfer_seconds(bytes);
         self.inner.bytes.fetch_add(bytes, Ordering::Relaxed);
         self.inner.messages.fetch_add(1, Ordering::Relaxed);
-        *self.inner.seconds.lock() += secs;
+        *lock(&self.inner.seconds) += secs;
         secs
     }
 
@@ -98,7 +98,7 @@ impl NetStats {
 
     /// Total modeled network seconds.
     pub fn seconds(&self) -> f64 {
-        *self.inner.seconds.lock()
+        *lock(&self.inner.seconds)
     }
 }
 

@@ -20,7 +20,6 @@
 //! point, before any byte reaches the log.
 
 use gstream::{fnv1a, Result, StreamError};
-use serde::{Deserialize, Serialize};
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -34,7 +33,7 @@ pub const LOG_NAME: &str = "superstep.log";
 pub const HEADER_PHASE: &str = "run";
 
 /// One completed superstep (or the run header).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SuperstepRecord {
     /// Phase: [`HEADER_PHASE`], `map`, `shuffle`, `sort`, `join`, `commit`.
     pub phase: String,
@@ -52,6 +51,8 @@ pub struct SuperstepRecord {
     pub token_checksum: u64,
 }
 
+stdx::impl_json!(struct SuperstepRecord { phase, superstep, done, owners, token_checksum });
+
 impl SuperstepRecord {
     /// The header record opening a fresh log.
     pub fn header(config_hash: u64, owners: Vec<u32>) -> Self {
@@ -67,6 +68,7 @@ impl SuperstepRecord {
 
 /// Append handle on the master's log. Every append is durable (written,
 /// flushed, fsynced) before it returns.
+#[derive(Debug)]
 pub struct SuperstepLog {
     file: File,
     path: PathBuf,
@@ -74,6 +76,7 @@ pub struct SuperstepLog {
 }
 
 /// Everything [`SuperstepLog::recover`] reconstructs from an existing log.
+#[derive(Debug)]
 pub struct LogRecovery {
     /// All durable records, in append order.
     pub records: Vec<SuperstepRecord>,
@@ -104,9 +107,7 @@ impl SuperstepLog {
         self.faults
             .hit(faultsim::SUPERSTEP_WRITE)
             .map_err(StreamError::Fault)?;
-        let body = serde_json::to_string(rec).map_err(|e| {
-            StreamError::BadConfig(format!("superstep record serialization failed: {e}"))
-        })?;
+        let body = stdx::json::to_string(rec);
         let line = format!("{{\"crc\":{},\"rec\":{}}}\n", fnv1a(body.as_bytes()), body);
         self.file.write_all(line.as_bytes())?;
         self.file.sync_all()?;
@@ -188,7 +189,7 @@ fn parse_line(line: &[u8]) -> Option<SuperstepRecord> {
     if fnv1a(body.as_bytes()) != crc {
         return None;
     }
-    serde_json::from_str(body).ok()
+    stdx::json::from_str(body).ok()
 }
 
 #[cfg(test)]
@@ -207,7 +208,7 @@ mod tests {
 
     #[test]
     fn append_then_recover_roundtrips() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = stdx::tempdir().unwrap();
         let mut log = SuperstepLog::create(dir.path(), faultsim::Faults::disabled()).unwrap();
         let header = SuperstepRecord::header(0xfeed, vec![0, 1]);
         log.append(&header).unwrap();
@@ -227,7 +228,7 @@ mod tests {
 
     #[test]
     fn missing_log_recovers_as_none() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = stdx::tempdir().unwrap();
         assert!(
             SuperstepLog::recover(dir.path(), faultsim::Faults::disabled())
                 .unwrap()
@@ -237,7 +238,7 @@ mod tests {
 
     #[test]
     fn torn_tail_is_dropped_truncated_and_replayable() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = stdx::tempdir().unwrap();
         let mut log = SuperstepLog::create(dir.path(), faultsim::Faults::disabled()).unwrap();
         log.append(&rec("map", 1, vec![0])).unwrap();
         log.append(&rec("shuffle", 1, vec![1])).unwrap();
@@ -270,7 +271,7 @@ mod tests {
 
     #[test]
     fn bit_flip_in_the_middle_fails_loudly() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = stdx::tempdir().unwrap();
         let mut log = SuperstepLog::create(dir.path(), faultsim::Faults::disabled()).unwrap();
         log.append(&rec("map", 1, vec![0])).unwrap();
         log.append(&rec("map", 2, vec![1])).unwrap();
@@ -287,7 +288,7 @@ mod tests {
 
     #[test]
     fn complete_but_garbled_final_line_is_corrupt_not_torn() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = stdx::tempdir().unwrap();
         let mut log = SuperstepLog::create(dir.path(), faultsim::Faults::disabled()).unwrap();
         log.append(&rec("map", 1, vec![0])).unwrap();
         drop(log);
@@ -302,7 +303,7 @@ mod tests {
 
     #[test]
     fn injected_superstep_write_fault_loses_only_the_unacked_record() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = stdx::tempdir().unwrap();
         let faults = faultsim::Faults::from_plan(
             &faultsim::FaultPlan::new().fail_at(faultsim::SUPERSTEP_WRITE, 2),
         );

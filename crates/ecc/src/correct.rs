@@ -3,10 +3,9 @@
 use crate::spectrum::KmerSpectrum;
 use dbg::kmer::Kmer;
 use genome::{PackedSeq, ReadSet};
-use serde::{Deserialize, Serialize};
 
 /// Outcome counters of one correction pass.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CorrectionStats {
     /// Reads examined.
     pub reads: u64,
@@ -223,7 +222,7 @@ mod tests {
         let (fixed, _) = corrector.correct(&spectrum, &noisy);
 
         let assemble = |reads: &ReadSet| -> u64 {
-            let dir = tempfile::tempdir().unwrap();
+            let dir = stdx::tempdir().unwrap();
             let config = lasagna::AssemblyConfig::for_dataset(50, 80);
             lasagna::Pipeline::laptop(config, dir.path())
                 .unwrap()

@@ -39,10 +39,10 @@
 //! while waiting for grants — there is no busy-wait in the tasks
 //! themselves.
 
-use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
+use stdx::lock;
 
 /// Index of a task in the controller's registry (dense, spawn order).
 pub type TaskId = usize;
@@ -115,11 +115,18 @@ thread_local! {
     static CURRENT: std::cell::Cell<Option<TaskId>> = const { std::cell::Cell::new(None) };
 }
 
+/// `Condvar::wait_timeout` without the poisoning (see [`stdx::lock`]).
+fn wait_for<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>, timeout: Duration) -> MutexGuard<'a, T> {
+    cv.wait_timeout(guard, timeout)
+        .unwrap_or_else(PoisonError::into_inner)
+        .0
+}
+
 fn shared() -> Option<Arc<Shared>> {
     if !INSTALLED.load(Ordering::Relaxed) {
         return None;
     }
-    GLOBAL.lock().clone()
+    lock(&GLOBAL).clone()
 }
 
 /// True if a [`Controller`] is installed (process-wide).
@@ -144,7 +151,7 @@ pub fn virtual_now_ms() -> Option<u64> {
 /// straight through to [`begin`]).
 pub fn announce(name: &str) -> Option<SpawnToken> {
     let s = shared()?;
-    let mut st = s.state.lock();
+    let mut st = lock(&s.state);
     st.tasks.push(Task {
         name: name.to_string(),
         phase: Phase::NotStarted,
@@ -160,7 +167,7 @@ pub fn begin(token: Option<SpawnToken>) -> Option<TaskGuard> {
     let token = token?;
     let s = shared()?;
     CURRENT.with(|c| c.set(Some(token.id)));
-    let mut st = s.state.lock();
+    let mut st = lock(&s.state);
     st.tasks[token.id].phase = Phase::Running;
     s.ctl.notify_all();
     Some(TaskGuard { id: token.id })
@@ -169,8 +176,8 @@ pub fn begin(token: Option<SpawnToken>) -> Option<TaskGuard> {
 impl Drop for TaskGuard {
     fn drop(&mut self) {
         CURRENT.with(|c| c.set(None));
-        if let Some(s) = GLOBAL.lock().clone() {
-            let mut st = s.state.lock();
+        if let Some(s) = lock(&GLOBAL).clone() {
+            let mut st = lock(&s.state);
             if let Some(t) = st.tasks.get_mut(self.id) {
                 t.phase = Phase::Exited;
             }
@@ -187,7 +194,7 @@ impl Drop for TaskGuard {
 pub fn task_finished(id: TaskId) -> bool {
     match shared() {
         Some(s) => matches!(
-            s.state.lock().tasks.get(id).map(|t| &t.phase),
+            lock(&s.state).tasks.get(id).map(|t| &t.phase),
             Some(Phase::Exited)
         ),
         None => true,
@@ -209,7 +216,7 @@ pub fn point(name: &str) {
 }
 
 fn park_at_point(s: &Shared, id: TaskId, name: &str) {
-    let mut st = s.state.lock();
+    let mut st = lock(&s.state);
     st.tasks[id].phase = Phase::AtPoint(name.to_string());
     s.ctl.notify_all();
     while st.tasks[id].phase != Phase::Running {
@@ -219,7 +226,7 @@ fn park_at_point(s: &Shared, id: TaskId, name: &str) {
             st.tasks[id].phase = Phase::Running;
             break;
         }
-        s.tasks.wait_for(&mut st, Duration::from_millis(50));
+        st = wait_for(&s.tasks, st, Duration::from_millis(50));
     }
 }
 
@@ -259,7 +266,7 @@ fn wait_until_inner(name: &str, wake_at_ms: Option<u64>, ready: &mut dyn FnMut()
             park_at_point(&s, id, name);
             return;
         }
-        let mut st = s.state.lock();
+        let mut st = lock(&s.state);
         st.tasks[id].phase = Phase::Blocked {
             point: name.to_string(),
             wake_at_ms,
@@ -270,7 +277,7 @@ fn wait_until_inner(name: &str, wake_at_ms: Option<u64>, ready: &mut dyn FnMut()
                 st.tasks[id].phase = Phase::Running;
                 return;
             }
-            s.tasks.wait_for(&mut st, Duration::from_millis(50));
+            st = wait_for(&s.tasks, st, Duration::from_millis(50));
         }
         // Controller asked for a re-poll (or granted us straight through);
         // drop the lock and re-run the predicate.
@@ -357,7 +364,7 @@ impl Controller {
     /// Install a fresh scheduler. Panics if one is already installed —
     /// overlapping model-check runs cannot share a task registry.
     pub fn install() -> Controller {
-        let mut global = GLOBAL.lock();
+        let mut global = lock(&GLOBAL);
         assert!(global.is_none(), "a sched::Controller is already installed");
         let shared = Arc::new(Shared {
             state: Mutex::new(State::default()),
@@ -376,7 +383,7 @@ impl Controller {
     }
 
     fn dump(&self) -> Vec<String> {
-        let st = self.shared.state.lock();
+        let st = lock(&self.shared.state);
         st.tasks
             .iter()
             .enumerate()
@@ -387,7 +394,7 @@ impl Controller {
     /// Wait until no task is `NotStarted`, `Running`, or `Repoll`.
     fn wait_quiescent(&self) -> Result<(), SchedViolation> {
         let deadline = Instant::now() + WATCHDOG;
-        let mut st = self.shared.state.lock();
+        let mut st = lock(&self.shared.state);
         loop {
             let busy = st
                 .tasks
@@ -401,7 +408,7 @@ impl Controller {
                 drop(st);
                 return Err(SchedViolation::Hang { tasks: self.dump() });
             }
-            self.shared.ctl.wait_for(&mut st, timeout);
+            st = wait_for(&self.shared.ctl, st, timeout);
         }
     }
 
@@ -409,10 +416,10 @@ impl Controller {
     /// Returns true if any moved to `AtPoint`.
     fn repoll_blocked(&self) -> Result<bool, SchedViolation> {
         let mut progressed = false;
-        let n = self.shared.state.lock().tasks.len();
+        let n = lock(&self.shared.state).tasks.len();
         for id in 0..n {
             let deadline = Instant::now() + WATCHDOG;
-            let mut st = self.shared.state.lock();
+            let mut st = lock(&self.shared.state);
             if !matches!(st.tasks[id].phase, Phase::Blocked { .. }) {
                 continue;
             }
@@ -424,7 +431,7 @@ impl Controller {
                     drop(st);
                     return Err(SchedViolation::Hang { tasks: self.dump() });
                 }
-                self.shared.ctl.wait_for(&mut st, timeout);
+                st = wait_for(&self.shared.ctl, st, timeout);
             }
             if matches!(st.tasks[id].phase, Phase::AtPoint(_)) {
                 progressed = true;
@@ -449,7 +456,7 @@ impl Controller {
                 continue;
             }
             let (enabled, all_exited, min_wake) = {
-                let st = self.shared.state.lock();
+                let st = lock(&self.shared.state);
                 let enabled: Vec<Candidate> = st
                     .tasks
                     .iter()
@@ -503,7 +510,7 @@ impl Controller {
     /// Grant `task` (which must be `AtPoint`) one step; advances the
     /// virtual clock by 1 ms.
     pub fn grant(&self, task: TaskId) {
-        let mut st = self.shared.state.lock();
+        let mut st = lock(&self.shared.state);
         assert!(
             matches!(st.tasks[task].phase, Phase::AtPoint(_)),
             "grant of task #{task} ({}) not at a point: {:?}",
@@ -521,7 +528,7 @@ impl Drop for Controller {
         INSTALLED.store(false, Ordering::SeqCst);
         // Release any task still parked so its thread can unwind instead
         // of waiting forever on a scheduler that no longer exists.
-        let mut st = self.shared.state.lock();
+        let mut st = lock(&self.shared.state);
         for t in st.tasks.iter_mut() {
             if !matches!(t.phase, Phase::Exited) {
                 t.phase = Phase::Running;
@@ -529,7 +536,7 @@ impl Drop for Controller {
         }
         self.shared.tasks.notify_all();
         drop(st);
-        *GLOBAL.lock() = None;
+        *lock(&GLOBAL) = None;
     }
 }
 
@@ -544,7 +551,7 @@ mod tests {
 
     #[test]
     fn hooks_are_noops_without_a_controller() {
-        let _serial = SERIAL.lock();
+        let _serial = lock(&SERIAL);
         assert!(!installed());
         assert!(!active());
         assert_eq!(virtual_now_ms(), None);
@@ -557,7 +564,7 @@ mod tests {
 
     #[test]
     fn controller_serializes_two_tasks_and_replays_a_schedule() {
-        let _serial = SERIAL.lock();
+        let _serial = lock(&SERIAL);
         let run = |order: &[usize]| -> Vec<String> {
             let ctl = Controller::install();
             let shared_log = Arc::new(Mutex::new(Vec::new()));
@@ -568,9 +575,9 @@ mod tests {
                 handles.push(std::thread::spawn(move || {
                     let _g = begin(tok);
                     point(&format!("{name}.one"));
-                    log.lock().push(format!("{name}1"));
+                    lock(&log).push(format!("{name}1"));
                     point(&format!("{name}.two"));
-                    log.lock().push(format!("{name}2"));
+                    lock(&log).push(format!("{name}2"));
                 }));
             }
             let mut picks = order.iter().copied();
@@ -593,7 +600,7 @@ mod tests {
             for h in handles {
                 h.join().unwrap();
             }
-            Arc::try_unwrap(shared_log).unwrap().into_inner()
+            Arc::try_unwrap(shared_log).unwrap().into_inner().unwrap()
         };
         // Alternating grants interleave the logs; pinning task 0 first
         // runs "a" to completion before "b" touches the log.
@@ -605,7 +612,7 @@ mod tests {
 
     #[test]
     fn wait_until_parks_until_predicate_flips_and_timed_waits_jump_clock() {
-        let _serial = SERIAL.lock();
+        let _serial = lock(&SERIAL);
         let ctl = Controller::install();
         let flag = Arc::new(AtomicUsize::new(0));
 

@@ -18,7 +18,7 @@
 
 use crate::scan::RabinKarp;
 use crate::Fingerprint128;
-use rayon::prelude::*;
+use vgpu::exec::{par_ranges, BLOCK_GRAIN};
 use vgpu::{Device, KernelCost};
 
 /// Kernel organization for fingerprint generation.
@@ -85,18 +85,15 @@ pub fn batch_fingerprints(
         },
         scheme_cost(scheme, batch.len(), read_len),
     );
-    // One rayon task per block (= per read), mirroring grid-of-blocks
-    // execution; the scan inside is the simulated lock-step of the block.
-    let results: Vec<(Vec<Fingerprint128>, Vec<Fingerprint128>)> = batch
-        .par_iter()
-        .map(|codes| rk.all_fingerprints(codes))
-        .collect();
-    let mut prefix = Vec::with_capacity(results.len());
-    let mut suffix = Vec::with_capacity(results.len());
-    for (p, s) in results {
-        prefix.push(p);
-        suffix.push(s);
-    }
+    // One block per read, mirroring grid-of-blocks execution; the scan
+    // inside is the simulated lock-step of the block.
+    let parts = par_ranges(batch.len(), BLOCK_GRAIN, |part| {
+        batch[part]
+            .iter()
+            .map(|codes| rk.all_fingerprints(codes))
+            .collect::<Vec<_>>()
+    });
+    let (prefix, suffix) = parts.into_iter().flatten().unzip();
     BatchOutput { prefix, suffix }
 }
 

@@ -1,11 +1,9 @@
 //! Hash parameters and place-value tables.
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of one Rabin-Karp hash: a radix σ ("a small prime larger than
 /// the alphabet size") and a prime modulus q ("a large prime number") —
 /// Section III-A.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HashParams {
     /// Radix σ.
     pub sigma: u64,

@@ -159,7 +159,7 @@ impl RabinKarp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use stdx::check_cases;
 
     /// Codes under the paper's Fig. 5 convention (A=0, C=1, T=2, G=3) for
     /// the worked example GATACCAGTA.
@@ -241,30 +241,30 @@ mod tests {
         RabinKarp::new(4).prefix_fingerprints(&[0; 5]);
     }
 
-    proptest! {
-        #[test]
-        fn scan_equals_horner_for_random_reads(
-            codes in prop::collection::vec(0u8..4, 1..150)
-        ) {
+    #[test]
+    fn scan_equals_horner_for_random_reads() {
+        check_cases(256, |rng| {
+            let codes = rng.vec(1..150, |r| r.below(4) as u8);
             let rk = RabinKarp::new(150);
             let (prefixes, suffixes) = rk.all_fingerprints(&codes);
             for (i, &fp) in prefixes.iter().enumerate() {
-                prop_assert_eq!(fp, rk.fingerprint(&codes[..=i]));
+                assert_eq!(fp, rk.fingerprint(&codes[..=i]));
             }
             for (i, &fp) in suffixes.iter().enumerate() {
-                prop_assert_eq!(fp, rk.fingerprint(&codes[i..]));
+                assert_eq!(fp, rk.fingerprint(&codes[i..]));
             }
-        }
+        });
+    }
 
-        #[test]
-        fn distinct_short_strings_have_distinct_fingerprints(
-            a in prop::collection::vec(0u8..4, 1..40),
-            b in prop::collection::vec(0u8..4, 1..40),
-        ) {
+    #[test]
+    fn distinct_short_strings_have_distinct_fingerprints() {
+        check_cases(256, |rng| {
+            let a = rng.vec(1..40, |r| r.below(4) as u8);
+            let b = rng.vec(1..40, |r| r.below(4) as u8);
             let rk = RabinKarp::new(40);
             if a != b {
-                prop_assert_ne!(rk.fingerprint(&a), rk.fingerprint(&b));
+                assert_ne!(rk.fingerprint(&a), rk.fingerprint(&b));
             }
-        }
+        });
     }
 }

@@ -150,8 +150,8 @@ fn parse_seq(s: &str, lineno: usize) -> Result<PackedSeq> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    fn tmp(content: &str) -> (tempfile::TempDir, std::path::PathBuf) {
-        let dir = tempfile::tempdir().unwrap();
+    fn tmp(content: &str) -> (stdx::TempDir, std::path::PathBuf) {
+        let dir = stdx::tempdir().unwrap();
         let path = dir.path().join("f.txt");
         std::fs::File::create(&path)
             .unwrap()
@@ -162,7 +162,7 @@ mod tests {
 
     #[test]
     fn fasta_roundtrip_with_wrapping() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = stdx::tempdir().unwrap();
         let path = dir.path().join("contigs.fa");
         let long: PackedSeq = "ACGT".repeat(50).parse().unwrap();
         let short: PackedSeq = "TTAA".parse().unwrap();
@@ -190,7 +190,7 @@ mod tests {
 
     #[test]
     fn fastq_roundtrip() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = stdx::tempdir().unwrap();
         let path = dir.path().join("reads.fq");
         let r1: PackedSeq = "GATTACA".parse().unwrap();
         let r2: PackedSeq = "CCCGGG".parse().unwrap();

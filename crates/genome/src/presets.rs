@@ -16,10 +16,9 @@
 //! partitions, multiple sort runs — survives the shrink.
 
 use crate::sim::{GenomeSim, ShotgunSim};
-use serde::{Deserialize, Serialize};
 
 /// One of the paper's evaluation datasets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DatasetPreset {
     /// GAGE human chromosome 14 (9.2 GB).
     HChr14,
@@ -133,7 +132,7 @@ impl DatasetPreset {
 }
 
 /// A Table-I dataset shrunk by a scale factor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScaledDataset {
     /// Which Table I row this is.
     pub preset: DatasetPreset,

@@ -169,7 +169,7 @@ impl FromIterator<Base> for PackedSeq {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use stdx::check_cases;
 
     #[test]
     fn push_get_roundtrip_across_word_boundaries() {
@@ -225,23 +225,28 @@ mod tests {
         assert_eq!(t.packed_bytes(), 40);
     }
 
-    proptest! {
-        #[test]
-        fn revcomp_is_involution(codes in prop::collection::vec(0u8..4, 0..200)) {
-            let s = PackedSeq::from_codes(&codes);
-            prop_assert_eq!(s.reverse_complement().reverse_complement(), s);
-        }
+    #[test]
+    fn revcomp_is_involution() {
+        check_cases(256, |rng| {
+            let s = PackedSeq::from_codes(&rng.vec(0..200, |r| r.below(4) as u8));
+            assert_eq!(s.reverse_complement().reverse_complement(), s);
+        });
+    }
 
-        #[test]
-        fn to_codes_inverts_from_codes(codes in prop::collection::vec(0u8..4, 0..200)) {
-            prop_assert_eq!(PackedSeq::from_codes(&codes).to_codes(), codes);
-        }
+    #[test]
+    fn to_codes_inverts_from_codes() {
+        check_cases(256, |rng| {
+            let codes = rng.vec(0..200, |r| r.below(4) as u8);
+            assert_eq!(PackedSeq::from_codes(&codes).to_codes(), codes);
+        });
+    }
 
-        #[test]
-        fn display_parse_roundtrip(codes in prop::collection::vec(0u8..4, 0..100)) {
-            let s = PackedSeq::from_codes(&codes);
+    #[test]
+    fn display_parse_roundtrip() {
+        check_cases(256, |rng| {
+            let s = PackedSeq::from_codes(&rng.vec(0..100, |r| r.below(4) as u8));
             let reparsed: PackedSeq = s.to_string().parse().unwrap();
-            prop_assert_eq!(reparsed, s);
-        }
+            assert_eq!(reparsed, s);
+        });
     }
 }

@@ -11,8 +11,7 @@
 use crate::base::Base;
 use crate::readset::ReadSet;
 use crate::seq::PackedSeq;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use stdx::SplitMix64;
 
 /// Random-genome generator.
 #[derive(Debug, Clone)]
@@ -43,22 +42,22 @@ impl GenomeSim {
 
     /// Generate the genome.
     pub fn generate(&self) -> PackedSeq {
-        let mut rng = StdRng::seed_from_u64(self.seed);
+        let mut rng = SplitMix64::new(self.seed);
         let mut seq = PackedSeq::with_capacity(self.len);
         while seq.len() < self.len {
             let remaining = self.len - seq.len();
             let do_repeat = self.repeat_fraction > 0.0
                 && seq.len() > self.repeat_len
                 && remaining >= self.repeat_len
-                && rng.gen_bool(self.repeat_fraction);
+                && rng.chance(self.repeat_fraction);
             if do_repeat {
                 // Copy an earlier block verbatim: a tandem-style repeat.
-                let start = rng.gen_range(0..seq.len() - self.repeat_len);
+                let start = rng.below((seq.len() - self.repeat_len) as u64) as usize;
                 for i in 0..self.repeat_len {
                     seq.push(seq.get(start + i));
                 }
             } else {
-                seq.push(Base::from_code(rng.gen_range(0..4)));
+                seq.push(Base::from_code(rng.below(4) as u8));
             }
         }
         seq
@@ -108,13 +107,13 @@ impl ShotgunSim {
             genome.len(),
             self.read_len
         );
-        let mut rng = StdRng::seed_from_u64(self.seed);
+        let mut rng = SplitMix64::new(self.seed);
         let n = self.read_count(genome.len());
         let mut set = ReadSet::new(self.read_len);
         for _ in 0..n {
-            let start = rng.gen_range(0..=genome.len() - self.read_len);
+            let start = rng.below((genome.len() - self.read_len + 1) as u64) as usize;
             let mut read = genome.slice(start, self.read_len);
-            if self.strand_flip_prob > 0.0 && rng.gen_bool(self.strand_flip_prob) {
+            if self.strand_flip_prob > 0.0 && rng.chance(self.strand_flip_prob) {
                 read = read.reverse_complement();
             }
             if self.error_rate > 0.0 {
@@ -127,12 +126,12 @@ impl ShotgunSim {
     }
 }
 
-fn inject_errors(read: &PackedSeq, rate: f64, rng: &mut StdRng) -> PackedSeq {
+fn inject_errors(read: &PackedSeq, rate: f64, rng: &mut SplitMix64) -> PackedSeq {
     read.iter()
         .map(|b| {
-            if rng.gen_bool(rate) {
+            if rng.chance(rate) {
                 // Substitute with one of the three *other* bases.
-                let shift = rng.gen_range(1..4u8);
+                let shift = 1 + rng.below(3) as u8;
                 Base::from_code((b.code() + shift) % 4)
             } else {
                 b

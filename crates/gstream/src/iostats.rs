@@ -7,13 +7,13 @@
 //! bandwidth figure, so that scaled-down runs still *report* the paper's
 //! I/O-dominance structure.
 
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::sync::Mutex;
+use stdx::lock;
 
 /// Sequential disk bandwidth model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiskModel {
     /// Sequential read bandwidth, bytes/s.
     pub read_bytes_per_s: f64,
@@ -59,7 +59,7 @@ impl Default for DiskModel {
 }
 
 /// Snapshot of I/O counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct IoSnapshot {
     /// Bytes read from disk.
     pub bytes_read: u64,
@@ -70,6 +70,8 @@ pub struct IoSnapshot {
     /// Modeled seconds spent writing.
     pub write_seconds: f64,
 }
+
+stdx::impl_json!(struct IoSnapshot { bytes_read, bytes_written, read_seconds, write_seconds });
 
 impl IoSnapshot {
     /// Total modeled disk seconds.
@@ -146,29 +148,29 @@ impl IoStats {
     /// Arm fault injection for every reader/writer sharing these counters
     /// (the `gstream.write` / `gstream.open` failpoints).
     pub fn set_faults(&self, faults: faultsim::Faults) {
-        *self.inner.faults.lock() = faults;
+        *lock(&self.inner.faults) = faults;
     }
 
     /// The fault registry in effect (disabled by default).
     pub fn faults(&self) -> faultsim::Faults {
-        self.inner.faults.lock().clone()
+        lock(&self.inner.faults).clone()
     }
 
     /// Record `n` bytes read.
     pub fn add_read(&self, n: u64) {
         self.inner.bytes_read.fetch_add(n, Ordering::Relaxed);
-        self.inner.seconds.lock().0 += n as f64 / self.inner.model.read_bytes_per_s;
+        lock(&self.inner.seconds).0 += n as f64 / self.inner.model.read_bytes_per_s;
     }
 
     /// Record `n` bytes written.
     pub fn add_write(&self, n: u64) {
         self.inner.bytes_written.fetch_add(n, Ordering::Relaxed);
-        self.inner.seconds.lock().1 += n as f64 / self.inner.model.write_bytes_per_s;
+        lock(&self.inner.seconds).1 += n as f64 / self.inner.model.write_bytes_per_s;
     }
 
     /// Snapshot current counters.
     pub fn snapshot(&self) -> IoSnapshot {
-        let (read_seconds, write_seconds) = *self.inner.seconds.lock();
+        let (read_seconds, write_seconds) = *lock(&self.inner.seconds);
         IoSnapshot {
             bytes_read: self.inner.bytes_read.load(Ordering::Relaxed),
             bytes_written: self.inner.bytes_written.load(Ordering::Relaxed),

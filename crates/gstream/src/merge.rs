@@ -375,7 +375,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use stdx::check_cases;
     use vgpu::GpuProfile;
 
     fn dev() -> Device {
@@ -505,33 +505,29 @@ mod tests {
         assert_eq!(got, vec![7u128; 44]);
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-        #[test]
-        fn kway_equals_sorted_concat(
-            mut groups in prop::collection::vec(
-                prop::collection::vec(0u128..500, 0..80), 1..7),
-            window in 4usize..40,
-            device in 4usize..40,
-        ) {
+    #[test]
+    fn kway_equals_sorted_concat() {
+        check_cases(256, |rng| {
+            let mut groups = rng.vec(1..7, |r| r.vec(0..80, |r| u128::from(r.range(0..500))));
+            let window = rng.range(4..40) as usize;
+            let device = rng.range(4..40) as usize;
             for g in groups.iter_mut() {
                 g.sort_unstable();
             }
             let mut expect: Vec<u128> = groups.iter().flatten().copied().collect();
             expect.sort_unstable();
             let got = kway(groups.clone(), window, device);
-            prop_assert_eq!(got, expect);
-        }
+            assert_eq!(got, expect);
+        });
     }
 
-    proptest! {
-        #[test]
-        fn merge_equals_sorted_concat(
-            mut a in prop::collection::vec(0u128..1000, 0..200),
-            mut b in prop::collection::vec(0u128..1000, 0..200),
-            window in 2usize..32,
-            device in 2usize..32,
-        ) {
+    #[test]
+    fn merge_equals_sorted_concat() {
+        check_cases(256, |rng| {
+            let mut a = rng.vec(0..200, |r| u128::from(r.range(0..1000)));
+            let mut b = rng.vec(0..200, |r| u128::from(r.range(0..1000)));
+            let window = rng.range(2..32) as usize;
+            let device = rng.range(2..32) as usize;
             a.sort_unstable();
             b.sort_unstable();
             let ap = kv(&a);
@@ -540,7 +536,7 @@ mod tests {
             let got_keys: Vec<u128> = got.iter().map(|p| p.key).collect();
             let mut expect = [a, b].concat();
             expect.sort_unstable();
-            prop_assert_eq!(got_keys, expect);
-        }
+            assert_eq!(got_keys, expect);
+        });
     }
 }

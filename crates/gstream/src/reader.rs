@@ -209,7 +209,7 @@ mod tests {
 
     #[test]
     fn reads_back_written_records_in_chunks() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = stdx::tempdir().unwrap();
         let pairs: Vec<KvPair> = (0..10).map(|i| KvPair::new(i as u128, i)).collect();
         let path = write_pairs(dir.path(), "a.bin", &pairs);
 
@@ -228,7 +228,7 @@ mod tests {
 
     #[test]
     fn rejects_files_with_partial_records() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = stdx::tempdir().unwrap();
         let path = dir.path().join("bad.bin");
         std::fs::File::create(&path)
             .unwrap()
@@ -242,7 +242,7 @@ mod tests {
 
     #[test]
     fn missing_file_is_io_error() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = stdx::tempdir().unwrap();
         assert!(matches!(
             RecordReader::open(&dir.path().join("nope.bin"), IoStats::default()),
             Err(StreamError::Io(_))
@@ -251,7 +251,7 @@ mod tests {
 
     #[test]
     fn empty_file_reads_empty() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = stdx::tempdir().unwrap();
         let path = write_pairs(dir.path(), "empty.bin", &[]);
         let mut r = RecordReader::open(&path, IoStats::default()).unwrap();
         assert_eq!(r.remaining(), 0);
@@ -261,7 +261,7 @@ mod tests {
     #[test]
     fn truncation_to_whole_records_is_still_detected() {
         // Pre-footer, a file shortened by exactly one record looked valid.
-        let dir = tempfile::tempdir().unwrap();
+        let dir = stdx::tempdir().unwrap();
         let pairs: Vec<KvPair> = (0..4).map(|i| KvPair::new(i as u128, i)).collect();
         let path = write_pairs(dir.path(), "cut.bin", &pairs);
         let bytes = std::fs::read(&path).unwrap();
@@ -274,7 +274,7 @@ mod tests {
 
     #[test]
     fn any_single_bit_flip_in_the_data_is_detected_on_drain() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = stdx::tempdir().unwrap();
         let pairs: Vec<KvPair> = (0..50).map(|i| KvPair::new(i as u128 * 7, i)).collect();
         let path = write_pairs(dir.path(), "flip.bin", &pairs);
         let clean = std::fs::read(&path).unwrap();
@@ -291,7 +291,7 @@ mod tests {
 
     #[test]
     fn verify_to_end_checks_without_consuming_the_caller_side() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = stdx::tempdir().unwrap();
         let pairs: Vec<KvPair> = (0..20).map(|i| KvPair::new(i as u128, i)).collect();
         let path = write_pairs(dir.path(), "partial.bin", &pairs);
 
@@ -312,7 +312,7 @@ mod tests {
 
     #[test]
     fn footer_helper_reports_counts_without_draining() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = stdx::tempdir().unwrap();
         let pairs: Vec<KvPair> = (0..6).map(|i| KvPair::new(i as u128, i)).collect();
         let path = write_pairs(dir.path(), "meta.bin", &pairs);
         let footer = read_footer(&path).unwrap();
@@ -324,7 +324,7 @@ mod tests {
 
     #[test]
     fn injected_open_fault_surfaces_as_fault_error() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = stdx::tempdir().unwrap();
         let path = write_pairs(dir.path(), "armed.bin", &[KvPair::new(1, 1)]);
         let io = IoStats::default();
         io.set_faults(faultsim::Faults::from_plan(

@@ -191,7 +191,7 @@ pub fn zip_pairs(keys: Vec<u128>, vals: Vec<u32>) -> Vec<KvPair> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use stdx::check_cases;
 
     #[test]
     fn encode_decode_roundtrip_basics() {
@@ -257,25 +257,24 @@ mod tests {
         assert_eq!(Footer::decode(&buf), None);
     }
 
-    proptest! {
-        #[test]
-        fn roundtrip_any_pair(key in any::<u128>(), val in any::<u32>()) {
-            let p = KvPair::new(key, val);
+    #[test]
+    fn roundtrip_any_pair() {
+        check_cases(256, |rng| {
+            let p = KvPair::new(rng.next_u128(), rng.next_u64() as u32);
             let mut buf = [0u8; KvPair::BYTES];
             p.encode(&mut buf);
-            prop_assert_eq!(KvPair::decode(&buf), p);
-        }
+            assert_eq!(KvPair::decode(&buf), p);
+        });
+    }
 
-        #[test]
-        fn any_single_bit_flip_changes_the_checksum(
-            data in proptest::collection::vec(any::<u8>(), 1..200),
-            bit in 0usize..8,
-            idx in any::<proptest::sample::Index>(),
-        ) {
+    #[test]
+    fn any_single_bit_flip_changes_the_checksum() {
+        check_cases(256, |rng| {
+            let data = rng.vec(1..200, |r| r.next_u64() as u8);
             let mut flipped = data.clone();
-            let i = idx.index(flipped.len());
-            flipped[i] ^= 1 << bit;
-            prop_assert_ne!(fnv1a(&data), fnv1a(&flipped));
-        }
+            let i = rng.below(flipped.len() as u64) as usize;
+            flipped[i] ^= 1 << rng.below(8);
+            assert_ne!(fnv1a(&data), fnv1a(&flipped));
+        });
     }
 }

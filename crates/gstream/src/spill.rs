@@ -295,8 +295,8 @@ impl PartitionSet {
 mod tests {
     use super::*;
 
-    fn spill() -> (tempfile::TempDir, SpillDir) {
-        let dir = tempfile::tempdir().unwrap();
+    fn spill() -> (stdx::TempDir, SpillDir) {
+        let dir = stdx::tempdir().unwrap();
         let spill = SpillDir::create(dir.path(), IoStats::default()).unwrap();
         (dir, spill)
     }
@@ -435,7 +435,7 @@ mod tests {
 
     #[test]
     fn create_refuses_nonempty_dirs_without_a_manifest() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = stdx::tempdir().unwrap();
         std::fs::write(dir.path().join("sfx_00041.kv"), b"stale").unwrap();
         let err = SpillDir::create(dir.path(), IoStats::default()).unwrap_err();
         assert!(matches!(err, StreamError::BadConfig(_)), "got {err}");
@@ -446,7 +446,7 @@ mod tests {
 
     #[test]
     fn open_attaches_to_any_directory() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = stdx::tempdir().unwrap();
         std::fs::write(dir.path().join("sfx_00041.kv"), b"whatever").unwrap();
         assert!(SpillDir::open(dir.path(), IoStats::default()).is_ok());
     }

@@ -194,7 +194,7 @@ mod tests {
 
     #[test]
     fn write_then_read_roundtrips() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = stdx::tempdir().unwrap();
         let path = dir.path().join("w.bin");
         let io = IoStats::default();
         let mut w = RecordWriter::create(&path, io.clone()).unwrap();
@@ -215,7 +215,7 @@ mod tests {
 
     #[test]
     fn create_truncates_existing_file() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = stdx::tempdir().unwrap();
         let path = dir.path().join("t.bin");
         let io = IoStats::default();
         let mut w = RecordWriter::create(&path, io.clone()).unwrap();
@@ -230,14 +230,14 @@ mod tests {
 
     #[test]
     fn create_in_missing_directory_fails() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = stdx::tempdir().unwrap();
         let path = dir.path().join("no/such/dir/w.bin");
         assert!(RecordWriter::create(&path, IoStats::default()).is_err());
     }
 
     #[test]
     fn file_appears_only_on_finish_and_carries_a_footer() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = stdx::tempdir().unwrap();
         let path = dir.path().join("atomic.bin");
         let io = IoStats::default();
         let mut w = RecordWriter::create(&path, io.clone()).unwrap();
@@ -256,7 +256,7 @@ mod tests {
 
     #[test]
     fn dropping_an_unfinished_writer_deletes_its_temp_file() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = stdx::tempdir().unwrap();
         let path = dir.path().join("torn.bin");
         let mut w = RecordWriter::create(&path, IoStats::default()).unwrap();
         w.write(KvPair::new(1, 2)).unwrap();
@@ -267,7 +267,7 @@ mod tests {
 
     #[test]
     fn blob_roundtrips_and_rejects_corruption() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = stdx::tempdir().unwrap();
         let path = dir.path().join("blob.bin");
         let io = IoStats::default();
         let payload = b"minimizer index bytes".to_vec();
@@ -301,7 +301,7 @@ mod tests {
 
     #[test]
     fn injected_disk_full_surfaces_as_storage_full_io_error() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = stdx::tempdir().unwrap();
         let path = dir.path().join("enospc.bin");
         let io = IoStats::default();
         io.set_faults(faultsim::Faults::from_plan(
@@ -326,7 +326,7 @@ mod tests {
 
     #[test]
     fn injected_commit_fault_leaves_no_file_behind() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = stdx::tempdir().unwrap();
         let path = dir.path().join("faulted.bin");
         let io = IoStats::default();
         io.set_faults(faultsim::Faults::from_plan(

@@ -7,7 +7,7 @@
 //! every vertex's jump distance — `jump[v] ← jump[jump[v]]` — so after
 //! ⌈log₂ n⌉ barriers every vertex knows its chain terminal and its distance
 //! to it; paths then materialize with one parallel scatter keyed by
-//! `(terminal, distance)`. Supersteps are data-parallel (rayon here,
+//! `(terminal, distance)`. Supersteps are data-parallel (`vgpu::exec` here,
 //! thread blocks on a real GPU) and charged to the device clock.
 //!
 //! [`extract_paths_bsp`] produces exactly the same paths as the sequential
@@ -16,8 +16,8 @@
 
 use crate::graph::StringGraph;
 use crate::traverse::{Path, PathStep, TraverseOptions};
-use rayon::prelude::*;
 use std::collections::HashMap;
+use vgpu::exec::{par_parts, par_ranges, part_len, ELEMENT_GRAIN};
 use vgpu::{Device, KernelCost};
 
 const NONE: u32 = u32::MAX;
@@ -101,23 +101,29 @@ pub fn extract_paths_bsp(
                 KernelCost::new(n as u64 * 2, n as u64 * 16),
             );
         }
-        jump_next
-            .par_iter_mut()
-            .zip(dist_next.par_iter_mut())
-            .enumerate()
-            .for_each(|(v, (j, d))| {
-                let t = jump[v];
-                if t == NONE {
-                    *j = NONE;
-                    *d = dist[v];
-                } else if jump[t as usize] == NONE {
-                    *j = t; // t is the terminal
-                    *d = dist[v];
-                } else {
-                    *j = jump[t as usize];
-                    *d = dist[v] + dist[t as usize];
+        let step = part_len(n, ELEMENT_GRAIN);
+        par_parts(
+            jump_next
+                .chunks_mut(step)
+                .zip(dist_next.chunks_mut(step))
+                .enumerate(),
+            |(part, (jumps, dists))| {
+                for (i, (j, d)) in jumps.iter_mut().zip(dists).enumerate() {
+                    let v = part * step + i;
+                    let t = jump[v];
+                    if t == NONE {
+                        *j = NONE;
+                        *d = dist[v];
+                    } else if jump[t as usize] == NONE {
+                        *j = t; // t is the terminal
+                        *d = dist[v];
+                    } else {
+                        *j = jump[t as usize];
+                        *d = dist[v] + dist[t as usize];
+                    }
                 }
-            });
+            },
+        );
         std::mem::swap(&mut jump, &mut jump_next);
         std::mem::swap(&mut dist, &mut dist_next);
     }
@@ -184,34 +190,37 @@ pub fn extract_paths_bsp(
     }
     // (Scatter is expressed sequentially per chain-membership check but is
     // embarrassingly parallel: no two vertices share a slot.)
-    let mut slots: Vec<(usize, usize, PathStep)> = (0..n as u32)
-        .into_par_iter()
-        .filter_map(|v| {
-            let t = terminal_of(v);
-            let path_idx = *path_of_terminal.get(&t)?;
-            // Mirror-orientation vertices share no terminal with emitted
-            // chains, so membership in the map is exact... except the
-            // degenerate single-vertex "chain" (a terminal with no
-            // pointer at all), which only counts if it is the seed.
-            if next[v as usize] == NONE && v != t {
-                return None;
-            }
-            let len = paths[path_idx].len();
-            let idx = len - 1 - dist[v as usize] as usize;
-            let overhang = match graph.out(v) {
-                Some(e) if idx + 1 < len => read_len - e.overlap,
-                _ => read_len,
-            };
-            Some((
-                path_idx,
-                idx,
-                PathStep {
-                    vertex: v,
-                    overhang,
-                },
-            ))
-        })
-        .collect();
+    let scatter = |v: u32| {
+        let t = terminal_of(v);
+        let path_idx = *path_of_terminal.get(&t)?;
+        // Mirror-orientation vertices share no terminal with emitted
+        // chains, so membership in the map is exact... except the
+        // degenerate single-vertex "chain" (a terminal with no
+        // pointer at all), which only counts if it is the seed.
+        if next[v as usize] == NONE && v != t {
+            return None;
+        }
+        let len = paths[path_idx].len();
+        let idx = len - 1 - dist[v as usize] as usize;
+        let overhang = match graph.out(v) {
+            Some(e) if idx + 1 < len => read_len - e.overlap,
+            _ => read_len,
+        };
+        Some((
+            path_idx,
+            idx,
+            PathStep {
+                vertex: v,
+                overhang,
+            },
+        ))
+    };
+    let mut slots: Vec<(usize, usize, PathStep)> = par_ranges(n, ELEMENT_GRAIN, |part| {
+        part.filter_map(|v| scatter(v as u32)).collect::<Vec<_>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect();
     slots.sort_unstable_by_key(|(p, i, _)| (*p, *i));
     for (path_idx, idx, step) in slots {
         paths[path_idx][idx] = step;
@@ -248,7 +257,7 @@ pub fn extract_paths_bsp(
 mod tests {
     use super::*;
     use crate::traverse::extract_paths;
-    use proptest::prelude::*;
+    use stdx::check_cases;
 
     fn sort_paths(mut paths: Vec<Path>) -> Vec<Path> {
         paths.sort_by_key(|p| p.steps.first().map(|s| s.vertex).unwrap_or(u32::MAX));
@@ -325,17 +334,15 @@ mod tests {
         assert!(dev.stats().per_kernel.contains_key("bsp_scatter_paths"));
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(128))]
-        #[test]
-        fn matches_sequential_on_random_greedy_graphs(
-            edges in prop::collection::vec((0u32..60, 0u32..60, 3u32..10), 0..90)
-        ) {
+    #[test]
+    fn matches_sequential_on_random_greedy_graphs() {
+        check_cases(256, |rng| {
             let mut g = StringGraph::new(60);
-            for (a, b, l) in edges {
-                let _ = g.try_add_edge(a, b, l);
+            for _ in 0..rng.below(90) {
+                let (a, b, l) = (rng.below(60), rng.below(60), rng.range(3..10));
+                let _ = g.try_add_edge(a as u32, b as u32, l as u32);
             }
             assert_equivalent(&g, 10);
-        }
+        });
     }
 }

@@ -2,10 +2,9 @@
 
 use fingerprint::FingerprintScheme;
 use gstream::SortConfig;
-use serde::{Deserialize, Serialize};
 
 /// Tunables of one assembly run.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct AssemblyConfig {
     /// Minimum overlap length l_min; partitions below it are discarded.
     pub l_min: u32,
@@ -16,7 +15,6 @@ pub struct AssemblyConfig {
     pub map_batch_reads: usize,
     /// Kernel organization for fingerprinting (the paper's block-per-read
     /// vs the thread-per-read strawman).
-    #[serde(skip, default = "default_scheme")]
     pub fingerprint_scheme: FingerprintScheme,
     /// Explicit sort block sizes; `None` derives them from the budgets
     /// (the paper's default of maximizing host memory use).
@@ -33,10 +31,6 @@ pub struct AssemblyConfig {
     /// (the paper's future work) instead of the sequential walk. Both
     /// produce identical paths.
     pub bsp_traversal: bool,
-}
-
-fn default_scheme() -> FingerprintScheme {
-    FingerprintScheme::BlockPerRead
 }
 
 impl AssemblyConfig {

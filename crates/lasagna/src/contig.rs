@@ -11,11 +11,10 @@
 use crate::traverse::Path;
 use crate::Result;
 use genome::{PackedSeq, ReadSet};
-use serde::{Deserialize, Serialize};
 use vgpu::Device;
 
 /// Summary statistics over the produced contigs.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ContigStats {
     /// Number of contigs (including single-read contigs).
     pub count: u64,
@@ -28,6 +27,8 @@ pub struct ContigStats {
     /// N50: length L such that contigs ≥ L cover half the total bases.
     pub n50: u64,
 }
+
+stdx::impl_json!(struct ContigStats { count, multi_read, total_bases, max_len, n50 });
 
 impl ContigStats {
     /// Compute statistics from contig lengths.

@@ -36,7 +36,6 @@ use crate::{map, sortphase, LasagnaError, Result};
 use genome::{PackedSeq, ReadSet};
 use gstream::{KvPair, RecordReader, RecordWriter, SpillDir, StreamError};
 use qserve::{GenEntry, GenKind, GenManifest};
-use serde::{Deserialize, Serialize};
 use std::path::Path;
 
 /// Sidecar file recording what `reads.packed` holds, written by every
@@ -48,13 +47,15 @@ const MERGE_CHUNK: usize = 1 << 15;
 
 /// The `reads.meta.json` sidecar: enough to rehydrate `reads.packed`
 /// (the packed staging format carries no header of its own).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReadsMeta {
     /// Length of every read in the staged corpus.
     pub read_len: u32,
     /// Number of reads staged.
     pub reads: u64,
 }
+
+stdx::impl_json!(struct ReadsMeta { read_len, reads });
 
 impl ReadsMeta {
     /// Read the sidecar from `dir`, `None` if absent (a work directory
@@ -65,7 +66,7 @@ impl ReadsMeta {
             return Ok(None);
         }
         let bytes = std::fs::read(&path).map_err(StreamError::from)?;
-        let meta = serde_json::from_slice(&bytes).map_err(|e| {
+        let meta = stdx::json::from_slice(&bytes).map_err(|e| {
             LasagnaError::Stream(StreamError::Corrupt(format!("{}: {e}", path.display())))
         })?;
         Ok(Some(meta))
@@ -73,7 +74,7 @@ impl ReadsMeta {
 
     /// Write the sidecar into `dir`.
     pub fn store(&self, dir: &Path) -> Result<()> {
-        let body = serde_json::to_vec_pretty(self).expect("meta serializes");
+        let body = stdx::json::to_string_pretty(self);
         std::fs::write(dir.join(READS_META_FILE), body).map_err(StreamError::from)?;
         Ok(())
     }
@@ -405,7 +406,7 @@ mod tests {
         let config = AssemblyConfig::for_dataset(25, 40);
 
         // From-scratch union run.
-        let full_dir = tempfile::tempdir().unwrap();
+        let full_dir = stdx::tempdir().unwrap();
         let full = Pipeline::laptop(config.clone(), full_dir.path()).unwrap();
         let mut union = ReadSet::new(40);
         for i in 0..all.len() {
@@ -414,7 +415,7 @@ mod tests {
         let full_out = full.assemble(&union).unwrap();
 
         // Old corpus, then delta of the new reads.
-        let delta_dir = tempfile::tempdir().unwrap();
+        let delta_dir = stdx::tempdir().unwrap();
         let pipe = Pipeline::laptop(config.clone(), delta_dir.path()).unwrap();
         pipe.assemble(&old).unwrap();
         let delta_out = pipe.assemble_delta(&new).unwrap();
@@ -452,7 +453,7 @@ mod tests {
     #[test]
     fn delta_refuses_directories_it_could_corrupt() {
         let config = AssemblyConfig::for_dataset(25, 40);
-        let dir = tempfile::tempdir().unwrap();
+        let dir = stdx::tempdir().unwrap();
         let pipe = Pipeline::laptop(config, dir.path()).unwrap();
         let reads = sim_reads(500, 40, 6.0, 5);
 
@@ -474,7 +475,7 @@ mod tests {
     #[test]
     fn export_generation_appends_checksum_bound_entries() {
         let config = AssemblyConfig::for_dataset(25, 40);
-        let dir = tempfile::tempdir().unwrap();
+        let dir = stdx::tempdir().unwrap();
         let pipe = Pipeline::laptop(config, dir.path()).unwrap();
         let reads = sim_reads(1000, 40, 10.0, 21);
         let out = pipe.assemble(&reads).unwrap();
@@ -520,7 +521,7 @@ mod tests {
         }
 
         // The delta generation's store matches a from-scratch union's.
-        let full_dir = tempfile::tempdir().unwrap();
+        let full_dir = stdx::tempdir().unwrap();
         let full = Pipeline::laptop(AssemblyConfig::for_dataset(25, 40), full_dir.path()).unwrap();
         full.assemble(&union).unwrap();
         assert_eq!(

@@ -494,7 +494,7 @@ mod tests {
 #[cfg(test)]
 mod property_tests {
     use super::*;
-    use proptest::prelude::*;
+    use stdx::{check_cases, SplitMix64};
 
     /// Build a synthetic tiling graph from genomic offsets: vertex 2i sits
     /// at offset `positions[i]`; every pair within `l - l_min` distance
@@ -517,14 +517,20 @@ mod property_tests {
         g
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-        #[test]
-        fn reduction_of_a_consistent_tiling_leaves_nearest_neighbor_chains(
-            mut offsets in prop::collection::btree_set(0u32..200, 2..25)
-        ) {
-            let positions: Vec<u32> = offsets.iter().copied().collect();
-            offsets.clear();
+    /// `count` distinct sorted offsets below `max`, `count` uniform in `sizes`.
+    fn offsets(rng: &mut SplitMix64, max: u64, sizes: std::ops::Range<u64>) -> Vec<u32> {
+        let count = rng.range(sizes) as usize;
+        let mut set = std::collections::BTreeSet::new();
+        while set.len() < count {
+            set.insert(rng.below(max) as u32);
+        }
+        set.into_iter().collect()
+    }
+
+    #[test]
+    fn reduction_of_a_consistent_tiling_leaves_nearest_neighbor_chains() {
+        check_cases(256, |rng| {
+            let positions = offsets(rng, 200, 2..25);
             let read_len = 50u32;
             let mut g = tiling_graph(&positions, read_len, 10);
             g.transitive_reduction();
@@ -541,7 +547,7 @@ mod property_tests {
                     Some(pj) => {
                         // The nearest edge must survive.
                         let expect_overlap = read_len - (pj - pi);
-                        prop_assert!(
+                        assert!(
                             out.iter().any(|&(_, o)| o == expect_overlap),
                             "vertex {i} at {pi}: nearest overlap {expect_overlap} missing from {out:?}"
                         );
@@ -564,28 +570,28 @@ mod property_tests {
                                 })
                                 .map(|&(w, _)| w)
                                 .collect();
-                            prop_assert!(
+                            assert!(
                                 via.is_empty(),
                                 "vertex {i}: surviving edge to {t} (overlap {o}) has witnesses {via:?}"
                             );
                         }
                     }
-                    None => prop_assert!(out.is_empty(), "vertex {i}: {out:?}"),
+                    None => assert!(out.is_empty(), "vertex {i}: {out:?}"),
                 }
             }
-        }
+        });
+    }
 
-        #[test]
-        fn reduction_is_idempotent(
-            offsets in prop::collection::btree_set(0u32..150, 2..20)
-        ) {
-            let positions: Vec<u32> = offsets.iter().copied().collect();
+    #[test]
+    fn reduction_is_idempotent() {
+        check_cases(256, |rng| {
+            let positions = offsets(rng, 150, 2..20);
             let mut g = tiling_graph(&positions, 40, 8);
             g.transitive_reduction();
             let after_first = g.edge_count();
             let removed_again = g.transitive_reduction();
-            prop_assert_eq!(removed_again, 0, "second pass must remove nothing");
-            prop_assert_eq!(g.edge_count(), after_first);
-        }
+            assert_eq!(removed_again, 0, "second pass must remove nothing");
+            assert_eq!(g.edge_count(), after_first);
+        });
     }
 }

@@ -18,10 +18,9 @@
 //! 4 + 1 bytes per vertex, the same footprint arithmetic as the paper's.
 
 use genome::readset::VertexId;
-use serde::{Deserialize, Serialize};
 
 /// A directed overlap edge `(from, to, overlap)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Edge {
     /// Source vertex.
     pub from: VertexId,
@@ -346,7 +345,7 @@ impl StringGraph {
 }
 
 #[cfg(test)]
-mod serde_tests {
+mod byte_image_tests {
     use super::*;
 
     #[test]

@@ -12,7 +12,6 @@
 //! previous manifest intact; a torn manifest is therefore always a sign of
 //! external corruption and surfaces as [`gstream::StreamError::Corrupt`].
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::Path;
@@ -26,13 +25,15 @@ use gstream::StreamError;
 pub const MANIFEST_VERSION: u32 = 1;
 
 /// Footer summary of one durable artifact (spill partition, graph snapshot).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FileEntry {
     /// Number of 20-byte records (or raw bytes for non-KV artifacts).
     pub records: u64,
     /// FNV-1a-64 checksum of the payload.
     pub checksum: u64,
 }
+
+stdx::impl_json!(struct FileEntry { records, checksum });
 
 /// Durable progress record for one assembly run.
 ///
@@ -42,7 +43,7 @@ pub struct FileEntry {
 /// distributed fields (`blocks`, `shuffled`, `joined`) default to empty so
 /// single-node manifests — and manifests written before they existed —
 /// parse unchanged.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Manifest {
     /// Schema version ([`MANIFEST_VERSION`]).
     pub version: u32,
@@ -56,17 +57,19 @@ pub struct Manifest {
     /// Footer summaries keyed by file name relative to the spill dir.
     pub files: BTreeMap<String, FileEntry>,
     /// Distributed only: input blocks this rank has durably mapped.
-    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub blocks: Vec<u64>,
     /// Distributed only: partition tags this rank has durably shuffled
     /// (concatenated from every mapper's durable output, pre-sort).
-    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub shuffled: Vec<String>,
     /// Distributed only: partition tags whose reduce-join candidate list
     /// (the superstep's graph delta) is durable on this rank's disk.
-    #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub joined: Vec<String>,
 }
+
+stdx::impl_json!(struct Manifest {
+    version, config_hash, phases, sorted, files,
+    blocks = Vec::new(), shuffled = Vec::new(), joined = Vec::new(),
+});
 
 impl Manifest {
     /// Fresh manifest for a run with the given dataset/config fingerprint.
@@ -94,7 +97,7 @@ impl Manifest {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(StreamError::Io(e).into()),
         };
-        let manifest: Manifest = serde_json::from_slice(&bytes).map_err(|e| {
+        let manifest: Manifest = stdx::json::from_slice(&bytes).map_err(|e| {
             StreamError::Corrupt(format!("manifest {} is unreadable: {e}", path.display()))
         })?;
         if manifest.version != MANIFEST_VERSION {
@@ -118,10 +121,9 @@ impl Manifest {
             .map_err(StreamError::Fault)?;
         let path = dir.join(MANIFEST_NAME);
         let tmp = dir.join(format!("{MANIFEST_NAME}.tmp"));
-        let json = serde_json::to_vec_pretty(self)
-            .map_err(|e| StreamError::BadConfig(format!("manifest serialization failed: {e}")))?;
+        let json = stdx::json::to_string_pretty(self);
         let mut file = std::fs::File::create(&tmp).map_err(StreamError::Io)?;
-        file.write_all(&json).map_err(StreamError::Io)?;
+        file.write_all(json.as_bytes()).map_err(StreamError::Io)?;
         file.sync_all().map_err(StreamError::Io)?;
         drop(file);
         std::fs::rename(&tmp, &path).map_err(StreamError::Io)?;
@@ -250,7 +252,7 @@ mod tests {
 
     #[test]
     fn roundtrips_through_store_and_load() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = stdx::tempdir().unwrap();
         let mut m = Manifest::new(0xfeed);
         m.mark_phase("map");
         m.mark_sorted("sfx_00004");
@@ -267,7 +269,7 @@ mod tests {
 
     #[test]
     fn per_node_fields_roundtrip_and_default_empty() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = stdx::tempdir().unwrap();
         let mut m = Manifest::new(0xbeef);
         m.mark_block(3);
         m.mark_block(3); // idempotent
@@ -295,13 +297,13 @@ mod tests {
 
     #[test]
     fn missing_manifest_loads_as_none() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = stdx::tempdir().unwrap();
         assert!(Manifest::load(dir.path()).unwrap().is_none());
     }
 
     #[test]
     fn garbage_manifest_fails_loudly() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = stdx::tempdir().unwrap();
         std::fs::write(dir.path().join(MANIFEST_NAME), b"{not json").unwrap();
         let err = Manifest::load(dir.path()).unwrap_err();
         assert!(format!("{err}").contains("unreadable"), "{err}");
@@ -309,7 +311,7 @@ mod tests {
 
     #[test]
     fn unknown_version_fails_loudly() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = stdx::tempdir().unwrap();
         let mut m = Manifest::new(1);
         m.version = 99;
         m.store(dir.path(), &faultsim::Faults::disabled()).unwrap();
@@ -318,7 +320,7 @@ mod tests {
 
     #[test]
     fn injected_manifest_fault_leaves_previous_manifest_intact() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = stdx::tempdir().unwrap();
         let faults = faultsim::Faults::from_plan(
             &faultsim::FaultPlan::new().fail_at(faultsim::MANIFEST_WRITE, 2),
         );
@@ -336,7 +338,7 @@ mod tests {
 
     #[test]
     fn file_matches_tracks_footer_changes() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = stdx::tempdir().unwrap();
         let io = gstream::IoStats::default();
         let path = dir.path().join("part.kv");
         let mut w = gstream::RecordWriter::create(&path, io.clone()).unwrap();

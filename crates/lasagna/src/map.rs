@@ -168,8 +168,8 @@ mod tests {
     use gstream::IoStats;
     use vgpu::GpuProfile;
 
-    fn setup() -> (tempfile::TempDir, Device, HostMem, SpillDir) {
-        let dir = tempfile::tempdir().unwrap();
+    fn setup() -> (stdx::TempDir, Device, HostMem, SpillDir) {
+        let dir = stdx::tempdir().unwrap();
         let spill = SpillDir::create(dir.path(), IoStats::default()).unwrap();
         let device = Device::new(GpuProfile::k40());
         let host = HostMem::new(64 << 20);

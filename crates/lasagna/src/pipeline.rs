@@ -481,7 +481,7 @@ mod tests {
     ) -> (PackedSeq, AssemblyOutput) {
         let genome = GenomeSim::uniform(genome_len, seed).generate();
         let reads = ShotgunSim::error_free(read_len, coverage, seed + 1).sample(&genome);
-        let dir = tempfile::tempdir().unwrap();
+        let dir = stdx::tempdir().unwrap();
         let config = AssemblyConfig::for_dataset(l_min, read_len as u32);
         let pipeline = Pipeline::laptop(config, dir.path()).unwrap();
         let out = pipeline.assemble(&reads).unwrap();
@@ -538,7 +538,7 @@ mod tests {
     #[test]
     fn empty_read_set_produces_empty_assembly() {
         let reads = ReadSet::new(40);
-        let dir = tempfile::tempdir().unwrap();
+        let dir = stdx::tempdir().unwrap();
         let config = AssemblyConfig::for_dataset(25, 40);
         let pipeline = Pipeline::laptop(config, dir.path()).unwrap();
         let out = pipeline.assemble(&reads).unwrap();

@@ -2,11 +2,10 @@
 
 use crate::contig::ContigStats;
 use gstream::iostats::IoSnapshot;
-use serde::{Deserialize, Serialize};
 use vgpu::DeviceStats;
 
 /// Measurements for one pipeline phase — the columns of Tables II-V.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PhaseMetrics {
     /// Phase name ("map", "sort", "reduce", "compress", "load").
     pub phase: String,
@@ -24,6 +23,8 @@ pub struct PhaseMetrics {
     /// Peak device bytes allocated during the phase (Tables IV/V).
     pub device_peak_bytes: u64,
 }
+
+stdx::impl_json!(struct PhaseMetrics { phase, wall_seconds, modeled_seconds, device, io, host_peak_bytes, device_peak_bytes });
 
 impl PhaseMetrics {
     /// Modeled seconds = device kernel/transfer time + disk time. Disk and
@@ -63,7 +64,7 @@ impl PhaseMetrics {
 }
 
 /// Everything measured during one assembly.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct AssemblyReport {
     /// Dataset label (preset name or "custom").
     pub dataset: String,
@@ -80,6 +81,8 @@ pub struct AssemblyReport {
     /// Contig statistics.
     pub contig_stats: ContigStats,
 }
+
+stdx::impl_json!(struct AssemblyReport { dataset, reads, bases, phases, graph_edges, graph_bytes, contig_stats });
 
 impl AssemblyReport {
     /// Total wall seconds across phases.
@@ -288,8 +291,8 @@ mod tests {
             phases: vec![phase("map", 0.5, 1.5)],
             ..Default::default()
         };
-        let json = serde_json::to_string(&report).unwrap();
-        let back: AssemblyReport = serde_json::from_str(&json).unwrap();
+        let json = stdx::json::to_string(&report);
+        let back: AssemblyReport = stdx::json::from_str(&json).unwrap();
         assert_eq!(back.dataset, "H.Chr 14");
         assert_eq!(back.phases.len(), 1);
     }

@@ -9,12 +9,11 @@ use crate::config::AssemblyConfig;
 use crate::Result;
 use gstream::spill::{PartitionKind, SpillDir};
 use gstream::{ExternalSorter, HostMem, SortConfig, SortReport};
-use serde::{Deserialize, Serialize};
 use std::path::Path;
 use vgpu::Device;
 
 /// Aggregated outcome of the sort phase.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SortPhaseReport {
     /// Per-partition reports, `(length, kind, report)` with kind
     /// `"sfx"`/`"pfx"`.
@@ -121,8 +120,8 @@ mod tests {
     use gstream::{IoStats, KvPair};
     use vgpu::GpuProfile;
 
-    fn setup(host_bytes: u64) -> (tempfile::TempDir, Device, HostMem, SpillDir) {
-        let dir = tempfile::tempdir().unwrap();
+    fn setup(host_bytes: u64) -> (stdx::TempDir, Device, HostMem, SpillDir) {
+        let dir = stdx::tempdir().unwrap();
         let spill = SpillDir::create(dir.path(), IoStats::default()).unwrap();
         let device = Device::with_capacity(GpuProfile::k40(), 16 << 10);
         let host = HostMem::new(host_bytes);

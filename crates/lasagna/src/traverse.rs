@@ -15,11 +15,10 @@
 
 use crate::graph::StringGraph;
 use genome::readset::VertexId;
-use serde::{Deserialize, Serialize};
 
 /// One step of a path: a vertex and its overhang length (read length minus
 /// the overlap with the next vertex; full read length for the last vertex).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PathStep {
     /// The vertex (2·read + strand).
     pub vertex: VertexId,
@@ -28,7 +27,7 @@ pub struct PathStep {
 }
 
 /// An unambiguous path through the string graph.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Path {
     /// Steps in traversal order.
     pub steps: Vec<PathStep>,

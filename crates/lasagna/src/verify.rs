@@ -7,10 +7,9 @@
 
 use genome::sim::is_substring_either_strand;
 use genome::PackedSeq;
-use serde::{Deserialize, Serialize};
 
 /// Result of validating contigs against a reference.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct VerifyReport {
     /// Contigs checked.
     pub contigs: u64,

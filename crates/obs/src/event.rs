@@ -1,6 +1,5 @@
-use serde::{Deserialize, Serialize};
-
 use crate::histogram::Histogram;
+use stdx::json::{self, field, FromJson, ToJson, Value};
 
 /// One structured observability event.
 ///
@@ -9,8 +8,7 @@ use crate::histogram::Histogram;
 /// `histogram`), one per line in a `.jsonl` trace. Span ids are unique
 /// within one recorder; id `0` means "no span" (an unattached
 /// measurement).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(tag = "type", rename_all = "snake_case")]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Event {
     /// A span opened. `start_s` is seconds since the recorder was created.
     SpanStart {
@@ -59,6 +57,125 @@ impl Event {
             | Event::Histogram { span, .. } => *span,
             Event::Sched { .. } => 0,
         }
+    }
+}
+
+/// `{"type": <tag>, <fields in declaration order>}` — the JSONL schema of
+/// OBSERVABILITY.md.
+impl ToJson for Event {
+    fn to_json(&self) -> Value {
+        fn tagged<const N: usize>(tag: &str, fields: [(&str, Value); N]) -> Value {
+            let mut members = Vec::with_capacity(N + 1);
+            members.push(("type".to_owned(), tag.to_json()));
+            members.extend(fields.into_iter().map(|(k, v)| (k.to_owned(), v)));
+            Value::Object(members)
+        }
+        fn measurement(tag: &str, span: &u64, name: &str, value: Value) -> Value {
+            let fields = [
+                ("span", span.to_json()),
+                ("name", name.to_json()),
+                ("value", value),
+            ];
+            tagged(tag, fields)
+        }
+        match self {
+            Event::SpanStart {
+                id,
+                parent,
+                name,
+                start_s,
+            } => tagged(
+                "span_start",
+                [
+                    ("id", id.to_json()),
+                    ("parent", parent.to_json()),
+                    ("name", name.to_json()),
+                    ("start_s", start_s.to_json()),
+                ],
+            ),
+            Event::SpanEnd { id, wall_seconds } => tagged(
+                "span_end",
+                [
+                    ("id", id.to_json()),
+                    ("wall_seconds", wall_seconds.to_json()),
+                ],
+            ),
+            Event::Counter { span, name, value } => {
+                measurement("counter", span, name, value.to_json())
+            }
+            Event::Metric { span, name, value } => {
+                measurement("metric", span, name, value.to_json())
+            }
+            Event::Gauge { span, name, value } => measurement("gauge", span, name, value.to_json()),
+            Event::Histogram { span, name, hist } => tagged(
+                "histogram",
+                [
+                    ("span", span.to_json()),
+                    ("name", name.to_json()),
+                    ("hist", hist.to_json()),
+                ],
+            ),
+            Event::Sched {
+                step,
+                task,
+                task_name,
+                point,
+            } => tagged(
+                "sched",
+                [
+                    ("step", step.to_json()),
+                    ("task", task.to_json()),
+                    ("task_name", task_name.to_json()),
+                    ("point", point.to_json()),
+                ],
+            ),
+        }
+    }
+}
+
+impl FromJson for Event {
+    fn from_json(value: &Value) -> json::Result<Self> {
+        let f = value.as_object()?;
+        let tag: String = field(f, "type")?;
+        Ok(match tag.as_str() {
+            "span_start" => Event::SpanStart {
+                id: field(f, "id")?,
+                parent: field(f, "parent")?,
+                name: field(f, "name")?,
+                start_s: field(f, "start_s")?,
+            },
+            "span_end" => Event::SpanEnd {
+                id: field(f, "id")?,
+                wall_seconds: field(f, "wall_seconds")?,
+            },
+            "counter" => Event::Counter {
+                span: field(f, "span")?,
+                name: field(f, "name")?,
+                value: field(f, "value")?,
+            },
+            "metric" => Event::Metric {
+                span: field(f, "span")?,
+                name: field(f, "name")?,
+                value: field(f, "value")?,
+            },
+            "gauge" => Event::Gauge {
+                span: field(f, "span")?,
+                name: field(f, "name")?,
+                value: field(f, "value")?,
+            },
+            "histogram" => Event::Histogram {
+                span: field(f, "span")?,
+                name: field(f, "name")?,
+                hist: field(f, "hist")?,
+            },
+            "sched" => Event::Sched {
+                step: field(f, "step")?,
+                task: field(f, "task")?,
+                task_name: field(f, "task_name")?,
+                point: field(f, "point")?,
+            },
+            _ => return Err(json::Error::UnknownVariant(tag)),
+        })
     }
 }
 
@@ -112,19 +229,18 @@ mod tests {
             },
         ];
         for event in &events {
-            let line = serde_json::to_string(event).unwrap();
-            let back: Event = serde_json::from_str(&line).unwrap();
+            let line = json::to_string(event);
+            let back: Event = json::from_str(&line).unwrap();
             assert_eq!(&back, event);
         }
     }
 
     #[test]
     fn tag_names_are_snake_case() {
-        let line = serde_json::to_string(&Event::SpanEnd {
+        let line = json::to_string(&Event::SpanEnd {
             id: 7,
             wall_seconds: 0.5,
-        })
-        .unwrap();
+        });
         assert_eq!(line, r#"{"type":"span_end","id":7,"wall_seconds":0.5}"#);
     }
 }

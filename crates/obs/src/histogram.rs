@@ -11,7 +11,6 @@
 //! produce bit-identical aggregates, and the JSON serialization of an
 //! aggregate is itself deterministic (sorted keys, integers only).
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Sub-bucket resolution: each power-of-two range has `2^SUB_BITS`
@@ -20,7 +19,7 @@ const SUB_BITS: u32 = 5;
 const SUB_COUNT: u64 = 1 << SUB_BITS;
 
 /// A mergeable log-bucketed histogram (see the module docs).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Histogram {
     /// Sparse bucket counts keyed by bucket index; absent means zero.
     buckets: BTreeMap<u32, u64>,
@@ -33,6 +32,8 @@ pub struct Histogram {
     /// Largest raw value recorded (`0` when empty).
     max: u64,
 }
+
+stdx::impl_json!(struct Histogram { buckets, count, sum, min, max });
 
 /// The bucket a raw value lands in. Values below `SUB_COUNT` map to
 /// themselves (exact); above, the top `SUB_BITS + 1` significant bits
@@ -256,8 +257,8 @@ mod tests {
         assert_eq!(forward, reverse);
         // Bit-identical serialization, not just structural equality.
         assert_eq!(
-            serde_json::to_string(&forward).unwrap(),
-            serde_json::to_string(&reverse).unwrap()
+            stdx::json::to_string(&forward),
+            stdx::json::to_string(&reverse)
         );
         let total: u64 = parts.iter().map(|p| p.count()).sum();
         assert_eq!(forward.count(), total);
@@ -269,9 +270,9 @@ mod tests {
         for v in [0, 1, 31, 32, 1000, u64::MAX] {
             h.record(v);
         }
-        let s = serde_json::to_string(&h).unwrap();
-        let back: Histogram = serde_json::from_str(&s).unwrap();
+        let s = stdx::json::to_string(&h);
+        let back: Histogram = stdx::json::from_str(&s).unwrap();
         assert_eq!(back, h);
-        assert_eq!(serde_json::to_string(&back).unwrap(), s);
+        assert_eq!(stdx::json::to_string(&back), s);
     }
 }

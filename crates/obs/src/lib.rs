@@ -1,6 +1,6 @@
 //! # obs — structured observability for the LaSAGNA reproduction
 //!
-//! A lightweight (serde-only) structured-event layer:
+//! A lightweight structured-event layer:
 //!
 //! * hierarchical **spans** (`assembly > phase > partition > chunk`)
 //!   carrying wall-clock time, recorded by a [`Recorder`];
@@ -53,7 +53,7 @@ pub fn human_bytes(bytes: u64) -> String {
     if bytes < 1024 {
         return format!("{bytes} B");
     }
-    let mut value = bytes as f64;
+    let mut value = bytes as f64 / 1024.0;
     let mut unit = 0;
     while value >= 1024.0 && unit + 1 < UNITS.len() {
         value /= 1024.0;

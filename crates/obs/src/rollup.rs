@@ -161,14 +161,14 @@ impl Rollup {
     }
 
     /// Parse a JSONL trace (one event per line, blank lines ignored).
-    pub fn from_jsonl(text: &str) -> Result<Self, serde_json::Error> {
+    pub fn from_jsonl(text: &str) -> Result<Self, stdx::json::Error> {
         let mut events = Vec::new();
         for line in text.lines() {
             let line = line.trim();
             if line.is_empty() {
                 continue;
             }
-            events.push(serde_json::from_str::<Event>(line)?);
+            events.push(stdx::json::from_str::<Event>(line)?);
         }
         Ok(Rollup::from_events(&events))
     }
@@ -354,13 +354,13 @@ mod tests {
         let text: String = rec
             .events()
             .iter()
-            .map(|e| serde_json::to_string(e).unwrap() + "\n")
+            .map(|e| stdx::json::to_string(e) + "\n")
             .collect();
         let direct = Rollup::from_events(&rec.events());
         let parsed = Rollup::from_jsonl(&text).unwrap();
         let a = direct.root_named("phase").unwrap();
         let b = parsed.root_named("phase").unwrap();
-        // serde_json prints f64 via the shortest round-trippable form, so
+        // f64 is written in its shortest round-trippable form, so
         // aggregates survive the file round trip bit-for-bit.
         assert_eq!(a.own, b.own);
         assert_eq!(a.wall_seconds, b.wall_seconds);

@@ -33,9 +33,7 @@ impl Sink for JsonlSink {
     fn record(&mut self, event: &Event) {
         // A full disk surfaces at flush; per-event errors are ignored so
         // tracing can never fail an assembly.
-        if let Ok(line) = serde_json::to_string(event) {
-            let _ = writeln!(self.writer, "{line}");
-        }
+        let _ = writeln!(self.writer, "{}", stdx::json::to_string(event));
     }
 
     fn flush(&mut self) {
@@ -160,7 +158,7 @@ mod tests {
 
     #[test]
     fn jsonl_sink_writes_one_line_per_event() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = stdx::tempdir().unwrap();
         let path = dir.path().join("trace.jsonl");
         let rec = Recorder::new();
         rec.add_sink(Box::new(JsonlSink::create(&path).unwrap()));
@@ -174,7 +172,7 @@ mod tests {
         assert_eq!(lines.len(), 3);
         let parsed: Vec<Event> = lines
             .iter()
-            .map(|l| serde_json::from_str(l).unwrap())
+            .map(|l| stdx::json::from_str(l).unwrap())
             .collect();
         assert_eq!(parsed, rec.events());
     }

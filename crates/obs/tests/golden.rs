@@ -53,7 +53,7 @@ fn golden_trace_deserializes_to_expected_events() {
     let parsed: Vec<Event> = GOLDEN
         .lines()
         .filter(|line| !line.trim().is_empty())
-        .map(|line| serde_json::from_str(line).expect("golden line must parse"))
+        .map(|line| stdx::json::from_str(line).expect("golden line must parse"))
         .collect();
     assert_eq!(parsed, expected_events());
 }
@@ -62,7 +62,7 @@ fn golden_trace_deserializes_to_expected_events() {
 fn expected_events_serialize_byte_identical_to_golden() {
     let rendered: Vec<String> = expected_events()
         .iter()
-        .map(|event| serde_json::to_string(event).unwrap())
+        .map(stdx::json::to_string)
         .collect();
     let golden: Vec<&str> = GOLDEN
         .lines()

@@ -32,6 +32,7 @@ use std::collections::BTreeMap;
 use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::time::Duration;
+use stdx::splitmix64;
 
 use crate::proto::{PongStatus, Request, Response, StatsSnapshot};
 use crate::QnetError;
@@ -116,7 +117,8 @@ pub struct QueryClient {
     conn: Option<Conn>,
     next_request_id: u64,
     retries_total: u64,
-    reconnects: u64,
+    /// Connections established so far, the first included.
+    connects: u64,
     /// Generation pin carried by every query; `0` = server's active.
     pin: u64,
 }
@@ -131,7 +133,7 @@ impl QueryClient {
             conn: None,
             next_request_id: 1,
             retries_total: 0,
-            reconnects: 0,
+            connects: 0,
             pin: 0,
         }
     }
@@ -141,13 +143,13 @@ impl QueryClient {
         self.retries_total
     }
 
-    /// Connections dialed over this client's lifetime (the first
-    /// connect counts). A typed shed, drain, or reload outcome keeps
+    /// Re-dials over this client's lifetime: connections established
+    /// after the first one. A typed shed, drain, or reload outcome keeps
     /// the connection alive — only wire errors (I/O, corrupt frames)
     /// force a re-dial — so steady-state traffic across a hot reload
-    /// holds this at 1.
+    /// holds this at 0.
     pub fn reconnects(&self) -> u64 {
-        self.reconnects
+        self.connects.saturating_sub(1)
     }
 
     /// Pin every subsequent query to store/index `generation`; `0`
@@ -784,7 +786,7 @@ impl QueryClient {
             nonce: 0,
             next_seq: 1,
         });
-        self.reconnects += 1;
+        self.connects += 1;
         self.rec.counter("qnet.client.connects", 1);
         if self.cfg.auth_secret.is_some() {
             let (resp, _peer) = self.exchange(&Request::AuthHello)?;
@@ -856,13 +858,6 @@ fn sock_readable(sock: &TcpStream) -> bool {
     }
 }
 
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -881,13 +876,32 @@ mod tests {
         }
     }
 
-    /// Read one frame off `sock` and decode the request in it.
+    /// Read one frame off `sock` and decode the request in it. Unbuffered:
+    /// a buffered reader dropped between calls would swallow the frames a
+    /// pipelining client has already sent behind this one.
     fn read_request(sock: &mut TcpStream) -> Request {
-        let mut reader = BufReader::new(sock.try_clone().unwrap());
-        let payload = gstream::read_frame(&mut reader, "client")
+        let payload = gstream::read_frame(sock, "client")
             .unwrap()
             .expect("a frame");
         Request::decode(&payload, "client").unwrap()
+    }
+
+    /// Every fake server ends by reading until the client hangs up (so its
+    /// last frame is never cut short by its own close), and the client keeps
+    /// its connection for reuse: drop the client first, then join — within a
+    /// bound, so a server stuck anywhere fails its test instead of stalling
+    /// the suite.
+    fn hang_up_and_join(client: QueryClient, server: std::thread::JoinHandle<()>) {
+        drop(client);
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        while !server.is_finished() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the fake server is still running 30 s after the client hung up"
+            );
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        server.join().unwrap();
     }
 
     fn send_response(sock: &mut TcpStream, resp: &Response) {
@@ -973,7 +987,7 @@ mod tests {
         let hits = client.query_batch(&reads).expect("retry succeeds");
         assert_eq!(hits, vec![None]);
         assert_eq!(client.retries_total(), 1);
-        server.join().unwrap();
+        hang_up_and_join(client, server);
     }
 
     #[test]
@@ -1011,7 +1025,7 @@ mod tests {
             }
             other => panic!("expected RetriesExhausted, got {other:?}"),
         }
-        server.join().unwrap();
+        hang_up_and_join(client, server);
     }
 
     #[test]
@@ -1069,7 +1083,7 @@ mod tests {
         assert!(matches!(err, QnetError::AuthFailed));
         assert!(!err.is_retryable());
         assert_eq!(client.retries_total(), 0, "no retry on auth failure");
-        server.join().unwrap();
+        hang_up_and_join(client, server);
     }
 
     #[test]
@@ -1111,7 +1125,7 @@ mod tests {
         ];
         let got = client.shard_query_batch(&reads).expect("candidates");
         assert_eq!(got, expect);
-        server.join().unwrap();
+        hang_up_and_join(client, server);
     }
 
     #[test]
@@ -1159,10 +1173,10 @@ mod tests {
         assert_eq!(client.retries_total(), 1);
         assert_eq!(
             client.reconnects(),
-            1,
+            0,
             "a shed is a typed outcome, not a reason to re-dial"
         );
-        server.join().unwrap();
+        hang_up_and_join(client, server);
     }
 
     #[test]
@@ -1224,8 +1238,8 @@ mod tests {
         assert_eq!(active, 2);
         let (g2, _) = client.query_batch_tagged(&reads).expect("post-swap query");
         assert_eq!(g2, 2);
-        assert_eq!(client.reconnects(), 1, "the whole swap rode one connection");
-        server.join().unwrap();
+        assert_eq!(client.reconnects(), 0, "the whole swap rode one connection");
+        hang_up_and_join(client, server);
     }
 
     #[test]
@@ -1275,8 +1289,8 @@ mod tests {
         assert!(!err.is_retryable(), "a rollback is a deliberate outcome");
         let (ready, _) = client.ping().expect("connection survived the failure");
         assert!(ready);
-        assert_eq!(client.reconnects(), 1);
-        server.join().unwrap();
+        assert_eq!(client.reconnects(), 0);
+        hang_up_and_join(client, server);
     }
 
     #[test]
@@ -1329,9 +1343,9 @@ mod tests {
             assert_eq!(*generation, (i + 1) as u64, "answer matched to batch {i}");
             assert_eq!(hits.len(), i + 1);
         }
-        assert_eq!(client.reconnects(), 1);
+        assert_eq!(client.reconnects(), 0);
         assert_eq!(client.retries_total(), 0);
-        server.join().unwrap();
+        hang_up_and_join(client, server);
     }
 
     #[test]
@@ -1355,6 +1369,6 @@ mod tests {
             .expect_err("deadline is terminal");
         assert!(matches!(err, QnetError::DeadlineExceeded { .. }));
         assert_eq!(client.retries_total(), 0, "no retry on a terminal error");
-        server.join().unwrap();
+        hang_up_and_join(client, server);
     }
 }

@@ -26,6 +26,7 @@
 
 use std::collections::HashMap;
 use std::sync::Mutex;
+use stdx::splitmix64;
 
 use crate::client::{ClientConfig, QueryClient};
 use obs::Recorder;
@@ -138,13 +139,6 @@ impl ClientPool {
         let jitter_millis = 512 + (splitmix64(key) % 512); // units of 1/1024
         full * jitter_millis / 1024
     }
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]

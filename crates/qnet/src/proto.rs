@@ -18,7 +18,6 @@
 use crate::QnetError;
 use genome::PackedSeq;
 use qserve::{Candidate, Hit};
-use serde::{Deserialize, Serialize};
 
 /// Which admission gate shed a batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -198,7 +197,7 @@ fn keyed_fnv1a(key: &[u8], msg: &[u8]) -> u64 {
 /// Counters come from the server's live roll-up of the same events the
 /// JSONL trace records, so a snapshot taken after all in-flight work
 /// drained equals the post-hoc [`obs::Rollup`] of the trace exactly.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StatsSnapshot {
     /// Schema version ([`STATS_VERSION`]).
     pub version: u32,
@@ -241,8 +240,12 @@ pub struct StatsSnapshot {
     pub latency: Vec<LatencySummary>,
 }
 
+stdx::impl_json!(struct StatsSnapshot {
+    version, uptime_ms, draining, inflight, queue_depth, drained_reads, drain_ewma_reads_per_s, accepted, rejected, deadline_shed, fairness_shed, force_closed, generation, reloads, rollbacks, clients, latency
+});
+
 /// One client's admission history and current fairness state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClientStats {
     pub client_id: String,
     pub accepted: u64,
@@ -255,9 +258,13 @@ pub struct ClientStats {
     pub weight: f64,
 }
 
+stdx::impl_json!(struct ClientStats {
+    client_id, accepted, rejected, deadline_shed, fairness_shed, tokens, weight
+});
+
 /// One latency histogram summarized: exact count/sum/min/max plus
 /// deterministic percentiles, all in microseconds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LatencySummary {
     pub name: String,
     pub count: u64,
@@ -269,6 +276,10 @@ pub struct LatencySummary {
     pub p99_us: u64,
     pub p999_us: u64,
 }
+
+stdx::impl_json!(struct LatencySummary {
+    name, count, sum_us, min_us, max_us, p50_us, p90_us, p99_us, p999_us
+});
 
 impl LatencySummary {
     /// Summarize a histogram. Percentiles are [`obs::Histogram::percentile`],
@@ -290,7 +301,7 @@ impl LatencySummary {
 }
 
 /// The [`Response::PongV2`] payload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PongStatus {
     /// True when the server is accepting queries.
     pub ready: bool,
@@ -1374,6 +1385,9 @@ mod tests {
         };
         let resp = Response::Stats(snap.clone());
         assert_eq!(roundtrip_resp(&resp), resp);
+        // The same snapshot as `lasagna-cli stats --format json` prints it.
+        let json = stdx::json::to_string_pretty(&snap);
+        assert_eq!(stdx::json::from_str::<StatsSnapshot>(&json).unwrap(), snap);
 
         // An empty snapshot (fresh server) is legal too.
         let empty = Response::Stats(StatsSnapshot {

@@ -44,6 +44,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+use stdx::splitmix64;
 
 use crate::proto::{
     ClientStats, LatencySummary, PongStatus, Request, Response, ShedScope, StatsSnapshot,
@@ -1179,13 +1180,6 @@ fn fresh_nonce(conn_idx: u64) -> u64 {
     } else {
         n
     }
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// A frame cut off halfway through its payload: full header (so the

@@ -10,8 +10,6 @@
 //! replicas that answer for different stores, because summed votes are
 //! only meaningful over one postings partition.
 
-use serde::{Deserialize, Serialize};
-
 use crate::RouterError;
 
 /// Current manifest schema version.
@@ -21,7 +19,7 @@ use crate::RouterError;
 pub const MANIFEST_VERSION: u32 = 1;
 
 /// One shard's serving replicas.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardEntry {
     /// Shard id in `0..n_shards`.
     pub shard: u32,
@@ -30,9 +28,11 @@ pub struct ShardEntry {
     pub replicas: Vec<String>,
 }
 
+stdx::impl_json!(struct ShardEntry { shard, replicas });
+
 /// The whole cluster's layout, serialized as JSON beside the bench
 /// artifacts and fed to `lasagna-cli query --router`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClusterManifest {
     /// Schema version; readers reject versions they do not know.
     pub version: u32,
@@ -49,11 +49,14 @@ pub struct ClusterManifest {
     /// so a manifest written after a rollout replays the same pin on
     /// restart. Absent in version-1 manifests written before
     /// generations existed; those parse as `0`.
-    #[serde(default)]
     pub generation: u64,
     /// One entry per shard, in shard order.
     pub shards: Vec<ShardEntry>,
 }
+
+stdx::impl_json!(struct ClusterManifest {
+    version, n_shards, store_checksum, generation = 0, shards
+});
 
 impl ClusterManifest {
     /// An empty manifest for `n_shards` shards over one store; replicas
@@ -118,12 +121,12 @@ impl ClusterManifest {
 
     /// Serialize to pretty JSON.
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("manifest serializes")
+        stdx::json::to_string_pretty(self)
     }
 
     /// Parse and validate a manifest from JSON.
     pub fn from_json(s: &str) -> Result<ClusterManifest, RouterError> {
-        let m: ClusterManifest = serde_json::from_str(s)
+        let m: ClusterManifest = stdx::json::from_str(s)
             .map_err(|e| RouterError::Manifest(format!("manifest parse: {e}")))?;
         m.validate()?;
         Ok(m)
@@ -228,7 +231,7 @@ mod tests {
 
     #[test]
     fn save_and_load() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = stdx::tempdir().unwrap();
         let path = dir.path().join("cluster.json");
         let m = manifest_2x2();
         m.save(&path).unwrap();

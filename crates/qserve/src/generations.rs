@@ -21,7 +21,6 @@
 use std::path::{Path, PathBuf};
 
 use gstream::{fsync_parent_dir, IoStats};
-use serde::{Deserialize, Serialize};
 
 /// File name of the generation manifest inside a work directory.
 pub const GEN_MANIFEST_FILE: &str = "generations.json";
@@ -39,8 +38,7 @@ pub fn gen_index_file(id: u64) -> String {
 }
 
 /// How a generation's store was produced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GenKind {
     /// From-scratch assembly of the whole corpus.
     Full,
@@ -50,8 +48,15 @@ pub enum GenKind {
     Delta,
 }
 
+stdx::impl_json!(
+    enum GenKind {
+        Full = "full",
+        Delta = "delta",
+    }
+);
+
 /// One exported generation: which files hold it and what binds them.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GenEntry {
     /// Generation id; strictly increasing, never reused.
     pub id: u64,
@@ -73,9 +78,13 @@ pub struct GenEntry {
     pub parent: Option<u64>,
 }
 
+stdx::impl_json!(struct GenEntry {
+    id, store, index, store_checksum, reads, read_len, kind, parent
+});
+
 /// The generation manifest: every exported generation plus the single
 /// `active` pointer servers load on start and on `Reload`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GenManifest {
     /// Schema version; readers reject versions they do not know.
     pub version: u32,
@@ -85,6 +94,8 @@ pub struct GenManifest {
     /// Every exported generation, in id order.
     pub generations: Vec<GenEntry>,
 }
+
+stdx::impl_json!(struct GenManifest { version, active, generations });
 
 /// Typed generation errors: reload and validation failures name the
 /// generation so an operator reading one line of log knows which rollout
@@ -165,7 +176,7 @@ impl GenManifest {
         let bytes = std::fs::read(&path)
             .map_err(|e| GenError::Manifest(format!("read {}: {e}", path.display())))?;
         io.add_read(bytes.len() as u64);
-        let m: GenManifest = serde_json::from_slice(&bytes)
+        let m: GenManifest = stdx::json::from_slice(&bytes)
             .map_err(|e| GenError::Manifest(format!("parse {}: {e}", path.display())))?;
         m.validate()?;
         Ok(m)
@@ -179,8 +190,7 @@ impl GenManifest {
         self.validate()?;
         let path = Self::path(dir);
         let tmp = path.with_extension("json.tmp");
-        let body =
-            serde_json::to_vec_pretty(self).map_err(|e| GenError::Manifest(format!("{e}")))?;
+        let body = stdx::json::to_string_pretty(self).into_bytes();
         let write = || -> std::io::Result<()> {
             use std::io::Write as _;
             let mut f = std::fs::File::create(&tmp)?;
@@ -359,7 +369,7 @@ mod tests {
 
     #[test]
     fn manifest_round_trips_atomically() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = stdx::tempdir().unwrap();
         let io = IoStats::new(gstream::DiskModel::ssd());
         let mut m = GenManifest {
             version: GEN_MANIFEST_VERSION,

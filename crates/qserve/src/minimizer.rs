@@ -19,6 +19,7 @@ use genome::PackedSeq;
 use gstream::{IoStats, StreamError};
 use std::collections::VecDeque;
 use std::path::Path;
+use stdx::splitmix64;
 
 /// Leading payload magic: `LASMIDX1`.
 pub const INDEX_MAGIC: u64 = u64::from_le_bytes(*b"LASMIDX1");
@@ -47,16 +48,6 @@ impl Default for IndexConfig {
     }
 }
 
-/// splitmix64 finalizer: a cheap invertible mix, uniform enough that the
-/// windowed minimum samples positions independent of base composition.
-#[inline]
-pub(crate) fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e3779b97f4a7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-    x ^ (x >> 31)
-}
-
 /// The (hash, start offset) of every window minimizer of `seq`, in offset
 /// order, consecutive duplicates collapsed. Empty when `seq` is shorter
 /// than `k`; a sequence shorter than a full window yields its single
@@ -75,7 +66,10 @@ pub fn minimizers(seq: &PackedSeq, k: usize, w: usize) -> Vec<(u64, u32)> {
     for i in 0..len {
         kmer = ((kmer << 2) | seq.get(i).code() as u64) & mask;
         if i + 1 >= k {
-            hashes.push(mix64(kmer));
+            // The k-mer hash: a cheap invertible mix, uniform enough that the
+            // windowed minimum samples positions independent of base
+            // composition. Stored index files depend on its exact bits.
+            hashes.push(splitmix64(kmer));
         }
     }
 
@@ -103,7 +97,7 @@ pub fn minimizers(seq: &PackedSeq, k: usize, w: usize) -> Vec<(u64, u32)> {
 }
 
 /// Deterministic shard assignment for one minimizer hash among `n_shards`
-/// postings shards. Hashes are already splitmix64-mixed ([`mix64`]), so a
+/// postings shards. Hashes are already splitmix64-mixed ([`stdx::splitmix64`]), so a
 /// plain modulo spreads the postings space uniformly; the assignment is a
 /// pure function of the hash, so every node (and the cluster manifest)
 /// agrees on it without coordination.
@@ -347,7 +341,7 @@ mod tests {
                 for j in 0..k {
                     km = (km << 2) | s.get(i + j).code() as u64;
                 }
-                mix64(km)
+                splitmix64(km)
             })
             .collect();
         let offsets: Vec<u32> = m.iter().map(|&(_, o)| o).collect();
@@ -414,7 +408,7 @@ mod tests {
 
     #[test]
     fn index_roundtrips_and_rejects_corruption() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = stdx::tempdir().unwrap();
         let path = dir.path().join("contigs.mdx");
         let io = IoStats::default();
         let store = toy_store();
@@ -501,7 +495,7 @@ mod tests {
 
     #[test]
     fn index_read_failpoint_fires() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = stdx::tempdir().unwrap();
         let path = dir.path().join("x.mdx");
         let io = IoStats::default();
         MinimizerIndex::build(&toy_store(), &IndexConfig::default())

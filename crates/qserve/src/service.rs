@@ -1047,7 +1047,7 @@ mod tests {
 
     #[test]
     fn reload_swaps_generations_and_batches_answer_from_their_admitted_generation() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = stdx::tempdir().unwrap();
         let io = IoStats::new(gstream::DiskModel::ssd());
         export_generation(dir.path(), 1, &[REF]);
         let svc = QueryService::start_with_generation(
@@ -1106,7 +1106,7 @@ mod tests {
 
     #[test]
     fn failed_reload_rolls_back_loudly_and_names_the_generation() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = stdx::tempdir().unwrap();
         let io = IoStats::new(gstream::DiskModel::ssd());
         export_generation(dir.path(), 1, &[REF]);
         export_generation(dir.path(), 2, &[REF2]);
@@ -1173,7 +1173,7 @@ mod tests {
 
     #[test]
     fn superseded_generations_retire_only_when_idle() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = stdx::tempdir().unwrap();
         let io = IoStats::new(gstream::DiskModel::ssd());
         export_generation(dir.path(), 1, &[REF]);
         let svc = QueryService::start_with_generation(

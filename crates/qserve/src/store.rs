@@ -197,7 +197,7 @@ mod tests {
 
     #[test]
     fn store_roundtrips_contigs_bit_identically() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = stdx::tempdir().unwrap();
         let path = dir.path().join("contigs.store");
         let io = IoStats::default();
         let contigs = seqs(&["ACGTACGTA", "T", "", "GGGGCCCCAAAATTTTG"]);
@@ -213,7 +213,7 @@ mod tests {
 
     #[test]
     fn empty_store_is_valid() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = stdx::tempdir().unwrap();
         let path = dir.path().join("empty.store");
         let io = IoStats::default();
         ContigStore::write(&path, &[], &io).unwrap();
@@ -224,7 +224,7 @@ mod tests {
 
     #[test]
     fn corruption_names_the_store_path() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = stdx::tempdir().unwrap();
         let path = dir.path().join("victim.store");
         let io = IoStats::default();
         ContigStore::write(&path, &seqs(&["ACGTACGTACGT"]), &io).unwrap();
@@ -241,7 +241,7 @@ mod tests {
 
     #[test]
     fn bad_magic_is_corrupt_not_garbage() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = stdx::tempdir().unwrap();
         let path = dir.path().join("magic.store");
         let io = IoStats::default();
         let mut payload = ContigStore::encode(&seqs(&["ACGT"]));
@@ -255,7 +255,7 @@ mod tests {
 
     #[test]
     fn store_write_failpoint_is_enospc_shaped_and_leaves_no_file() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = stdx::tempdir().unwrap();
         let path = dir.path().join("full.store");
         let io = IoStats::default();
         io.set_faults(Faults::from_plan(
@@ -281,7 +281,7 @@ mod tests {
 
     #[test]
     fn store_write_failpoint_preserves_an_existing_store() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = stdx::tempdir().unwrap();
         let path = dir.path().join("kept.store");
         let io = IoStats::default();
         let old = seqs(&["AAAACCCCGGGG"]);
@@ -296,7 +296,7 @@ mod tests {
 
     #[test]
     fn store_read_failpoint_fires_before_any_io() {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = stdx::tempdir().unwrap();
         let path = dir.path().join("absent.store");
         let io = IoStats::default();
         io.set_faults(Faults::from_plan(

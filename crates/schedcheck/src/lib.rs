@@ -84,7 +84,7 @@ pub fn sched_lock() -> MutexGuard<'static, ()> {
 /// One confirmed problem found by exploration: either the scheduler
 /// itself failed to make progress (deadlock/hang in the real code) or a
 /// protocol invariant did not hold on a completed schedule.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Violation {
     /// `"dfs"` or `"pct:<seed>"` — enough to re-run the strategy.
     pub strategy: String,
@@ -95,8 +95,10 @@ pub struct Violation {
     pub trace: Vec<GrantRecord>,
 }
 
+stdx::impl_json!(struct Violation { strategy, detail, trace });
+
 /// Aggregate results of an exploration pass.
-#[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ExploreReport {
     /// Schedules executed end-to-end.
     pub schedules_explored: u64,
@@ -117,6 +119,8 @@ pub struct ExploreReport {
     /// Invariant or scheduler violations, with replayable traces.
     pub violations: Vec<Violation>,
 }
+
+stdx::impl_json!(struct ExploreReport { schedules_explored, distinct_interleavings, diverged, max_steps, force_closed_runs, deadline_shed_runs, fairness_shed_runs, violations });
 
 impl ExploreReport {
     /// Fold `other` into `self` (union of hashes is handled by callers;
@@ -154,13 +158,4 @@ impl ExploreReport {
             self.fairness_shed_runs += 1;
         }
     }
-}
-
-/// The splitmix64 mixer — the repo's standard deterministic PRNG step
-/// (same constants as the client's backoff jitter and dnet's recovery).
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }

@@ -14,8 +14,9 @@
 
 use crate::scenario::{run_schedule, RunResult};
 use crate::trace::trace_hash;
-use crate::{splitmix64, ExploreReport, ScenarioConfig, Violation};
+use crate::{ExploreReport, ScenarioConfig, Violation};
 use std::collections::{BTreeSet, HashMap};
+use stdx::splitmix64;
 
 /// Tuning for [`explore_pct`].
 #[derive(Debug, Clone)]

@@ -52,7 +52,6 @@ use qserve::{
     generations, AdmissionConfig, ContigStore, GenEntry, GenKind, GenManifest, Hit, IndexConfig,
     MinimizerIndex, QueryConfig, QueryEngine, QueryService, ServiceConfig,
 };
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -73,7 +72,7 @@ const DEADLINE_MS: u32 = 600_000;
 const RELOAD_RID: u64 = 9_000_001;
 
 /// Scenario shape. The default is two clients racing a mid-script swap.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ReloadScenarioConfig {
     /// Worker threads in the query service.
     pub workers: usize,
@@ -112,7 +111,7 @@ impl ReloadScenarioConfig {
 }
 
 /// How one client batch ended, from the client's chair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReloadOutcomeKind {
     /// Byte-correct `Hits` matching exactly one generation's oracle.
     Hits,
@@ -128,7 +127,7 @@ pub enum ReloadOutcomeKind {
 }
 
 /// What one client observed for one batch — exactly one per batch.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReloadBatchOutcome {
     /// Client index (wire id `c{client}`).
     pub client: usize,
@@ -143,7 +142,7 @@ pub struct ReloadBatchOutcome {
 }
 
 /// How the scripted `Reload` call itself ended.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReloadCallOutcome {
     /// `ReloadDone` echoing the right id; carries the new active id.
     Done {
@@ -191,7 +190,7 @@ fn contig_b() -> PackedSeq {
     let mut codes = Vec::with_capacity(600);
     let mut x: u64 = 0x5eed_cafe_f00d_0002;
     while codes.len() < 600 {
-        x = crate::splitmix64(x);
+        x = stdx::splitmix64(x);
         let mut w = x;
         for _ in 0..32 {
             if codes.len() == 600 {
@@ -623,7 +622,7 @@ pub fn run_reload_schedule(
 
     // The on-disk generations the server will reload from, written
     // before any scheduling begins.
-    let dir = tempfile::tempdir().expect("reload scenario work dir");
+    let dir = stdx::tempdir().expect("reload scenario work dir");
     let io = IoStats::new(gstream::DiskModel::ssd());
     export_generation(dir.path(), 1, std::slice::from_ref(&base), &io);
     export_generation(dir.path(), 2, &[base.clone(), extra.clone()], &io);

@@ -43,7 +43,6 @@ use qserve::{
     AdmissionConfig, ContigStore, Hit, IndexConfig, MinimizerIndex, QueryConfig, QueryEngine,
     QueryService, ServiceConfig,
 };
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -58,7 +57,7 @@ const IO_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Shape of the cluster scenario. Defaults keep schedules small enough
 /// for exploration while still exercising hedge and fail-over paths.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RouterScenarioConfig {
     /// Batches the router routes, sequentially.
     pub batches: usize,
@@ -96,7 +95,7 @@ impl RouterScenarioConfig {
 }
 
 /// How one routed batch ended, from the caller's chair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RouterOutcomeKind {
     /// Byte-identical to the single-node oracle.
     Merged,
@@ -109,7 +108,7 @@ pub enum RouterOutcomeKind {
 }
 
 /// One batch's outcome.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RouterBatchOutcome {
     /// Batch index in the script.
     pub batch: usize,

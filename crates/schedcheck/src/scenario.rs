@@ -45,7 +45,6 @@ use qserve::{
     AdmissionConfig, ContigStore, Hit, IndexConfig, MinimizerIndex, QueryConfig, QueryEngine,
     QueryService, ServiceConfig,
 };
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -65,7 +64,7 @@ const MAX_GRANTS: usize = 5_000;
 const CLIENT_IO_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// How clients and server treat the shared-secret auth tag.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AuthMode {
     /// No secret anywhere; tags ride as `0` and are ignored.
     Off,
@@ -78,7 +77,7 @@ pub enum AuthMode {
 
 /// Scenario shape. The default is the 2-clients × 2-workers drain/reload
 /// configuration from the exploration plan; tests shrink or skew it.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScenarioConfig {
     /// Worker threads in the query service.
     pub workers: usize,
@@ -151,7 +150,7 @@ impl ScenarioConfig {
 }
 
 /// What one client observed for one batch — exactly one per batch.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchOutcome {
     /// Client index (wire id `c{client}`).
     pub client: usize,
@@ -169,7 +168,7 @@ pub struct BatchOutcome {
 }
 
 /// Every way a batch can end, from the client's chair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OutcomeKind {
     /// Byte-correct `Hits` for the right `request_id`.
     Hits,
@@ -220,7 +219,7 @@ pub(crate) fn contig() -> PackedSeq {
     let mut codes = Vec::with_capacity(CONTIG_BASES);
     let mut x: u64 = 0x5eed_cafe_f00d_0001;
     while codes.len() < CONTIG_BASES {
-        x = crate::splitmix64(x);
+        x = stdx::splitmix64(x);
         // 32 two-bit codes per mixed word.
         let mut w = x;
         for _ in 0..32 {

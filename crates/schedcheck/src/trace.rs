@@ -12,12 +12,10 @@
 //! [`crate::scenario::replay_trace`] and diffed line-by-line against
 //! the reproduction.
 
-use serde::{Deserialize, Serialize};
-
 /// One scheduling decision: at `step`, the controller granted `task`
 /// (announced as `task_name`), which was parked at schedule point
 /// `point`, while the virtual clock read `clock_ms`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GrantRecord {
     /// 0-based index of this grant in the schedule.
     pub step: u64,
@@ -32,6 +30,8 @@ pub struct GrantRecord {
     /// Virtual clock at grant time, in milliseconds.
     pub clock_ms: u64,
 }
+
+stdx::impl_json!(struct GrantRecord { step, task, task_name, point, clock_ms });
 
 /// FNV-1a fingerprint of the interleaving: folds each grant's
 /// `task_name` and `point` (with separators so `("a", "bc")` and
@@ -60,7 +60,7 @@ pub fn to_jsonl(trace: &[GrantRecord]) -> String {
     let mut out = String::new();
     for g in trace {
         // GrantRecord contains no map types, so serialization cannot fail.
-        out.push_str(&serde_json::to_string(g).expect("serialize grant record"));
+        out.push_str(&stdx::json::to_string(g));
         out.push('\n');
     }
     out
@@ -75,7 +75,7 @@ pub fn from_jsonl(text: &str) -> Result<Vec<GrantRecord>, String> {
             continue;
         }
         let rec: GrantRecord =
-            serde_json::from_str(line).map_err(|e| format!("trace line {}: {e}", i + 1))?;
+            stdx::json::from_str(line).map_err(|e| format!("trace line {}: {e}", i + 1))?;
         out.push(rec);
     }
     Ok(out)
@@ -117,6 +117,34 @@ mod tests {
         let mut other = trace.clone();
         other[1].point = "qserve.worker.exec".to_string();
         assert_ne!(trace_hash(&other), trace_hash(&trace));
+    }
+
+    #[test]
+    fn an_explore_report_with_a_violation_round_trips_through_json() {
+        // What `repro schedcheck` archives: counters plus replayable traces.
+        let report = crate::ExploreReport {
+            schedules_explored: 64,
+            distinct_interleavings: 61,
+            max_steps: 212,
+            force_closed_runs: 3,
+            violations: vec![crate::Violation {
+                strategy: "pct:9".into(),
+                detail: "I4: snapshot != rollup".into(),
+                trace: vec![GrantRecord {
+                    step: 0,
+                    task: 2,
+                    task_name: "sc.client0".into(),
+                    point: "qnet.client.read".into(),
+                    clock_ms: u64::MAX,
+                }],
+            }],
+            ..Default::default()
+        };
+        let json = stdx::json::to_string_pretty(&report);
+        let back: crate::ExploreReport = stdx::json::from_str(&json).unwrap();
+        assert_eq!(stdx::json::to_string_pretty(&back), json);
+        assert_eq!(back.violations[0].trace, report.violations[0].trace);
+        assert_eq!(back.distinct_interleavings, 61);
     }
 
     #[test]

@@ -5,7 +5,6 @@ use crate::overlap::{build_text, find_overlaps, OverlapStats};
 use genome::ReadSet;
 use gstream::{HostMem, IoStats};
 use lasagna::StringGraph;
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// SGA's ropebwt-compressed index costs roughly this many bytes per indexed
@@ -43,7 +42,7 @@ impl std::fmt::Display for SgaError {
 impl std::error::Error for SgaError {}
 
 /// Per-phase timings and outcome of one SGA run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SgaReport {
     /// Wall seconds of the preprocess phase.
     pub preprocess_seconds: f64,

@@ -180,7 +180,7 @@ pub fn naive_suffix_array(text: &[u8]) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use stdx::check_cases;
 
     fn check(text: &[u8]) {
         assert_eq!(
@@ -245,21 +245,21 @@ mod tests {
         suffix_array(&[1, 0, 2, 0]);
     }
 
-    proptest! {
-        #[test]
-        fn matches_naive_on_random_texts(
-            mut text in prop::collection::vec(1u8..6, 1..300)
-        ) {
+    #[test]
+    fn matches_naive_on_random_texts() {
+        check_cases(256, |rng| {
+            let mut text = rng.vec(1..300, |r| r.range(1..6) as u8);
             text.push(0);
             check(&text);
-        }
+        });
+    }
 
-        #[test]
-        fn matches_naive_on_low_entropy_texts(
-            mut text in prop::collection::vec(1u8..3, 1..300)
-        ) {
+    #[test]
+    fn matches_naive_on_low_entropy_texts() {
+        check_cases(256, |rng| {
+            let mut text = rng.vec(1..300, |r| r.range(1..3) as u8);
             text.push(0);
             check(&text);
-        }
+        });
     }
 }

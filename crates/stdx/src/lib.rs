@@ -1,0 +1,34 @@
+//! # stdx — what the workspace needs beyond `std`, and nothing else
+//!
+//! The workspace has no third-party dependencies. The three things std
+//! lacks and more than one crate needs live here, each exactly once:
+//!
+//! * [`json`] — an ordered [`json::Value`], a depth-capped parser with
+//!   typed errors, compact and pretty writers, and [`json::ToJson`] /
+//!   [`json::FromJson`] with [`impl_json!`] for plain structs and unit
+//!   enums;
+//! * [`TempDir`] — a unique directory under `std::env::temp_dir()`,
+//!   removed on drop;
+//! * [`splitmix64`] / [`SplitMix64`] — the repo's one deterministic PRNG
+//!   (index files, PCT seeds, failpoint draws and simulated reads all
+//!   come from it), and [`check_cases`], the seeded loop behind the
+//!   randomized tests.
+//!
+//! [`lock`] is the workspace's non-poisoning mutex acquire.
+
+pub mod json;
+mod rng;
+mod tempdir;
+
+pub use rng::{check_cases, splitmix64, SplitMix64};
+pub use tempdir::{tempdir, TempDir};
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Locks `mutex`, recovering the guard if a holder panicked. Failpoint
+/// tests panic on purpose while holding locks whose data every update
+/// leaves valid (counters, registries, queues), so poisoning carries no
+/// information here.
+pub fn lock<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}

@@ -3,11 +3,12 @@
 use crate::buffer::DeviceBuffer;
 use crate::profile::GpuProfile;
 use crate::stats::{DeviceStats, KernelCost, KernelStat, LAUNCH_OVERHEAD_S};
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::sync::Mutex;
+use stdx::lock;
 
 /// Errors surfaced by device operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -157,32 +158,30 @@ impl Device {
     /// current span, and [`crate::exec::launch`] opens a `kernel:<name>`
     /// span per launch. Shared by all clones of this device.
     pub fn set_recorder(&self, recorder: obs::Recorder) {
-        *self.inner.recorder.lock() = recorder;
+        *lock(&self.inner.recorder) = recorder;
     }
 
     /// The recorder attached via [`Device::set_recorder`]
     /// ([`obs::Recorder::disabled`] by default).
     pub fn recorder(&self) -> obs::Recorder {
-        self.inner.recorder.lock().clone()
+        lock(&self.inner.recorder).clone()
     }
 
     /// Arm fault injection: every public kernel method checks the
     /// `vgpu.launch` failpoint before running. Shared by all clones.
     pub fn set_faults(&self, faults: faultsim::Faults) {
-        *self.inner.faults.lock() = faults;
+        *lock(&self.inner.faults) = faults;
     }
 
     /// The fault registry in effect (disabled by default).
     pub fn faults(&self) -> faultsim::Faults {
-        self.inner.faults.lock().clone()
+        lock(&self.inner.faults).clone()
     }
 
     /// Check the `vgpu.launch` failpoint; kernel methods call this first so
     /// "fail the Nth kernel launch" aborts before any work or charging.
     pub(crate) fn launch_gate(&self) -> crate::Result<()> {
-        self.inner
-            .faults
-            .lock()
+        lock(&self.inner.faults)
             .hit(faultsim::KERNEL_LAUNCH)
             .map_err(DeviceError::from)?;
         Ok(())
@@ -210,7 +209,7 @@ impl Device {
         self.inner.reserve(bytes)?;
         let seconds = bytes as f64 / self.profile.pcie_bytes_per_s();
         {
-            let mut c = self.inner.counters.lock();
+            let mut c = lock(&self.inner.counters);
             c.h2d_bytes += bytes;
             c.transfer_seconds += seconds;
         }
@@ -225,7 +224,7 @@ impl Device {
     pub fn d2h<T: Clone>(&self, buf: &DeviceBuffer<T>) -> Vec<T> {
         let bytes = buf.bytes();
         let seconds = bytes as f64 / self.profile.pcie_bytes_per_s();
-        let mut c = self.inner.counters.lock();
+        let mut c = lock(&self.inner.counters);
         c.d2h_bytes += bytes;
         c.transfer_seconds += seconds;
         buf.data.clone()
@@ -239,7 +238,7 @@ impl Device {
         let memory_s = cost.bytes as f64 / self.profile.sustained_mem_bytes_per_s();
         let seconds = compute_s.max(memory_s) + LAUNCH_OVERHEAD_S;
         {
-            let mut c = self.inner.counters.lock();
+            let mut c = lock(&self.inner.counters);
             c.kernel_launches += 1;
             c.kernel_seconds += seconds;
             let entry = c.per_kernel.entry(name.to_string()).or_default();
@@ -260,7 +259,7 @@ impl Device {
     /// batches whose outputs stream straight into partition files).
     pub fn charge_transfer(&self, h2d_bytes: u64, d2h_bytes: u64) {
         let seconds = (h2d_bytes + d2h_bytes) as f64 / self.profile.pcie_bytes_per_s();
-        let mut c = self.inner.counters.lock();
+        let mut c = lock(&self.inner.counters);
         c.h2d_bytes += h2d_bytes;
         c.d2h_bytes += d2h_bytes;
         c.transfer_seconds += seconds;
@@ -268,7 +267,7 @@ impl Device {
 
     /// Snapshot of accumulated statistics.
     pub fn stats(&self) -> DeviceStats {
-        let c = self.inner.counters.lock();
+        let c = lock(&self.inner.counters);
         DeviceStats {
             kernel_launches: c.kernel_launches,
             kernel_seconds: c.kernel_seconds,

@@ -8,9 +8,9 @@
 
 use crate::buffer::DeviceBuffer;
 use crate::device::Device;
+use crate::exec::{par_map_into, par_parts, part_len, ELEMENT_GRAIN};
 use crate::kernels::radix::RadixKey;
 use crate::stats::KernelCost;
-use rayon::prelude::*;
 
 fn search_cost<K>(needles: usize, haystack: usize) -> KernelCost {
     let log = (haystack.max(2) as f64).log2().ceil() as u64;
@@ -35,11 +35,9 @@ impl Device {
             search_cost::<K>(needles.len(), haystack.len()),
         );
         let hay = haystack.as_slice();
-        needles
-            .as_slice()
-            .par_iter()
-            .zip(out.as_mut_slice().par_iter_mut())
-            .for_each(|(n, o)| *o = hay.partition_point(|h| h < n) as u32);
+        par_map_into(needles.as_slice(), out.as_mut_slice(), |n| {
+            hay.partition_point(|h| h < n) as u32
+        });
         Ok(out)
     }
 
@@ -57,11 +55,9 @@ impl Device {
             search_cost::<K>(needles.len(), haystack.len()),
         );
         let hay = haystack.as_slice();
-        needles
-            .as_slice()
-            .par_iter()
-            .zip(out.as_mut_slice().par_iter_mut())
-            .for_each(|(n, o)| *o = hay.partition_point(|h| h <= n) as u32);
+        par_map_into(needles.as_slice(), out.as_mut_slice(), |n| {
+            hay.partition_point(|h| h <= n) as u32
+        });
         Ok(out)
     }
 
@@ -79,10 +75,18 @@ impl Device {
             "vec_difference",
             KernelCost::new(upper.len() as u64, upper.len() as u64 * 12),
         );
-        out.as_mut_slice()
-            .par_iter_mut()
-            .zip(upper.as_slice().par_iter().zip(lower.as_slice().par_iter()))
-            .for_each(|(o, (u, l))| *o = u - l);
+        let (upper, lower) = (upper.as_slice(), lower.as_slice());
+        let step = part_len(out.len(), ELEMENT_GRAIN);
+        par_parts(
+            out.as_mut_slice()
+                .chunks_mut(step)
+                .zip(upper.chunks(step).zip(lower.chunks(step))),
+            |(out, (upper, lower))| {
+                for (o, (u, l)) in out.iter_mut().zip(upper.iter().zip(lower)) {
+                    *o = u - l;
+                }
+            },
+        );
         Ok(out)
     }
 }
@@ -91,7 +95,7 @@ impl Device {
 mod tests {
     use super::*;
     use crate::GpuProfile;
-    use proptest::prelude::*;
+    use stdx::check_cases;
 
     fn dev() -> Device {
         Device::new(GpuProfile::k40())
@@ -137,12 +141,11 @@ mod tests {
         assert_eq!(d.d2h(&d.vec_lower_bound(&needles, &hay).unwrap()), vec![1]);
     }
 
-    proptest! {
-        #[test]
-        fn count_matches_naive_occurrences(
-            mut hay in prop::collection::vec(0u64..50, 0..120),
-            needles in prop::collection::vec(0u64..50, 0..60),
-        ) {
+    #[test]
+    fn count_matches_naive_occurrences() {
+        check_cases(256, |rng| {
+            let mut hay = rng.vec(0..120, |r| r.range(0..50));
+            let needles = rng.vec(0..60, |r| r.range(0..50));
             hay.sort_unstable();
             let d = dev();
             let hb = d.h2d(&hay).unwrap();
@@ -154,12 +157,27 @@ mod tests {
             let lows = d.d2h(&lo);
             for (i, n) in needles.iter().enumerate() {
                 let naive = hay.iter().filter(|h| *h == n).count() as u32;
-                prop_assert_eq!(counts[i], naive);
+                assert_eq!(counts[i], naive);
                 if naive > 0 {
                     // Lower bound points at the first occurrence.
-                    prop_assert_eq!(hay[lows[i] as usize], *n);
+                    assert_eq!(hay[lows[i] as usize], *n);
                 }
             }
+        });
+    }
+
+    #[test]
+    fn bounds_agree_across_the_parallel_grain() {
+        // Long enough that the searches are cut into parts on several threads.
+        let d = dev();
+        let hay: Vec<u64> = (0..30_000u64).map(|i| i / 3).collect();
+        let needles: Vec<u64> = (0..20_000u64).map(|i| (i * 7) % 10_100).collect();
+        let (hb, nb) = (d.h2d(&hay).unwrap(), d.h2d(&needles).unwrap());
+        let lo = d.vec_lower_bound(&nb, &hb).unwrap();
+        let up = d.vec_upper_bound(&nb, &hb).unwrap();
+        let counts = d.d2h(&d.vec_difference(&up, &lo).unwrap());
+        for (n, c) in needles.iter().zip(counts) {
+            assert_eq!(c, if *n < 10_000 { 3 } else { 0 }, "needle {n}");
         }
     }
 }

@@ -6,8 +6,8 @@
 
 use crate::buffer::DeviceBuffer;
 use crate::device::{Device, DeviceError};
+use crate::exec::par_map_into;
 use crate::stats::KernelCost;
-use rayon::prelude::*;
 
 impl Device {
     /// `out[i] = src[indices[i]]`.
@@ -34,10 +34,7 @@ impl Device {
             KernelCost::new(indices.len() as u64, indices.len() as u64 * (elem * 2 + 4)),
         );
         let s = src.as_slice();
-        out.as_mut_slice()
-            .par_iter_mut()
-            .zip(indices.as_slice().par_iter())
-            .for_each(|(o, &i)| *o = s[i as usize]);
+        par_map_into(indices.as_slice(), out.as_mut_slice(), |&i| s[i as usize]);
         Ok(out)
     }
 

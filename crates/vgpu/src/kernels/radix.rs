@@ -122,7 +122,7 @@ impl Device {
 mod tests {
     use super::*;
     use crate::GpuProfile;
-    use proptest::prelude::*;
+    use stdx::check_cases;
 
     fn device() -> Device {
         Device::new(GpuProfile::k40())
@@ -210,9 +210,10 @@ mod tests {
         assert_eq!((0x5u128 << 120).byte(15), 0x05);
     }
 
-    proptest! {
-        #[test]
-        fn matches_std_sort_u64(pairs in prop::collection::vec((any::<u64>(), any::<u32>()), 0..300)) {
+    #[test]
+    fn matches_std_sort_u64() {
+        check_cases(256, |rng| {
+            let pairs = rng.vec(0..300, |r| (r.next_u64(), r.next_u64() as u32));
             let keys: Vec<u64> = pairs.iter().map(|p| p.0).collect();
             let vals: Vec<u32> = pairs.iter().map(|p| p.1).collect();
             let (got_k, got_v) = sort_on_device(&keys, &vals);
@@ -220,21 +221,23 @@ mod tests {
             let mut expect: Vec<(u64, u32)> = pairs.clone();
             expect.sort_by_key(|p| p.0);
             let exp_k: Vec<u64> = expect.iter().map(|p| p.0).collect();
-            prop_assert_eq!(got_k, exp_k);
+            assert_eq!(got_k, exp_k);
             // Stability: for equal keys values keep input order, which
             // std's stable sort_by_key also guarantees.
             let exp_v: Vec<u32> = expect.iter().map(|p| p.1).collect();
-            prop_assert_eq!(got_v, exp_v);
-        }
+            assert_eq!(got_v, exp_v);
+        });
+    }
 
-        #[test]
-        fn matches_std_sort_u128(pairs in prop::collection::vec((any::<u128>(), any::<u32>()), 0..200)) {
-            let keys: Vec<u128> = pairs.iter().map(|p| p.0).collect();
-            let vals: Vec<u32> = pairs.iter().map(|p| p.1).collect();
+    #[test]
+    fn matches_std_sort_u128() {
+        check_cases(256, |rng| {
+            let keys = rng.vec(0..200, |r| r.next_u128());
+            let vals: Vec<u32> = keys.iter().map(|_| rng.next_u64() as u32).collect();
             let (got_k, _) = sort_on_device(&keys, &vals);
             let mut exp = keys.clone();
             exp.sort_unstable();
-            prop_assert_eq!(got_k, exp);
-        }
+            assert_eq!(got_k, exp);
+        });
     }
 }

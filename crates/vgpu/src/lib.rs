@@ -17,7 +17,7 @@
 //!   launch overhead, which is what makes the paper's Fig. 9 (V100 > P100 >
 //!   P40 ≈ K40, converging as I/O dominates) reproducible without hardware.
 //!
-//! Kernels execute on the host CPU (optionally in parallel via rayon), so
+//! Kernels execute on the host CPU (in parallel through [`exec::par_parts`]), so
 //! results are real; only the *reported device time* comes from the model.
 //!
 //! ```

@@ -7,10 +7,8 @@
 //! more cores — an observation the paper calls out explicitly — falls out
 //! of the model.
 
-use serde::{Deserialize, Serialize};
-
 /// Static description of a GPU product.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuProfile {
     /// Marketing name, e.g. `"K40"`.
     pub name: String,
@@ -152,13 +150,5 @@ mod tests {
             .map(|p| p.name)
             .collect();
         assert_eq!(names, vec!["K40", "P40", "P100", "V100"]);
-    }
-
-    #[test]
-    fn profiles_roundtrip_through_serde() {
-        let p = GpuProfile::p100();
-        let json = serde_json::to_string(&p).unwrap();
-        let back: GpuProfile = serde_json::from_str(&json).unwrap();
-        assert_eq!(p, back);
     }
 }

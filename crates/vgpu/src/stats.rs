@@ -1,6 +1,5 @@
 //! Device statistics and the analytic kernel cost model.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Work estimate for one kernel launch, fed to the timing model.
@@ -38,7 +37,7 @@ impl KernelCost {
 pub const LAUNCH_OVERHEAD_S: f64 = 5e-6;
 
 /// Accumulated per-kernel counters.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct KernelStat {
     /// Number of launches of this kernel.
     pub launches: u64,
@@ -50,8 +49,10 @@ pub struct KernelStat {
     pub seconds: f64,
 }
 
+stdx::impl_json!(struct KernelStat { launches, flops, bytes, seconds });
+
 /// Snapshot of everything a [`crate::Device`] has done.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DeviceStats {
     /// Total kernel launches.
     pub kernel_launches: u64,
@@ -70,6 +71,8 @@ pub struct DeviceStats {
     /// Per-kernel breakdown, keyed by kernel name.
     pub per_kernel: BTreeMap<String, KernelStat>,
 }
+
+stdx::impl_json!(struct DeviceStats { kernel_launches, kernel_seconds, h2d_bytes, d2h_bytes, transfer_seconds, mem_used, mem_peak, per_kernel });
 
 impl DeviceStats {
     /// Total modeled device time (kernels + transfers) in seconds.

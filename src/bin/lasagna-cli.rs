@@ -378,7 +378,7 @@ fn assemble(opts: &HashMap<String, String>) {
                 println!("trace written to {}", path.display());
             }
             if let Some(path) = &metrics_json {
-                let json = serde_json::to_vec_pretty(&result.report).unwrap_or_else(die);
+                let json = stdx::json::to_string_pretty(&result.report);
                 std::fs::write(path, json).unwrap_or_else(die);
                 println!("metrics written to {}", path.display());
             }
@@ -549,7 +549,7 @@ fn assemble_distributed(opts: &HashMap<String, String>) {
         );
     }
     if let Some(path) = opts.get("metrics-json").map(PathBuf::from) {
-        let json = serde_json::to_vec_pretty(&result.report).unwrap_or_else(die);
+        let json = stdx::json::to_string_pretty(&result.report);
         std::fs::write(&path, json).unwrap_or_else(die);
         println!("metrics written to {}", path.display());
     }
@@ -756,10 +756,7 @@ fn stats_remote(opts: &HashMap<String, String>) {
     let mut client = stats_client(opts, "stats");
     let snap = client.stats().unwrap_or_else(die_qnet);
     match get(opts, "format", "json".to_string()).as_str() {
-        "json" => println!(
-            "{}",
-            serde_json::to_string_pretty(&snap).unwrap_or_else(die)
-        ),
+        "json" => println!("{}", stdx::json::to_string_pretty(&snap)),
         "tsv" => print!("{}", snapshot_tsv(&snap)),
         other => {
             eprintln!("lasagna: unknown --format {other:?} (json|tsv)");
@@ -1552,10 +1549,10 @@ fn die_qnet<T>(e: lasagna_repro::qnet::QnetError) -> T {
 /// qnet mapping, and a bad manifest is an input error (1).
 fn die_qrouter<T>(e: lasagna_repro::qrouter::RouterError) -> T {
     use lasagna_repro::qrouter::RouterError;
-    match e {
+    match &e {
         RouterError::Net { source, .. } => {
             eprintln!("lasagna: {e}");
-            exit(match &source {
+            exit(match source {
                 lasagna_repro::qnet::QnetError::AuthFailed => EXIT_AUTH,
                 lasagna_repro::qnet::QnetError::Corrupt { .. } => EXIT_CORRUPT,
                 lasagna_repro::qnet::QnetError::Io(_) => EXIT_IO,

@@ -73,6 +73,7 @@ pub use qrouter;
 pub use qserve;
 pub use schedcheck;
 pub use sga;
+pub use stdx;
 pub use vgpu;
 
 /// The most common types, one `use` away.

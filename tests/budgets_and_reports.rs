@@ -5,7 +5,7 @@ use lasagna_repro::prelude::*;
 fn assemble_with_budgets(host_bytes: u64, device_bytes: u64) -> lasagna::AssemblyOutput {
     let genome = GenomeSim::uniform(3_000, 11).generate();
     let reads = ShotgunSim::error_free(70, 10.0, 12).sample(&genome);
-    let dir = tempfile::tempdir().unwrap();
+    let dir = stdx::tempdir().unwrap();
     let config = AssemblyConfig::for_dataset(45, 70);
     let device = Device::with_capacity(GpuProfile::k20x(), device_bytes);
     let host = HostMem::new(host_bytes);
@@ -57,8 +57,8 @@ fn sort_phase_has_the_largest_host_peak() {
 #[test]
 fn report_roundtrips_through_json() {
     let out = assemble_with_budgets(8 << 20, 1 << 20);
-    let json = serde_json::to_string_pretty(&out.report).unwrap();
-    let back: AssemblyReport = serde_json::from_str(&json).unwrap();
+    let json = stdx::json::to_string_pretty(&out.report);
+    let back: AssemblyReport = stdx::json::from_str(&json).unwrap();
     assert_eq!(back.reads, out.report.reads);
     assert_eq!(back.phases.len(), out.report.phases.len());
     assert_eq!(back.contig_stats, out.report.contig_stats);

@@ -180,7 +180,7 @@ fn trace_out_and_inspect_trace_render_partition_breakdown() {
     assert!(trace.exists() && metrics.exists());
 
     let report: lasagna_repro::lasagna::AssemblyReport =
-        serde_json::from_slice(&std::fs::read(&metrics).unwrap()).unwrap();
+        stdx::json::from_slice(&std::fs::read(&metrics).unwrap()).unwrap();
     assert_eq!(
         report
             .phases
@@ -354,7 +354,7 @@ fn assemble_distributed_roundtrip_resume_and_corrupt_log() {
         String::from_utf8_lossy(&clean.stderr)
     );
     let report: lasagna_repro::dnet::DistributedReport =
-        serde_json::from_slice(&std::fs::read(&metrics).unwrap()).unwrap();
+        stdx::json::from_slice(&std::fs::read(&metrics).unwrap()).unwrap();
     assert_eq!(
         report
             .phases
@@ -377,7 +377,7 @@ fn assemble_distributed_roundtrip_resume_and_corrupt_log() {
     let stdout = String::from_utf8_lossy(&resumed.stdout);
     assert!(stdout.contains("resumed"), "{stdout}");
     let report: lasagna_repro::dnet::DistributedReport =
-        serde_json::from_slice(&std::fs::read(&metrics).unwrap()).unwrap();
+        stdx::json::from_slice(&std::fs::read(&metrics).unwrap()).unwrap();
     assert!(report.resumed);
     assert_eq!(std::fs::read(&contigs).unwrap(), first_fa);
 

@@ -13,7 +13,7 @@ fn dataset(seed: u64) -> (ReadSet, u32) {
 }
 
 fn lasagna_graph(reads: &ReadSet, l_min: u32) -> StringGraph {
-    let dir = tempfile::tempdir().unwrap();
+    let dir = stdx::tempdir().unwrap();
     let config = AssemblyConfig::for_dataset(l_min, reads.read_len() as u32);
     Pipeline::laptop(config, dir.path())
         .unwrap()

@@ -15,7 +15,7 @@ fn dataset(seed: u64, genome_len: usize) -> ReadSet {
 }
 
 fn single(reads: &ReadSet, l_min: u32) -> StringGraph {
-    let dir = tempfile::tempdir().unwrap();
+    let dir = stdx::tempdir().unwrap();
     let config = AssemblyConfig::for_dataset(l_min, reads.read_len() as u32);
     Pipeline::laptop(config, dir.path())
         .unwrap()
@@ -44,7 +44,7 @@ fn equivalence_across_node_counts_and_block_sizes() {
     let reads = dataset(100, 3_000);
     let expect = single(&reads, 40);
     for (nodes, block_reads) in [(1usize, 64), (2, 17), (3, 100), (5, 33)] {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = stdx::tempdir().unwrap();
         let out = cluster(nodes, block_reads, 40, 60)
             .assemble(&reads, dir.path())
             .unwrap();
@@ -68,7 +68,7 @@ fn more_nodes_never_change_candidate_count() {
     let reads = dataset(200, 2_500);
     let mut counts = Vec::new();
     for nodes in [1usize, 2, 4] {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = stdx::tempdir().unwrap();
         let out = cluster(nodes, 50, 40, 60)
             .assemble(&reads, dir.path())
             .unwrap();
@@ -85,7 +85,7 @@ fn network_traffic_grows_with_node_count() {
     let reads = dataset(300, 2_500);
     let mut bytes = Vec::new();
     for nodes in [1usize, 2, 4] {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = stdx::tempdir().unwrap();
         let out = cluster(nodes, 50, 40, 60)
             .assemble(&reads, dir.path())
             .unwrap();
@@ -102,7 +102,7 @@ fn network_traffic_grows_with_node_count() {
 #[test]
 fn distributed_reduce_preserves_greedy_invariants() {
     let reads = dataset(400, 3_500);
-    let dir = tempfile::tempdir().unwrap();
+    let dir = stdx::tempdir().unwrap();
     let out = cluster(4, 25, 40, 60).assemble(&reads, dir.path()).unwrap();
     out.graph.check_invariants().unwrap();
     assert_eq!(
@@ -116,7 +116,7 @@ fn range_strategy_equivalence_under_repeats() {
     let reads = dataset(500, 3_000);
     let expect = single(&reads, 40);
     for nodes in [2usize, 4] {
-        let dir = tempfile::tempdir().unwrap();
+        let dir = stdx::tempdir().unwrap();
         let out = Cluster::new(ClusterConfig {
             nodes,
             gpu: GpuProfile::k20x(),

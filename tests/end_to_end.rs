@@ -15,7 +15,7 @@ fn assemble(
 ) -> (PackedSeq, ReadSet, lasagna::AssemblyOutput) {
     let genome = GenomeSim::uniform(genome_len, seed).generate();
     let reads = ShotgunSim::error_free(read_len, coverage, seed + 1).sample(&genome);
-    let dir = tempfile::tempdir().unwrap();
+    let dir = stdx::tempdir().unwrap();
     let config = AssemblyConfig::for_dataset(l_min, read_len as u32);
     let device = Device::with_capacity(GpuProfile::k40(), device_bytes);
     let host = HostMem::new(host_bytes);
@@ -69,7 +69,7 @@ fn repeats_produce_contigs_that_may_be_chimeric_but_cover_the_genome() {
     }
     .generate();
     let reads = ShotgunSim::error_free(100, 20.0, 34).sample(&genome);
-    let dir = tempfile::tempdir().unwrap();
+    let dir = stdx::tempdir().unwrap();
     let config = AssemblyConfig::for_dataset(63, 100);
     let out = Pipeline::laptop(config, dir.path())
         .unwrap()
@@ -107,7 +107,7 @@ fn single_read_genome_survives() {
     let genome = GenomeSim::uniform(100, 5).generate();
     let mut reads = ReadSet::new(100);
     reads.push(&genome).unwrap();
-    let dir = tempfile::tempdir().unwrap();
+    let dir = stdx::tempdir().unwrap();
     let config = AssemblyConfig::for_dataset(63, 100);
     let out = Pipeline::laptop(config, dir.path())
         .unwrap()
@@ -128,7 +128,7 @@ fn reads_with_sequencing_errors_still_assemble_without_false_edges() {
         seed: 62,
     }
     .sample(&genome);
-    let dir = tempfile::tempdir().unwrap();
+    let dir = stdx::tempdir().unwrap();
     let config = AssemblyConfig::for_dataset(63, 100);
     let out = Pipeline::laptop(config, dir.path())
         .unwrap()
@@ -143,14 +143,14 @@ fn bsp_traversal_produces_identical_assembly() {
     let genome = GenomeSim::uniform(4_000, 121).generate();
     let reads = ShotgunSim::error_free(70, 12.0, 122).sample(&genome);
 
-    let d1 = tempfile::tempdir().unwrap();
+    let d1 = stdx::tempdir().unwrap();
     let seq_cfg = AssemblyConfig::for_dataset(45, 70);
     let seq = Pipeline::laptop(seq_cfg, d1.path())
         .unwrap()
         .assemble(&reads)
         .unwrap();
 
-    let d2 = tempfile::tempdir().unwrap();
+    let d2 = stdx::tempdir().unwrap();
     let mut bsp_cfg = AssemblyConfig::for_dataset(45, 70);
     bsp_cfg.bsp_traversal = true;
     let bsp = Pipeline::laptop(bsp_cfg, d2.path())
@@ -175,7 +175,7 @@ fn bsp_traversal_produces_identical_assembly() {
 fn resume_skips_completed_phases_and_reproduces_the_result() {
     let genome = GenomeSim::uniform(3_000, 131).generate();
     let reads = ShotgunSim::error_free(70, 10.0, 132).sample(&genome);
-    let dir = tempfile::tempdir().unwrap();
+    let dir = stdx::tempdir().unwrap();
     let config = AssemblyConfig::for_dataset(45, 70);
 
     // First run: everything executes, manifest + graph checkpoint land in
@@ -219,7 +219,7 @@ fn resume_restarts_when_the_dataset_changes() {
     let genome = GenomeSim::uniform(2_000, 141).generate();
     let reads_a = ShotgunSim::error_free(70, 8.0, 142).sample(&genome);
     let reads_b = ShotgunSim::error_free(70, 8.0, 143).sample(&genome);
-    let dir = tempfile::tempdir().unwrap();
+    let dir = stdx::tempdir().unwrap();
     let config = AssemblyConfig::for_dataset(45, 70);
 
     Pipeline::laptop(config, dir.path())
@@ -244,7 +244,7 @@ fn resume_restarts_when_the_dataset_changes() {
 fn plain_assemble_ignores_stale_manifests() {
     let genome = GenomeSim::uniform(2_000, 151).generate();
     let reads = ShotgunSim::error_free(70, 8.0, 152).sample(&genome);
-    let dir = tempfile::tempdir().unwrap();
+    let dir = stdx::tempdir().unwrap();
     let config = AssemblyConfig::for_dataset(45, 70);
     Pipeline::laptop(config, dir.path())
         .unwrap()

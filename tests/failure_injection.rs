@@ -12,7 +12,7 @@ fn reads(seed: u64) -> ReadSet {
 
 #[test]
 fn truncated_partition_file_fails_the_sort_phase() {
-    let dir = tempfile::tempdir().unwrap();
+    let dir = stdx::tempdir().unwrap();
     let config = AssemblyConfig::for_dataset(40, 60);
     let spill = SpillDir::create(dir.path(), IoStats::default()).unwrap();
     let device = Device::with_capacity(GpuProfile::k40(), 8 << 20);
@@ -35,7 +35,7 @@ fn truncated_partition_file_fails_the_sort_phase() {
 
 #[test]
 fn device_too_small_for_a_single_batch_reports_oom() {
-    let dir = tempfile::tempdir().unwrap();
+    let dir = stdx::tempdir().unwrap();
     let config = AssemblyConfig::for_dataset(40, 60);
     // 1 KB device: not even one read's fingerprints fit.
     let device = Device::with_capacity(GpuProfile::k40(), 1 << 10);
@@ -54,7 +54,7 @@ fn device_too_small_for_a_single_batch_reports_oom() {
 
 #[test]
 fn host_budget_smaller_than_one_read_fails_cleanly() {
-    let dir = tempfile::tempdir().unwrap();
+    let dir = stdx::tempdir().unwrap();
     let config = AssemblyConfig::for_dataset(40, 60);
     let device = Device::with_capacity(GpuProfile::k40(), 8 << 20);
     let host = HostMem::new(64); // bytes!
@@ -65,7 +65,7 @@ fn host_budget_smaller_than_one_read_fails_cleanly() {
 
 #[test]
 fn invalid_configs_are_rejected_before_any_work() {
-    let dir = tempfile::tempdir().unwrap();
+    let dir = stdx::tempdir().unwrap();
     for (l_min, l_max) in [(0u32, 60u32), (60, 60), (61, 60)] {
         let config = AssemblyConfig::for_dataset(l_min, l_max);
         assert!(
@@ -77,7 +77,7 @@ fn invalid_configs_are_rejected_before_any_work() {
 
 #[test]
 fn read_length_mismatch_is_detected() {
-    let dir = tempfile::tempdir().unwrap();
+    let dir = stdx::tempdir().unwrap();
     let config = AssemblyConfig::for_dataset(40, 80); // expects 80 bp
     let pipeline = Pipeline::laptop(config, dir.path()).unwrap();
     let err = pipeline.assemble(&reads(4)).unwrap_err(); // 60 bp reads
@@ -88,7 +88,7 @@ fn read_length_mismatch_is_detected() {
 fn missing_spill_directory_parent_fails_at_construction() {
     let config = AssemblyConfig::for_dataset(40, 60);
     // A path whose parent is a *file* cannot become a directory.
-    let dir = tempfile::tempdir().unwrap();
+    let dir = stdx::tempdir().unwrap();
     let blocker = dir.path().join("blocker");
     std::fs::write(&blocker, b"file").unwrap();
     let result = Pipeline::laptop(config, blocker.join("sub"));
@@ -97,7 +97,7 @@ fn missing_spill_directory_parent_fails_at_construction() {
 
 #[test]
 fn empty_input_produces_empty_but_valid_output_everywhere() {
-    let dir = tempfile::tempdir().unwrap();
+    let dir = stdx::tempdir().unwrap();
     let config = AssemblyConfig::for_dataset(40, 60);
     let pipeline = Pipeline::laptop(config, dir.path()).unwrap();
     let out = pipeline.assemble(&ReadSet::new(60)).unwrap();
@@ -131,7 +131,7 @@ fn is_corrupt(err: &LasagnaError) -> bool {
 #[test]
 fn crash_at_every_failpoint_then_resume_reproduces_identical_contigs() {
     let r = reads(20);
-    let baseline_dir = tempfile::tempdir().unwrap();
+    let baseline_dir = stdx::tempdir().unwrap();
     let baseline = laptop_on(baseline_dir.path()).assemble(&r).unwrap();
     for point in [
         faultsim::SPILL_WRITE,
@@ -140,7 +140,7 @@ fn crash_at_every_failpoint_then_resume_reproduces_identical_contigs() {
         faultsim::MANIFEST_WRITE,
     ] {
         for nth in [1u64, 4] {
-            let dir = tempfile::tempdir().unwrap();
+            let dir = stdx::tempdir().unwrap();
             let err = laptop_on(dir.path())
                 .with_faults(Faults::from_plan(&FaultPlan::new().fail_at(point, nth)))
                 .assemble_resumable(&r)
@@ -165,7 +165,7 @@ fn crash_at_every_failpoint_then_resume_reproduces_identical_contigs() {
 #[test]
 fn resume_after_mid_sort_crash_redoes_only_unsorted_partitions() {
     let r = reads(21);
-    let dir = tempfile::tempdir().unwrap();
+    let dir = stdx::tempdir().unwrap();
     // Partition readers are first opened by the sort phase, so this crash
     // lands after some partitions were sorted and checkpointed.
     let err = laptop_on(dir.path())
@@ -204,7 +204,7 @@ fn resume_after_mid_sort_crash_redoes_only_unsorted_partitions() {
 #[test]
 fn bit_flip_in_a_checkpointed_partition_fails_resume_loudly() {
     let r = reads(22);
-    let dir = tempfile::tempdir().unwrap();
+    let dir = stdx::tempdir().unwrap();
     laptop_on(dir.path()).assemble_resumable(&r).unwrap();
     let victim = std::fs::read_dir(dir.path())
         .unwrap()
@@ -223,7 +223,7 @@ fn bit_flip_in_a_checkpointed_partition_fails_resume_loudly() {
 #[test]
 fn bit_flip_in_the_checkpointed_graph_fails_resume_loudly() {
     let r = reads(23);
-    let dir = tempfile::tempdir().unwrap();
+    let dir = stdx::tempdir().unwrap();
     laptop_on(dir.path()).assemble_resumable(&r).unwrap();
     flip_bit_mid_file(&dir.path().join("graph.bin"));
     let err = laptop_on(dir.path()).resume(&r).unwrap_err();
@@ -233,7 +233,7 @@ fn bit_flip_in_the_checkpointed_graph_fails_resume_loudly() {
 #[test]
 fn garbage_manifest_fails_resume_loudly() {
     let r = reads(24);
-    let dir = tempfile::tempdir().unwrap();
+    let dir = stdx::tempdir().unwrap();
     laptop_on(dir.path()).assemble_resumable(&r).unwrap();
     std::fs::write(dir.path().join("manifest.json"), b"not a manifest").unwrap();
     let err = laptop_on(dir.path()).resume(&r).unwrap_err();
@@ -243,7 +243,7 @@ fn garbage_manifest_fails_resume_loudly() {
 #[test]
 fn completed_run_resumes_to_identical_output_without_rework() {
     let r = reads(25);
-    let dir = tempfile::tempdir().unwrap();
+    let dir = stdx::tempdir().unwrap();
     let first = laptop_on(dir.path()).assemble_resumable(&r).unwrap();
     let rec = lasagna_repro::obs::Recorder::new();
     let second = laptop_on(dir.path())
@@ -266,7 +266,7 @@ fn completed_run_resumes_to_identical_output_without_rework() {
 
 #[test]
 fn resume_restarts_from_scratch_when_the_dataset_changes() {
-    let dir = tempfile::tempdir().unwrap();
+    let dir = stdx::tempdir().unwrap();
     laptop_on(dir.path())
         .assemble_resumable(&reads(26))
         .unwrap();
@@ -274,7 +274,7 @@ fn resume_restarts_from_scratch_when_the_dataset_changes() {
     // silently a fresh run — never a mix of two datasets' partitions.
     let other = reads(27);
     let out = laptop_on(dir.path()).resume(&other).unwrap();
-    let baseline_dir = tempfile::tempdir().unwrap();
+    let baseline_dir = stdx::tempdir().unwrap();
     let baseline = laptop_on(baseline_dir.path()).assemble(&other).unwrap();
     assert_eq!(out.contigs, baseline.contigs);
 }
@@ -284,13 +284,13 @@ fn distributed_node_kill_recovers_to_the_single_node_graph() {
     use lasagna_repro::dnet::{Cluster, ClusterConfig, NetModel};
     let genome = GenomeSim::uniform(1_500, 31).generate();
     let r = ShotgunSim::error_free(60, 8.0, 32).sample(&genome);
-    let single_dir = tempfile::tempdir().unwrap();
+    let single_dir = stdx::tempdir().unwrap();
     let expect = Pipeline::laptop(AssemblyConfig::for_dataset(40, 60), single_dir.path())
         .unwrap()
         .assemble(&r)
         .unwrap()
         .graph;
-    let dir = tempfile::tempdir().unwrap();
+    let dir = stdx::tempdir().unwrap();
     let cluster = Cluster::new(ClusterConfig {
         nodes: 3,
         gpu: GpuProfile::k20x(),
@@ -337,7 +337,7 @@ fn dnet_cluster(nodes: usize) -> lasagna_repro::dnet::Cluster {
 }
 
 fn dnet_single_node_graph(r: &ReadSet) -> StringGraph {
-    let dir = tempfile::tempdir().unwrap();
+    let dir = stdx::tempdir().unwrap();
     Pipeline::laptop(AssemblyConfig::for_dataset(40, 60), dir.path())
         .unwrap()
         .assemble(r)
@@ -355,7 +355,7 @@ fn assert_graphs_match(got: &StringGraph, expect: &StringGraph, what: &str) {
 #[test]
 fn sorted_partition_truncated_mid_footer_fails_resume_loudly() {
     let r = reads(28);
-    let dir = tempfile::tempdir().unwrap();
+    let dir = stdx::tempdir().unwrap();
     laptop_on(dir.path()).assemble_resumable(&r).unwrap();
     let victim = std::fs::read_dir(dir.path())
         .unwrap()
@@ -397,7 +397,7 @@ fn tear_tail_512(path: &Path) {
 #[test]
 fn torn_tail_in_a_sorted_partition_fails_resume_loudly() {
     let r = reads(40);
-    let dir = tempfile::tempdir().unwrap();
+    let dir = stdx::tempdir().unwrap();
     laptop_on(dir.path()).assemble_resumable(&r).unwrap();
     let victim = std::fs::read_dir(dir.path())
         .unwrap()
@@ -419,7 +419,7 @@ fn torn_tail_in_a_sorted_partition_fails_resume_loudly() {
 #[test]
 fn torn_tail_in_the_checkpointed_graph_fails_resume_loudly() {
     let r = reads(41);
-    let dir = tempfile::tempdir().unwrap();
+    let dir = stdx::tempdir().unwrap();
     laptop_on(dir.path()).assemble_resumable(&r).unwrap();
     tear_tail_512(&dir.path().join("graph.bin"));
     let err = laptop_on(dir.path()).resume(&r).unwrap_err();
@@ -431,7 +431,7 @@ fn torn_tail_in_the_checkpointed_graph_fails_resume_loudly() {
 fn torn_tail_in_the_contig_store_fails_open_loudly() {
     use lasagna_repro::qserve::{self, ContigStore};
     let r = reads(42);
-    let dir = tempfile::tempdir().unwrap();
+    let dir = stdx::tempdir().unwrap();
     laptop_on(dir.path()).assemble(&r).unwrap();
     let store_path = dir.path().join(qserve::STORE_FILE);
     tear_tail_512(&store_path);
@@ -444,7 +444,7 @@ fn torn_tail_in_the_contig_store_fails_open_loudly() {
 fn torn_superstep_log_tail_never_mis_assembles_on_resume() {
     let r = dnet_reads(33);
     let expect = dnet_single_node_graph(&r);
-    let dir = tempfile::tempdir().unwrap();
+    let dir = stdx::tempdir().unwrap();
     dnet_cluster(2).assemble_resumable(&r, dir.path()).unwrap();
     // Tear the master log mid-record, as a crash during append would
     // leave it. The torn record is dropped and its superstep replayed —
@@ -463,7 +463,7 @@ fn torn_superstep_log_tail_never_mis_assembles_on_resume() {
 fn distributed_kill_of_every_node_resumes_without_redoing_mapped_blocks() {
     let r = dnet_reads(35);
     let expect = dnet_single_node_graph(&r);
-    let dir = tempfile::tempdir().unwrap();
+    let dir = stdx::tempdir().unwrap();
     // Kill both nodes a few active messages in: at least one input block
     // was durably mapped and checkpointed before the run lost its last
     // survivor.
@@ -501,7 +501,7 @@ fn distributed_kill_of_every_node_resumes_without_redoing_mapped_blocks() {
 fn disk_full_during_store_export_is_absorbed_by_one_retry() {
     use lasagna_repro::qserve::{self, ContigStore};
     let r = reads(24);
-    let dir = tempfile::tempdir().unwrap();
+    let dir = stdx::tempdir().unwrap();
     let faults = Faults::from_plan(&FaultPlan::new().fail_at(faultsim::QSERVE_STORE_WRITE, 1));
     let out = laptop_on(dir.path())
         .with_faults(faults.clone())
@@ -523,7 +523,7 @@ fn disk_full_during_store_export_is_absorbed_by_one_retry() {
 #[test]
 fn disk_full_twice_during_store_export_propagates_as_storage_full() {
     let r = reads(24);
-    let dir = tempfile::tempdir().unwrap();
+    let dir = stdx::tempdir().unwrap();
     let plan = FaultPlan::new()
         .fail_at(faultsim::QSERVE_STORE_WRITE, 1)
         .fail_at(faultsim::QSERVE_STORE_WRITE, 2);

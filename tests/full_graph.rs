@@ -10,11 +10,11 @@ use lasagna_repro::lasagna::fullgraph::assemble_full;
 use lasagna_repro::lasagna::verify::verify_contigs;
 use lasagna_repro::prelude::*;
 
-fn setup(host_bytes: u64) -> (Device, HostMem, tempfile::TempDir) {
+fn setup(host_bytes: u64) -> (Device, HostMem, stdx::TempDir) {
     (
         Device::with_capacity(GpuProfile::k40(), 16 << 20),
         HostMem::new(host_bytes),
-        tempfile::tempdir().unwrap(),
+        stdx::tempdir().unwrap(),
     )
 }
 
@@ -76,7 +76,7 @@ fn full_graph_misassembles_less_than_greedy_on_repeat_heavy_genomes() {
     let reads = ShotgunSim::error_free(100, 20.0, 92).sample(&genome);
 
     // Greedy pipeline.
-    let dir = tempfile::tempdir().unwrap();
+    let dir = stdx::tempdir().unwrap();
     let config = AssemblyConfig::for_dataset(63, 100);
     let greedy = Pipeline::laptop(config, dir.path())
         .unwrap()

@@ -1,7 +1,7 @@
 //! The trace is the single source of truth: an [`AssemblyReport`] rebuilt
 //! from the on-disk JSONL event log must equal the report the pipeline
-//! returned — exactly, float for float. (serde_json prints f64 with ryu's
-//! shortest round-trippable form, so the disk round trip is lossless.)
+//! returned — exactly, float for float. (f64 is written in its shortest
+//! round-trippable form, so the disk round trip is lossless.)
 
 use lasagna_repro::lasagna::AssemblyReport;
 use lasagna_repro::obs;
@@ -15,7 +15,7 @@ fn sample(genome_len: usize, read_len: usize, coverage: f64, seed: u64) -> ReadS
 #[test]
 fn report_rolled_up_from_jsonl_trace_matches_exactly() {
     let reads = sample(2500, 50, 12.0, 41);
-    let dir = tempfile::tempdir().unwrap();
+    let dir = stdx::tempdir().unwrap();
     let trace_path = dir.path().join("trace.jsonl");
     let work = dir.path().join("work");
     std::fs::create_dir_all(&work).unwrap();
@@ -54,7 +54,7 @@ fn report_rolled_up_from_jsonl_trace_matches_exactly() {
 #[test]
 fn sort_and_reduce_phases_carry_per_partition_child_spans() {
     let reads = sample(1800, 40, 10.0, 43);
-    let dir = tempfile::tempdir().unwrap();
+    let dir = stdx::tempdir().unwrap();
     let work = dir.path().join("work");
     std::fs::create_dir_all(&work).unwrap();
 
@@ -102,7 +102,7 @@ fn sort_and_reduce_phases_carry_per_partition_child_spans() {
 #[test]
 fn resumed_phases_appear_as_zero_cost_spans() {
     let reads = sample(1200, 40, 8.0, 47);
-    let dir = tempfile::tempdir().unwrap();
+    let dir = stdx::tempdir().unwrap();
     let work = dir.path().join("work");
     std::fs::create_dir_all(&work).unwrap();
 
@@ -171,8 +171,8 @@ fn histogram_rollup_is_merge_order_invariant() {
         let h = other.totals().hist("latency.total");
         assert_eq!(h, base, "merge order changed the aggregate");
         assert_eq!(
-            serde_json::to_string(&h).unwrap(),
-            serde_json::to_string(&base).unwrap(),
+            stdx::json::to_string(&h),
+            stdx::json::to_string(&base),
             "serialization must be bit-identical across merge orders"
         );
     }
@@ -182,7 +182,7 @@ fn histogram_rollup_is_merge_order_invariant() {
 fn histogram_events_round_trip_jsonl_bit_identically() {
     // A trace carrying histogram events must reconstruct the exact same
     // aggregates from disk as the live rollup saw in memory.
-    let dir = tempfile::tempdir().unwrap();
+    let dir = stdx::tempdir().unwrap();
     let trace_path = dir.path().join("trace.jsonl");
 
     let rec = obs::Recorder::new();
@@ -214,8 +214,8 @@ fn histogram_events_round_trip_jsonl_bit_identically() {
         assert_eq!(from_disk.count(), 300, "{name}");
         assert_eq!(from_disk, from_live, "{name} diverged across the disk trip");
         assert_eq!(
-            serde_json::to_string(&from_disk).unwrap(),
-            serde_json::to_string(&from_live).unwrap(),
+            stdx::json::to_string(&from_disk),
+            stdx::json::to_string(&from_live),
             "{name}: JSONL round trip must be bit-identical"
         );
         for (lo, hi) in [(0.5, 0.9), (0.9, 0.99), (0.99, 0.999)] {

@@ -120,7 +120,7 @@ fn client_counter(rollup: &obs::Rollup, client_id: &str, counter: &str) -> u64 {
 
 #[test]
 fn loopback_run_is_bit_identical_to_in_process_and_traced() {
-    let dir = tempfile::tempdir().unwrap();
+    let dir = stdx::tempdir().unwrap();
     let contigs = assemble_into(dir.path(), 50);
     let queries = slice_queries(&contigs, 10_000, 60);
     let reference = in_process_answers(dir.path(), &queries);
@@ -154,7 +154,7 @@ fn loopback_run_is_bit_identical_to_in_process_and_traced() {
 
 #[test]
 fn chaos_matrix_every_failpoint_still_answers_bit_identically() {
-    let dir = tempfile::tempdir().unwrap();
+    let dir = stdx::tempdir().unwrap();
     let contigs = assemble_into(dir.path(), 51);
     let queries = slice_queries(&contigs, 10_000, 60);
     let reference = in_process_answers(dir.path(), &queries);
@@ -217,7 +217,7 @@ fn chaos_matrix_every_failpoint_still_answers_bit_identically() {
 
 #[test]
 fn a_single_attempt_fails_typed_and_retryable_never_wrong() {
-    let dir = tempfile::tempdir().unwrap();
+    let dir = stdx::tempdir().unwrap();
     let contigs = assemble_into(dir.path(), 52);
     let queries = slice_queries(&contigs, 64, 60);
     let reference = in_process_answers(dir.path(), &queries);
@@ -253,7 +253,7 @@ fn a_single_attempt_fails_typed_and_retryable_never_wrong() {
 
 #[test]
 fn spent_deadline_is_shed_before_any_worker_sees_it() {
-    let dir = tempfile::tempdir().unwrap();
+    let dir = stdx::tempdir().unwrap();
     let contigs = assemble_into(dir.path(), 53);
     let queries = slice_queries(&contigs, 32, 60);
     let reference = in_process_answers(dir.path(), &queries);
@@ -305,7 +305,7 @@ fn spent_deadline_is_shed_before_any_worker_sees_it() {
 
 #[test]
 fn fairness_keeps_a_quiet_client_served_while_a_flooder_is_shed() {
-    let dir = tempfile::tempdir().unwrap();
+    let dir = stdx::tempdir().unwrap();
     let contigs = assemble_into(dir.path(), 54);
     let queries = slice_queries(&contigs, 512, 60);
     let quiet_batch: Vec<PackedSeq> = queries[..10].to_vec();
@@ -411,7 +411,7 @@ fn fairness_keeps_a_quiet_client_served_while_a_flooder_is_shed() {
 
 #[test]
 fn graceful_drain_finishes_inflight_work_and_rejects_new_work_typed() {
-    let dir = tempfile::tempdir().unwrap();
+    let dir = stdx::tempdir().unwrap();
     let contigs = assemble_into(dir.path(), 55);
     let queries = slice_queries(&contigs, 10_000, 60);
     let reference = in_process_answers(dir.path(), &queries);
@@ -502,7 +502,7 @@ fn graceful_drain_finishes_inflight_work_and_rejects_new_work_typed() {
 
 #[test]
 fn health_probe_answers_ready() {
-    let dir = tempfile::tempdir().unwrap();
+    let dir = stdx::tempdir().unwrap();
     assemble_into(dir.path(), 56);
     let server = start_server(
         dir.path(),

@@ -115,12 +115,13 @@ fn authed_query_frame(reads: &[PackedSeq], nonce: u64, seq: u64) -> Vec<u8> {
         reads: reads.to_vec(),
         auth_seq: seq,
         auth_tag: tag,
+        generation: 0,
     })
 }
 
 #[test]
 fn a_captured_authed_frame_cannot_be_replayed() {
-    let dir = tempfile::tempdir().unwrap();
+    let dir = stdx::tempdir().unwrap();
     assemble_into(dir.path(), 80);
     let mut server = start_authed_server(dir.path());
     let reads = vec![PackedSeq::from_codes(&[0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3])];
@@ -132,7 +133,9 @@ fn a_captured_authed_frame_cannot_be_replayed() {
     let captured = authed_query_frame(&reads, nonce, 1);
     send(&mut sock, &captured);
     match recv(&mut sock) {
-        Response::Hits { request_id, hits } => {
+        Response::Hits {
+            request_id, hits, ..
+        } => {
             assert_eq!(request_id, 0xA11CE);
             assert_eq!(hits.len(), reads.len());
         }
@@ -198,7 +201,7 @@ fn a_captured_authed_frame_cannot_be_replayed() {
 
 #[test]
 fn stale_and_reused_sequence_numbers_are_rejected() {
-    let dir = tempfile::tempdir().unwrap();
+    let dir = stdx::tempdir().unwrap();
     assemble_into(dir.path(), 81);
     let mut server = start_authed_server(dir.path());
     let reads = vec![PackedSeq::from_codes(&[3, 2, 1, 0, 3, 2, 1, 0, 3, 2, 1, 0])];

@@ -92,7 +92,7 @@ fn client_for(addr: std::net::SocketAddr, id: &str) -> QueryClient {
 
 #[test]
 fn stats_snapshot_after_drain_matches_the_trace_rollup_exactly() {
-    let dir = tempfile::tempdir().unwrap();
+    let dir = stdx::tempdir().unwrap();
     let contigs = assemble_into(dir.path(), 60);
     let queries = slice_queries(&contigs, 2_000, 60);
 
@@ -239,7 +239,7 @@ fn flood_with_drain_toggle_conserves_every_read_across_the_gates() {
     const BATCH_READS: u64 = 8;
     const BURST: f64 = 40.0;
 
-    let dir = tempfile::tempdir().unwrap();
+    let dir = stdx::tempdir().unwrap();
     let contigs = assemble_into(dir.path(), 63);
     let batch = slice_queries(&contigs, BATCH_READS as usize, 60);
 
@@ -410,7 +410,7 @@ fn flood_with_drain_toggle_conserves_every_read_across_the_gates() {
 
 #[test]
 fn ping_v2_reports_queue_state_next_to_the_legacy_probe() {
-    let dir = tempfile::tempdir().unwrap();
+    let dir = stdx::tempdir().unwrap();
     let contigs = assemble_into(dir.path(), 61);
     let rec = obs::Recorder::new();
     let mut server = start_server(dir.path(), &rec);
@@ -438,7 +438,7 @@ fn ping_v2_reports_queue_state_next_to_the_legacy_probe() {
 
 #[test]
 fn stats_on_an_idle_server_is_empty_but_versioned() {
-    let dir = tempfile::tempdir().unwrap();
+    let dir = stdx::tempdir().unwrap();
     assemble_into(dir.path(), 62);
     let rec = obs::Recorder::new();
     let mut server = start_server(dir.path(), &rec);

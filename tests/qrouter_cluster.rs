@@ -154,7 +154,7 @@ fn counter_total(rec: &obs::Recorder, name: &str) -> u64 {
 
 #[test]
 fn clean_cluster_is_bit_identical_to_single_node_across_shard_counts() {
-    let dir = tempfile::tempdir().unwrap();
+    let dir = stdx::tempdir().unwrap();
     let contigs = assemble_into(dir.path(), 70);
     let queries = slice_queries(&contigs, 10_000, 60);
     let reference = single_node_answers(dir.path(), &queries);
@@ -193,7 +193,7 @@ fn clean_cluster_is_bit_identical_to_single_node_across_shard_counts() {
 
 #[test]
 fn answers_survive_one_dead_replica_of_every_shard_bit_identically() {
-    let dir = tempfile::tempdir().unwrap();
+    let dir = stdx::tempdir().unwrap();
     let contigs = assemble_into(dir.path(), 71);
     let queries = slice_queries(&contigs, 10_000, 60);
     let reference = single_node_answers(dir.path(), &queries);
@@ -244,7 +244,7 @@ fn answers_survive_one_dead_replica_of_every_shard_bit_identically() {
 
 #[test]
 fn hedging_races_both_replicas_and_stays_bit_identical() {
-    let dir = tempfile::tempdir().unwrap();
+    let dir = stdx::tempdir().unwrap();
     let contigs = assemble_into(dir.path(), 72);
     let queries = slice_queries(&contigs, 10_000, 60);
     let reference = single_node_answers(dir.path(), &queries);
@@ -284,7 +284,7 @@ fn hedging_races_both_replicas_and_stays_bit_identical() {
 
 #[test]
 fn hedge_loser_is_discarded_by_request_id_never_double_counted() {
-    let dir = tempfile::tempdir().unwrap();
+    let dir = stdx::tempdir().unwrap();
     let contigs = assemble_into(dir.path(), 73);
     let queries = slice_queries(&contigs, 10_000, 60);
     let reference = single_node_answers(dir.path(), &queries);
@@ -338,7 +338,7 @@ fn hedge_loser_is_discarded_by_request_id_never_double_counted() {
 
 #[test]
 fn a_fully_dead_shard_dead_letters_with_a_typed_error_not_a_hang() {
-    let dir = tempfile::tempdir().unwrap();
+    let dir = stdx::tempdir().unwrap();
     let contigs = assemble_into(dir.path(), 74);
     let queries = slice_queries(&contigs, 256, 60);
 
@@ -388,7 +388,7 @@ fn a_fully_dead_shard_dead_letters_with_a_typed_error_not_a_hang() {
 
 #[test]
 fn auth_mismatch_fails_fast_naming_shard_and_peer() {
-    let dir = tempfile::tempdir().unwrap();
+    let dir = stdx::tempdir().unwrap();
     let contigs = assemble_into(dir.path(), 75);
     let queries = slice_queries(&contigs, 64, 60);
 
@@ -544,8 +544,8 @@ fn start_gen_cluster(
 
 #[test]
 fn rolling_reload_swaps_the_whole_cluster_and_stays_bit_identical() {
-    let scratch_a = tempfile::tempdir().unwrap();
-    let scratch_b = tempfile::tempdir().unwrap();
+    let scratch_a = stdx::tempdir().unwrap();
+    let scratch_b = stdx::tempdir().unwrap();
     let contigs_a = assemble_into(scratch_a.path(), 76);
     let contigs_b = assemble_into(scratch_b.path(), 86);
     let mut gen2 = contigs_a.clone();
@@ -560,7 +560,7 @@ fn rolling_reload_swaps_the_whole_cluster_and_stays_bit_identical() {
         "the B windows tell the generations apart"
     );
 
-    let work = tempfile::tempdir().unwrap();
+    let work = stdx::tempdir().unwrap();
     let io = IoStats::default();
     export_generation(work.path(), 1, &contigs_a, &io);
     export_generation(work.path(), 2, &gen2, &io);
@@ -597,8 +597,8 @@ fn rolling_reload_swaps_the_whole_cluster_and_stays_bit_identical() {
 
 #[test]
 fn failed_rollout_keeps_the_pin_and_the_old_generation_serving() {
-    let scratch_a = tempfile::tempdir().unwrap();
-    let scratch_b = tempfile::tempdir().unwrap();
+    let scratch_a = stdx::tempdir().unwrap();
+    let scratch_b = stdx::tempdir().unwrap();
     let contigs_a = assemble_into(scratch_a.path(), 77);
     let contigs_b = assemble_into(scratch_b.path(), 87);
     let mut gen2 = contigs_a.clone();
@@ -609,7 +609,7 @@ fn failed_rollout_keeps_the_pin_and_the_old_generation_serving() {
     let expected1 = generation_answers(&contigs_a, &queries);
     let expected2 = generation_answers(&gen2, &queries);
 
-    let work = tempfile::tempdir().unwrap();
+    let work = stdx::tempdir().unwrap();
     let io = IoStats::default();
     export_generation(work.path(), 1, &contigs_a, &io);
     export_generation(work.path(), 2, &gen2, &io);

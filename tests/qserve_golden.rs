@@ -70,7 +70,7 @@ fn engine_for(dir: &Path, cache_bytes: u64) -> QueryEngine {
 
 #[test]
 fn pipeline_exports_a_bit_identical_contig_store() {
-    let dir = tempfile::tempdir().unwrap();
+    let dir = stdx::tempdir().unwrap();
     let contigs = assemble_into(dir.path(), 50);
     assert!(!contigs.is_empty());
     let store =
@@ -88,7 +88,7 @@ fn pipeline_exports_a_bit_identical_contig_store() {
 
 #[test]
 fn simulated_reads_query_back_to_their_origin() {
-    let dir = tempfile::tempdir().unwrap();
+    let dir = stdx::tempdir().unwrap();
     let contigs = assemble_into(dir.path(), 51);
     let engine = engine_for(dir.path(), 16 << 20);
     let len = 40;
@@ -121,7 +121,7 @@ fn simulated_reads_query_back_to_their_origin() {
 
 #[test]
 fn ten_thousand_reads_are_deterministic_across_workers_and_cache() {
-    let dir = tempfile::tempdir().unwrap();
+    let dir = stdx::tempdir().unwrap();
     let contigs = assemble_into(dir.path(), 52);
     let queries: Vec<PackedSeq> = windows(&contigs, 10_000, 40)
         .into_iter()
@@ -148,7 +148,7 @@ fn ten_thousand_reads_are_deterministic_across_workers_and_cache() {
 
 #[test]
 fn repeated_queries_hit_the_postings_cache() {
-    let dir = tempfile::tempdir().unwrap();
+    let dir = stdx::tempdir().unwrap();
     let contigs = assemble_into(dir.path(), 53);
     let rec = obs::Recorder::new();
     let handle = rec.add_memory_sink();
@@ -178,7 +178,7 @@ fn repeated_queries_hit_the_postings_cache() {
 
 #[test]
 fn saturated_queue_sheds_with_a_typed_error_and_counter() {
-    let dir = tempfile::tempdir().unwrap();
+    let dir = stdx::tempdir().unwrap();
     let contigs = assemble_into(dir.path(), 54);
     let rec = obs::Recorder::new();
     let handle = rec.add_memory_sink();
@@ -215,7 +215,7 @@ fn latency_histograms_are_deterministic_across_worker_counts() {
     // histogram accounting must not: every admitted read is charged
     // exactly once per stage, and each run's trace must round-trip its
     // histograms through JSONL bit-identically.
-    let dir = tempfile::tempdir().unwrap();
+    let dir = stdx::tempdir().unwrap();
     let contigs = assemble_into(dir.path(), 55);
     let queries: Vec<PackedSeq> = windows(&contigs, 1_000, 40)
         .into_iter()
@@ -256,8 +256,8 @@ fn latency_histograms_are_deterministic_across_worker_counts() {
             );
             assert_eq!(from_disk, from_live, "{name} diverged across the disk trip");
             assert_eq!(
-                serde_json::to_string(&from_disk).unwrap(),
-                serde_json::to_string(&from_live).unwrap(),
+                stdx::json::to_string(&from_disk),
+                stdx::json::to_string(&from_live),
                 "{name}: JSONL round trip must be bit-identical"
             );
         }

@@ -101,15 +101,15 @@ fn oracle_answers(contigs: &[PackedSeq], queries: &[PackedSeq]) -> Vec<Option<Hi
 /// windows, so the oracles must disagree on the B tail) and both
 /// oracles' answers.
 struct TwoGenerations {
-    work: tempfile::TempDir,
+    work: stdx::TempDir,
     queries: Vec<PackedSeq>,
     expected1: Vec<Option<Hit>>,
     expected2: Vec<Option<Hit>>,
 }
 
 fn two_generations(seed: u64) -> TwoGenerations {
-    let scratch_a = tempfile::tempdir().unwrap();
-    let scratch_b = tempfile::tempdir().unwrap();
+    let scratch_a = stdx::tempdir().unwrap();
+    let scratch_b = stdx::tempdir().unwrap();
     let contigs_a = assemble_into(scratch_a.path(), seed);
     let contigs_b = assemble_into(scratch_b.path(), seed + 10);
     let mut gen2 = contigs_a.clone();
@@ -124,7 +124,7 @@ fn two_generations(seed: u64) -> TwoGenerations {
         "the B windows must tell the generations apart"
     );
 
-    let work = tempfile::tempdir().unwrap();
+    let work = stdx::tempdir().unwrap();
     let io = IoStats::default();
     export_generation(work.path(), 1, &contigs_a, &io);
     export_generation(work.path(), 2, &gen2, &io);
