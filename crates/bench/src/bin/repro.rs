@@ -753,67 +753,64 @@ fn run_schedcheck(out: &Path) {
     println!("\n=== Schedule exploration: serving concurrency protocol (ROBUSTNESS.md) ===");
     println!("(real qnet Server + qserve QueryService under the deterministic scheduler)");
 
-    let mut rows: Vec<Row> = Vec::new();
-
-    // Bounded exhaustive DFS over the shallow prefix of the schedule
-    // tree: 2 clients x 2 workers, drain racing the in-flight batches.
-    rows.push(Row {
-        strategy: "dfs",
-        scenario: "drain+reload",
-        report: explore_dfs(&DfsConfig {
-            scenario: ScenarioConfig::default(),
-            decision_depth: 8,
-            max_schedules: 2_500,
-        }),
-    });
-
-    // Seeded PCT random-priority schedules reach the deep tail the
-    // bounded DFS prefix cannot.
-    rows.push(Row {
-        strategy: "pct",
-        scenario: "drain+reload",
-        report: explore_pct(&PctConfig {
-            scenario: ScenarioConfig::default(),
-            seed0: 0x5eed_0001,
-            schedules: 256,
-            change_points: 3,
-            replay_each: false,
-        }),
-    });
-
-    // Replay determinism: every seed re-run must reproduce its trace
-    // hash bit-for-bit (a mismatch is recorded as a violation).
-    rows.push(Row {
-        strategy: "pct+replay",
-        scenario: "drain+reload",
-        report: explore_pct(&PctConfig {
-            scenario: ScenarioConfig::default(),
-            seed0: 0x5eed_4e91,
-            schedules: 64,
-            change_points: 3,
-            replay_each: true,
-        }),
-    });
-
-    // Wire-auth scenario: one client forges its tag; the I9 invariant
-    // requires it is rejected before any fairness tokens are charged.
-    // A prober polls live Stats mid-run so snapshot-vs-rollup (I4) is
-    // exercised under contention, not just at drain.
-    rows.push(Row {
-        strategy: "pct",
-        scenario: "bad-auth+prober",
-        report: explore_pct(&PctConfig {
-            scenario: ScenarioConfig {
-                auth: AuthMode::OneBadClient,
-                with_prober: true,
-                ..ScenarioConfig::default()
-            },
-            seed0: 0x5eed_00a7,
-            schedules: 128,
-            change_points: 3,
-            replay_each: false,
-        }),
-    });
+    let rows: Vec<Row> = vec![
+        // Bounded exhaustive DFS over the shallow prefix of the schedule
+        // tree: 2 clients x 2 workers, drain racing the in-flight batches.
+        Row {
+            strategy: "dfs",
+            scenario: "drain+reload",
+            report: explore_dfs(&DfsConfig {
+                scenario: ScenarioConfig::default(),
+                decision_depth: 8,
+                max_schedules: 2_500,
+            }),
+        },
+        // Seeded PCT random-priority schedules reach the deep tail the
+        // bounded DFS prefix cannot.
+        Row {
+            strategy: "pct",
+            scenario: "drain+reload",
+            report: explore_pct(&PctConfig {
+                scenario: ScenarioConfig::default(),
+                seed0: 0x5eed_0001,
+                schedules: 256,
+                change_points: 3,
+                replay_each: false,
+            }),
+        },
+        // Replay determinism: every seed re-run must reproduce its trace
+        // hash bit-for-bit (a mismatch is recorded as a violation).
+        Row {
+            strategy: "pct+replay",
+            scenario: "drain+reload",
+            report: explore_pct(&PctConfig {
+                scenario: ScenarioConfig::default(),
+                seed0: 0x5eed_4e91,
+                schedules: 64,
+                change_points: 3,
+                replay_each: true,
+            }),
+        },
+        // Wire-auth scenario: one client forges its tag; the I9 invariant
+        // requires it is rejected before any fairness tokens are charged.
+        // A prober polls live Stats mid-run so snapshot-vs-rollup (I4) is
+        // exercised under contention, not just at drain.
+        Row {
+            strategy: "pct",
+            scenario: "bad-auth+prober",
+            report: explore_pct(&PctConfig {
+                scenario: ScenarioConfig {
+                    auth: AuthMode::OneBadClient,
+                    with_prober: true,
+                    ..ScenarioConfig::default()
+                },
+                seed0: 0x5eed_00a7,
+                schedules: 128,
+                change_points: 3,
+                replay_each: false,
+            }),
+        },
+    ];
 
     println!(
         "{:<12} {:<18} {:>10} {:>10} {:>9} {:>9} {:>7} {:>9} {:>9} {:>11}",

@@ -1607,11 +1607,15 @@ type RoundHandle<'s, T> = (
     std::thread::ScopedJoinHandle<'s, std::result::Result<T, String>>,
 );
 
+/// What a round yields: `(rank, result)` of the workers that finished, and
+/// the ranks to fail over.
+type RoundOutcome<T> = (Vec<(usize, T)>, Vec<usize>);
+
 fn join_round<T>(
     handles: Vec<RoundHandle<'_, T>>,
     allow_retry: bool,
     faults: &faultsim::Faults,
-) -> Result<(Vec<(usize, T)>, Vec<usize>)> {
+) -> Result<RoundOutcome<T>> {
     let mut ok = Vec::new();
     let mut failed = Vec::new();
     for (rank, h) in handles {

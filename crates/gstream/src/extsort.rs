@@ -25,6 +25,7 @@ use crate::record::{split_pairs, zip_pairs, KvPair};
 use crate::spill::SpillDir;
 use crate::writer::RecordWriter;
 use crate::{Result, StreamError};
+use std::path::{Path, PathBuf};
 use vgpu::Device;
 
 /// Block sizes for the two-level sort, in *pairs*.
@@ -108,6 +109,33 @@ pub struct SortReport {
     pub io: IoSnapshot,
     /// Modeled device seconds (kernels + transfers).
     pub device_seconds: f64,
+}
+
+/// Where [`ExternalSorter::sort_file`] writes a run or a merge result, and
+/// with that how the file is committed.
+enum Target<'a> {
+    /// A file a later pass of the same call reads and deletes, and that no
+    /// manifest names: committed without fsync.
+    Scratch(PathBuf),
+    /// The caller's sorted output: committed durably.
+    Output(&'a Path),
+}
+
+impl Target<'_> {
+    fn path(&self) -> &Path {
+        match self {
+            Target::Scratch(path) => path,
+            Target::Output(path) => path,
+        }
+    }
+
+    fn commit(&self, writer: RecordWriter) -> Result<()> {
+        match self {
+            Target::Scratch(_) => writer.finish_scratch(),
+            Target::Output(_) => writer.finish(),
+        }
+        .map(|_| ())
+    }
 }
 
 /// The two-level external sorter.
@@ -195,7 +223,7 @@ impl ExternalSorter {
         Ok(runs.pop().unwrap_or_default())
     }
 
-    /// Durably write one sorted run, retrying once after ENOSPC.
+    /// Write one sorted run, retrying once after ENOSPC.
     ///
     /// A full disk mid-sort is recoverable exactly once: the failed commit
     /// already shed its partial scratch (`RecordWriter` deletes its temp
@@ -203,13 +231,13 @@ impl ExternalSorter {
     /// with the shed bytes reclaimed. A second ENOSPC means the disk is
     /// genuinely full and the error propagates (`Io` / `StorageFull`,
     /// CLI exit code 5).
-    fn write_run(&self, spill: &SpillDir, path: &std::path::Path, pairs: &[KvPair]) -> Result<()> {
+    fn write_run(&self, spill: &SpillDir, target: &Target, pairs: &[KvPair]) -> Result<()> {
         let mut retried = false;
         loop {
-            let mut w = RecordWriter::create(path, spill.io().clone())?;
+            let mut w = RecordWriter::create(target.path(), spill.io().clone())?;
             w.write_all(pairs)?;
-            match w.finish() {
-                Ok(_) => return Ok(()),
+            match target.commit(w) {
+                Ok(()) => return Ok(()),
                 Err(StreamError::Io(e))
                     if e.kind() == std::io::ErrorKind::StorageFull && !retried =>
                 {
@@ -222,51 +250,36 @@ impl ExternalSorter {
     }
 
     /// Externally sort `input` into `output`, spilling runs into `spill`.
-    pub fn sort_file(
-        &self,
-        spill: &SpillDir,
-        input: &std::path::Path,
-        output: &std::path::Path,
-    ) -> Result<SortReport> {
+    ///
+    /// Only `output` is made durable. Runs and intermediate merges are
+    /// scratch: this call writes each before it reads it, so a crash loses
+    /// nothing that sorting `input` again does not rebuild.
+    pub fn sort_file(&self, spill: &SpillDir, input: &Path, output: &Path) -> Result<SortReport> {
         let io_before = spill.io().snapshot();
         let dev_before = self.device.stats();
         let m_h = self.config.host_block_pairs;
 
-        // Pass 1: block sort into runs.
+        // Pass 1: block sort into runs. A lone run (of an empty input too)
+        // is the sorted output itself.
         let mut reader = RecordReader::open(input, spill.io().clone())?;
         let total_pairs = reader.remaining();
+        let initial_runs = total_pairs.div_ceil(m_h as u64) as u32;
         let mut run_paths = Vec::new();
-        let mut run_idx = 0u32;
-        loop {
+        for run in 0..initial_runs.max(1) {
             let _block_guard = self
                 .host
                 .reserve((m_h * KvPair::BYTES) as u64)
                 .map_err(StreamError::from)?;
-            let block = reader.next_chunk(m_h)?;
-            if block.is_empty() {
-                break;
-            }
-            let sorted = self.sort_block(block)?;
-            let path = spill.scratch_path(&format!("run{run_idx}"));
-            self.write_run(spill, &path, &sorted)?;
-            run_paths.push(path);
-            run_idx += 1;
-        }
-        let initial_runs = run_paths.len() as u32;
-
-        // Handle the empty input: still produce an (empty) output file.
-        if run_paths.is_empty() {
-            RecordWriter::create(output, spill.io().clone())?.finish()?;
-            let report = SortReport {
-                pairs: 0,
-                initial_runs: 0,
-                merge_passes: 0,
-                disk_passes: 1,
-                io: spill.io().snapshot().since(&io_before),
-                device_seconds: self.device.stats().since(&dev_before).total_seconds(),
+            let sorted = self.sort_block(reader.next_chunk(m_h)?)?;
+            let target = if initial_runs <= 1 {
+                Target::Output(output)
+            } else {
+                Target::Scratch(spill.scratch_path(&format!("run{run}")))
             };
-            self.emit_report(&report);
-            return Ok(report);
+            self.write_run(spill, &target, &sorted)?;
+            if let Target::Scratch(path) = target {
+                run_paths.push(path);
+            }
         }
 
         // Pass 2..k: external merging until a single run remains. Each
@@ -279,25 +292,30 @@ impl ExternalSorter {
             2
         };
         let mut merge_passes = 0u32;
-        let mut gen = 0u32;
         while run_paths.len() > 1 {
             let _window_guard = self
                 .host
                 .reserve((m_h * KvPair::BYTES) as u64)
                 .map_err(StreamError::from)?;
+            // A pass with a single group writes the sorted output.
+            let last_pass = run_paths.len() <= fan_in;
             let mut next_paths = Vec::with_capacity(run_paths.len() / fan_in + 1);
-            let mut out_idx = 0u32;
             for group in run_paths.chunks(fan_in) {
                 if group.len() == 1 {
                     next_paths.push(group[0].clone());
                     continue;
                 }
-                let out_path = spill.scratch_path(&format!("gen{gen}_m{out_idx}"));
+                let target = if last_pass {
+                    Target::Output(output)
+                } else {
+                    let label = format!("gen{merge_passes}_m{}", next_paths.len());
+                    Target::Scratch(spill.scratch_path(&label))
+                };
                 let mut readers: Vec<RecordReader> = group
                     .iter()
                     .map(|p| RecordReader::open(p, spill.io().clone()))
                     .collect::<Result<_>>()?;
-                let mut w = RecordWriter::create(&out_path, spill.io().clone())?;
+                let mut w = RecordWriter::create(target.path(), spill.io().clone())?;
                 if group.len() == 2 {
                     let (left, right) = readers.split_at_mut(1);
                     windowed_merge(
@@ -321,23 +339,16 @@ impl ExternalSorter {
                         self.config.device_block_pairs,
                     )?;
                 }
-                w.finish()?;
+                target.commit(w)?;
                 for p in group {
                     std::fs::remove_file(p)?;
                 }
-                next_paths.push(out_path);
-                out_idx += 1;
+                if let Target::Scratch(path) = target {
+                    next_paths.push(path);
+                }
             }
             run_paths = next_paths;
             merge_passes += 1;
-            gen += 1;
-        }
-
-        let last = run_paths.pop().expect("at least one run");
-        // Rename may cross devices in odd setups; fall back to copy.
-        if std::fs::rename(&last, output).is_err() {
-            std::fs::copy(&last, output)?;
-            std::fs::remove_file(&last)?;
         }
 
         let report = SortReport {
@@ -594,6 +605,33 @@ mod tests {
             .filter(|n| n.ends_with(".tmp"))
             .collect();
         assert!(leftovers.is_empty(), "torn temp files: {leftovers:?}");
+    }
+
+    #[test]
+    fn torn_scratch_of_a_dead_run_is_overwritten_not_read() {
+        // What a power loss can leave of un-fsynced scratch: final names
+        // over garbage. The sort writes each scratch file before reading it.
+        let (_g, spill, sorter) = setup(1000, 400); // m_h = 25 → 4 runs
+        for label in ["run0", "run3", "gen0_m0", "gen0_m1"] {
+            std::fs::write(spill.scratch_path(label), b"torn by a dead run").unwrap();
+        }
+        let pairs: Vec<KvPair> = (0..100u32)
+            .rev()
+            .map(|i| KvPair::new(i as u128, i))
+            .collect();
+        let input = write_input(&spill, &pairs);
+        let output = spill.scratch_path("out");
+        let report = sorter.sort_file(&spill, &input, &output).unwrap();
+        assert_eq!((report.initial_runs, report.disk_passes), (4, 3));
+        let got: Vec<u128> = read_output(&spill, &output).iter().map(|p| p.key).collect();
+        assert_eq!(got, (0..100).collect::<Vec<u128>>());
+        // Every scratch file is consumed; only input and output remain.
+        let mut left: Vec<String> = std::fs::read_dir(spill.root())
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        left.sort();
+        assert_eq!(left, ["scratch_input.kv", "scratch_out.kv"]);
     }
 
     #[test]

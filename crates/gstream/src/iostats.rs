@@ -122,7 +122,6 @@ struct Inner {
     model: DiskModel,
     bytes_read: AtomicU64,
     bytes_written: AtomicU64,
-    seconds: Mutex<(f64, f64)>,
     faults: Mutex<faultsim::Faults>,
 }
 
@@ -134,7 +133,6 @@ impl IoStats {
                 model,
                 bytes_read: AtomicU64::new(0),
                 bytes_written: AtomicU64::new(0),
-                seconds: Mutex::new((0.0, 0.0)),
                 faults: Mutex::new(faultsim::Faults::disabled()),
             }),
         }
@@ -159,23 +157,23 @@ impl IoStats {
     /// Record `n` bytes read.
     pub fn add_read(&self, n: u64) {
         self.inner.bytes_read.fetch_add(n, Ordering::Relaxed);
-        lock(&self.inner.seconds).0 += n as f64 / self.inner.model.read_bytes_per_s;
     }
 
     /// Record `n` bytes written.
     pub fn add_write(&self, n: u64) {
         self.inner.bytes_written.fetch_add(n, Ordering::Relaxed);
-        lock(&self.inner.seconds).1 += n as f64 / self.inner.model.write_bytes_per_s;
     }
 
-    /// Snapshot current counters.
+    /// Snapshot current counters; the modeled seconds are the byte totals
+    /// over the model's bandwidths.
     pub fn snapshot(&self) -> IoSnapshot {
-        let (read_seconds, write_seconds) = *lock(&self.inner.seconds);
+        let bytes_read = self.inner.bytes_read.load(Ordering::Relaxed);
+        let bytes_written = self.inner.bytes_written.load(Ordering::Relaxed);
         IoSnapshot {
-            bytes_read: self.inner.bytes_read.load(Ordering::Relaxed),
-            bytes_written: self.inner.bytes_written.load(Ordering::Relaxed),
-            read_seconds,
-            write_seconds,
+            bytes_read,
+            bytes_written,
+            read_seconds: bytes_read as f64 / self.inner.model.read_bytes_per_s,
+            write_seconds: bytes_written as f64 / self.inner.model.write_bytes_per_s,
         }
     }
 }

@@ -9,8 +9,9 @@
 //! machinery:
 //!
 //! * [`record`] — fixed-width binary `(fingerprint, id)` records;
-//! * [`reader`]/[`writer`] — buffered sequential record streams whose bytes
-//!   are tallied in shared [`IoStats`] and charged to a disk bandwidth model;
+//! * [`reader`]/[`writer`] — sequential record streams, encoded, XXH64
+//!   checksummed and tallied in shared [`IoStats`] a 64 KiB block at a time
+//!   and charged to a disk bandwidth model;
 //! * [`hostmem`] — host-memory budget accounting (the paper's m_h);
 //! * [`spill`] — per-overlap-length partition files (the map phase output);
 //! * [`merge`] — the paper's **Algorithm 1**: external merging of two sorted
@@ -37,7 +38,7 @@ pub use hostmem::{HostAlloc, HostMem, HostMemError};
 pub use iostats::{DiskModel, IoStats};
 pub use merge::{kway_merge, windowed_merge, PairSink, PairSource, SliceSource, VecSink};
 pub use reader::{read_blob, read_footer, RecordReader};
-pub use record::{fnv1a, BlobFooter, Fnv64, Footer, KvPair};
+pub use record::{fnv1a, BlobFooter, Fnv64, Footer, KvPair, Xxh64};
 pub use spill::{range_of, PartitionKind, PartitionSet, SpillDir};
 pub use writer::{fsync_dir, fsync_parent_dir, write_blob, RecordWriter};
 

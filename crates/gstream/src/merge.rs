@@ -226,11 +226,13 @@ where
         }
 
         // Lines 8-15: equalize the windows at min(a_last, b_last), then
-        // merge the covered range on the device (line 16). The cut keeps
-        // everything <= the smaller last key, so no key in the emitted
-        // range can still arrive from either stream.
+        // merge the covered range on the device (line 16). No key in the
+        // emitted range can still arrive from either stream, and ties keep
+        // `a` before `b`: `a`'s next chunk may open with more copies of
+        // `a_last`, so `b`'s copies of it wait for them, whereas `a` has no
+        // copy of `b_last` beyond its upper bound.
         let (take_a, take_b) = if a_last <= b_last {
-            (af.len(), upper_bound(&bf, a_last))
+            (af.len(), bf.partition_point(|p| p.key < a_last))
         } else {
             (upper_bound(&af, b_last), bf.len())
         };
@@ -431,6 +433,29 @@ mod tests {
             let got = merge_with(&a, &b, window, 16);
             let keys: Vec<u128> = got.iter().map(|p| p.key).collect();
             assert_eq!(keys, vec![5, 5, 5, 5, 5, 5, 5, 5, 6, 7], "window={window}");
+        }
+    }
+
+    #[test]
+    fn a_key_repeated_across_window_boundaries_keeps_a_before_b() {
+        // Values rise through `a` and then `b`, as they do in two runs cut
+        // from consecutive blocks of one stably sorted input: the merge
+        // must then come out ordered by (key, val) whatever the window.
+        let (a_keys, b_keys) = ([1, 5, 5, 5, 5, 5, 6, 9], [2, 5, 5, 5, 5, 7, 9, 9]);
+        let a = kv(&a_keys);
+        let b: Vec<KvPair> = (b_keys.iter().zip(a.len() as u32..))
+            .map(|(&k, v)| KvPair::new(k, v))
+            .collect();
+        let mut expect = [a.clone(), b.clone()].concat();
+        expect.sort();
+        for window in [2, 4, 6, 8, 10, 32] {
+            for device in [2, 4, 32] {
+                assert_eq!(
+                    merge_with(&a, &b, window, device),
+                    expect,
+                    "window={window} device={device}"
+                );
+            }
         }
     }
 

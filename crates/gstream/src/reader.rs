@@ -1,10 +1,11 @@
 //! Sequential record readers (the "read-only memory" of Fig. 3).
 
 use crate::iostats::IoStats;
-use crate::record::{BlobFooter, Fnv64, Footer, KvPair};
+use crate::record::{BlobFooter, Footer, KvPair, Xxh64};
+use crate::writer::BLOCK_BYTES;
 use crate::{Result, StreamError};
 use std::fs::File;
-use std::io::{BufReader, Read, Seek, SeekFrom};
+use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
 
 /// Read a byte blob written by [`crate::writer::write_blob`], validating
@@ -91,23 +92,26 @@ fn load_footer(file: &mut File, len: u64, path: &Path) -> Result<Footer> {
     Ok(footer)
 }
 
-/// Buffered sequential reader of [`KvPair`] records.
+/// Sequential reader of [`KvPair`] records.
 ///
 /// Only forward chunked reads are offered — the paper's semi-streaming model
 /// forbids random access to the read-only memory, and keeping the API this
 /// narrow makes that structural property hold by construction.
 ///
 /// The file's [`Footer`] is validated on open (size, magic, record count);
-/// the data checksum is accumulated as records stream out and compared when
-/// the last record is consumed, so any bit-flip surfaces as
-/// [`StreamError::Corrupt`] before downstream phases can trust the data.
-/// Callers that stop early can force the comparison with
-/// [`RecordReader::verify_to_end`].
+/// the data is read, checksummed and charged to [`IoStats`] a block at a
+/// time, and the checksum is compared when the last record is consumed, so
+/// any bit-flip surfaces as [`StreamError::Corrupt`] before downstream
+/// phases can trust the data. Callers that stop early can force the
+/// comparison with [`RecordReader::verify_to_end`].
 pub struct RecordReader {
-    inner: BufReader<File>,
+    file: File,
+    /// The current block; records before `pos` are consumed.
+    block: Vec<u8>,
+    pos: usize,
     io: IoStats,
     remaining: u64,
-    hasher: Fnv64,
+    hasher: Xxh64,
     footer: Footer,
     path: std::path::PathBuf,
 }
@@ -124,17 +128,19 @@ impl RecordReader {
         let mut file = File::open(path)?;
         let len = file.metadata()?.len();
         let footer = load_footer(&mut file, len, path)?;
-        if footer.records == 0 && footer.checksum != Fnv64::new().finish() {
+        if footer.records == 0 && footer.checksum != Xxh64::new().finish() {
             return Err(StreamError::Corrupt(format!(
                 "{} empty-stream checksum mismatch",
                 path.display()
             )));
         }
         Ok(RecordReader {
-            inner: BufReader::with_capacity(1 << 16, file),
+            file,
+            block: Vec::new(),
+            pos: 0,
             io,
             remaining: footer.records,
-            hasher: Fnv64::new(),
+            hasher: Xxh64::new(),
             footer,
             path: path.to_path_buf(),
         })
@@ -150,23 +156,42 @@ impl RecordReader {
         self.footer
     }
 
+    /// Read, checksum and account the next block of the file. The current
+    /// block is consumed, so every remaining record is still in the file.
+    fn load_block(&mut self) -> Result<()> {
+        let unread = self.remaining * KvPair::BYTES as u64;
+        let len = unread.min(BLOCK_BYTES as u64) as usize;
+        self.block.resize(len, 0);
+        self.file.read_exact(&mut self.block).map_err(|e| {
+            StreamError::Corrupt(format!(
+                "{} short read mid-record: {e}",
+                self.path.display()
+            ))
+        })?;
+        self.hasher.update(&self.block);
+        self.io.add_read(len as u64);
+        self.pos = 0;
+        Ok(())
+    }
+
     /// Read up to `max` records; returns fewer only at end of stream.
     pub fn next_chunk(&mut self, max: usize) -> Result<Vec<KvPair>> {
         let want = (self.remaining.min(max as u64)) as usize;
         let mut out = Vec::with_capacity(want);
-        let mut frame = [0u8; KvPair::BYTES];
-        for _ in 0..want {
-            self.inner.read_exact(&mut frame).map_err(|e| {
-                StreamError::Corrupt(format!(
-                    "{} short read mid-record: {e}",
-                    self.path.display()
-                ))
-            })?;
-            self.hasher.update(&frame);
-            out.push(KvPair::decode(&frame));
+        while out.len() < want {
+            if self.pos == self.block.len() {
+                self.load_block()?;
+            }
+            let take = (want - out.len()) * KvPair::BYTES;
+            let end = self.block.len().min(self.pos + take);
+            out.extend(
+                self.block[self.pos..end]
+                    .chunks_exact(KvPair::BYTES)
+                    .map(KvPair::decode),
+            );
+            self.remaining -= ((end - self.pos) / KvPair::BYTES) as u64;
+            self.pos = end;
         }
-        self.remaining -= want as u64;
-        self.io.add_read((want * KvPair::BYTES) as u64);
         if self.remaining == 0 && self.hasher.finish() != self.footer.checksum {
             return Err(StreamError::Corrupt(format!(
                 "{} checksum mismatch: footer {:#018x}, data {:#018x}",
@@ -287,6 +312,62 @@ mod tests {
             let err = r.read_all().unwrap_err();
             assert!(matches!(err, StreamError::Corrupt(_)), "byte {byte}: {err}");
         }
+    }
+
+    #[test]
+    fn a_kvspill1_file_is_rejected_as_foreign_naming_the_file() {
+        // A well-formed file of the previous format: same layout, old magic.
+        let dir = stdx::tempdir().unwrap();
+        let path = write_pairs(dir.path(), "old.kv", &[KvPair::new(1, 2)]);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let magic = bytes.len() - Footer::BYTES;
+        assert_eq!(&bytes[magic..magic + 8], b"KVSPILL2");
+        bytes[magic..magic + 8].copy_from_slice(b"KVSPILL1");
+        std::fs::write(&path, &bytes).unwrap();
+        for result in [
+            RecordReader::open(&path, IoStats::default()).map(|_| ()),
+            read_footer(&path).map(|_| ()),
+        ] {
+            match result {
+                Err(StreamError::Corrupt(m)) => {
+                    assert!(m.contains("old.kv") && m.contains("magic"), "{m}")
+                }
+                other => panic!("expected Corrupt, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn chunks_and_byte_counts_are_exact_across_block_boundaries() {
+        // Two and a bit blocks, drained in chunks that straddle them.
+        let dir = stdx::tempdir().unwrap();
+        let n = 2 * BLOCK_BYTES / KvPair::BYTES + 17;
+        let pairs: Vec<KvPair> = (0..n as u32)
+            .map(|i| KvPair::new(u128::from(i) << 70 | 9, i))
+            .collect();
+        let io = IoStats::default();
+        let path = dir.path().join("blocks.kv");
+        let mut w = RecordWriter::create(&path, io.clone()).unwrap();
+        for piece in pairs.chunks(1000) {
+            w.write_all(piece).unwrap();
+        }
+        w.finish().unwrap();
+        assert_eq!(io.snapshot().bytes_written, (n * KvPair::BYTES) as u64);
+
+        let mut r = RecordReader::open(&path, io.clone()).unwrap();
+        let mut got = Vec::new();
+        while r.remaining() > 0 {
+            got.extend(r.next_chunk(777).unwrap());
+        }
+        assert_eq!(got, pairs);
+        assert_eq!(io.snapshot().bytes_read, (n * KvPair::BYTES) as u64);
+
+        // A flip in the middle block is caught at the end of the drain.
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[BLOCK_BYTES + BLOCK_BYTES / 2] ^= 0x01;
+        std::fs::write(&path, &bytes).unwrap();
+        let mut r = RecordReader::open(&path, IoStats::default()).unwrap();
+        assert!(matches!(r.read_all(), Err(StreamError::Corrupt(_))));
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! Sequential record writers (the "write-only memory" of Fig. 3).
 //!
-//! Writers are durable: records stream into a `<path>.tmp` side file and
-//! only [`RecordWriter::finish`] — append footer, flush, `sync_all`, atomic
-//! rename — makes them visible under the final name. A crash (or a dropped
-//! writer) therefore never leaves a torn partition behind, only a `.tmp`
-//! that the next run ignores.
+//! Writers are atomic: records stream into a `<path>.tmp` side file and
+//! only a commit — append footer, atomic rename — makes them visible under
+//! the final name. A crash (or a dropped writer) therefore never leaves a
+//! torn partition behind, only a `.tmp` that the next run ignores.
+//! [`RecordWriter::finish`] also makes the file durable (`sync_all`, then
+//! the directory); [`RecordWriter::finish_scratch`] does not.
 
 use crate::iostats::IoStats;
-use crate::record::{BlobFooter, Fnv64, Footer, KvPair};
+use crate::record::{BlobFooter, Footer, KvPair, Xxh64};
 use crate::{Result, StreamError};
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -69,14 +70,28 @@ pub fn fsync_parent_dir(path: &Path) -> std::io::Result<()> {
     }
 }
 
-/// Buffered append-only writer of [`KvPair`] records.
+/// Bytes of one writer or reader block: the largest multiple of both the
+/// record size and the checksum stripe within the 64 KiB a buffered stream
+/// holds, so full blocks are hashed without ever splitting a stripe.
+pub(crate) const BLOCK_BYTES: usize = (1 << 16) / BLOCK_ALIGN * BLOCK_ALIGN;
+/// lcm(20-byte record, 32-byte stripe).
+const BLOCK_ALIGN: usize = 160;
+const _: () =
+    assert!(BLOCK_ALIGN.is_multiple_of(KvPair::BYTES) && BLOCK_ALIGN.is_multiple_of(Xxh64::STRIPE));
+
+/// Append-only writer of [`KvPair`] records.
+///
+/// Records are encoded into one block buffer; a full block is checksummed,
+/// written and charged to [`IoStats`] in one step each.
 pub struct RecordWriter {
     /// `None` once committed; a `Some` at drop time means an abandoned
     /// writer whose temp file must be deleted.
-    inner: Option<BufWriter<File>>,
+    file: Option<File>,
+    /// Encoded records not yet written; never longer than [`BLOCK_BYTES`].
+    block: Vec<u8>,
     io: IoStats,
     written: u64,
-    hasher: Fnv64,
+    hasher: Xxh64,
     tmp: PathBuf,
     dest: PathBuf,
 }
@@ -87,40 +102,52 @@ impl RecordWriter {
     pub fn create(path: &Path, io: IoStats) -> Result<Self> {
         let tmp = tmp_path(path);
         Ok(RecordWriter {
-            inner: Some(BufWriter::with_capacity(1 << 16, File::create(&tmp)?)),
+            file: Some(File::create(&tmp)?),
+            block: Vec::with_capacity(BLOCK_BYTES),
             io,
             written: 0,
-            hasher: Fnv64::new(),
+            hasher: Xxh64::new(),
             tmp,
             dest: path.to_path_buf(),
         })
     }
 
-    fn sink(&mut self) -> &mut BufWriter<File> {
-        self.inner.as_mut().expect("writer already finished")
+    /// Checksum, write and account the buffered block.
+    fn flush_block(&mut self) -> Result<()> {
+        self.hasher.update(&self.block);
+        self.file
+            .as_mut()
+            .expect("writer already finished")
+            .write_all(&self.block)?;
+        self.io.add_write(self.block.len() as u64);
+        self.block.clear();
+        Ok(())
     }
 
     /// Append one record.
     pub fn write(&mut self, pair: KvPair) -> Result<()> {
-        let mut frame = [0u8; KvPair::BYTES];
-        pair.encode(&mut frame);
-        self.hasher.update(&frame);
-        self.sink().write_all(&frame)?;
-        self.written += 1;
-        self.io.add_write(KvPair::BYTES as u64);
-        Ok(())
+        self.write_all(&[pair])
     }
 
     /// Append a batch of records.
-    pub fn write_all(&mut self, pairs: &[KvPair]) -> Result<()> {
-        for p in pairs {
-            let mut frame = [0u8; KvPair::BYTES];
-            p.encode(&mut frame);
-            self.hasher.update(&frame);
-            self.sink().write_all(&frame)?;
-        }
+    pub fn write_all(&mut self, mut pairs: &[KvPair]) -> Result<()> {
         self.written += pairs.len() as u64;
-        self.io.add_write((pairs.len() * KvPair::BYTES) as u64);
+        while !pairs.is_empty() {
+            let room = (BLOCK_BYTES - self.block.len()) / KvPair::BYTES;
+            let (head, rest) = pairs.split_at(pairs.len().min(room));
+            let start = self.block.len();
+            self.block.resize(start + head.len() * KvPair::BYTES, 0);
+            for (frame, pair) in self.block[start..]
+                .chunks_exact_mut(KvPair::BYTES)
+                .zip(head)
+            {
+                pair.encode(frame);
+            }
+            if self.block.len() == BLOCK_BYTES {
+                self.flush_block()?;
+            }
+            pairs = rest;
+        }
         Ok(())
     }
 
@@ -129,25 +156,40 @@ impl RecordWriter {
         self.written
     }
 
-    /// Commit: append the [`Footer`], flush, `sync_all`, and atomically
-    /// rename the temp file over the final path. Returns the record count.
+    /// Commit durably: append the [`Footer`], `sync_all`, atomically rename
+    /// the temp file over the final path and fsync its directory. Returns
+    /// the record count. For every file a manifest will name.
     pub fn finish(self) -> Result<u64> {
         self.finish_summary().map(|f| f.records)
     }
 
     /// [`RecordWriter::finish`], returning the full footer (record count +
     /// checksum) for manifest bookkeeping.
-    pub fn finish_summary(mut self) -> Result<Footer> {
-        let result = self.commit();
+    pub fn finish_summary(self) -> Result<Footer> {
+        self.finish_with(true)
+    }
+
+    /// Commit without the fsyncs: footer and atomic rename only, so a
+    /// reader never sees a half-written file under the final name, but the
+    /// file may be torn or missing after a power loss. Only for scratch the
+    /// writing process reads back itself and that no manifest names — after
+    /// a crash such a file is rewritten from durable input, never trusted.
+    pub fn finish_scratch(self) -> Result<u64> {
+        self.finish_with(false).map(|f| f.records)
+    }
+
+    fn finish_with(mut self, durable: bool) -> Result<Footer> {
+        let result = self.commit(durable);
         if result.is_err() {
             // Failed commits must not leave a torn temp file either.
-            self.inner = None;
+            self.file = None;
             let _ = std::fs::remove_file(&self.tmp);
         }
         result
     }
 
-    fn commit(&mut self) -> Result<Footer> {
+    fn commit(&mut self, durable: bool) -> Result<Footer> {
+        self.flush_block()?;
         // The `gstream.write` failpoint models a crash at the commit point:
         // data written, file not yet durable under its final name.
         self.io
@@ -167,13 +209,16 @@ impl RecordWriter {
             records: self.written,
             checksum: self.hasher.finish(),
         };
-        let mut inner = self.inner.take().expect("writer already finished");
-        inner.write_all(&footer.encode())?;
-        inner.flush()?;
-        inner.get_ref().sync_all()?;
-        drop(inner);
+        let mut file = self.file.take().expect("writer already finished");
+        file.write_all(&footer.encode())?;
+        if durable {
+            file.sync_all()?;
+        }
+        drop(file);
         std::fs::rename(&self.tmp, &self.dest)?;
-        fsync_parent_dir(&self.dest)?;
+        if durable {
+            fsync_parent_dir(&self.dest)?;
+        }
         Ok(footer)
     }
 }
@@ -181,7 +226,7 @@ impl RecordWriter {
 impl Drop for RecordWriter {
     fn drop(&mut self) {
         // An unfinished writer must not leave a torn temp file behind.
-        if self.inner.take().is_some() {
+        if self.file.take().is_some() {
             let _ = std::fs::remove_file(&self.tmp);
         }
     }
@@ -263,6 +308,33 @@ mod tests {
         drop(w);
         assert!(!path.exists());
         assert!(!tmp_path(&path).exists());
+    }
+
+    #[test]
+    fn scratch_commit_is_atomic_and_checked_like_a_durable_one() {
+        let dir = stdx::tempdir().unwrap();
+        let path = dir.path().join("scratch.bin");
+        let io = IoStats::default();
+        let mut w = RecordWriter::create(&path, io.clone()).unwrap();
+        w.write_all(&[KvPair::new(4, 5), KvPair::new(6, 7)])
+            .unwrap();
+        assert!(!path.exists(), "final name must not exist before finish");
+        assert_eq!(w.finish_scratch().unwrap(), 2);
+        assert!(!tmp_path(&path).exists());
+        // Footer bytes stay out of the modeled traffic on this path too.
+        assert_eq!(io.snapshot().bytes_written, 2 * KvPair::BYTES as u64);
+        let mut r = RecordReader::open(&path, io.clone()).unwrap();
+        assert_eq!(r.read_all().unwrap().len(), 2);
+
+        // The failpoints sit on the scratch commit as on the durable one.
+        io.set_faults(faultsim::Faults::from_plan(
+            &faultsim::FaultPlan::new().fail_at(faultsim::SPILL_WRITE, 1),
+        ));
+        let other = dir.path().join("faulted.bin");
+        let w = RecordWriter::create(&other, io).unwrap();
+        assert!(matches!(w.finish_scratch(), Err(StreamError::Fault(_))));
+        assert!(!other.exists());
+        assert!(!tmp_path(&other).exists());
     }
 
     #[test]

@@ -407,7 +407,7 @@ mod tests {
 
         // From-scratch union run.
         let full_dir = stdx::tempdir().unwrap();
-        let full = Pipeline::laptop(config.clone(), full_dir.path()).unwrap();
+        let full = Pipeline::laptop(config, full_dir.path()).unwrap();
         let mut union = ReadSet::new(40);
         for i in 0..all.len() {
             union.push(&all.read(i)).unwrap();
@@ -416,7 +416,7 @@ mod tests {
 
         // Old corpus, then delta of the new reads.
         let delta_dir = stdx::tempdir().unwrap();
-        let pipe = Pipeline::laptop(config.clone(), delta_dir.path()).unwrap();
+        let pipe = Pipeline::laptop(config, delta_dir.path()).unwrap();
         pipe.assemble(&old).unwrap();
         let delta_out = pipe.assemble_delta(&new).unwrap();
 

@@ -123,6 +123,10 @@ pub struct QueryClient {
     pin: u64,
 }
 
+/// One pipelined batch's outcome: the generation that answered and its
+/// hits, or the batch's terminal typed error.
+pub type BatchResult = crate::Result<(u64, Vec<Option<Hit>>)>;
+
 impl QueryClient {
     /// Create a client; the connection is established lazily on first
     /// use and re-established after any wire error.
@@ -262,9 +266,8 @@ impl QueryClient {
     pub fn query_batches_pipelined(
         &mut self,
         batches: &[Vec<PackedSeq>],
-    ) -> crate::Result<Vec<crate::Result<(u64, Vec<Option<Hit>>)>>> {
-        let mut results: Vec<Option<crate::Result<(u64, Vec<Option<Hit>>)>>> =
-            (0..batches.len()).map(|_| None).collect();
+    ) -> crate::Result<Vec<BatchResult>> {
+        let mut results: Vec<Option<BatchResult>> = (0..batches.len()).map(|_| None).collect();
         let mut attempt: u32 = 0;
         loop {
             let unanswered: Vec<usize> = (0..batches.len())
@@ -320,7 +323,7 @@ impl QueryClient {
         &mut self,
         batches: &[Vec<PackedSeq>],
         unanswered: &[usize],
-        results: &mut [Option<crate::Result<(u64, Vec<Option<Hit>>)>>],
+        results: &mut [Option<BatchResult>],
     ) -> crate::Result<()> {
         if let Err(e) = self.ensure_conn() {
             self.conn = None;

@@ -479,7 +479,7 @@ fn put_seq(out: &mut Vec<u8>, seq: &PackedSeq) {
             byte = 0;
         }
     }
-    if !codes.is_empty() && codes.len() % 4 != 0 {
+    if !codes.is_empty() && !codes.len().is_multiple_of(4) {
         out.push(byte);
     }
 }

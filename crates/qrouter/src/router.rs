@@ -129,7 +129,6 @@ pub struct DeadLetter {
 /// answered for, tagged so the merge can refuse mixed-generation votes.
 struct Outcome {
     attempt: u32,
-    peer: String,
     result: Result<(u64, Vec<Vec<Candidate>>), QnetError>,
 }
 
@@ -717,11 +716,7 @@ fn spawn_attempt(
         let _guard = sched::begin(token);
         let result = run_attempt(&shared, shard, pin, &peer, &reads);
         shared.pool.record_outcome(&peer, result.is_ok());
-        race.push(Outcome {
-            attempt,
-            peer,
-            result,
-        });
+        race.push(Outcome { attempt, result });
     });
 }
 

@@ -183,7 +183,7 @@ impl QueryEngine {
     }
 
     fn query_inner(&self, read: &genome::PackedSeq) -> (Option<Hit>, u64, u64) {
-        let (k, w) = (self.index.k() as usize, self.index.w() as usize);
+        let (k, w) = (self.index.k(), self.index.w());
         let mut cache_hits = 0u64;
         let mut cache_misses = 0u64;
         if read.len() < k {

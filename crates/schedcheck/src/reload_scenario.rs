@@ -396,13 +396,17 @@ fn run_batch(
     }
 }
 
+/// The oracle's answers to one batch, under the first generation and
+/// under the second.
+type BatchAnswers = (Vec<Option<Hit>>, Vec<Option<Hit>>);
+
 /// One client's full script: connect once, run every batch in order.
 fn client_task(
     idx: usize,
     addr: SocketAddr,
     cfg: ReloadScenarioConfig,
     reads: Vec<Vec<PackedSeq>>,
-    expected: Vec<(Vec<Option<Hit>>, Vec<Option<Hit>>)>,
+    expected: Vec<BatchAnswers>,
     outcomes: Arc<Mutex<Vec<ReloadBatchOutcome>>>,
 ) {
     let push = |o: ReloadBatchOutcome| {
@@ -660,7 +664,7 @@ pub fn run_reload_schedule(
                 .collect()
         })
         .collect();
-    let expected: Vec<Vec<(Vec<Option<Hit>>, Vec<Option<Hit>>)>> = reads
+    let expected: Vec<Vec<BatchAnswers>> = reads
         .iter()
         .map(|batches| {
             batches

@@ -247,14 +247,14 @@ pub fn run_router_schedule(
                 &rec_r,
             )
             .expect("manifest validates");
-            for b in 0..cfg_r.batches {
+            for (b, want) in expected.iter().enumerate() {
                 let reads: Vec<PackedSeq> = (0..cfg_r.reads_per_batch)
                     .map(|r| scenario::query(&reference_r, b * cfg_r.reads_per_batch + r))
                     .collect();
                 sched::point("rt.route.go");
                 let outcome = match router.route(&reads) {
                     Ok(hits) => {
-                        if hits == expected[b] {
+                        if hits == *want {
                             RouterBatchOutcome {
                                 batch: b,
                                 n_reads: reads.len() as u64,
@@ -266,7 +266,7 @@ pub fn run_router_schedule(
                                 batch: b,
                                 n_reads: reads.len() as u64,
                                 kind: RouterOutcomeKind::Corrupt,
-                                detail: format!("got {hits:?}, want {:?}", expected[b]),
+                                detail: format!("got {hits:?}, want {want:?}"),
                             }
                         }
                     }

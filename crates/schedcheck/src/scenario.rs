@@ -251,7 +251,7 @@ pub(crate) fn build_engine(reference: &PackedSeq) -> QueryEngine {
 pub(crate) fn query(reference: &PackedSeq, q: usize) -> PackedSeq {
     let start = (q * 37) % (reference.len() - READ_BASES + 1);
     let s = reference.slice(start, READ_BASES);
-    if q % 2 == 0 {
+    if q.is_multiple_of(2) {
         s
     } else {
         s.reverse_complement()
@@ -508,7 +508,7 @@ fn client_task(
             }
         }
     }
-    for b in 0..cfg.batches_per_client {
+    for (b, want) in expected.iter().enumerate() {
         let reads: Vec<PackedSeq> = (0..cfg.reads_per_batch)
             .map(|r| {
                 query(
@@ -526,7 +526,7 @@ fn client_task(
             request_id,
             deadline_ms,
             &reads,
-            &expected[b],
+            want,
             secret.as_deref(),
             nonce,
             (b as u64) + 1,
@@ -633,11 +633,10 @@ pub fn run_schedule(
     let outcomes: Arc<Mutex<Vec<BatchOutcome>>> = Arc::new(Mutex::new(Vec::new()));
     let mut joins: Vec<std::thread::JoinHandle<()>> = Vec::new();
 
-    for idx in 0..cfg.clients {
+    for (idx, expected_c) in expected.into_iter().enumerate() {
         let token = sched::announce(&format!("sc.client{idx}"));
         let cfg_c = cfg.clone();
         let reference_c = Arc::clone(&reference);
-        let expected_c = expected[idx].clone();
         let outcomes_c = Arc::clone(&outcomes);
         joins.push(std::thread::spawn(move || {
             let _task = sched::begin(token);
@@ -803,7 +802,7 @@ fn prober_task(addr: SocketAddr, issues: &Mutex<Vec<String>>) {
         Ok(Some(p)) => p,
         _ => return, // EOF / error: the drain won the race
     };
-    let mut push = |s: String| issues.lock().unwrap_or_else(|e| e.into_inner()).push(s);
+    let push = |s: String| issues.lock().unwrap_or_else(|e| e.into_inner()).push(s);
     match Response::decode(&payload, "server") {
         Ok(Response::Stats(snap)) => {
             if snap.version != qnet::STATS_VERSION {

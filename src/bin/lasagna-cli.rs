@@ -70,7 +70,7 @@ use lasagna_repro::genome::sim::is_substring_either_strand;
 use lasagna_repro::obs;
 use lasagna_repro::prelude::*;
 use std::collections::HashMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::exit;
 
 fn main() {
@@ -244,7 +244,7 @@ fn simulate(opts: &HashMap<String, String>) {
 
 /// Load reads (FASTQ or FASTA by extension) into a uniform-length set,
 /// warning about (and skipping) reads of a different length.
-fn load_reads(reads_path: &PathBuf) -> ReadSet {
+fn load_reads(reads_path: &Path) -> ReadSet {
     let records = if reads_path
         .extension()
         .is_some_and(|e| e == "fa" || e == "fasta")
@@ -953,7 +953,7 @@ fn hit_rows(
     }
 }
 
-fn load_query_reads(reads_path: &PathBuf) -> Vec<(String, PackedSeq)> {
+fn load_query_reads(reads_path: &Path) -> Vec<(String, PackedSeq)> {
     if reads_path
         .extension()
         .is_some_and(|e| e == "fa" || e == "fasta")
@@ -1396,8 +1396,8 @@ fn generations(opts: &HashMap<String, String>) {
         exit(EXIT_CORRUPT)
     });
     println!(
-        "{:<8} {:>6} {:>7} {:>9} {:>8} {:>17}  {}",
-        "gen", "kind", "parent", "reads", "readlen", "checksum", "files"
+        "{:<8} {:>6} {:>7} {:>9} {:>8} {:>17}  files",
+        "gen", "kind", "parent", "reads", "readlen", "checksum"
     );
     for g in &manifest.generations {
         println!(

@@ -53,6 +53,41 @@ fn tight_memory_budgets_change_passes_not_results() {
 }
 
 #[test]
+fn contigs_are_byte_identical_whatever_the_sort_block_sizes() {
+    // Default budgets sort every partition as one device chunk; the shrunk
+    // blocks sort it in 4 runs and 3 disk passes, through merge windows
+    // that at this coverage cut runs of equal fingerprints. Both must hand
+    // reduce the same (fingerprint, vertex) order.
+    let genome = GenomeSim::uniform(20_000, 77).generate();
+    let reads = ShotgunSim::error_free(100, 40.0, 78).sample(&genome);
+    let assemble = |device_bytes: u64, sort: Option<SortConfig>| {
+        let dir = stdx::tempdir().unwrap();
+        let mut config = AssemblyConfig::for_dataset(63, 100);
+        config.sort = sort;
+        let device = Device::with_capacity(GpuProfile::k40(), device_bytes);
+        let spill = SpillDir::create(dir.path(), IoStats::default()).unwrap();
+        let pipeline = Pipeline::new(device, HostMem::new(64 << 20), spill, config).unwrap();
+        pipeline.assemble(&reads).unwrap()
+    };
+    let roomy = assemble(16 << 20, None);
+    let starved = assemble(
+        64 << 10,
+        Some(SortConfig {
+            host_block_pairs: 5_000,
+            device_block_pairs: 468,
+            kway: false,
+        }),
+    );
+    // One disk pass against three.
+    let sort_bytes_read =
+        |out: &lasagna::AssemblyOutput| out.report.phase("sort").unwrap().io.bytes_read;
+    assert_eq!(sort_bytes_read(&starved), 3 * sort_bytes_read(&roomy));
+    assert_eq!(roomy.graph.edge_count(), starved.graph.edge_count());
+    // Not `assert_eq!`: a mismatch would print every contig twice.
+    assert!(roomy.contigs == starved.contigs, "contigs differ");
+}
+
+#[test]
 fn every_edge_in_the_graph_is_a_real_overlap() {
     let (_genome, reads, out) = assemble(6_000, 70, 15.0, 45, 21, 64 << 20, 16 << 20);
     assert!(out.report.graph_edges > 0);

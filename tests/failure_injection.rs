@@ -163,6 +163,65 @@ fn crash_at_every_failpoint_then_resume_reproduces_identical_contigs() {
 }
 
 #[test]
+fn crash_on_scratch_and_final_sort_commits_then_resume_reproduces_identical_contigs() {
+    // Four runs and three disk passes per partition, so the sort commits
+    // un-fsynced scratch (runs, first-generation merges) as well as the
+    // durable sorted file. `reads(26)` gives every partition one tuple per
+    // vertex.
+    let r = reads(26);
+    let multi_run_on = |dir: &Path| {
+        let mut config = AssemblyConfig::for_dataset(40, 60);
+        config.sort = Some(SortConfig {
+            host_block_pairs: (2 * r.len()).div_ceil(4),
+            device_block_pairs: 32,
+            kway: false,
+        });
+        let spill = SpillDir::create(dir, IoStats::default()).unwrap();
+        let device = Device::with_capacity(GpuProfile::k40(), 64 << 20);
+        Pipeline::new(device, HostMem::new(256 << 20), spill, config).unwrap()
+    };
+    let baseline_dir = stdx::tempdir().unwrap();
+    let baseline = multi_run_on(baseline_dir.path()).assemble(&r).unwrap();
+
+    // Map commits its 2 x 20 partitions first; a partition's sort then
+    // commits run0..run3, gen0_m0, gen0_m1 and the sorted file, in that order.
+    let map_commits = 40;
+    // What a dead run leaves as scratch pins where its crash landed.
+    let scratch = ["run0", "run1", "run3", "gen0_m0", "gen0_m1"];
+    for (nth, landed_on, left) in [
+        (2, "run1", [true, false, false, false, false]),
+        (5, "gen0_m0", [true, true, true, false, false]),
+        (7, "sorted file", [false, false, false, true, true]),
+    ] {
+        let dir = stdx::tempdir().unwrap();
+        let plan = FaultPlan::new().fail_at(faultsim::SPILL_WRITE, map_commits + nth);
+        let err = multi_run_on(dir.path())
+            .with_faults(Faults::from_plan(&plan))
+            .assemble_resumable(&r)
+            .unwrap_err();
+        assert!(
+            faultsim::is_injected(&err.to_string()),
+            "{landed_on}: {err}"
+        );
+        let exists = |label| dir.path().join(format!("scratch_{label}.kv")).exists();
+        assert_eq!(scratch.map(exists), left, "{landed_on}");
+        assert!(Manifest::load(dir.path())
+            .unwrap()
+            .unwrap()
+            .sorted
+            .is_empty());
+
+        let resumed = multi_run_on(dir.path()).resume(&r).unwrap();
+        assert_eq!(resumed.contigs, baseline.contigs, "{landed_on}");
+        assert_eq!(
+            resumed.graph.edge_count(),
+            baseline.graph.edge_count(),
+            "{landed_on}"
+        );
+    }
+}
+
+#[test]
 fn resume_after_mid_sort_crash_redoes_only_unsorted_partitions() {
     let r = reads(21);
     let dir = stdx::tempdir().unwrap();
