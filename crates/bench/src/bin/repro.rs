@@ -271,8 +271,9 @@ fn run_table5(scale: u64, out: &Path) {
 }
 
 fn run_table6(scale: u64, out: &Path) {
-    let work = stdx::tempdir().expect("workdir");
-    let rows = experiments::table6(scale, work.path()).expect("table6 failed");
+    let runs_64 = testbed_runs(Testbed::supermic(), scale, out);
+    let runs_128 = testbed_runs(Testbed::queenbee2(), scale, out);
+    let rows = experiments::table6(scale, &runs_64, &runs_128).expect("table6 failed");
     println!("\n=== Table VI: SGA vs LaSAGNA (scale 1/{scale}) ===");
     println!(
         "{:<10} {:>12} {:>12} {:>14} {:>14} {:>10} {:>10}",

@@ -128,8 +128,16 @@ stdx::impl_json!(struct Table6Row {
     dataset, sga_64_wall, sga_128_wall, lasagna_64_wall, lasagna_128_wall, lasagna_64_modeled, lasagna_128_modeled, paper_speedup_64, measured_speedup_64
 });
 
-/// Run Table VI.
-pub fn table6(scale: u64, workdir: &Path) -> Result<Vec<Table6Row>, String> {
+/// Run Table VI. SGA runs here, at both host budgets; the LaSAGNA
+/// columns are read off the per-testbed assemblies the caller already
+/// has ([`run_testbed`] on `Testbed::supermic()` for `runs_64`, on
+/// `Testbed::queenbee2()` for `runs_128`) instead of assembling all
+/// eight (preset, testbed) pairs a second time.
+pub fn table6(
+    scale: u64,
+    runs_64: &[DatasetRun],
+    runs_128: &[DatasetRun],
+) -> Result<Vec<Table6Row>, String> {
     let mut rows = Vec::new();
     for (i, &preset) in DatasetPreset::ALL.iter().enumerate() {
         let scaled = preset.scaled(scale);
@@ -156,23 +164,9 @@ pub fn table6(scale: u64, workdir: &Path) -> Result<Vec<Table6Row>, String> {
             }
         }
 
-        let mut lasagna_wall = [0.0f64; 2];
-        let mut lasagna_modeled = [0.0f64; 2];
-        for (j, testbed) in [Testbed::supermic(), Testbed::queenbee2()]
-            .iter()
-            .enumerate()
-        {
-            let env = ScaledEnv {
-                testbed: testbed.clone(),
-                scale,
-            };
-            let dir = workdir.join(format!("t6_{i}_{j}"));
-            std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
-            let pipeline = env.pipeline(preset, &dir).map_err(|e| e.to_string())?;
-            let out = pipeline.assemble(&reads).map_err(|e| e.to_string())?;
-            lasagna_wall[j] = out.report.total_wall_seconds();
-            lasagna_modeled[j] = out.report.total_modeled_seconds();
-        }
+        let lasagna = [&runs_64[i].report, &runs_128[i].report];
+        let lasagna_wall = lasagna.map(|r| r.total_wall_seconds());
+        let lasagna_modeled = lasagna.map(|r| r.total_modeled_seconds());
 
         rows.push(Table6Row {
             dataset: preset.name().to_string(),

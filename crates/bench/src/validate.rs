@@ -105,9 +105,9 @@ pub fn validate(scale: u64, workdir: &Path) -> Result<Vec<ClaimResult>, String> 
     }
 
     // --- 64 GB vs 128 GB (Table III's H.Genome knee) ---------------------
+    let small = experiments::run_testbed(Testbed::supermic(), scale, &workdir.join("v_t3"))
+        .map_err(|e| e.to_string())?;
     {
-        let small = experiments::run_testbed(Testbed::supermic(), scale, &workdir.join("v_t3"))
-            .map_err(|e| e.to_string())?;
         let big_hg = runs[3].report.total_modeled_seconds();
         let small_hg = small[3].report.total_modeled_seconds();
         let big_bb = runs[1].report.total_modeled_seconds();
@@ -126,7 +126,7 @@ pub fn validate(scale: u64, workdir: &Path) -> Result<Vec<ClaimResult>, String> 
 
     // --- SGA comparison (Table VI) --------------------------------------
     {
-        let rows = experiments::table6(scale, &workdir.join("v_t6"))?;
+        let rows = experiments::table6(scale, &small, &runs)?;
         let oom_pattern = rows[3].sga_64_wall.is_none()
             && rows[3].sga_128_wall.is_some()
             && rows[..3].iter().all(|r| r.sga_64_wall.is_some());

@@ -35,7 +35,7 @@ use crate::pipeline::{AssemblyOutput, Pipeline};
 use crate::{map, sortphase, LasagnaError, Result};
 use genome::{PackedSeq, ReadSet};
 use gstream::{KvPair, RecordReader, RecordWriter, SpillDir, StreamError};
-use qserve::{GenEntry, GenKind, GenManifest};
+use qserve::GenKind;
 use std::path::Path;
 
 /// Sidecar file recording what `reads.packed` holds, written by every
@@ -314,42 +314,19 @@ impl Pipeline {
         index_cfg: &qserve::IndexConfig,
         kind: GenKind,
     ) -> Result<u64> {
-        let dir = self.spill().root();
-        let io = self.spill().io();
-        let gen_err =
-            |e: qserve::GenError| LasagnaError::Stream(StreamError::Corrupt(e.to_string()));
-        let mut manifest = if GenManifest::exists(dir) {
-            GenManifest::load(dir, io).map_err(gen_err)?
-        } else {
-            GenManifest {
-                version: qserve::generations::GEN_MANIFEST_VERSION,
-                active: 1,
-                generations: Vec::new(),
-            }
-        };
-        let parent = manifest.generations.last().map(|g| g.id);
-        let id = manifest.next_id();
-        let store_name = qserve::gen_store_file(id);
-        let index_name = qserve::gen_index_file(id);
-        qserve::ContigStore::write(&dir.join(&store_name), contigs, io)?;
-        let store = qserve::ContigStore::open(&dir.join(&store_name), io)?;
-        let index = qserve::MinimizerIndex::build(&store, index_cfg);
-        index.write(&dir.join(&index_name), io)?;
-        manifest.admit(GenEntry {
-            id,
-            store: store_name,
-            index: index_name,
-            store_checksum: store.checksum(),
-            reads: reads.len() as u64,
-            read_len: reads.read_len() as u32,
+        qserve::generations::export(
+            self.spill().root(),
+            contigs,
+            index_cfg,
+            reads.len() as u64,
+            reads.read_len() as u32,
             kind,
-            parent: match kind {
-                GenKind::Full => None,
-                GenKind::Delta => parent,
-            },
-        });
-        manifest.store(dir, io).map_err(gen_err)?;
-        Ok(id)
+            self.spill().io(),
+        )
+        .map_err(|e| match e {
+            qserve::QserveError::Stream(e) => LasagnaError::Stream(e),
+            other => LasagnaError::Stream(StreamError::Corrupt(other.to_string())),
+        })
     }
 }
 
@@ -358,6 +335,7 @@ mod tests {
     use super::*;
     use crate::config::AssemblyConfig;
     use genome::{GenomeSim, ShotgunSim};
+    use qserve::GenManifest;
 
     fn sim_reads(genome_len: usize, read_len: usize, coverage: f64, seed: u64) -> ReadSet {
         let genome = GenomeSim::uniform(genome_len, seed).generate();

@@ -1,4 +1,5 @@
-//! The retrying query client.
+//! The retrying query client — the only code in the tree that speaks
+//! the wire.
 //!
 //! [`QueryClient`] wraps one TCP connection and the retry discipline
 //! around it: capped jittered exponential backoff (the shape of
@@ -14,19 +15,31 @@
 //! current request — any mismatch is
 //! [`QnetError::Corrupt`](crate::QnetError::Corrupt) and a reconnect.
 //!
-//! [`QueryClient::query_batches_pipelined`] sends many batches down the
-//! connection before reading any response, matching answers to requests
-//! by `request_id` (the server may answer out of order). Every answer
-//! carries the store/index generation that computed it;
-//! [`QueryClient::set_generation_pin`] pins future queries to one
-//! generation, which the scatter-gather router uses to keep a rolling
-//! reload's mixed-generation window coherent.
+//! Every query shape goes through one attempt
+//! (`QueryClient::attempt`): write N requests of one kind, then
+//! drain N responses matched by `request_id`. A single batch is N = 1;
+//! [`QueryClient::query_batches_pipelined`] is N > 1, and the server may
+//! answer those out of order. One classifier (`classify`) turns each
+//! response into a typed outcome, and one loop (`QueryClient::run`)
+//! retries what is retryable. Every answer carries the store/index
+//! generation that computed it; [`QueryClient::set_generation_pin`]
+//! pins future queries to one generation, which the scatter-gather
+//! router uses to keep a rolling reload's mixed-generation window
+//! coherent.
 //!
 //! A client never hangs: connects, reads, and writes all carry
 //! timeouts, and the retry loop is bounded by
 //! [`ClientConfig::max_retries`], after which the caller gets
 //! [`QnetError::RetriesExhausted`](crate::QnetError::RetriesExhausted)
-//! wrapping the last failure.
+//! wrapping the last attempt's typed error — with `max_retries: 0`
+//! that is the single attempt's own outcome, which is how the router
+//! and the `schedcheck` scenarios classify sheds without a second wire
+//! client.
+//!
+//! Under a model-checking scheduler ([`faultsim::sched`]) the dial, every
+//! send and every wait for a response are separate schedule points
+//! (`qnet.client.connect`, `qnet.client.send`, `qnet.client.read`); with
+//! no scheduler installed each is one relaxed load.
 
 use std::collections::BTreeMap;
 use std::io::{BufReader, Write};
@@ -34,7 +47,7 @@ use std::net::TcpStream;
 use std::time::Duration;
 use stdx::splitmix64;
 
-use crate::proto::{PongStatus, Request, Response, StatsSnapshot};
+use crate::proto::{self, PongStatus, Request, Response, StatsSnapshot};
 use crate::QnetError;
 use genome::PackedSeq;
 use obs::Recorder;
@@ -103,12 +116,29 @@ struct Conn {
     next_seq: u64,
 }
 
-/// One attempt's answer, matching the batch shape it was asked in.
-/// The `u64` is the store/index generation that computed the answer.
-enum BatchAnswer {
-    Hits(u64, Vec<Option<Hit>>),
-    Candidates(u64, Vec<Vec<Candidate>>),
+/// The request kinds that carry a `request_id` and are answered through
+/// [`classify`].
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    /// [`Request::Query`], answered with [`Response::Hits`].
+    Query,
+    /// [`Request::ShardQuery`], answered with
+    /// [`Response::ShardCandidates`].
+    ShardQuery,
+    /// [`Request::Reload`], answered with [`Response::ReloadDone`].
+    Reload,
 }
+
+/// A successful answer, matching the [`Kind`] it was asked in.
+enum Answer {
+    Hits(Vec<Option<Hit>>),
+    Candidates(Vec<Vec<Candidate>>),
+    Reloaded,
+}
+
+/// One request's outcome: the generation that answered plus the answer,
+/// or the request's typed error.
+type Outcome = crate::Result<(u64, Answer)>;
 
 /// A connection-owning client for the qnet wire protocol.
 pub struct QueryClient {
@@ -183,14 +213,8 @@ impl QueryClient {
 
     /// [`query_batch`](Self::query_batch), also returning the
     /// generation that computed the placements.
-    pub fn query_batch_tagged(
-        &mut self,
-        reads: &[PackedSeq],
-    ) -> crate::Result<(u64, Vec<Option<Hit>>)> {
-        match self.retrying(|c| c.batch_once(reads, false))? {
-            BatchAnswer::Hits(generation, hits) => Ok((generation, hits)),
-            BatchAnswer::Candidates(..) => unreachable!("placement query answers hits"),
-        }
+    pub fn query_batch_tagged(&mut self, reads: &[PackedSeq]) -> BatchResult {
+        self.run(Kind::Query, &[reads])?.remove(0).map(hits)
     }
 
     /// Query a batch of reads against the server's *shard* of the
@@ -209,45 +233,9 @@ impl QueryClient {
         &mut self,
         reads: &[PackedSeq],
     ) -> crate::Result<(u64, Vec<Vec<Candidate>>)> {
-        match self.retrying(|c| c.batch_once(reads, true))? {
-            BatchAnswer::Candidates(generation, c) => Ok((generation, c)),
-            BatchAnswer::Hits(..) => unreachable!("shard query answers candidates"),
-        }
-    }
-
-    /// Ask the server to hot-swap to store/index `generation` (`0` =
-    /// the manifest's `active` pointer). Returns the generation now
-    /// active. Single attempt: a failed reload is a deliberate,
-    /// server-side rollback ([`QnetError::ReloadFailed`]) — retrying
-    /// it blindly would hide an operational problem.
-    pub fn reload(&mut self, generation: u64) -> crate::Result<u64> {
-        let request_id = self.next_request_id;
-        self.next_request_id += 1;
-        match self.round_trip(&Request::Reload {
-            request_id,
-            generation,
-        })? {
-            Response::ReloadDone {
-                request_id: rid,
-                generation: active,
-            } => {
-                let peer = self.peer();
-                self.check_id(rid, request_id, &peer)?;
-                Ok(active)
-            }
-            Response::ReloadFailed {
-                request_id: rid,
-                generation: target,
-                message,
-            } => {
-                let peer = self.peer();
-                self.check_id(rid, request_id, &peer)?;
-                Err(QnetError::ReloadFailed {
-                    generation: target,
-                    message,
-                })
-            }
-            other => Err(self.unexpected(&other)),
+        match self.run(Kind::ShardQuery, &[reads])?.remove(0)? {
+            (generation, Answer::Candidates(c)) => Ok((generation, c)),
+            _ => unreachable!("classify pairs a shard query with candidates"),
         }
     }
 
@@ -267,215 +255,57 @@ impl QueryClient {
         &mut self,
         batches: &[Vec<PackedSeq>],
     ) -> crate::Result<Vec<BatchResult>> {
-        let mut results: Vec<Option<BatchResult>> = (0..batches.len()).map(|_| None).collect();
-        let mut attempt: u32 = 0;
-        loop {
-            let unanswered: Vec<usize> = (0..batches.len())
-                .filter(|&i| results[i].is_none())
-                .collect();
-            if unanswered.is_empty() {
-                return Ok(results
-                    .into_iter()
-                    .map(|r| r.expect("every batch answered"))
-                    .collect());
-            }
-            attempt += 1;
-            let err = match self.pipeline_once(batches, &unanswered, &mut results) {
-                Ok(()) => continue,
-                Err(e) => e,
-            };
-            if !err.is_retryable() {
-                return Err(err);
-            }
-            if attempt > self.cfg.max_retries {
-                return Err(QnetError::RetriesExhausted {
-                    attempts: attempt,
-                    last: err.to_string(),
-                });
-            }
-            // Same keep-alive discipline as `retrying`: only wire
-            // errors force a reconnect.
-            if matches!(&err, QnetError::Io(_) | QnetError::Corrupt { .. }) {
-                self.conn = None;
-            }
-            self.retries_total += 1;
-            self.rec.counter("qnet.retries", 1);
-            let hint_ms = match &err {
-                QnetError::Overloaded { retry_after_ms, .. } => u64::from(*retry_after_ms),
-                _ => 0,
-            };
-            let wait = self.backoff_ms(attempt).max(hint_ms);
-            if faultsim::sched::active() {
-                faultsim::sched::point("qnet.client.backoff");
-            } else {
-                std::thread::sleep(Duration::from_millis(wait));
-            }
+        let batches: Vec<&[PackedSeq]> = batches.iter().map(Vec::as_slice).collect();
+        let outcomes = self.run(Kind::Query, &batches)?;
+        Ok(outcomes.into_iter().map(|o| o.map(hits)).collect())
+    }
+
+    /// Ask the server to hot-swap to store/index `generation` (`0` =
+    /// the manifest's `active` pointer). Returns the generation now
+    /// active. Single attempt: a failed reload is a deliberate,
+    /// server-side rollback ([`QnetError::ReloadFailed`]) — retrying
+    /// it blindly would hide an operational problem.
+    pub fn reload(&mut self, generation: u64) -> crate::Result<u64> {
+        let request_id = self.take_request_id();
+        let resp = self.control(&Request::Reload {
+            request_id,
+            generation,
+        })?;
+        let classified = classify(resp, Kind::Reload, self.cfg.deadline_ms, &self.peer());
+        let (rid, outcome) = self.hang_up_on_wire_error(classified)?;
+        if rid != request_id {
+            return Err(self.desynced(format!(
+                "response id {rid} does not match request id {request_id}"
+            )));
+        }
+        outcome.map(|(active, _)| active)
+    }
+
+    /// Probe the server: readiness, drain state, queue depth, the
+    /// drain-rate EWMA and the active generation. Single attempt —
+    /// callers polling for readiness supply their own loop.
+    pub fn ping_v2(&mut self) -> crate::Result<PongStatus> {
+        match self.control(&Request::PingV2)? {
+            Response::PongV2(status) => Ok(status),
+            other => Err(self.unexpected(&other)),
         }
     }
 
-    /// One pipelined attempt over the batches at `unanswered` indices:
-    /// write all requests, then drain exactly one response per request.
-    /// Terminal per-batch outcomes are recorded into `results`;
-    /// retryable ones (sheds, drains) are left unrecorded and the first
-    /// is returned as the attempt's error *after* the drain completes,
-    /// so the stream stays in sync and the connection survives.
-    fn pipeline_once(
-        &mut self,
-        batches: &[Vec<PackedSeq>],
-        unanswered: &[usize],
-        results: &mut [Option<BatchResult>],
-    ) -> crate::Result<()> {
-        if let Err(e) = self.ensure_conn() {
-            self.conn = None;
-            return Err(e);
+    /// Fetch a live telemetry snapshot. Single attempt; `Stats` is
+    /// admission-gate-exempt on the server, so this works mid-drain and
+    /// mid-overload.
+    pub fn stats(&mut self) -> crate::Result<StatsSnapshot> {
+        match self.control(&Request::Stats)? {
+            Response::Stats(snapshot) => Ok(snapshot),
+            other => Err(self.unexpected(&other)),
         }
-        let deadline_ms = self.cfg.deadline_ms;
-        let client_id = self.cfg.client_id.clone();
-        let secret = self.cfg.auth_secret.clone();
-        let pin = self.pin;
-        let mut ids: Vec<(u64, usize)> = Vec::with_capacity(unanswered.len());
-        for &i in unanswered {
-            let request_id = self.next_request_id;
-            self.next_request_id += 1;
-            ids.push((request_id, i));
-        }
-        let conn = self.conn.as_mut().expect("connection just ensured");
-        let peer = conn.peer.clone();
+    }
 
-        // Encode every request into one contiguous write so the whole
-        // burst leaves in as few segments as the kernel allows.
-        let mut wire = Vec::new();
-        let mut pending: BTreeMap<u64, usize> = BTreeMap::new();
-        for &(request_id, i) in &ids {
-            let (auth_seq, auth_tag) = match &secret {
-                Some(secret) => {
-                    let seq = conn.next_seq;
-                    conn.next_seq += 1;
-                    let tag = crate::proto::auth_tag(
-                        secret,
-                        crate::proto::AUTH_KIND_QUERY,
-                        conn.nonce,
-                        seq,
-                        request_id,
-                        deadline_ms,
-                        &client_id,
-                        &batches[i],
-                    );
-                    (seq, tag)
-                }
-                None => (0, 0),
-            };
-            let body = Request::Query {
-                request_id,
-                deadline_ms,
-                client_id: client_id.clone(),
-                reads: batches[i].clone(),
-                auth_seq,
-                auth_tag,
-                generation: pin,
-            }
-            .encode();
-            gstream::write_frame(&mut wire, &body).map_err(|e| crate::from_stream(e, &peer))?;
-            pending.insert(request_id, i);
-        }
-        conn.stream.write_all(&wire)?;
-
-        // Drain one response per outstanding request, in whatever order
-        // the server answers. A retryable typed outcome is deferred
-        // rather than returned mid-drain: bailing out with responses
-        // still in flight would desynchronize the stream.
-        let mut deferred: Option<QnetError> = None;
-        while !pending.is_empty() {
-            if faultsim::sched::active() {
-                let reader = &conn.reader;
-                faultsim::sched::wait_until("qnet.client.read", &mut || {
-                    !reader.buffer().is_empty() || sock_readable(reader.get_ref())
-                });
-            }
-            let payload = match gstream::read_frame(&mut conn.reader, &peer) {
-                Ok(Some(p)) => p,
-                Ok(None) => {
-                    return Err(QnetError::Io(std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
-                        format!(
-                            "{peer} closed the connection with {} answers outstanding",
-                            pending.len()
-                        ),
-                    )));
-                }
-                Err(e) => return Err(crate::from_stream(e, &peer)),
-            };
-            let resp = Response::decode(&payload, &peer)?;
-            let rid = match &resp {
-                Response::Hits { request_id, .. }
-                | Response::Overloaded { request_id, .. }
-                | Response::Draining { request_id }
-                | Response::DeadlineExceeded { request_id }
-                | Response::AuthFailed { request_id }
-                | Response::Error { request_id, .. } => *request_id,
-                other => {
-                    return Err(QnetError::Corrupt {
-                        peer,
-                        detail: format!("unexpected response type {other:?}"),
-                    });
-                }
-            };
-            let Some(i) = pending.remove(&rid) else {
-                return Err(QnetError::Corrupt {
-                    peer,
-                    detail: format!("response id {rid} matches no outstanding request"),
-                });
-            };
-            match resp {
-                Response::Hits {
-                    generation, hits, ..
-                } => {
-                    if hits.len() != batches[i].len() {
-                        return Err(QnetError::Corrupt {
-                            peer,
-                            detail: format!(
-                                "{} hits answered for {} reads",
-                                hits.len(),
-                                batches[i].len()
-                            ),
-                        });
-                    }
-                    results[i] = Some(Ok((generation, hits)));
-                }
-                Response::Overloaded {
-                    scope,
-                    queued,
-                    limit,
-                    retry_after_ms,
-                    ..
-                } => {
-                    deferred.get_or_insert(QnetError::Overloaded {
-                        scope,
-                        queued,
-                        limit,
-                        retry_after_ms,
-                    });
-                }
-                Response::Draining { .. } => {
-                    deferred.get_or_insert(QnetError::Draining);
-                }
-                Response::DeadlineExceeded { .. } => {
-                    results[i] = Some(Err(QnetError::DeadlineExceeded {
-                        budget_ms: deadline_ms,
-                    }));
-                }
-                Response::AuthFailed { .. } => {
-                    results[i] = Some(Err(QnetError::AuthFailed));
-                }
-                Response::Error { message, .. } => {
-                    results[i] = Some(Err(QnetError::Remote(message)));
-                }
-                _ => unreachable!("request id already matched above"),
-            }
-        }
-        match deferred {
-            Some(e) => Err(e),
-            None => Ok(()),
+    /// Ask the server to begin a graceful drain.
+    pub fn request_shutdown(&mut self) -> crate::Result<()> {
+        match self.control(&Request::Shutdown)? {
+            Response::ShutdownAck => Ok(()),
+            other => Err(self.unexpected(&other)),
         }
     }
 
@@ -489,40 +319,28 @@ impl QueryClient {
             .unwrap_or_else(|| self.cfg.addr.clone())
     }
 
-    /// The retry loop shared by every batch shape: retryable failures
-    /// back off (capped jittered exponential, honoring `retry_after_ms`
-    /// hints) and abandon the connection; terminal failures surface
-    /// immediately.
-    fn retrying<T>(
-        &mut self,
-        mut op: impl FnMut(&mut Self) -> crate::Result<T>,
-    ) -> crate::Result<T> {
-        let mut attempt: u32 = 0;
-        loop {
-            attempt += 1;
-            let err = match op(self) {
-                Ok(v) => return Ok(v),
-                Err(e) => e,
+    /// The one retry loop, shared by every query shape: attempt the
+    /// unanswered batches until each has a terminal outcome. Retryable
+    /// failures back off (capped jittered exponential, honoring
+    /// `retry_after_ms` hints); a wire failure has already abandoned
+    /// the connection (see [`Self::attempt`]), a typed one keeps it.
+    /// Returns one outcome per batch, aligned with `batches`.
+    fn run(&mut self, kind: Kind, batches: &[&[PackedSeq]]) -> crate::Result<Vec<Outcome>> {
+        let mut outcomes: Vec<Option<Outcome>> = batches.iter().map(|_| None).collect();
+        let mut attempts: u32 = 0;
+        while outcomes.iter().any(Option::is_none) {
+            attempts += 1;
+            let Err(err) = self.attempt(kind, batches, &mut outcomes) else {
+                continue;
             };
             if !err.is_retryable() {
                 return Err(err);
             }
-            if attempt > self.cfg.max_retries {
+            if attempts > self.cfg.max_retries {
                 return Err(QnetError::RetriesExhausted {
-                    attempts: attempt,
-                    last: err.to_string(),
+                    attempts,
+                    last: Box::new(err),
                 });
-            }
-            // Only a *wire* failure abandons the connection: after a
-            // torn frame or timeout the stream position is unknowable,
-            // and a fresh connection is the only way to guarantee the
-            // next response pairs with the next request. Typed
-            // protocol outcomes (sheds, drains) arrive on a stream
-            // that is still in sync — tearing it down would churn a
-            // socket for nothing, so those keep the connection and
-            // just back off.
-            if matches!(&err, QnetError::Io(_) | QnetError::Corrupt { .. }) {
-                self.conn = None;
             }
             self.retries_total += 1;
             self.rec.counter("qnet.retries", 1);
@@ -530,7 +348,7 @@ impl QueryClient {
                 QnetError::Overloaded { retry_after_ms, .. } => u64::from(*retry_after_ms),
                 _ => 0,
             };
-            let wait = self.backoff_ms(attempt).max(hint_ms);
+            let wait = self.backoff_ms(attempts).max(hint_ms);
             // Under the deterministic scheduler a real sleep would stall
             // the whole schedule on wall time; the virtual clock only
             // moves at schedule points, so just yield at one instead.
@@ -540,45 +358,10 @@ impl QueryClient {
                 std::thread::sleep(Duration::from_millis(wait));
             }
         }
-    }
-
-    /// Probe the server. Returns `(ready, draining)`. Single attempt —
-    /// callers polling for readiness supply their own loop.
-    pub fn ping(&mut self) -> crate::Result<(bool, bool)> {
-        match self.round_trip(&Request::Ping)? {
-            Response::Pong { ready, draining } => Ok((ready, draining)),
-            other => Err(self.unexpected(&other)),
-        }
-    }
-
-    /// Probe the server with the richer v2 ping. Single attempt, like
-    /// [`Self::ping`]. Servers that predate the `PingV2` tag treat the
-    /// unknown tag as corruption and drop the connection, which
-    /// surfaces here as an error — callers wanting to interoperate with
-    /// old servers should fall back to [`Self::ping`].
-    pub fn ping_v2(&mut self) -> crate::Result<PongStatus> {
-        match self.round_trip(&Request::PingV2)? {
-            Response::PongV2(status) => Ok(status),
-            other => Err(self.unexpected(&other)),
-        }
-    }
-
-    /// Fetch a live telemetry snapshot. Single attempt; `Stats` is
-    /// admission-gate-exempt on the server, so this works mid-drain and
-    /// mid-overload.
-    pub fn stats(&mut self) -> crate::Result<StatsSnapshot> {
-        match self.round_trip(&Request::Stats)? {
-            Response::Stats(snapshot) => Ok(snapshot),
-            other => Err(self.unexpected(&other)),
-        }
-    }
-
-    /// Ask the server to begin a graceful drain.
-    pub fn request_shutdown(&mut self) -> crate::Result<()> {
-        match self.round_trip(&Request::Shutdown)? {
-            Response::ShutdownAck => Ok(()),
-            other => Err(self.unexpected(&other)),
-        }
+        Ok(outcomes
+            .into_iter()
+            .map(|o| o.expect("the loop ends when every batch has an outcome"))
+            .collect())
     }
 
     /// Backoff before retry number `round` (1-based), in milliseconds:
@@ -594,176 +377,160 @@ impl QueryClient {
         full * jitter_millis / 1024
     }
 
-    /// One attempt at one batch, in placement (`shard == false`) or
-    /// candidate (`shard == true`) shape. Establishes the connection
-    /// (including the auth handshake) first, because an authed tag
-    /// binds the connection's nonce and sequence number.
-    fn batch_once(&mut self, reads: &[PackedSeq], shard: bool) -> crate::Result<BatchAnswer> {
-        let request_id = self.next_request_id;
+    /// One attempt over the batches that have no outcome yet: write all
+    /// their requests, then drain exactly one response per request.
+    /// Terminal per-batch outcomes are recorded into `outcomes`;
+    /// retryable ones (sheds, drains) are left unrecorded and the first
+    /// is returned as the attempt's error *after* the drain completes,
+    /// so the stream stays in sync and the connection survives. Only a
+    /// *wire* failure abandons the connection: after a torn frame or a
+    /// timeout the stream position is unknowable, and a fresh
+    /// connection is the only way to guarantee the next response pairs
+    /// with the next request.
+    fn attempt(
+        &mut self,
+        kind: Kind,
+        batches: &[&[PackedSeq]],
+        outcomes: &mut [Option<Outcome>],
+    ) -> crate::Result<()> {
+        let result = self.attempt_on_conn(kind, batches, outcomes);
+        self.hang_up_on_wire_error(result)
+    }
+
+    fn attempt_on_conn(
+        &mut self,
+        kind: Kind,
+        batches: &[&[PackedSeq]],
+        outcomes: &mut [Option<Outcome>],
+    ) -> crate::Result<()> {
+        // The connection (and its auth handshake) comes first: an authed
+        // tag binds the connection's nonce and sequence number.
+        self.ensure_conn()?;
+        let auth_kind = match kind {
+            Kind::Query => proto::AUTH_KIND_QUERY,
+            Kind::ShardQuery => proto::AUTH_KIND_SHARD_QUERY,
+            Kind::Reload => unreachable!("reloads carry no reads"),
+        };
+        let deadline_ms = self.cfg.deadline_ms;
+
+        // Encode every request into one contiguous write so a pipelined
+        // burst leaves in as few segments as the kernel allows.
+        let mut wire = Vec::new();
+        let mut body = Vec::new();
+        let mut pending: BTreeMap<u64, usize> = BTreeMap::new();
+        for (i, reads) in batches.iter().enumerate() {
+            if outcomes[i].is_some() {
+                continue;
+            }
+            let request_id = self.take_request_id();
+            let conn = self.conn.as_mut().expect("connection just ensured");
+            let (auth_seq, auth_tag) = match &self.cfg.auth_secret {
+                Some(secret) => {
+                    let seq = conn.next_seq;
+                    conn.next_seq += 1;
+                    let tag = proto::auth_tag(
+                        secret,
+                        auth_kind,
+                        conn.nonce,
+                        seq,
+                        request_id,
+                        deadline_ms,
+                        &self.cfg.client_id,
+                        reads,
+                    );
+                    (seq, tag)
+                }
+                None => (0, 0),
+            };
+            body.clear();
+            proto::encode_query(
+                &mut body,
+                auth_kind,
+                request_id,
+                deadline_ms,
+                &self.cfg.client_id,
+                reads,
+                auth_seq,
+                auth_tag,
+                self.pin,
+            );
+            gstream::write_frame(&mut wire, &body)
+                .map_err(|e| crate::from_stream(e, &conn.peer))?;
+            pending.insert(request_id, i);
+        }
+        self.send(&wire)?;
+
+        // Drain one response per outstanding request, in whatever order
+        // the server answers. A retryable typed outcome is deferred
+        // rather than returned mid-drain: bailing out with responses
+        // still in flight would desynchronize the stream.
+        let peer = self.peer();
+        let corrupt = |detail: String| QnetError::Corrupt {
+            peer: peer.clone(),
+            detail,
+        };
+        let mut deferred: Option<QnetError> = None;
+        while !pending.is_empty() {
+            let (rid, outcome) = classify(self.recv()?, kind, deadline_ms, &peer)?;
+            let Some(i) = pending.remove(&rid) else {
+                return Err(corrupt(format!(
+                    "response id {rid} does not match any outstanding request"
+                )));
+            };
+            let answered = match &outcome {
+                Ok((_, Answer::Hits(hits))) => hits.len(),
+                Ok((_, Answer::Candidates(lists))) => lists.len(),
+                _ => batches[i].len(),
+            };
+            if answered != batches[i].len() {
+                return Err(corrupt(format!(
+                    "{answered} answers for {} reads",
+                    batches[i].len()
+                )));
+            }
+            match outcome {
+                Err(e) if e.is_retryable() => {
+                    deferred.get_or_insert(e);
+                }
+                terminal => outcomes[i] = Some(terminal),
+            }
+        }
+        deferred.map_or(Ok(()), Err)
+    }
+
+    fn take_request_id(&mut self) -> u64 {
+        let id = self.next_request_id;
         self.next_request_id += 1;
-        if let Err(e) = self.ensure_conn() {
-            self.conn = None;
-            return Err(e);
-        }
-        let (auth_seq, auth_tag) = match &self.cfg.auth_secret {
-            Some(secret) => {
-                let conn = self.conn.as_mut().expect("connection just ensured");
-                let seq = conn.next_seq;
-                conn.next_seq += 1;
-                let kind = if shard {
-                    crate::proto::AUTH_KIND_SHARD_QUERY
-                } else {
-                    crate::proto::AUTH_KIND_QUERY
-                };
-                let tag = crate::proto::auth_tag(
-                    secret,
-                    kind,
-                    conn.nonce,
-                    seq,
-                    request_id,
-                    self.cfg.deadline_ms,
-                    &self.cfg.client_id,
-                    reads,
-                );
-                (seq, tag)
-            }
-            None => (0, 0),
-        };
-        let req = if shard {
-            Request::ShardQuery {
-                request_id,
-                deadline_ms: self.cfg.deadline_ms,
-                client_id: self.cfg.client_id.clone(),
-                reads: reads.to_vec(),
-                auth_seq,
-                auth_tag,
-                generation: self.pin,
-            }
-        } else {
-            Request::Query {
-                request_id,
-                deadline_ms: self.cfg.deadline_ms,
-                client_id: self.cfg.client_id.clone(),
-                reads: reads.to_vec(),
-                auth_seq,
-                auth_tag,
-                generation: self.pin,
-            }
-        };
-        let (resp, peer) = self.round_trip_raw(&req)?;
-        match resp {
-            Response::Hits {
-                request_id: rid,
-                generation,
-                hits,
-            } if !shard => {
-                self.check_id(rid, request_id, &peer)?;
-                if hits.len() != reads.len() {
-                    self.conn = None;
-                    return Err(QnetError::Corrupt {
-                        peer,
-                        detail: format!("{} hits answered for {} reads", hits.len(), reads.len()),
-                    });
-                }
-                Ok(BatchAnswer::Hits(generation, hits))
-            }
-            Response::ShardCandidates {
-                request_id: rid,
-                generation,
-                candidates,
-            } if shard => {
-                self.check_id(rid, request_id, &peer)?;
-                if candidates.len() != reads.len() {
-                    self.conn = None;
-                    return Err(QnetError::Corrupt {
-                        peer,
-                        detail: format!(
-                            "{} candidate lists answered for {} reads",
-                            candidates.len(),
-                            reads.len()
-                        ),
-                    });
-                }
-                Ok(BatchAnswer::Candidates(generation, candidates))
-            }
-            Response::Overloaded {
-                request_id: rid,
-                scope,
-                queued,
-                limit,
-                retry_after_ms,
-            } => {
-                self.check_id(rid, request_id, &peer)?;
-                Err(QnetError::Overloaded {
-                    scope,
-                    queued,
-                    limit,
-                    retry_after_ms,
-                })
-            }
-            Response::Draining { request_id: rid } => {
-                self.check_id(rid, request_id, &peer)?;
-                Err(QnetError::Draining)
-            }
-            Response::DeadlineExceeded { request_id: rid } => {
-                self.check_id(rid, request_id, &peer)?;
-                Err(QnetError::DeadlineExceeded {
-                    budget_ms: self.cfg.deadline_ms,
-                })
-            }
-            Response::Error {
-                request_id: rid,
-                message,
-            } => {
-                self.check_id(rid, request_id, &peer)?;
-                Err(QnetError::Remote(message))
-            }
-            Response::AuthFailed { request_id: rid } => {
-                self.check_id(rid, request_id, &peer)?;
-                Err(QnetError::AuthFailed)
-            }
-            other => Err(self.unexpected(&other)),
-        }
+        id
     }
 
-    fn check_id(&mut self, got: u64, want: u64, peer: &str) -> crate::Result<()> {
-        if got != want {
-            self.conn = None;
-            return Err(QnetError::Corrupt {
-                peer: peer.to_string(),
-                detail: format!("response id {got} does not match request id {want}"),
-            });
-        }
-        Ok(())
-    }
-
-    /// A response whose type makes no sense for the request we sent —
-    /// the stream is desynchronized.
-    fn unexpected(&mut self, resp: &Response) -> QnetError {
-        let peer = self
-            .conn
-            .as_ref()
-            .map(|c| c.peer.clone())
-            .unwrap_or_else(|| self.cfg.addr.clone());
-        self.conn = None;
-        QnetError::Corrupt {
-            peer,
-            detail: format!("unexpected response type {resp:?}"),
-        }
-    }
-
-    fn round_trip(&mut self, req: &Request) -> crate::Result<Response> {
-        Ok(self.round_trip_raw(req)?.0)
-    }
-
-    /// Send one request and read one response on the current (or a
-    /// fresh) connection. Any failure drops the connection.
-    fn round_trip_raw(&mut self, req: &Request) -> crate::Result<(Response, String)> {
-        let result = self.round_trip_inner(req);
-        if result.is_err() {
+    /// Pass `result` through, abandoning the connection first when it is
+    /// a wire error (I/O or a corrupt frame).
+    fn hang_up_on_wire_error<T>(&mut self, result: crate::Result<T>) -> crate::Result<T> {
+        if matches!(result, Err(QnetError::Io(_) | QnetError::Corrupt { .. })) {
             self.conn = None;
         }
         result
+    }
+
+    /// The stream is desynchronized: drop the connection and say why.
+    fn desynced(&mut self, detail: String) -> QnetError {
+        let peer = self.peer();
+        self.conn = None;
+        QnetError::Corrupt { peer, detail }
+    }
+
+    /// A response whose type makes no sense for the request we sent.
+    fn unexpected(&mut self, resp: &Response) -> QnetError {
+        self.desynced(format!("unexpected response type {resp:?}"))
+    }
+
+    /// One gate-exempt request/response exchange on the current (or a
+    /// fresh) connection. Single attempt; a wire failure drops the
+    /// connection.
+    fn control(&mut self, req: &Request) -> crate::Result<Response> {
+        let result = self.ensure_conn().and_then(|()| self.exchange(req));
+        self.hang_up_on_wire_error(result)
     }
 
     /// Establish the connection if none is live, including the
@@ -773,6 +540,7 @@ impl QueryClient {
         if self.conn.is_some() {
             return Ok(());
         }
+        faultsim::sched::point("qnet.client.connect");
         let stream = TcpStream::connect(&self.cfg.addr)?;
         stream.set_read_timeout(Some(self.cfg.read_timeout))?;
         stream.set_write_timeout(Some(self.cfg.write_timeout))?;
@@ -792,12 +560,12 @@ impl QueryClient {
         self.connects += 1;
         self.rec.counter("qnet.client.connects", 1);
         if self.cfg.auth_secret.is_some() {
-            let (resp, _peer) = self.exchange(&Request::AuthHello)?;
-            match resp {
+            match self.exchange(&Request::AuthHello)? {
                 Response::AuthNonce { nonce } => {
-                    let conn = self.conn.as_mut().expect("connection just established");
-                    conn.nonce = nonce;
-                    conn.next_seq = 1;
+                    self.conn
+                        .as_mut()
+                        .expect("connection just established")
+                        .nonce = nonce;
                 }
                 other => return Err(self.unexpected(&other)),
             }
@@ -805,67 +573,135 @@ impl QueryClient {
         Ok(())
     }
 
-    fn round_trip_inner(&mut self, req: &Request) -> crate::Result<(Response, String)> {
-        self.ensure_conn()?;
-        self.exchange(req)
-    }
-
-    /// One request/response exchange on the live connection; the caller
-    /// guarantees one exists.
-    fn exchange(&mut self, req: &Request) -> crate::Result<(Response, String)> {
-        let conn = self.conn.as_mut().expect("connection established");
-        let peer = conn.peer.clone();
-
+    /// Send one request and read one response on the live connection;
+    /// the caller guarantees one exists.
+    fn exchange(&mut self, req: &Request) -> crate::Result<Response> {
         let body = req.encode();
         let mut frame = Vec::with_capacity(gstream::FRAME_HEADER_BYTES + body.len());
-        gstream::write_frame(&mut frame, &body).map_err(|e| crate::from_stream(e, &peer))?;
-        conn.stream.write_all(&frame)?;
+        gstream::write_frame(&mut frame, &body).map_err(|e| crate::from_stream(e, &self.peer()))?;
+        self.send(&frame)?;
+        self.recv()
+    }
 
+    /// Write already-framed bytes to the live connection.
+    fn send(&mut self, wire: &[u8]) -> crate::Result<()> {
+        let conn = self.conn.as_mut().expect("connection established");
+        faultsim::sched::point("qnet.client.send");
+        Ok(conn.stream.write_all(wire)?)
+    }
+
+    /// Read and decode one response frame from the live connection.
+    fn recv(&mut self) -> crate::Result<Response> {
+        let conn = self.conn.as_mut().expect("connection established");
         // Under the deterministic scheduler, park until the response (or
         // EOF) is actually observable so the blocking read below cannot
         // stall the schedule on wall time.
         if faultsim::sched::active() {
             let reader = &conn.reader;
             faultsim::sched::wait_until("qnet.client.read", &mut || {
-                !reader.buffer().is_empty() || sock_readable(reader.get_ref())
+                !reader.buffer().is_empty() || crate::sock_readable(reader.get_ref())
             });
         }
-        let payload = match gstream::read_frame(&mut conn.reader, &peer) {
-            Ok(Some(p)) => p,
-            Ok(None) => {
-                // The server closed cleanly between our request and its
-                // response (drain force-close, accept-drop chaos, …).
-                return Err(QnetError::Io(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    format!("{peer} closed the connection before responding"),
-                )));
-            }
-            Err(e) => return Err(crate::from_stream(e, &peer)),
-        };
-        let resp = Response::decode(&payload, &peer)?;
-        Ok((resp, peer))
+        match gstream::read_frame(&mut conn.reader, &conn.peer) {
+            Ok(Some(payload)) => Response::decode(&payload, &conn.peer),
+            // The server closed cleanly between our request and its
+            // response (drain force-close, accept-drop chaos, …).
+            Ok(None) => Err(QnetError::Io(std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                format!(
+                    "{} closed the connection with a response outstanding",
+                    conn.peer
+                ),
+            ))),
+            Err(e) => Err(crate::from_stream(e, &conn.peer)),
+        }
     }
 }
 
-/// Non-consuming readiness probe: true when a read on `sock` would not
-/// block (data buffered, EOF, or a hard error — all of which the real
-/// read observes immediately).
-fn sock_readable(sock: &TcpStream) -> bool {
-    let mut probe = [0u8; 1];
-    let _ = sock.set_nonblocking(true);
-    let r = sock.peek(&mut probe);
-    let _ = sock.set_nonblocking(false);
-    match r {
-        Ok(_) => true,
-        Err(e) => e.kind() != std::io::ErrorKind::WouldBlock,
+fn hits((generation, answer): (u64, Answer)) -> (u64, Vec<Option<Hit>>) {
+    match answer {
+        Answer::Hits(hits) => (generation, hits),
+        _ => unreachable!("classify pairs a placement query with hits"),
     }
+}
+
+/// The one table from wire responses to typed outcomes: the
+/// `request_id` a response echoes and what it means for a request of
+/// `kind`. A response that cannot answer such a request at all — a
+/// probe reply, or the other kind's answer — means the stream is
+/// desynchronized: `Corrupt`, naming `peer`.
+fn classify(
+    resp: Response,
+    kind: Kind,
+    budget_ms: u32,
+    peer: &str,
+) -> crate::Result<(u64, Outcome)> {
+    Ok(match resp {
+        Response::Hits {
+            request_id,
+            generation,
+            hits,
+        } if kind == Kind::Query => (request_id, Ok((generation, Answer::Hits(hits)))),
+        Response::ShardCandidates {
+            request_id,
+            generation,
+            candidates,
+        } if kind == Kind::ShardQuery => {
+            (request_id, Ok((generation, Answer::Candidates(candidates))))
+        }
+        Response::ReloadDone {
+            request_id,
+            generation,
+        } if kind == Kind::Reload => (request_id, Ok((generation, Answer::Reloaded))),
+        Response::ReloadFailed {
+            request_id,
+            generation,
+            message,
+        } if kind == Kind::Reload => (
+            request_id,
+            Err(QnetError::ReloadFailed {
+                generation,
+                message,
+            }),
+        ),
+        Response::Overloaded {
+            request_id,
+            scope,
+            queued,
+            limit,
+            retry_after_ms,
+        } => (
+            request_id,
+            Err(QnetError::Overloaded {
+                scope,
+                queued,
+                limit,
+                retry_after_ms,
+            }),
+        ),
+        Response::Draining { request_id } => (request_id, Err(QnetError::Draining)),
+        Response::DeadlineExceeded { request_id } => {
+            (request_id, Err(QnetError::DeadlineExceeded { budget_ms }))
+        }
+        Response::AuthFailed { request_id } => (request_id, Err(QnetError::AuthFailed)),
+        Response::Error {
+            request_id,
+            message,
+        } => (request_id, Err(QnetError::Remote(message))),
+        other => {
+            return Err(QnetError::Corrupt {
+                peer: peer.to_string(),
+                detail: format!("unexpected response type {other:?}"),
+            })
+        }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::Read;
-    use std::net::TcpListener;
+    use std::net::{Shutdown, TcpListener};
 
     fn fast_cfg(addr: String) -> ClientConfig {
         ClientConfig {
@@ -889,11 +725,30 @@ mod tests {
         Request::decode(&payload, "client").unwrap()
     }
 
-    /// Every fake server ends by reading until the client hangs up (so its
-    /// last frame is never cut short by its own close), and the client keeps
-    /// its connection for reuse: drop the client first, then join — within a
-    /// bound, so a server stuck anywhere fails its test instead of stalling
-    /// the suite.
+    /// A fake server on an ephemeral port: accepts `lives` connections one
+    /// after another and runs `script(life, socket)` on each, then reads
+    /// until the client hangs up, so its last frame is never cut short by
+    /// its own close. Returns the address to dial and the server thread.
+    fn fake_server(
+        lives: usize,
+        script: impl Fn(usize, &mut TcpStream) + Send + 'static,
+    ) -> (String, std::thread::JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            for life in 0..lives {
+                let (mut s, _) = listener.accept().unwrap();
+                script(life, &mut s);
+                let _ = s.read(&mut [0u8; 1]);
+            }
+        });
+        (addr, server)
+    }
+
+    /// The client keeps its connection for reuse, and the fake server
+    /// waits for it to hang up: drop the client first, then join — within
+    /// a bound, so a server stuck anywhere fails its test instead of
+    /// stalling the suite.
     fn hang_up_and_join(client: QueryClient, server: std::thread::JoinHandle<()>) {
         drop(client);
         let deadline = std::time::Instant::now() + Duration::from_secs(30);
@@ -946,13 +801,8 @@ mod tests {
 
     #[test]
     fn client_reconnects_and_retries_after_a_torn_frame() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let server = std::thread::spawn(move || {
-            // First life: answer with a torn frame, then hang up.
-            let (mut s, _) = listener.accept().unwrap();
-            let req = read_request(&mut s);
-            let Request::Query { request_id, .. } = req else {
+        let (addr, server) = fake_server(2, |life, s| {
+            let Request::Query { request_id, .. } = read_request(s) else {
                 panic!("expected a query")
             };
             let body = Response::Hits {
@@ -963,26 +813,15 @@ mod tests {
             .encode();
             let mut frame = Vec::new();
             gstream::write_frame(&mut frame, &body).unwrap();
-            frame.truncate(gstream::FRAME_HEADER_BYTES + body.len() / 2);
-            s.write_all(&frame).unwrap();
-            drop(s);
-            // Second life: answer properly.
-            let (mut s, _) = listener.accept().unwrap();
-            let req = read_request(&mut s);
-            let Request::Query { request_id, .. } = req else {
-                panic!("expected a query")
-            };
-            send_response(
-                &mut s,
-                &Response::Hits {
-                    request_id,
-                    generation: 0,
-                    hits: vec![None],
-                },
-            );
-            // Hold the socket open until the client has read the frame.
-            let mut buf = [0u8; 1];
-            let _ = s.read(&mut buf);
+            if life == 0 {
+                // First life: answer with a torn frame, then hang up.
+                frame.truncate(gstream::FRAME_HEADER_BYTES + body.len() / 2);
+                s.write_all(&frame).unwrap();
+                s.shutdown(Shutdown::Both).unwrap();
+            } else {
+                // Second life: answer properly.
+                s.write_all(&frame).unwrap();
+            }
         });
         let rec = Recorder::disabled();
         let mut client = QueryClient::new(fast_cfg(addr), &rec);
@@ -995,25 +834,18 @@ mod tests {
 
     #[test]
     fn mismatched_response_id_is_corrupt_and_bounded_by_retry_budget() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let server = std::thread::spawn(move || {
-            // Three lives (1 attempt + 2 retries), each answering with
-            // a wrong request id.
-            for _ in 0..3 {
-                let (mut s, _) = listener.accept().unwrap();
-                let _ = read_request(&mut s);
-                send_response(
-                    &mut s,
-                    &Response::Hits {
-                        request_id: 0xBAD,
-                        generation: 0,
-                        hits: vec![None],
-                    },
-                );
-                let mut buf = [0u8; 1];
-                let _ = s.read(&mut buf);
-            }
+        // Three lives (1 attempt + 2 retries), each answering with a
+        // wrong request id.
+        let (addr, server) = fake_server(3, |_, s| {
+            let _ = read_request(s);
+            send_response(
+                s,
+                &Response::Hits {
+                    request_id: 0xBAD,
+                    generation: 0,
+                    hits: vec![None],
+                },
+            );
         });
         let rec = Recorder::disabled();
         let mut client = QueryClient::new(fast_cfg(addr), &rec);
@@ -1024,7 +856,7 @@ mod tests {
         match err {
             QnetError::RetriesExhausted { attempts, last } => {
                 assert_eq!(attempts, 3);
-                assert!(last.contains("does not match"), "last: {last}");
+                assert!(matches!(*last, QnetError::Corrupt { .. }), "last: {last}");
             }
             other => panic!("expected RetriesExhausted, got {other:?}"),
         }
@@ -1033,15 +865,12 @@ mod tests {
 
     #[test]
     fn auth_rejection_is_terminal_and_the_tag_rides_the_wire() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let server = std::thread::spawn(move || {
-            let (mut s, _) = listener.accept().unwrap();
+        let (addr, server) = fake_server(1, move |_, s| {
             // The authed client opens with the nonce handshake.
-            let Request::AuthHello = read_request(&mut s) else {
+            let Request::AuthHello = read_request(s) else {
                 panic!("expected the auth handshake")
             };
-            send_response(&mut s, &Response::AuthNonce { nonce: 0xA11CE });
+            send_response(s, &Response::AuthNonce { nonce: 0xA11CE });
             let Request::Query {
                 request_id,
                 deadline_ms,
@@ -1050,7 +879,7 @@ mod tests {
                 auth_seq,
                 auth_tag,
                 generation,
-            } = read_request(&mut s)
+            } = read_request(s)
             else {
                 panic!("expected a query")
             };
@@ -1071,9 +900,7 @@ mod tests {
                     &reads
                 )
             );
-            send_response(&mut s, &Response::AuthFailed { request_id });
-            let mut buf = [0u8; 1];
-            let _ = s.read(&mut buf);
+            send_response(s, &Response::AuthFailed { request_id });
         });
         let rec = Recorder::disabled();
         let cfg = ClientConfig {
@@ -1091,8 +918,6 @@ mod tests {
 
     #[test]
     fn shard_queries_round_trip_candidates() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
         let cands = vec![
             vec![Candidate {
                 contig: 2,
@@ -1104,21 +929,18 @@ mod tests {
             vec![],
         ];
         let expect = cands.clone();
-        let server = std::thread::spawn(move || {
-            let (mut s, _) = listener.accept().unwrap();
-            let Request::ShardQuery { request_id, .. } = read_request(&mut s) else {
+        let (addr, server) = fake_server(1, move |_, s| {
+            let Request::ShardQuery { request_id, .. } = read_request(s) else {
                 panic!("expected a shard query")
             };
             send_response(
-                &mut s,
+                s,
                 &Response::ShardCandidates {
                     request_id,
                     generation: 0,
-                    candidates: cands,
+                    candidates: cands.clone(),
                 },
             );
-            let mut buf = [0u8; 1];
-            let _ = s.read(&mut buf);
         });
         let rec = Recorder::disabled();
         let mut client = QueryClient::new(fast_cfg(addr), &rec);
@@ -1133,18 +955,15 @@ mod tests {
 
     #[test]
     fn typed_sheds_keep_the_connection_alive() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let server = std::thread::spawn(move || {
+        let (addr, server) = fake_server(1, move |_, s| {
             // ONE connection lifetime: shed the first query, then
             // answer the retry on the same socket. A second accept
             // would hang the test — which is the point.
-            let (mut s, _) = listener.accept().unwrap();
-            let Request::Query { request_id, .. } = read_request(&mut s) else {
+            let Request::Query { request_id, .. } = read_request(s) else {
                 panic!("expected a query")
             };
             send_response(
-                &mut s,
+                s,
                 &Response::Overloaded {
                     request_id,
                     scope: crate::proto::ShedScope::Queue,
@@ -1153,19 +972,17 @@ mod tests {
                     retry_after_ms: 1,
                 },
             );
-            let Request::Query { request_id, .. } = read_request(&mut s) else {
+            let Request::Query { request_id, .. } = read_request(s) else {
                 panic!("expected the retried query")
             };
             send_response(
-                &mut s,
+                s,
                 &Response::Hits {
                     request_id,
                     generation: 1,
                     hits: vec![None],
                 },
             );
-            let mut buf = [0u8; 1];
-            let _ = s.read(&mut buf);
         });
         let rec = Recorder::disabled();
         let mut client = QueryClient::new(fast_cfg(addr), &rec);
@@ -1188,15 +1005,12 @@ mod tests {
         // Reload ride the SAME connection — a reload outcome (done or
         // failed) never tears the stream down, so steady traffic sees
         // zero reconnects across a hot swap.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let server = std::thread::spawn(move || {
-            let (mut s, _) = listener.accept().unwrap();
-            let Request::Query { request_id, .. } = read_request(&mut s) else {
+        let (addr, server) = fake_server(1, move |_, s| {
+            let Request::Query { request_id, .. } = read_request(s) else {
                 panic!("expected a query")
             };
             send_response(
-                &mut s,
+                s,
                 &Response::Hits {
                     request_id,
                     generation: 1,
@@ -1206,31 +1020,29 @@ mod tests {
             let Request::Reload {
                 request_id,
                 generation,
-            } = read_request(&mut s)
+            } = read_request(s)
             else {
                 panic!("expected a reload")
             };
             assert_eq!(generation, 2);
             send_response(
-                &mut s,
+                s,
                 &Response::ReloadDone {
                     request_id,
                     generation: 2,
                 },
             );
-            let Request::Query { request_id, .. } = read_request(&mut s) else {
+            let Request::Query { request_id, .. } = read_request(s) else {
                 panic!("expected a post-swap query")
             };
             send_response(
-                &mut s,
+                s,
                 &Response::Hits {
                     request_id,
                     generation: 2,
                     hits: vec![None],
                 },
             );
-            let mut buf = [0u8; 1];
-            let _ = s.read(&mut buf);
         });
         let rec = Recorder::disabled();
         let mut client = QueryClient::new(fast_cfg(addr), &rec);
@@ -1247,15 +1059,12 @@ mod tests {
 
     #[test]
     fn reload_failure_is_typed_terminal_and_keeps_the_connection() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let server = std::thread::spawn(move || {
-            let (mut s, _) = listener.accept().unwrap();
-            let Request::Reload { request_id, .. } = read_request(&mut s) else {
+        let (addr, server) = fake_server(1, move |_, s| {
+            let Request::Reload { request_id, .. } = read_request(s) else {
                 panic!("expected a reload")
             };
             send_response(
-                &mut s,
+                s,
                 &Response::ReloadFailed {
                     request_id,
                     generation: 7,
@@ -1263,18 +1072,19 @@ mod tests {
                 },
             );
             // The client should still be on this socket afterwards.
-            let Request::Ping = read_request(&mut s) else {
+            let Request::PingV2 = read_request(s) else {
                 panic!("expected a ping on the surviving connection")
             };
             send_response(
-                &mut s,
-                &Response::Pong {
+                s,
+                &Response::PongV2(PongStatus {
                     ready: true,
                     draining: false,
-                },
+                    queue_depth: 0,
+                    drain_ewma_reads_per_s: 0.0,
+                    generation: 1,
+                }),
             );
-            let mut buf = [0u8; 1];
-            let _ = s.read(&mut buf);
         });
         let rec = Recorder::disabled();
         let mut client = QueryClient::new(fast_cfg(addr), &rec);
@@ -1290,18 +1100,15 @@ mod tests {
             other => panic!("expected ReloadFailed, got {other:?}"),
         }
         assert!(!err.is_retryable(), "a rollback is a deliberate outcome");
-        let (ready, _) = client.ping().expect("connection survived the failure");
-        assert!(ready);
+        let pong = client.ping_v2().expect("connection survived the failure");
+        assert!(pong.ready);
         assert_eq!(client.reconnects(), 0);
         hang_up_and_join(client, server);
     }
 
     #[test]
     fn pipelined_batches_match_out_of_order_answers() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let server = std::thread::spawn(move || {
-            let (mut s, _) = listener.accept().unwrap();
+        let (addr, server) = fake_server(1, move |_, s| {
             // Read all three requests before answering anything —
             // proving the client really pipelines — then answer in
             // scrambled order, tagging each answer's generation with
@@ -1310,7 +1117,7 @@ mod tests {
             for _ in 0..3 {
                 let Request::Query {
                     request_id, reads, ..
-                } = read_request(&mut s)
+                } = read_request(s)
                 else {
                     panic!("expected a query")
                 };
@@ -1318,7 +1125,7 @@ mod tests {
             }
             for &(request_id, n) in [&got[2], &got[0], &got[1]] {
                 send_response(
-                    &mut s,
+                    s,
                     &Response::Hits {
                         request_id,
                         generation: n as u64,
@@ -1326,8 +1133,6 @@ mod tests {
                     },
                 );
             }
-            let mut buf = [0u8; 1];
-            let _ = s.read(&mut buf);
         });
         let rec = Recorder::disabled();
         let mut client = QueryClient::new(fast_cfg(addr), &rec);
@@ -1353,16 +1158,11 @@ mod tests {
 
     #[test]
     fn non_retryable_responses_surface_immediately() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let server = std::thread::spawn(move || {
-            let (mut s, _) = listener.accept().unwrap();
-            let Request::Query { request_id, .. } = read_request(&mut s) else {
+        let (addr, server) = fake_server(1, move |_, s| {
+            let Request::Query { request_id, .. } = read_request(s) else {
                 panic!("expected a query")
             };
-            send_response(&mut s, &Response::DeadlineExceeded { request_id });
-            let mut buf = [0u8; 1];
-            let _ = s.read(&mut buf);
+            send_response(s, &Response::DeadlineExceeded { request_id });
         });
         let rec = Recorder::disabled();
         let mut client = QueryClient::new(fast_cfg(addr), &rec);
@@ -1373,5 +1173,208 @@ mod tests {
         assert!(matches!(err, QnetError::DeadlineExceeded { .. }));
         assert_eq!(client.retries_total(), 0, "no retry on a terminal error");
         hang_up_and_join(client, server);
+    }
+
+    /// `(request_id, reads, is_shard_query)` of a query of either kind.
+    fn query_parts(req: &Request) -> (u64, usize, bool) {
+        match req {
+            Request::Query {
+                request_id, reads, ..
+            } => (*request_id, reads.len(), false),
+            Request::ShardQuery {
+                request_id, reads, ..
+            } => (*request_id, reads.len(), true),
+            other => panic!("expected a query, got {other:?}"),
+        }
+    }
+
+    /// A well-formed answer of the hits (`shard == false`) or candidates
+    /// kind with `n` entries.
+    fn answer(request_id: u64, n: usize, shard: bool) -> Response {
+        if shard {
+            Response::ShardCandidates {
+                request_id,
+                generation: 0,
+                candidates: vec![Vec::new(); n],
+            }
+        } else {
+            Response::Hits {
+                request_id,
+                generation: 0,
+                hits: vec![None; n],
+            }
+        }
+    }
+
+    /// The one classifier, pinned from outside: whatever a server
+    /// answers, `query_batch`, `shard_query_batch` and
+    /// `query_batches_pipelined` hand a `max_retries: 0` caller the same
+    /// typed error — inside `RetriesExhausted.last` where retryable —
+    /// keep the connection on a typed outcome, and drop it on `Corrupt`.
+    #[test]
+    fn every_query_shape_classifies_every_answer_the_same_way() {
+        fn retryable(e: &QnetError, inner: fn(&QnetError) -> bool) -> bool {
+            matches!(e, QnetError::RetriesExhausted { attempts: 1, last } if inner(last))
+        }
+        type Case = (
+            &'static str,
+            fn(&Request) -> Response,
+            fn(&QnetError) -> bool,
+            bool, // the connection survives
+        );
+        let cases: [Case; 9] = [
+            (
+                "queue shed",
+                |req| Response::Overloaded {
+                    request_id: query_parts(req).0,
+                    scope: crate::ShedScope::Queue,
+                    queued: 8,
+                    limit: 4,
+                    retry_after_ms: 1,
+                },
+                |e| {
+                    retryable(e, |l| {
+                        matches!(
+                            l,
+                            QnetError::Overloaded {
+                                scope: crate::ShedScope::Queue,
+                                queued: 8,
+                                limit: 4,
+                                retry_after_ms: 1,
+                            }
+                        )
+                    })
+                },
+                true,
+            ),
+            (
+                "fairness shed",
+                |req| Response::Overloaded {
+                    request_id: query_parts(req).0,
+                    scope: crate::ShedScope::Fairness,
+                    queued: 2,
+                    limit: 16,
+                    retry_after_ms: 10,
+                },
+                |e| {
+                    retryable(e, |l| {
+                        matches!(
+                            l,
+                            QnetError::Overloaded {
+                                scope: crate::ShedScope::Fairness,
+                                ..
+                            }
+                        )
+                    })
+                },
+                true,
+            ),
+            (
+                "draining",
+                |req| Response::Draining {
+                    request_id: query_parts(req).0,
+                },
+                |e| retryable(e, |l| matches!(l, QnetError::Draining)),
+                true,
+            ),
+            (
+                "deadline exceeded",
+                |req| Response::DeadlineExceeded {
+                    request_id: query_parts(req).0,
+                },
+                |e| matches!(e, QnetError::DeadlineExceeded { budget_ms: 77 }),
+                true,
+            ),
+            (
+                "auth failed",
+                |req| Response::AuthFailed {
+                    request_id: query_parts(req).0,
+                },
+                |e| matches!(e, QnetError::AuthFailed),
+                true,
+            ),
+            (
+                "remote error",
+                |req| Response::Error {
+                    request_id: query_parts(req).0,
+                    message: "generation 9 is not resident".to_string(),
+                },
+                |e| matches!(e, QnetError::Remote(m) if m == "generation 9 is not resident"),
+                true,
+            ),
+            (
+                "mispaired id",
+                |req| {
+                    let (request_id, n, shard) = query_parts(req);
+                    answer(request_id + 1_000, n, shard)
+                },
+                |e| retryable(e, |l| matches!(l, QnetError::Corrupt { .. })),
+                false,
+            ),
+            (
+                "wrong-length answer",
+                |req| {
+                    let (request_id, n, shard) = query_parts(req);
+                    answer(request_id, n + 1, shard)
+                },
+                |e| retryable(e, |l| matches!(l, QnetError::Corrupt { .. })),
+                false,
+            ),
+            (
+                "answer of the other kind",
+                |req| {
+                    let (request_id, n, shard) = query_parts(req);
+                    answer(request_id, n, !shard)
+                },
+                |e| retryable(e, |l| matches!(l, QnetError::Corrupt { .. })),
+                false,
+            ),
+        ];
+        type Call = (
+            &'static str,
+            fn(&mut QueryClient, &[PackedSeq]) -> QnetError,
+        );
+        let calls: [Call; 3] = [
+            ("query_batch", |c, reads| {
+                c.query_batch(reads).expect_err("never an answer")
+            }),
+            ("shard_query_batch", |c, reads| {
+                c.shard_query_batch(reads).expect_err("never an answer")
+            }),
+            ("query_batches_pipelined", |c, reads| {
+                c.query_batches_pipelined(&[reads.to_vec()])
+                    .and_then(|mut per_batch| per_batch.remove(0))
+                    .expect_err("never an answer")
+            }),
+        ];
+        let reads = vec![
+            "ACGT".parse::<PackedSeq>().unwrap(),
+            "TTGA".parse::<PackedSeq>().unwrap(),
+        ];
+        for (case, respond, expect, keeps_conn) in cases {
+            for (call_name, call) in calls {
+                let (addr, server) = fake_server(1, move |_, s| {
+                    let req = read_request(s);
+                    send_response(s, &respond(&req));
+                });
+                let cfg = ClientConfig {
+                    max_retries: 0,
+                    deadline_ms: 77,
+                    ..fast_cfg(addr)
+                };
+                let mut client = QueryClient::new(cfg, &Recorder::disabled());
+                let err = call(&mut client, &reads);
+                assert!(expect(&err), "{case} via {call_name}: got {err:?}");
+                assert_eq!(client.reconnects(), 0, "{case} via {call_name}");
+                assert_eq!(client.retries_total(), 0, "{case} via {call_name}");
+                assert_eq!(
+                    client.conn.is_some(),
+                    keeps_conn,
+                    "{case} via {call_name}: a typed outcome keeps the connection, \
+                     a corrupt stream drops it"
+                );
+                hang_up_and_join(client, server);
+            }
+        }
     }
 }

@@ -47,7 +47,7 @@ pub use client::{ClientConfig, QueryClient};
 pub use pool::ClientPool;
 pub use proto::{
     auth_tag, ClientStats, LatencySummary, PongStatus, Request, Response, ShedScope, StatsSnapshot,
-    AUTH_KIND_QUERY, AUTH_KIND_SHARD_QUERY, STATS_VERSION,
+    AUTH_KIND_QUERY, AUTH_KIND_SHARD_QUERY,
 };
 pub use server::{DrainReport, ReloadConfig, Server, ServerConfig};
 
@@ -101,12 +101,14 @@ pub enum QnetError {
     /// stringified for transport).
     Remote(String),
     /// The client exhausted its retry budget; `last` is the final
-    /// retryable error's message.
+    /// attempt's retryable error, still typed — a client built with
+    /// `max_retries: 0` hands back its single attempt's `Overloaded`,
+    /// `Draining` or `Io` here ([`QnetError::last_attempt`]).
     RetriesExhausted {
         /// Attempts made (initial try + retries).
         attempts: u32,
-        /// Display of the last error.
-        last: String,
+        /// The last attempt's error.
+        last: Box<QnetError>,
     },
 }
 
@@ -124,6 +126,15 @@ impl QnetError {
                 | QnetError::Overloaded { .. }
                 | QnetError::Draining
         )
+    }
+
+    /// What the last wire attempt itself failed with: the `last` of a
+    /// [`QnetError::RetriesExhausted`], any other error as it is.
+    pub fn last_attempt(&self) -> &QnetError {
+        match self {
+            QnetError::RetriesExhausted { last, .. } => last,
+            other => other,
+        }
     }
 }
 
@@ -178,6 +189,21 @@ impl From<std::io::Error> for QnetError {
 
 /// Convenience alias for fallible qnet operations.
 pub type Result<T> = std::result::Result<T, QnetError>;
+
+/// Non-consuming readiness probe: true when a read on `sock` would not
+/// block (data buffered, orderly EOF, or a hard error — all of which the
+/// real read observes immediately). Safe as a scheduler re-poll
+/// predicate on either end of a connection.
+pub(crate) fn sock_readable(sock: &std::net::TcpStream) -> bool {
+    let mut probe = [0u8; 1];
+    let _ = sock.set_nonblocking(true);
+    let r = sock.peek(&mut probe);
+    let _ = sock.set_nonblocking(false);
+    match r {
+        Ok(_) => true,
+        Err(e) => e.kind() != std::io::ErrorKind::WouldBlock,
+    }
+}
 
 /// Map a [`gstream::StreamError`] from the framing layer onto a qnet
 /// error, attributing corruption to `peer`.

@@ -93,17 +93,15 @@ pub enum Request {
         /// single coherent postings space.
         generation: u64,
     },
-    /// Health/readiness probe; always answered, even mid-drain.
-    Ping,
     /// Ask the server to begin a graceful drain.
     Shutdown,
-    /// Full telemetry snapshot. Admission-gate-exempt like `Ping`:
+    /// Full telemetry snapshot. Admission-gate-exempt like the probe:
     /// answered even mid-drain, never queued behind query work.
     Stats,
-    /// Extended probe: like `Ping` but the reply
-    /// ([`Response::PongV2`]) carries queue depth and the drain-rate
-    /// EWMA so a load balancer can steer without a full `Stats` round
-    /// trip. Old peers keep using `Ping`/`Pong`; both stay answered.
+    /// Health/readiness probe; always answered, even mid-drain. The
+    /// reply ([`Response::PongV2`]) carries queue depth and the
+    /// drain-rate EWMA so a load balancer can steer without a full
+    /// `Stats` round trip.
     PingV2,
     /// Begin the authenticated-session handshake: the server answers
     /// with [`Response::AuthNonce`], a fresh per-connection nonce the
@@ -126,13 +124,6 @@ pub enum Request {
         generation: u64,
     },
 }
-
-/// Schema version carried in every [`StatsSnapshot`].
-///
-/// Version history: `1` — initial schema; `2` — added `force_closed`
-/// (stragglers cut off at the drain deadline); `3` — added
-/// `generation`, `reloads`, and `rollbacks` (hot generation swaps).
-pub const STATS_VERSION: u32 = 3;
 
 /// The `kind` byte [`auth_tag`] binds for a [`Request::Query`].
 pub const AUTH_KIND_QUERY: u8 = TAG_QUERY;
@@ -192,15 +183,13 @@ fn keyed_fnv1a(key: &[u8], msg: &[u8]) -> u64 {
     h
 }
 
-/// A versioned point-in-time telemetry snapshot of a running server.
+/// A point-in-time telemetry snapshot of a running server.
 ///
 /// Counters come from the server's live roll-up of the same events the
 /// JSONL trace records, so a snapshot taken after all in-flight work
 /// drained equals the post-hoc [`obs::Rollup`] of the trace exactly.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StatsSnapshot {
-    /// Schema version ([`STATS_VERSION`]).
-    pub version: u32,
     /// Milliseconds since the server started.
     pub uptime_ms: u64,
     /// True when a graceful drain is underway.
@@ -223,16 +212,15 @@ pub struct StatsSnapshot {
     pub fairness_shed: u64,
     /// Reads belonging to admitted queries whose connections were
     /// force-closed at the drain deadline (`qnet.drain.force_closed`).
-    /// Since version 2.
     pub force_closed: u64,
     /// The store/index generation currently answering unpinned
-    /// queries (`qserve.gen.active`). Since version 3.
+    /// queries (`qserve.gen.active`).
     pub generation: u64,
     /// Successful hot generation swaps since start
-    /// (`qserve.gen.reloads`). Since version 3.
+    /// (`qserve.gen.reloads`).
     pub reloads: u64,
     /// Failed reloads rolled back loudly, old generation untouched
-    /// (`qserve.gen.rollbacks`). Since version 3.
+    /// (`qserve.gen.rollbacks`).
     pub rollbacks: u64,
     /// Per-client gate totals and fairness state, sorted by client id.
     pub clients: Vec<ClientStats>,
@@ -241,7 +229,7 @@ pub struct StatsSnapshot {
 }
 
 stdx::impl_json!(struct StatsSnapshot {
-    version, uptime_ms, draining, inflight, queue_depth, drained_reads, drain_ewma_reads_per_s, accepted, rejected, deadline_shed, fairness_shed, force_closed, generation, reloads, rollbacks, clients, latency
+    uptime_ms, draining, inflight, queue_depth, drained_reads, drain_ewma_reads_per_s, accepted, rejected, deadline_shed, fairness_shed, force_closed, generation, reloads, rollbacks, clients, latency
 });
 
 /// One client's admission history and current fairness state.
@@ -332,13 +320,6 @@ pub enum Response {
         /// `None` for reads that placed nowhere.
         hits: Vec<Option<Hit>>,
     },
-    /// Probe answer.
-    Pong {
-        /// True when the server is accepting queries.
-        ready: bool,
-        /// True when a graceful drain is underway.
-        draining: bool,
-    },
     /// The batch was shed at an admission gate; nothing was processed.
     Overloaded {
         /// Echo of the request's id.
@@ -373,7 +354,7 @@ pub enum Response {
     ShutdownAck,
     /// Telemetry snapshot ([`Request::Stats`] answer).
     Stats(StatsSnapshot),
-    /// Extended probe answer ([`Request::PingV2`] answer).
+    /// Probe answer ([`Request::PingV2`] answer).
     PongV2(PongStatus),
     /// The query's authentication tag did not match the server's
     /// secret; nothing was processed and no fairness tokens were
@@ -423,8 +404,9 @@ pub enum Response {
     },
 }
 
+// Request tag 2 and response tag 2 (the first probe pair) are retired:
+// they decode as unknown tags and are never reissued.
 const TAG_QUERY: u8 = 1;
-const TAG_PING: u8 = 2;
 const TAG_SHUTDOWN: u8 = 3;
 const TAG_STATS_REQ: u8 = 4;
 const TAG_PING_V2: u8 = 5;
@@ -433,7 +415,6 @@ const TAG_AUTH_HELLO: u8 = 7;
 const TAG_RELOAD: u8 = 8;
 
 const TAG_HITS: u8 = 1;
-const TAG_PONG: u8 = 2;
 const TAG_OVERLOADED: u8 = 3;
 const TAG_DRAINING: u8 = 4;
 const TAG_DEADLINE: u8 = 5;
@@ -566,6 +547,35 @@ impl<'a> Cursor<'a> {
     }
 }
 
+/// Append the payload of a [`Request::Query`] (`tag` =
+/// [`AUTH_KIND_QUERY`]) or [`Request::ShardQuery`]
+/// ([`AUTH_KIND_SHARD_QUERY`]): the two differ in the tag byte alone.
+/// The client encodes straight from its borrowed reads through this.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn encode_query(
+    out: &mut Vec<u8>,
+    tag: u8,
+    request_id: u64,
+    deadline_ms: u32,
+    client_id: &str,
+    reads: &[PackedSeq],
+    auth_seq: u64,
+    auth_tag: u64,
+    generation: u64,
+) {
+    out.push(tag);
+    put_u64(out, request_id);
+    put_u32(out, deadline_ms);
+    put_str(out, client_id);
+    put_u32(out, reads.len() as u32);
+    for r in reads {
+        put_seq(out, r);
+    }
+    put_u64(out, auth_seq);
+    put_u64(out, auth_tag);
+    put_u64(out, generation);
+}
+
 impl Request {
     /// Serialize into a frame payload.
     pub fn encode(&self) -> Vec<u8> {
@@ -579,20 +589,8 @@ impl Request {
                 auth_seq,
                 auth_tag,
                 generation,
-            } => {
-                out.push(TAG_QUERY);
-                put_u64(&mut out, *request_id);
-                put_u32(&mut out, *deadline_ms);
-                put_str(&mut out, client_id);
-                put_u32(&mut out, reads.len() as u32);
-                for r in reads {
-                    put_seq(&mut out, r);
-                }
-                put_u64(&mut out, *auth_seq);
-                put_u64(&mut out, *auth_tag);
-                put_u64(&mut out, *generation);
             }
-            Request::ShardQuery {
+            | Request::ShardQuery {
                 request_id,
                 deadline_ms,
                 client_id,
@@ -601,19 +599,22 @@ impl Request {
                 auth_tag,
                 generation,
             } => {
-                out.push(TAG_SHARD_QUERY);
-                put_u64(&mut out, *request_id);
-                put_u32(&mut out, *deadline_ms);
-                put_str(&mut out, client_id);
-                put_u32(&mut out, reads.len() as u32);
-                for r in reads {
-                    put_seq(&mut out, r);
-                }
-                put_u64(&mut out, *auth_seq);
-                put_u64(&mut out, *auth_tag);
-                put_u64(&mut out, *generation);
+                let tag = match self {
+                    Request::Query { .. } => TAG_QUERY,
+                    _ => TAG_SHARD_QUERY,
+                };
+                encode_query(
+                    &mut out,
+                    tag,
+                    *request_id,
+                    *deadline_ms,
+                    client_id,
+                    reads,
+                    *auth_seq,
+                    *auth_tag,
+                    *generation,
+                );
             }
-            Request::Ping => out.push(TAG_PING),
             Request::Shutdown => out.push(TAG_SHUTDOWN),
             Request::Stats => out.push(TAG_STATS_REQ),
             Request::PingV2 => out.push(TAG_PING_V2),
@@ -668,7 +669,6 @@ impl Request {
                     }
                 }
             }
-            TAG_PING => Request::Ping,
             TAG_SHUTDOWN => Request::Shutdown,
             TAG_STATS_REQ => Request::Stats,
             TAG_PING_V2 => Request::PingV2,
@@ -719,11 +719,6 @@ impl Response {
                     }
                 }
             }
-            Response::Pong { ready, draining } => {
-                out.push(TAG_PONG);
-                out.push(*ready as u8);
-                out.push(*draining as u8);
-            }
             Response::Overloaded {
                 request_id,
                 scope,
@@ -757,7 +752,6 @@ impl Response {
             Response::ShutdownAck => out.push(TAG_SHUTDOWN_ACK),
             Response::Stats(s) => {
                 out.push(TAG_STATS);
-                put_u32(&mut out, s.version);
                 put_u64(&mut out, s.uptime_ms);
                 out.push(s.draining as u8);
                 put_u64(&mut out, s.inflight);
@@ -900,11 +894,6 @@ impl Response {
                     hits,
                 }
             }
-            TAG_PONG => {
-                let ready = c.u8("ready flag")? != 0;
-                let draining = c.u8("draining flag")? != 0;
-                Response::Pong { ready, draining }
-            }
             TAG_OVERLOADED => {
                 let request_id = c.u64("request id")?;
                 let scope = match c.u8("shed scope")? {
@@ -939,7 +928,6 @@ impl Response {
             }
             TAG_SHUTDOWN_ACK => Response::ShutdownAck,
             TAG_STATS => {
-                let version = c.u32("stats version")?;
                 let uptime_ms = c.u64("uptime")?;
                 let draining = c.u8("draining flag")? != 0;
                 let inflight = c.u64("inflight")?;
@@ -989,7 +977,6 @@ impl Response {
                     });
                 }
                 Response::Stats(StatsSnapshot {
-                    version,
                     uptime_ms,
                     draining,
                     inflight,
@@ -1149,7 +1136,6 @@ mod tests {
             generation: 0,
         };
         assert_eq!(roundtrip_req(&shard), shard);
-        assert_eq!(roundtrip_req(&Request::Ping), Request::Ping);
         assert_eq!(roundtrip_req(&Request::Shutdown), Request::Shutdown);
         assert_eq!(roundtrip_req(&Request::Stats), Request::Stats);
         assert_eq!(roundtrip_req(&Request::PingV2), Request::PingV2);
@@ -1270,10 +1256,6 @@ mod tests {
         };
         assert_eq!(roundtrip_resp(&hits), hits);
         for resp in [
-            Response::Pong {
-                ready: true,
-                draining: false,
-            },
             Response::Overloaded {
                 request_id: 9,
                 scope: ShedScope::Fairness,
@@ -1336,7 +1318,6 @@ mod tests {
     #[test]
     fn stats_and_pong_v2_roundtrip_with_exact_floats() {
         let snap = StatsSnapshot {
-            version: STATS_VERSION,
             uptime_ms: 123_456,
             draining: true,
             inflight: 3,
@@ -1391,7 +1372,6 @@ mod tests {
 
         // An empty snapshot (fresh server) is legal too.
         let empty = Response::Stats(StatsSnapshot {
-            version: STATS_VERSION,
             uptime_ms: 0,
             draining: false,
             inflight: 0,
@@ -1454,7 +1434,7 @@ mod tests {
         }
 
         // Trailing bytes after a well-formed message are corruption too.
-        let mut buf = Request::Ping.encode();
+        let mut buf = Request::Shutdown.encode();
         buf.push(0);
         let err = Request::decode(&buf, "p").expect_err("trailing byte");
         assert!(matches!(err, QnetError::Corrupt { .. }));
@@ -1470,6 +1450,24 @@ mod tests {
         put_u64(&mut buf, 0);
         let err = Request::decode(&buf, "p").expect_err("absurd read count");
         assert!(matches!(err, QnetError::Corrupt { .. }));
+    }
+
+    #[test]
+    fn retired_tags_decode_as_corrupt_naming_the_peer() {
+        // Request 2 / response 2 were the first probe pair. A peer still
+        // sending them is speaking a protocol this tree no longer has.
+        for err in [
+            Request::decode(&[2], "10.0.0.9:5000").expect_err("retired request tag"),
+            Response::decode(&[2, 1, 0], "10.0.0.9:5000").expect_err("retired response tag"),
+        ] {
+            match err {
+                QnetError::Corrupt { peer, detail } => {
+                    assert_eq!(peer, "10.0.0.9:5000");
+                    assert!(detail.contains("tag 2"), "detail: {detail}");
+                }
+                other => panic!("expected Corrupt, got {other:?}"),
+            }
+        }
     }
 
     #[test]

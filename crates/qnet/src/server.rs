@@ -27,7 +27,7 @@
 //! query to a responder thread and immediately reads the next frame, so
 //! one connection can have many requests in flight, each answered by a
 //! frame matched to its `request_id` (responses may arrive out of
-//! order). Gate-exempt requests (`Ping`, `Stats`, `Reload`, …) are
+//! order). Gate-exempt requests (`PingV2`, `Stats`, `Reload`, …) are
 //! still answered inline from the read loop — they never queue behind a
 //! slow batch on the same connection.
 //!
@@ -48,7 +48,6 @@ use stdx::splitmix64;
 
 use crate::proto::{
     ClientStats, LatencySummary, PongStatus, Request, Response, ShedScope, StatsSnapshot,
-    STATS_VERSION,
 };
 use obs::{Histogram, LiveRollup, Recorder, SpanGuard};
 use qserve::{FairAdmission, FairShed, QserveError, QueryService};
@@ -230,7 +229,8 @@ struct ConnShared {
     write: Mutex<ConnWrite>,
     /// Responder threads spawned for admitted (pipelined) requests on
     /// this connection, plus their scheduler task ids (model checking
-    /// only); joined when the connection's read loop ends.
+    /// only). Finished ones are reaped as new ones are pushed; the rest
+    /// are joined when the connection's read loop ends.
     responders: Mutex<Vec<(JoinHandle<()>, Option<faultsim::sched::TaskId>)>>,
 }
 
@@ -273,6 +273,20 @@ impl ConnShared {
         w.sock.write_all(frame).is_ok() && w.sock.flush().is_ok()
     }
 
+    /// Response-path chaos: put a torn frame on the wire in place of a
+    /// response. `request_id`'s marker, when given, is cleared under the
+    /// same lock — the torn bytes are its one frame.
+    fn write_torn(&self, request_id: Option<u64>, torn: &[u8]) {
+        let mut w = self.write.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(rid) = request_id {
+            w.inflight.remove(&rid);
+        }
+        if !w.closed {
+            let _ = w.sock.write_all(torn);
+            let _ = w.sock.flush();
+        }
+    }
+
     /// Cut the socket (response-path chaos or a fatal write error). The
     /// marker for `request_id`, when given, is cleared first: the
     /// request died with its connection and must not be misattributed
@@ -284,6 +298,21 @@ impl ConnShared {
         }
         w.closed = true;
         let _ = w.sock.shutdown(Shutdown::Both);
+    }
+
+    /// Track a freshly spawned responder. A finished responder's handle
+    /// is dropped here (detaching it, which lets the OS unmap its
+    /// stack), so a long-lived connection holds handles only for the
+    /// requests actually in flight instead of one per request it ever
+    /// served. Under a model-checking scheduler nothing is reaped: how
+    /// many `qnet.resp.join` steps the close takes must be a function of
+    /// the schedule, not of OS thread-exit timing.
+    fn push_responder(&self, thread: JoinHandle<()>, task: Option<faultsim::sched::TaskId>) {
+        let mut responders = self.responders.lock().unwrap_or_else(|e| e.into_inner());
+        if task.is_none() {
+            responders.retain(|(h, _)| !h.is_finished());
+        }
+        responders.push((thread, task));
     }
 
     /// Join every responder this connection spawned. Called by the read
@@ -366,7 +395,7 @@ impl Inner {
         }
     }
 
-    /// Assemble the versioned [`StatsSnapshot`] answered to
+    /// Assemble the [`StatsSnapshot`] answered to
     /// [`Request::Stats`]. Gate counters come from [`ClientTotals`] (so
     /// they are exact even with a disabled recorder); latency summaries
     /// come from the live rollup's cumulative histograms.
@@ -414,7 +443,6 @@ impl Inner {
             .collect();
         let gens = self.service.generation_stats();
         StatsSnapshot {
-            version: STATS_VERSION,
             uptime_ms: self.epoch.elapsed().as_millis() as u64,
             draining: self.is_draining(),
             inflight: self.inflight.load(Ordering::SeqCst),
@@ -865,20 +893,6 @@ fn accept_loop(inner: Arc<Inner>, listener: TcpListener) {
     }
 }
 
-/// True when a read on `sock` would not block: buffered bytes, a
-/// pending frame, or EOF/error. Probes with a non-blocking `peek`, which
-/// consumes nothing — safe as a scheduler re-poll predicate.
-fn sock_readable(sock: &TcpStream) -> bool {
-    let mut probe = [0u8; 1];
-    let _ = sock.set_nonblocking(true);
-    let r = sock.peek(&mut probe);
-    let _ = sock.set_nonblocking(false);
-    match r {
-        Ok(_) => true, // data, or Ok(0) = orderly EOF
-        Err(e) => e.kind() != std::io::ErrorKind::WouldBlock,
-    }
-}
-
 fn handle_conn(
     inner: Arc<Inner>,
     sock: TcpStream,
@@ -908,7 +922,7 @@ fn handle_conn(
             {
                 let reader = &reader;
                 faultsim::sched::wait_until("qnet.conn.read", &mut || {
-                    !reader.buffer().is_empty() || sock_readable(reader.get_ref())
+                    !reader.buffer().is_empty() || crate::sock_readable(reader.get_ref())
                 });
             }
             if conn.write.lock().unwrap_or_else(|e| e.into_inner()).closed {
@@ -937,13 +951,9 @@ fn handle_conn(
             }
         };
         let resp = match req {
-            Request::Ping => Some(Response::Pong {
-                ready: !inner.is_draining(),
-                draining: inner.is_draining(),
-            }),
-            // Health and telemetry probes bypass every admission gate,
-            // like `Ping`: a draining or overloaded server must still
-            // answer "how are you doing".
+            // Health and telemetry probes bypass every admission gate:
+            // a draining or overloaded server must still answer "how
+            // are you doing".
             Request::PingV2 => Some(Response::PongV2(PongStatus {
                 ready: !inner.is_draining(),
                 draining: inner.is_draining(),
@@ -1045,39 +1055,7 @@ fn handle_conn(
             continue;
         };
 
-        // Chaos failpoints on the response path. `qnet.conn.drop` models
-        // a connection that dies after the work was done — the worst
-        // case for the client, whose retry must still land on the same
-        // answer. `qnet.frame.stall` holds the response long enough for
-        // the client's read timeout to fire, then drops the connection.
-        // `qnet.frame.write` tears the frame mid-payload so the client
-        // exercises its checksum path.
-        if inner.faults.hit(faultsim::QNET_CONN_DROP).is_err() {
-            inner.rec.counter_on(conn_id, "qnet.conn.dropped", 1);
-            break;
-        }
-        if inner.faults.hit(faultsim::QNET_FRAME_STALL).is_err() {
-            inner.rec.counter_on(conn_id, "qnet.frame.stalled", 1);
-            std::thread::sleep(Duration::from_millis(inner.cfg.stall_ms));
-            break;
-        }
-        let body = resp.encode();
-        if inner.faults.hit(faultsim::QNET_FRAME_WRITE).is_err() {
-            inner.rec.counter_on(conn_id, "qnet.frame.torn", 1);
-            let torn = torn_frame(&body);
-            let w = conn.write.lock().unwrap_or_else(|e| e.into_inner());
-            if !w.closed {
-                let mut sock = &w.sock;
-                let _ = sock.write_all(&torn);
-                let _ = sock.flush();
-            }
-            break;
-        }
-        let mut frame = Vec::with_capacity(gstream::FRAME_HEADER_BYTES + body.len());
-        if gstream::write_frame(&mut frame, &body).is_err() {
-            break;
-        }
-        if !conn.write_frame(&frame) {
+        if !deliver(&inner, &conn, conn_id, None, &resp) {
             break;
         }
     }
@@ -1190,6 +1168,54 @@ fn torn_frame(body: &[u8]) -> Vec<u8> {
     let keep = gstream::FRAME_HEADER_BYTES + body.len() / 2;
     full.truncate(keep);
     full
+}
+
+/// Put one response on the wire, walking the response-path chaos
+/// failpoints first; both the read loop (gate-exempt answers and sheds,
+/// `request_id: None`) and the responders (the answer to admitted
+/// request `request_id`) deliver through here. `qnet.conn.drop` models
+/// a connection that dies after the work was done — the worst case for
+/// the client, whose retry must still land on the same answer.
+/// `qnet.frame.stall` holds the response long enough for the client's
+/// read timeout to fire, then drops the connection. `qnet.frame.write`
+/// tears the frame mid-payload so the client exercises its checksum
+/// path. Returns false when the connection must die; the caller cuts it.
+fn deliver(
+    inner: &Inner,
+    conn: &ConnShared,
+    conn_id: u64,
+    request_id: Option<u64>,
+    resp: &Response,
+) -> bool {
+    if inner.faults.hit(faultsim::QNET_CONN_DROP).is_err() {
+        inner.rec.counter_on(conn_id, "qnet.conn.dropped", 1);
+        return false;
+    }
+    if inner.faults.hit(faultsim::QNET_FRAME_STALL).is_err() {
+        inner.rec.counter_on(conn_id, "qnet.frame.stalled", 1);
+        std::thread::sleep(Duration::from_millis(inner.cfg.stall_ms));
+        return false;
+    }
+    let body = resp.encode();
+    if inner.faults.hit(faultsim::QNET_FRAME_WRITE).is_err() {
+        inner.rec.counter_on(conn_id, "qnet.frame.torn", 1);
+        conn.write_torn(request_id, &torn_frame(&body));
+        return false;
+    }
+    let mut frame = Vec::with_capacity(gstream::FRAME_HEADER_BYTES + body.len());
+    if gstream::write_frame(&mut frame, &body).is_err() {
+        return false;
+    }
+    match request_id {
+        // A skipped write means the drain already answered this id with
+        // a typed `Draining`, or the connection died — either way the
+        // exactly-one-frame contract held.
+        Some(rid) => {
+            conn.write_response_for(rid, &frame);
+            true
+        }
+        None => conn.write_frame(&frame),
+    }
 }
 
 /// Run one query through the admission gates. A rejected query returns
@@ -1410,8 +1436,8 @@ fn handle_query(
 /// `request_id`. This is what makes a connection pipelined: the read
 /// loop never blocks on a batch, so many can be in flight at once and
 /// answer out of order. The responder owns the [`InflightGuard`] (drain
-/// waits for the response write) and runs the same response-path chaos
-/// failpoints the inline path does.
+/// waits for the response write) and delivers through the same
+/// [`deliver`] the inline path uses.
 #[allow(clippy::too_many_arguments)]
 fn spawn_responder(
     inner: &Arc<Inner>,
@@ -1477,49 +1503,11 @@ fn spawn_responder(
                 inner.drain_ewma().round() as u64,
             );
         }
-        // Response-path chaos, mirroring the inline path: a dropped or
-        // stalled connection dies loudly and the client's retry lands
-        // on the same (read-only) answer.
-        if inner.faults.hit(faultsim::QNET_CONN_DROP).is_err() {
-            inner.rec.counter_on(conn_id, "qnet.conn.dropped", 1);
+        if !deliver(&inner, &conn2, conn_id, Some(request_id), &resp) {
             conn2.close(Some(request_id));
-            return;
         }
-        if inner.faults.hit(faultsim::QNET_FRAME_STALL).is_err() {
-            inner.rec.counter_on(conn_id, "qnet.frame.stalled", 1);
-            std::thread::sleep(Duration::from_millis(inner.cfg.stall_ms));
-            conn2.close(Some(request_id));
-            return;
-        }
-        let body = resp.encode();
-        if inner.faults.hit(faultsim::QNET_FRAME_WRITE).is_err() {
-            inner.rec.counter_on(conn_id, "qnet.frame.torn", 1);
-            let torn = torn_frame(&body);
-            let mut w = conn2.write.lock().unwrap_or_else(|e| e.into_inner());
-            w.inflight.remove(&request_id);
-            if !w.closed {
-                let mut sock = &w.sock;
-                let _ = sock.write_all(&torn);
-                let _ = sock.flush();
-            }
-            w.closed = true;
-            let _ = w.sock.shutdown(Shutdown::Both);
-            return;
-        }
-        let mut frame = Vec::with_capacity(gstream::FRAME_HEADER_BYTES + body.len());
-        if gstream::write_frame(&mut frame, &body).is_err() {
-            conn2.close(Some(request_id));
-            return;
-        }
-        // A false return means the drain already answered this id with
-        // a typed `Draining`, or the connection died — either way the
-        // exactly-one-frame contract held.
-        let _ = conn2.write_response_for(request_id, &frame);
     });
-    conn.responders
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .push((thread, task));
+    conn.push_responder(thread, task);
 }
 
 #[cfg(test)]

@@ -368,13 +368,7 @@ impl Router {
                     return Ok((answered, candidates));
                 }
                 Err(e) => {
-                    // A pooled client makes exactly one attempt and reports
-                    // a retryable failure of it as `RetriesExhausted`
-                    // (terminal failures come back as themselves), so both
-                    // mean "another replica may still answer".
-                    let fails_over =
-                        e.is_retryable() || matches!(e, QnetError::RetriesExhausted { .. });
-                    if !fails_over {
+                    if !e.last_attempt().is_retryable() {
                         // Auth rejections, spent deadlines, and typed
                         // remote failures won't heal on another replica;
                         // name the shard and peer and stop burning budget.

@@ -306,6 +306,57 @@ pub fn validate_binding(
     Ok(())
 }
 
+/// Export `contigs` as the next generation in `dir`: write
+/// `gen-NNNNNN.store`, reopen it, build and write `gen-NNNNNN.mdx`
+/// with `index_cfg`, then append the checksum-bound entry to
+/// `generations.json` (created on first export) and make it active.
+/// `reads`/`read_len` describe the corpus the contigs were assembled
+/// from; a [`GenKind::Delta`] records the previous generation as its
+/// parent. Returns the new id ([`GenManifest::next_id`]). Serving
+/// processes pick it up via the `Reload` wire command (SERVING.md,
+/// "Generations & hot reload").
+pub fn export(
+    dir: &Path,
+    contigs: &[genome::PackedSeq],
+    index_cfg: &crate::IndexConfig,
+    reads: u64,
+    read_len: u32,
+    kind: GenKind,
+    io: &IoStats,
+) -> crate::Result<u64> {
+    let mut manifest = if GenManifest::exists(dir) {
+        GenManifest::load(dir, io)?
+    } else {
+        GenManifest {
+            version: GEN_MANIFEST_VERSION,
+            active: 1,
+            generations: Vec::new(),
+        }
+    };
+    let parent = manifest.generations.last().map(|g| g.id);
+    let id = manifest.next_id();
+    let store_name = gen_store_file(id);
+    let index_name = gen_index_file(id);
+    crate::ContigStore::write(&dir.join(&store_name), contigs, io)?;
+    let store = crate::ContigStore::open(&dir.join(&store_name), io)?;
+    crate::MinimizerIndex::build(&store, index_cfg).write(&dir.join(&index_name), io)?;
+    manifest.admit(GenEntry {
+        id,
+        store: store_name,
+        index: index_name,
+        store_checksum: store.checksum(),
+        reads,
+        read_len,
+        kind,
+        parent: match kind {
+            GenKind::Full => None,
+            GenKind::Delta => parent,
+        },
+    });
+    manifest.store(dir, io)?;
+    Ok(id)
+}
+
 /// Open the engine a server in `dir` should start with: the manifest's
 /// active generation when `generations.json` exists, else the legacy
 /// flat `contigs.store` / `contigs.mdx` pair as generation 0. Returns

@@ -814,7 +814,7 @@ mod tests {
     use super::*;
     use crate::minimizer::{IndexConfig, MinimizerIndex};
     use crate::store::ContigStore;
-    use crate::QueryConfig;
+    use crate::{GenKind, QueryConfig};
 
     const REF: &str = "ACGTACGGTTCAGATTACAGGCATCGGATGCATTCAGGACCTTAGGACCATTGACCATGG\
                        ACCAGTTACACGGTTAACCGGTTAACCATGCAGGACTTCAGATCCATTGGCATCAGGATC";
@@ -996,50 +996,16 @@ mod tests {
         assert!(svc.query_batch(Vec::new()).unwrap().is_empty());
     }
 
-    /// Export `contigs` as generation `id` into `dir`, appending to (or
-    /// creating) the generation manifest and activating the new entry.
-    fn export_generation(dir: &Path, id: u64, contigs: &[&str]) -> u64 {
-        let io = IoStats::new(gstream::DiskModel::ssd());
+    /// Export `contigs` as the next generation of `dir`.
+    fn export(dir: &Path, kind: GenKind, contigs: &[&str]) {
         let seqs: Vec<PackedSeq> = contigs.iter().map(|c| c.parse().unwrap()).collect();
-        let store_name = generations::gen_store_file(id);
-        let index_name = generations::gen_index_file(id);
-        ContigStore::write(&dir.join(&store_name), &seqs, &io).unwrap();
-        let store = ContigStore::open(&dir.join(&store_name), &io).unwrap();
-        let index = MinimizerIndex::build(
-            &store,
-            &IndexConfig {
-                k: 9,
-                w: 5,
-                threads: 1,
-            },
-        );
-        index.write(&dir.join(&index_name), &io).unwrap();
-        let mut manifest = if GenManifest::exists(dir) {
-            GenManifest::load(dir, &io).unwrap()
-        } else {
-            GenManifest {
-                version: crate::generations::GEN_MANIFEST_VERSION,
-                active: id,
-                generations: Vec::new(),
-            }
+        let icfg = IndexConfig {
+            k: 9,
+            w: 5,
+            threads: 1,
         };
-        let checksum = store.checksum();
-        manifest.admit(crate::GenEntry {
-            id,
-            store: store_name,
-            index: index_name,
-            store_checksum: checksum,
-            reads: seqs.len() as u64,
-            read_len: 30,
-            kind: if id == 1 {
-                crate::GenKind::Full
-            } else {
-                crate::GenKind::Delta
-            },
-            parent: if id == 1 { None } else { Some(id - 1) },
-        });
-        manifest.store(dir, &io).unwrap();
-        checksum
+        let io = IoStats::new(gstream::DiskModel::ssd());
+        generations::export(dir, &seqs, &icfg, seqs.len() as u64, 30, kind, &io).unwrap();
     }
 
     const REF2: &str = "TTGACCATGGACCAGTTACACGGTTAACCGGTTAACCATGCAGGACTTCAGATCCATTGG\
@@ -1049,7 +1015,7 @@ mod tests {
     fn reload_swaps_generations_and_batches_answer_from_their_admitted_generation() {
         let dir = stdx::tempdir().unwrap();
         let io = IoStats::new(gstream::DiskModel::ssd());
-        export_generation(dir.path(), 1, &[REF]);
+        export(dir.path(), GenKind::Full, &[REF]);
         let svc = QueryService::start_with_generation(
             engine(),
             1,
@@ -1061,7 +1027,7 @@ mod tests {
         let queries = reads(50);
         let before = svc.query_batch(queries.clone()).unwrap();
 
-        export_generation(dir.path(), 2, &[REF2]);
+        export(dir.path(), GenKind::Delta, &[REF2]);
         let admitted = svc
             .reload_from(dir.path(), None, None, &io, &faultsim::Faults::disabled())
             .unwrap();
@@ -1108,8 +1074,8 @@ mod tests {
     fn failed_reload_rolls_back_loudly_and_names_the_generation() {
         let dir = stdx::tempdir().unwrap();
         let io = IoStats::new(gstream::DiskModel::ssd());
-        export_generation(dir.path(), 1, &[REF]);
-        export_generation(dir.path(), 2, &[REF2]);
+        export(dir.path(), GenKind::Full, &[REF]);
+        export(dir.path(), GenKind::Delta, &[REF2]);
         let svc = QueryService::start_with_generation(
             engine(),
             1,
@@ -1175,7 +1141,7 @@ mod tests {
     fn superseded_generations_retire_only_when_idle() {
         let dir = stdx::tempdir().unwrap();
         let io = IoStats::new(gstream::DiskModel::ssd());
-        export_generation(dir.path(), 1, &[REF]);
+        export(dir.path(), GenKind::Full, &[REF]);
         let svc = QueryService::start_with_generation(
             engine(),
             1,
@@ -1184,7 +1150,7 @@ mod tests {
         );
         svc.query_batch(reads(10)).unwrap();
 
-        export_generation(dir.path(), 2, &[REF2]);
+        export(dir.path(), GenKind::Delta, &[REF2]);
         svc.reload_from(
             dir.path(),
             Some(2),
@@ -1193,7 +1159,7 @@ mod tests {
             &faultsim::Faults::disabled(),
         )
         .unwrap();
-        export_generation(dir.path(), 3, &[REF]);
+        export(dir.path(), GenKind::Delta, &[REF]);
         svc.reload_from(
             dir.path(),
             Some(3),

@@ -13,7 +13,7 @@
 //! ## Pruning
 //!
 //! At a node, simultaneously-enabled *pure socket-read waits*
-//! (`qnet.conn.read`, `sc.client.read`) on different tasks commute: a
+//! (`qnet.conn.read`, `qnet.client.read`) on different tasks commute: a
 //! grant runs its task only until the next point, and such a step reads
 //! solely from that task's own socket, so neither order can disable or
 //! affect the other and both orders reach the same state. Among them
@@ -70,7 +70,7 @@ fn cand_key(c: &Candidate) -> String {
 }
 
 /// Points that are pure single-socket read waits, the commuting class.
-const PURE_WAIT: [&str; 2] = ["qnet.conn.read", "sc.client.read"];
+const PURE_WAIT: [&str; 2] = ["qnet.conn.read", "qnet.client.read"];
 
 /// The branchable choices at a node: every candidate key, minus
 /// pure-read candidates that commute with an earlier-kept pure read.

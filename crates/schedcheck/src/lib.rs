@@ -47,6 +47,7 @@
 //! installs globally), serialized behind [`sched_lock`].
 
 pub mod dfs;
+mod harness;
 pub mod invariants;
 pub mod pct;
 pub mod reload_scenario;

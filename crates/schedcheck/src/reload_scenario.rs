@@ -12,13 +12,14 @@
 //! * **server** — the real accept loop with
 //!   [`qnet::ReloadConfig`] pointing at the work dir, started on
 //!   generation 1.
-//! * **clients** — `sr.client{i}` tasks speaking the wire protocol
-//!   directly, unpinned (`generation: 0`), so which generation answers
-//!   each batch is decided purely by where the reload lands in the
-//!   schedule.
-//! * **reloader** — `sr.reloader` sends one `Reload` targeting
-//!   generation 2; its `sr.reload.go` grant *is* the swap moment the
-//!   strategy explores, racing every client batch.
+//! * **clients** — `sr.client{i}` tasks, each an unpinned
+//!   [`qnet::QueryClient`] (`max_retries: 0`), so which generation
+//!   answers each batch is decided purely by where the reload lands in
+//!   the schedule.
+//! * **reloader** — `sr.reloader` calls [`qnet::QueryClient::reload`]
+//!   targeting generation 2; where its `qnet.client.connect` and
+//!   `qnet.client.send` grants land *is* the swap moment the strategy
+//!   explores, racing every client batch.
 //! * **drainer** — `sr.drainer` waits until every scripted outcome is
 //!   recorded, then drains and snapshots — so the drain itself can
 //!   never shed a batch and every shed would be the reload's fault.
@@ -42,34 +43,26 @@
 //!   the old generation finished its admitted work before the server
 //!   tore down (`inflight == 0`, `queue_depth == 0`).
 
+use crate::harness::{self, Harness};
 use crate::trace::GrantRecord;
-use crate::{scenario, sched_lock};
-use faultsim::sched::{self, Candidate, StepState};
+use faultsim::sched::{self, Candidate};
 use genome::PackedSeq;
 use gstream::IoStats;
-use qnet::{DrainReport, ReloadConfig, Request, Response, Server, ServerConfig, StatsSnapshot};
+use qnet::{DrainReport, QnetError, ReloadConfig, Server, ServerConfig, StatsSnapshot};
 use qserve::{
-    generations, AdmissionConfig, ContigStore, GenEntry, GenKind, GenManifest, Hit, IndexConfig,
-    MinimizerIndex, QueryConfig, QueryEngine, QueryService, ServiceConfig,
+    generations, AdmissionConfig, GenKind, Hit, QueryConfig, QueryEngine, QueryService,
+    ServiceConfig,
 };
 use std::collections::BTreeMap;
-use std::io::{BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
-/// Grant cap per schedule — same backstop role as the serving
-/// scenario's: a runaway loop becomes a reported violation.
-const MAX_GRANTS: usize = 5_000;
-/// Client socket timeouts; only matter after an abnormal teardown.
-const CLIENT_IO_TIMEOUT: Duration = Duration::from_secs(10);
 /// Deadline budget far above any explored schedule's virtual clock
-/// (1 ms per grant, capped at [`MAX_GRANTS`]): the deadline gate must
+/// (1 ms per grant, capped by the harness): the deadline gate must
 /// never fire here, so any shed is the reload's fault by construction.
 const DEADLINE_MS: u32 = 600_000;
-/// The reloader's request id — outside every client's id space.
-const RELOAD_RID: u64 = 9_000_001;
 
 /// Scenario shape. The default is two clients racing a mid-script swap.
 #[derive(Debug, Clone)]
@@ -183,91 +176,6 @@ pub struct ReloadRunResult {
     pub violations: Vec<String>,
 }
 
-/// The generation-2-only contig: same deterministic mixer as the base
-/// contig, different seed, so the delta generation really answers
-/// differently.
-fn contig_b() -> PackedSeq {
-    let mut codes = Vec::with_capacity(600);
-    let mut x: u64 = 0x5eed_cafe_f00d_0002;
-    while codes.len() < 600 {
-        x = stdx::splitmix64(x);
-        let mut w = x;
-        for _ in 0..32 {
-            if codes.len() == 600 {
-                break;
-            }
-            codes.push((w & 3) as u8);
-            w >>= 2;
-        }
-    }
-    PackedSeq::from_codes(&codes)
-}
-
-/// Export `contigs` as generation `id` into `dir` — store, index, and
-/// manifest entry — exactly the layout [`qserve::QueryService::reload_from`]
-/// consumes. Generation 1 is a `Full` build; later ids are `Delta`s.
-fn export_generation(dir: &Path, id: u64, contigs: &[PackedSeq], io: &IoStats) {
-    let store_name = generations::gen_store_file(id);
-    let index_name = generations::gen_index_file(id);
-    ContigStore::write(&dir.join(&store_name), contigs, io).expect("write generation store");
-    let store = ContigStore::open(&dir.join(&store_name), io).expect("reopen generation store");
-    let index = MinimizerIndex::build(
-        &store,
-        &IndexConfig {
-            k: 9,
-            w: 5,
-            threads: 1,
-        },
-    );
-    index
-        .write(&dir.join(&index_name), io)
-        .expect("write generation index");
-    let mut manifest = if GenManifest::exists(dir) {
-        GenManifest::load(dir, io).expect("load generation manifest")
-    } else {
-        GenManifest {
-            version: generations::GEN_MANIFEST_VERSION,
-            active: id,
-            generations: Vec::new(),
-        }
-    };
-    manifest.admit(GenEntry {
-        id,
-        store: store_name,
-        index: index_name,
-        store_checksum: store.checksum(),
-        reads: contigs.len() as u64,
-        read_len: 60,
-        kind: if id == 1 {
-            GenKind::Full
-        } else {
-            GenKind::Delta
-        },
-        parent: if id == 1 { None } else { Some(id - 1) },
-    });
-    manifest.store(dir, io).expect("store generation manifest");
-}
-
-/// Write and flush a whole buffer on a shared socket handle.
-fn send_all(sock: &TcpStream, buf: &[u8]) -> std::io::Result<()> {
-    let mut w = sock;
-    w.write_all(buf)?;
-    w.flush()
-}
-
-/// True when a read on `sock` would not block — a non-consuming probe,
-/// safe as a scheduler re-poll predicate.
-fn sock_readable(sock: &TcpStream) -> bool {
-    let mut probe = [0u8; 1];
-    let _ = sock.set_nonblocking(true);
-    let r = sock.peek(&mut probe);
-    let _ = sock.set_nonblocking(false);
-    match r {
-        Ok(_) => true,
-        Err(e) => e.kind() != std::io::ErrorKind::WouldBlock,
-    }
-}
-
 /// The read scripts, one per (client, batch): read 0 strides the
 /// generation-2-only contig, the rest stride the shared base contig.
 fn batch_reads(
@@ -280,241 +188,77 @@ fn batch_reads(
     (0..cfg.reads_per_batch)
         .map(|r| {
             let g = (client * cfg.batches_per_client + batch) * cfg.reads_per_batch + r;
-            if r == 0 {
-                scenario::query(extra, g)
-            } else {
-                scenario::query(base, g)
-            }
+            harness::query(if r == 0 { extra } else { base }, g)
         })
         .collect()
-}
-
-/// Send one unpinned query batch and classify the reply against both
-/// generations' oracles.
-fn run_batch(
-    sock: &TcpStream,
-    reader: &mut BufReader<TcpStream>,
-    client: usize,
-    batch: usize,
-    request_id: u64,
-    reads: &[PackedSeq],
-    expected: &(Vec<Option<Hit>>, Vec<Option<Hit>>),
-) -> ReloadBatchOutcome {
-    let mk = |kind: ReloadOutcomeKind, generation: u64, detail: String| ReloadBatchOutcome {
-        client,
-        batch,
-        kind,
-        generation,
-        detail,
-    };
-    let body = Request::Query {
-        request_id,
-        deadline_ms: DEADLINE_MS,
-        client_id: format!("c{client}"),
-        reads: reads.to_vec(),
-        auth_seq: 0,
-        auth_tag: 0,
-        generation: 0,
-    }
-    .encode();
-    let mut frame = Vec::with_capacity(gstream::FRAME_HEADER_BYTES + body.len());
-    if gstream::write_frame(&mut frame, &body).is_err() {
-        return mk(ReloadOutcomeKind::Io, 0, "frame encode".to_string());
-    }
-    sched::point("sr.client.send");
-    if send_all(sock, &frame).is_err() {
-        return mk(ReloadOutcomeKind::Io, 0, "request write failed".to_string());
-    }
-    {
-        let reader = &*reader;
-        sched::wait_until("sr.client.read", &mut || {
-            !reader.buffer().is_empty() || sock_readable(reader.get_ref())
-        });
-    }
-    let payload = match gstream::read_frame(reader, "server") {
-        Ok(Some(p)) => p,
-        Ok(None) => return mk(ReloadOutcomeKind::Io, 0, "eof before response".to_string()),
-        Err(e) => return mk(ReloadOutcomeKind::Io, 0, format!("response read: {e}")),
-    };
-    let resp = match Response::decode(&payload, "server") {
-        Ok(r) => r,
-        Err(e) => {
-            return mk(
-                ReloadOutcomeKind::Corrupt,
-                0,
-                format!("response decode: {e}"),
-            )
-        }
-    };
-    match resp {
-        Response::Hits {
-            request_id: rid,
-            generation,
-            hits,
-        } => {
-            if rid != request_id {
-                return mk(
-                    ReloadOutcomeKind::Corrupt,
-                    generation,
-                    format!("mispaired Hits: sent id {request_id}, got {rid}"),
-                );
-            }
-            let (gen1, gen2) = expected;
-            let matches1 = hits == *gen1;
-            let matches2 = hits == *gen2;
-            match generation {
-                1 if matches1 && !matches2 => mk(ReloadOutcomeKind::Hits, 1, String::new()),
-                2 if matches2 && !matches1 => mk(ReloadOutcomeKind::Hits, 2, String::new()),
-                g => mk(
-                    ReloadOutcomeKind::Corrupt,
-                    g,
-                    format!(
-                        "answer tagged generation {g} matches oracle 1: {matches1}, \
-                         oracle 2: {matches2} — not exactly the tagged one"
-                    ),
-                ),
-            }
-        }
-        Response::Draining { .. } => mk(ReloadOutcomeKind::Shed, 0, "Draining".to_string()),
-        Response::DeadlineExceeded { .. } => {
-            mk(ReloadOutcomeKind::Shed, 0, "DeadlineExceeded".to_string())
-        }
-        Response::Overloaded { scope, .. } => {
-            mk(ReloadOutcomeKind::Shed, 0, format!("Overloaded ({scope})"))
-        }
-        Response::AuthFailed { .. } => mk(ReloadOutcomeKind::Shed, 0, "AuthFailed".to_string()),
-        Response::Error { message, .. } => mk(
-            ReloadOutcomeKind::Shed,
-            0,
-            format!("remote error: {message}"),
-        ),
-        other => mk(
-            ReloadOutcomeKind::Corrupt,
-            0,
-            format!("impossible response variant for a query: {other:?}"),
-        ),
-    }
 }
 
 /// The oracle's answers to one batch, under the first generation and
 /// under the second.
 type BatchAnswers = (Vec<Option<Hit>>, Vec<Option<Hit>>);
 
-/// One client's full script: connect once, run every batch in order.
-fn client_task(
+/// One client's full script: every batch in order on one connection,
+/// each answer classified against both generations' oracles.
+fn client_script(
     idx: usize,
     addr: SocketAddr,
-    cfg: ReloadScenarioConfig,
-    reads: Vec<Vec<PackedSeq>>,
-    expected: Vec<BatchAnswers>,
-    outcomes: Arc<Mutex<Vec<ReloadBatchOutcome>>>,
-) {
-    let push = |o: ReloadBatchOutcome| {
-        outcomes.lock().unwrap_or_else(|e| e.into_inner()).push(o);
-    };
-    let io_all = |detail: String| {
-        for b in 0..cfg.batches_per_client {
-            push(ReloadBatchOutcome {
+    reads: &[Vec<PackedSeq>],
+    expected: &[BatchAnswers],
+) -> Vec<ReloadBatchOutcome> {
+    let mut client = harness::client(addr, format!("c{idx}"), DEADLINE_MS, None);
+    reads
+        .iter()
+        .zip(expected)
+        .enumerate()
+        .map(|(batch, (reads, (gen1, gen2)))| {
+            let (kind, generation, detail) = match client.query_batch_tagged(reads) {
+                Ok((generation, hits)) => {
+                    let (matches1, matches2) = (hits == *gen1, hits == *gen2);
+                    match generation {
+                        1 if matches1 && !matches2 => (ReloadOutcomeKind::Hits, 1, String::new()),
+                        2 if matches2 && !matches1 => (ReloadOutcomeKind::Hits, 2, String::new()),
+                        g => (
+                            ReloadOutcomeKind::Corrupt,
+                            g,
+                            format!(
+                                "answer tagged generation {g} matches oracle 1: {matches1}, \
+                                 oracle 2: {matches2} — not exactly the tagged one"
+                            ),
+                        ),
+                    }
+                }
+                Err(e) => {
+                    let kind = match e.last_attempt() {
+                        QnetError::Io(_) => ReloadOutcomeKind::Io,
+                        QnetError::Corrupt { .. } => ReloadOutcomeKind::Corrupt,
+                        _ => ReloadOutcomeKind::Shed,
+                    };
+                    (kind, 0, e.to_string())
+                }
+            };
+            ReloadBatchOutcome {
                 client: idx,
-                batch: b,
-                kind: ReloadOutcomeKind::Io,
-                generation: 0,
-                detail: detail.clone(),
-            });
-        }
-    };
-    sched::point("sr.client.connect");
-    let sock = match TcpStream::connect(addr) {
-        Ok(s) => s,
-        Err(e) => return io_all(format!("connect: {e}")),
-    };
-    let _ = sock.set_read_timeout(Some(CLIENT_IO_TIMEOUT));
-    let _ = sock.set_write_timeout(Some(CLIENT_IO_TIMEOUT));
-    let _ = sock.set_nodelay(true);
-    let Ok(read_half) = sock.try_clone() else {
-        return io_all("socket clone failed".to_string());
-    };
-    let mut reader = BufReader::new(read_half);
-    for b in 0..cfg.batches_per_client {
-        let request_id = ((idx as u64) + 1) * 1_000 + b as u64;
-        push(run_batch(
-            &sock,
-            &mut reader,
-            idx,
-            b,
-            request_id,
-            &reads[b],
-            &expected[b],
-        ));
-    }
+                batch,
+                kind,
+                generation,
+                detail,
+            }
+        })
+        .collect()
 }
 
-/// The scripted reload: one wire `Reload` targeting generation 2, at
-/// the moment the schedule grants `sr.reload.go`.
-fn reloader_task(addr: SocketAddr, target: u64, slot: &Mutex<Option<ReloadCallOutcome>>) {
-    let record = |o: ReloadCallOutcome| {
-        *slot.lock().unwrap_or_else(|e| e.into_inner()) = Some(o);
-    };
-    sched::point("sr.reload.go");
-    let sock = match TcpStream::connect(addr) {
-        Ok(s) => s,
-        Err(e) => return record(ReloadCallOutcome::Transport(format!("connect: {e}"))),
-    };
-    let _ = sock.set_read_timeout(Some(CLIENT_IO_TIMEOUT));
-    let _ = sock.set_write_timeout(Some(CLIENT_IO_TIMEOUT));
-    let _ = sock.set_nodelay(true);
-    let body = Request::Reload {
-        request_id: RELOAD_RID,
-        generation: target,
-    }
-    .encode();
-    let mut frame = Vec::with_capacity(gstream::FRAME_HEADER_BYTES + body.len());
-    if gstream::write_frame(&mut frame, &body).is_err() {
-        return record(ReloadCallOutcome::Transport("frame encode".to_string()));
-    }
-    if send_all(&sock, &frame).is_err() {
-        return record(ReloadCallOutcome::Transport(
-            "request write failed".to_string(),
-        ));
-    }
-    let Ok(read_half) = sock.try_clone() else {
-        return record(ReloadCallOutcome::Transport(
-            "socket clone failed".to_string(),
-        ));
-    };
-    let mut reader = BufReader::new(read_half);
-    {
-        let reader = &reader;
-        sched::wait_until("sr.reload.read", &mut || {
-            !reader.buffer().is_empty() || sock_readable(reader.get_ref())
-        });
-    }
-    let payload = match gstream::read_frame(&mut reader, "server") {
-        Ok(Some(p)) => p,
-        Ok(None) => {
-            return record(ReloadCallOutcome::Transport(
-                "eof before response".to_string(),
-            ))
-        }
-        Err(e) => return record(ReloadCallOutcome::Transport(format!("response read: {e}"))),
-    };
-    match Response::decode(&payload, "server") {
-        Ok(Response::ReloadDone {
-            request_id,
-            generation,
-        }) if request_id == RELOAD_RID => record(ReloadCallOutcome::Done { generation }),
-        Ok(Response::ReloadFailed {
-            request_id,
+/// The scripted reload: one wire `Reload` targeting `target`.
+fn reloader_script(addr: SocketAddr, target: u64) -> ReloadCallOutcome {
+    match harness::client(addr, "reloader".to_string(), DEADLINE_MS, None).reload(target) {
+        Ok(generation) => ReloadCallOutcome::Done { generation },
+        Err(QnetError::ReloadFailed {
             generation,
             message,
-        }) if request_id == RELOAD_RID => record(ReloadCallOutcome::Failed {
+        }) => ReloadCallOutcome::Failed {
             generation,
             message,
-        }),
-        Ok(other) => record(ReloadCallOutcome::Transport(format!(
-            "reload answered {other:?}"
-        ))),
-        Err(e) => record(ReloadCallOutcome::Transport(format!("decode: {e}"))),
+        },
+        Err(e) => ReloadCallOutcome::Transport(e.to_string()),
     }
 }
 
@@ -620,43 +364,25 @@ pub fn run_reload_schedule(
     cfg: &ReloadScenarioConfig,
     picker: &mut dyn FnMut(&[Candidate], &[GrantRecord]) -> usize,
 ) -> ReloadRunResult {
-    let _exclusive = sched_lock();
-    let base = scenario::contig();
-    let extra = contig_b();
+    let base = harness::contig(1);
+    let extra = harness::contig(2);
+    let gen2 = [base.clone(), extra.clone()];
 
     // The on-disk generations the server will reload from, written
-    // before any scheduling begins.
+    // before any scheduling begins: a full build, then its delta.
     let dir = stdx::tempdir().expect("reload scenario work dir");
     let io = IoStats::new(gstream::DiskModel::ssd());
-    export_generation(dir.path(), 1, std::slice::from_ref(&base), &io);
-    export_generation(dir.path(), 2, &[base.clone(), extra.clone()], &io);
+    for (contigs, kind) in [(&gen2[..1], GenKind::Full), (&gen2[..], GenKind::Delta)] {
+        let n = contigs.len() as u64;
+        let read_len = harness::READ_BASES as u32;
+        generations::export(dir.path(), contigs, &harness::INDEX, n, read_len, kind, &io)
+            .expect("export scenario generation");
+    }
 
     // Per-generation oracles on independent engines: byte-correctness
     // is judged against answers computed outside the system under test.
-    let oracle1 = {
-        let store = ContigStore::from_contigs(vec![base.clone()]);
-        let index = MinimizerIndex::build(
-            &store,
-            &IndexConfig {
-                k: 9,
-                w: 5,
-                threads: 1,
-            },
-        );
-        QueryEngine::new(store, index, QueryConfig::default()).expect("oracle 1 binds")
-    };
-    let oracle2 = {
-        let store = ContigStore::from_contigs(vec![base.clone(), extra.clone()]);
-        let index = MinimizerIndex::build(
-            &store,
-            &IndexConfig {
-                k: 9,
-                w: 5,
-                threads: 1,
-            },
-        );
-        QueryEngine::new(store, index, QueryConfig::default()).expect("oracle 2 binds")
-    };
+    let oracle1 = harness::build_engine(&gen2[..1]);
+    let oracle2 = harness::build_engine(&gen2);
     let reads: Vec<Vec<Vec<PackedSeq>>> = (0..cfg.clients)
         .map(|c| {
             (0..cfg.batches_per_client)
@@ -687,18 +413,17 @@ pub fn run_reload_schedule(
         }
     }
 
-    let ctl = sched::Controller::install();
-    let rec = obs::Recorder::new();
+    let h = Harness::install();
 
     // The system under test, started on generation 1 with the reload
     // path armed at the work dir.
-    let engine1 = {
-        let store = ContigStore::open(&dir.path().join(generations::gen_store_file(1)), &io)
-            .expect("open generation 1 store");
-        let index = MinimizerIndex::open(&dir.path().join(generations::gen_index_file(1)), &io)
-            .expect("open generation 1 index");
-        QueryEngine::new(store, index, QueryConfig::default()).expect("generation 1 binds")
-    };
+    let engine1 = QueryEngine::open(
+        &dir.path().join(generations::gen_store_file(1)),
+        &dir.path().join(generations::gen_index_file(1)),
+        &io,
+        QueryConfig::default(),
+    )
+    .expect("generation 1 opens and binds");
     let service = QueryService::start_with_generation(
         engine1,
         1,
@@ -707,121 +432,70 @@ pub fn run_reload_schedule(
             batch_chunk: cfg.batch_chunk,
             max_queue: cfg.max_queue,
         },
-        &rec,
+        &h.rec,
     );
-    let server = Server::start(
+    let mut server = Server::start(
         service,
         ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            read_timeout: CLIENT_IO_TIMEOUT,
-            write_timeout: CLIENT_IO_TIMEOUT,
             drain_deadline: Duration::from_millis(1_000),
             admission: AdmissionConfig {
                 refill_per_s: 0.0,
                 burst: 1e9,
             },
-            stall_ms: 0,
-            auth_secret: None,
             reload: Some(ReloadConfig {
                 work_dir: dir.path().to_path_buf(),
                 shard: None,
             }),
+            ..harness::server_config()
         },
-        &rec,
+        &h.rec,
         faultsim::Faults::disabled(),
     )
     .expect("bind reload scenario server");
     let addr = server.local_addr();
 
-    let outcomes: Arc<Mutex<Vec<ReloadBatchOutcome>>> = Arc::new(Mutex::new(Vec::new()));
-    let reload_slot: Arc<Mutex<Option<ReloadCallOutcome>>> = Arc::new(Mutex::new(None));
-    let mut joins: Vec<std::thread::JoinHandle<()>> = Vec::new();
-
-    for idx in 0..cfg.clients {
-        let token = sched::announce(&format!("sr.client{idx}"));
-        let cfg_c = cfg.clone();
-        let reads_c = reads[idx].clone();
-        let expected_c = expected[idx].clone();
-        let outcomes_c = Arc::clone(&outcomes);
-        joins.push(std::thread::spawn(move || {
-            let _task = sched::begin(token);
-            client_task(idx, addr, cfg_c, reads_c, expected_c, outcomes_c);
-        }));
-    }
-    {
-        let token = sched::announce("sr.reloader");
-        let slot = Arc::clone(&reload_slot);
-        joins.push(std::thread::spawn(move || {
-            let _task = sched::begin(token);
-            reloader_task(addr, 2, &slot);
-        }));
-    }
-
+    // Scripts that have run to their end; the drainer waits for all.
+    let finished = Arc::new(AtomicUsize::new(0));
+    let clients: Vec<_> = reads
+        .into_iter()
+        .zip(expected)
+        .enumerate()
+        .map(|(idx, (reads_c, expected_c))| {
+            let finished = Arc::clone(&finished);
+            h.spawn(&format!("sr.client{idx}"), move || {
+                let outcomes = client_script(idx, addr, &reads_c, &expected_c);
+                finished.fetch_add(1, Ordering::SeqCst);
+                outcomes
+            })
+        })
+        .collect();
+    let reloader = {
+        let finished = Arc::clone(&finished);
+        h.spawn("sr.reloader", move || {
+            let outcome = reloader_script(addr, 2);
+            finished.fetch_add(1, Ordering::SeqCst);
+            outcome
+        })
+    };
     // The drainer tears down only after every scripted outcome is
     // recorded, so the drain can never be the reason a batch shed.
-    let stash: Arc<Mutex<Option<(DrainReport, StatsSnapshot)>>> = Arc::new(Mutex::new(None));
-    {
-        let token = sched::announce("sr.drainer");
-        let stash = Arc::clone(&stash);
-        let outcomes_d = Arc::clone(&outcomes);
-        let reload_d = Arc::clone(&reload_slot);
-        let total = cfg.clients * cfg.batches_per_client;
-        let mut server = server;
-        joins.push(std::thread::spawn(move || {
-            let _task = sched::begin(token);
-            sched::wait_until("sr.drain.wait", &mut || {
-                outcomes_d.lock().unwrap_or_else(|e| e.into_inner()).len() == total
-                    && reload_d.lock().unwrap_or_else(|e| e.into_inner()).is_some()
-            });
-            let report = server.shutdown();
-            let snap = server.stats_snapshot();
-            *stash.lock().unwrap_or_else(|e| e.into_inner()) = Some((report, snap));
-            drop(server);
-        }));
-    }
+    let scripts = cfg.clients + 1;
+    let drainer = h.spawn("sr.drainer", move || {
+        sched::wait_until("sr.drain.wait", &mut || {
+            finished.load(Ordering::SeqCst) == scripts
+        });
+        let report = server.shutdown();
+        (report, server.stats_snapshot())
+    });
 
-    // Drive the schedule.
-    let mut trace: Vec<GrantRecord> = Vec::new();
-    let mut sched_violation: Option<String> = None;
-    loop {
-        if trace.len() >= MAX_GRANTS {
-            sched_violation = Some(format!("schedule exceeded {MAX_GRANTS} grants"));
-            break;
-        }
-        match ctl.step() {
-            Err(v) => {
-                sched_violation = Some(v.to_string());
-                break;
-            }
-            Ok(StepState::AllExited) => break,
-            Ok(StepState::Enabled(mut cands)) => {
-                cands.sort_by_key(|c| c.task);
-                let pick = picker(&cands, &trace).min(cands.len() - 1);
-                let c = &cands[pick];
-                rec.sched(trace.len() as u64, c.task as u64, &c.task_name, &c.point);
-                trace.push(GrantRecord {
-                    step: trace.len() as u64,
-                    task: c.task as u64,
-                    task_name: c.task_name.clone(),
-                    point: c.point.clone(),
-                    clock_ms: ctl.clock_ms(),
-                });
-                ctl.grant(c.task);
-            }
-        }
-    }
-
-    drop(ctl);
-    let mut panicked = Vec::new();
-    for (i, j) in joins.into_iter().enumerate() {
-        if j.join().is_err() {
-            panicked.push(format!("scripted task #{i} panicked"));
-        }
-    }
-    rec.flush();
-
-    let totals = obs::Rollup::from_events(&rec.events()).totals();
-    let counters: BTreeMap<String, u64> = [
+    let mut run = h.drive(picker);
+    let outcomes: Vec<ReloadBatchOutcome> = clients
+        .into_iter()
+        .flat_map(|t| run.join(t).unwrap_or_default())
+        .collect();
+    let reload = run.join(reloader);
+    let (report, snap) = run.join(drainer).unzip();
+    let counters = run.counters(&[
         "qnet.accepted",
         "qnet.rejected",
         "qnet.deadline_shed",
@@ -832,45 +506,20 @@ pub fn run_reload_schedule(
         "qnet.reload.stalled",
         "qserve.gen.reloads",
         "qserve.gen.rollbacks",
-    ]
-    .into_iter()
-    .map(|name| (name.to_string(), totals.counter(name)))
-    .collect();
-
-    let outcomes = Arc::try_unwrap(outcomes)
-        .map(|m| m.into_inner().unwrap_or_else(|e| e.into_inner()))
-        .unwrap_or_default();
-    let reload = Arc::try_unwrap(reload_slot)
-        .map(|m| m.into_inner().unwrap_or_else(|e| e.into_inner()))
-        .unwrap_or_default();
-    let (report, snap) = match Arc::try_unwrap(stash) {
-        Ok(m) => match m.into_inner().unwrap_or_else(|e| e.into_inner()) {
-            Some((r, s)) => (Some(r), Some(s)),
-            None => (None, None),
-        },
-        Err(_) => (None, None),
-    };
-
-    let mut violations = panicked;
-    if let Some(v) = &sched_violation {
-        violations.push(format!("scheduler: {v}"));
-    } else {
-        match &snap {
-            Some(snap) => {
-                violations.extend(check(cfg, &outcomes, &reload, snap, &counters));
-            }
-            None => violations.push("drainer never produced a report/snapshot".to_string()),
-        }
-    }
+    ]);
+    let violations = run.violations(|| match &snap {
+        Some(snap) => check(cfg, &outcomes, &reload, snap, &counters),
+        None => vec!["drainer never produced a report/snapshot".to_string()],
+    });
 
     ReloadRunResult {
-        trace,
+        trace: run.trace,
         outcomes,
         reload,
         report,
         snap,
         counters,
-        sched_violation,
+        sched_violation: run.sched_violation,
         violations,
     }
 }

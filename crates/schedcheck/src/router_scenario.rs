@@ -33,27 +33,21 @@
 //!   hedge and primary target the same process, so a won race still
 //!   merges exactly once.
 
+use crate::harness::{self, Harness};
 use crate::trace::GrantRecord;
-use crate::{scenario, sched_lock};
-use faultsim::sched::{self, Candidate, StepState};
+use faultsim::sched::{self, Candidate};
 use genome::PackedSeq;
 use qnet::{ClientConfig, Server, ServerConfig};
 use qrouter::{ClusterManifest, Router, RouterConfig, RouterError};
 use qserve::{
-    AdmissionConfig, ContigStore, Hit, IndexConfig, MinimizerIndex, QueryConfig, QueryEngine,
-    QueryService, ServiceConfig,
+    AdmissionConfig, ContigStore, Hit, MinimizerIndex, QueryConfig, QueryEngine, QueryService,
+    ServiceConfig,
 };
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Shards in the cluster scenario (fixed: the point is the scatter).
 const N_SHARDS: u32 = 2;
-/// Grant cap per schedule — same backstop role as the serving
-/// scenario's, sized up for the extra tasks a scatter spawns.
-const MAX_GRANTS: usize = 8_000;
-/// Socket timeouts; only relevant after an aborted schedule free-runs.
-const IO_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Shape of the cluster scenario. Defaults keep schedules small enough
 /// for exploration while still exercising hedge and fail-over paths.
@@ -143,14 +137,8 @@ fn start_shard_server(
     cfg: &RouterScenarioConfig,
     rec: &obs::Recorder,
 ) -> Server {
-    let icfg = IndexConfig {
-        k: 9,
-        w: 5,
-        threads: 1,
-    };
-    let index_store = ContigStore::from_contigs(vec![reference.clone()]);
-    let index = MinimizerIndex::build_shard(&index_store, &icfg, shard, N_SHARDS);
     let store = ContigStore::from_contigs(vec![reference.clone()]);
+    let index = MinimizerIndex::build_shard(&store, &harness::INDEX, shard, N_SHARDS);
     let engine =
         QueryEngine::new(store, index, QueryConfig::default()).expect("shard engine binds");
     let service = QueryService::start(
@@ -165,17 +153,12 @@ fn start_shard_server(
     Server::start(
         service,
         ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            read_timeout: IO_TIMEOUT,
-            write_timeout: IO_TIMEOUT,
             drain_deadline: Duration::from_millis(cfg.drain_deadline_ms),
             admission: AdmissionConfig {
                 refill_per_s: 0.0,
                 burst: 1_000.0,
             },
-            stall_ms: 0,
-            auth_secret: None,
-            reload: None,
+            ..harness::server_config()
         },
         rec,
         faultsim::Faults::disabled(),
@@ -183,8 +166,47 @@ fn start_shard_server(
     .expect("bind shard server")
 }
 
+/// The router's script: route every batch in order and classify each
+/// against the single-node oracle.
+fn router_script(
+    router: Router,
+    reference: &PackedSeq,
+    reads_per_batch: usize,
+    expected: &[Vec<Option<Hit>>],
+) -> Vec<RouterBatchOutcome> {
+    expected
+        .iter()
+        .enumerate()
+        .map(|(batch, want)| {
+            let reads: Vec<PackedSeq> = (0..reads_per_batch)
+                .map(|r| harness::query(reference, batch * reads_per_batch + r))
+                .collect();
+            sched::point("rt.route.go");
+            let (kind, detail) = match router.route(&reads) {
+                Ok(hits) if hits == *want => (RouterOutcomeKind::Merged, String::new()),
+                Ok(hits) => (
+                    RouterOutcomeKind::Corrupt,
+                    format!("got {hits:?}, want {want:?}"),
+                ),
+                Err(e @ RouterError::ShardUnavailable { .. }) => {
+                    (RouterOutcomeKind::ShardUnavailable, e.to_string())
+                }
+                Err(e) => (RouterOutcomeKind::Net, e.to_string()),
+            };
+            RouterBatchOutcome {
+                batch,
+                n_reads: reads.len() as u64,
+                kind,
+                detail,
+            }
+        })
+        .collect()
+    // Dropping the router here closes its pooled connections, so a
+    // clean drain sees EOF rather than idle sockets.
+}
+
 /// Execute one schedule of the cluster scenario under a fresh
-/// controller; same contract as [`scenario::run_schedule`]: the
+/// controller; same contract as [`crate::scenario::run_schedule`]: the
 /// `picker` chooses every grant, the interleaving comes back as
 /// `trace`, and the cluster invariants are checked on completion.
 /// Process-exclusive via [`crate::sched_lock`].
@@ -192,190 +214,73 @@ pub fn run_router_schedule(
     cfg: &RouterScenarioConfig,
     picker: &mut dyn FnMut(&[Candidate], &[GrantRecord]) -> usize,
 ) -> RouterRunResult {
-    let _exclusive = sched_lock();
-    let reference = Arc::new(scenario::contig());
+    let reference = harness::contig(1);
 
     // Single-node oracle answers, computed before any scheduling.
-    let oracle = scenario::build_engine(&reference);
+    let oracle = harness::build_engine(std::slice::from_ref(&reference));
     let expected: Vec<Vec<Option<Hit>>> = (0..cfg.batches)
         .map(|b| {
             (0..cfg.reads_per_batch)
-                .map(|r| oracle.query(&scenario::query(&reference, b * cfg.reads_per_batch + r)))
+                .map(|r| oracle.query(&harness::query(&reference, b * cfg.reads_per_batch + r)))
                 .collect()
         })
         .collect();
 
-    let ctl = sched::Controller::install();
-    let rec = obs::Recorder::new();
+    let h = Harness::install();
 
     // Shard stacks announce their workers and accept loops here, in
     // shard order, before the scripted tasks — deterministic registry.
-    let server0 = start_shard_server(&reference, 0, cfg, &rec);
-    let server1 = start_shard_server(&reference, 1, cfg, &rec);
-    let checksum = ContigStore::from_contigs(vec![reference.as_ref().clone()]).checksum();
+    let mut server0 = start_shard_server(&reference, 0, cfg, &h.rec);
+    let mut server1 = start_shard_server(&reference, 1, cfg, &h.rec);
+    let checksum = ContigStore::from_contigs(vec![reference.clone()]).checksum();
     let mut manifest = ClusterManifest::new(N_SHARDS, checksum);
     manifest.add_replica(0, server0.local_addr().to_string());
     manifest.add_replica(1, server1.local_addr().to_string());
 
-    let outcomes: Arc<Mutex<Vec<RouterBatchOutcome>>> = Arc::new(Mutex::new(Vec::new()));
-    let mut joins: Vec<std::thread::JoinHandle<()>> = Vec::new();
-
-    {
-        let token = sched::announce("rt.router");
-        let cfg_r = cfg.clone();
-        let reference_r = Arc::clone(&reference);
-        let outcomes_r = Arc::clone(&outcomes);
-        let rec_r = rec.clone();
-        joins.push(std::thread::spawn(move || {
-            let _task = sched::begin(token);
-            let router = Router::new(
-                manifest,
-                RouterConfig {
-                    client: ClientConfig {
-                        client_id: "rt".to_string(),
-                        backoff_base_ms: 2,
-                        read_timeout: IO_TIMEOUT,
-                        write_timeout: IO_TIMEOUT,
-                        ..ClientConfig::default()
-                    },
-                    hedge_min_ms: 1,
-                    hedge_max_ms: cfg_r.hedge_max_ms,
-                    failover_rounds: cfg_r.failover_rounds,
-                    ..RouterConfig::default()
-                },
-                faultsim::Faults::disabled(),
-                &rec_r,
-            )
+    let router_cfg = RouterConfig {
+        client: ClientConfig {
+            client_id: "rt".to_string(),
+            backoff_base_ms: 2,
+            read_timeout: harness::IO_TIMEOUT,
+            write_timeout: harness::IO_TIMEOUT,
+            ..ClientConfig::default()
+        },
+        hedge_min_ms: 1,
+        hedge_max_ms: cfg.hedge_max_ms,
+        failover_rounds: cfg.failover_rounds,
+        ..RouterConfig::default()
+    };
+    let reads_per_batch = cfg.reads_per_batch;
+    let rec = h.rec.clone();
+    let router_task = h.spawn("rt.router", move || {
+        let router = Router::new(manifest, router_cfg, faultsim::Faults::disabled(), &rec)
             .expect("manifest validates");
-            for (b, want) in expected.iter().enumerate() {
-                let reads: Vec<PackedSeq> = (0..cfg_r.reads_per_batch)
-                    .map(|r| scenario::query(&reference_r, b * cfg_r.reads_per_batch + r))
-                    .collect();
-                sched::point("rt.route.go");
-                let outcome = match router.route(&reads) {
-                    Ok(hits) => {
-                        if hits == *want {
-                            RouterBatchOutcome {
-                                batch: b,
-                                n_reads: reads.len() as u64,
-                                kind: RouterOutcomeKind::Merged,
-                                detail: String::new(),
-                            }
-                        } else {
-                            RouterBatchOutcome {
-                                batch: b,
-                                n_reads: reads.len() as u64,
-                                kind: RouterOutcomeKind::Corrupt,
-                                detail: format!("got {hits:?}, want {want:?}"),
-                            }
-                        }
-                    }
-                    Err(e @ RouterError::ShardUnavailable { .. }) => RouterBatchOutcome {
-                        batch: b,
-                        n_reads: reads.len() as u64,
-                        kind: RouterOutcomeKind::ShardUnavailable,
-                        detail: e.to_string(),
-                    },
-                    Err(e) => RouterBatchOutcome {
-                        batch: b,
-                        n_reads: reads.len() as u64,
-                        kind: RouterOutcomeKind::Net,
-                        detail: e.to_string(),
-                    },
-                };
-                outcomes_r
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .push(outcome);
-            }
-            // Dropping the router closes its pooled connections, so a
-            // clean drain sees EOF rather than idle sockets.
-            drop(router);
-        }));
-    }
+        router_script(router, &reference, reads_per_batch, &expected)
+    });
+    let drainer = h.spawn("rt.drainer", move || {
+        sched::point("rt.drain.go");
+        server0.shutdown();
+        server1.shutdown();
+    });
 
-    {
-        let token = sched::announce("rt.drainer");
-        let mut server0 = server0;
-        let mut server1 = server1;
-        joins.push(std::thread::spawn(move || {
-            let _task = sched::begin(token);
-            sched::point("rt.drain.go");
-            server0.shutdown();
-            server1.shutdown();
-            drop(server0);
-            drop(server1);
-        }));
-    }
-
-    // Drive the schedule.
-    let mut trace: Vec<GrantRecord> = Vec::new();
-    let mut sched_violation: Option<String> = None;
-    loop {
-        if trace.len() >= MAX_GRANTS {
-            sched_violation = Some(format!("schedule exceeded {MAX_GRANTS} grants"));
-            break;
-        }
-        match ctl.step() {
-            Err(v) => {
-                sched_violation = Some(v.to_string());
-                break;
-            }
-            Ok(StepState::AllExited) => break,
-            Ok(StepState::Enabled(mut cands)) => {
-                cands.sort_by_key(|c| c.task);
-                let pick = picker(&cands, &trace).min(cands.len() - 1);
-                let c = &cands[pick];
-                rec.sched(trace.len() as u64, c.task as u64, &c.task_name, &c.point);
-                trace.push(GrantRecord {
-                    step: trace.len() as u64,
-                    task: c.task as u64,
-                    task_name: c.task_name.clone(),
-                    point: c.point.clone(),
-                    clock_ms: ctl.clock_ms(),
-                });
-                ctl.grant(c.task);
-            }
-        }
-    }
-
-    drop(ctl);
-    let mut violations = Vec::new();
-    for (i, j) in joins.into_iter().enumerate() {
-        if j.join().is_err() {
-            violations.push(format!("scripted task #{i} panicked"));
-        }
-    }
-    rec.flush();
-
-    let totals = obs::Rollup::from_events(&rec.events()).totals();
-    let counters: BTreeMap<String, u64> = [
+    let mut run = h.drive(picker);
+    let outcomes = run.join(router_task).unwrap_or_default();
+    run.join(drainer);
+    let counters = run.counters(&[
         "qrouter.merge",
         "qrouter.hedge.fired",
         "qrouter.hedge.won",
         "qrouter.failover",
         "qrouter.shard.dead",
         "qnet.accepted",
-    ]
-    .into_iter()
-    .map(|name| (name.to_string(), totals.counter(name)))
-    .collect();
-
-    let outcomes = Arc::try_unwrap(outcomes)
-        .map(|m| m.into_inner().unwrap_or_else(|e| e.into_inner()))
-        .unwrap_or_default();
-
-    if let Some(v) = &sched_violation {
-        violations.push(format!("scheduler: {v}"));
-    } else {
-        violations.extend(check_invariants(cfg, &outcomes, &counters));
-    }
+    ]);
+    let violations = run.violations(|| check_invariants(cfg, &outcomes, &counters));
 
     RouterRunResult {
-        trace,
+        trace: run.trace,
         outcomes,
         counters,
-        sched_violation,
+        sched_violation: run.sched_violation,
         violations,
     }
 }

@@ -10,11 +10,12 @@
 //! * **workers** — the real worker pool (`qserve-worker-{i}` tasks).
 //! * **server** — the real accept loop and per-connection handlers,
 //!   with every admission gate live.
-//! * **clients** — `sc.client{i}` tasks speaking the wire protocol
-//!   *directly* (frame + [`qnet::Request`]), one connection each, so
-//!   every response maps to exactly one typed [`OutcomeKind`] — the
-//!   retrying `QueryClient` would fold typed sheds into
-//!   `RetriesExhausted` and destroy the classification.
+//! * **clients** — `sc.client{i}` tasks, each a real
+//!   [`qnet::QueryClient`] with `max_retries: 0`: one wire attempt per
+//!   batch, whose typed error ([`qnet::QnetError::last_attempt`]) maps
+//!   to exactly one [`OutcomeKind`]. The client's own schedule points
+//!   (`qnet.client.connect`, `.send`, `.read`) make the dial, the auth
+//!   handshake and every send separate explored steps.
 //! * **drainer** — `sc.drainer` owns the [`Server`]; when the
 //!   scheduler grants its `sc.drain.go` point it runs the full
 //!   graceful drain, snapshots the stats, and tears everything down.
@@ -22,7 +23,8 @@
 //!   axis of exploration: before the first connect, mid-batch (the
 //!   force-close path), or after everything finished.
 //! * **prober** (optional) — `sc.prober` fires one wire `Stats`
-//!   request at a schedule-chosen moment, racing the drain.
+//!   request ([`qnet::QueryClient::stats`]) at a schedule-chosen
+//!   moment, racing the drain.
 //!
 //! Every schedule terminates: clients run a fixed script and exit,
 //! handlers exit on client EOF or force-close, the drainer joins
@@ -36,32 +38,16 @@
 //! expires during ordinary granting — force-close is reachable without
 //! any all-blocked clock jump.
 
+use crate::harness::{self, Harness};
+use crate::invariants;
 use crate::trace::GrantRecord;
-use crate::{invariants, sched_lock};
-use faultsim::sched::{self, Candidate, StepState};
+use faultsim::sched::{self, Candidate};
 use genome::PackedSeq;
-use qnet::{DrainReport, Request, Response, Server, ServerConfig, StatsSnapshot};
-use qserve::{
-    AdmissionConfig, ContigStore, Hit, IndexConfig, MinimizerIndex, QueryConfig, QueryEngine,
-    QueryService, ServiceConfig,
-};
+use qnet::{DrainReport, QnetError, Server, ServerConfig, ShedScope, StatsSnapshot};
+use qserve::{AdmissionConfig, Hit, QueryService, ServiceConfig};
 use std::collections::BTreeMap;
-use std::io::{BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::sync::{Arc, Mutex};
+use std::net::SocketAddr;
 use std::time::Duration;
-
-/// Base length of the scenario's single reference contig.
-const CONTIG_BASES: usize = 600;
-/// Base length of each query read.
-const READ_BASES: usize = 60;
-/// Hard cap on grants per schedule — a backstop far above what the
-/// scenario needs (a full run takes a few hundred), so a runaway loop
-/// becomes a reported violation instead of a wedged explorer.
-const MAX_GRANTS: usize = 5_000;
-/// Client socket timeouts. Generous: they only matter after an
-/// abnormal teardown, when tasks free-run without a scheduler.
-const CLIENT_IO_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// How clients and server treat the shared-secret auth tag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -162,9 +148,6 @@ pub struct BatchOutcome {
     pub kind: OutcomeKind,
     /// Human detail (mismatch description, io error, ...).
     pub detail: String,
-    /// False when the TCP connect itself failed — those reads never
-    /// reached the server and no gate counted them.
-    pub connected: bool,
 }
 
 /// Every way a batch can end, from the client's chair.
@@ -192,6 +175,30 @@ pub enum OutcomeKind {
     Corrupt,
 }
 
+impl OutcomeKind {
+    /// The outcome a failed single-attempt query maps to.
+    fn of(err: &QnetError) -> OutcomeKind {
+        match err.last_attempt() {
+            QnetError::Draining => OutcomeKind::DrainShed,
+            QnetError::DeadlineExceeded { .. } => OutcomeKind::DeadlineShed,
+            QnetError::Overloaded {
+                scope: ShedScope::Fairness,
+                ..
+            } => OutcomeKind::FairnessShed,
+            QnetError::Overloaded {
+                scope: ShedScope::Queue,
+                ..
+            } => OutcomeKind::QueueShed,
+            QnetError::AuthFailed => OutcomeKind::AuthRejected,
+            QnetError::Remote(_) => OutcomeKind::RemoteError,
+            QnetError::Io(_) => OutcomeKind::Io,
+            QnetError::Corrupt { .. }
+            | QnetError::ReloadFailed { .. }
+            | QnetError::RetriesExhausted { .. } => OutcomeKind::Corrupt,
+        }
+    }
+}
+
 /// Everything one executed schedule produced.
 #[derive(Debug, Clone)]
 pub struct RunResult {
@@ -213,350 +220,69 @@ pub struct RunResult {
     pub force_closed: u64,
 }
 
-/// The deterministic reference contig: bases from the repo's splitmix64
-/// mixer, so every run (and every process) builds the same sequence.
-pub(crate) fn contig() -> PackedSeq {
-    let mut codes = Vec::with_capacity(CONTIG_BASES);
-    let mut x: u64 = 0x5eed_cafe_f00d_0001;
-    while codes.len() < CONTIG_BASES {
-        x = stdx::splitmix64(x);
-        // 32 two-bit codes per mixed word.
-        let mut w = x;
-        for _ in 0..32 {
-            if codes.len() == CONTIG_BASES {
-                break;
-            }
-            codes.push((w & 3) as u8);
-            w >>= 2;
-        }
-    }
-    PackedSeq::from_codes(&codes)
-}
-
-pub(crate) fn build_engine(reference: &PackedSeq) -> QueryEngine {
-    let store = ContigStore::from_contigs(vec![reference.clone()]);
-    let index = MinimizerIndex::build(
-        &store,
-        &IndexConfig {
-            k: 9,
-            w: 5,
-            threads: 1,
-        },
-    );
-    QueryEngine::new(store, index, QueryConfig::default()).expect("scenario engine binds")
-}
-
-/// Deterministic query script: read `q` is a striding 60-base window of
-/// the contig, alternating strands (the `tests/qnet_stats.rs` idiom).
-pub(crate) fn query(reference: &PackedSeq, q: usize) -> PackedSeq {
-    let start = (q * 37) % (reference.len() - READ_BASES + 1);
-    let s = reference.slice(start, READ_BASES);
-    if q.is_multiple_of(2) {
-        s
-    } else {
-        s.reverse_complement()
-    }
-}
-
-/// Write and flush a whole buffer on a shared socket handle.
-fn send_all(sock: &TcpStream, buf: &[u8]) -> std::io::Result<()> {
-    let mut w = sock;
-    w.write_all(buf)?;
-    w.flush()
-}
-
-/// True when a read on `sock` would not block (data, EOF, or error) —
-/// a non-consuming probe, safe as a scheduler re-poll predicate.
-fn sock_readable(sock: &TcpStream) -> bool {
-    let mut probe = [0u8; 1];
-    let _ = sock.set_nonblocking(true);
-    let r = sock.peek(&mut probe);
-    let _ = sock.set_nonblocking(false);
-    match r {
-        Ok(_) => true,
-        Err(e) => e.kind() != std::io::ErrorKind::WouldBlock,
-    }
-}
-
-/// Send one query batch on an open connection and classify the reply.
-#[allow(clippy::too_many_arguments)]
-fn run_batch(
-    sock: &TcpStream,
-    reader: &mut BufReader<TcpStream>,
+/// The read script of one (client, batch).
+fn batch_reads(
+    cfg: &ScenarioConfig,
+    reference: &PackedSeq,
     client: usize,
     batch: usize,
-    request_id: u64,
-    deadline_ms: u32,
-    reads: &[PackedSeq],
-    expected: &[Option<Hit>],
-    secret: Option<&str>,
-    nonce: u64,
-    seq: u64,
-) -> BatchOutcome {
-    let n_reads = reads.len() as u64;
-    let client_id = format!("c{client}");
-    let mk = |kind: OutcomeKind, detail: String| BatchOutcome {
-        client,
-        batch,
-        n_reads,
-        kind,
-        detail,
-        connected: true,
-    };
-    let (auth_seq, auth_tag) = match secret {
-        Some(s) => (
-            seq,
-            qnet::auth_tag(
-                s,
-                qnet::AUTH_KIND_QUERY,
-                nonce,
-                seq,
-                request_id,
-                deadline_ms,
-                &client_id,
-                reads,
-            ),
-        ),
-        None => (0, 0),
-    };
-    let body = Request::Query {
-        request_id,
-        deadline_ms,
-        client_id,
-        reads: reads.to_vec(),
-        auth_seq,
-        auth_tag,
-        generation: 0,
-    }
-    .encode();
-    let mut frame = Vec::with_capacity(gstream::FRAME_HEADER_BYTES + body.len());
-    if gstream::write_frame(&mut frame, &body).is_err() {
-        return mk(OutcomeKind::Io, "frame encode".to_string());
-    }
-    sched::point("sc.client.send");
-    if send_all(sock, &frame).is_err() {
-        return mk(OutcomeKind::Io, "request write failed".to_string());
-    }
-    // Park until the response (or EOF, or the force-close) is
-    // observable, so "the answer arrived" is an explored step.
-    {
-        let reader = &*reader;
-        sched::wait_until("sc.client.read", &mut || {
-            !reader.buffer().is_empty() || sock_readable(reader.get_ref())
-        });
-    }
-    let payload = match gstream::read_frame(reader, "server") {
-        Ok(Some(p)) => p,
-        Ok(None) => return mk(OutcomeKind::Io, "eof before response".to_string()),
-        Err(e) => return mk(OutcomeKind::Io, format!("response read: {e}")),
-    };
-    let resp = match Response::decode(&payload, "server") {
-        Ok(r) => r,
-        Err(e) => return mk(OutcomeKind::Corrupt, format!("response decode: {e}")),
-    };
-    let check_id = |rid: u64| rid == request_id;
-    match resp {
-        Response::Hits {
-            request_id: rid,
-            generation: _,
-            hits,
-        } => {
-            if !check_id(rid) {
-                mk(
-                    OutcomeKind::Corrupt,
-                    format!("mispaired Hits: sent id {request_id}, got {rid}"),
-                )
-            } else if hits != expected {
-                mk(
-                    OutcomeKind::Corrupt,
-                    format!("wrong answer bytes: got {hits:?}, want {expected:?}"),
-                )
-            } else {
-                mk(OutcomeKind::Hits, String::new())
-            }
-        }
-        Response::Draining { request_id: rid } => {
-            if check_id(rid) {
-                mk(OutcomeKind::DrainShed, String::new())
-            } else {
-                mk(OutcomeKind::Corrupt, format!("mispaired Draining id {rid}"))
-            }
-        }
-        Response::DeadlineExceeded { request_id: rid } => {
-            if check_id(rid) {
-                mk(OutcomeKind::DeadlineShed, String::new())
-            } else {
-                mk(
-                    OutcomeKind::Corrupt,
-                    format!("mispaired DeadlineExceeded id {rid}"),
-                )
-            }
-        }
-        Response::Overloaded {
-            request_id: rid,
-            scope,
-            ..
-        } => {
-            if !check_id(rid) {
-                mk(
-                    OutcomeKind::Corrupt,
-                    format!("mispaired Overloaded id {rid}"),
-                )
-            } else {
-                match scope {
-                    qnet::ShedScope::Fairness => mk(OutcomeKind::FairnessShed, String::new()),
-                    qnet::ShedScope::Queue => mk(OutcomeKind::QueueShed, String::new()),
-                }
-            }
-        }
-        Response::AuthFailed { request_id: rid } => {
-            if check_id(rid) {
-                mk(OutcomeKind::AuthRejected, String::new())
-            } else {
-                mk(
-                    OutcomeKind::Corrupt,
-                    format!("mispaired AuthFailed id {rid}"),
-                )
-            }
-        }
-        Response::Error {
-            request_id: rid,
-            message,
-        } => {
-            if check_id(rid) {
-                mk(OutcomeKind::RemoteError, message)
-            } else {
-                mk(OutcomeKind::Corrupt, format!("mispaired Error id {rid}"))
-            }
-        }
-        other => mk(
-            OutcomeKind::Corrupt,
-            format!("impossible response variant for a query: {other:?}"),
-        ),
-    }
+) -> Vec<PackedSeq> {
+    (0..cfg.reads_per_batch)
+        .map(|r| {
+            harness::query(
+                reference,
+                (client * cfg.batches_per_client + batch) * cfg.reads_per_batch + r,
+            )
+        })
+        .collect()
 }
 
-/// One client's full script: connect once, run every batch in order.
-#[allow(clippy::too_many_arguments)]
-fn client_task(
+/// One client's full script: every batch in order through one
+/// [`qnet::QueryClient`], which dials (and handshakes) on the first and
+/// keeps its connection across typed outcomes. A batch sent after the
+/// drain cut that connection fails at the socket — `Io`, its reads
+/// never reaching a gate — and so does the re-dial after it: the
+/// listener is gone before any connection is cut.
+fn client_script(
     idx: usize,
     addr: SocketAddr,
-    cfg: ScenarioConfig,
-    reference: Arc<PackedSeq>,
-    expected: Vec<Vec<Option<Hit>>>,
-    outcomes: Arc<Mutex<Vec<BatchOutcome>>>,
-) {
-    let push = |o: BatchOutcome| {
-        outcomes.lock().unwrap_or_else(|e| e.into_inner()).push(o);
-    };
-    sched::point("sc.client.connect");
-    let sock = match TcpStream::connect(addr) {
-        Ok(s) => s,
-        Err(e) => {
-            // The listener is already gone (drain won the race): every
-            // batch of this client becomes an unconnected Io outcome.
-            for b in 0..cfg.batches_per_client {
-                push(BatchOutcome {
-                    client: idx,
-                    batch: b,
-                    n_reads: cfg.reads_per_batch as u64,
-                    kind: OutcomeKind::Io,
-                    detail: format!("connect: {e}"),
-                    connected: false,
-                });
-            }
-            return;
-        }
-    };
-    let _ = sock.set_read_timeout(Some(CLIENT_IO_TIMEOUT));
-    let _ = sock.set_write_timeout(Some(CLIENT_IO_TIMEOUT));
-    let _ = sock.set_nodelay(true);
-    let Ok(read_half) = sock.try_clone() else {
-        for b in 0..cfg.batches_per_client {
-            push(BatchOutcome {
-                client: idx,
-                batch: b,
-                n_reads: cfg.reads_per_batch as u64,
-                kind: OutcomeKind::Io,
-                detail: "socket clone failed".to_string(),
-                connected: false,
-            });
-        }
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
+    cfg: &ScenarioConfig,
+    reference: &PackedSeq,
+    expected: &[Vec<Option<Hit>>],
+) -> Vec<BatchOutcome> {
     let deadline_ms = cfg.deadline_ms[idx % cfg.deadline_ms.len().max(1)];
-    let secret = cfg.client_secret(idx);
-    // Authed clients open with the nonce handshake; losing the race
-    // with the drain here is an ordinary Io outcome for every batch.
-    let mut nonce = 0u64;
-    if secret.is_some() {
-        match auth_handshake(&sock, &mut reader) {
-            Ok(n) => nonce = n,
-            Err(detail) => {
-                for b in 0..cfg.batches_per_client {
-                    push(BatchOutcome {
-                        client: idx,
-                        batch: b,
-                        n_reads: cfg.reads_per_batch as u64,
-                        kind: OutcomeKind::Io,
-                        detail: detail.clone(),
-                        connected: true,
-                    });
-                }
-                return;
+    let mut client = harness::client(addr, format!("c{idx}"), deadline_ms, cfg.client_secret(idx));
+    expected
+        .iter()
+        .enumerate()
+        .map(|(batch, want)| {
+            let (kind, detail) = match client.query_batch(&batch_reads(cfg, reference, idx, batch))
+            {
+                Ok(hits) if hits == *want => (OutcomeKind::Hits, String::new()),
+                Ok(hits) => (
+                    OutcomeKind::Corrupt,
+                    format!("wrong answer bytes: got {hits:?}, want {want:?}"),
+                ),
+                Err(e) => (OutcomeKind::of(&e), e.to_string()),
+            };
+            BatchOutcome {
+                client: idx,
+                batch,
+                n_reads: cfg.reads_per_batch as u64,
+                kind,
+                detail,
             }
-        }
-    }
-    for (b, want) in expected.iter().enumerate() {
-        let reads: Vec<PackedSeq> = (0..cfg.reads_per_batch)
-            .map(|r| {
-                query(
-                    &reference,
-                    (idx * cfg.batches_per_client + b) * cfg.reads_per_batch + r,
-                )
-            })
-            .collect();
-        let request_id = ((idx as u64) + 1) * 1_000 + b as u64;
-        push(run_batch(
-            &sock,
-            &mut reader,
-            idx,
-            b,
-            request_id,
-            deadline_ms,
-            &reads,
-            want,
-            secret.as_deref(),
-            nonce,
-            (b as u64) + 1,
-        ));
-    }
+        })
+        .collect()
 }
 
-/// Run the `AuthHello` handshake on a fresh connection, returning the
-/// dealt nonce. Any transport failure is reported as a string.
-fn auth_handshake(sock: &TcpStream, reader: &mut BufReader<TcpStream>) -> Result<u64, String> {
-    let body = Request::AuthHello.encode();
-    let mut frame = Vec::with_capacity(gstream::FRAME_HEADER_BYTES + body.len());
-    gstream::write_frame(&mut frame, &body).map_err(|e| format!("handshake encode: {e}"))?;
-    sched::point("sc.client.hello");
-    send_all(sock, &frame).map_err(|e| format!("handshake write: {e}"))?;
-    {
-        let reader = &*reader;
-        sched::wait_until("sc.client.read", &mut || {
-            !reader.buffer().is_empty() || sock_readable(reader.get_ref())
-        });
-    }
-    let payload = match gstream::read_frame(reader, "server") {
-        Ok(Some(p)) => p,
-        Ok(None) => return Err("eof during handshake".to_string()),
-        Err(e) => return Err(format!("handshake read: {e}")),
-    };
-    match Response::decode(&payload, "server") {
-        Ok(Response::AuthNonce { nonce }) => Ok(nonce),
-        Ok(other) => Err(format!("handshake answered {other:?}")),
-        Err(e) => Err(format!("handshake decode: {e}")),
+/// One wire `Stats` probe at a schedule-chosen moment (the client's
+/// `qnet.client.connect` grant). Losing the race with the drain
+/// (refused connect, EOF) is fine; a malformed snapshot is a violation.
+fn prober_script(addr: SocketAddr) -> Vec<String> {
+    match harness::client(addr, "prober".to_string(), 0, None).stats() {
+        Ok(_) | Err(QnetError::Io(_)) => Vec::new(),
+        Err(e) => vec![format!("prober: {e}")],
     }
 }
 
@@ -570,251 +296,114 @@ pub fn run_schedule(
     cfg: &ScenarioConfig,
     picker: &mut dyn FnMut(&[Candidate], &[GrantRecord]) -> usize,
 ) -> RunResult {
-    let _exclusive = sched_lock();
-    let reference = Arc::new(contig());
+    let reference = harness::contig(1);
 
     // Reference answers, computed on a *separate* engine before any
     // scheduling begins: the oracle for byte-correctness is independent
     // of the system under test's threading entirely.
-    let oracle = build_engine(&reference);
+    let oracle = harness::build_engine(std::slice::from_ref(&reference));
     let expected: Vec<Vec<Vec<Option<Hit>>>> = (0..cfg.clients)
         .map(|c| {
             (0..cfg.batches_per_client)
                 .map(|b| {
-                    (0..cfg.reads_per_batch)
-                        .map(|r| {
-                            oracle.query(&query(
-                                &reference,
-                                (c * cfg.batches_per_client + b) * cfg.reads_per_batch + r,
-                            ))
-                        })
+                    batch_reads(cfg, &reference, c, b)
+                        .iter()
+                        .map(|r| oracle.query(r))
                         .collect()
                 })
                 .collect()
         })
         .collect();
 
-    let ctl = sched::Controller::install();
-    let rec = obs::Recorder::new();
+    let h = Harness::install();
 
     // The system under test. Worker and accept tasks announce
     // themselves inside these constructors, in deterministic order:
     // workers 0..n, then the accept loop, then our scripted tasks.
     let service = QueryService::start(
-        build_engine(&reference),
+        harness::build_engine(std::slice::from_ref(&reference)),
         ServiceConfig {
             workers: cfg.workers,
             batch_chunk: cfg.batch_chunk,
             max_queue: cfg.max_queue,
         },
-        &rec,
+        &h.rec,
     );
-    let server = Server::start(
+    let mut server = Server::start(
         service,
         ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            read_timeout: CLIENT_IO_TIMEOUT,
-            write_timeout: CLIENT_IO_TIMEOUT,
             drain_deadline: Duration::from_millis(cfg.drain_deadline_ms),
             admission: AdmissionConfig {
                 refill_per_s: 0.0,
                 burst: cfg.burst,
             },
-            stall_ms: 0,
             auth_secret: cfg.server_secret(),
-            reload: None,
+            ..harness::server_config()
         },
-        &rec,
+        &h.rec,
         faultsim::Faults::disabled(),
     )
     .expect("bind scenario server");
     let addr = server.local_addr();
 
-    let outcomes: Arc<Mutex<Vec<BatchOutcome>>> = Arc::new(Mutex::new(Vec::new()));
-    let mut joins: Vec<std::thread::JoinHandle<()>> = Vec::new();
-
-    for (idx, expected_c) in expected.into_iter().enumerate() {
-        let token = sched::announce(&format!("sc.client{idx}"));
-        let cfg_c = cfg.clone();
-        let reference_c = Arc::clone(&reference);
-        let outcomes_c = Arc::clone(&outcomes);
-        joins.push(std::thread::spawn(move || {
-            let _task = sched::begin(token);
-            client_task(idx, addr, cfg_c, reference_c, expected_c, outcomes_c);
-        }));
-    }
-
-    let prober_issues: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
-    if cfg.with_prober {
-        let token = sched::announce("sc.prober");
-        let issues = Arc::clone(&prober_issues);
-        joins.push(std::thread::spawn(move || {
-            let _task = sched::begin(token);
-            prober_task(addr, &issues);
-        }));
-    }
-
+    let clients: Vec<_> = expected
+        .into_iter()
+        .enumerate()
+        .map(|(idx, expected_c)| {
+            let cfg = cfg.clone();
+            let reference = reference.clone();
+            h.spawn(&format!("sc.client{idx}"), move || {
+                client_script(idx, addr, &cfg, &reference, &expected_c)
+            })
+        })
+        .collect();
+    let prober = cfg
+        .with_prober
+        .then(|| h.spawn("sc.prober", move || prober_script(addr)));
     // The drainer owns the server: its `sc.drain.go` grant *is* the
     // shutdown moment the strategy explores.
-    let stash: Arc<Mutex<Option<(DrainReport, StatsSnapshot)>>> = Arc::new(Mutex::new(None));
-    {
-        let token = sched::announce("sc.drainer");
-        let stash = Arc::clone(&stash);
-        let mut server = server;
-        joins.push(std::thread::spawn(move || {
-            let _task = sched::begin(token);
-            sched::point("sc.drain.go");
-            let report = server.shutdown();
-            let snap = server.stats_snapshot();
-            *stash.lock().unwrap_or_else(|e| e.into_inner()) = Some((report, snap));
-            drop(server);
-        }));
-    }
+    let drainer = h.spawn("sc.drainer", move || {
+        sched::point("sc.drain.go");
+        let report = server.shutdown();
+        (report, server.stats_snapshot())
+    });
 
-    // Drive the schedule.
-    let mut trace: Vec<GrantRecord> = Vec::new();
-    let mut sched_violation: Option<String> = None;
-    loop {
-        if trace.len() >= MAX_GRANTS {
-            sched_violation = Some(format!("schedule exceeded {MAX_GRANTS} grants"));
-            break;
-        }
-        match ctl.step() {
-            Err(v) => {
-                sched_violation = Some(v.to_string());
-                break;
-            }
-            Ok(StepState::AllExited) => break,
-            Ok(StepState::Enabled(mut cands)) => {
-                cands.sort_by_key(|c| c.task);
-                let pick = picker(&cands, &trace).min(cands.len() - 1);
-                let c = &cands[pick];
-                rec.sched(trace.len() as u64, c.task as u64, &c.task_name, &c.point);
-                trace.push(GrantRecord {
-                    step: trace.len() as u64,
-                    task: c.task as u64,
-                    task_name: c.task_name.clone(),
-                    point: c.point.clone(),
-                    clock_ms: ctl.clock_ms(),
-                });
-                ctl.grant(c.task);
-            }
-        }
-    }
-
-    // Uninstall *before* joining: on an aborted schedule the tasks
-    // free-run to completion; on a clean one everything has exited.
-    drop(ctl);
-    let mut panicked = Vec::new();
-    for (i, j) in joins.into_iter().enumerate() {
-        if j.join().is_err() {
-            panicked.push(format!("scripted task #{i} panicked"));
-        }
-    }
-    rec.flush();
-
-    let totals = obs::Rollup::from_events(&rec.events()).totals();
-    let counters: BTreeMap<String, u64> = [
+    let mut run = h.drive(picker);
+    let outcomes: Vec<BatchOutcome> = clients
+        .into_iter()
+        .flat_map(|t| run.join(t).unwrap_or_default())
+        .collect();
+    let prober_issues = prober.and_then(|t| run.join(t)).unwrap_or_default();
+    let (report, snap) = run.join(drainer).unzip();
+    let counters = run.counters(&[
         "qnet.accepted",
         "qnet.rejected",
         "qnet.deadline_shed",
         "qnet.fairness_shed",
         "qnet.auth_failed",
         "qnet.drain.force_closed",
-    ]
-    .into_iter()
-    .map(|name| (name.to_string(), totals.counter(name)))
-    .collect();
+    ]);
 
-    let outcomes = Arc::try_unwrap(outcomes)
-        .map(|m| m.into_inner().unwrap_or_else(|e| e.into_inner()))
-        .unwrap_or_default();
-    let (report, snap) = match Arc::try_unwrap(stash) {
-        Ok(m) => match m.into_inner().unwrap_or_else(|e| e.into_inner()) {
-            Some((r, s)) => (Some(r), Some(s)),
-            None => (None, None),
-        },
-        Err(_) => (None, None),
-    };
-    let force_closed = report.map(|r| r.force_closed).unwrap_or(0);
-
-    let mut violations = panicked;
-    violations.extend(
-        prober_issues
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .drain(..),
-    );
-    if let Some(v) = &sched_violation {
-        violations.push(format!("scheduler: {v}"));
-    } else {
-        // Invariants only make sense on schedules that ran to
-        // completion; an aborted run is already a violation.
+    let violations = run.violations(|| {
+        let mut v = prober_issues;
         match (&report, &snap) {
             (Some(report), Some(snap)) => {
-                violations.extend(invariants::check(cfg, &outcomes, report, snap, &counters));
+                v.extend(invariants::check(cfg, &outcomes, report, snap, &counters));
             }
-            _ => violations.push("drainer never produced a report/snapshot".to_string()),
+            _ => v.push("drainer never produced a report/snapshot".to_string()),
         }
-    }
+        v
+    });
 
     RunResult {
-        trace,
+        trace: run.trace,
         outcomes,
         report,
         snap,
         counters,
-        sched_violation,
+        sched_violation: run.sched_violation,
         violations,
-        force_closed,
-    }
-}
-
-/// One wire `Stats` probe at a schedule-chosen moment. Losing the race
-/// with the drain (refused connect, EOF) is fine; a malformed or
-/// wrongly-versioned snapshot is a violation.
-fn prober_task(addr: SocketAddr, issues: &Mutex<Vec<String>>) {
-    sched::point("sc.probe.go");
-    let Ok(sock) = TcpStream::connect(addr) else {
-        return;
-    };
-    let _ = sock.set_read_timeout(Some(CLIENT_IO_TIMEOUT));
-    let _ = sock.set_write_timeout(Some(CLIENT_IO_TIMEOUT));
-    let body = Request::Stats.encode();
-    let mut frame = Vec::with_capacity(gstream::FRAME_HEADER_BYTES + body.len());
-    if gstream::write_frame(&mut frame, &body).is_err() {
-        return;
-    }
-    if send_all(&sock, &frame).is_err() {
-        return;
-    }
-    let Ok(read_half) = sock.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    {
-        let reader = &reader;
-        sched::wait_until("sc.probe.read", &mut || {
-            !reader.buffer().is_empty() || sock_readable(reader.get_ref())
-        });
-    }
-    let payload = match gstream::read_frame(&mut reader, "server") {
-        Ok(Some(p)) => p,
-        _ => return, // EOF / error: the drain won the race
-    };
-    let push = |s: String| issues.lock().unwrap_or_else(|e| e.into_inner()).push(s);
-    match Response::decode(&payload, "server") {
-        Ok(Response::Stats(snap)) => {
-            if snap.version != qnet::STATS_VERSION {
-                push(format!(
-                    "prober: stats version {} != {}",
-                    snap.version,
-                    qnet::STATS_VERSION
-                ));
-            }
-        }
-        Ok(other) => push(format!("prober: non-Stats reply {other:?}")),
-        Err(e) => push(format!("prober: corrupt stats reply: {e}")),
+        force_closed: report.map(|r| r.force_closed).unwrap_or(0),
     }
 }
 
@@ -842,4 +431,41 @@ pub fn replay_trace(cfg: &ScenarioConfig, recorded: &[GrantRecord]) -> (RunResul
         0
     });
     (result, diverged_at)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// With the drain granted last, every batch of the forging client is
+    /// answered — through the real client's handshake and tag — with a
+    /// typed `AuthFailed`, and the honest client is served.
+    #[test]
+    fn forging_client_is_rejected_on_every_batch_and_pays_nothing() {
+        let cfg = ScenarioConfig {
+            auth: AuthMode::OneBadClient,
+            deadline_ms: vec![600_000],
+            ..ScenarioConfig::default()
+        };
+        let run = run_schedule(&cfg, &mut |cands, _trace| {
+            cands
+                .iter()
+                .position(|c| c.point != "sc.drain.go")
+                .unwrap_or(0)
+        });
+        assert!(run.violations.is_empty(), "{:?}", run.violations);
+        for o in &run.outcomes {
+            let want = if o.client == 0 {
+                OutcomeKind::AuthRejected
+            } else {
+                OutcomeKind::Hits
+            };
+            assert_eq!(
+                o.kind, want,
+                "client {} batch {}: {}",
+                o.client, o.batch, o.detail
+            );
+        }
+        assert_eq!(run.counters["qnet.auth_failed"], 4, "2 batches x 2 reads");
+    }
 }

@@ -771,7 +771,6 @@ fn stats_remote(opts: &HashMap<String, String>) {
 fn snapshot_tsv(s: &lasagna_repro::qnet::StatsSnapshot) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
-    let _ = writeln!(out, "version\t{}", s.version);
     let _ = writeln!(out, "uptime_ms\t{}", s.uptime_ms);
     let _ = writeln!(out, "draining\t{}", s.draining);
     let _ = writeln!(out, "inflight\t{}", s.inflight);

@@ -9,7 +9,7 @@
 use lasagna_repro::faultsim::{self, FaultPlan, Faults};
 use lasagna_repro::obs;
 use lasagna_repro::prelude::*;
-use lasagna_repro::qnet::{ClientConfig, QnetError, QueryClient, Server, ServerConfig};
+use lasagna_repro::qnet::{ClientConfig, QnetError, QueryClient, Server, ServerConfig, ShedScope};
 use lasagna_repro::qserve::{
     self, AdmissionConfig, ContigStore, Hit, IndexConfig, MinimizerIndex, QueryConfig, QueryEngine,
     QueryService, ServiceConfig,
@@ -241,7 +241,10 @@ fn a_single_attempt_fails_typed_and_retryable_never_wrong() {
     );
     let err = one_shot.query_batch(&queries).unwrap_err();
     match err {
-        QnetError::RetriesExhausted { attempts, .. } => assert_eq!(attempts, 1),
+        QnetError::RetriesExhausted { attempts, last } => {
+            assert_eq!(attempts, 1);
+            assert!(matches!(*last, QnetError::Io(_)), "last: {last}");
+        }
         other => panic!("expected RetriesExhausted, got {other}"),
     }
 
@@ -344,11 +347,13 @@ fn fairness_keeps_a_quiet_client_served_while_a_flooder_is_shed() {
         for _ in 0..40 {
             match client.query_batch(&flood_queries) {
                 Ok(_) => served += 1,
-                Err(QnetError::RetriesExhausted { last, .. }) => {
-                    shed += 1;
-                    hints_ok &= last.contains("per-client fairness");
-                }
-                Err(e) => panic!("flooder saw an unexpected error: {e}"),
+                Err(e) => match e.last_attempt() {
+                    QnetError::Overloaded { scope, .. } => {
+                        shed += 1;
+                        hints_ok &= *scope == ShedScope::Fairness;
+                    }
+                    _ => panic!("flooder saw an unexpected error: {e}"),
+                },
             }
             std::thread::sleep(Duration::from_millis(1));
         }
@@ -511,5 +516,52 @@ fn health_probe_answers_ready() {
         |_| {},
     );
     let mut client = client_for(server.local_addr(), "probe", &obs::Recorder::disabled());
-    assert_eq!(client.ping().unwrap(), (true, false));
+    let pong = client.ping_v2().unwrap();
+    assert!(pong.ready && !pong.draining);
+}
+
+/// Regression (ROADMAP 3a): a finished responder's stack must be
+/// released while its connection lives on. The server used to keep
+/// every responder's `JoinHandle` until the connection closed, so each
+/// request left one thread stack mapped and a long-lived connection
+/// died near 30 000 requests (`vm.max_map_count`).
+#[cfg(target_os = "linux")]
+#[test]
+fn a_long_lived_connection_does_not_leak_a_thread_stack_per_request() {
+    let dir = stdx::tempdir().unwrap();
+    let contigs = assemble_into(dir.path(), 57);
+    let batch = slice_queries(&contigs, 1, 60);
+    let mut server = start_server(
+        dir.path(),
+        &obs::Recorder::disabled(),
+        Faults::disabled(),
+        |_| {},
+    );
+    let mut client = client_for(server.local_addr(), "marathon", &obs::Recorder::disabled());
+
+    let mappings = || {
+        std::fs::read_to_string("/proc/self/maps")
+            .unwrap()
+            .lines()
+            .count()
+    };
+    let mut after_500 = 0;
+    for request in 1..=5_000 {
+        client.query_batch(&batch).unwrap();
+        if request == 500 {
+            after_500 = mappings();
+        }
+    }
+    let after_5000 = mappings();
+    assert_eq!(
+        client.reconnects(),
+        0,
+        "all 5 000 requests rode one connection"
+    );
+    assert!(
+        after_5000 <= after_500 + 64,
+        "{after_500} memory mappings after request 500, {after_5000} after request 5 000: \
+         finished responders are keeping their stacks"
+    );
+    server.shutdown();
 }

@@ -1,14 +1,14 @@
 //! Live `Stats` telemetry goldens (SERVING.md, OBSERVABILITY.md): a
 //! snapshot taken over the wire after the load fully drains must equal
 //! the post-hoc rollup of the same run's JSONL trace — counter for
-//! counter, histogram for histogram — and `PingV2` reports live queue
-//! state next to the legacy `Ping` probe.
+//! counter, histogram for histogram — and the `PingV2` probe reports
+//! live queue state.
 
 use lasagna_repro::faultsim::Faults;
 use lasagna_repro::obs;
 use lasagna_repro::prelude::*;
 use lasagna_repro::qnet::{
-    ClientConfig, LatencySummary, QueryClient, Server, ServerConfig, STATS_VERSION,
+    ClientConfig, LatencySummary, QnetError, QueryClient, Server, ServerConfig, ShedScope,
 };
 use lasagna_repro::qserve::{
     self, ContigStore, IndexConfig, MinimizerIndex, QueryConfig, QueryEngine, QueryService,
@@ -119,7 +119,6 @@ fn stats_snapshot_after_drain_matches_the_trace_rollup_exactly() {
     rec.flush();
     let totals = obs::Rollup::from_events(&rec.events()).totals();
 
-    assert_eq!(snap.version, STATS_VERSION);
     assert!(!snap.draining);
     assert_eq!(snap.inflight, 0, "all responses received before the probe");
     assert_eq!(snap.queue_depth, 0);
@@ -185,7 +184,6 @@ fn stats_snapshot_after_drain_matches_the_trace_rollup_exactly() {
     assert!(mid.accepted <= snap.accepted);
     assert!(mid.drained_reads <= snap.drained_reads);
     assert!(mid.uptime_ms <= snap.uptime_ms);
-    assert_eq!(mid.version, STATS_VERSION);
 }
 
 /// How one flooded batch ended, as seen from its client.
@@ -201,28 +199,25 @@ enum Outcome {
 
 /// Classify a `query_batch` result. `max_retries: 0` means every
 /// retryable error surfaces as `RetriesExhausted` wrapping the typed
-/// message of the single attempt.
-fn classify(r: &Result<Vec<Option<qserve::Hit>>, lasagna_repro::qnet::QnetError>) -> Outcome {
-    use lasagna_repro::qnet::QnetError;
-    match r {
-        Ok(_) => Outcome::Delivered,
-        Err(QnetError::DeadlineExceeded { .. }) => Outcome::Deadline,
-        Err(QnetError::Draining) => Outcome::Drain,
-        Err(QnetError::Io(_)) => Outcome::Io,
-        Err(QnetError::RetriesExhausted { last, .. }) => {
-            if last.contains("per-client fairness") {
-                Outcome::Fairness
-            } else if last.contains("overloaded (queue") {
-                Outcome::Queue
-            } else if last.contains("server draining") {
-                Outcome::Drain
-            } else if last.contains("network I/O") {
-                Outcome::Io
-            } else {
-                panic!("unclassifiable shed: {last}")
-            }
-        }
-        Err(other) => panic!("unexpected flood error: {other}"),
+/// error of the single attempt.
+fn classify(r: &Result<Vec<Option<qserve::Hit>>, QnetError>) -> Outcome {
+    let err = match r {
+        Ok(_) => return Outcome::Delivered,
+        Err(e) => e,
+    };
+    match err.last_attempt() {
+        QnetError::DeadlineExceeded { .. } => Outcome::Deadline,
+        QnetError::Draining => Outcome::Drain,
+        QnetError::Io(_) => Outcome::Io,
+        QnetError::Overloaded {
+            scope: ShedScope::Fairness,
+            ..
+        } => Outcome::Fairness,
+        QnetError::Overloaded {
+            scope: ShedScope::Queue,
+            ..
+        } => Outcome::Queue,
+        other => panic!("unexpected flood error: {other}"),
     }
 }
 
@@ -297,10 +292,9 @@ fn flood_with_drain_toggle_conserves_every_read_across_the_gates() {
         .collect();
 
     // Mid-flood, the live probe must answer (Stats bypasses every
-    // admission gate) and carry the v2 schema.
+    // admission gate).
     std::thread::sleep(Duration::from_millis(5));
     let mid = client_for(addr, "probe").stats().unwrap();
-    assert_eq!(mid.version, STATS_VERSION);
 
     // Toggle the drain while the flood is still running.
     std::thread::sleep(Duration::from_millis(10));
@@ -319,7 +313,6 @@ fn flood_with_drain_toggle_conserves_every_read_across_the_gates() {
     let (delivered, io) = (reads(Outcome::Delivered), reads(Outcome::Io));
 
     // Shutdown left nothing behind, and the snapshot says so.
-    assert_eq!(snap.version, STATS_VERSION);
     assert!(snap.draining);
     assert_eq!(snap.inflight, 0);
     assert_eq!(snap.queue_depth, 0);
@@ -409,15 +402,12 @@ fn flood_with_drain_toggle_conserves_every_read_across_the_gates() {
 }
 
 #[test]
-fn ping_v2_reports_queue_state_next_to_the_legacy_probe() {
+fn ping_v2_reports_queue_state() {
     let dir = stdx::tempdir().unwrap();
     let contigs = assemble_into(dir.path(), 61);
     let rec = obs::Recorder::new();
     let mut server = start_server(dir.path(), &rec);
     let mut client = client_for(server.local_addr(), "probe");
-
-    // The legacy tag still answers on the same connection.
-    assert_eq!(client.ping().unwrap(), (true, false));
 
     let pong = client.ping_v2().unwrap();
     assert!(pong.ready);
@@ -437,7 +427,7 @@ fn ping_v2_reports_queue_state_next_to_the_legacy_probe() {
 }
 
 #[test]
-fn stats_on_an_idle_server_is_empty_but_versioned() {
+fn stats_on_an_idle_server_is_empty() {
     let dir = stdx::tempdir().unwrap();
     assemble_into(dir.path(), 62);
     let rec = obs::Recorder::new();
@@ -445,7 +435,6 @@ fn stats_on_an_idle_server_is_empty_but_versioned() {
     let mut client = client_for(server.local_addr(), "idle");
 
     let snap = client.stats().unwrap();
-    assert_eq!(snap.version, STATS_VERSION);
     assert_eq!(snap.accepted, 0);
     assert_eq!(snap.rejected + snap.deadline_shed + snap.fairness_shed, 0);
     assert_eq!(snap.drained_reads, 0);

@@ -15,8 +15,8 @@ use lasagna_repro::prelude::*;
 use lasagna_repro::qnet::{ClientConfig, QnetError, ReloadConfig, Server, ServerConfig};
 use lasagna_repro::qrouter::{ClusterManifest, Router, RouterConfig, RouterError};
 use lasagna_repro::qserve::{
-    self, ContigStore, GenEntry, GenKind, GenManifest, Hit, IndexConfig, MinimizerIndex,
-    QueryConfig, QueryEngine, QueryService, ServiceConfig,
+    self, ContigStore, GenKind, Hit, IndexConfig, MinimizerIndex, QueryConfig, QueryEngine,
+    QueryService, ServiceConfig,
 };
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -445,40 +445,15 @@ fn auth_mismatch_fails_fast_naming_shard_and_peer() {
     servers[0].shutdown();
 }
 
-/// Export `contigs` as generation `id` into the work dir — store,
-/// index, and manifest entry — the layout each replica's `Reload`
-/// consumes (the replica rebuilds its own shard slice from the store).
-fn export_generation(dir: &Path, id: u64, contigs: &[PackedSeq], io: &IoStats) {
-    let store_name = qserve::gen_store_file(id);
-    let index_name = qserve::gen_index_file(id);
-    ContigStore::write(&dir.join(&store_name), contigs, io).unwrap();
-    let store = ContigStore::open(&dir.join(&store_name), io).unwrap();
-    let index = MinimizerIndex::build(&store, &IndexConfig::default());
-    index.write(&dir.join(&index_name), io).unwrap();
-    let mut manifest = if GenManifest::exists(dir) {
-        GenManifest::load(dir, io).unwrap()
-    } else {
-        GenManifest {
-            version: qserve::generations::GEN_MANIFEST_VERSION,
-            active: id,
-            generations: Vec::new(),
-        }
-    };
-    manifest.admit(GenEntry {
-        id,
-        store: store_name,
-        index: index_name,
-        store_checksum: store.checksum(),
-        reads: contigs.len() as u64,
-        read_len: 60,
-        kind: if id == 1 {
-            GenKind::Full
-        } else {
-            GenKind::Delta
-        },
-        parent: if id == 1 { None } else { Some(id - 1) },
-    });
-    manifest.store(dir, io).unwrap();
+/// Export generation 1 (`contigs_a`, full) and generation 2 (`gen2`,
+/// its delta) into the work dir — store, index, and manifest entry —
+/// the layout each replica's `Reload` consumes (the replica rebuilds
+/// its own shard slice from the store).
+fn export_two_generations(dir: &Path, contigs_a: &[PackedSeq], gen2: &[PackedSeq], io: &IoStats) {
+    for (contigs, kind) in [(contigs_a, GenKind::Full), (gen2, GenKind::Delta)] {
+        let (icfg, n) = (IndexConfig::default(), contigs.len() as u64);
+        qserve::generations::export(dir, contigs, &icfg, n, 60, kind, io).unwrap();
+    }
 }
 
 /// Ground truth for one generation: a full (unsharded) in-process
@@ -562,8 +537,7 @@ fn rolling_reload_swaps_the_whole_cluster_and_stays_bit_identical() {
 
     let work = stdx::tempdir().unwrap();
     let io = IoStats::default();
-    export_generation(work.path(), 1, &contigs_a, &io);
-    export_generation(work.path(), 2, &gen2, &io);
+    export_two_generations(work.path(), &contigs_a, &gen2, &io);
 
     let (mut servers, manifest) = start_gen_cluster(work.path(), 2, 2, |_, _| Faults::disabled());
     let rec = obs::Recorder::new();
@@ -611,8 +585,7 @@ fn failed_rollout_keeps_the_pin_and_the_old_generation_serving() {
 
     let work = stdx::tempdir().unwrap();
     let io = IoStats::default();
-    export_generation(work.path(), 1, &contigs_a, &io);
-    export_generation(work.path(), 2, &gen2, &io);
+    export_two_generations(work.path(), &contigs_a, &gen2, &io);
 
     // Shard 1's second replica refuses its reload once; every other
     // replica swaps cleanly — the worst mixed-generation window.

@@ -10,11 +10,11 @@ use lasagna_repro::faultsim::{self, FaultPlan, Faults};
 use lasagna_repro::obs;
 use lasagna_repro::prelude::*;
 use lasagna_repro::qnet::{
-    ClientConfig, QnetError, QueryClient, ReloadConfig, Server, ServerConfig, STATS_VERSION,
+    ClientConfig, QnetError, QueryClient, ReloadConfig, Server, ServerConfig,
 };
 use lasagna_repro::qserve::{
-    self, ContigStore, GenEntry, GenKind, GenManifest, Hit, IndexConfig, MinimizerIndex,
-    QueryConfig, QueryEngine, QueryService, ServiceConfig,
+    self, ContigStore, GenKind, Hit, IndexConfig, MinimizerIndex, QueryConfig, QueryEngine,
+    QueryService, ServiceConfig,
 };
 use std::path::Path;
 use std::time::Duration;
@@ -50,41 +50,6 @@ fn slice_queries(contigs: &[PackedSeq], count: usize, len: usize) -> Vec<PackedS
             }
         })
         .collect()
-}
-
-/// Export `contigs` as generation `id` into the work dir — store,
-/// index, and manifest entry — the exact layout `Reload` consumes.
-fn export_generation(dir: &Path, id: u64, contigs: &[PackedSeq], io: &IoStats) {
-    let store_name = qserve::gen_store_file(id);
-    let index_name = qserve::gen_index_file(id);
-    ContigStore::write(&dir.join(&store_name), contigs, io).unwrap();
-    let store = ContigStore::open(&dir.join(&store_name), io).unwrap();
-    let index = MinimizerIndex::build(&store, &IndexConfig::default());
-    index.write(&dir.join(&index_name), io).unwrap();
-    let mut manifest = if GenManifest::exists(dir) {
-        GenManifest::load(dir, io).unwrap()
-    } else {
-        GenManifest {
-            version: qserve::generations::GEN_MANIFEST_VERSION,
-            active: id,
-            generations: Vec::new(),
-        }
-    };
-    manifest.admit(GenEntry {
-        id,
-        store: store_name,
-        index: index_name,
-        store_checksum: store.checksum(),
-        reads: contigs.len() as u64,
-        read_len: 60,
-        kind: if id == 1 {
-            GenKind::Full
-        } else {
-            GenKind::Delta
-        },
-        parent: if id == 1 { None } else { Some(id - 1) },
-    });
-    manifest.store(dir, io).unwrap();
 }
 
 /// Ground truth for one generation: an independent in-process engine
@@ -126,8 +91,10 @@ fn two_generations(seed: u64) -> TwoGenerations {
 
     let work = stdx::tempdir().unwrap();
     let io = IoStats::default();
-    export_generation(work.path(), 1, &contigs_a, &io);
-    export_generation(work.path(), 2, &gen2, &io);
+    for (contigs, kind) in [(&contigs_a, GenKind::Full), (&gen2, GenKind::Delta)] {
+        let (icfg, n) = (IndexConfig::default(), contigs.len() as u64);
+        qserve::generations::export(work.path(), contigs, &icfg, n, 60, kind, &io).unwrap();
+    }
     TwoGenerations {
         work,
         queries,
@@ -220,7 +187,6 @@ fn hot_reload_swaps_generations_bit_identically_on_a_live_connection() {
 
     // The snapshot tells the same story.
     let snap = client.stats().unwrap();
-    assert_eq!(snap.version, STATS_VERSION);
     assert_eq!(snap.generation, 2);
     assert!(snap.reloads >= 1, "at least the real swap is counted");
     assert_eq!(snap.rollbacks, 0);
