@@ -15,10 +15,15 @@
 //! at the 32-byte transaction granularity real devices use, an 8× penalty
 //! per logical byte. Block-per-read performs `log2(l)` coalesced passes via
 //! shared memory. The `fingerprint` ablation bench shows the resulting gap.
+//!
+//! That log-step scan is the cost model's story. What the host executes is
+//! [`RabinKarp`]'s work-efficient equivalent, one Horner pass per strand,
+//! and `vgpu.wall_over_modeled` states how far the two are apart.
 
-use crate::scan::RabinKarp;
+use crate::scan::{RabinKarp, TILE};
 use crate::Fingerprint128;
-use vgpu::exec::{par_ranges, BLOCK_GRAIN};
+use std::ops::Range;
+use vgpu::exec::{par_parts, part_len, ELEMENT_GRAIN};
 use vgpu::{Device, KernelCost};
 
 /// Kernel organization for fingerprint generation.
@@ -30,15 +35,37 @@ pub enum FingerprintScheme {
     BlockPerRead,
 }
 
-/// Fingerprints of one batch: `prefix[r][i]` is the fingerprint of read
-/// `r`'s `(i+1)`-length prefix, `suffix[r][i]` of its suffix starting at
-/// `i`.
+/// Fingerprints of one batch, length-major: one row per length
+/// `1..=read_len` and side, one column per read in batch order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchOutput {
-    /// Per-read prefix fingerprints.
-    pub prefix: Vec<Vec<Fingerprint128>>,
-    /// Per-read suffix fingerprints.
-    pub suffix: Vec<Vec<Fingerprint128>>,
+    read_len: usize,
+    reads: usize,
+    /// The prefix rows, then the suffix rows. One allocation: the
+    /// allocator hands a freed block of this size straight back to the
+    /// next batch, where two halves would each be mapped afresh.
+    rows: Vec<Fingerprint128>,
+}
+
+impl BatchOutput {
+    /// Length of every read of the batch.
+    pub fn read_len(&self) -> usize {
+        self.read_len
+    }
+
+    /// The `len`-length prefix fingerprint of every read.
+    pub fn prefix_row(&self, len: usize) -> &[Fingerprint128] {
+        self.row(len - 1)
+    }
+
+    /// The `len`-length suffix fingerprint of every read.
+    pub fn suffix_row(&self, len: usize) -> &[Fingerprint128] {
+        self.row(self.read_len + len - 1)
+    }
+
+    fn row(&self, row: usize) -> &[Fingerprint128] {
+        &self.rows[row * self.reads..][..self.reads]
+    }
 }
 
 /// Uncoalesced global-memory transaction size on real devices.
@@ -78,6 +105,57 @@ pub fn batch_fingerprints(
     scheme: FingerprintScheme,
 ) -> BatchOutput {
     let read_len = batch.first().map_or(0, |r| r.len());
+    let mut out = BatchOutput {
+        read_len,
+        reads: batch.len(),
+        rows: vec![0; 2 * read_len * batch.len()],
+    };
+    let (prefix, suffix) = out.rows.split_at_mut(read_len * batch.len());
+    batch_fingerprints_into(
+        device,
+        rk,
+        batch,
+        scheme,
+        1..read_len + 1,
+        prefix,
+        suffix,
+        |fp, _| fp,
+    );
+    out
+}
+
+/// The fused map kernel: fingerprint a batch of same-length reads and keep
+/// the lengths in `lens`, length-major. `prefix` and `suffix` hold
+/// `lens.len()` rows of `batch.len()` tuples; row `k`, column `b` receives
+/// `make(fingerprint, b)` for read `b`'s prefix or suffix of length
+/// `lens.start + k`.
+///
+/// The device is charged exactly as [`batch_fingerprints`] charges it: the
+/// whole kernel, whatever the caller keeps.
+#[allow(clippy::too_many_arguments)]
+pub fn batch_fingerprints_into<T: Send>(
+    device: &Device,
+    rk: &RabinKarp,
+    batch: &[Vec<u8>],
+    scheme: FingerprintScheme,
+    lens: Range<usize>,
+    prefix: &mut [T],
+    suffix: &mut [T],
+    make: impl Fn(Fingerprint128, usize) -> T + Sync,
+) {
+    let read_len = batch.first().map_or(0, |r| r.len());
+    assert!(
+        batch.iter().all(|r| r.len() == read_len),
+        "reads of one batch share a length"
+    );
+    assert!(
+        lens.is_empty() || (lens.start >= 1 && lens.end <= read_len + 1),
+        "lengths {lens:?} outside 1..={read_len}"
+    );
+    assert!(
+        prefix.len() == lens.len() * batch.len() && suffix.len() == prefix.len(),
+        "one row of batch.len() tuples per kept length and side"
+    );
     device.charge_kernel(
         match scheme {
             FingerprintScheme::ThreadPerRead => "fingerprint_thread_per_read",
@@ -85,16 +163,43 @@ pub fn batch_fingerprints(
         },
         scheme_cost(scheme, batch.len(), read_len),
     );
-    // One block per read, mirroring grid-of-blocks execution; the scan
-    // inside is the simulated lock-step of the block.
-    let parts = par_ranges(batch.len(), BLOCK_GRAIN, |part| {
-        batch[part]
-            .iter()
-            .map(|codes| rk.all_fingerprints(codes))
-            .collect::<Vec<_>>()
-    });
-    let (prefix, suffix) = parts.into_iter().flatten().unzip();
-    BatchOutput { prefix, suffix }
+    if batch.is_empty() || lens.is_empty() {
+        return;
+    }
+    // Each part owns a range of columns (reads) in every row; whole tiles,
+    // so that a part boundary splits no tile. The grain counts bases: one
+    // costs about what a search or a copy per element does.
+    let step = part_len(batch.len() * read_len, ELEMENT_GRAIN)
+        .div_ceil(read_len)
+        .next_multiple_of(TILE);
+    let mut parts: Vec<_> = batch
+        .chunks(step)
+        .map(|reads| (reads, Vec::new(), Vec::new()))
+        .collect();
+    for (prefix_row, suffix_row) in prefix
+        .chunks_mut(batch.len())
+        .zip(suffix.chunks_mut(batch.len()))
+    {
+        let columns = prefix_row.chunks_mut(step).zip(suffix_row.chunks_mut(step));
+        for ((_, prefix_rows, suffix_rows), (p, s)) in parts.iter_mut().zip(columns) {
+            prefix_rows.push(p);
+            suffix_rows.push(s);
+        }
+    }
+    let first_cols = (0..).step_by(step);
+    par_parts(
+        parts.into_iter().zip(first_cols),
+        |((reads, mut prefix_rows, mut suffix_rows), first_col)| {
+            rk.scan_tile_rows(
+                reads,
+                first_col,
+                lens.clone(),
+                &mut prefix_rows,
+                &mut suffix_rows,
+                &make,
+            )
+        },
+    );
 }
 
 #[cfg(test)]
@@ -117,8 +222,8 @@ mod tests {
         let a = batch_fingerprints(&dev, &rk, &batch(), FingerprintScheme::ThreadPerRead);
         let b = batch_fingerprints(&dev, &rk, &batch(), FingerprintScheme::BlockPerRead);
         assert_eq!(a, b);
-        assert_eq!(a.prefix.len(), 3);
-        assert_eq!(a.prefix[0].len(), 8);
+        assert_eq!(a.read_len(), 8);
+        assert_eq!(a.prefix_row(8).len(), 3);
     }
 
     #[test]
@@ -127,10 +232,60 @@ mod tests {
         let rk = RabinKarp::new(8);
         let out = batch_fingerprints(&dev, &rk, &batch(), FingerprintScheme::BlockPerRead);
         for (i, codes) in batch().iter().enumerate() {
-            let (p, s) = rk.all_fingerprints(codes);
-            assert_eq!(out.prefix[i], p);
-            assert_eq!(out.suffix[i], s);
+            for len in 1..=8 {
+                assert_eq!(out.prefix_row(len)[i], rk.fingerprint(&codes[..len]));
+                assert_eq!(out.suffix_row(len)[i], rk.fingerprint(&codes[8 - len..]));
+            }
         }
+    }
+
+    #[test]
+    fn kept_lengths_land_in_their_rows_across_part_boundaries() {
+        // Enough bases that the batch is cut into parallel parts, and a
+        // read count that leaves the last tile short.
+        let mut rng = stdx::SplitMix64::new(3);
+        let reads: Vec<Vec<u8>> = (0..301)
+            .map(|_| (0..20).map(|_| (rng.next_u64() >> 62) as u8).collect())
+            .collect();
+        let dev = Device::new(GpuProfile::k40());
+        let rk = RabinKarp::new(20);
+        let lens = 12..20;
+        let mut prefix = vec![(0, 0); lens.len() * reads.len()];
+        let mut suffix = prefix.clone();
+        batch_fingerprints_into(
+            &dev,
+            &rk,
+            &reads,
+            FingerprintScheme::BlockPerRead,
+            lens.clone(),
+            &mut prefix,
+            &mut suffix,
+            |fp, col| (fp, col),
+        );
+        for (k, len) in lens.enumerate() {
+            for (b, codes) in reads.iter().enumerate() {
+                let at = k * reads.len() + b;
+                assert_eq!(prefix[at], (rk.fingerprint(&codes[..len]), b));
+                assert_eq!(suffix[at], (rk.fingerprint(&codes[20 - len..]), b));
+            }
+        }
+        // Keeping fewer lengths charges the same kernel.
+        let whole = Device::new(GpuProfile::k40());
+        batch_fingerprints(&whole, &rk, &reads, FingerprintScheme::BlockPerRead);
+        assert_eq!(dev.stats().kernel_seconds, whole.stats().kernel_seconds);
+    }
+
+    #[test]
+    #[should_panic(expected = "reads of one batch share a length")]
+    fn mixed_read_lengths_are_refused() {
+        let dev = Device::new(GpuProfile::k40());
+        let reads = vec![vec![0; 8], vec![0; 7]];
+        batch_fingerprints(
+            &dev,
+            &RabinKarp::new(8),
+            &reads,
+            FingerprintScheme::BlockPerRead,
+        );
     }
 
     #[test]
@@ -156,7 +311,7 @@ mod tests {
         let dev = Device::new(GpuProfile::k40());
         let rk = RabinKarp::new(8);
         let out = batch_fingerprints(&dev, &rk, &[], FingerprintScheme::BlockPerRead);
-        assert!(out.prefix.is_empty() && out.suffix.is_empty());
+        assert_eq!(out.read_len(), 0);
         assert_eq!(dev.stats().kernel_launches, 1);
     }
 }

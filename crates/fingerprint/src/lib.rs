@@ -9,6 +9,13 @@
 //! (Fig. 6): `S[i] = (F − P[i−1]·σ^(n−i)) mod q` where `F` is the full-read
 //! hash.
 //!
+//! That kernel is what the virtual device is *charged* for. The host
+//! *executes* its work-efficient equivalent — one Horner pass per read for
+//! the prefixes, the same Fig. 6 step for the suffixes, no wide division —
+//! and writes only the lengths the caller keeps, length-major, straight
+//! into the caller's rows ([`batch_fingerprints_into`]). The lock-step scan
+//! itself lives on in the tests, as the oracle for Fig. 5.
+//!
 //! Following Section IV-B, a fingerprint is **two independent 64-bit
 //! hashes** (different radixes and prime moduli) packed into a `u128` —
 //! wide enough that the paper observed zero false-positive edges, a claim
@@ -19,7 +26,7 @@ pub mod batch;
 pub mod params;
 pub mod scan;
 
-pub use batch::{batch_fingerprints, BatchOutput, FingerprintScheme};
+pub use batch::{batch_fingerprints, batch_fingerprints_into, BatchOutput, FingerprintScheme};
 pub use params::{HashParams, PlaceValues};
 pub use scan::RabinKarp;
 

@@ -124,8 +124,8 @@ impl ReadSet {
         }
     }
 
-    /// 2-bit codes of the `i`-th read, appended to `out` (allocation-free
-    /// inner loop for the map phase).
+    /// 2-bit codes of the `i`-th read, replacing what `out` held (its
+    /// capacity is kept: an allocation-free inner loop for the map phase).
     pub fn read_codes_into(&self, i: usize, out: &mut Vec<u8>) {
         let start = i * self.read_len;
         out.clear();

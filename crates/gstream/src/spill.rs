@@ -9,10 +9,11 @@
 use crate::iostats::IoStats;
 use crate::reader::RecordReader;
 use crate::record::KvPair;
-use crate::writer::RecordWriter;
+use crate::writer::{fsync_dir, RecordWriter};
 use crate::{Result, StreamError};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use vgpu::exec::{par_parts, part_len, ELEMENT_GRAIN};
 
 /// Which side of the overlap a partition holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -200,6 +201,8 @@ pub struct PartitionSet {
     l_min: u32,
     l_max: u32,
     ranges: u32,
+    /// The spill directory, fsynced once when the set is finished.
+    root: PathBuf,
     suffix: Vec<RecordWriter>,
     prefix: Vec<RecordWriter>,
 }
@@ -240,24 +243,65 @@ impl PartitionSet {
             l_min,
             l_max,
             ranges,
+            root: spill.root().to_path_buf(),
             suffix,
             prefix,
         })
     }
 
-    /// Append a fingerprint tuple for an overlap of length `len`; the
-    /// fingerprint range is derived from the key. Lengths outside
+    /// Append one batch of fingerprint tuples, length-major: `suffix` and
+    /// `prefix` each hold one row of `cols` tuples per overlap length,
+    /// starting at `first_len`, and every row goes to the end of its
+    /// partition in the order given. Rows of lengths outside
     /// `[l_min, l_max)` are silently discarded — the paper drops sub-l_min
-    /// partitions and the full-length (self-loop) partition.
-    pub fn write(&mut self, kind: PartitionKind, len: u32, pair: KvPair) -> Result<()> {
-        if len < self.l_min || len >= self.l_max {
+    /// partitions and the full-length (self-loop) partition. The
+    /// fingerprint range of a tuple is derived from its key.
+    ///
+    /// The lengths are shared out over the machine's cores, each encoding,
+    /// checksumming and writing its own partitions.
+    pub fn write_rows(
+        &mut self,
+        first_len: u32,
+        cols: usize,
+        suffix: &[KvPair],
+        prefix: &[KvPair],
+    ) -> Result<()> {
+        if cols == 0 || suffix.len() != prefix.len() || !suffix.len().is_multiple_of(cols) {
+            return Err(StreamError::BadConfig(format!(
+                "{} suffix and {} prefix tuples are not the same number of {cols}-tuple rows",
+                suffix.len(),
+                prefix.len()
+            )));
+        }
+        // Clip the rows offered to the lengths kept.
+        let rows = u32::try_from(suffix.len() / cols).unwrap_or(u32::MAX);
+        let kept = first_len.max(self.l_min)..first_len.saturating_add(rows).min(self.l_max);
+        if kept.is_empty() {
             return Ok(());
         }
-        let idx = ((len - self.l_min) * self.ranges + range_of(pair.key, self.ranges)) as usize;
-        match kind {
-            PartitionKind::Suffix => self.suffix[idx].write(pair),
-            PartitionKind::Prefix => self.prefix[idx].write(pair),
-        }
+        let ranges = self.ranges as usize;
+        let skipped = (kept.start - first_len) as usize * cols;
+        let suffix = &suffix[skipped..][..kept.len() * cols];
+        let prefix = &prefix[skipped..][..kept.len() * cols];
+        let first_writer = (kept.start - self.l_min) as usize * ranges;
+        let suffix_writers = &mut self.suffix[first_writer..][..kept.len() * ranges];
+        let prefix_writers = &mut self.prefix[first_writer..][..kept.len() * ranges];
+
+        // A part is a run of lengths, both kinds of each, so that there are
+        // as many parts as threads and all the same size.
+        let lens = part_len(2 * suffix.len(), ELEMENT_GRAIN).div_ceil(2 * cols);
+        let of_suffix = (suffix_writers.chunks_mut(lens * ranges)).zip(suffix.chunks(lens * cols));
+        let of_prefix = (prefix_writers.chunks_mut(lens * ranges)).zip(prefix.chunks(lens * cols));
+        par_parts(of_suffix.zip(of_prefix), |(of_suffix, of_prefix)| {
+            for (writers, rows) in [of_suffix, of_prefix] {
+                for (of_len, row) in writers.chunks_mut(ranges).zip(rows.chunks(cols)) {
+                    append_row(of_len, row)?;
+                }
+            }
+            Ok(())
+        })
+        .into_iter()
+        .collect()
     }
 
     /// Like [`PartitionSet::finish`], but also emits per-length spill
@@ -277,18 +321,33 @@ impl PartitionSet {
         Ok(counts)
     }
 
-    /// Flush all partitions; returns per-length record counts
-    /// (suffix count, prefix count) summed over ranges.
+    /// Commit all partitions; returns per-length record counts
+    /// (suffix count, prefix count) summed over ranges. Every file is
+    /// `sync_all`ed and renamed on its own; the directory that holds the
+    /// new names is fsynced once, after the last rename and before the
+    /// counts are returned.
     pub fn finish(self) -> Result<BTreeMap<u32, (u64, u64)>> {
         let mut counts: BTreeMap<u32, (u64, u64)> = BTreeMap::new();
         for (i, (s, p)) in self.suffix.into_iter().zip(self.prefix).enumerate() {
             let len = self.l_min + i as u32 / self.ranges;
             let entry = counts.entry(len).or_insert((0, 0));
-            entry.0 += s.finish()?;
-            entry.1 += p.finish()?;
+            entry.0 += s.finish_file()?;
+            entry.1 += p.finish_file()?;
         }
+        fsync_dir(&self.root)?;
         Ok(counts)
     }
+}
+
+/// Append `row` to the partitions of one length and kind, `writers[r]`
+/// taking fingerprint range `r`: one `write_all` per run of tuples that
+/// share a range, so a single-range partition takes the row whole.
+fn append_row(writers: &mut [RecordWriter], row: &[KvPair]) -> Result<()> {
+    let ranges = writers.len() as u32;
+    for run in row.chunk_by(|a, b| range_of(a.key, ranges) == range_of(b.key, ranges)) {
+        writers[range_of(run[0].key, ranges) as usize].write_all(run)?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -311,28 +370,100 @@ mod tests {
         assert_ne!(a, c);
     }
 
+    /// `rows` rows of `cols` tuples starting at `first_len`; tuple `c` of
+    /// the row for length `len` has key `base + 10 · len + c` and value `c`.
+    fn rows(first_len: u32, rows: u32, cols: u32, base: u128) -> Vec<KvPair> {
+        (first_len..first_len + rows)
+            .flat_map(|len| {
+                (0..cols).map(move |c| KvPair::new(base + 10 * len as u128 + c as u128, c))
+            })
+            .collect()
+    }
+
     #[test]
     fn partition_set_routes_by_length_and_kind() {
         let (_g, s) = spill();
         let mut set = PartitionSet::create(&s, 3, 6).unwrap();
-        set.write(PartitionKind::Suffix, 3, KvPair::new(30, 0))
+        // Lengths 2..=6 are offered; 2 and 6 fall outside [3, 6) and are
+        // dropped, matching the paper's rules.
+        set.write_rows(2, 2, &rows(2, 5, 2, 100), &rows(2, 5, 2, 200))
             .unwrap();
-        set.write(PartitionKind::Prefix, 3, KvPair::new(31, 1))
+        // A second batch lands behind the first in every partition.
+        set.write_rows(4, 1, &rows(4, 1, 1, 300), &rows(4, 1, 1, 400))
             .unwrap();
-        set.write(PartitionKind::Suffix, 5, KvPair::new(50, 2))
+        // Nothing of a batch wholly outside the range is kept.
+        set.write_rows(6, 1, &rows(6, 2, 1, 500), &rows(6, 2, 1, 600))
             .unwrap();
-        // Out-of-range lengths are dropped, matching the paper's rules.
-        set.write(PartitionKind::Suffix, 2, KvPair::new(2, 3))
-            .unwrap();
-        set.write(PartitionKind::Suffix, 6, KvPair::new(6, 4))
+        set.write_rows(1, 1, &rows(1, 2, 1, 500), &rows(1, 2, 1, 600))
             .unwrap();
         let counts = set.finish().unwrap();
-        assert_eq!(counts[&3], (1, 1));
-        assert_eq!(counts[&4], (0, 0));
-        assert_eq!(counts[&5], (1, 0));
+        assert_eq!(counts[&3], (2, 2));
+        assert_eq!(counts[&4], (3, 3));
+        assert_eq!(counts[&5], (2, 2));
+        assert_eq!(counts.len(), 3);
 
-        let mut r = s.reader(PartitionKind::Suffix, 5).unwrap();
-        assert_eq!(r.read_all().unwrap(), vec![KvPair::new(50, 2)]);
+        let read = |kind, len| s.reader(kind, len).unwrap().read_all().unwrap();
+        assert_eq!(
+            read(PartitionKind::Suffix, 4),
+            vec![
+                KvPair::new(140, 0),
+                KvPair::new(141, 1),
+                KvPair::new(340, 0)
+            ]
+        );
+        assert_eq!(
+            read(PartitionKind::Prefix, 5),
+            vec![KvPair::new(250, 0), KvPair::new(251, 1)]
+        );
+        assert_eq!(s.lengths(PartitionKind::Suffix).unwrap(), vec![3, 4, 5]);
+    }
+
+    #[test]
+    fn ragged_rows_are_rejected() {
+        let (_g, s) = spill();
+        let mut set = PartitionSet::create(&s, 3, 6).unwrap();
+        let five = rows(3, 5, 1, 0);
+        for (cols, sfx, pfx) in [
+            (2, &five[..], &five[..]),
+            (1, &five[..], &five[..4]),
+            (0, &[][..], &[][..]),
+        ] {
+            let err = set.write_rows(3, cols, sfx, pfx).unwrap_err();
+            assert!(matches!(err, StreamError::BadConfig(_)), "got {err}");
+        }
+    }
+
+    #[test]
+    fn rows_written_in_parallel_parts_keep_their_order() {
+        // Enough tuples that the lengths are shared out over the helpers.
+        let (_g, s) = spill();
+        let (l_min, l_max, cols) = (10u32, 30u32, 1000u32);
+        let mut set = PartitionSet::create_split(&s, l_min, l_max, 3).unwrap();
+        let spread = |pairs: Vec<KvPair>| -> Vec<KvPair> {
+            // Keys across the whole space so every range gets its share.
+            pairs
+                .into_iter()
+                .map(|p| KvPair::new(p.key.wrapping_mul(0x9E37_79B9_7F4A_7C15 << 64 | 1), p.val))
+                .collect()
+        };
+        let sfx = spread(rows(l_min, l_max - l_min, cols, 7));
+        let pfx = spread(rows(l_min, l_max - l_min, cols, 11));
+        set.write_rows(l_min, cols as usize, &sfx, &pfx).unwrap();
+        set.finish().unwrap();
+        for (kind, all) in [(PartitionKind::Suffix, &sfx), (PartitionKind::Prefix, &pfx)] {
+            for (len, row) in (l_min..l_max).zip(all.chunks(cols as usize)) {
+                for r in 0..3 {
+                    let got = s.reader_range(kind, len, r, 3).unwrap().read_all().unwrap();
+                    let expect: Vec<KvPair> = row
+                        .iter()
+                        .copied()
+                        .filter(|p| range_of(p.key, 3) == r)
+                        .collect();
+                    assert!(!expect.is_empty());
+                    assert_eq!(got, expect, "{kind:?} {len} range {r}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -341,21 +472,19 @@ mod tests {
         let rec = obs::Recorder::new();
         let span = rec.span("map");
         let mut set = PartitionSet::create(&s, 3, 5).unwrap();
-        set.write(PartitionKind::Suffix, 3, KvPair::new(30, 0))
+        set.write_rows(3, 2, &rows(3, 2, 2, 30), &rows(3, 2, 2, 40))
             .unwrap();
-        set.write(PartitionKind::Suffix, 3, KvPair::new(33, 1))
-            .unwrap();
-        set.write(PartitionKind::Prefix, 4, KvPair::new(40, 2))
+        set.write_rows(4, 1, &rows(4, 1, 1, 50), &rows(4, 1, 1, 60))
             .unwrap();
         let counts = set.finish_traced(&rec).unwrap();
         drop(span);
-        assert_eq!(counts[&3], (2, 0));
+        assert_eq!(counts[&3], (2, 2));
         let rollup = obs::Rollup::from_events(&rec.events());
         let node = rollup.root_named("map").unwrap();
         let agg = rollup.subtree(node.id);
         assert_eq!(agg.counter("spill.tuples.sfx_00003"), 2);
-        assert_eq!(agg.counter("spill.tuples.pfx_00004"), 1);
-        assert_eq!(agg.counter("spill.bytes"), 3 * KvPair::BYTES as u64);
+        assert_eq!(agg.counter("spill.tuples.pfx_00004"), 3);
+        assert_eq!(agg.counter("spill.bytes"), 10 * KvPair::BYTES as u64);
     }
 
     #[test]
@@ -413,12 +542,17 @@ mod tests {
     fn split_partitions_route_by_key_range() {
         let (_g, s) = spill();
         let mut set = PartitionSet::create_split(&s, 4, 6, 2).unwrap();
-        let low = KvPair::new(1, 10);
-        let high = KvPair::new(u128::MAX - 1, 20);
-        set.write(PartitionKind::Suffix, 4, low).unwrap();
-        set.write(PartitionKind::Suffix, 4, high).unwrap();
+        let low = [KvPair::new(1, 10), KvPair::new(2, 30)];
+        let high = [
+            KvPair::new(u128::MAX - 1, 20),
+            KvPair::new(u128::MAX - 2, 40),
+        ];
+        // One row whose tuples alternate between the two ranges.
+        let row = [low[0], high[0], low[1], high[1]];
+        set.write_rows(4, 4, &row, &[KvPair::new(5, 0); 4]).unwrap();
         let counts = set.finish().unwrap();
-        assert_eq!(counts[&4], (2, 0));
+        assert_eq!(counts[&4], (4, 4));
+        assert_eq!(counts[&5], (0, 0));
         let r0 = s
             .reader_range(PartitionKind::Suffix, 4, 0, 2)
             .unwrap()
@@ -429,8 +563,8 @@ mod tests {
             .unwrap()
             .read_all()
             .unwrap();
-        assert_eq!(r0, vec![low]);
-        assert_eq!(r1, vec![high]);
+        assert_eq!(r0, low);
+        assert_eq!(r1, high);
     }
 
     #[test]

@@ -166,7 +166,7 @@ impl RecordWriter {
     /// [`RecordWriter::finish`], returning the full footer (record count +
     /// checksum) for manifest bookkeeping.
     pub fn finish_summary(self) -> Result<Footer> {
-        self.finish_with(true)
+        self.finish_with(Commit::Durable)
     }
 
     /// Commit without the fsyncs: footer and atomic rename only, so a
@@ -175,11 +175,18 @@ impl RecordWriter {
     /// writing process reads back itself and that no manifest names — after
     /// a crash such a file is rewritten from durable input, never trusted.
     pub fn finish_scratch(self) -> Result<u64> {
-        self.finish_with(false).map(|f| f.records)
+        self.finish_with(Commit::Scratch).map(|f| f.records)
     }
 
-    fn finish_with(mut self, durable: bool) -> Result<Footer> {
-        let result = self.commit(durable);
+    /// [`RecordWriter::finish`] minus the directory fsync, for a caller
+    /// that commits many files into one directory and fsyncs it once after
+    /// the last rename, before it reports any of them as written.
+    pub(crate) fn finish_file(self) -> Result<u64> {
+        self.finish_with(Commit::FileOnly).map(|f| f.records)
+    }
+
+    fn finish_with(mut self, how: Commit) -> Result<Footer> {
+        let result = self.commit(how);
         if result.is_err() {
             // Failed commits must not leave a torn temp file either.
             self.file = None;
@@ -188,7 +195,7 @@ impl RecordWriter {
         result
     }
 
-    fn commit(&mut self, durable: bool) -> Result<Footer> {
+    fn commit(&mut self, how: Commit) -> Result<Footer> {
         self.flush_block()?;
         // The `gstream.write` failpoint models a crash at the commit point:
         // data written, file not yet durable under its final name.
@@ -211,16 +218,27 @@ impl RecordWriter {
         };
         let mut file = self.file.take().expect("writer already finished");
         file.write_all(&footer.encode())?;
-        if durable {
+        if how != Commit::Scratch {
             file.sync_all()?;
         }
         drop(file);
         std::fs::rename(&self.tmp, &self.dest)?;
-        if durable {
+        if how == Commit::Durable {
             fsync_parent_dir(&self.dest)?;
         }
         Ok(footer)
     }
+}
+
+/// How much of the commit a writer makes durable itself.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Commit {
+    /// `sync_all` the file, rename, fsync the directory.
+    Durable,
+    /// `sync_all` the file and rename; the caller fsyncs the directory.
+    FileOnly,
+    /// Rename only.
+    Scratch,
 }
 
 impl Drop for RecordWriter {

@@ -2,17 +2,18 @@
 //! III-A).
 //!
 //! Batches of reads are staged on the device; each read *and its reverse
-//! complement* (vertices `2i` / `2i+1`) is fingerprinted — all prefixes via
-//! the Hillis-Steele scan, all suffixes derived from them — and the
-//! `(fingerprint, vertex)` tuples are routed into per-length partition
-//! files. Lengths below `l_min` and the full read length are dropped (the
-//! latter would create self-loops).
+//! complement* (vertices `2i` / `2i+1`) is fingerprinted — all prefixes in
+//! one pass, all suffixes derived from them — and the `(fingerprint,
+//! vertex)` tuples of the kept lengths come back length-major, one row per
+//! partition, and are appended to the per-length partition files a row at
+//! a time. Lengths below `l_min` and the full read length are dropped (the
+//! latter would create self-loops) before they are ever stored.
 
 use crate::config::AssemblyConfig;
 use crate::Result;
-use fingerprint::{batch_fingerprints, truncate_bits, RabinKarp};
+use fingerprint::{batch_fingerprints_into, truncate_bits, RabinKarp};
 use genome::ReadSet;
-use gstream::spill::{PartitionKind, PartitionSet, SpillDir};
+use gstream::spill::{PartitionSet, SpillDir};
 use gstream::{HostMem, KvPair};
 use std::collections::BTreeMap;
 use vgpu::Device;
@@ -110,8 +111,12 @@ pub fn run_range_traced(
     let device_cap = (device.capacity() as usize * 9 / 10 / per_read_device_bytes).max(1);
     let host_cap = (host.capacity() as usize / (n * 2) / 2).max(1);
     let batch_reads = config.map_batch_reads.min(host_cap).min(device_cap);
-    let mut codes_buf: Vec<u8> = Vec::new();
-    let mut batch: Vec<Vec<u8>> = Vec::with_capacity(batch_reads * 2);
+    // Staged codes and kept tuples of one batch, reused by the next: two
+    // strands per read, and per side one row of tuples per kept length.
+    let mut batch: Vec<Vec<u8>> = vec![Vec::new(); batch_reads.min(end - start) * 2];
+    let kept = config.l_min as usize..config.l_max as usize;
+    let mut suffix = vec![KvPair::default(); batch.len() * kept.len()];
+    let mut prefix = suffix.clone();
 
     let mut batches = 0u64;
     let mut read_idx = start;
@@ -123,35 +128,45 @@ pub fn run_range_traced(
         let _host_guard = host.reserve(((batch_end - read_idx) * n * 2) as u64)?;
         let _device_staging = device.alloc::<u8>((batch_end - read_idx) * per_read_device_bytes)?;
 
-        batch.clear();
-        for i in read_idx..batch_end {
-            reads.read_codes_into(i, &mut codes_buf);
-            batch.push(codes_buf.clone()); // vertex 2i (forward)
-            let rc: Vec<u8> = codes_buf.iter().rev().map(|&c| c ^ 3).collect();
-            batch.push(rc); // vertex 2i + 1 (reverse complement)
+        let batch = &mut batch[..(batch_end - read_idx) * 2];
+        let (strand_pairs, _) = batch.as_chunks_mut::<2>();
+        for (i, [forward, reverse]) in (read_idx..batch_end).zip(strand_pairs) {
+            reads.read_codes_into(i, forward); // vertex 2i
+            reverse.clear(); // vertex 2i + 1, the reverse complement
+            reverse.extend(forward.iter().rev().map(|&c| c ^ 3));
         }
 
         // The reads travel to the device 2-bit packed; the kept tuples come
         // back as (16 B fingerprint + 4 B vertex) per partition entry.
-        let kept_lengths = (config.l_max - config.l_min) as u64;
         device.charge_transfer(
             (batch.len() * n) as u64 / 4,
-            batch.len() as u64 * kept_lengths * 2 * KvPair::BYTES as u64,
+            (batch.len() * kept.len() * 2 * KvPair::BYTES) as u64,
         );
 
-        let out = batch_fingerprints(device, &rk, &batch, config.fingerprint_scheme);
-
-        for (b, (prefix, suffix)) in out.prefix.iter().zip(out.suffix.iter()).enumerate() {
-            let vertex = ((read_idx + b / 2) * 2 + (b & 1)) as u32;
-            for l in config.l_min..config.l_max {
-                // Suffix of length l starts at position n − l; prefix of
-                // length l ends at position l − 1.
-                let sfx = truncate_bits(suffix[n - l as usize], config.fingerprint_bits);
-                let pfx = truncate_bits(prefix[l as usize - 1], config.fingerprint_bits);
-                partitions.write(PartitionKind::Suffix, l, KvPair::new(sfx, vertex))?;
-                partitions.write(PartitionKind::Prefix, l, KvPair::new(pfx, vertex))?;
-            }
-        }
+        // Strand `b` of the batch is vertex `2 · read_idx + b`.
+        let first_vertex = read_idx * 2;
+        let tuples = batch.len() * kept.len();
+        batch_fingerprints_into(
+            device,
+            &rk,
+            batch,
+            config.fingerprint_scheme,
+            kept.clone(),
+            &mut prefix[..tuples],
+            &mut suffix[..tuples],
+            |fp, b| {
+                KvPair::new(
+                    truncate_bits(fp, config.fingerprint_bits),
+                    (first_vertex + b) as u32,
+                )
+            },
+        );
+        partitions.write_rows(
+            config.l_min,
+            batch.len(),
+            &suffix[..tuples],
+            &prefix[..tuples],
+        )?;
         read_idx = batch_end;
     }
 
@@ -165,6 +180,7 @@ pub fn run_range_traced(
 mod tests {
     use super::*;
     use genome::{GenomeSim, ShotgunSim};
+    use gstream::spill::{range_of, PartitionKind};
     use gstream::IoStats;
     use vgpu::GpuProfile;
 
@@ -283,6 +299,118 @@ mod tests {
             .read_all()
             .unwrap();
         assert!(sfx.iter().all(|p| p.key < (1 << 16)));
+    }
+
+    /// What a partition must hold, from nothing but the definition: one
+    /// tuple per vertex in vertex order, the straight Horner fingerprint of
+    /// that strand's `len`-suffix or `len`-prefix, truncated.
+    fn reference(
+        reads: &ReadSet,
+        vertices: std::ops::Range<usize>,
+        len: usize,
+        bits: u32,
+    ) -> [Vec<KvPair>; 2] {
+        let rk = RabinKarp::new(reads.read_len());
+        let tuple = |v: usize, codes: &[u8]| {
+            KvPair::new(truncate_bits(rk.fingerprint(codes), bits), v as u32)
+        };
+        let strands = vertices.map(|v| (v, reads.vertex_seq(v as u32).to_codes()));
+        strands
+            .map(|(v, codes)| {
+                (
+                    tuple(v, &codes[codes.len() - len..]),
+                    tuple(v, &codes[..len]),
+                )
+            })
+            .unzip()
+            .into()
+    }
+
+    #[test]
+    fn every_partition_equals_the_per_vertex_reference_for_any_batching() {
+        let genome = GenomeSim::uniform(600, 11).generate();
+        let reads = ShotgunSim::error_free(24, 12.0, 12).sample(&genome);
+        // Enough tuples per batch that the whole-set batch is fingerprinted
+        // and written in parallel parts.
+        assert!(reads.len() * 2 * 9 * 2 > vgpu::exec::ELEMENT_GRAIN);
+        for range_split in [1, 3] {
+            for fingerprint_bits in [128, 40] {
+                for map_batch_reads in [1, 7, 4096] {
+                    let (_g, device, host, spill) = setup();
+                    let mut config = AssemblyConfig::for_dataset(15, 24);
+                    config.range_split = range_split;
+                    config.fingerprint_bits = fingerprint_bits;
+                    config.map_batch_reads = map_batch_reads;
+                    run(&device, &host, &spill, &config, &reads).unwrap();
+                    assert_partitions_match(&spill, &config, &reads, 0..reads.len());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_block_of_reads_keeps_global_vertex_ids() {
+        // Two blocks, each into its own directory as two cluster nodes
+        // would map them.
+        let genome = GenomeSim::uniform(300, 13).generate();
+        let reads = ShotgunSim::error_free(24, 5.0, 14).sample(&genome);
+        let cut = reads.len() / 3;
+        let mut config = AssemblyConfig::for_dataset(15, 24);
+        config.map_batch_reads = 7;
+        for block in [0..cut, cut..reads.len()] {
+            let (_g, device, host, spill) = setup();
+            let counts = run_range(
+                &device,
+                &host,
+                &spill,
+                &config,
+                &reads,
+                block.start,
+                block.end,
+            )
+            .unwrap();
+            assert!(counts
+                .values()
+                .all(|&c| c == (2 * block.len() as u64, 2 * block.len() as u64)));
+            assert_partitions_match(&spill, &config, &reads, block);
+        }
+    }
+
+    /// Every partition file of `spill`, ranges concatenated in tuple
+    /// order, against [`reference`] for the reads of `block`.
+    fn assert_partitions_match(
+        spill: &SpillDir,
+        config: &AssemblyConfig,
+        reads: &ReadSet,
+        block: std::ops::Range<usize>,
+    ) {
+        let ranges = config.range_split;
+        for len in config.l_min..config.l_max {
+            let expect = reference(
+                reads,
+                2 * block.start..2 * block.end,
+                len as usize,
+                config.fingerprint_bits,
+            );
+            for (kind, expect) in [PartitionKind::Suffix, PartitionKind::Prefix]
+                .into_iter()
+                .zip(expect)
+            {
+                for r in 0..ranges {
+                    let got = spill
+                        .reader_range(kind, len, r, ranges)
+                        .unwrap()
+                        .read_all()
+                        .unwrap();
+                    let of_range: Vec<KvPair> = expect
+                        .iter()
+                        .copied()
+                        .filter(|p| range_of(p.key, ranges) == r)
+                        .collect();
+                    assert_eq!(got, of_range, "{kind:?} {len} range {r} of {ranges}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -4,9 +4,11 @@
 //! of blocks equals the number of reads in the batch, and the number of
 //! threads per block equals the read-length" (Section III-A). This module
 //! gives custom kernels the same shape: [`launch`] runs one closure per
-//! block, blocks execute in parallel, and the closure iterates its
-//! simulated threads with explicit barrier steps — the natural encoding of
-//! a Hillis-Steele scan.
+//! block, blocks execute in parallel, and the closure does the block's
+//! work however the host does it best. The lock-step of a block's threads
+//! is the cost model's story — it is what a launch is *charged* for — not
+//! something the executor simulates: the fingerprint kernel is charged as
+//! a log-step scan and executed as one sequential pass per read.
 //!
 //! Parallel execution is [`par_parts`]: a call is cut into at most
 //! [`threads`] contiguous parts ([`part_len`] sizes them), the caller runs

@@ -83,11 +83,19 @@ impl Device {
         let mut dst_v = scratch_v.as_mut_slice();
         let mut flipped = false;
 
-        for pass in 0..K::BYTES {
-            // Counting pass.
-            let mut counts = [0usize; 256];
-            for k in src_k.iter() {
+        // One sweep builds the digit histogram of every pass: a histogram
+        // counts a multiset, which no earlier scatter changes.
+        let mut counts = vec![[0usize; 256]; K::BYTES];
+        for k in src_k.iter() {
+            for (pass, counts) in counts.iter_mut().enumerate() {
                 counts[k.byte(pass) as usize] += 1;
+            }
+        }
+
+        for (pass, counts) in counts.iter().enumerate() {
+            // A digit every key shares leaves the order as it is.
+            if counts.contains(&n) {
+                continue;
             }
             // Exclusive prefix sum over digit counts.
             let mut offsets = [0usize; 256];
@@ -158,6 +166,37 @@ mod tests {
         let (k, v) = sort_on_device(&keys, &vals);
         assert_eq!(k, vec![3, 3, 7, 7, 7]);
         assert_eq!(v, vec![3, 4, 0, 1, 2]);
+    }
+
+    #[test]
+    fn digits_every_key_shares_are_skipped_without_losing_order() {
+        // Truncated 40-bit fingerprints: eleven constant high bytes. Few
+        // distinct keys, so equal ones must keep their input order
+        // whatever passes are skipped.
+        let mut rng = stdx::SplitMix64::new(40);
+        let keys: Vec<u128> = (0..2_000)
+            .map(|_| (rng.next_u64() % 97) as u128 * 0x01_0101_0101)
+            .collect();
+        let vals: Vec<u32> = (0..2_000).collect();
+        let (got_k, got_v) = sort_on_device(&keys, &vals);
+        let mut expect: Vec<(u128, u32)> = keys.iter().copied().zip(vals).collect();
+        expect.sort_by_key(|p| p.0);
+        assert_eq!(got_k, expect.iter().map(|p| p.0).collect::<Vec<_>>());
+        assert_eq!(got_v, expect.iter().map(|p| p.1).collect::<Vec<_>>());
+
+        // All keys equal: every pass is skipped and nothing moves.
+        let (k, v) = sort_on_device(&[9u64; 5], &[4, 3, 2, 1, 0]);
+        assert_eq!((k, v), (vec![9; 5], vec![4, 3, 2, 1, 0]));
+
+        // The charge is for all sixteen passes all the same.
+        let dev = device();
+        let mut k = dev.h2d(&keys).unwrap();
+        let mut v = dev.h2d(&[0u32; 2_000]).unwrap();
+        dev.sort_pairs(&mut k, &mut v).unwrap();
+        assert_eq!(
+            dev.stats().per_kernel["radix_sort_pairs"].flops,
+            16 * 2_000 * 2
+        );
     }
 
     #[test]

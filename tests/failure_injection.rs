@@ -163,6 +163,58 @@ fn crash_at_every_failpoint_then_resume_reproduces_identical_contigs() {
 }
 
 #[test]
+fn crash_on_first_middle_and_last_map_commit_leaves_nothing_a_rerun_trusts() {
+    // Map commits its 2 x 20 partition files one by one and fsyncs their
+    // directory once, after the last rename: a crash on the last commit
+    // dies with 39 files renamed and none of them durable by name.
+    let r = reads(20);
+    let baseline_dir = stdx::tempdir().unwrap();
+    let baseline = laptop_on(baseline_dir.path()).assemble(&r).unwrap();
+    let map_commits = 40;
+    for nth in [1, map_commits / 2, map_commits] {
+        let dir = stdx::tempdir().unwrap();
+        let plan = FaultPlan::new().fail_at(faultsim::SPILL_WRITE, nth);
+        let err = laptop_on(dir.path())
+            .with_faults(Faults::from_plan(&plan))
+            .assemble_resumable(&r)
+            .unwrap_err();
+        assert!(faultsim::is_injected(&err.to_string()), "{nth}: {err}");
+
+        // The files committed before the crash are there (suffix before
+        // prefix, ascending length), no temp file is, and the manifest
+        // vouches for none of them: map is not done, no partition recorded.
+        let kv = |kind| {
+            SpillDir::open(dir.path(), IoStats::default())
+                .unwrap()
+                .lengths(kind)
+        };
+        let committed =
+            kv(PartitionKind::Suffix).unwrap().len() + kv(PartitionKind::Prefix).unwrap().len();
+        assert_eq!(committed as u64, nth - 1, "{nth}");
+        let names = std::fs::read_dir(dir.path()).unwrap();
+        assert!(names.into_iter().all(|e| !e
+            .unwrap()
+            .file_name()
+            .to_string_lossy()
+            .ends_with(".tmp")));
+        let manifest = Manifest::load(dir.path()).unwrap().unwrap();
+        assert!(!manifest.is_done("map"), "{nth}");
+        assert!(
+            manifest.files.keys().all(|name| !name.ends_with(".kv")),
+            "{nth}"
+        );
+
+        let resumed = laptop_on(dir.path()).resume(&r).unwrap();
+        assert_eq!(resumed.contigs, baseline.contigs, "{nth}");
+        assert_eq!(
+            resumed.graph.edge_count(),
+            baseline.graph.edge_count(),
+            "{nth}"
+        );
+    }
+}
+
+#[test]
 fn crash_on_scratch_and_final_sort_commits_then_resume_reproduces_identical_contigs() {
     // Four runs and three disk passes per partition, so the sort commits
     // un-fsynced scratch (runs, first-generation merges) as well as the
