@@ -1763,10 +1763,12 @@ fn sort_items(
                 .sort_file(&spill, &input, &sorted)
                 .map_err(|e| e.to_string())?;
             std::fs::rename(&sorted, &input).map_err(|e| e.to_string())?;
-            // The rename is only crash-durable once the directory entry
-            // is; a resume must never see the manifest claim without it.
-            gstream::fsync_parent_dir(&input).map_err(|e| e.to_string())?;
         }
+        // The renames are only crash-durable once the directory entries
+        // are: the store below fsyncs this directory, after them and after
+        // its own rename, as `Pipeline`'s sort phase does. A resume that
+        // finds a sorted claim without the file it claims (a footer that
+        // does not match) fails loudly.
         let mut m = lock(manifest);
         for kind in [PartitionKind::Suffix, PartitionKind::Prefix] {
             m.mark_sorted(&part_tag(kind, it.len, it.range, ranges));

@@ -19,9 +19,9 @@
 
 use crate::hostmem::HostMem;
 use crate::iostats::IoSnapshot;
-use crate::merge::{device_merge, windowed_merge, SliceSource, VecSink};
+use crate::merge::{device_merge, kway_merge, windowed_merge, FileSource, PairSource};
 use crate::reader::RecordReader;
-use crate::record::{split_pairs, zip_pairs, KvPair};
+use crate::record::{Columns, KvPair, Pairs};
 use crate::spill::SpillDir;
 use crate::writer::RecordWriter;
 use crate::{Result, StreamError};
@@ -117,7 +117,10 @@ enum Target<'a> {
     /// A file a later pass of the same call reads and deletes, and that no
     /// manifest names: committed without fsync.
     Scratch(PathBuf),
-    /// The caller's sorted output: committed durably.
+    /// The caller's sorted output: its bytes are on disk (`sync_all`)
+    /// before the rename gives it its name. The name itself is not made
+    /// durable here: the caller renames the file once more, over its
+    /// input, and fsyncs that directory before any manifest names it.
     Output(&'a Path),
 }
 
@@ -132,7 +135,7 @@ impl Target<'_> {
     fn commit(&self, writer: RecordWriter) -> Result<()> {
         match self {
             Target::Scratch(_) => writer.finish_scratch(),
-            Target::Output(_) => writer.finish(),
+            Target::Output(_) => writer.finish_file(),
         }
         .map(|_| ())
     }
@@ -185,23 +188,26 @@ impl ExternalSorter {
         rec.metric("sort.device_seconds", report.device_seconds);
     }
 
-    /// Sort one host block in memory by streaming `m_d`-sized chunks
-    /// through the device (radix sort per chunk, then iterative pairwise
-    /// Algorithm-1 merging of the sorted chunks).
-    pub fn sort_block(&self, mut pairs: Vec<KvPair>) -> Result<Vec<KvPair>> {
+    /// Sort the next `block_pairs` pairs of `reader` in memory by streaming
+    /// `m_d`-sized chunks through the device (radix sort per chunk, then
+    /// iterative pairwise Algorithm-1 merging of the sorted chunks). Each
+    /// chunk is decoded into the vectors that are moved to the device,
+    /// sorted there and moved back as a run.
+    fn sort_block(&self, reader: &mut RecordReader, block_pairs: usize) -> Result<Columns> {
         let m_d = self.config.device_block_pairs;
-        // Device-sort each chunk in place.
-        let mut runs: Vec<Vec<KvPair>> = Vec::with_capacity(pairs.len() / m_d + 1);
-        while !pairs.is_empty() {
-            let rest = pairs.split_off(pairs.len().min(m_d));
-            let chunk = std::mem::replace(&mut pairs, rest);
-            let (keys, vals) = split_pairs(&chunk);
-            drop(chunk);
-            let mut dk = self.device.h2d(&keys)?;
-            let mut dv = self.device.h2d(&vals)?;
-            drop((keys, vals));
+        let mut left = reader.remaining().min(block_pairs as u64) as usize;
+        let mut runs: Vec<Columns> = Vec::with_capacity(left / m_d + 1);
+        while left > 0 {
+            let mut chunk = Columns::default();
+            reader.next_columns(left.min(m_d), &mut chunk)?;
+            left -= chunk.len();
+            let mut dk = self.device.h2d_vec(chunk.keys)?;
+            let mut dv = self.device.h2d_vec(chunk.vals)?;
             self.device.sort_pairs(&mut dk, &mut dv)?;
-            runs.push(zip_pairs(self.device.d2h(&dk), self.device.d2h(&dv)));
+            runs.push(Columns {
+                keys: self.device.d2h_vec(dk),
+                vals: self.device.d2h_vec(dv),
+            });
         }
         // Iterative pairwise merging, doubling run length each round.
         while runs.len() > 1 {
@@ -210,10 +216,17 @@ impl ExternalSorter {
             while let Some(a) = iter.next() {
                 match iter.next() {
                     Some(b) => {
-                        let _guard = self
-                            .host
-                            .reserve(((a.len() + b.len()) * KvPair::BYTES) as u64)?;
-                        next.push(device_merge(&self.device, &a, &b, m_d)?);
+                        let pairs = a.len() + b.len();
+                        let _guard = self.host.reserve((pairs * KvPair::BYTES) as u64)?;
+                        let mut merged = Columns::with_capacity(pairs);
+                        device_merge(
+                            &self.device,
+                            a.pairs_from(0),
+                            b.pairs_from(0),
+                            m_d,
+                            &mut merged,
+                        )?;
+                        next.push(merged);
                     }
                     None => next.push(a),
                 }
@@ -231,11 +244,11 @@ impl ExternalSorter {
     /// with the shed bytes reclaimed. A second ENOSPC means the disk is
     /// genuinely full and the error propagates (`Io` / `StorageFull`,
     /// CLI exit code 5).
-    fn write_run(&self, spill: &SpillDir, target: &Target, pairs: &[KvPair]) -> Result<()> {
+    fn write_run(&self, spill: &SpillDir, target: &Target, pairs: Pairs<'_>) -> Result<()> {
         let mut retried = false;
         loop {
             let mut w = RecordWriter::create(target.path(), spill.io().clone())?;
-            w.write_all(pairs)?;
+            w.write_columns(pairs)?;
             match target.commit(w) {
                 Ok(()) => return Ok(()),
                 Err(StreamError::Io(e))
@@ -251,9 +264,12 @@ impl ExternalSorter {
 
     /// Externally sort `input` into `output`, spilling runs into `spill`.
     ///
-    /// Only `output` is made durable. Runs and intermediate merges are
-    /// scratch: this call writes each before it reads it, so a crash loses
-    /// nothing that sorting `input` again does not rebuild.
+    /// Only `output`'s bytes are made durable (`sync_all` before the rename
+    /// that names it); making the name durable is the caller's directory
+    /// fsync, after it has moved the file where it belongs. Runs and
+    /// intermediate merges are scratch: this call writes each before it
+    /// reads it, so a crash loses nothing that sorting `input` again does
+    /// not rebuild.
     pub fn sort_file(&self, spill: &SpillDir, input: &Path, output: &Path) -> Result<SortReport> {
         let io_before = spill.io().snapshot();
         let dev_before = self.device.stats();
@@ -270,13 +286,13 @@ impl ExternalSorter {
                 .host
                 .reserve((m_h * KvPair::BYTES) as u64)
                 .map_err(StreamError::from)?;
-            let sorted = self.sort_block(reader.next_chunk(m_h)?)?;
+            let sorted = self.sort_block(&mut reader, m_h)?;
             let target = if initial_runs <= 1 {
                 Target::Output(output)
             } else {
                 Target::Scratch(spill.scratch_path(&format!("run{run}")))
             };
-            self.write_run(spill, &target, &sorted)?;
+            self.write_run(spill, &target, sorted.pairs_from(0))?;
             if let Target::Scratch(path) = target {
                 run_paths.push(path);
             }
@@ -311,27 +327,26 @@ impl ExternalSorter {
                     let label = format!("gen{merge_passes}_m{}", next_paths.len());
                     Target::Scratch(spill.scratch_path(&label))
                 };
-                let mut readers: Vec<RecordReader> = group
+                let mut sources: Vec<FileSource> = group
                     .iter()
-                    .map(|p| RecordReader::open(p, spill.io().clone()))
+                    .map(|p| RecordReader::open(p, spill.io().clone()).map(FileSource::new))
                     .collect::<Result<_>>()?;
                 let mut w = RecordWriter::create(target.path(), spill.io().clone())?;
-                if group.len() == 2 {
-                    let (left, right) = readers.split_at_mut(1);
+                if let [a, b] = sources.as_mut_slice() {
                     windowed_merge(
                         &self.device,
-                        &mut left[0],
-                        &mut right[0],
+                        a,
+                        b,
                         &mut w,
                         m_h,
                         self.config.device_block_pairs,
                     )?;
                 } else {
-                    let mut dyns: Vec<&mut dyn crate::merge::PairSource> = readers
+                    let mut dyns: Vec<&mut dyn PairSource> = sources
                         .iter_mut()
-                        .map(|r| r as &mut dyn crate::merge::PairSource)
+                        .map(|s| s as &mut dyn PairSource)
                         .collect();
-                    crate::merge::kway_merge(
+                    kway_merge(
                         &self.device,
                         &mut dyns,
                         &mut w,
@@ -361,46 +376,6 @@ impl ExternalSorter {
         };
         self.emit_report(&report);
         Ok(report)
-    }
-
-    /// In-memory convenience: sort a vec of pairs under the same budgets
-    /// (used for sorting the small per-batch tuple lists of the map phase).
-    pub fn sort_in_memory(&self, pairs: Vec<KvPair>) -> Result<Vec<KvPair>> {
-        let m_h = self.config.host_block_pairs;
-        if pairs.len() <= m_h {
-            return self.sort_block(pairs);
-        }
-        // Block-sort pieces, then merge them in memory.
-        let mut runs = Vec::new();
-        let mut rest = pairs;
-        while !rest.is_empty() {
-            let tail = rest.split_off(rest.len().min(m_h));
-            let block = std::mem::replace(&mut rest, tail);
-            runs.push(self.sort_block(block)?);
-        }
-        while runs.len() > 1 {
-            let mut next = Vec::with_capacity(runs.len() / 2 + 1);
-            let mut iter = runs.into_iter();
-            while let Some(a) = iter.next() {
-                match iter.next() {
-                    Some(b) => {
-                        let mut sink = VecSink::default();
-                        windowed_merge(
-                            &self.device,
-                            &mut SliceSource::new(&a),
-                            &mut SliceSource::new(&b),
-                            &mut sink,
-                            m_h,
-                            self.config.device_block_pairs,
-                        )?;
-                        next.push(sink.out);
-                    }
-                    None => next.push(a),
-                }
-            }
-            runs = next;
-        }
-        Ok(runs.pop().unwrap_or_default())
     }
 }
 
@@ -669,15 +644,41 @@ mod tests {
     }
 
     #[test]
-    fn sort_in_memory_handles_oversized_input() {
-        let (_g, _spill, sorter) = setup(1000, 400); // m_h = 25
-        let pairs: Vec<KvPair> = (0..90u32)
-            .rev()
-            .map(|i| KvPair::new(i as u128, i))
+    fn every_block_size_writes_the_same_bytes() {
+        // Few distinct keys, so runs and windows are cut inside runs of
+        // equal ones: the output is the stable sort of the input all the
+        // same, record for record, hence the same footer.
+        let mut rng = stdx::SplitMix64::new(20);
+        let pairs: Vec<KvPair> = (0..12_000u32)
+            .map(|i| KvPair::new(u128::from(rng.below(900)) << 64 | 7, i))
             .collect();
-        let got = sorter.sort_in_memory(pairs).unwrap();
-        let keys: Vec<u128> = got.iter().map(|p| p.key).collect();
-        assert_eq!(keys, (0..90).collect::<Vec<u128>>());
+        let mut expect = pairs.clone();
+        expect.sort_by_key(|p| p.key);
+        let mut footers = Vec::new();
+        for m_h in [25, 5_000] {
+            for m_d in [2, 10, 468] {
+                let dir = stdx::tempdir().unwrap();
+                let spill = SpillDir::create(dir.path(), IoStats::default()).unwrap();
+                let config = SortConfig {
+                    host_block_pairs: m_h,
+                    device_block_pairs: m_d.min(m_h),
+                    kway: false,
+                };
+                let device = Device::with_capacity(GpuProfile::k40(), 64 << 10);
+                let sorter = ExternalSorter::new(device, HostMem::new(1 << 20), config).unwrap();
+                let input = write_input(&spill, &pairs);
+                let output = spill.scratch_path("out");
+                let report = sorter.sort_file(&spill, &input, &output).unwrap();
+                assert_eq!(report.initial_runs, 12_000u32.div_ceil(m_h as u32));
+                assert!(
+                    read_output(&spill, &output) == expect,
+                    "m_h={m_h} m_d={m_d}: not the stable sort of the input"
+                );
+                footers.push(crate::read_footer(&output).unwrap());
+            }
+        }
+        assert_eq!(footers[0].records, 12_000);
+        assert!(footers.iter().all(|f| *f == footers[0]), "{footers:?}");
     }
 
     #[test]

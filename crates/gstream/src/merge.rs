@@ -10,118 +10,165 @@
 //! The same routine implements both levels of the paper's hybrid-memory
 //! scheme: at the disk level `M = m_h` (host block-size) and the "device
 //! merge" recursively re-enters with `M = m_d`; at the host level the
-//! windows are slices already in RAM.
+//! windows are ranges of runs already in RAM.
+//!
+//! Runs are [`Columns`] throughout, the layout the device kernels take. A
+//! window is a range of its source's columns that a cursor slides over: it
+//! is copied when it is uploaded and nowhere else, and what the device hands
+//! back goes straight to the sink.
 
-use crate::record::{split_pairs, zip_pairs, KvPair};
+use crate::reader::RecordReader;
+use crate::record::{Columns, Pairs};
 use crate::writer::RecordWriter;
 use crate::{Result, StreamError};
 use vgpu::Device;
 
-/// A sequential source of sorted pairs (file stream or in-memory slice).
+/// A sequential source of sorted pairs (file stream or in-memory run),
+/// seen through a window that slides forward.
 pub trait PairSource {
-    /// Produce up to `max` further pairs; an empty vec means exhausted.
-    fn next_chunk(&mut self, max: usize) -> Result<Vec<KvPair>>;
+    /// Top the window up to `want` pairs, keeping the ones it still holds
+    /// in front; it ends up shorter only at the end of the stream.
+    fn fill(&mut self, want: usize) -> Result<()>;
+    /// The window: the pairs filled and not yet consumed.
+    fn window(&self) -> Pairs<'_>;
+    /// Drop the first `n` pairs of the window.
+    fn consume(&mut self, n: usize);
 }
 
-impl PairSource for crate::reader::RecordReader {
-    fn next_chunk(&mut self, max: usize) -> Result<Vec<KvPair>> {
-        crate::reader::RecordReader::next_chunk(self, max)
+/// A sorted spill file as a source: the window is a buffer the reader
+/// decodes into, refilled behind a cursor.
+pub struct FileSource {
+    reader: RecordReader,
+    buf: Columns,
+    /// Pairs of `buf` already consumed.
+    start: usize,
+}
+
+impl FileSource {
+    /// Stream `reader` from its current position.
+    pub fn new(reader: RecordReader) -> Self {
+        FileSource {
+            reader,
+            buf: Columns::default(),
+            start: 0,
+        }
     }
 }
 
-/// In-memory source over a sorted slice.
+impl PairSource for FileSource {
+    fn fill(&mut self, want: usize) -> Result<()> {
+        let held = self.buf.len() - self.start;
+        if held >= want {
+            return Ok(());
+        }
+        // Close the gap the cursor left, then decode behind what is held.
+        self.buf.keys.copy_within(self.start.., 0);
+        self.buf.vals.copy_within(self.start.., 0);
+        self.buf.keys.truncate(held);
+        self.buf.vals.truncate(held);
+        self.start = 0;
+        self.reader.next_columns(want - held, &mut self.buf)
+    }
+
+    fn window(&self) -> Pairs<'_> {
+        self.buf.pairs_from(self.start)
+    }
+
+    fn consume(&mut self, n: usize) {
+        self.start += n;
+    }
+}
+
+/// In-memory source over a sorted run: the window is a range of the run.
 pub struct SliceSource<'a> {
-    data: &'a [KvPair],
-    pos: usize,
+    data: Pairs<'a>,
+    start: usize,
+    end: usize,
 }
 
 impl<'a> SliceSource<'a> {
-    /// Wrap a sorted slice.
-    pub fn new(data: &'a [KvPair]) -> Self {
-        SliceSource { data, pos: 0 }
+    /// Wrap a sorted run.
+    pub fn new(data: Pairs<'a>) -> Self {
+        SliceSource {
+            data,
+            start: 0,
+            end: 0,
+        }
     }
 }
 
 impl PairSource for SliceSource<'_> {
-    fn next_chunk(&mut self, max: usize) -> Result<Vec<KvPair>> {
-        let take = max.min(self.data.len() - self.pos);
-        let out = self.data[self.pos..self.pos + take].to_vec();
-        self.pos += take;
-        Ok(out)
+    fn fill(&mut self, want: usize) -> Result<()> {
+        self.end = self.data.len().min(self.end.max(self.start + want));
+        Ok(())
+    }
+
+    fn window(&self) -> Pairs<'_> {
+        Pairs {
+            keys: &self.data.keys[self.start..self.end],
+            vals: &self.data.vals[self.start..self.end],
+        }
+    }
+
+    fn consume(&mut self, n: usize) {
+        self.start += n;
     }
 }
 
-/// A sink for merged output (file stream or in-memory vec).
+/// A sink for merged output (file stream or in-memory run).
 pub trait PairSink {
     /// Append `pairs` to the output.
-    fn emit(&mut self, pairs: &[KvPair]) -> Result<()>;
+    fn emit(&mut self, pairs: Pairs<'_>) -> Result<()>;
 }
 
 impl PairSink for RecordWriter {
-    fn emit(&mut self, pairs: &[KvPair]) -> Result<()> {
-        self.write_all(pairs)
+    fn emit(&mut self, pairs: Pairs<'_>) -> Result<()> {
+        self.write_columns(pairs)
     }
 }
 
-/// Sink that accumulates into a `Vec`.
-#[derive(Default)]
-pub struct VecSink {
-    /// Collected output.
-    pub out: Vec<KvPair>,
-}
-
-impl PairSink for VecSink {
-    fn emit(&mut self, pairs: &[KvPair]) -> Result<()> {
-        self.out.extend_from_slice(pairs);
+impl PairSink for Columns {
+    fn emit(&mut self, pairs: Pairs<'_>) -> Result<()> {
+        self.extend(pairs);
         Ok(())
     }
 }
 
-/// Upper bound of `key` in a sorted pair slice: the index after the last
-/// element with key `<= key` (the paper's `UPPER_BOUND`).
-fn upper_bound(pairs: &[KvPair], key: u128) -> usize {
-    pairs.partition_point(|p| p.key <= key)
-}
-
-fn refill<S: PairSource>(buf: &mut Vec<KvPair>, src: &mut S, target: usize) -> Result<()> {
-    if buf.len() < target {
-        let more = src.next_chunk(target - buf.len())?;
-        buf.extend(more);
-    }
-    Ok(())
-}
-
-/// Merge two equalized in-memory runs on the device. Runs whose combined
-/// size exceeds `device_pairs` are merged by re-entering the windowed
-/// algorithm with `M = device_pairs` — the second level of the paper's
-/// hybrid scheme.
-pub fn device_merge(
+/// Merge two equalized in-memory runs on the device into `out`; returns the
+/// number of pairs emitted. Runs whose combined size exceeds `device_pairs`
+/// are merged by re-entering the windowed algorithm with `M = device_pairs`
+/// — the second level of the paper's hybrid scheme.
+pub fn device_merge<K: PairSink>(
     dev: &Device,
-    a: &[KvPair],
-    b: &[KvPair],
+    a: Pairs<'_>,
+    b: Pairs<'_>,
     device_pairs: usize,
-) -> Result<Vec<KvPair>> {
-    if a.len() + b.len() <= device_pairs {
-        let (ak, av) = split_pairs(a);
-        let (bk, bv) = split_pairs(b);
-        let ak = dev.h2d(&ak)?;
-        let av = dev.h2d(&av)?;
-        let bk = dev.h2d(&bk)?;
-        let bv = dev.h2d(&bv)?;
-        let (ok, ov) = dev.merge_pairs(&ak, &av, &bk, &bv)?;
-        Ok(zip_pairs(dev.d2h(&ok), dev.d2h(&ov)))
-    } else {
-        let mut sink = VecSink::default();
-        windowed_merge(
+    out: &mut K,
+) -> Result<u64> {
+    if a.len() + b.len() > device_pairs {
+        return windowed_merge(
             dev,
             &mut SliceSource::new(a),
             &mut SliceSource::new(b),
-            &mut sink,
+            out,
             device_pairs,
             device_pairs,
-        )?;
-        Ok(sink.out)
+        );
     }
+    // The uploads are released before the output is emitted.
+    let (keys, vals) = {
+        let ak = dev.h2d(a.keys)?;
+        let av = dev.h2d(a.vals)?;
+        let bk = dev.h2d(b.keys)?;
+        let bv = dev.h2d(b.vals)?;
+        let (keys, vals) = dev.merge_pairs(&ak, &av, &bk, &bv)?;
+        (dev.d2h_vec(keys), dev.d2h_vec(vals))
+    };
+    out.emit(Pairs {
+        keys: &keys,
+        vals: &vals,
+    })?;
+    Ok(keys.len() as u64)
 }
 
 /// Merge sorted sources `a` and `b` into `out`, holding at most
@@ -156,6 +203,25 @@ where
     result
 }
 
+/// Emit the rest of `src`, a window at a time, once the other side is done.
+fn drain<S: PairSource, K: PairSink>(
+    src: &mut S,
+    out: &mut K,
+    half: usize,
+    advances: &mut u64,
+) -> Result<u64> {
+    let mut emitted = 0;
+    while !src.window().is_empty() {
+        let n = src.window().len();
+        out.emit(src.window())?;
+        emitted += n as u64;
+        *advances += 1;
+        src.consume(n);
+        src.fill(half)?;
+    }
+    Ok(emitted)
+}
+
 fn windowed_merge_inner<SA, SB, K>(
     dev: &Device,
     a: &mut SA,
@@ -176,52 +242,39 @@ where
         )));
     }
     let half = window_pairs / 2;
-    let mut af: Vec<KvPair> = Vec::new();
-    let mut bf: Vec<KvPair> = Vec::new();
     let mut emitted = 0u64;
 
     loop {
-        refill(&mut af, a, half)?;
-        refill(&mut bf, b, half)?;
+        a.fill(half)?;
+        b.fill(half)?;
+        let (af, bf) = (a.window(), b.window());
 
         // Line 19: one side exhausted — stream the remainder of the other.
         if af.is_empty() {
-            while !bf.is_empty() {
-                out.emit(&bf)?;
-                emitted += bf.len() as u64;
-                *advances += 1;
-                bf.clear();
-                refill(&mut bf, b, half)?;
-            }
-            return Ok(emitted);
+            return Ok(emitted + drain(b, out, half, advances)?);
         }
         if bf.is_empty() {
-            while !af.is_empty() {
-                out.emit(&af)?;
-                emitted += af.len() as u64;
-                *advances += 1;
-                af.clear();
-                refill(&mut af, a, half)?;
-            }
-            return Ok(emitted);
+            return Ok(emitted + drain(a, out, half, advances)?);
         }
 
-        let a_last = af[af.len() - 1].key;
-        let b_last = bf[bf.len() - 1].key;
+        let a_last = af.keys[af.len() - 1];
+        let b_last = bf.keys[bf.len() - 1];
 
         // Lines 5-6: whole-window ordering, no merge needed.
-        if a_last <= bf[0].key {
-            out.emit(&af)?;
+        if a_last <= bf.keys[0] {
+            out.emit(af)?;
             emitted += af.len() as u64;
             *advances += 1;
-            af.clear();
+            let n = af.len();
+            a.consume(n);
             continue;
         }
-        if b_last < af[0].key {
-            out.emit(&bf)?;
+        if b_last < af.keys[0] {
+            out.emit(bf)?;
             emitted += bf.len() as u64;
             *advances += 1;
-            bf.clear();
+            let n = bf.len();
+            b.consume(n);
             continue;
         }
 
@@ -230,18 +283,44 @@ where
         // emitted range can still arrive from either stream, and ties keep
         // `a` before `b`: `a`'s next chunk may open with more copies of
         // `a_last`, so `b`'s copies of it wait for them, whereas `a` has no
-        // copy of `b_last` beyond its upper bound.
+        // copy of `b_last` beyond its upper bound (the paper's
+        // `UPPER_BOUND`: the index after the last key `<= b_last`).
         let (take_a, take_b) = if a_last <= b_last {
-            (af.len(), bf.partition_point(|p| p.key < a_last))
+            (af.len(), bf.keys.partition_point(|&key| key < a_last))
         } else {
-            (upper_bound(&af, b_last), bf.len())
+            (af.keys.partition_point(|&key| key <= b_last), bf.len())
         };
-        let merged = device_merge(dev, &af[..take_a], &bf[..take_b], device_pairs)?;
-        out.emit(&merged)?;
-        emitted += merged.len() as u64;
+        emitted += device_merge(dev, af.first(take_a), bf.first(take_b), device_pairs, out)?;
         *advances += 1;
-        af.drain(..take_a);
-        bf.drain(..take_b);
+        a.consume(take_a);
+        b.consume(take_b);
+    }
+}
+
+/// Merge `runs`, each sorted, into `out` by rounds of pairwise device
+/// merges; on equal keys an earlier run's pairs come first.
+fn tournament<K: PairSink>(
+    dev: &Device,
+    runs: &[Pairs<'_>],
+    device_pairs: usize,
+    out: &mut K,
+) -> Result<()> {
+    match runs {
+        [] => Ok(()),
+        [only] => out.emit(*only),
+        [a, b] => device_merge(dev, *a, *b, device_pairs, out).map(|_| ()),
+        _ => {
+            let mut merged = Vec::with_capacity(runs.len() / 2);
+            for pair in runs.chunks_exact(2) {
+                let mut run = Columns::with_capacity(pair[0].len() + pair[1].len());
+                device_merge(dev, pair[0], pair[1], device_pairs, &mut run)?;
+                merged.push(run);
+            }
+            let mut next: Vec<Pairs<'_>> = merged.iter().map(|run| run.pairs_from(0)).collect();
+            // An odd run out sits this round out, still last.
+            next.extend(runs.chunks_exact(2).remainder());
+            tournament(dev, &next, device_pairs, out)
+        }
     }
 }
 
@@ -269,36 +348,20 @@ where
         return Ok(0);
     }
     let per_window = (window_pairs / (sources.len() + 1)).max(2);
-    struct Win {
-        buf: Vec<KvPair>,
-        exhausted: bool,
-    }
-    let mut wins: Vec<Win> = sources
-        .iter()
-        .map(|_| Win {
-            buf: Vec::new(),
-            exhausted: false,
-        })
-        .collect();
+    // Whether a source's stream has ended: its window is then all it has.
+    let mut exhausted = vec![false; sources.len()];
     let mut emitted = 0u64;
     let mut rounds = 0u64;
 
     loop {
         // Refill.
-        for (w, src) in wins.iter_mut().zip(sources.iter_mut()) {
-            if !w.exhausted && w.buf.len() < per_window {
-                let more = src.next_chunk(per_window - w.buf.len())?;
-                if more.is_empty() {
-                    w.exhausted = true;
-                } else {
-                    w.buf.extend(more);
-                    if w.buf.len() < per_window {
-                        w.exhausted = true;
-                    }
-                }
+        for (src, exhausted) in sources.iter_mut().zip(exhausted.iter_mut()) {
+            if !*exhausted {
+                src.fill(per_window)?;
+                *exhausted = src.window().len() < per_window;
             }
         }
-        if wins.iter().all(|w| w.buf.is_empty()) {
+        if sources.iter().all(|src| src.window().is_empty()) {
             if rounds > 0 {
                 let rec = dev.recorder();
                 if rec.is_enabled() {
@@ -311,65 +374,59 @@ where
         // Safe frontier: the smallest last-key among windows whose stream
         // may still deliver more (non-exhausted). Exhausted windows are
         // complete and impose no bound.
-        let frontier: Option<u128> = wins
+        let frontier: Option<u128> = sources
             .iter()
-            .filter(|w| !w.exhausted && !w.buf.is_empty())
-            .map(|w| w.buf.last().expect("non-empty").key)
+            .zip(&exhausted)
+            .filter(|(_, &exhausted)| !exhausted)
+            .filter_map(|(src, _)| src.window().keys.last().copied())
             .min();
 
         // Cut each window at the frontier (strictly below, so a later
         // chunk with equal keys cannot be missed); when that yields no
         // progress, gather the frontier key's full run everywhere and
         // include it.
-        let mut cuts: Vec<usize> = wins
+        let mut cuts: Vec<usize> = sources
             .iter()
-            .map(|w| match frontier {
-                Some(f) if !w.exhausted || w.buf.last().is_some_and(|l| l.key >= f) => {
-                    w.buf.partition_point(|p| p.key < f)
+            .zip(&exhausted)
+            .map(|(src, &exhausted)| {
+                let keys = src.window().keys;
+                match frontier {
+                    Some(f) if !exhausted || keys.last().is_some_and(|&last| last >= f) => {
+                        keys.partition_point(|&key| key < f)
+                    }
+                    _ => keys.len(),
                 }
-                _ => w.buf.len(),
             })
             .collect();
         if cuts.iter().all(|&c| c == 0) {
             let f = frontier.expect("stall implies a frontier");
-            for (w, src) in wins.iter_mut().zip(sources.iter_mut()) {
-                while !w.exhausted && w.buf.last().is_some_and(|l| l.key == f) {
-                    let more = src.next_chunk(per_window)?;
-                    if more.is_empty() {
-                        w.exhausted = true;
-                    } else {
-                        w.buf.extend(more);
-                    }
+            for (src, exhausted) in sources.iter_mut().zip(exhausted.iter_mut()) {
+                while !*exhausted && src.window().keys.last() == Some(&f) {
+                    let held = src.window().len();
+                    src.fill(held + per_window)?;
+                    *exhausted = src.window().len() == held;
                 }
             }
-            cuts = wins
+            cuts = sources
                 .iter()
-                .map(|w| w.buf.partition_point(|p| p.key <= f))
+                .map(|src| src.window().keys.partition_point(|&key| key <= f))
                 .collect();
         }
 
         // Tournament-merge the safe prefixes on the device.
-        let mut runs: Vec<Vec<KvPair>> = wins
-            .iter_mut()
-            .zip(cuts.iter())
-            .filter(|(_, &c)| c > 0)
-            .map(|(w, &c)| w.buf.drain(..c).collect())
+        let runs: Vec<Pairs<'_>> = sources
+            .iter()
+            .zip(&cuts)
+            .filter(|(_, &cut)| cut > 0)
+            .map(|(src, &cut)| src.window().first(cut))
             .collect();
-        while runs.len() > 1 {
-            let mut next_round = Vec::with_capacity(runs.len() / 2 + 1);
-            let mut iter = runs.into_iter();
-            while let Some(a) = iter.next() {
-                match iter.next() {
-                    Some(b) => next_round.push(device_merge(dev, &a, &b, device_pairs)?),
-                    None => next_round.push(a),
-                }
-            }
-            runs = next_round;
-        }
-        if let Some(merged) = runs.pop() {
-            out.emit(&merged)?;
-            emitted += merged.len() as u64;
+        if !runs.is_empty() {
+            tournament(dev, &runs, device_pairs, out)?;
+            emitted += cuts.iter().sum::<usize>() as u64;
             rounds += 1;
+        }
+        for (src, &cut) in sources.iter_mut().zip(&cuts) {
+            src.consume(cut);
         }
     }
 }
@@ -384,27 +441,45 @@ mod tests {
         Device::new(GpuProfile::k40())
     }
 
-    fn kv(keys: &[u128]) -> Vec<KvPair> {
-        keys.iter()
-            .enumerate()
-            .map(|(i, &k)| KvPair::new(k, i as u32))
-            .collect()
+    /// A run over `keys` whose values count up from `first_val`.
+    fn run_from(keys: &[u128], first_val: u32) -> Columns {
+        Columns {
+            keys: keys.to_vec(),
+            vals: (first_val..).take(keys.len()).collect(),
+        }
     }
 
-    fn merge_with(a: &[KvPair], b: &[KvPair], window: usize, device: usize) -> Vec<KvPair> {
+    fn kv(keys: &[u128]) -> Columns {
+        run_from(keys, 0)
+    }
+
+    fn merge_with(a: &Columns, b: &Columns, window: usize, device: usize) -> Columns {
         let d = dev();
-        let mut sink = VecSink::default();
+        let mut out = Columns::default();
         let n = windowed_merge(
             &d,
-            &mut SliceSource::new(a),
-            &mut SliceSource::new(b),
-            &mut sink,
+            &mut SliceSource::new(a.pairs_from(0)),
+            &mut SliceSource::new(b.pairs_from(0)),
+            &mut out,
             window,
             device,
         )
         .unwrap();
-        assert_eq!(n as usize, sink.out.len());
-        sink.out
+        assert_eq!(n as usize, out.len());
+        assert_eq!(out.keys.len(), out.vals.len());
+        out
+    }
+
+    /// The oracle: concatenate the runs in order and sort stably by key, so
+    /// on equal keys an earlier run's pairs come first.
+    fn stable_sort_of_concat(runs: &[Columns]) -> Columns {
+        let mut pairs: Vec<(u128, u32)> = runs
+            .iter()
+            .flat_map(|run| run.keys.iter().copied().zip(run.vals.iter().copied()))
+            .collect();
+        pairs.sort_by_key(|pair| pair.0);
+        let (keys, vals) = pairs.into_iter().unzip();
+        Columns { keys, vals }
     }
 
     #[test]
@@ -412,8 +487,7 @@ mod tests {
         let a = kv(&[1, 2, 3]);
         let b = kv(&[10, 11]);
         let got = merge_with(&a, &b, 8, 8);
-        let keys: Vec<u128> = got.iter().map(|p| p.key).collect();
-        assert_eq!(keys, vec![1, 2, 3, 10, 11]);
+        assert_eq!(got.keys, vec![1, 2, 3, 10, 11]);
     }
 
     #[test]
@@ -421,8 +495,7 @@ mod tests {
         let a = kv(&[1, 4, 7, 10, 13, 16]);
         let b = kv(&[2, 5, 8, 11, 14, 17]);
         let got = merge_with(&a, &b, 4, 4);
-        let keys: Vec<u128> = got.iter().map(|p| p.key).collect();
-        assert_eq!(keys, vec![1, 2, 4, 5, 7, 8, 10, 11, 13, 14, 16, 17]);
+        assert_eq!(got.keys, vec![1, 2, 4, 5, 7, 8, 10, 11, 13, 14, 16, 17]);
     }
 
     #[test]
@@ -431,8 +504,11 @@ mod tests {
         let b = kv(&[5, 5, 5, 7]);
         for window in [2, 4, 6, 16] {
             let got = merge_with(&a, &b, window, 16);
-            let keys: Vec<u128> = got.iter().map(|p| p.key).collect();
-            assert_eq!(keys, vec![5, 5, 5, 5, 5, 5, 5, 5, 6, 7], "window={window}");
+            assert_eq!(
+                got.keys,
+                vec![5, 5, 5, 5, 5, 5, 5, 5, 6, 7],
+                "window={window}"
+            );
         }
     }
 
@@ -441,13 +517,14 @@ mod tests {
         // Values rise through `a` and then `b`, as they do in two runs cut
         // from consecutive blocks of one stably sorted input: the merge
         // must then come out ordered by (key, val) whatever the window.
-        let (a_keys, b_keys) = ([1, 5, 5, 5, 5, 5, 6, 9], [2, 5, 5, 5, 5, 7, 9, 9]);
-        let a = kv(&a_keys);
-        let b: Vec<KvPair> = (b_keys.iter().zip(a.len() as u32..))
-            .map(|(&k, v)| KvPair::new(k, v))
-            .collect();
-        let mut expect = [a.clone(), b.clone()].concat();
-        expect.sort();
+        let a = kv(&[1, 5, 5, 5, 5, 5, 6, 9]);
+        let b = run_from(&[2, 5, 5, 5, 5, 7, 9, 9], a.len() as u32);
+        let expect = stable_sort_of_concat(&[a.clone(), b.clone()]);
+        assert!(expect
+            .vals
+            .windows(2)
+            .zip(expect.keys.windows(2))
+            .all(|(v, k)| k[0] < k[1] || v[0] < v[1]));
         for window in [2, 4, 6, 8, 10, 32] {
             for device in [2, 4, 32] {
                 assert_eq!(
@@ -461,21 +538,22 @@ mod tests {
 
     #[test]
     fn empty_inputs() {
-        assert!(merge_with(&[], &[], 4, 4).is_empty());
+        let none = Columns::default();
+        assert!(merge_with(&none, &none, 4, 4).is_empty());
         let a = kv(&[1, 2]);
-        assert_eq!(merge_with(&a, &[], 4, 4), a);
-        assert_eq!(merge_with(&[], &a, 4, 4), a);
+        assert_eq!(merge_with(&a, &none, 4, 4), a);
+        assert_eq!(merge_with(&none, &a, 4, 4), a);
     }
 
     #[test]
     fn rejects_degenerate_windows() {
         let d = dev();
-        let mut sink = VecSink::default();
+        let none = Columns::default();
         let err = windowed_merge(
             &d,
-            &mut SliceSource::new(&[]),
-            &mut SliceSource::new(&[]),
-            &mut sink,
+            &mut SliceSource::new(none.pairs_from(0)),
+            &mut SliceSource::new(none.pairs_from(0)),
+            &mut Columns::default(),
             1,
             4,
         );
@@ -487,23 +565,86 @@ mod tests {
         let d = dev();
         let a = kv(&[1, 3, 5, 7, 9, 11, 13, 15]);
         let b = kv(&[2, 4, 6, 8, 10, 12, 14, 16]);
-        let got = device_merge(&d, &a, &b, 4).unwrap();
-        let keys: Vec<u128> = got.iter().map(|p| p.key).collect();
-        assert_eq!(keys, (1..=16).collect::<Vec<u128>>());
+        let mut got = Columns::default();
+        let n = device_merge(&d, a.pairs_from(0), b.pairs_from(0), 4, &mut got).unwrap();
+        assert_eq!(n, 16);
+        assert_eq!(got.keys, (1..=16).collect::<Vec<u128>>());
+        // Several launches, since no single one may hold more than four pairs.
+        assert!(d.stats().per_kernel["merge_pairs"].launches >= 4);
     }
 
-    fn kway(groups: Vec<Vec<u128>>, window: usize, device: usize) -> Vec<u128> {
+    #[test]
+    fn windows_slide_over_a_file_as_they_do_over_a_run_in_memory() {
+        // The same two runs from spill files and from memory: same output,
+        // same launches, same bytes over the bus.
+        let dir = stdx::tempdir().unwrap();
+        let mut rng = stdx::SplitMix64::new(7);
+        let mut sorted_run = |n: usize, first_val: u32| {
+            let mut keys: Vec<u128> = (0..n).map(|_| u128::from(rng.below(400))).collect();
+            keys.sort_unstable();
+            run_from(&keys, first_val)
+        };
+        let (a, b) = (sorted_run(1_000, 0), sorted_run(700, 1_000));
+        let io = crate::IoStats::default();
+        let file_source = |name: &str, run: &Columns| {
+            let path = dir.path().join(name);
+            let mut w = RecordWriter::create(&path, io.clone()).unwrap();
+            w.write_columns(run.pairs_from(0)).unwrap();
+            w.finish_scratch().unwrap();
+            FileSource::new(RecordReader::open(&path, io.clone()).unwrap())
+        };
+        for (window, device) in [(2, 2), (7, 3), (64, 16), (5_000, 64)] {
+            let in_memory = dev();
+            let mut expect = Columns::default();
+            windowed_merge(
+                &in_memory,
+                &mut SliceSource::new(a.pairs_from(0)),
+                &mut SliceSource::new(b.pairs_from(0)),
+                &mut expect,
+                window,
+                device,
+            )
+            .unwrap();
+            assert_eq!(expect, stable_sort_of_concat(&[a.clone(), b.clone()]));
+
+            let from_files = dev();
+            let mut got = Columns::default();
+            windowed_merge(
+                &from_files,
+                &mut file_source("a.kv", &a),
+                &mut file_source("b.kv", &b),
+                &mut got,
+                window,
+                device,
+            )
+            .unwrap();
+            assert_eq!(got, expect, "window={window} device={device}");
+            let (files, memory) = (from_files.stats(), in_memory.stats());
+            assert_eq!(files.kernel_launches, memory.kernel_launches);
+            assert_eq!(files.h2d_bytes, memory.h2d_bytes);
+            assert_eq!(files.d2h_bytes, memory.d2h_bytes);
+        }
+    }
+
+    fn kway_runs(runs: &[Columns], window: usize, device: usize) -> Columns {
         let d = dev();
-        let runs: Vec<Vec<KvPair>> = groups.iter().map(|g| kv(g)).collect();
-        let mut sources: Vec<SliceSource> = runs.iter().map(|r| SliceSource::new(r)).collect();
+        let mut sources: Vec<SliceSource> = runs
+            .iter()
+            .map(|r| SliceSource::new(r.pairs_from(0)))
+            .collect();
         let mut dyns: Vec<&mut dyn PairSource> = sources
             .iter_mut()
             .map(|s| s as &mut dyn PairSource)
             .collect();
-        let mut sink = VecSink::default();
-        let n = kway_merge(&d, &mut dyns, &mut sink, window, device).unwrap();
-        assert_eq!(n as usize, sink.out.len());
-        sink.out.iter().map(|p| p.key).collect()
+        let mut out = Columns::default();
+        let n = kway_merge(&d, &mut dyns, &mut out, window, device).unwrap();
+        assert_eq!(n as usize, out.len());
+        out
+    }
+
+    fn kway(groups: Vec<Vec<u128>>, window: usize, device: usize) -> Vec<u128> {
+        let runs: Vec<Columns> = groups.iter().map(|g| kv(g)).collect();
+        kway_runs(&runs, window, device).keys
     }
 
     #[test]
@@ -555,13 +696,61 @@ mod tests {
             let device = rng.range(2..32) as usize;
             a.sort_unstable();
             b.sort_unstable();
-            let ap = kv(&a);
-            let bp = kv(&b);
-            let got = merge_with(&ap, &bp, window, device);
-            let got_keys: Vec<u128> = got.iter().map(|p| p.key).collect();
+            let got = merge_with(&kv(&a), &kv(&b), window, device);
             let mut expect = [a, b].concat();
             expect.sort_unstable();
-            assert_eq!(got_keys, expect);
+            assert_eq!(got.keys, expect);
+        });
+    }
+
+    /// Sorted runs over few distinct keys, so that most window cuts land
+    /// inside a run of equal keys; values number the pairs in run order.
+    fn runs_with_heavy_duplicates(rng: &mut stdx::SplitMix64, count: usize) -> Vec<Columns> {
+        let distinct = rng.range(1..40);
+        let mut next_val = 0;
+        (0..count)
+            .map(|_| {
+                let mut keys = rng.vec(0..300, |r| u128::from(r.below(distinct)) << 70);
+                keys.sort_unstable();
+                let run = run_from(&keys, next_val);
+                next_val += keys.len() as u32;
+                run
+            })
+            .collect()
+    }
+
+    #[test]
+    fn windowed_merge_is_the_stable_sort_of_the_concatenation() {
+        check_cases(64, |rng| {
+            let runs = runs_with_heavy_duplicates(rng, 2);
+            let expect = stable_sort_of_concat(&runs);
+            for window in [2, 3, 16, 1_000] {
+                for device in [2, 5, 64] {
+                    assert_eq!(
+                        merge_with(&runs[0], &runs[1], window, device),
+                        expect,
+                        "window={window} device={device}"
+                    );
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn kway_merge_is_the_stable_sort_of_the_concatenation() {
+        check_cases(64, |rng| {
+            let count = rng.range(1..7) as usize;
+            let runs = runs_with_heavy_duplicates(rng, count);
+            let expect = stable_sort_of_concat(&runs);
+            for window in [2, 3, 16, 1_000] {
+                for device in [2, 5, 64] {
+                    assert_eq!(
+                        kway_runs(&runs, window, device),
+                        expect,
+                        "window={window} device={device}"
+                    );
+                }
+            }
         });
     }
 }

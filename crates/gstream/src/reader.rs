@@ -1,7 +1,7 @@
 //! Sequential record readers (the "read-only memory" of Fig. 3).
 
 use crate::iostats::IoStats;
-use crate::record::{BlobFooter, Footer, KvPair, Xxh64};
+use crate::record::{BlobFooter, Columns, Footer, KvPair, Xxh64};
 use crate::writer::BLOCK_BYTES;
 use crate::{Result, StreamError};
 use std::fs::File;
@@ -174,22 +174,22 @@ impl RecordReader {
         Ok(())
     }
 
-    /// Read up to `max` records; returns fewer only at end of stream.
-    pub fn next_chunk(&mut self, max: usize) -> Result<Vec<KvPair>> {
-        let want = (self.remaining.min(max as u64)) as usize;
-        let mut out = Vec::with_capacity(want);
-        while out.len() < want {
+    /// Decode up to `max` records (fewer only at end of stream) into `put`,
+    /// and compare the checksum once the last record is out.
+    fn decode(&mut self, max: usize, mut put: impl FnMut(u128, u32)) -> Result<()> {
+        let mut want = self.remaining.min(max as u64) as usize;
+        while want > 0 {
             if self.pos == self.block.len() {
                 self.load_block()?;
             }
-            let take = (want - out.len()) * KvPair::BYTES;
-            let end = self.block.len().min(self.pos + take);
-            out.extend(
-                self.block[self.pos..end]
-                    .chunks_exact(KvPair::BYTES)
-                    .map(KvPair::decode),
-            );
-            self.remaining -= ((end - self.pos) / KvPair::BYTES) as u64;
+            let end = self.block.len().min(self.pos + want * KvPair::BYTES);
+            for record in self.block[self.pos..end].chunks_exact(KvPair::BYTES) {
+                let pair = KvPair::decode(record);
+                put(pair.key, pair.val);
+            }
+            let took = (end - self.pos) / KvPair::BYTES;
+            self.remaining -= took as u64;
+            want -= took;
             self.pos = end;
         }
         if self.remaining == 0 && self.hasher.finish() != self.footer.checksum {
@@ -200,7 +200,25 @@ impl RecordReader {
                 self.hasher.finish()
             )));
         }
+        Ok(())
+    }
+
+    /// Read up to `max` records; returns fewer only at end of stream.
+    pub fn next_chunk(&mut self, max: usize) -> Result<Vec<KvPair>> {
+        let mut out = Vec::with_capacity(self.remaining.min(max as u64) as usize);
+        self.decode(max, |key, val| out.push(KvPair { key, val }))?;
         Ok(out)
+    }
+
+    /// [`RecordReader::next_chunk`] appending to `out`'s columns.
+    pub fn next_columns(&mut self, max: usize, out: &mut Columns) -> Result<()> {
+        let want = self.remaining.min(max as u64) as usize;
+        out.keys.reserve(want);
+        out.vals.reserve(want);
+        self.decode(max, |key, val| {
+            out.keys.push(key);
+            out.vals.push(val);
+        })
     }
 
     /// Drain the rest of the stream.

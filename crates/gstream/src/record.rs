@@ -306,24 +306,78 @@ impl BlobFooter {
     }
 }
 
-/// Split pairs into the structure-of-arrays layout device kernels take.
-pub fn split_pairs(pairs: &[KvPair]) -> (Vec<u128>, Vec<u32>) {
-    let mut keys = Vec::with_capacity(pairs.len());
-    let mut vals = Vec::with_capacity(pairs.len());
-    for p in pairs {
-        keys.push(p.key);
-        vals.push(p.val);
-    }
-    (keys, vals)
+/// A run of pairs in the layout the device kernels take: the keys in one
+/// column, the values in the other, equally long. What the sort and the
+/// merges hold between a reader's block decode and a writer's block encode.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Columns {
+    /// The fingerprints.
+    pub keys: Vec<u128>,
+    /// The vertex ids, `vals[i]` beside `keys[i]`.
+    pub vals: Vec<u32>,
 }
 
-/// Zip structure-of-arrays output back into pairs.
-pub fn zip_pairs(keys: Vec<u128>, vals: Vec<u32>) -> Vec<KvPair> {
-    debug_assert_eq!(keys.len(), vals.len());
-    keys.into_iter()
-        .zip(vals)
-        .map(|(key, val)| KvPair { key, val })
-        .collect()
+impl Columns {
+    /// Empty columns with room for `pairs` pairs.
+    pub fn with_capacity(pairs: usize) -> Self {
+        Columns {
+            keys: Vec::with_capacity(pairs),
+            vals: Vec::with_capacity(pairs),
+        }
+    }
+
+    /// Number of pairs.
+    pub fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// `true` when there are no pairs.
+    pub fn is_empty(&self) -> bool {
+        self.keys.is_empty()
+    }
+
+    /// The pairs from `start` on, borrowed.
+    pub fn pairs_from(&self, start: usize) -> Pairs<'_> {
+        Pairs {
+            keys: &self.keys[start..],
+            vals: &self.vals[start..],
+        }
+    }
+
+    /// Append `pairs`.
+    pub fn extend(&mut self, pairs: Pairs<'_>) {
+        self.keys.extend_from_slice(pairs.keys);
+        self.vals.extend_from_slice(pairs.vals);
+    }
+}
+
+/// A borrowed range of [`Columns`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Pairs<'a> {
+    /// The fingerprints.
+    pub keys: &'a [u128],
+    /// The vertex ids.
+    pub vals: &'a [u32],
+}
+
+impl<'a> Pairs<'a> {
+    /// Number of pairs.
+    pub fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// `true` when there are no pairs.
+    pub fn is_empty(&self) -> bool {
+        self.keys.is_empty()
+    }
+
+    /// The first `n` pairs.
+    pub fn first(self, n: usize) -> Pairs<'a> {
+        Pairs {
+            keys: &self.keys[..n],
+            vals: &self.vals[..n],
+        }
+    }
 }
 
 #[cfg(test)]
@@ -356,15 +410,6 @@ mod tests {
         assert!(a < b);
         // Ties broken by value.
         assert!(KvPair::new(1, 0) < KvPair::new(1, 1));
-    }
-
-    #[test]
-    fn split_and_zip_are_inverses() {
-        let pairs = vec![KvPair::new(9, 1), KvPair::new(3, 2)];
-        let (k, v) = split_pairs(&pairs);
-        assert_eq!(k, vec![9, 3]);
-        assert_eq!(v, vec![1, 2]);
-        assert_eq!(zip_pairs(k, v), pairs);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! the directory); [`RecordWriter::finish_scratch`] does not.
 
 use crate::iostats::IoStats;
-use crate::record::{BlobFooter, Footer, KvPair, Xxh64};
+use crate::record::{BlobFooter, Footer, KvPair, Pairs, Xxh64};
 use crate::{Result, StreamError};
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -130,23 +130,33 @@ impl RecordWriter {
     }
 
     /// Append a batch of records.
-    pub fn write_all(&mut self, mut pairs: &[KvPair]) -> Result<()> {
+    pub fn write_all(&mut self, pairs: &[KvPair]) -> Result<()> {
+        self.encode(pairs.iter().map(|pair| (pair.key, pair.val)))
+    }
+
+    /// [`RecordWriter::write_all`] of pairs held as columns.
+    pub fn write_columns(&mut self, pairs: Pairs<'_>) -> Result<()> {
+        assert_eq!(pairs.keys.len(), pairs.vals.len(), "ragged columns");
+        self.encode(pairs.keys.iter().copied().zip(pairs.vals.iter().copied()))
+    }
+
+    /// Encode `pairs` into the block buffer, flushing each block it fills.
+    fn encode(&mut self, mut pairs: impl ExactSizeIterator<Item = (u128, u32)>) -> Result<()> {
         self.written += pairs.len() as u64;
-        while !pairs.is_empty() {
+        while pairs.len() > 0 {
             let room = (BLOCK_BYTES - self.block.len()) / KvPair::BYTES;
-            let (head, rest) = pairs.split_at(pairs.len().min(room));
             let start = self.block.len();
-            self.block.resize(start + head.len() * KvPair::BYTES, 0);
-            for (frame, pair) in self.block[start..]
+            self.block
+                .resize(start + pairs.len().min(room) * KvPair::BYTES, 0);
+            for (frame, (key, val)) in self.block[start..]
                 .chunks_exact_mut(KvPair::BYTES)
-                .zip(head)
+                .zip(&mut pairs)
             {
-                pair.encode(frame);
+                KvPair { key, val }.encode(frame);
             }
             if self.block.len() == BLOCK_BYTES {
                 self.flush_block()?;
             }
-            pairs = rest;
         }
         Ok(())
     }
@@ -180,7 +190,9 @@ impl RecordWriter {
 
     /// [`RecordWriter::finish`] minus the directory fsync, for a caller
     /// that commits many files into one directory and fsyncs it once after
-    /// the last rename, before it reports any of them as written.
+    /// the last rename, before it reports any of them as written — or for
+    /// a file whose owner renames it again at once (a sorted output, over
+    /// its input) and makes that name durable instead.
     pub(crate) fn finish_file(self) -> Result<u64> {
         self.finish_with(Commit::FileOnly).map(|f| f.records)
     }

@@ -192,8 +192,9 @@ impl Manifest {
         }
     }
 
-    /// Record the footer of the spill file at `path` under its file name.
-    pub fn record_file(&mut self, path: &Path) -> Result<()> {
+    /// Record the footer of the spill file at `path` under its file name;
+    /// returns the file's record count.
+    pub fn record_file(&mut self, path: &Path) -> Result<u64> {
         let footer = gstream::read_footer(path)?;
         let name = path
             .file_name()
@@ -206,7 +207,7 @@ impl Manifest {
                 checksum: footer.checksum,
             },
         );
-        Ok(())
+        Ok(footer.records)
     }
 
     /// Record a raw (non-KV) artifact by length and FNV-1a checksum.

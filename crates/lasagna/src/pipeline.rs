@@ -344,15 +344,23 @@ impl Pipeline {
             manifest.store(self.spill.root(), &self.faults)?;
         }
 
-        // Sort: hybrid external sort of every partition. Each partition is
-        // checkpointed as it lands, so a crash mid-sort loses at most one
-        // partition's work (the paper's regime: sorting is >50% of a
-        // multi-hour run).
+        // Sort: hybrid external sort of every partition. The manifest is
+        // stored once a host block of pairs has been sorted since the last
+        // store, and when the phase ends: in the paper's regime (a
+        // partition is many host blocks) that is after every partition,
+        // while partitions smaller than a host block share a commit. A
+        // crash re-sorts what the last stored manifest does not mark —
+        // at most one partition or one host block of pairs, whichever is
+        // larger; a partition sorted on disk but not marked is whole
+        // (`validate_resume` verifies it) and is simply sorted again.
         if manifest.is_done("sort") {
             drop(rec.span("sort (resumed)"));
         } else {
             let already: std::collections::HashSet<String> =
                 manifest.sorted.iter().cloned().collect();
+            let host_block = sortphase::sort_config(&self.config, &self.host, &self.device)
+                .host_block_pairs as u64;
+            let mut unstored = 0u64;
             self.phase("sort", || {
                 sortphase::run_checkpointed(
                     &self.device,
@@ -362,9 +370,13 @@ impl Pipeline {
                     rec,
                     |tag| already.contains(tag),
                     &mut |tag, path| {
-                        manifest.record_file(path)?;
+                        unstored += manifest.record_file(path)?;
                         manifest.mark_sorted(tag);
-                        manifest.store(self.spill.root(), &self.faults)
+                        if unstored >= host_block {
+                            unstored = 0;
+                            manifest.store(self.spill.root(), &self.faults)?;
+                        }
+                        Ok(())
                     },
                 )
             })?;

@@ -51,6 +51,14 @@ pub fn run_traced(
     })
 }
 
+/// The block sizes the phase sorts with: the configured ones, or the
+/// largest the budgets allow.
+pub(crate) fn sort_config(config: &AssemblyConfig, host: &HostMem, device: &Device) -> SortConfig {
+    config
+        .sort
+        .unwrap_or_else(|| SortConfig::from_budgets(host, device))
+}
+
 /// [`run_traced`] with per-partition resume support.
 ///
 /// Partitions whose tag (`sfx_00045`, …) satisfies `skip` are already
@@ -58,8 +66,15 @@ pub fn run_traced(
 /// the report totals, but they are not re-sorted and emit **no** span (so a
 /// trace of a resumed run shows exactly which partitions were redone). After
 /// each freshly sorted partition lands under its final name, `on_sorted(tag,
-/// path)` runs before the next partition starts — the pipeline uses it to
-/// checkpoint the manifest, bounding lost work to one partition.
+/// path)` runs before the next partition starts.
+///
+/// What is durable when `on_sorted` runs: the sorted file's bytes (synced
+/// before either rename), but not yet its name — the rename over the
+/// unsorted input is in the directory's journal only. A crash from here on
+/// leaves `path` holding either the unsorted input or the sorted file, both
+/// whole and self-verifying. The name becomes durable with the caller's next
+/// directory fsync, which must come before any manifest that calls the
+/// partition sorted; [`crate::Manifest::store`] does both in that order.
 pub fn run_checkpointed(
     device: &Device,
     host: &HostMem,
@@ -69,11 +84,12 @@ pub fn run_checkpointed(
     skip: impl Fn(&str) -> bool,
     on_sorted: &mut dyn FnMut(&str, &Path) -> Result<()>,
 ) -> Result<SortPhaseReport> {
-    let sort_config = config
-        .sort
-        .unwrap_or_else(|| SortConfig::from_budgets(host, device));
-    let sorter =
-        ExternalSorter::new(device.clone(), host.clone(), sort_config)?.with_recorder(rec.clone());
+    let sorter = ExternalSorter::new(
+        device.clone(),
+        host.clone(),
+        sort_config(config, host, device),
+    )?
+    .with_recorder(rec.clone());
 
     let mut report = SortPhaseReport::default();
     for len in config.l_min..config.l_max {

@@ -207,12 +207,7 @@ impl Device {
     pub fn h2d<T: Clone>(&self, host: &[T]) -> crate::Result<DeviceBuffer<T>> {
         let bytes = std::mem::size_of_val(host) as u64;
         self.inner.reserve(bytes)?;
-        let seconds = bytes as f64 / self.profile.pcie_bytes_per_s();
-        {
-            let mut c = lock(&self.inner.counters);
-            c.h2d_bytes += bytes;
-            c.transfer_seconds += seconds;
-        }
+        self.charge_transfer(bytes, 0);
         Ok(DeviceBuffer {
             data: host.to_vec(),
             bytes,
@@ -220,14 +215,31 @@ impl Device {
         })
     }
 
+    /// [`Device::h2d`] of a vector the host is done with: the same bytes
+    /// reserved and charged, and the vector itself becomes the buffer.
+    pub fn h2d_vec<T>(&self, host: Vec<T>) -> crate::Result<DeviceBuffer<T>> {
+        let bytes = std::mem::size_of_val(host.as_slice()) as u64;
+        self.inner.reserve(bytes)?;
+        self.charge_transfer(bytes, 0);
+        Ok(DeviceBuffer {
+            data: host,
+            bytes,
+            owner: Arc::clone(&self.inner),
+        })
+    }
+
     /// Copy a device buffer back to the host, charging PCIe time.
     pub fn d2h<T: Clone>(&self, buf: &DeviceBuffer<T>) -> Vec<T> {
-        let bytes = buf.bytes();
-        let seconds = bytes as f64 / self.profile.pcie_bytes_per_s();
-        let mut c = lock(&self.inner.counters);
-        c.d2h_bytes += bytes;
-        c.transfer_seconds += seconds;
+        self.charge_transfer(0, buf.bytes());
         buf.data.clone()
+    }
+
+    /// [`Device::d2h`] of a buffer the device is done with: the same bytes
+    /// charged, the buffer's reservation released, and its contents handed
+    /// back without a copy.
+    pub fn d2h_vec<T>(&self, mut buf: DeviceBuffer<T>) -> Vec<T> {
+        self.charge_transfer(0, buf.bytes());
+        std::mem::take(&mut buf.data)
     }
 
     /// Charge one kernel launch of the given cost to the device clock.
@@ -241,13 +253,17 @@ impl Device {
             let mut c = lock(&self.inner.counters);
             c.kernel_launches += 1;
             c.kernel_seconds += seconds;
-            let entry = c.per_kernel.entry(name.to_string()).or_default();
+            // The name is allocated for a kernel's first launch only.
+            let entry = match c.per_kernel.get_mut(name) {
+                Some(entry) => entry,
+                None => c.per_kernel.entry(name.to_string()).or_default(),
+            };
             entry.launches += 1;
             entry.flops += cost.flops;
             entry.bytes += cost.bytes;
             entry.seconds += seconds;
         }
-        let rec = self.recorder();
+        let rec = lock(&self.inner.recorder);
         if rec.is_enabled() {
             rec.counter("kernel.launches", 1);
             rec.metric("kernel.seconds", seconds);
@@ -329,6 +345,52 @@ mod tests {
         assert_eq!(stats.h2d_bytes, 1000);
         assert_eq!(stats.d2h_bytes, 1000);
         assert!(stats.transfer_seconds > 0.0);
+    }
+
+    #[test]
+    fn moving_transfers_reserve_and_charge_exactly_as_the_copying_ones() {
+        let run = |moving: bool| {
+            let dev = Device::with_capacity(GpuProfile::k40(), 1000);
+            let host: Vec<u64> = (0..100).collect(); // 800 B
+            let buf = if moving {
+                dev.h2d_vec(host.clone())
+            } else {
+                dev.h2d(&host)
+            }
+            .unwrap();
+            let over = if moving {
+                dev.h2d_vec(vec![0u8; 300])
+            } else {
+                dev.h2d(&[0u8; 300])
+            }
+            .unwrap_err();
+            let back = if moving {
+                dev.d2h_vec(buf)
+            } else {
+                let back = dev.d2h(&buf);
+                drop(buf);
+                back
+            };
+            assert_eq!(back, host);
+            (over, dev.stats())
+        };
+        let (copy_err, copied) = run(false);
+        let (move_err, moved) = run(true);
+        assert_eq!(
+            move_err,
+            DeviceError::OutOfMemory {
+                requested: 300,
+                in_use: 800,
+                capacity: 1000,
+            }
+        );
+        assert_eq!(move_err, copy_err);
+        // The failed upload reserved nothing; the download released the rest.
+        assert_eq!((moved.mem_used, moved.mem_peak), (0, 800));
+        assert_eq!((copied.mem_used, copied.mem_peak), (0, 800));
+        assert_eq!((moved.h2d_bytes, moved.d2h_bytes), (800, 800));
+        assert_eq!((copied.h2d_bytes, copied.d2h_bytes), (800, 800));
+        assert_eq!(moved.transfer_seconds, copied.transfer_seconds);
     }
 
     #[test]

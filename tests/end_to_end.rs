@@ -293,3 +293,90 @@ fn plain_assemble_ignores_stale_manifests() {
         assert!(!p.phase.ends_with("(resumed)"));
     }
 }
+
+#[test]
+fn extsort_shape_sorted_partitions_and_device_bill_are_pinned() {
+    // The benchmark's `asm_extsort` shape (10 000 reads of 100 bp at 40x,
+    // m_h 5 000, m_d 468, 64 KiB device) on this repository's simulators.
+    // Recorded at commit 875a1fb, before the sort ran on columns, one bucket
+    // pass and a commit per host block: the 74 sorted partition files and
+    // everything the device was charged must not move with how the host
+    // executes the sort.
+    use lasagna_repro::gstream::{read_footer, Fnv64, PartitionKind};
+    struct Golden {
+        seed: u64,
+        footers: u64,
+        launches: u64,
+        h2d_bytes: u64,
+        d2h_bytes: u64,
+        kernel_seconds: u64,
+        transfer_seconds: u64,
+    }
+    let goldens = [
+        Golden {
+            seed: 1,
+            footers: 0x5b35_81e1_2875_042c,
+            launches: 33_603,
+            h2d_bytes: 221_967_232,
+            d2h_bytes: 233_307_976,
+            kernel_seconds: 0x3fc8_86be_f433_4cc1,
+            transfer_seconds: 0x3fa3_6cd1_c02c_610d,
+        },
+        Golden {
+            seed: 3,
+            footers: 0x9e32_16ef_bd64_bcb8,
+            launches: 33_550,
+            h2d_bytes: 221_962_156,
+            d2h_bytes: 233_302_692,
+            kernel_seconds: 0x3fc8_7e0e_e43f_340f,
+            transfer_seconds: 0x3fa3_6cb4_c832_4d4b,
+        },
+    ];
+    for golden in goldens {
+        let genome = GenomeSim::uniform(25_000, golden.seed).generate();
+        let reads = ShotgunSim::error_free(100, 40.0, golden.seed + 1).sample(&genome);
+        let dir = stdx::tempdir().unwrap();
+        let mut config = AssemblyConfig::for_dataset(63, 100);
+        config.sort = Some(SortConfig {
+            host_block_pairs: 5_000,
+            device_block_pairs: 468,
+            kway: false,
+        });
+        let device = Device::with_capacity(GpuProfile::k40(), 64 << 10);
+        let spill = SpillDir::create(dir.path(), IoStats::default()).unwrap();
+        let pipeline = Pipeline::new(device, HostMem::new(64 << 20), spill, config).unwrap();
+        pipeline.assemble(&reads).unwrap();
+
+        // Every sorted partition's footer (record count + XXH64), in order.
+        let mut footers = Fnv64::new();
+        let mut files = 0;
+        for len in 63..100 {
+            for kind in [PartitionKind::Suffix, PartitionKind::Prefix] {
+                let footer = read_footer(&pipeline.spill().path(kind, len)).unwrap();
+                footers.update(&footer.records.to_le_bytes());
+                footers.update(&footer.checksum.to_le_bytes());
+                files += 1;
+            }
+        }
+        let seed = golden.seed;
+        assert_eq!(files, 74);
+        assert_eq!(footers.finish(), golden.footers, "seed {seed}: footers");
+        let stats = pipeline.device().stats();
+        assert_eq!(stats.kernel_launches, golden.launches, "seed {seed}");
+        assert_eq!(stats.h2d_bytes, golden.h2d_bytes, "seed {seed}");
+        assert_eq!(stats.d2h_bytes, golden.d2h_bytes, "seed {seed}");
+        // To the last bit: the same charges added in the same order.
+        assert_eq!(
+            stats.kernel_seconds.to_bits(),
+            golden.kernel_seconds,
+            "seed {seed}: kernel_seconds {}",
+            stats.kernel_seconds
+        );
+        assert_eq!(
+            stats.transfer_seconds.to_bits(),
+            golden.transfer_seconds,
+            "seed {seed}: transfer_seconds {}",
+            stats.transfer_seconds
+        );
+    }
+}

@@ -191,12 +191,7 @@ fn crash_on_first_middle_and_last_map_commit_leaves_nothing_a_rerun_trusts() {
         let committed =
             kv(PartitionKind::Suffix).unwrap().len() + kv(PartitionKind::Prefix).unwrap().len();
         assert_eq!(committed as u64, nth - 1, "{nth}");
-        let names = std::fs::read_dir(dir.path()).unwrap();
-        assert!(names.into_iter().all(|e| !e
-            .unwrap()
-            .file_name()
-            .to_string_lossy()
-            .ends_with(".tmp")));
+        assert!(no_tmp_left(dir.path()), "{nth}");
         let manifest = Manifest::load(dir.path()).unwrap().unwrap();
         assert!(!manifest.is_done("map"), "{nth}");
         assert!(
@@ -221,17 +216,7 @@ fn crash_on_scratch_and_final_sort_commits_then_resume_reproduces_identical_cont
     // durable sorted file. `reads(26)` gives every partition one tuple per
     // vertex.
     let r = reads(26);
-    let multi_run_on = |dir: &Path| {
-        let mut config = AssemblyConfig::for_dataset(40, 60);
-        config.sort = Some(SortConfig {
-            host_block_pairs: (2 * r.len()).div_ceil(4),
-            device_block_pairs: 32,
-            kway: false,
-        });
-        let spill = SpillDir::create(dir, IoStats::default()).unwrap();
-        let device = Device::with_capacity(GpuProfile::k40(), 64 << 20);
-        Pipeline::new(device, HostMem::new(256 << 20), spill, config).unwrap()
-    };
+    let multi_run_on = |dir: &Path| host_block_on(dir, (2 * r.len()).div_ceil(4));
     let baseline_dir = stdx::tempdir().unwrap();
     let baseline = multi_run_on(baseline_dir.path()).assemble(&r).unwrap();
 
@@ -273,13 +258,52 @@ fn crash_on_scratch_and_final_sort_commits_then_resume_reproduces_identical_cont
     }
 }
 
+/// A pipeline that sorts in host blocks of `host_block_pairs`: the sort
+/// phase stores the manifest each time that many pairs have been sorted
+/// since the last store. `reads(26)` gives each of the 40 partitions one
+/// tuple per vertex, 2 x the number of reads.
+fn host_block_on(dir: &Path, host_block_pairs: usize) -> Pipeline {
+    let mut config = AssemblyConfig::for_dataset(40, 60);
+    config.sort = Some(SortConfig {
+        host_block_pairs,
+        device_block_pairs: 32,
+        kway: false,
+    });
+    let spill = SpillDir::create(dir, IoStats::default()).unwrap();
+    let device = Device::with_capacity(GpuProfile::k40(), 64 << 20);
+    Pipeline::new(device, HostMem::new(256 << 20), spill, config).unwrap()
+}
+
+/// The partitions a traced run sorted, in order: its `sfx_*` / `pfx_*` spans.
+fn sorted_spans(rec: &lasagna_repro::obs::Recorder) -> Vec<String> {
+    rec.events()
+        .iter()
+        .filter_map(|e| match e {
+            lasagna_repro::obs::Event::SpanStart { name, .. }
+                if name.starts_with("sfx_") || name.starts_with("pfx_") =>
+            {
+                Some(name.clone())
+            }
+            _ => None,
+        })
+        .collect()
+}
+
+fn no_tmp_left(dir: &Path) -> bool {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .all(|e| !e.unwrap().file_name().to_string_lossy().ends_with(".tmp"))
+}
+
 #[test]
 fn resume_after_mid_sort_crash_redoes_only_unsorted_partitions() {
-    let r = reads(21);
+    let r = reads(26);
     let dir = stdx::tempdir().unwrap();
-    // Partition readers are first opened by the sort phase, so this crash
-    // lands after some partitions were sorted and checkpointed.
-    let err = laptop_on(dir.path())
+    // The paper's regime, a partition of several host blocks: the manifest
+    // is stored after each. A partition's sort opens its input and its two
+    // runs, so the ninth open lands in the third partition.
+    let two_runs = r.len() + 1;
+    let err = host_block_on(dir.path(), two_runs)
         .with_faults(Faults::from_plan(
             &FaultPlan::new().fail_at(faultsim::READER_OPEN, 9),
         ))
@@ -287,29 +311,127 @@ fn resume_after_mid_sort_crash_redoes_only_unsorted_partitions() {
         .unwrap_err();
     assert!(faultsim::is_injected(&err.to_string()), "{err}");
     let manifest = Manifest::load(dir.path()).unwrap().unwrap();
-    let sorted_before = manifest.sorted.len();
-    assert!(sorted_before > 0, "crash landed before any checkpoint");
+    assert_eq!(manifest.sorted, ["sfx_00040", "pfx_00040"]);
     assert!(manifest.is_done("map") && !manifest.is_done("sort"));
 
     let rec = lasagna_repro::obs::Recorder::new();
-    let out = laptop_on(dir.path())
+    let out = host_block_on(dir.path(), two_runs)
         .with_recorder(rec.clone())
         .resume(&r)
         .unwrap();
     assert!(!out.contigs.is_empty());
     // Only the partitions not yet checkpointed get a sort span on resume.
-    let resorted = rec
-        .events()
-        .iter()
-        .filter(|e| match e {
-            lasagna_repro::obs::Event::SpanStart { name, .. } => {
-                name.starts_with("sfx_") || name.starts_with("pfx_")
-            }
-            _ => false,
-        })
-        .count();
-    let total = Manifest::load(dir.path()).unwrap().unwrap().sorted.len();
-    assert_eq!(resorted, total - sorted_before, "total {total}");
+    let resorted = sorted_spans(&rec);
+    let total = Manifest::load(dir.path()).unwrap().unwrap().sorted;
+    assert_eq!(total.len(), 40);
+    assert_eq!(resorted, total[2..]);
+}
+
+#[test]
+fn crash_between_sort_checkpoints_resorts_exactly_what_the_stored_manifest_does_not_mark() {
+    // Partitions smaller than a host block share a manifest store: with a
+    // host block of 2.5 partitions the sort phase stores after every third
+    // partition (13 times) and once more when it ends.
+    let r = reads(26);
+    let per_partition = 2 * r.len();
+    let host_block = per_partition * 5 / 2;
+    let baseline_dir = stdx::tempdir().unwrap();
+    let baseline = host_block_on(baseline_dir.path(), host_block)
+        .assemble(&r)
+        .unwrap();
+    let all_tags = Manifest::load(baseline_dir.path()).unwrap().unwrap().sorted;
+    assert_eq!(all_tags.len(), 40);
+
+    // Before the phase: the fresh manifest's store and map's; map's 40
+    // commits are the first `gstream.write` hits.
+    let (stores_before, map_commits) = (2, 40);
+    for (point, nth, marked, what) in [
+        (
+            faultsim::MANIFEST_WRITE,
+            stores_before + 1,
+            0,
+            "first store",
+        ),
+        (
+            faultsim::MANIFEST_WRITE,
+            stores_before + 7,
+            18,
+            "a middle store",
+        ),
+        (
+            faultsim::MANIFEST_WRITE,
+            stores_before + 14,
+            39,
+            "the phase's last store",
+        ),
+        // The fifth partition's sorted file: the fourth is sorted on disk
+        // and nothing stored says so.
+        (
+            faultsim::SPILL_WRITE,
+            map_commits + 5,
+            3,
+            "a commit between two stores",
+        ),
+    ] {
+        let dir = stdx::tempdir().unwrap();
+        let err = host_block_on(dir.path(), host_block)
+            .with_faults(Faults::from_plan(&FaultPlan::new().fail_at(point, nth)))
+            .assemble_resumable(&r)
+            .unwrap_err();
+        assert!(faultsim::is_injected(&err.to_string()), "{what}: {err}");
+        let manifest = Manifest::load(dir.path()).unwrap().unwrap();
+        assert_eq!(manifest.sorted, all_tags[..marked], "{what}");
+        assert!(!manifest.is_done("sort"), "{what}");
+
+        let rec = lasagna_repro::obs::Recorder::new();
+        let resumed = host_block_on(dir.path(), host_block)
+            .with_recorder(rec.clone())
+            .resume(&r)
+            .unwrap();
+        assert_eq!(sorted_spans(&rec), all_tags[marked..], "{what}");
+        assert_eq!(resumed.contigs, baseline.contigs, "{what}");
+        assert_eq!(
+            resumed.graph.edge_count(),
+            baseline.graph.edge_count(),
+            "{what}"
+        );
+        assert!(no_tmp_left(dir.path()), "{what}");
+    }
+}
+
+#[test]
+fn the_sort_phase_stores_the_manifest_once_per_host_block_of_sorted_pairs() {
+    let r = reads(26);
+    let per_partition = 2 * r.len();
+    let stores = |pipeline: Pipeline| {
+        // A plan that never fires, so that hits are counted.
+        let faults = Faults::from_plan(&FaultPlan::new().fail_at(faultsim::MANIFEST_WRITE, 1_000));
+        pipeline.with_faults(faults.clone()).assemble(&r).unwrap();
+        faults.hits(faultsim::MANIFEST_WRITE)
+    };
+    // Outside the sort phase: the fresh manifest, map and reduce.
+    let other_stores = 3;
+    // Laptop budgets: every partition fits one host block many times over,
+    // and the phase stores once, as it ends.
+    let dir = stdx::tempdir().unwrap();
+    assert_eq!(stores(laptop_on(dir.path())), other_stores + 1);
+    // A partition of at least one host block is stored as it lands, as
+    // every partition was before the cadence followed the host block.
+    for host_block in [per_partition, per_partition / 3] {
+        let dir = stdx::tempdir().unwrap();
+        assert_eq!(
+            stores(host_block_on(dir.path(), host_block)),
+            other_stores + 40 + 1,
+            "m_h = {host_block}"
+        );
+    }
+    // In between: a store per 2.5 partitions' worth, rounded up to whole
+    // partitions.
+    let dir = stdx::tempdir().unwrap();
+    assert_eq!(
+        stores(host_block_on(dir.path(), per_partition * 5 / 2)),
+        other_stores + 13 + 1
+    );
 }
 
 #[test]
