@@ -21,6 +21,7 @@ use crate::reader::RecordReader;
 use crate::record::{Columns, Pairs};
 use crate::writer::RecordWriter;
 use crate::{Result, StreamError};
+use std::borrow::BorrowMut;
 use vgpu::Device;
 
 /// A sequential source of sorted pairs (file stream or in-memory run),
@@ -36,26 +37,33 @@ pub trait PairSource {
 }
 
 /// A sorted spill file as a source: the window is a buffer the reader
-/// decodes into, refilled behind a cursor.
-pub struct FileSource {
-    reader: RecordReader,
+/// decodes into, refilled behind a cursor. `R` is the reader itself, or a
+/// `&mut` to one whose owner checks the rest of the file afterwards
+/// ([`RecordReader::verify_to_end`]).
+pub struct FileSource<R = RecordReader> {
+    reader: R,
     buf: Columns,
     /// Pairs of `buf` already consumed.
     start: usize,
 }
 
-impl FileSource {
+impl<R: BorrowMut<RecordReader>> FileSource<R> {
     /// Stream `reader` from its current position.
-    pub fn new(reader: RecordReader) -> Self {
+    pub fn new(reader: R) -> Self {
         FileSource {
             reader,
             buf: Columns::default(),
             start: 0,
         }
     }
+
+    /// Records of the file not yet in any window.
+    pub fn remaining(&self) -> u64 {
+        self.reader.borrow().remaining()
+    }
 }
 
-impl PairSource for FileSource {
+impl<R: BorrowMut<RecordReader>> PairSource for FileSource<R> {
     fn fill(&mut self, want: usize) -> Result<()> {
         let held = self.buf.len() - self.start;
         if held >= want {
@@ -67,7 +75,9 @@ impl PairSource for FileSource {
         self.buf.keys.truncate(held);
         self.buf.vals.truncate(held);
         self.start = 0;
-        self.reader.next_columns(want - held, &mut self.buf)
+        self.reader
+            .borrow_mut()
+            .next_columns(want - held, &mut self.buf)
     }
 
     fn window(&self) -> Pairs<'_> {

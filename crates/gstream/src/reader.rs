@@ -192,7 +192,15 @@ impl RecordReader {
             want -= took;
             self.pos = end;
         }
-        if self.remaining == 0 && self.hasher.finish() != self.footer.checksum {
+        if self.remaining == 0 {
+            self.compare_checksum()?;
+        }
+        Ok(())
+    }
+
+    /// With every block loaded: the data's checksum against the footer's.
+    fn compare_checksum(&self) -> Result<()> {
+        if self.hasher.finish() != self.footer.checksum {
             return Err(StreamError::Corrupt(format!(
                 "{} checksum mismatch: footer {:#018x}, data {:#018x}",
                 self.path.display(),
@@ -226,13 +234,19 @@ impl RecordReader {
         self.next_chunk(self.remaining as usize)
     }
 
-    /// Drain any unconsumed records (discarding them) so the checksum
-    /// comparison runs even when the consumer stopped early.
+    /// Skip any unconsumed records so the checksum comparison runs even
+    /// when the consumer stopped early: the blocks left in the file are
+    /// read, checksummed and charged to [`IoStats`], and none is decoded.
     pub fn verify_to_end(&mut self) -> Result<()> {
-        while self.remaining > 0 {
-            self.next_chunk(1 << 15)?;
+        loop {
+            // What is left of the current block is already checksummed.
+            self.remaining -= ((self.block.len() - self.pos) / KvPair::BYTES) as u64;
+            self.pos = self.block.len();
+            if self.remaining == 0 {
+                return self.compare_checksum();
+            }
+            self.load_block()?;
         }
-        self.next_chunk(0).map(|_| ())
     }
 }
 
@@ -380,12 +394,27 @@ mod tests {
         assert_eq!(got, pairs);
         assert_eq!(io.snapshot().bytes_read, (n * KvPair::BYTES) as u64);
 
-        // A flip in the middle block is caught at the end of the drain.
+        // Stopping inside the first block and verifying reads the same bytes.
+        let skipped = IoStats::default();
+        let mut r = RecordReader::open(&path, skipped.clone()).unwrap();
+        assert_eq!(r.next_chunk(777).unwrap(), pairs[..777]);
+        r.verify_to_end().unwrap();
+        assert_eq!(r.remaining(), 0);
+        assert_eq!(skipped.snapshot().bytes_read, (n * KvPair::BYTES) as u64);
+
+        // A flip in the middle block is caught at the end of the drain, and
+        // by a verify that never decodes that block.
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[BLOCK_BYTES + BLOCK_BYTES / 2] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
         let mut r = RecordReader::open(&path, IoStats::default()).unwrap();
         assert!(matches!(r.read_all(), Err(StreamError::Corrupt(_))));
+        let mut r = RecordReader::open(&path, IoStats::default()).unwrap();
+        r.next_chunk(777).unwrap();
+        match r.verify_to_end() {
+            Err(StreamError::Corrupt(m)) => assert!(m.contains("blocks.kv"), "{m}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
     }
 
     #[test]

@@ -21,8 +21,14 @@ use crate::graph::StringGraph;
 use crate::Result;
 use genome::readset::VertexId;
 use gstream::spill::{PartitionKind, SpillDir};
-use gstream::{HostMem, KvPair, RecordReader};
+use gstream::{FileSource, HostMem, KvPair, PairSource, Pairs, RecordReader};
 use vgpu::Device;
+
+/// Device bytes of one fingerprint in an uploaded window.
+const DEVICE_KEY_BYTES: usize = std::mem::size_of::<u128>();
+/// Device bytes of the three `u32` bounds outputs (`L`, `U`, `C`) per
+/// suffix fingerprint.
+const DEVICE_BOUNDS_BYTES: usize = 3 * std::mem::size_of::<u32>();
 
 /// Outcome of the reduce phase.
 #[derive(Debug, Clone, Default)]
@@ -35,48 +41,25 @@ pub struct ReducePhaseReport {
     pub per_length: Vec<(u32, u64, u64)>,
 }
 
-/// Stream one window's worth of pairs, tracking exhaustion.
-struct Window<'a> {
-    buf: Vec<KvPair>,
-    reader: &'a mut RecordReader,
+/// One stream's window: columns behind a cursor.
+type Window<'a> = FileSource<&'a mut RecordReader>;
+
+fn last_key(w: &Window) -> u128 {
+    *w.window().keys.last().expect("non-empty window")
 }
 
-impl<'a> Window<'a> {
-    fn new(reader: &'a mut RecordReader) -> Self {
-        Window {
-            buf: Vec::new(),
-            reader,
-        }
+/// Extend the window until its last key differs from `key` or the stream
+/// ends (the all-equal-window escape hatch).
+fn gather_all_of(w: &mut Window, key: u128, step: usize) -> Result<()> {
+    while w.remaining() > 0 && last_key(w) == key {
+        w.fill(w.window().len() + step)?;
     }
+    Ok(())
+}
 
-    fn refill(&mut self, target: usize) -> Result<()> {
-        if self.buf.len() < target {
-            let more = self.reader.next_chunk(target - self.buf.len())?;
-            self.buf.extend(more);
-        }
-        Ok(())
-    }
-
-    fn exhausted(&self) -> bool {
-        self.reader.remaining() == 0
-    }
-
-    fn last_key(&self) -> u128 {
-        self.buf.last().expect("non-empty window").key
-    }
-
-    /// Extend the window until its last key differs from `key` or the
-    /// stream ends (the all-equal-window escape hatch).
-    fn gather_all_of(&mut self, key: u128, step: usize) -> Result<()> {
-        while !self.exhausted() && self.last_key() == key {
-            let more = self.reader.next_chunk(step.max(1))?;
-            if more.is_empty() {
-                break;
-            }
-            self.buf.extend(more);
-        }
-        Ok(())
-    }
+/// The paper's M/2: the pairs one stream's window is filled to.
+fn half_window(window_pairs: usize) -> usize {
+    (window_pairs / 2).max(2)
 }
 
 /// Join one sorted suffix/prefix partition pair, invoking `on_candidate`
@@ -107,15 +90,15 @@ fn join_partition_counting(
     advances: &mut u64,
     mut on_candidate: impl FnMut(VertexId, VertexId),
 ) -> Result<u64> {
-    let half = (window_pairs / 2).max(2);
-    let mut ws = Window::new(sfx);
-    let mut wp = Window::new(pfx);
+    let half = half_window(window_pairs);
+    let mut ws = FileSource::new(sfx);
+    let mut wp = FileSource::new(pfx);
     let mut candidates = 0u64;
 
     loop {
-        ws.refill(half)?;
-        wp.refill(half)?;
-        if ws.buf.is_empty() || wp.buf.is_empty() {
+        ws.fill(half)?;
+        wp.fill(half)?;
+        if ws.window().is_empty() || wp.window().is_empty() {
             // No further matches are possible: suffixes without prefixes
             // (or vice versa) produce no edges.
             break;
@@ -123,9 +106,9 @@ fn join_partition_counting(
         *advances += 1;
 
         // f ← MIN_KEY(S_{M/2}, P_{M/2}); cut both windows at LOWER_BOUND(f).
-        let f = ws.last_key().min(wp.last_key());
-        let mut cut_s = ws.buf.partition_point(|p| p.key < f);
-        let mut cut_p = wp.buf.partition_point(|p| p.key < f);
+        let f = last_key(&ws).min(last_key(&wp));
+        let mut cut_s = ws.window().keys.partition_point(|&key| key < f);
+        let mut cut_p = wp.window().keys.partition_point(|&key| key < f);
 
         // Deferring the trailing run of f to the next round is only valid
         // while more of f may still arrive. Include f now when (a) the
@@ -133,32 +116,34 @@ fn join_partition_counting(
         // progress (both windows are a single fingerprint). Either way the
         // *complete* run of f must enter both windows, so gather it from
         // any stream that still ends in f.
-        let include_f = (ws.exhausted() && ws.last_key() == f)
-            || (wp.exhausted() && wp.last_key() == f)
+        let include_f = (ws.remaining() == 0 && last_key(&ws) == f)
+            || (wp.remaining() == 0 && last_key(&wp) == f)
             || (cut_s == 0 && cut_p == 0);
         if include_f {
-            ws.gather_all_of(f, half)?;
-            wp.gather_all_of(f, half)?;
-            cut_s = ws.buf.partition_point(|p| p.key <= f);
-            cut_p = wp.buf.partition_point(|p| p.key <= f);
+            gather_all_of(&mut ws, f, half)?;
+            gather_all_of(&mut wp, f, half)?;
+            cut_s = ws.window().keys.partition_point(|&key| key <= f);
+            cut_p = wp.window().keys.partition_point(|&key| key <= f);
         }
 
         if cut_s > 0 && cut_p > 0 {
             candidates += join_windows(
                 device,
-                &ws.buf[..cut_s],
-                &wp.buf[..cut_p],
+                ws.window().first(cut_s),
+                wp.window().first(cut_p),
                 &mut on_candidate,
             )?;
         }
-        ws.buf.drain(..cut_s);
-        wp.buf.drain(..cut_p);
+        ws.consume(cut_s);
+        wp.consume(cut_p);
     }
     Ok(candidates)
 }
 
 /// Lines 8-17 of Algorithm 2: vectorized bounds on the device, candidate
-/// emission on the host.
+/// emission on the host. The bounds are charged as the paper's three
+/// launches and executed as one co-scan of the two sorted windows
+/// ([`Device::vec_bounds_sorted`]).
 ///
 /// Windows normally fit the device, but the all-equal-fingerprint escape
 /// hatch can grow them arbitrarily (a fingerprint shared by thousands of
@@ -168,35 +153,25 @@ fn join_partition_counting(
 /// additive).
 fn join_windows(
     device: &Device,
-    s: &[KvPair],
-    p: &[KvPair],
+    s: Pairs<'_>,
+    p: Pairs<'_>,
     on_candidate: &mut impl FnMut(VertexId, VertexId),
 ) -> Result<u64> {
-    // Per resident pair: 16 B suffix key + 16 B prefix key + 3×4 B bounds
-    // outputs; budget 80% of the free device memory, split evenly.
-    let free = device.capacity().saturating_sub(device.stats().mem_used) as usize;
-    let tile = (free * 8 / 10 / 2 / 28).max(16);
+    // 80% of the free device memory, split evenly between the sides; a
+    // suffix costs its key and its bounds outputs, a prefix its key alone.
+    let free = device.mem_free() as usize;
+    let tile = (free * 8 / 10 / 2 / (DEVICE_KEY_BYTES + DEVICE_BOUNDS_BYTES)).max(16);
 
     let mut candidates = 0u64;
-    for p_seg in p.chunks(tile.max(1)) {
-        let p_keys: Vec<u128> = p_seg.iter().map(|kv| kv.key).collect();
-        let dp = device.h2d(&p_keys)?;
-        for s_chunk in s.chunks(tile.max(1)) {
-            let s_keys: Vec<u128> = s_chunk.iter().map(|kv| kv.key).collect();
-            let ds = device.h2d(&s_keys)?;
-            let lower = device.vec_lower_bound(&ds, &dp)?;
-            let upper = device.vec_upper_bound(&ds, &dp)?;
-            let diff = device.vec_difference(&upper, &lower)?;
-            let lower = device.d2h(&lower);
-            let counts = device.d2h(&diff);
-            for (i, kv) in s_chunk.iter().enumerate() {
-                let c = counts[i];
-                if c == 0 {
-                    continue;
-                }
-                let u: VertexId = kv.val;
-                for j in lower[i]..lower[i] + c {
-                    let v: VertexId = p_seg[j as usize].val;
+    for (p_keys, p_vals) in p.keys.chunks(tile).zip(p.vals.chunks(tile)) {
+        let dp = device.h2d(p_keys)?;
+        for (s_keys, s_vals) in s.keys.chunks(tile).zip(s.vals.chunks(tile)) {
+            let ds = device.h2d(s_keys)?;
+            let (lower, counts) = device.vec_bounds_sorted(&ds, &dp)?;
+            let lower = device.d2h_vec(lower);
+            let counts = device.d2h_vec(counts);
+            for ((&u, &l), &c) in s_vals.iter().zip(&lower).zip(&counts) {
+                for &v in &p_vals[l as usize..(l + c) as usize] {
                     candidates += 1;
                     on_candidate(u, v);
                 }
@@ -206,15 +181,24 @@ fn join_windows(
     Ok(candidates)
 }
 
+/// Host bytes the two windows of `window_pairs` pairs hold between them: a
+/// pair is a 16 B key and a 4 B value in their columns, the 20 B it is on
+/// disk. The all-equal-fingerprint escape hatch may grow a window past it
+/// (by the run's length, ~coverage).
+fn window_bytes(window_pairs: usize) -> u64 {
+    (window_pairs * KvPair::BYTES) as u64
+}
+
 /// Window budget for the reduce join: the paper reads M/2 pairs per side
 /// with M sized to working memory, and both windows are loaded into the
-/// device for the vectorized bounds (keys 2×16 B plus three u32 outputs
-/// per suffix, doubled for headroom ⇒ ~88 B per resident pair). Reduce
-/// uses far less host memory than sort (Tables IV/V), so a quarter of the
-/// host budget caps the host side.
+/// device for the vectorized bounds (two keys plus the bounds outputs per
+/// resident pair, doubled for headroom ⇒ 88 B). Reduce uses far less host
+/// memory than sort (Tables IV/V), so a quarter of the host budget caps the
+/// host side.
 pub fn window_budget(host: &HostMem, device: &Device) -> usize {
     let host_cap = host.capacity() as usize / KvPair::BYTES / 4;
-    let device_cap = device.capacity() as usize / 88;
+    let device_cap =
+        device.capacity() as usize / (2 * (2 * DEVICE_KEY_BYTES + DEVICE_BOUNDS_BYTES));
     host_cap.min(device_cap).max(4)
 }
 
@@ -258,7 +242,7 @@ pub fn run_traced(
             continue;
         }
         let span = rec.span(&format!("len_{len:05}"));
-        let _guard = host.reserve((window_pairs * KvPair::BYTES) as u64)?;
+        let _guard = host.reserve(window_bytes(window_pairs))?;
         let mut sfx = spill.reader(PartitionKind::Suffix, len)?;
         let mut pfx = spill.reader(PartitionKind::Prefix, len)?;
         let mut accepted = 0u64;
@@ -376,6 +360,74 @@ mod tests {
         let report = run(&device, &host, &spill, &config, &mut graph).unwrap();
         assert_eq!(report.candidates, 2500);
         assert!(report.accepted >= 50, "accepted {}", report.accepted);
+    }
+
+    #[test]
+    fn filled_windows_hold_the_bytes_reserved_for_them() {
+        let (_g, _device, _host, spill) = setup();
+        let pairs: Vec<(u128, u32)> = (0..100).map(|i| (u128::from(i), i)).collect();
+        write_sorted(&spill, PartitionKind::Suffix, 5, &pairs);
+        write_sorted(&spill, PartitionKind::Prefix, 5, &pairs);
+        let mut sfx = spill.reader(PartitionKind::Suffix, 5).unwrap();
+        let mut pfx = spill.reader(PartitionKind::Prefix, 5).unwrap();
+        let (mut ws, mut wp) = (FileSource::new(&mut sfx), FileSource::new(&mut pfx));
+        let window_pairs = 40;
+        let mut held = 0;
+        for w in [&mut ws, &mut wp] {
+            w.fill(half_window(window_pairs)).unwrap();
+            let Pairs { keys, vals } = w.window();
+            held += std::mem::size_of_val(keys) + std::mem::size_of_val(vals);
+        }
+        assert_eq!(held as u64, window_bytes(window_pairs));
+    }
+
+    #[test]
+    fn windows_larger_than_the_device_are_tiled_on_both_sides() {
+        check_cases(16, |rng| {
+            let mut side = |offset: u32| {
+                rng.vec(600..1000, |r| {
+                    (
+                        u128::from(r.below(400)) << 64,
+                        r.below(1000) as u32 * 4 + offset,
+                    )
+                })
+            };
+            let (s, p) = (side(0), side(2));
+            let (_g, _device, _host, spill) = setup();
+            write_sorted(&spill, PartitionKind::Suffix, 5, &s);
+            write_sorted(&spill, PartitionKind::Prefix, 5, &p);
+            let mut sfx = spill.reader(PartitionKind::Suffix, 5).unwrap();
+            let mut pfx = spill.reader(PartitionKind::Prefix, 5).unwrap();
+
+            // 28 keys to a tile, 100 pairs to a window.
+            let device = Device::with_capacity(GpuProfile::k40(), 2_000);
+            let (mut advances, mut got) = (0, Vec::new());
+            let candidates =
+                join_partition_counting(&device, &mut sfx, &mut pfx, 200, &mut advances, |u, v| {
+                    got.push((u, v))
+                })
+                .unwrap();
+            // One side alone tiles into at most four: more launches than
+            // that per round means segments times chunks.
+            let launches = device.stats().per_kernel["vec_lower_bound"].launches;
+            assert!(
+                launches > 4 * advances,
+                "{launches} launches, {advances} rounds"
+            );
+
+            let mut naive: Vec<(u32, u32)> = s
+                .iter()
+                .flat_map(|&(ks, u)| {
+                    p.iter()
+                        .filter(move |(kp, _)| *kp == ks)
+                        .map(move |&(_, v)| (u, v))
+                })
+                .collect();
+            assert_eq!(candidates as usize, naive.len());
+            naive.sort_unstable();
+            got.sort_unstable();
+            assert_eq!(got, naive);
+        });
     }
 
     #[test]

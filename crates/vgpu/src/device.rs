@@ -192,6 +192,13 @@ impl Device {
         self.inner.capacity
     }
 
+    /// Bytes of capacity not reserved right now.
+    pub fn mem_free(&self) -> u64 {
+        self.inner
+            .capacity
+            .saturating_sub(self.inner.used.load(Ordering::Relaxed))
+    }
+
     /// Allocate an uninitialized (zeroed) buffer of `len` elements.
     pub fn alloc<T: Default + Clone>(&self, len: usize) -> crate::Result<DeviceBuffer<T>> {
         let bytes = (len * std::mem::size_of::<T>()) as u64;

@@ -380,3 +380,39 @@ fn extsort_shape_sorted_partitions_and_device_bill_are_pinned() {
         );
     }
 }
+
+#[test]
+fn reduce_candidates_edges_and_contigs_are_pinned_under_both_budgets() {
+    // The benchmark's two assembly shapes on this repository's simulators:
+    // every partition one window on an 8 MiB device, and the `asm_extsort`
+    // budgets whose 64 KiB device cuts each partition into dozens of
+    // window rounds. Recorded at commit f9884ea, when reduce ran two binary
+    // searches per suffix over `Vec<KvPair>` windows: a reduce that drops,
+    // invents or reorders a candidate moves one of these.
+    let goldens = [(1, 296_900, 19_376, 312), (2, 297_092, 19_394, 303)];
+    for (seed, candidates, edges, contigs) in goldens {
+        let genome = GenomeSim::uniform(25_000, seed).generate();
+        let reads = ShotgunSim::error_free(100, 40.0, seed + 1).sample(&genome);
+        let starved = SortConfig {
+            host_block_pairs: 5_000,
+            device_block_pairs: 468,
+            kway: false,
+        };
+        for (device_bytes, sort) in [(8 << 20, None), (64 << 10, Some(starved))] {
+            let dir = stdx::tempdir().unwrap();
+            let mut config = AssemblyConfig::for_dataset(63, 100);
+            config.sort = sort;
+            let device = Device::with_capacity(GpuProfile::k40(), device_bytes);
+            let spill = SpillDir::create(dir.path(), IoStats::default()).unwrap();
+            let pipeline = Pipeline::new(device, HostMem::new(64 << 20), spill, config)
+                .unwrap()
+                .with_recorder(obs::Recorder::new());
+            let out = pipeline.assemble(&reads).unwrap();
+            let totals = obs::Rollup::from_events(&pipeline.recorder().events()).totals();
+            let what = format!("seed {seed}, device {device_bytes} B");
+            assert_eq!(totals.counter("reduce.candidates"), candidates, "{what}");
+            assert_eq!(out.graph.edge_count(), edges, "{what}");
+            assert_eq!(out.contigs.len(), contigs, "{what}");
+        }
+    }
+}

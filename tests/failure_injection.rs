@@ -650,6 +650,44 @@ fn torn_tail_in_a_sorted_partition_fails_resume_loudly() {
 }
 
 #[test]
+fn bit_flip_in_the_tail_the_join_never_read_fails_reduce_loudly() {
+    // Ten suffixes against three blocks of prefixes: the join stops when the
+    // suffixes run dry, inside the prefixes' first block, and the flip sits
+    // in their last. Only the verification after the join can see it.
+    let dir = stdx::tempdir().unwrap();
+    let spill = SpillDir::create(dir.path(), IoStats::default()).unwrap();
+    for (kind, pairs) in [(PartitionKind::Suffix, 10), (PartitionKind::Prefix, 8_000)] {
+        let keys: Vec<u128> = (0..pairs).collect();
+        let vals: Vec<u32> = (0..pairs as u32).map(|i| 2 * i).collect();
+        let mut w = spill.writer(kind, 45).unwrap();
+        w.write_columns(gstream::Pairs {
+            keys: &keys,
+            vals: &vals,
+        })
+        .unwrap();
+        w.finish().unwrap();
+    }
+    let device = Device::new(GpuProfile::k40());
+    let host = HostMem::new(2_000); // windows of 12 pairs a side
+    let config = AssemblyConfig::for_dataset(45, 46);
+    let reduce = || {
+        let mut graph = StringGraph::new(16_000);
+        lasagna_repro::lasagna::reduce::run(&device, &host, &spill, &config, &mut graph)
+    };
+    assert_eq!(reduce().unwrap().candidates, 10);
+
+    let victim = spill.path(PartitionKind::Prefix, 45);
+    let mut bytes = std::fs::read(&victim).unwrap();
+    let last_record = bytes.len() - gstream::Footer::BYTES - gstream::KvPair::BYTES;
+    bytes[last_record] ^= 0x01;
+    std::fs::write(&victim, bytes).unwrap();
+    let err = reduce().unwrap_err();
+    assert!(is_corrupt(&err), "got {err}");
+    let name = victim.file_name().unwrap().to_string_lossy().into_owned();
+    assert!(err.to_string().contains(&name), "got {err}");
+}
+
+#[test]
 fn torn_tail_in_the_checkpointed_graph_fails_resume_loudly() {
     let r = reads(41);
     let dir = stdx::tempdir().unwrap();
