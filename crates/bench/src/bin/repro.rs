@@ -518,9 +518,8 @@ fn run_serve(out: &Path) {
     let rows = experiments::serve(work.path()).expect("serve bench failed");
     println!("\n=== Query service: throughput / latency sweep (SERVING.md) ===");
     println!(
-        "{:>8} {:>9} {:>8} {:>8} {:>12} {:>9} {:>9} {:>9} {:>9} {:>9} {:>10}",
+        "{:>8} {:>8} {:>8} {:>12} {:>9} {:>9} {:>9} {:>9} {:>9}",
         "workers",
-        "cache",
         "reads",
         "mapped",
         "reads/s",
@@ -528,14 +527,12 @@ fn run_serve(out: &Path) {
         "batch p99",
         "read p50",
         "read p99",
-        "p99.9",
-        "hit rate"
+        "p99.9"
     );
     for r in &rows {
         println!(
-            "{:>8} {:>8}M {:>8} {:>8} {:>12.0} {:>7.2}ms {:>7.2}ms {:>7.2}ms {:>7.2}ms {:>7.2}ms {:>9.1}%",
+            "{:>8} {:>8} {:>8} {:>12.0} {:>7.2}ms {:>7.2}ms {:>7.2}ms {:>7.2}ms {:>7.2}ms",
             r.workers,
-            r.cache_mb,
             r.reads,
             r.mapped,
             r.reads_per_sec,
@@ -543,8 +540,7 @@ fn run_serve(out: &Path) {
             r.p99_ms,
             r.hist_p50_ms,
             r.hist_p99_ms,
-            r.hist_p999_ms,
-            r.cache_hit_rate * 100.0
+            r.hist_p999_ms
         );
     }
     println!(

@@ -991,8 +991,6 @@ pub fn faults(workdir: &Path) -> Result<Vec<FaultRow>, String> {
 pub struct ServeRow {
     /// Worker threads in the service pool.
     pub workers: usize,
-    /// Postings-cache budget in MiB (0 = cache disabled).
-    pub cache_mb: u64,
     /// Reads queried.
     pub reads: usize,
     /// Reads that resolved to a contig position.
@@ -1012,12 +1010,10 @@ pub struct ServeRow {
     pub hist_p99_ms: f64,
     /// 99.9th percentile of the same histogram, milliseconds.
     pub hist_p999_ms: f64,
-    /// Postings-cache hit rate over the run (hits / lookups).
-    pub cache_hit_rate: f64,
 }
 
 stdx::impl_json!(struct ServeRow {
-    workers, cache_mb, reads, mapped, reads_per_sec, p50_ms, p99_ms, hist_p50_ms, hist_p90_ms, hist_p99_ms, hist_p999_ms, cache_hit_rate
+    workers, reads, mapped, reads_per_sec, p50_ms, p99_ms, hist_p50_ms, hist_p90_ms, hist_p99_ms, hist_p999_ms
 });
 
 /// Percentiles of a latency histogram recorded in microseconds,
@@ -1028,24 +1024,20 @@ fn hist_percentiles_ms(h: &obs::Histogram) -> (f64, f64, f64, f64) {
 }
 
 /// Query-service benchmark: assemble a small genome, index the contig
-/// store the pipeline exported, then sweep worker counts and cache
-/// budgets over the same 10 000-read query load. Every configuration must
-/// produce identical answers — the sweep only moves throughput and
-/// latency.
+/// store the pipeline exported, then sweep worker counts over the same
+/// 10 000-read query load. Every configuration must produce identical
+/// answers — the sweep only moves throughput and latency.
 pub fn serve(workdir: &Path) -> Result<Vec<ServeRow>, String> {
     let (store_path, index_path, queries) = serve_fixture(workdir)?;
     let io = IoStats::default();
     let mut rows = Vec::new();
     let mut reference: Option<Vec<Option<qserve::Hit>>> = None;
-    for (workers, cache_mb) in [(1usize, 16u64), (4, 16), (8, 16), (4, 0)] {
+    for workers in [1usize, 4, 8] {
         let engine = qserve::QueryEngine::open(
             &store_path,
             &index_path,
             &io,
-            qserve::QueryConfig {
-                cache_bytes: cache_mb << 20,
-                ..qserve::QueryConfig::default()
-            },
+            qserve::QueryConfig::default(),
         )
         .map_err(|e| e.to_string())?;
         // An enabled recorder so the service's per-read latency
@@ -1074,23 +1066,18 @@ pub fn serve(workdir: &Path) -> Result<Vec<ServeRow>, String> {
             None => reference = Some(answers.clone()),
             Some(expected) => {
                 if *expected != answers {
-                    return Err(format!(
-                        "answers diverged at workers={workers} cache={cache_mb}MiB"
-                    ));
+                    return Err(format!("answers diverged at workers={workers}"));
                 }
             }
         }
         latencies_ms.sort_by(|a, b| a.partial_cmp(b).expect("finite latency"));
         let pct = |p: f64| latencies_ms[((latencies_ms.len() - 1) as f64 * p) as usize];
-        let stats = svc.engine().cache_stats();
-        let lookups = stats.hits + stats.misses;
         let hist = obs::Rollup::from_events(&rec.events())
             .totals()
             .hist("qserve.latency.total");
         let (hp50, hp90, hp99, hp999) = hist_percentiles_ms(&hist);
         rows.push(ServeRow {
             workers,
-            cache_mb,
             reads: answers.len(),
             mapped: answers.iter().flatten().count(),
             reads_per_sec: answers.len() as f64 / elapsed.max(1e-9),
@@ -1100,7 +1087,6 @@ pub fn serve(workdir: &Path) -> Result<Vec<ServeRow>, String> {
             hist_p90_ms: hp90,
             hist_p99_ms: hp99,
             hist_p999_ms: hp999,
-            cache_hit_rate: stats.hits as f64 / (lookups.max(1)) as f64,
         });
     }
     Ok(rows)

@@ -13,18 +13,15 @@
 //!    pipeline introduces no indels, so placements are exact diagonals),
 //!    bailing out as soon as the mismatch budget is exceeded.
 //!
-//! Postings lists fetched from the index pass through the
-//! [`PostingsCache`], so hot minimizers skip the index's binary search.
-//! The cache is invisible to results by construction and the tie-break
-//! order below is total, which makes query answers independent of worker
-//! count, batch order, and cache state — the property the golden tests
-//! pin down.
+//! Postings are read straight from the resident, sorted index: a lookup is
+//! two binary searches returning a borrowed slice, so the engine has no
+//! interior state. The tie-break order below is total, which makes query
+//! answers independent of worker count and batch order — the property the
+//! golden tests pin down.
 
-use crate::cache::PostingsCache;
 use crate::minimizer::{minimizers, MinimizerIndex};
 use crate::store::ContigStore;
 use gstream::IoStats;
-use obs::Recorder;
 use std::collections::HashMap;
 use std::path::Path;
 
@@ -37,8 +34,6 @@ pub struct QueryConfig {
     pub max_candidates: usize,
     /// Placements need at least this many minimizer votes to be verified.
     pub min_votes: u32,
-    /// Byte budget for the postings cache (0 disables caching).
-    pub cache_bytes: u64,
 }
 
 impl Default for QueryConfig {
@@ -47,7 +42,6 @@ impl Default for QueryConfig {
             max_mismatches: 2,
             max_candidates: 32,
             min_votes: 1,
-            cache_bytes: 32 << 20,
         }
     }
 }
@@ -94,16 +88,24 @@ pub struct Candidate {
     pub mismatches: Option<u32>,
 }
 
-/// The resolution engine: store + index + cache + config.
+/// Postings-cache totals. There is no cache: kept for the benchmark
+/// harness, deleted with `qserve.cache_hit_frac` by ROADMAP item 1's
+/// benchmark PR.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    pub hits: u64,
+    pub misses: u64,
+}
+
+/// The resolution engine: store + index + config.
 ///
-/// Shared read-only across the [`QueryService`] worker pool; all interior
-/// mutability lives in the cache, which is lock-sharded.
+/// Shared read-only across the [`QueryService`] worker pool; it has no
+/// interior mutability.
 ///
 /// [`QueryService`]: crate::QueryService
 pub struct QueryEngine {
     store: ContigStore,
     index: MinimizerIndex,
-    cache: PostingsCache,
     cfg: QueryConfig,
 }
 
@@ -115,12 +117,7 @@ impl QueryEngine {
         cfg: QueryConfig,
     ) -> crate::Result<QueryEngine> {
         index.verify_store(&store)?;
-        Ok(QueryEngine {
-            store,
-            index,
-            cache: PostingsCache::new(cfg.cache_bytes),
-            cfg,
-        })
+        Ok(QueryEngine { store, index, cfg })
     }
 
     /// Open store and index files and bind them.
@@ -152,74 +149,44 @@ impl QueryEngine {
         self.cfg
     }
 
-    /// Cache hit/miss totals since the engine was built.
-    pub fn cache_stats(&self) -> crate::CacheStats {
-        self.cache.stats()
+    /// Always zero; see [`CacheStats`].
+    pub fn cache_stats(&self) -> CacheStats {
+        CacheStats::default()
     }
 
-    /// Bytes currently resident in the postings cache — the live
-    /// `qserve.cache.bytes` occupancy gauge.
-    pub fn cache_resident_bytes(&self) -> u64 {
-        self.cache.resident_bytes()
+    /// Seed: every placement `(contig, start-of-read-in-contig)` the
+    /// minimizers of `oriented` vote for, with its vote count, in no
+    /// particular order.
+    fn voted_placements(&self, oriented: &genome::PackedSeq) -> Vec<((u32, u32), u32)> {
+        let mut votes: HashMap<(u32, u32), u32> = HashMap::new();
+        for (hash, read_off) in minimizers(oriented, self.index.k(), self.index.w()) {
+            for &(contig, contig_off) in self.index.postings(hash) {
+                let Some(start) = contig_off.checked_sub(read_off) else {
+                    continue; // read would hang off the contig's left edge
+                };
+                let clen = self.store.contig(contig as usize).len();
+                if start as usize + oriented.len() > clen {
+                    continue; // hangs off the right edge
+                }
+                *votes.entry((contig, start)).or_insert(0) += 1;
+            }
+        }
+        votes.into_iter().collect()
     }
 
     /// Resolve one read. Returns the best placement within the mismatch
     /// budget, or `None` if nothing verifies.
     pub fn query(&self, read: &genome::PackedSeq) -> Option<Hit> {
-        self.query_inner(read).0
-    }
-
-    /// [`Self::query`], additionally emitting `qserve.cache.hit` /
-    /// `qserve.cache.miss` counters on `span`.
-    pub fn query_traced(&self, read: &genome::PackedSeq, rec: &Recorder, span: u64) -> Option<Hit> {
-        let (hit, cache_hits, cache_misses) = self.query_inner(read);
-        if cache_hits > 0 {
-            rec.counter_on(span, "qserve.cache.hit", cache_hits);
-        }
-        if cache_misses > 0 {
-            rec.counter_on(span, "qserve.cache.miss", cache_misses);
-        }
-        hit
-    }
-
-    fn query_inner(&self, read: &genome::PackedSeq) -> (Option<Hit>, u64, u64) {
-        let (k, w) = (self.index.k(), self.index.w());
-        let mut cache_hits = 0u64;
-        let mut cache_misses = 0u64;
-        if read.len() < k {
-            return (None, 0, 0);
+        if read.len() < self.index.k() {
+            return None;
         }
         let rev = read.reverse_complement();
         let mut best: Option<Hit> = None;
         for (reverse, oriented) in [(false, read), (true, &rev)] {
-            // Seed: vote for placements (contig, start-of-read-in-contig).
-            let mut votes: HashMap<(u32, u32), u32> = HashMap::new();
-            for (hash, read_off) in minimizers(oriented, k, w) {
-                let (postings, was_hit) = self
-                    .cache
-                    .get_or_fetch(hash, || self.index.postings(hash).to_vec());
-                if was_hit {
-                    cache_hits += 1;
-                } else {
-                    cache_misses += 1;
-                }
-                for &(contig, contig_off) in postings.iter() {
-                    let Some(start) = contig_off.checked_sub(read_off) else {
-                        continue; // read would hang off the contig's left edge
-                    };
-                    let clen = self.store.contig(contig as usize).len();
-                    if start as usize + oriented.len() > clen {
-                        continue; // hangs off the right edge
-                    }
-                    *votes.entry((contig, start)).or_insert(0) += 1;
-                }
-            }
             // Rank: most votes first, then (contig, offset) for a total,
             // deterministic order before truncation.
-            let mut candidates: Vec<((u32, u32), u32)> = votes
-                .into_iter()
-                .filter(|&(_, v)| v >= self.cfg.min_votes)
-                .collect();
+            let mut candidates = self.voted_placements(oriented);
+            candidates.retain(|&(_, v)| v >= self.cfg.min_votes);
             candidates.sort_unstable_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
             candidates.truncate(self.cfg.max_candidates);
             // Verify: exact-diagonal comparison with early bail-out.
@@ -239,7 +206,7 @@ impl QueryEngine {
                 }
             }
         }
-        (best, cache_hits, cache_misses)
+        best
     }
 
     /// Every placement this engine's postings vote for, verified, in
@@ -249,30 +216,13 @@ impl QueryEngine {
     /// to `max_candidates`: those cuts depend on global vote counts, so
     /// they belong to the merge side ([`select_hit`]).
     pub fn query_candidates(&self, read: &genome::PackedSeq) -> Vec<Candidate> {
-        let (k, w) = (self.index.k(), self.index.w());
-        if read.len() < k {
+        if read.len() < self.index.k() {
             return Vec::new();
         }
         let rev = read.reverse_complement();
         let mut out: Vec<Candidate> = Vec::new();
         for (reverse, oriented) in [(false, read), (true, &rev)] {
-            let mut votes: HashMap<(u32, u32), u32> = HashMap::new();
-            for (hash, read_off) in minimizers(oriented, k, w) {
-                let (postings, _) = self
-                    .cache
-                    .get_or_fetch(hash, || self.index.postings(hash).to_vec());
-                for &(contig, contig_off) in postings.iter() {
-                    let Some(start) = contig_off.checked_sub(read_off) else {
-                        continue;
-                    };
-                    let clen = self.store.contig(contig as usize).len();
-                    if start as usize + oriented.len() > clen {
-                        continue;
-                    }
-                    *votes.entry((contig, start)).or_insert(0) += 1;
-                }
-            }
-            let mut voted: Vec<((u32, u32), u32)> = votes.into_iter().collect();
+            let mut voted = self.voted_placements(oriented);
             voted.sort_unstable();
             for ((contig, start), v) in voted {
                 out.push(Candidate {
@@ -459,17 +409,6 @@ mod tests {
         let eng = engine_over(&[REF0], QueryConfig::default());
         assert_eq!(eng.query(&seq("GTGTGTGTGTGTGTGTGTGTGTGT")), None);
         assert_eq!(eng.query(&seq("ACG")), None, "shorter than k");
-    }
-
-    #[test]
-    fn cache_speeds_repeats_without_changing_answers() {
-        let eng = engine_over(&[REF0, REF1], QueryConfig::default());
-        let read = seq(&REF1[20..44]);
-        let first = eng.query(&read);
-        let second = eng.query(&read);
-        assert_eq!(first, second);
-        let stats = eng.cache_stats();
-        assert!(stats.hits > 0, "second pass must hit the cache: {stats:?}");
     }
 
     #[test]

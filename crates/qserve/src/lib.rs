@@ -13,8 +13,6 @@
 //! * [`minimizer`] — [`MinimizerIndex`], a (w,k)-window minimizer index
 //!   mapping minimizer hashes to `(contig, offset)` postings, built in
 //!   parallel over contigs and serialized beside the store;
-//! * [`cache`] — [`PostingsCache`], a sharded LRU over hot postings lists
-//!   with a byte budget, so repeated minimizers skip the index walk;
 //! * [`engine`] — [`QueryEngine`], which maps a read (or its Watson-Crick
 //!   complement) to its contig position: minimizer hits vote for candidate
 //!   diagonals, banded verification confirms or rejects them;
@@ -28,16 +26,14 @@
 //! Formats, query semantics, tuning knobs, and failure modes are
 //! documented in `SERVING.md`. Observability: workers run under
 //! `qserve.worker{i}` spans and emit `qserve.queries`,
-//! `qserve.cache.hit`/`qserve.cache.miss`, `qserve.batch.size`, and
-//! `qserve.shed` counters (see OBSERVABILITY.md). Corrupt stores and
-//! indexes fail loudly as [`gstream::StreamError::Corrupt`] with the
-//! offending path named; the `qserve.store.read` / `qserve.index.read`
+//! `qserve.batch.size`, and `qserve.shed` counters (see
+//! OBSERVABILITY.md). Corrupt stores and indexes fail loudly as
+//! [`gstream::StreamError::Corrupt`] with the offending path named; the `qserve.store.read` / `qserve.index.read`
 //! failpoints inject those failures deterministically, and
 //! `qserve.store.write` injects ENOSPC into the pipeline's store export
 //! (ROBUSTNESS.md).
 
 pub mod admission;
-pub mod cache;
 pub mod engine;
 pub mod generations;
 pub mod minimizer;
@@ -46,8 +42,9 @@ pub mod store;
 mod wire;
 
 pub use admission::{AdmissionConfig, FairAdmission, FairShed};
-pub use cache::{CacheStats, PostingsCache};
-pub use engine::{merge_candidates, select_hit, Candidate, Hit, QueryConfig, QueryEngine};
+pub use engine::{
+    merge_candidates, select_hit, CacheStats, Candidate, Hit, QueryConfig, QueryEngine,
+};
 pub use generations::{
     gen_index_file, gen_store_file, GenEntry, GenError, GenKind, GenManifest, GEN_MANIFEST_FILE,
 };

@@ -751,7 +751,7 @@ fn worker_loop(shared: &Shared, idx: usize) {
             let begun = Instant::now();
             match chunk.mode {
                 BatchMode::Hits => {
-                    hit_answers.push(chunk.gen.engine.query_traced(read, &shared.rec, span.id()));
+                    hit_answers.push(chunk.gen.engine.query(read));
                 }
                 BatchMode::Candidates => {
                     cand_answers.push(chunk.gen.engine.query_candidates(read));
@@ -774,11 +774,6 @@ fn worker_loop(shared: &Shared, idx: usize) {
             shared
                 .rec
                 .histogram_on(sid, "qserve.latency.total", total_h);
-            shared.rec.gauge_on(
-                sid,
-                "qserve.cache.bytes",
-                chunk.gen.engine.cache_resident_bytes(),
-            );
         }
         faultsim::sched::point("qserve.worker.respond");
         shared
@@ -963,7 +958,6 @@ mod tests {
             totals.hist("qserve.latency.queue").sum() + totals.hist("qserve.latency.exec").sum()
         );
         assert!(totals.gauge("qserve.queue.depth") >= 1);
-        assert!(totals.gauges.contains_key("qserve.cache.bytes"));
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //!
 //! lasagna-cli query --work /tmp/lasagna-work --reads queries.fastq \
 //!                  [--out hits.tsv] [--batch 1024] [--workers 4] \
-//!                  [--cache-mb 32] [--max-mismatches 2] [--max-queue 64]
+//!                  [--max-mismatches 2] [--max-queue 64]
 //!
 //! lasagna-cli query --connect HOST:PORT --reads queries.fastq \
 //!                  [--out hits.tsv] [--batch 1024] [--client-id NAME] \
@@ -41,13 +41,13 @@
 //!                  [--failover-rounds 3] [--auth-secret S]
 //!
 //! lasagna-cli serve --work /tmp/lasagna-work [--addr 127.0.0.1:0] \
-//!                  [--workers 4] [--cache-mb 32] [--max-mismatches 2] \
-//!                  [--max-queue 64] [--refill-per-s 50000] [--burst 20000] \
+//!                  [--workers 4] [--max-mismatches 2] [--max-queue 64] \
+//!                  [--refill-per-s 50000] [--burst 20000] \
 //!                  [--read-timeout-ms 30000] [--drain-deadline-ms 5000] \
 //!                  [--faults SPEC] [--trace-out trace.jsonl] [--auth-secret S]
 //!
 //! lasagna-cli serve-cluster --work /tmp/lasagna-work --shards 2 [--replicas 2] \
-//!                  [--manifest cluster.json] [--workers 2] [--cache-mb 32] \
+//!                  [--manifest cluster.json] [--workers 2] \
 //!                  [--max-mismatches 2] [--max-queue 64] [--k 15] [--w 8] \
 //!                  [--auth-secret S]
 //!
@@ -119,19 +119,19 @@ fn usage() -> ! {
          lasagna top --connect HOST:PORT [--interval-ms 1000] [--iterations 0]\n  \
          lasagna index --work DIR [--contigs contigs.fa] [--k 15] [--w 8] [--threads 0]\n  \
          lasagna query --work DIR --reads queries.fastq [--out hits.tsv] [--batch 1024] \
-         [--workers 4] [--cache-mb 32] [--max-mismatches 2] [--max-queue 64]\n  \
+         [--workers 4] [--max-mismatches 2] [--max-queue 64]\n  \
          lasagna query --connect HOST:PORT --reads queries.fastq [--out hits.tsv] \
          [--batch 1024] [--client-id NAME] [--deadline-ms 10000] [--retries 4] \
          [--auth-secret S]\n  \
          lasagna query --router cluster.json --reads queries.fastq [--out hits.tsv] \
          [--batch 1024] [--client-id NAME] [--deadline-ms 10000] [--hedge-max-ms 200] \
          [--failover-rounds 3] [--auth-secret S]\n  \
-         lasagna serve --work DIR [--addr 127.0.0.1:0] [--workers 4] [--cache-mb 32] \
+         lasagna serve --work DIR [--addr 127.0.0.1:0] [--workers 4] \
          [--max-mismatches 2] [--max-queue 64] [--refill-per-s 50000] [--burst 20000] \
          [--read-timeout-ms 30000] [--drain-deadline-ms 5000] [--faults SPEC] \
          [--trace-out trace.jsonl] [--auth-secret S]\n  \
          lasagna serve-cluster --work DIR --shards N [--replicas R] [--manifest FILE] \
-         [--workers 2] [--cache-mb 32] [--max-mismatches 2] [--max-queue 64] \
+         [--workers 2] [--max-mismatches 2] [--max-queue 64] \
          [--k 15] [--w 8] [--auth-secret S]\n  \
          lasagna generations --work DIR\n  \
          lasagna reload --connect HOST:PORT [--generation N]\n  \
@@ -991,14 +991,12 @@ fn query(opts: &HashMap<String, String>) {
     let out = opts.get("out").map(PathBuf::from);
     let batch: usize = get(opts, "batch", 1024usize);
     let workers: usize = get(opts, "workers", 4usize);
-    let cache_mb: u64 = get(opts, "cache-mb", 32u64);
     let io = IoStats::default();
 
     let reads = load_query_reads(&reads_path);
 
     let qcfg = QueryConfig {
         max_mismatches: get(opts, "max-mismatches", 2u32),
-        cache_bytes: cache_mb << 20,
         ..QueryConfig::default()
     };
     let engine = QueryEngine::open(&work.join(STORE_FILE), &work.join(INDEX_FILE), &io, qcfg)
@@ -1023,15 +1021,11 @@ fn query(opts: &HashMap<String, String>) {
     }
     let elapsed = start.elapsed().as_secs_f64();
     let mapped = rows.iter().filter(|r| !r.ends_with("\t*")).count();
-    let stats = svc.engine().cache_stats();
     println!(
-        "queried {} reads in {elapsed:.3}s ({:.0} reads/s): {mapped} mapped, {} unmapped; \
-         postings cache {} hits / {} misses",
+        "queried {} reads in {elapsed:.3}s ({:.0} reads/s): {mapped} mapped, {} unmapped",
         rows.len(),
         rows.len() as f64 / elapsed.max(1e-9),
-        rows.len() - mapped,
-        stats.hits,
-        stats.misses
+        rows.len() - mapped
     );
     write_rows(out, &rows);
 }
@@ -1164,7 +1158,6 @@ fn serve(opts: &HashMap<String, String>) {
     let io = IoStats::default();
     let qcfg = QueryConfig {
         max_mismatches: get(opts, "max-mismatches", 2u32),
-        cache_bytes: get(opts, "cache-mb", 32u64) << 20,
         ..QueryConfig::default()
     };
     let engine = QueryEngine::open(&work.join(STORE_FILE), &work.join(INDEX_FILE), &io, qcfg)
@@ -1286,7 +1279,6 @@ fn serve_cluster(opts: &HashMap<String, String>) {
     };
     let qcfg = QueryConfig {
         max_mismatches: get(opts, "max-mismatches", 2u32),
-        cache_bytes: get(opts, "cache-mb", 32u64) << 20,
         ..QueryConfig::default()
     };
 

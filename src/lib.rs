@@ -27,7 +27,7 @@
 //! * [`ecc`] — k-mer-spectrum error correction, the SGA pipeline stage the
 //!   paper's comparison excludes, for assembling noisy reads;
 //! * [`qserve`] — the contig query service: an indexed on-disk assembly
-//!   store with batched, cached, concurrent read lookups (see SERVING.md);
+//!   store with batched, concurrent read lookups (see SERVING.md);
 //! * [`qnet`] — the hardened TCP front-end over `qserve`: checksummed
 //!   framing, deadline propagation, per-client fair admission, a
 //!   retry/backoff client, and graceful drain (see SERVING.md);
