@@ -7,6 +7,18 @@ use std::str::FromStr;
 
 const BASES_PER_WORD: usize = 32;
 
+/// The low bit of every 2-bit base slot.
+const LOW_BITS: u64 = 0x5555_5555_5555_5555;
+
+/// Reverse the 32 base slots of `x` and complement each (A=0 ↔ T=3 and
+/// C=1 ↔ G=2 is a bitwise NOT).
+fn revcomp_word(x: u64) -> u64 {
+    let x = !x;
+    let x = ((x >> 2) & 0x3333_3333_3333_3333) | ((x & 0x3333_3333_3333_3333) << 2);
+    let x = ((x >> 4) & 0x0F0F_0F0F_0F0F_0F0F) | ((x & 0x0F0F_0F0F_0F0F_0F0F) << 4);
+    x.swap_bytes()
+}
+
 /// A DNA string stored 2 bits per base, 32 bases per `u64` word.
 ///
 /// At the paper's scale (hundreds of gigabases) packing is what makes reads
@@ -73,7 +85,14 @@ impl PackedSeq {
 
     /// Iterate over bases.
     pub fn iter(&self) -> impl Iterator<Item = Base> + '_ {
-        (0..self.len).map(move |i| self.get(i))
+        self.codes().map(Base::from_code)
+    }
+
+    /// Iterate over 2-bit codes, straight from the packed words.
+    pub fn codes(&self) -> impl Iterator<Item = u8> + '_ {
+        (0..self.len).map(move |i| {
+            ((self.words[i / BASES_PER_WORD] >> (2 * (i % BASES_PER_WORD))) & 3) as u8
+        })
     }
 
     /// The sub-sequence `[start, start + len)`.
@@ -91,13 +110,73 @@ impl PackedSeq {
         out
     }
 
-    /// The Watson-Crick reverse complement.
+    /// The Watson-Crick reverse complement, built a word at a time.
     pub fn reverse_complement(&self) -> PackedSeq {
-        let mut out = PackedSeq::with_capacity(self.len);
-        for i in (0..self.len).rev() {
-            out.push(self.get(i).complement());
+        PackedSeq {
+            words: (0..self.words.len()).map(|j| self.rc_word(j)).collect(),
+            len: self.len,
         }
-        out
+    }
+
+    /// Mismatching bases between this sequence — its reverse complement
+    /// when `reverse` — and `text[start .. start + len())`, or `None` as
+    /// soon as they exceed `budget`. Compares 32 bases per step.
+    ///
+    /// # Panics
+    /// Panics if the placement runs past the end of `text`.
+    pub fn mismatches_at(
+        &self,
+        reverse: bool,
+        text: &PackedSeq,
+        start: usize,
+        budget: u32,
+    ) -> Option<u32> {
+        assert!(
+            start + self.len <= text.len,
+            "placement [{start}, {}) out of range for length {}",
+            start + self.len,
+            text.len
+        );
+        let mut mm = 0u32;
+        for j in 0..self.words.len() {
+            let mine = if reverse {
+                self.rc_word(j)
+            } else {
+                self.words[j]
+            };
+            let n = (self.len - j * BASES_PER_WORD).min(BASES_PER_WORD);
+            let x = mine ^ text.word_at(start + j * BASES_PER_WORD, n);
+            // A base differs iff either bit of its pair does.
+            mm += ((x | (x >> 1)) & LOW_BITS).count_ones();
+            if mm > budget {
+                return None;
+            }
+        }
+        Some(mm)
+    }
+
+    /// The `n` (1..=32) bases from `start`, base `t` in bits `2t..2t+2`,
+    /// zero above: a two-word shift for an unaligned `start`.
+    fn word_at(&self, start: usize, n: usize) -> u64 {
+        let (w, s) = (start / BASES_PER_WORD, 2 * (start % BASES_PER_WORD));
+        let mut x = self.words[w] >> s;
+        if s != 0 && w + 1 < self.words.len() {
+            x |= self.words[w + 1] << (64 - s);
+        }
+        if n < BASES_PER_WORD {
+            x &= (1u64 << (2 * n)) - 1;
+        }
+        x
+    }
+
+    /// Word `j` of the reverse complement (zero above its last base, as
+    /// every stored word is).
+    fn rc_word(&self, j: usize) -> u64 {
+        let end = self.len - j * BASES_PER_WORD;
+        let n = end.min(BASES_PER_WORD);
+        // The forward bases `[end - n, end)`, reversed and complemented
+        // across all 32 slots, then shifted down past the empty slots.
+        revcomp_word(self.word_at(end - n, n)) >> (2 * (BASES_PER_WORD - n))
     }
 
     /// Build from 2-bit codes.
@@ -225,11 +304,71 @@ mod tests {
         assert_eq!(t.packed_bytes(), 40);
     }
 
+    /// The per-base reverse complement the word-level one replaced.
+    fn revcomp_per_base(s: &PackedSeq) -> PackedSeq {
+        (0..s.len()).rev().map(|i| s.get(i).complement()).collect()
+    }
+
     #[test]
     fn revcomp_is_involution() {
         check_cases(256, |rng| {
             let s = PackedSeq::from_codes(&rng.vec(0..200, |r| r.below(4) as u8));
+            assert_eq!(s.reverse_complement(), revcomp_per_base(&s));
             assert_eq!(s.reverse_complement().reverse_complement(), s);
+        });
+    }
+
+    /// The base-by-base compare the word-level one replaced.
+    fn mismatches_per_base(
+        read: &PackedSeq,
+        reverse: bool,
+        text: &PackedSeq,
+        start: usize,
+        budget: u32,
+    ) -> Option<u32> {
+        let oriented = if reverse {
+            revcomp_per_base(read)
+        } else {
+            read.clone()
+        };
+        let mut mm = 0;
+        for (i, base) in oriented.iter().enumerate() {
+            if text.get(start + i) != base {
+                mm += 1;
+                if mm > budget {
+                    return None;
+                }
+            }
+        }
+        Some(mm)
+    }
+
+    #[test]
+    fn word_compare_matches_per_base_compare() {
+        check_cases(256, |rng| {
+            let text = PackedSeq::from_codes(&rng.vec(96..200, |r| r.below(4) as u8));
+            let len = 1 + rng.below(63) as usize;
+            let last = text.len() - len;
+            for start in [0, 31, 32, 33, last] {
+                // A read that is the text at `start` with a few substitutions,
+                // so every budget is exercised on both sides.
+                let mut codes = text.slice(start, len).to_codes();
+                for _ in 0..rng.below(5) {
+                    let i = rng.below(len as u64) as usize;
+                    codes[i] = (codes[i] + 1 + rng.below(3) as u8) & 3;
+                }
+                let fwd = PackedSeq::from_codes(&codes);
+                let rev = fwd.reverse_complement();
+                for budget in 0..4 {
+                    for (read, reverse) in [(&fwd, false), (&rev, true)] {
+                        assert_eq!(
+                            read.mismatches_at(reverse, &text, start, budget),
+                            mismatches_per_base(read, reverse, &text, start, budget),
+                            "start {start} len {len} budget {budget} reverse {reverse}"
+                        );
+                    }
+                }
+            }
         });
     }
 

@@ -3,26 +3,30 @@
 //! A query maps a read (or its Watson-Crick complement) back onto the
 //! assembly in two stages, mirroring classic seed-and-extend:
 //!
-//! 1. **Seed.** The read's (w,k) minimizers are looked up in the
-//!    [`MinimizerIndex`]; every posting `(contig, contig_off)` paired with
-//!    the minimizer's read offset votes for one *placement*
-//!    `(contig, contig_off - read_off)`. Genuine origins accumulate one
-//!    vote per shared minimizer; chance hits rarely agree on a placement.
-//! 2. **Verify.** Candidate placements are checked base-by-base against
-//!    the stored contig (a banded verification with band width 0 — the
-//!    pipeline introduces no indels, so placements are exact diagonals),
-//!    bailing out as soon as the mismatch budget is exceeded.
+//! 1. **Seed.** The (w,k) minimizers of both strands of the read come
+//!    from one rolling pass and are looked up in the [`MinimizerIndex`];
+//!    every posting `(contig, contig_off)` paired with the minimizer's
+//!    read offset votes for one *placement* `(contig, contig_off -
+//!    read_off)`. Votes are pushed into a `Vec`, sorted and run-length
+//!    counted, which leaves the placements in `(contig, offset)` order.
+//!    Genuine origins accumulate one vote per shared minimizer; chance
+//!    hits rarely agree on a placement.
+//! 2. **Verify.** Candidate placements are checked 32 bases per word
+//!    against the stored contig (a banded verification with band width 0
+//!    — the pipeline introduces no indels, so placements are exact
+//!    diagonals), bailing out as soon as the mismatch budget is exceeded.
+//!    The reverse strand is compared from the read's own words, never a
+//!    materialised complement.
 //!
 //! Postings are read straight from the resident, sorted index: a lookup is
-//! two binary searches returning a borrowed slice, so the engine has no
-//! interior state. The tie-break order below is total, which makes query
-//! answers independent of worker count and batch order — the property the
-//! golden tests pin down.
+//! one directory load and a short scan returning a borrowed slice, so the
+//! engine has no interior state. The tie-break order below is total, which
+//! makes query answers independent of worker count and batch order — the
+//! property the golden tests pin down.
 
-use crate::minimizer::{minimizers, MinimizerIndex};
+use crate::minimizer::{strand_minimizers, MinimizerIndex};
 use crate::store::ContigStore;
 use gstream::IoStats;
-use std::collections::HashMap;
 use std::path::Path;
 
 /// Tuning knobs for query resolution.
@@ -154,24 +158,32 @@ impl QueryEngine {
         CacheStats::default()
     }
 
-    /// Seed: every placement `(contig, start-of-read-in-contig)` the
-    /// minimizers of `oriented` vote for, with its vote count, in no
-    /// particular order.
-    fn voted_placements(&self, oriented: &genome::PackedSeq) -> Vec<((u32, u32), u32)> {
-        let mut votes: HashMap<(u32, u32), u32> = HashMap::new();
-        for (hash, read_off) in minimizers(oriented, self.index.k(), self.index.w()) {
+    /// Seed: every placement `(contig, start-of-read-in-contig)` that the
+    /// `seeds` of a `read_len`-base strand vote for, with its vote count,
+    /// in `(contig, offset)` order.
+    fn voted_placements(&self, read_len: usize, seeds: &[(u64, u32)]) -> Vec<((u32, u32), u32)> {
+        let mut starts: Vec<(u32, u32)> = Vec::new();
+        for &(hash, read_off) in seeds {
             for &(contig, contig_off) in self.index.postings(hash) {
                 let Some(start) = contig_off.checked_sub(read_off) else {
                     continue; // read would hang off the contig's left edge
                 };
                 let clen = self.store.contig(contig as usize).len();
-                if start as usize + oriented.len() > clen {
+                if start as usize + read_len > clen {
                     continue; // hangs off the right edge
                 }
-                *votes.entry((contig, start)).or_insert(0) += 1;
+                starts.push((contig, start));
             }
         }
-        votes.into_iter().collect()
+        starts.sort_unstable();
+        let mut voted: Vec<((u32, u32), u32)> = Vec::new();
+        for placement in starts {
+            match voted.last_mut() {
+                Some((p, v)) if *p == placement => *v += 1,
+                _ => voted.push((placement, 1)),
+            }
+        }
+        voted
     }
 
     /// Resolve one read. Returns the best placement within the mismatch
@@ -180,18 +192,18 @@ impl QueryEngine {
         if read.len() < self.index.k() {
             return None;
         }
-        let rev = read.reverse_complement();
+        let strands = strand_minimizers(read, self.index.k(), self.index.w());
         let mut best: Option<Hit> = None;
-        for (reverse, oriented) in [(false, read), (true, &rev)] {
+        for (reverse, seeds) in [false, true].into_iter().zip(strands) {
             // Rank: most votes first, then (contig, offset) for a total,
             // deterministic order before truncation.
-            let mut candidates = self.voted_placements(oriented);
+            let mut candidates = self.voted_placements(read.len(), &seeds);
             candidates.retain(|&(_, v)| v >= self.cfg.min_votes);
             candidates.sort_unstable_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
             candidates.truncate(self.cfg.max_candidates);
             // Verify: exact-diagonal comparison with early bail-out.
             for ((contig, start), v) in candidates {
-                let Some(mm) = self.verify(oriented, contig, start) else {
+                let Some(mm) = self.verify(read, reverse, contig, start) else {
                     continue;
                 };
                 let hit = Hit {
@@ -219,38 +231,37 @@ impl QueryEngine {
         if read.len() < self.index.k() {
             return Vec::new();
         }
-        let rev = read.reverse_complement();
+        let strands = strand_minimizers(read, self.index.k(), self.index.w());
         let mut out: Vec<Candidate> = Vec::new();
-        for (reverse, oriented) in [(false, read), (true, &rev)] {
-            let mut voted = self.voted_placements(oriented);
-            voted.sort_unstable();
-            for ((contig, start), v) in voted {
+        for (reverse, seeds) in [false, true].into_iter().zip(strands) {
+            for ((contig, start), v) in self.voted_placements(read.len(), &seeds) {
                 out.push(Candidate {
                     contig,
                     offset: start,
                     reverse,
                     votes: v,
-                    mismatches: self.verify(oriented, contig, start),
+                    mismatches: self.verify(read, reverse, contig, start),
                 });
             }
         }
         out
     }
 
-    /// Count mismatches of `read` against `contig` at `start`, or `None`
-    /// once the budget is blown.
-    fn verify(&self, read: &genome::PackedSeq, contig: u32, start: u32) -> Option<u32> {
-        let contig = self.store.contig(contig as usize);
-        let mut mm = 0u32;
-        for (i, base) in read.iter().enumerate() {
-            if contig.get(start as usize + i) != base {
-                mm += 1;
-                if mm > self.cfg.max_mismatches {
-                    return None;
-                }
-            }
-        }
-        Some(mm)
+    /// Count mismatches of `read` (its reverse complement when `reverse`)
+    /// against `contig` at `start`, or `None` once the budget is blown.
+    fn verify(
+        &self,
+        read: &genome::PackedSeq,
+        reverse: bool,
+        contig: u32,
+        start: u32,
+    ) -> Option<u32> {
+        read.mismatches_at(
+            reverse,
+            self.store.contig(contig as usize),
+            start as usize,
+            self.cfg.max_mismatches,
+        )
     }
 }
 
@@ -337,7 +348,7 @@ pub fn select_hit(cfg: &QueryConfig, candidates: &[Candidate]) -> Option<Hit> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::minimizer::IndexConfig;
     use genome::PackedSeq;
@@ -483,5 +494,35 @@ mod tests {
             .err()
             .expect("binding must fail");
         assert!(err.to_string().contains("checksum"), "{err}");
+    }
+
+    /// An index built over `[REF0, REF1]` whose header claims the
+    /// one-contig store `[REF0]`: it decodes (the order is intact) and its
+    /// checksum field agrees, but postings name contig 1.
+    pub(crate) fn index_patched_to_one_contig_store() -> (ContigStore, Vec<u8>) {
+        let two = ContigStore::from_contigs(vec![seq(REF0), seq(REF1)]);
+        let one = ContigStore::from_contigs(vec![seq(REF0)]);
+        let icfg = IndexConfig {
+            k: 7,
+            w: 4,
+            threads: 1,
+        };
+        let mut payload = MinimizerIndex::build(&two, &icfg).encode();
+        payload[16..24].copy_from_slice(&one.checksum().to_le_bytes());
+        (one, payload)
+    }
+
+    #[test]
+    fn postings_outside_the_store_refuse_to_bind() {
+        let (one, payload) = index_patched_to_one_contig_store();
+        let index = MinimizerIndex::decode(&payload, Path::new("patched.mdx")).unwrap();
+        assert_eq!(index.store_checksum(), one.checksum());
+        match QueryEngine::new(one, index, QueryConfig::default()) {
+            Err(crate::QserveError::Stream(gstream::StreamError::Corrupt(m))) => {
+                assert!(m.contains("posting ") && m.contains("contig 1"), "{m}");
+            }
+            Err(other) => panic!("expected Corrupt, got {other}"),
+            Ok(_) => panic!("an index pointing past the store must not bind"),
+        }
     }
 }

@@ -8,16 +8,22 @@
 //! the sampled positions from sequence content; picking the **leftmost**
 //! minimum on ties keeps extraction fully deterministic.
 //!
+//! Extraction is one rolling pass over the 2-bit codes that keeps the
+//! forward and the reverse-complement k-mer codes together, so a read's
+//! two strands cost one walk; each strand's window minimum is tracked in
+//! place and rescanned over its `w` slots only when it leaves the window.
+//!
 //! The index is a flat postings table — `(hash, contig, offset)` sorted
-//! lexicographically — binary-searched per lookup. Building walks contigs
-//! in parallel (contiguous chunks across threads) and sorts once at the
-//! end, so the result is byte-identical regardless of thread count.
+//! lexicographically — with a derived bucket directory over the top
+//! ⌊log₂ n⌋ bits of the (uniform) hash: a lookup is one directory load
+//! and a scan of a short contiguous run. Building walks contigs in
+//! parallel (contiguous chunks across threads) and sorts once at the end,
+//! so the result is byte-identical regardless of thread count.
 
 use crate::store::ContigStore;
 use crate::wire::{put_u32, put_u64, Cursor};
 use genome::PackedSeq;
 use gstream::{IoStats, StreamError};
-use std::collections::VecDeque;
 use std::path::Path;
 use stdx::splitmix64;
 
@@ -53,44 +59,78 @@ impl Default for IndexConfig {
 /// than `k`; a sequence shorter than a full window yields its single
 /// global minimum.
 pub fn minimizers(seq: &PackedSeq, k: usize, w: usize) -> Vec<(u64, u32)> {
+    let [fwd, _] = rolling_minimizers(seq, k, w, false);
+    fwd
+}
+
+/// [`minimizers`] of `seq` and of its reverse complement (each in its own
+/// offset order) from one rolling pass, without building the complement.
+pub(crate) fn strand_minimizers(seq: &PackedSeq, k: usize, w: usize) -> [Vec<(u64, u32)>; 2] {
+    rolling_minimizers(seq, k, w, true)
+}
+
+/// The one extraction pass behind [`minimizers`] and [`strand_minimizers`];
+/// the complement's slot is empty unless `with_reverse`.
+fn rolling_minimizers(
+    seq: &PackedSeq,
+    k: usize,
+    w: usize,
+    with_reverse: bool,
+) -> [Vec<(u64, u32)>; 2] {
     assert!((1..=MAX_K).contains(&k), "k must be in 1..={MAX_K}");
     assert!(w >= 1, "window must hold at least one k-mer");
     let len = seq.len();
     if len < k {
-        return Vec::new();
+        return [Vec::new(), Vec::new()];
     }
     let n = len - k + 1; // k-mer count
     let mask = (1u64 << (2 * k)) - 1; // k <= 31, so the shift is < 64
-    let mut hashes = Vec::with_capacity(n);
-    let mut kmer = 0u64;
-    for i in 0..len {
-        kmer = ((kmer << 2) | seq.get(i).code() as u64) & mask;
+    let top = 2 * (k - 1);
+    let mut fwd = vec![0u64; n];
+    let mut rev = vec![0u64; if with_reverse { n } else { 0 }];
+    let (mut f, mut r) = (0u64, 0u64);
+    for (i, code) in seq.codes().enumerate() {
+        f = ((f << 2) | code as u64) & mask;
+        // The complement's k-mer reads right to left: each new base enters
+        // at the most significant end, complemented.
+        r = (r >> 2) | (((code ^ 3) as u64) << top);
         if i + 1 >= k {
-            // The k-mer hash: a cheap invertible mix, uniform enough that the
-            // windowed minimum samples positions independent of base
+            let s = i + 1 - k;
+            // The k-mer hash: a cheap invertible mix, uniform enough that
+            // the windowed minimum samples positions independent of base
             // composition. Stored index files depend on its exact bits.
-            hashes.push(splitmix64(kmer));
+            fwd[s] = splitmix64(f);
+            if with_reverse {
+                // Forward offset s is offset n - 1 - s of the complement.
+                rev[n - 1 - s] = splitmix64(r);
+            }
         }
     }
+    [window_minima(&fwd, w), window_minima(&rev, w)]
+}
 
-    // Monotone deque of k-mer positions: front is always the leftmost
-    // minimum of the current window.
-    let mut out: Vec<(u64, u32)> = Vec::new();
-    let mut deque: VecDeque<usize> = VecDeque::new();
+/// The leftmost minimum of every window of `w` consecutive `hashes` (or
+/// of all of them when fewer), consecutive repeats collapsed.
+fn window_minima(hashes: &[u64], w: usize) -> Vec<(u64, u32)> {
+    let n = hashes.len();
+    // Random sequence yields about 2 / (w + 1) minimizers per k-mer.
+    let mut out = Vec::with_capacity(2 * n / (w + 1) + 1);
     let first_full = w.min(n); // windows exist from k-mer index first_full-1
+    let mut m = 0; // leftmost minimum of the window ending at i
     for i in 0..n {
-        while deque.back().is_some_and(|&b| hashes[b] > hashes[i]) {
-            deque.pop_back();
-        }
-        deque.push_back(i);
-        while deque.front().is_some_and(|&f| f + w <= i) {
-            deque.pop_front();
-        }
-        if i + 1 >= first_full {
-            let m = *deque.front().expect("window holds at least one k-mer");
-            if out.last().is_none_or(|&(_, o)| o != m as u32) {
-                out.push((hashes[m], m as u32));
+        if hashes[i] < hashes[m] {
+            m = i;
+        } else if m + w <= i {
+            // The minimum left the window [i + 1 - w, i]: rescan it.
+            m = i + 1 - w;
+            for j in m + 1..=i {
+                if hashes[j] < hashes[m] {
+                    m = j;
+                }
             }
+        }
+        if i + 1 >= first_full && out.last().is_none_or(|&(_, o)| o != m as u32) {
+            out.push((hashes[m], m as u32));
         }
     }
     out
@@ -117,47 +157,50 @@ pub struct MinimizerIndex {
     hashes: Vec<u64>,
     /// `(contig, contig offset)` per entry, sorted within equal hashes.
     postings: Vec<(u32, u32)>,
+    /// Derived, never serialized: `dir[b]` is the first entry whose hash
+    /// lies in bucket `b` or later, with `n` as the last element.
+    dir: Vec<u32>,
+    /// `63 - bits` for a directory of `2^bits` buckets.
+    dir_shift: u32,
 }
 
 impl MinimizerIndex {
+    /// The one constructor: derives the bucket directory over the top
+    /// ⌊log₂ n⌋ hash bits (at most one bucket per posting) from the
+    /// sorted entries.
+    fn from_sorted(
+        k: u32,
+        w: u32,
+        store_checksum: u64,
+        hashes: Vec<u64>,
+        postings: Vec<(u32, u32)>,
+    ) -> MinimizerIndex {
+        let n = u32::try_from(hashes.len()).expect("postings fit a u32 directory");
+        let bits = n.max(1).ilog2();
+        let dir_shift = 63 - bits;
+        let mut dir = Vec::with_capacity((1usize << bits) + 1);
+        for (i, &hash) in (0u32..).zip(&hashes) {
+            let bucket = bucket_of(hash, dir_shift);
+            while dir.len() <= bucket {
+                dir.push(i);
+            }
+        }
+        dir.resize((1usize << bits) + 1, n);
+        MinimizerIndex {
+            k,
+            w,
+            store_checksum,
+            hashes,
+            postings,
+            dir,
+            dir_shift,
+        }
+    }
+
     /// Index every contig of `store`, splitting contigs across threads and
     /// sorting the merged postings once — deterministic for any `threads`.
     pub fn build(store: &ContigStore, cfg: &IndexConfig) -> MinimizerIndex {
-        let threads = if cfg.threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            cfg.threads
-        };
-        let (k, w) = (cfg.k, cfg.w);
-        let n = store.len();
-        let per = n.div_ceil(threads.max(1)).max(1);
-        let mut entries: Vec<(u64, u32, u32)> = Vec::new();
-        std::thread::scope(|scope| {
-            let mut parts = Vec::new();
-            for start in (0..n).step_by(per) {
-                let end = (start + per).min(n);
-                parts.push(scope.spawn(move || {
-                    let mut out = Vec::new();
-                    for ci in start..end {
-                        for (hash, off) in minimizers(store.contig(ci), k, w) {
-                            out.push((hash, ci as u32, off));
-                        }
-                    }
-                    out
-                }));
-            }
-            for part in parts {
-                entries.extend(part.join().expect("index build worker panicked"));
-            }
-        });
-        entries.sort_unstable();
-        MinimizerIndex {
-            k: k as u32,
-            w: w as u32,
-            store_checksum: store.checksum(),
-            hashes: entries.iter().map(|&(h, _, _)| h).collect(),
-            postings: entries.iter().map(|&(_, c, o)| (c, o)).collect(),
-        }
+        Self::from_entries(store, cfg, sorted_entries(store, cfg))
     }
 
     /// Build the `shard`-of-`n_shards` slice of the postings space: exactly
@@ -174,20 +217,28 @@ impl MinimizerIndex {
         n_shards: u32,
     ) -> MinimizerIndex {
         assert!(shard < n_shards, "shard {shard} out of range 0..{n_shards}");
-        let full = Self::build(store, cfg);
-        let mut hashes = Vec::new();
-        let mut postings = Vec::new();
-        for (&hash, &posting) in full.hashes.iter().zip(&full.postings) {
-            if shard_of_hash(hash, n_shards) == shard {
-                hashes.push(hash);
-                postings.push(posting);
-            }
-        }
-        MinimizerIndex {
+        let mut entries = sorted_entries(store, cfg);
+        entries.retain(|&(hash, _, _)| shard_of_hash(hash, n_shards) == shard);
+        Self::from_entries(store, cfg, entries)
+    }
+
+    /// Split sorted `(hash, contig, offset)` entries into the two columns,
+    /// releasing the entries before the directory is derived.
+    fn from_entries(
+        store: &ContigStore,
+        cfg: &IndexConfig,
+        entries: Vec<(u64, u32, u32)>,
+    ) -> MinimizerIndex {
+        let hashes = entries.iter().map(|&(h, _, _)| h).collect();
+        let postings = entries.iter().map(|&(_, c, o)| (c, o)).collect();
+        drop(entries);
+        Self::from_sorted(
+            cfg.k as u32,
+            cfg.w as u32,
+            store.checksum(),
             hashes,
             postings,
-            ..full
-        }
+        )
     }
 
     /// Serialize to a payload (no footer — [`gstream::write_blob`]'s job).
@@ -241,7 +292,7 @@ impl MinimizerIndex {
         }
         let store_checksum = cur.u64("store checksum")?;
         let count = cur.u64("postings count")?;
-        if count.saturating_mul(16) > payload.len() as u64 {
+        if count.saturating_mul(16) > payload.len() as u64 || count > u32::MAX as u64 {
             return Err(cur.corrupt(&format!(
                 "implausible postings count {count} in a {}-byte payload",
                 payload.len()
@@ -262,13 +313,7 @@ impl MinimizerIndex {
             postings.push((contig, offset));
         }
         cur.finish()?;
-        Ok(MinimizerIndex {
-            k,
-            w,
-            store_checksum,
-            hashes,
-            postings,
-        })
+        Ok(Self::from_sorted(k, w, store_checksum, hashes, postings))
     }
 
     /// Minimizer k-mer length.
@@ -294,13 +339,18 @@ impl MinimizerIndex {
     /// All `(contig, offset)` postings for `hash` (possibly empty), in
     /// (contig, offset) order.
     pub fn postings(&self, hash: u64) -> &[(u32, u32)] {
-        let start = self.hashes.partition_point(|&h| h < hash);
-        let end = start + self.hashes[start..].partition_point(|&h| h == hash);
-        &self.postings[start..end]
+        let bucket = bucket_of(hash, self.dir_shift);
+        let (lo, hi) = (self.dir[bucket] as usize, self.dir[bucket + 1] as usize);
+        let run = &self.hashes[lo..hi];
+        let before = run.iter().take_while(|&&h| h < hash).count();
+        let equal = run[before..].iter().take_while(|&&h| h == hash).count();
+        &self.postings[lo + before..lo + before + equal]
     }
 
     /// Fail with `Corrupt` unless this index was built from exactly the
-    /// payload bytes of `store` (checked via the store's FNV-1a checksum).
+    /// payload bytes of `store` (checked via the store's FNV-1a checksum)
+    /// and every posting names a k-mer inside it — a checksum field alone
+    /// can be patched, and a posting past the store would panic a query.
     pub fn verify_store(&self, store: &ContigStore) -> gstream::Result<()> {
         if self.store_checksum != store.checksum() {
             return Err(StreamError::Corrupt(format!(
@@ -310,8 +360,64 @@ impl MinimizerIndex {
                 store.checksum()
             )));
         }
+        let k = self.k as usize;
+        let outside = self.postings.iter().position(|&(contig, offset)| {
+            store
+                .contigs()
+                .get(contig as usize)
+                .is_none_or(|c| offset as usize + k > c.len())
+        });
+        if let Some(i) = outside {
+            let (contig, offset) = self.postings[i];
+            return Err(StreamError::Corrupt(format!(
+                "index/store mismatch: posting {i} (contig {contig}, offset {offset}, k={k}) \
+                 lies outside the store's {} contigs — rebuild the index",
+                store.len()
+            )));
+        }
         Ok(())
     }
+}
+
+/// Every contig's minimizers as `(hash, contig, offset)`, sorted. Contigs
+/// are split into contiguous chunks across threads; the sort makes the
+/// result independent of the split.
+fn sorted_entries(store: &ContigStore, cfg: &IndexConfig) -> Vec<(u64, u32, u32)> {
+    let threads = if cfg.threads == 0 {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    } else {
+        cfg.threads
+    };
+    let (k, w) = (cfg.k, cfg.w);
+    let n = store.len();
+    let per = n.div_ceil(threads.max(1)).max(1);
+    let mut entries: Vec<(u64, u32, u32)> = Vec::new();
+    std::thread::scope(|scope| {
+        let mut parts = Vec::new();
+        for start in (0..n).step_by(per) {
+            let end = (start + per).min(n);
+            parts.push(scope.spawn(move || {
+                let mut out = Vec::new();
+                for ci in start..end {
+                    for (hash, off) in minimizers(store.contig(ci), k, w) {
+                        out.push((hash, ci as u32, off));
+                    }
+                }
+                out
+            }));
+        }
+        for part in parts {
+            entries.extend(part.join().expect("index build worker panicked"));
+        }
+    });
+    entries.sort_unstable();
+    entries
+}
+
+/// Directory bucket of `hash`: its top `63 - shift` bits (bucket 0 for a
+/// one-bucket directory, where the shift is 63).
+fn bucket_of(hash: u64, shift: u32) -> usize {
+    ((hash >> 1) >> shift) as usize
 }
 
 #[cfg(test)]
@@ -321,6 +427,126 @@ mod tests {
 
     fn seq(s: &str) -> PackedSeq {
         s.parse().unwrap()
+    }
+
+    /// The monotone-deque extraction the rolling pass replaced: a `Vec` of
+    /// all n hashes, then a deque whose front is the leftmost minimum.
+    fn minimizers_deque(seq: &PackedSeq, k: usize, w: usize) -> Vec<(u64, u32)> {
+        use std::collections::VecDeque;
+        let len = seq.len();
+        if len < k {
+            return Vec::new();
+        }
+        let n = len - k + 1;
+        let mask = (1u64 << (2 * k)) - 1;
+        let mut hashes = Vec::with_capacity(n);
+        let mut kmer = 0u64;
+        for i in 0..len {
+            kmer = ((kmer << 2) | seq.get(i).code() as u64) & mask;
+            if i + 1 >= k {
+                hashes.push(splitmix64(kmer));
+            }
+        }
+        let mut out: Vec<(u64, u32)> = Vec::new();
+        let mut deque: VecDeque<usize> = VecDeque::new();
+        let first_full = w.min(n);
+        for i in 0..n {
+            while deque.back().is_some_and(|&b| hashes[b] > hashes[i]) {
+                deque.pop_back();
+            }
+            deque.push_back(i);
+            while deque.front().is_some_and(|&f| f + w <= i) {
+                deque.pop_front();
+            }
+            if i + 1 >= first_full {
+                let m = *deque.front().expect("window holds at least one k-mer");
+                if out.last().is_none_or(|&(_, o)| o != m as u32) {
+                    out.push((hashes[m], m as u32));
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn rolling_pass_matches_the_deque_oracle_on_both_strands() {
+        stdx::check_cases(256, |rng| {
+            let len = rng.below(300) as usize;
+            // Half the cases are runs of one or two bases: long stretches of
+            // equal hashes, where only the leftmost-tie rule decides.
+            let alphabet = if rng.below(2) == 0 {
+                4
+            } else {
+                1 + rng.below(2)
+            };
+            let s = PackedSeq::from_codes(&rng.vec(len..len + 1, |r| r.below(alphabet) as u8));
+            let rc = s.reverse_complement();
+            for k in [1, 2, 15, 31] {
+                for w in [1, 2, 8, 33] {
+                    let [fwd, rev] = strand_minimizers(&s, k, w);
+                    assert_eq!(fwd, minimizers_deque(&s, k, w), "len {len} k {k} w {w}");
+                    assert_eq!(rev, minimizers_deque(&rc, k, w), "len {len} k {k} w {w} rc");
+                    assert_eq!(minimizers(&s, k, w), fwd);
+                }
+            }
+        });
+    }
+
+    /// The two-binary-search lookup the directory replaced.
+    fn postings_bsearch(idx: &MinimizerIndex, hash: u64) -> &[(u32, u32)] {
+        let start = idx.hashes.partition_point(|&h| h < hash);
+        let end = start + idx.hashes[start..].partition_point(|&h| h == hash);
+        &idx.postings[start..end]
+    }
+
+    fn assert_postings_match_oracle(idx: &MinimizerIndex, what: &str) {
+        let mut probes = vec![0, u64::MAX];
+        for &h in &idx.hashes {
+            probes.extend([h.wrapping_sub(1), h, h.wrapping_add(1)]);
+        }
+        for h in probes {
+            assert_eq!(
+                idx.postings(h),
+                postings_bsearch(idx, h),
+                "{what}: hash {h:#x}"
+            );
+        }
+    }
+
+    #[test]
+    fn directory_lookup_matches_binary_search_oracle() {
+        let cfg = IndexConfig {
+            k: 7,
+            w: 4,
+            threads: 1,
+        };
+        let store = toy_store();
+        let full = MinimizerIndex::build(&store, &cfg);
+        assert_postings_match_oracle(&full, "build");
+        let decoded = MinimizerIndex::decode(&full.encode(), Path::new("x.mdx")).unwrap();
+        assert_postings_match_oracle(&decoded, "decode");
+        for n_shards in [2u32, 3] {
+            for s in 0..n_shards {
+                let shard = MinimizerIndex::build_shard(&store, &cfg, s, n_shards);
+                assert_postings_match_oracle(&shard, "build_shard");
+            }
+        }
+        let empty = MinimizerIndex::build(&ContigStore::from_contigs(Vec::new()), &cfg);
+        assert_eq!(empty.postings_len(), 0);
+        assert_postings_match_oracle(&empty, "empty");
+        let one = MinimizerIndex::from_sorted(7, 4, 0, vec![42], vec![(0, 3)]);
+        assert_postings_match_oracle(&one, "single entry");
+        // A homopolymer contig: every posting carries the one hash.
+        let poly = ContigStore::from_contigs(vec![seq(&"A".repeat(60))]);
+        let same = MinimizerIndex::build(&poly, &cfg);
+        assert!(same.postings_len() > 1);
+        assert!(same.hashes.iter().all(|&h| h == same.hashes[0]));
+        assert_postings_match_oracle(&same, "all one hash");
+        // Hashes at both ends of the space and on bucket edges.
+        let edges = vec![0, 1, 1 << 62, (1 << 62) + 1, u64::MAX - 1, u64::MAX];
+        let n = edges.len() as u32;
+        let ends = MinimizerIndex::from_sorted(7, 4, 0, edges, (0..n).map(|i| (0, i)).collect());
+        assert_postings_match_oracle(&ends, "extreme hashes");
     }
 
     #[test]
@@ -463,13 +689,13 @@ mod tests {
                 })
                 .collect();
             merged.sort_unstable();
-            let rebuilt = MinimizerIndex {
-                k: full.k,
-                w: full.w,
-                store_checksum: full.store_checksum,
-                hashes: merged.iter().map(|&(h, _, _)| h).collect(),
-                postings: merged.iter().map(|&(_, c, o)| (c, o)).collect(),
-            };
+            let rebuilt = MinimizerIndex::from_sorted(
+                full.k,
+                full.w,
+                full.store_checksum,
+                merged.iter().map(|&(h, _, _)| h).collect(),
+                merged.iter().map(|&(_, c, o)| (c, o)).collect(),
+            );
             assert_eq!(rebuilt.encode(), full.encode(), "n_shards={n_shards}");
             // Every shard holds only hashes assigned to it, and binds to
             // the full store.

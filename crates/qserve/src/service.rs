@@ -1132,6 +1132,55 @@ mod tests {
     }
 
     #[test]
+    fn reload_of_an_index_pointing_past_its_store_rolls_back() {
+        let dir = stdx::tempdir().unwrap();
+        let io = IoStats::new(gstream::DiskModel::ssd());
+        export(dir.path(), GenKind::Full, &[REF]);
+        let (one, payload) = crate::engine::tests::index_patched_to_one_contig_store();
+        let contigs: Vec<PackedSeq> = one.contigs().to_vec();
+        generations::export(
+            dir.path(),
+            &contigs,
+            &IndexConfig::default(),
+            1,
+            30,
+            GenKind::Delta,
+            &io,
+        )
+        .unwrap();
+        // Generation 2's checksums all agree with its manifest entry; only
+        // its postings name a contig the store does not have.
+        let mdx = dir.path().join(generations::gen_index_file(2));
+        gstream::write_blob(&mdx, &payload, &io).unwrap();
+        let svc = QueryService::start_with_generation(
+            engine(),
+            1,
+            ServiceConfig::default(),
+            &rec_disabled(),
+        );
+        let before = svc.query_batch(reads(20)).unwrap();
+        let err = svc
+            .reload_from(
+                dir.path(),
+                Some(2),
+                None,
+                &io,
+                &faultsim::Faults::disabled(),
+            )
+            .unwrap_err();
+        match &err {
+            GenError::Load {
+                generation: 2,
+                detail,
+            } => assert!(detail.contains("posting "), "{detail}"),
+            other => panic!("expected Load for generation 2, got {other:?}"),
+        }
+        let stats = svc.generation_stats();
+        assert_eq!((stats.active, stats.rollbacks, stats.reloads), (1, 1, 0));
+        assert_eq!(svc.query_batch(reads(20)).unwrap(), before);
+    }
+
+    #[test]
     fn superseded_generations_retire_only_when_idle() {
         let dir = stdx::tempdir().unwrap();
         let io = IoStats::new(gstream::DiskModel::ssd());
