@@ -725,7 +725,7 @@ fn run_serve_reload(out: &Path) {
 }
 
 fn run_schedcheck(out: &Path) {
-    use schedcheck::{explore_dfs, explore_pct, AuthMode, DfsConfig, PctConfig, ScenarioConfig};
+    use schedcheck::{explore_dfs, explore_pct, DfsConfig, PctConfig, ScenarioConfig};
     use stdx::json::{ToJson, Value};
 
     struct Row {
@@ -788,16 +788,13 @@ fn run_schedcheck(out: &Path) {
                 replay_each: true,
             }),
         },
-        // Wire-auth scenario: one client forges its tag; the I9 invariant
-        // requires it is rejected before any fairness tokens are charged.
         // A prober polls live Stats mid-run so snapshot-vs-rollup (I4) is
         // exercised under contention, not just at drain.
         Row {
             strategy: "pct",
-            scenario: "bad-auth+prober",
+            scenario: "prober",
             report: explore_pct(&PctConfig {
                 scenario: ScenarioConfig {
-                    auth: AuthMode::OneBadClient,
                     with_prober: true,
                     ..ScenarioConfig::default()
                 },

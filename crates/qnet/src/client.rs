@@ -76,14 +76,6 @@ pub struct ClientConfig {
     pub write_timeout: Duration,
     /// Seed for deterministic backoff jitter.
     pub jitter_seed: u64,
-    /// Shared secret for query authentication. When set, the client
-    /// opens every connection with a [`Request::AuthHello`] handshake
-    /// and every query carries the keyed tag from
-    /// [`crate::proto::auth_tag`], binding the connection's nonce and a
-    /// strictly-increasing sequence number; when `None` the tag and
-    /// sequence fields travel as `0` (servers without a secret ignore
-    /// them).
-    pub auth_secret: Option<String>,
 }
 
 impl Default for ClientConfig {
@@ -98,7 +90,6 @@ impl Default for ClientConfig {
             read_timeout: Duration::from_secs(30),
             write_timeout: Duration::from_secs(10),
             jitter_seed: 0x5EED,
-            auth_secret: None,
         }
     }
 }
@@ -107,13 +98,6 @@ struct Conn {
     stream: TcpStream,
     reader: BufReader<TcpStream>,
     peer: String,
-    /// Server-dealt nonce from the `AuthHello` handshake; `0` until the
-    /// handshake completes (or always, without a secret).
-    nonce: u64,
-    /// Next sequence number to bind into an authed tag on this
-    /// connection. Dies with the connection — a reconnect re-handshakes
-    /// and restarts from 1.
-    next_seq: u64,
 }
 
 /// The request kinds that carry a `request_id` and are answered through
@@ -245,7 +229,7 @@ impl QueryClient {
     /// concurrently and may answer out of order. Returns per-batch
     /// outcomes aligned with `batches`: the `(generation, hits)` pair
     /// that computed each answer, or that batch's terminal typed error
-    /// (deadline, auth, remote). Retryable outcomes are handled
+    /// (deadline, remote). Retryable outcomes are handled
     /// internally: sheds and drains leave the batch unanswered and the
     /// whole stream in sync, so the retry loop backs off (honoring
     /// `retry_after_ms`) and resends *only* the unanswered batches on
@@ -403,12 +387,10 @@ impl QueryClient {
         batches: &[&[PackedSeq]],
         outcomes: &mut [Option<Outcome>],
     ) -> crate::Result<()> {
-        // The connection (and its auth handshake) comes first: an authed
-        // tag binds the connection's nonce and sequence number.
         self.ensure_conn()?;
-        let auth_kind = match kind {
-            Kind::Query => proto::AUTH_KIND_QUERY,
-            Kind::ShardQuery => proto::AUTH_KIND_SHARD_QUERY,
+        let tag = match kind {
+            Kind::Query => proto::TAG_QUERY,
+            Kind::ShardQuery => proto::TAG_SHARD_QUERY,
             Kind::Reload => unreachable!("reloads carry no reads"),
         };
         let deadline_ms = self.cfg.deadline_ms;
@@ -423,39 +405,19 @@ impl QueryClient {
                 continue;
             }
             let request_id = self.take_request_id();
-            let conn = self.conn.as_mut().expect("connection just ensured");
-            let (auth_seq, auth_tag) = match &self.cfg.auth_secret {
-                Some(secret) => {
-                    let seq = conn.next_seq;
-                    conn.next_seq += 1;
-                    let tag = proto::auth_tag(
-                        secret,
-                        auth_kind,
-                        conn.nonce,
-                        seq,
-                        request_id,
-                        deadline_ms,
-                        &self.cfg.client_id,
-                        reads,
-                    );
-                    (seq, tag)
-                }
-                None => (0, 0),
-            };
             body.clear();
             proto::encode_query(
                 &mut body,
-                auth_kind,
+                tag,
                 request_id,
                 deadline_ms,
                 &self.cfg.client_id,
                 reads,
-                auth_seq,
-                auth_tag,
+                [0, 0],
                 self.pin,
             );
             gstream::write_frame(&mut wire, &body)
-                .map_err(|e| crate::from_stream(e, &conn.peer))?;
+                .map_err(|e| crate::from_stream(e, &self.peer()))?;
             pending.insert(request_id, i);
         }
         self.send(&wire)?;
@@ -533,9 +495,7 @@ impl QueryClient {
         self.hang_up_on_wire_error(result)
     }
 
-    /// Establish the connection if none is live, including the
-    /// `AuthHello` handshake when a secret is configured. On failure
-    /// the caller must drop `self.conn`.
+    /// Establish the connection if none is live.
     fn ensure_conn(&mut self) -> crate::Result<()> {
         if self.conn.is_some() {
             return Ok(());
@@ -554,22 +514,9 @@ impl QueryClient {
             stream,
             reader,
             peer,
-            nonce: 0,
-            next_seq: 1,
         });
         self.connects += 1;
         self.rec.counter("qnet.client.connects", 1);
-        if self.cfg.auth_secret.is_some() {
-            match self.exchange(&Request::AuthHello)? {
-                Response::AuthNonce { nonce } => {
-                    self.conn
-                        .as_mut()
-                        .expect("connection just established")
-                        .nonce = nonce;
-                }
-                other => return Err(self.unexpected(&other)),
-            }
-        }
         Ok(())
     }
 
@@ -683,7 +630,6 @@ fn classify(
         Response::DeadlineExceeded { request_id } => {
             (request_id, Err(QnetError::DeadlineExceeded { budget_ms }))
         }
-        Response::AuthFailed { request_id } => (request_id, Err(QnetError::AuthFailed)),
         Response::Error {
             request_id,
             message,
@@ -860,59 +806,6 @@ mod tests {
             }
             other => panic!("expected RetriesExhausted, got {other:?}"),
         }
-        hang_up_and_join(client, server);
-    }
-
-    #[test]
-    fn auth_rejection_is_terminal_and_the_tag_rides_the_wire() {
-        let (addr, server) = fake_server(1, move |_, s| {
-            // The authed client opens with the nonce handshake.
-            let Request::AuthHello = read_request(s) else {
-                panic!("expected the auth handshake")
-            };
-            send_response(s, &Response::AuthNonce { nonce: 0xA11CE });
-            let Request::Query {
-                request_id,
-                deadline_ms,
-                client_id,
-                reads,
-                auth_seq,
-                auth_tag,
-                generation,
-            } = read_request(s)
-            else {
-                panic!("expected a query")
-            };
-            assert_eq!(generation, 0, "an unpinned client follows the active");
-            assert_eq!(auth_seq, 1, "first authed send on this connection");
-            // The client computed the tag over exactly the fields it
-            // sent, bound to the dealt nonce and its sequence number.
-            assert_eq!(
-                auth_tag,
-                crate::proto::auth_tag(
-                    "pw",
-                    crate::proto::AUTH_KIND_QUERY,
-                    0xA11CE,
-                    auth_seq,
-                    request_id,
-                    deadline_ms,
-                    &client_id,
-                    &reads
-                )
-            );
-            send_response(s, &Response::AuthFailed { request_id });
-        });
-        let rec = Recorder::disabled();
-        let cfg = ClientConfig {
-            auth_secret: Some("pw".to_string()),
-            ..fast_cfg(addr)
-        };
-        let mut client = QueryClient::new(cfg, &rec);
-        let reads = vec!["ACGT".parse::<PackedSeq>().unwrap()];
-        let err = client.query_batch(&reads).expect_err("auth is terminal");
-        assert!(matches!(err, QnetError::AuthFailed));
-        assert!(!err.is_retryable());
-        assert_eq!(client.retries_total(), 0, "no retry on auth failure");
         hang_up_and_join(client, server);
     }
 
@@ -1222,7 +1115,7 @@ mod tests {
             fn(&QnetError) -> bool,
             bool, // the connection survives
         );
-        let cases: [Case; 9] = [
+        let cases: [Case; 8] = [
             (
                 "queue shed",
                 |req| Response::Overloaded {
@@ -1283,14 +1176,6 @@ mod tests {
                     request_id: query_parts(req).0,
                 },
                 |e| matches!(e, QnetError::DeadlineExceeded { budget_ms: 77 }),
-                true,
-            ),
-            (
-                "auth failed",
-                |req| Response::AuthFailed {
-                    request_id: query_parts(req).0,
-                },
-                |e| matches!(e, QnetError::AuthFailed),
                 true,
             ),
             (

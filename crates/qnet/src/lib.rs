@@ -46,8 +46,7 @@ pub mod server;
 pub use client::{ClientConfig, QueryClient};
 pub use pool::ClientPool;
 pub use proto::{
-    auth_tag, ClientStats, LatencySummary, PongStatus, Request, Response, ShedScope, StatsSnapshot,
-    AUTH_KIND_QUERY, AUTH_KIND_SHARD_QUERY,
+    ClientStats, LatencySummary, PongStatus, Request, Response, ShedScope, StatsSnapshot,
 };
 pub use server::{DrainReport, ReloadConfig, Server, ServerConfig};
 
@@ -83,10 +82,6 @@ pub enum QnetError {
     },
     /// The server is draining for shutdown and admits nothing new.
     Draining,
-    /// The server rejected the query's authentication tag
-    /// ([`proto::auth_tag`]). Terminal: the same credentials can never
-    /// succeed, so retrying would only burn the budget.
-    AuthFailed,
     /// The server failed a hot generation reload and rolled back; the
     /// previously active generation is still serving, untouched.
     /// Terminal for this reload attempt — the message names what
@@ -115,8 +110,8 @@ pub enum QnetError {
 impl QnetError {
     /// True when retrying the same request (with backoff, on a fresh
     /// connection) may succeed: transport errors, torn/corrupt frames,
-    /// sheds, and drains. Deadline exhaustion, authentication failures,
-    /// remote typed failures, and an already-exhausted retry budget are
+    /// sheds, and drains. Deadline exhaustion, reload rollbacks, remote
+    /// typed failures, and an already-exhausted retry budget are
     /// terminal.
     pub fn is_retryable(&self) -> bool {
         matches!(
@@ -159,9 +154,6 @@ impl std::fmt::Display for QnetError {
                 write!(f, "deadline exceeded: the {budget_ms} ms budget ran out")
             }
             QnetError::Draining => write!(f, "server draining: no new work admitted"),
-            QnetError::AuthFailed => {
-                write!(f, "authentication failed: the server rejected the auth tag")
-            }
             QnetError::ReloadFailed {
                 generation,
                 message,

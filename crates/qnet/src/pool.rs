@@ -53,7 +53,7 @@ pub struct ClientPool {
 
 impl ClientPool {
     /// Create a pool. `template` supplies everything except the
-    /// address (`client_id`, deadline, timeouts, auth secret); its
+    /// address (`client_id`, deadline, timeouts); its
     /// `max_retries` is forced to 0 so every pooled call is a single
     /// wire attempt under the router's control.
     pub fn new(template: ClientConfig, rec: &Recorder) -> ClientPool {

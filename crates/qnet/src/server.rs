@@ -44,7 +44,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use stdx::splitmix64;
 
 use crate::proto::{
     ClientStats, LatencySummary, PongStatus, Request, Response, ShedScope, StatsSnapshot,
@@ -76,17 +75,6 @@ pub struct ServerConfig {
     /// How long the `qnet.frame.stall` failpoint holds a response
     /// before dropping the connection.
     pub stall_ms: u64,
-    /// Shared secret for request authentication. When set, every
-    /// [`Request::Query`]/[`Request::ShardQuery`] must carry the
-    /// keyed-FNV tag ([`crate::proto::auth_tag`]) binding its
-    /// `client_id` (and the rest of the request) to this secret, to the
-    /// per-connection nonce from the [`Request::AuthHello`] handshake,
-    /// and to a strictly-increasing per-connection sequence number —
-    /// so a captured authed frame replayed byte-exactly is rejected.
-    /// Mismatches are rejected with a typed [`Response::AuthFailed`]
-    /// *before* any gate charges the claimed client's fairness tokens.
-    /// `None` (the default) accepts every tag.
-    pub auth_secret: Option<String>,
     /// Where [`Request::Reload`] loads store/index generations from.
     /// `None` (the default) answers every reload with a typed
     /// [`Response::ReloadFailed`].
@@ -117,7 +105,6 @@ impl Default for ServerConfig {
             drain_deadline: Duration::from_secs(5),
             admission: qserve::AdmissionConfig::default(),
             stall_ms: 50,
-            auth_secret: None,
             reload: None,
         }
     }
@@ -461,15 +448,6 @@ impl Inner {
             latency,
         }
     }
-}
-
-/// Per-connection replay-protection state. The nonce is dealt by the
-/// [`Request::AuthHello`] handshake; `last_seq` is the highest sequence
-/// number a *successfully verified* query carried. Both die with the
-/// connection, so a reconnecting client simply re-handshakes.
-struct ConnAuth {
-    nonce: Option<u64>,
-    last_seq: u64,
 }
 
 /// Which query shape gate 4 admits: a placement query answered with
@@ -909,10 +887,6 @@ fn handle_conn(
     // connection; counters attributed there roll up under the conn span.
     let mut client_spans: HashMap<String, SpanGuard> = HashMap::new();
     let mut reader = BufReader::new(sock);
-    let mut auth = ConnAuth {
-        nonce: None,
-        last_seq: 0,
-    };
 
     loop {
         if faultsim::sched::active() {
@@ -982,31 +956,13 @@ fn handle_conn(
                 request_id,
                 generation,
             } => Some(handle_reload(&inner, request_id, generation)),
-            Request::AuthHello => {
-                // Deal a fresh nonce for this connection. Servers
-                // without a secret answer `0` (authed verification is
-                // off, so there is nothing to pin) but still reply, so
-                // a client configured with a secret against an open
-                // server completes its handshake and proceeds.
-                let nonce = if inner.cfg.auth_secret.is_some() {
-                    fresh_nonce(idx)
-                } else {
-                    0
-                };
-                if nonce != 0 {
-                    auth.nonce = Some(nonce);
-                    auth.last_seq = 0;
-                }
-                Some(Response::AuthNonce { nonce })
-            }
             Request::Query {
                 request_id,
                 deadline_ms,
                 client_id,
                 reads,
-                auth_seq,
-                auth_tag,
                 generation,
+                ..
             } => handle_query(
                 &inner,
                 &conn,
@@ -1017,10 +973,7 @@ fn handle_conn(
                 deadline_ms,
                 &client_id,
                 reads,
-                auth_seq,
-                auth_tag,
                 generation,
-                &mut auth,
                 idx,
             ),
             Request::ShardQuery {
@@ -1028,9 +981,8 @@ fn handle_conn(
                 deadline_ms,
                 client_id,
                 reads,
-                auth_seq,
-                auth_tag,
                 generation,
+                ..
             } => handle_query(
                 &inner,
                 &conn,
@@ -1041,10 +993,7 @@ fn handle_conn(
                 deadline_ms,
                 &client_id,
                 reads,
-                auth_seq,
-                auth_tag,
                 generation,
-                &mut auth,
                 idx,
             ),
         };
@@ -1142,24 +1091,6 @@ fn handle_reload(inner: &Arc<Inner>, request_id: u64, generation: u64) -> Respon
     }
 }
 
-/// A fresh per-connection auth nonce: wall-clock nanoseconds mixed with
-/// the connection index through splitmix64. Never returns 0 (the wire
-/// value meaning "no nonce"). Uniqueness, not unpredictability, is the
-/// requirement — the nonce defeats cross-connection replay, and the
-/// keyed tag it feeds is already only an integrity check.
-fn fresh_nonce(conn_idx: u64) -> u64 {
-    let nanos = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_nanos() as u64)
-        .unwrap_or(0x9E37_79B9);
-    let n = splitmix64(nanos ^ conn_idx.rotate_left(32));
-    if n == 0 {
-        1
-    } else {
-        n
-    }
-}
-
 /// A frame cut off halfway through its payload: full header (so the
 /// receiver commits to a length) plus the first half of the body.
 fn torn_frame(body: &[u8]) -> Vec<u8> {
@@ -1235,10 +1166,7 @@ fn handle_query(
     deadline_ms: u32,
     client_id: &str,
     reads: Vec<genome::PackedSeq>,
-    auth_seq: u64,
-    auth_tag: u64,
     generation: u64,
-    auth: &mut ConnAuth,
     idx: u64,
 ) -> Option<Response> {
     let received = Instant::now();
@@ -1252,51 +1180,6 @@ fn handle_query(
                 .child_span(Some(conn_id), &format!("client:{client_id}"))
         })
         .id();
-
-    // Gate 0: authentication. A request whose tag does not bind its
-    // claimed `client_id` to the shared secret is rejected before any
-    // gate charges that client's fairness tokens — otherwise a forged
-    // `client_id` could drain a victim's bucket. The tag must also bind
-    // this connection's handshake nonce and a sequence number strictly
-    // above the last verified one: a captured frame replayed
-    // byte-exactly fails on the stale sequence (same connection) or the
-    // missing/different nonce (fresh connection). Sequence gaps are
-    // tolerated — a client whose send died mid-frame just keeps
-    // counting — only going backwards or standing still is a replay.
-    if let Some(secret) = &inner.cfg.auth_secret {
-        let reject = |inner: &Arc<Inner>| {
-            inner
-                .rec
-                .counter_on(client_span, "qnet.auth_failed", n_reads);
-            Some(Response::AuthFailed { request_id })
-        };
-        let Some(nonce) = auth.nonce else {
-            // No handshake on this connection: nothing pins the tag to
-            // this connection, so a replayed capture would verify.
-            return reject(inner);
-        };
-        if auth_seq <= auth.last_seq {
-            return reject(inner);
-        }
-        let auth_kind = match kind {
-            QueryKind::Hits => crate::proto::AUTH_KIND_QUERY,
-            QueryKind::Candidates => crate::proto::AUTH_KIND_SHARD_QUERY,
-        };
-        let expect = crate::proto::auth_tag(
-            secret,
-            auth_kind,
-            nonce,
-            auth_seq,
-            request_id,
-            deadline_ms,
-            client_id,
-            &reads,
-        );
-        if auth_tag != expect {
-            return reject(inner);
-        }
-        auth.last_seq = auth_seq;
-    }
 
     // Gate 1: drain.
     faultsim::sched::point("qnet.gate.drain");
@@ -1403,13 +1286,19 @@ fn handle_query(
             };
             if !admitted_live {
                 // The drain swept this connection between the queue-depth
-                // check and the marker: the chunks will still drain in
-                // the worker pool, but the client already saw the socket
+                // check and the marker: the client already saw the socket
                 // close. Count the reads as drain-rejected; the typed
                 // response below is best-effort (the write is skipped on
-                // a closed connection, so the client observes EOF).
+                // a closed connection, so the client observes EOF). The
+                // chunks are queued all the same, so wait them out here:
+                // the drain joins this handler, and must find the queue
+                // empty once it has.
                 inner.rec.counter_on(client_span, "qnet.rejected", n_reads);
                 inner.charge_client(client_id, |t| t.rejected += n_reads);
+                match handle {
+                    Admitted::Hits(h) => drop(h.wait()),
+                    Admitted::Candidates(h) => drop(h.wait()),
+                }
                 return Some(Response::Draining { request_id });
             }
             let guard = InflightGuard::new(inner);

@@ -69,8 +69,8 @@ pub enum RouterError {
         /// Display of the last error seen.
         last: String,
     },
-    /// A terminal network-layer failure (auth rejection, spent
-    /// deadline, typed remote error) attributed to the shard and peer
+    /// A terminal network-layer failure (spent deadline, typed remote
+    /// error) attributed to the shard and peer
     /// it came from — fail-over would not have helped.
     Net {
         /// The shard being queried.

@@ -32,8 +32,8 @@
 //! A failed attempt (transport error, torn frame, shed, drain) walks to
 //! the next replica with a capped jittered backoff
 //! ([`qnet::ClientPool::backoff_ms`], the shape of `dnet`'s recovery
-//! backoff). Terminal errors — [`qnet::QnetError::AuthFailed`], an
-//! expired deadline, a typed remote failure — abort the ladder
+//! backoff). Terminal errors — an expired deadline, a typed remote
+//! failure — abort the ladder
 //! immediately and surface as [`RouterError::Net`] naming the shard and
 //! peer. A shard that exhausts every round is recorded as a
 //! [`DeadLetter`] and surfaces as [`RouterError::ShardUnavailable`]
@@ -74,7 +74,7 @@ const HEDGE_WARMUP_SAMPLES: u64 = 8;
 
 /// Tuning for the router. `Default` is sized for the in-process
 /// clusters the bench and tests run; production deployments mostly
-/// tune `client` (deadline, auth) and `hedge_max_ms`.
+/// tune `client` (deadline) and `hedge_max_ms`.
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
     /// Template for pooled connections (address is filled per replica).
@@ -369,8 +369,8 @@ impl Router {
                 }
                 Err(e) => {
                     if !e.last_attempt().is_retryable() {
-                        // Auth rejections, spent deadlines, and typed
-                        // remote failures won't heal on another replica;
+                        // Spent deadlines and typed remote failures
+                        // won't heal on another replica;
                         // name the shard and peer and stop burning budget.
                         return Err(RouterError::Net {
                             shard,

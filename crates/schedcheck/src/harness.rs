@@ -85,7 +85,7 @@ pub(crate) fn query(reference: &PackedSeq, q: usize) -> PackedSeq {
 
 /// The server settings no scenario varies: ephemeral loopback port,
 /// generous socket timeouts, no chaos stall. Scenarios fill in drain
-/// deadline, admission, auth and reload with struct-update syntax.
+/// deadline, admission and reload with struct-update syntax.
 pub(crate) fn server_config() -> ServerConfig {
     ServerConfig {
         addr: "127.0.0.1:0".to_string(),
@@ -98,12 +98,7 @@ pub(crate) fn server_config() -> ServerConfig {
 
 /// A scripted client: one wire attempt per call, typed outcomes handed
 /// back as values.
-pub(crate) fn client(
-    addr: SocketAddr,
-    client_id: String,
-    deadline_ms: u32,
-    auth_secret: Option<String>,
-) -> QueryClient {
+pub(crate) fn client(addr: SocketAddr, client_id: String, deadline_ms: u32) -> QueryClient {
     QueryClient::new(
         ClientConfig {
             addr: addr.to_string(),
@@ -112,7 +107,6 @@ pub(crate) fn client(
             max_retries: 0,
             read_timeout: IO_TIMEOUT,
             write_timeout: IO_TIMEOUT,
-            auth_secret,
             ..ClientConfig::default()
         },
         &obs::Recorder::disabled(),

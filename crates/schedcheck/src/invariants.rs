@@ -27,12 +27,8 @@
 //!   `[accepted, accepted + rejected]` per client.
 //! * **I7** — per-client totals sum exactly to the global counters.
 //! * **I8** — `completed` implies `force_closed == 0`.
-//! * **I9** — under [`AuthMode::OneBadClient`], the forging client
-//!   never receives `Hits` and its fairness bucket is never charged.
-//!
-//! [`AuthMode::OneBadClient`]: crate::scenario::AuthMode::OneBadClient
 
-use crate::scenario::{AuthMode, BatchOutcome, OutcomeKind, ScenarioConfig};
+use crate::scenario::{BatchOutcome, OutcomeKind, ScenarioConfig};
 use qnet::{DrainReport, StatsSnapshot};
 use std::collections::BTreeMap;
 
@@ -63,7 +59,6 @@ pub fn check(
     let deadline = by_kind(OutcomeKind::DeadlineShed);
     let fairness = by_kind(OutcomeKind::FairnessShed);
     let queue = by_kind(OutcomeKind::QueueShed);
-    let auth = by_kind(OutcomeKind::AuthRejected);
     let io = by_kind(OutcomeKind::Io);
     let c = |name: &str| counters.get(name).copied().unwrap_or(0);
 
@@ -151,7 +146,6 @@ pub fn check(
     for (label, counted, seen) in [
         ("deadline", c("qnet.deadline_shed"), deadline),
         ("fairness", c("qnet.fairness_shed"), fairness),
-        ("auth", c("qnet.auth_failed"), auth),
     ] {
         if counted < seen || counted > seen + io {
             fail(format!(
@@ -182,7 +176,7 @@ pub fn check(
     // whole admitted charges: spent = burst − tokens must be integral,
     // at least the client's accepted reads (each was charged exactly
     // once) and at most accepted + rejected (queue sheds and drain-swept
-    // admissions were charged too; drain/deadline/auth sheds never are).
+    // admissions were charged too; drain/deadline sheds never are).
     for cs in &snap.clients {
         let spent = cfg.burst - cs.tokens;
         if (spent - spent.round()).abs() > TOKEN_EPS {
@@ -232,32 +226,6 @@ pub fn check(
             "I8: drain reported completed with {} reads force-closed",
             report.force_closed
         ));
-    }
-
-    // I9: the forging client gets nothing and pays nothing.
-    if cfg.auth == AuthMode::OneBadClient {
-        for o in outcomes.iter().filter(|o| o.client == 0) {
-            if o.kind == OutcomeKind::Hits {
-                fail(format!(
-                    "I9: forging client got byte-correct Hits for batch {}",
-                    o.batch
-                ));
-            }
-        }
-        if let Some(cs) = snap.clients.iter().find(|c| c.client_id == "c0") {
-            if cs.accepted != 0 {
-                fail(format!(
-                    "I9: forging client has {} accepted reads",
-                    cs.accepted
-                ));
-            }
-            if (cs.tokens - cfg.burst).abs() > TOKEN_EPS {
-                fail(format!(
-                    "I9: forging client's bucket was charged (tokens {} != burst {})",
-                    cs.tokens, cfg.burst
-                ));
-            }
-        }
     }
 
     v

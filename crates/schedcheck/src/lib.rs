@@ -66,7 +66,7 @@ pub use router_scenario::{
     RouterScenarioConfig,
 };
 pub use scenario::{
-    replay_trace, run_schedule, AuthMode, BatchOutcome, OutcomeKind, RunResult, ScenarioConfig,
+    replay_trace, run_schedule, BatchOutcome, OutcomeKind, RunResult, ScenarioConfig,
 };
 pub use trace::{trace_hash, GrantRecord};
 

@@ -109,7 +109,7 @@ pub enum ReloadOutcomeKind {
     /// Byte-correct `Hits` matching exactly one generation's oracle.
     Hits,
     /// Any typed refusal (`Draining`, `Overloaded`, `DeadlineExceeded`,
-    /// `AuthFailed`, remote `Error`) — always a violation here.
+    /// remote `Error`) — always a violation here.
     Shed,
     /// Transport failure — always a violation here (the listener lives
     /// until every outcome is recorded).
@@ -205,7 +205,7 @@ fn client_script(
     reads: &[Vec<PackedSeq>],
     expected: &[BatchAnswers],
 ) -> Vec<ReloadBatchOutcome> {
-    let mut client = harness::client(addr, format!("c{idx}"), DEADLINE_MS, None);
+    let mut client = harness::client(addr, format!("c{idx}"), DEADLINE_MS);
     reads
         .iter()
         .zip(expected)
@@ -249,7 +249,7 @@ fn client_script(
 
 /// The scripted reload: one wire `Reload` targeting `target`.
 fn reloader_script(addr: SocketAddr, target: u64) -> ReloadCallOutcome {
-    match harness::client(addr, "reloader".to_string(), DEADLINE_MS, None).reload(target) {
+    match harness::client(addr, "reloader".to_string(), DEADLINE_MS).reload(target) {
         Ok(generation) => ReloadCallOutcome::Done { generation },
         Err(QnetError::ReloadFailed {
             generation,

@@ -14,8 +14,8 @@
 //!   [`qnet::QueryClient`] with `max_retries: 0`: one wire attempt per
 //!   batch, whose typed error ([`qnet::QnetError::last_attempt`]) maps
 //!   to exactly one [`OutcomeKind`]. The client's own schedule points
-//!   (`qnet.client.connect`, `.send`, `.read`) make the dial, the auth
-//!   handshake and every send separate explored steps.
+//!   (`qnet.client.connect`, `.send`, `.read`) make the dial and every
+//!   send separate explored steps.
 //! * **drainer** — `sc.drainer` owns the [`Server`]; when the
 //!   scheduler grants its `sc.drain.go` point it runs the full
 //!   graceful drain, snapshots the stats, and tears everything down.
@@ -49,18 +49,6 @@ use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::time::Duration;
 
-/// How clients and server treat the shared-secret auth tag.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AuthMode {
-    /// No secret anywhere; tags ride as `0` and are ignored.
-    Off,
-    /// Server and every client share the secret — auth always passes.
-    Shared,
-    /// Client 0 signs with the wrong secret; every one of its queries
-    /// must be rejected at gate 0 without charging its fairness bucket.
-    OneBadClient,
-}
-
 /// Scenario shape. The default is the 2-clients × 2-workers drain/reload
 /// configuration from the exploration plan; tests shrink or skew it.
 #[derive(Debug, Clone)]
@@ -86,8 +74,6 @@ pub struct ScenarioConfig {
     pub max_queue: usize,
     /// Reads per worker chunk.
     pub batch_chunk: usize,
-    /// Auth topology.
-    pub auth: AuthMode,
     /// Add the `sc.prober` task racing a wire `Stats` probe.
     pub with_prober: bool,
 }
@@ -104,31 +90,12 @@ impl Default for ScenarioConfig {
             burst: 16.0,
             max_queue: 8,
             batch_chunk: 2,
-            auth: AuthMode::Off,
             with_prober: false,
         }
     }
 }
 
 impl ScenarioConfig {
-    /// Shared secret in effect for the server, if any.
-    fn server_secret(&self) -> Option<String> {
-        match self.auth {
-            AuthMode::Off => None,
-            AuthMode::Shared | AuthMode::OneBadClient => Some("schedcheck".to_string()),
-        }
-    }
-
-    /// Secret client `idx` signs with, if any.
-    fn client_secret(&self, idx: usize) -> Option<String> {
-        match self.auth {
-            AuthMode::Off => None,
-            AuthMode::Shared => Some("schedcheck".to_string()),
-            AuthMode::OneBadClient if idx == 0 => Some("not-the-secret".to_string()),
-            AuthMode::OneBadClient => Some("schedcheck".to_string()),
-        }
-    }
-
     /// Total reads offered across all clients and batches.
     pub fn offered_reads(&self) -> u64 {
         (self.clients * self.batches_per_client * self.reads_per_batch) as u64
@@ -163,8 +130,6 @@ pub enum OutcomeKind {
     FairnessShed,
     /// Typed `Overloaded { scope: Queue }`.
     QueueShed,
-    /// Typed `AuthFailed`.
-    AuthRejected,
     /// Typed `Error` from the server — unexpected in this scenario and
     /// treated as a violation.
     RemoteError,
@@ -189,7 +154,6 @@ impl OutcomeKind {
                 scope: ShedScope::Queue,
                 ..
             } => OutcomeKind::QueueShed,
-            QnetError::AuthFailed => OutcomeKind::AuthRejected,
             QnetError::Remote(_) => OutcomeKind::RemoteError,
             QnetError::Io(_) => OutcomeKind::Io,
             QnetError::Corrupt { .. }
@@ -238,7 +202,7 @@ fn batch_reads(
 }
 
 /// One client's full script: every batch in order through one
-/// [`qnet::QueryClient`], which dials (and handshakes) on the first and
+/// [`qnet::QueryClient`], which dials on the first and
 /// keeps its connection across typed outcomes. A batch sent after the
 /// drain cut that connection fails at the socket — `Io`, its reads
 /// never reaching a gate — and so does the re-dial after it: the
@@ -251,7 +215,7 @@ fn client_script(
     expected: &[Vec<Option<Hit>>],
 ) -> Vec<BatchOutcome> {
     let deadline_ms = cfg.deadline_ms[idx % cfg.deadline_ms.len().max(1)];
-    let mut client = harness::client(addr, format!("c{idx}"), deadline_ms, cfg.client_secret(idx));
+    let mut client = harness::client(addr, format!("c{idx}"), deadline_ms);
     expected
         .iter()
         .enumerate()
@@ -280,7 +244,7 @@ fn client_script(
 /// `qnet.client.connect` grant). Losing the race with the drain
 /// (refused connect, EOF) is fine; a malformed snapshot is a violation.
 fn prober_script(addr: SocketAddr) -> Vec<String> {
-    match harness::client(addr, "prober".to_string(), 0, None).stats() {
+    match harness::client(addr, "prober".to_string(), 0).stats() {
         Ok(_) | Err(QnetError::Io(_)) => Vec::new(),
         Err(e) => vec![format!("prober: {e}")],
     }
@@ -337,7 +301,6 @@ pub fn run_schedule(
                 refill_per_s: 0.0,
                 burst: cfg.burst,
             },
-            auth_secret: cfg.server_secret(),
             ..harness::server_config()
         },
         &h.rec,
@@ -380,7 +343,6 @@ pub fn run_schedule(
         "qnet.rejected",
         "qnet.deadline_shed",
         "qnet.fairness_shed",
-        "qnet.auth_failed",
         "qnet.drain.force_closed",
     ]);
 
@@ -431,41 +393,4 @@ pub fn replay_trace(cfg: &ScenarioConfig, recorded: &[GrantRecord]) -> (RunResul
         0
     });
     (result, diverged_at)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// With the drain granted last, every batch of the forging client is
-    /// answered — through the real client's handshake and tag — with a
-    /// typed `AuthFailed`, and the honest client is served.
-    #[test]
-    fn forging_client_is_rejected_on_every_batch_and_pays_nothing() {
-        let cfg = ScenarioConfig {
-            auth: AuthMode::OneBadClient,
-            deadline_ms: vec![600_000],
-            ..ScenarioConfig::default()
-        };
-        let run = run_schedule(&cfg, &mut |cands, _trace| {
-            cands
-                .iter()
-                .position(|c| c.point != "sc.drain.go")
-                .unwrap_or(0)
-        });
-        assert!(run.violations.is_empty(), "{:?}", run.violations);
-        for o in &run.outcomes {
-            let want = if o.client == 0 {
-                OutcomeKind::AuthRejected
-            } else {
-                OutcomeKind::Hits
-            };
-            assert_eq!(
-                o.kind, want,
-                "client {} batch {}: {}",
-                o.client, o.batch, o.detail
-            );
-        }
-        assert_eq!(run.counters["qnet.auth_failed"], 4, "2 batches x 2 reads");
-    }
 }

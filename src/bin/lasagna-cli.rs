@@ -7,7 +7,7 @@
 //! lasagna-cli assemble --reads reads.fastq --out contigs.fa \
 //!                  [--l-min 63] [--work /tmp/lasagna-work] \
 //!                  [--host-mem 256M] [--device-mem 64M] [--gpu k40] \
-//!                  [--graph greedy|full] [--traversal seq|bsp] [--correct 21] [--resume yes] \
+//!                  [--graph greedy|full] [--traversal seq|bsp] [--resume yes] \
 //!                  [--trace-out trace.jsonl] [--metrics-json report.json] [--progress yes]
 //!
 //! lasagna-cli assemble-distributed --reads reads.fastq --out contigs.fa \
@@ -33,23 +33,22 @@
 //!
 //! lasagna-cli query --connect HOST:PORT --reads queries.fastq \
 //!                  [--out hits.tsv] [--batch 1024] [--client-id NAME] \
-//!                  [--deadline-ms 10000] [--retries 4] [--auth-secret S]
+//!                  [--deadline-ms 10000] [--retries 4]
 //!
 //! lasagna-cli query --router cluster.json --reads queries.fastq \
 //!                  [--out hits.tsv] [--batch 1024] [--client-id NAME] \
 //!                  [--deadline-ms 10000] [--hedge-max-ms 200] \
-//!                  [--failover-rounds 3] [--auth-secret S]
+//!                  [--failover-rounds 3]
 //!
 //! lasagna-cli serve --work /tmp/lasagna-work [--addr 127.0.0.1:0] \
 //!                  [--workers 4] [--max-mismatches 2] [--max-queue 64] \
 //!                  [--refill-per-s 50000] [--burst 20000] \
 //!                  [--read-timeout-ms 30000] [--drain-deadline-ms 5000] \
-//!                  [--faults SPEC] [--trace-out trace.jsonl] [--auth-secret S]
+//!                  [--faults SPEC] [--trace-out trace.jsonl]
 //!
 //! lasagna-cli serve-cluster --work /tmp/lasagna-work --shards 2 [--replicas 2] \
 //!                  [--manifest cluster.json] [--workers 2] \
-//!                  [--max-mismatches 2] [--max-queue 64] [--k 15] [--w 8] \
-//!                  [--auth-secret S]
+//!                  [--max-mismatches 2] [--max-queue 64] [--k 15] [--w 8]
 //!
 //! lasagna-cli shutdown --connect HOST:PORT
 //! ```
@@ -63,6 +62,7 @@
 //! `generations` lists a work dir's store/index generations, `reload`
 //! hot-swaps a live serve process to one without dropping a connection
 //! or a query, and `shutdown` asks a serve process to drain gracefully.
+//! The wire is unauthenticated: bind `serve` only on a trusted network.
 //! See SERVING.md for formats, semantics, and tuning.
 
 use lasagna_repro::genome::fastq::{read_fasta, read_fastq, write_fasta, write_fastq};
@@ -121,18 +121,17 @@ fn usage() -> ! {
          lasagna query --work DIR --reads queries.fastq [--out hits.tsv] [--batch 1024] \
          [--workers 4] [--max-mismatches 2] [--max-queue 64]\n  \
          lasagna query --connect HOST:PORT --reads queries.fastq [--out hits.tsv] \
-         [--batch 1024] [--client-id NAME] [--deadline-ms 10000] [--retries 4] \
-         [--auth-secret S]\n  \
+         [--batch 1024] [--client-id NAME] [--deadline-ms 10000] [--retries 4]\n  \
          lasagna query --router cluster.json --reads queries.fastq [--out hits.tsv] \
          [--batch 1024] [--client-id NAME] [--deadline-ms 10000] [--hedge-max-ms 200] \
-         [--failover-rounds 3] [--auth-secret S]\n  \
+         [--failover-rounds 3]\n  \
          lasagna serve --work DIR [--addr 127.0.0.1:0] [--workers 4] \
          [--max-mismatches 2] [--max-queue 64] [--refill-per-s 50000] [--burst 20000] \
          [--read-timeout-ms 30000] [--drain-deadline-ms 5000] [--faults SPEC] \
-         [--trace-out trace.jsonl] [--auth-secret S]\n  \
+         [--trace-out trace.jsonl]\n  \
          lasagna serve-cluster --work DIR --shards N [--replicas R] [--manifest FILE] \
          [--workers 2] [--max-mismatches 2] [--max-queue 64] \
-         [--k 15] [--w 8] [--auth-secret S]\n  \
+         [--k 15] [--w 8]\n  \
          lasagna generations --work DIR\n  \
          lasagna reload --connect HOST:PORT [--generation N]\n  \
          lasagna shutdown --connect HOST:PORT\n\
@@ -143,11 +142,69 @@ fn usage() -> ! {
          2 usage, 3 corrupt on-disk state, 4 out of memory, 5 I/O failure, \
          6 overloaded (queued + arriving work exceeds the admission limit, the \
          per-client fairness bucket is empty, the server is draining, or the \
-         client's retry budget ran out; resubmit later), \
-         7 auth rejected (wrong --auth-secret; terminal, do not retry)"
+         client's retry budget ran out; resubmit later)"
     );
     exit(2);
 }
+
+/// Every `--option` some subcommand reads. Any other option is a usage
+/// error, not a flag silently ignored.
+const OPTIONS: &[&str] = &[
+    "addr",
+    "batch",
+    "block-reads",
+    "burst",
+    "client-id",
+    "connect",
+    "contigs",
+    "coverage",
+    "deadline-ms",
+    "device-mem",
+    "drain-deadline-ms",
+    "error-rate",
+    "failover-rounds",
+    "faults",
+    "format",
+    "generation",
+    "genome-len",
+    "gpu",
+    "graph",
+    "hedge-max-ms",
+    "host-mem",
+    "interval-ms",
+    "iterations",
+    "k",
+    "l-min",
+    "manifest",
+    "max-mismatches",
+    "max-queue",
+    "metrics-json",
+    "nodes",
+    "out",
+    "progress",
+    "read-len",
+    "read-timeout-ms",
+    "reads",
+    "reduce",
+    "reference",
+    "refill-per-s",
+    "repeat-fraction",
+    "replicas",
+    "resume",
+    "retries",
+    "root",
+    "router",
+    "seed",
+    "shards",
+    "threads",
+    "trace",
+    "trace-out",
+    "traversal",
+    "w",
+    "work",
+    "workers",
+    "write-timeout-ms",
+];
 
 fn parse_opts(argv: Vec<String>) -> HashMap<String, String> {
     let mut opts = HashMap::new();
@@ -157,6 +214,10 @@ fn parse_opts(argv: Vec<String>) -> HashMap<String, String> {
             eprintln!("lasagna: expected --option, got {key:?}");
             exit(2);
         };
+        if !OPTIONS.contains(&key) {
+            eprintln!("lasagna: unknown option --{key}");
+            exit(2);
+        }
         let Some(value) = iter.next() else {
             eprintln!("lasagna: --{key} needs a value");
             exit(2);
@@ -296,29 +357,8 @@ fn assemble(opts: &HashMap<String, String>) {
         }
     };
 
-    let mut reads = load_reads(&reads_path);
+    let reads = load_reads(&reads_path);
     let read_len = reads.read_len();
-    // Optional spectral error correction (the SGA pipeline's first stage).
-    let correct_k: usize = get(opts, "correct", 0usize);
-    if correct_k > 0 {
-        let corrector0 = ErrorCorrector {
-            k: correct_k,
-            min_count: 2,
-            max_fixes_per_read: 4,
-        };
-        let spectrum = corrector0.train(&reads);
-        let corrector = ErrorCorrector {
-            min_count: spectrum.suggest_threshold(),
-            ..corrector0
-        };
-        let (fixed, stats) = corrector.correct(&spectrum, &reads);
-        println!(
-            "error correction (k={correct_k}, threshold {}): {} clean, {} repaired ({} substitutions), {} uncorrectable",
-            corrector.min_count, stats.already_clean, stats.corrected, stats.substitutions, stats.uncorrectable
-        );
-        reads = fixed;
-    }
-
     let default_l_min = (read_len as u32 * 5 / 8).max(1); // SGA-style ~0.63·L
     let l_min: u32 = get(opts, "l-min", default_l_min);
     println!(
@@ -1048,7 +1088,6 @@ fn query_remote(opts: &HashMap<String, String>) {
             client_id: get(opts, "client-id", "cli".to_string()),
             deadline_ms: get(opts, "deadline-ms", 10_000u32),
             max_retries: get(opts, "retries", 4u32),
-            auth_secret: opts.get("auth-secret").cloned(),
             ..ClientConfig::default()
         },
         &rec,
@@ -1078,8 +1117,7 @@ fn query_remote(opts: &HashMap<String, String>) {
 /// replicated cluster through the scatter-gather router, which hedges
 /// slow shards and fails over dead replicas while producing answers
 /// byte-identical to a single-node server's (see SERVING.md, "Cluster
-/// serving"). A shard with no live replica exits 6 (`ShardUnavailable`);
-/// auth rejections exit 7 naming the shard and peer.
+/// serving"). A shard with no live replica exits 6 (`ShardUnavailable`).
 fn query_router(opts: &HashMap<String, String>) {
     use lasagna_repro::qnet::ClientConfig;
     use lasagna_repro::qrouter::{ClusterManifest, Router, RouterConfig};
@@ -1099,7 +1137,6 @@ fn query_router(opts: &HashMap<String, String>) {
             client: ClientConfig {
                 client_id: get(opts, "client-id", "cli".to_string()),
                 deadline_ms: get(opts, "deadline-ms", 10_000u32),
-                auth_secret: opts.get("auth-secret").cloned(),
                 ..ClientConfig::default()
             },
             query: QueryConfig {
@@ -1208,7 +1245,6 @@ fn serve(opts: &HashMap<String, String>) {
                 refill_per_s: get(opts, "refill-per-s", 50_000.0f64),
                 burst: get(opts, "burst", 20_000.0f64),
             },
-            auth_secret: opts.get("auth-secret").cloned(),
             ..ServerConfig::default()
         },
         &rec,
@@ -1306,7 +1342,6 @@ fn serve_cluster(opts: &HashMap<String, String>) {
                     addr: "127.0.0.1:0".to_string(),
                     read_timeout: Duration::from_millis(get(opts, "read-timeout-ms", 30_000u64)),
                     drain_deadline: Duration::from_millis(get(opts, "drain-deadline-ms", 5_000u64)),
-                    auth_secret: opts.get("auth-secret").cloned(),
                     ..ServerConfig::default()
                 },
                 &rec,
@@ -1460,9 +1495,7 @@ const EXIT_IO: i32 = 5;
 /// budget. Nothing was processed; resubmit later (the server's
 /// `retry_after_ms` hint says when).
 const EXIT_OVERLOADED: i32 = 6;
-/// The server rejected the request's authentication tag. Terminal for
-/// these credentials: fix `--auth-secret` rather than retrying.
-const EXIT_AUTH: i32 = 7;
+// Exit code 7 is unused: it is retired and never reissued.
 
 fn stream_exit_code(e: &lasagna_repro::gstream::StreamError) -> i32 {
     use lasagna_repro::gstream::StreamError;
@@ -1527,7 +1560,6 @@ fn die_qnet<T>(e: lasagna_repro::qnet::QnetError) -> T {
         QnetError::Overloaded { .. } | QnetError::Draining | QnetError::RetriesExhausted { .. } => {
             EXIT_OVERLOADED
         }
-        QnetError::AuthFailed => EXIT_AUTH,
         // A failed reload rolled back server-side; the old generation
         // is still serving, so this is an operator retry, not an outage.
         QnetError::ReloadFailed { .. } => 1,
@@ -1544,7 +1576,6 @@ fn die_qrouter<T>(e: lasagna_repro::qrouter::RouterError) -> T {
         RouterError::Net { source, .. } => {
             eprintln!("lasagna: {e}");
             exit(match source {
-                lasagna_repro::qnet::QnetError::AuthFailed => EXIT_AUTH,
                 lasagna_repro::qnet::QnetError::Corrupt { .. } => EXIT_CORRUPT,
                 lasagna_repro::qnet::QnetError::Io(_) => EXIT_IO,
                 _ => 1,

@@ -24,13 +24,12 @@
 //!   backward-search overlaps) of the paper's Table VI;
 //! * [`mod@dbg`] — a de Bruijn baseline that reproduces the paper's claim
 //!   that such assemblers run out of memory on large single-node inputs;
-//! * [`ecc`] — k-mer-spectrum error correction, the SGA pipeline stage the
-//!   paper's comparison excludes, for assembling noisy reads;
 //! * [`qserve`] — the contig query service: an indexed on-disk assembly
 //!   store with batched, concurrent read lookups (see SERVING.md);
 //! * [`qnet`] — the hardened TCP front-end over `qserve`: checksummed
 //!   framing, deadline propagation, per-client fair admission, a
-//!   retry/backoff client, and graceful drain (see SERVING.md);
+//!   retry/backoff client, and graceful drain; unauthenticated, so it
+//!   belongs on a trusted network (see SERVING.md);
 //! * [`qrouter`] — the sharded, replicated serving cluster over `qnet`:
 //!   a versioned cluster manifest, hedged scatter-gather routing that
 //!   reproduces single-node answers byte-for-byte, replica fail-over,
@@ -61,7 +60,6 @@
 
 pub use dbg;
 pub use dnet;
-pub use ecc;
 pub use faultsim;
 pub use fingerprint;
 pub use genome;
@@ -80,7 +78,6 @@ pub use vgpu;
 pub mod prelude {
     pub use dbg::DbgAssembler;
     pub use dnet::{Cluster, ClusterConfig, NetModel};
-    pub use ecc::{ErrorCorrector, KmerSpectrum};
     pub use genome::{DatasetPreset, GenomeSim, PackedSeq, ReadSet, ShotgunSim};
     pub use gstream::{DiskModel, ExternalSorter, HostMem, IoStats, SortConfig, SpillDir};
     pub use lasagna::{AssemblyConfig, AssemblyReport, Pipeline, StringGraph};

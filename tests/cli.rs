@@ -399,38 +399,49 @@ fn assemble_distributed_roundtrip_resume_and_corrupt_log() {
 }
 
 #[test]
-fn error_correction_flag_runs() {
-    let dir = workdir("correct");
-    let reads = dir.join("noisy.fastq");
-    cli()
-        .args([
-            "simulate",
-            "--genome-len",
-            "6000",
-            "--coverage",
-            "20",
-            "--read-len",
-            "80",
-        ])
-        .args(["--error-rate", "0.01", "--seed", "13", "--out"])
-        .arg(&reads)
-        .status()
-        .expect("simulate");
-    let out = cli()
-        .args(["assemble", "--reads"])
-        .arg(&reads)
-        .args(["--out"])
-        .arg(dir.join("contigs.fa"))
-        .args(["--work"])
-        .arg(dir.join("work"))
-        .args(["--correct", "21"])
-        .output()
-        .expect("assemble");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("error correction"), "{stdout}");
+fn unknown_options_exit_2_naming_the_flag() {
+    // Each command is valid but for one option no subcommand reads (two
+    // of them deleted flags). The CLI must refuse it by name instead of
+    // running without it.
+    let dir = workdir("unknown-opts");
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let (reads, contigs, work) = (path("reads.fastq"), path("contigs.fa"), path("work"));
+    let simulate = [
+        "simulate",
+        "--genome-len",
+        "5000",
+        "--seed",
+        "17",
+        "--out",
+        &reads,
+    ];
+    let assemble = [
+        "assemble", "--reads", &reads, "--out", &contigs, "--work", &work,
+    ];
+    let query = ["query", "--work", &work, "--reads", &reads];
+    for setup in [
+        &simulate[..],
+        &assemble,
+        &["index", "--work", &work],
+        &query,
+    ] {
+        let out = cli().args(setup).output().expect("run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{setup:?}: {stderr}");
+    }
+
+    for (command, flag, value) in [
+        (&assemble[..], "--correct", "21"),
+        (&query, "--auth-secret", "S"),
+        (&query, "--cache-mb", "16"),
+    ] {
+        let out = cli()
+            .args(command)
+            .args([flag, value])
+            .output()
+            .expect("run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{command:?} {flag}: {stderr}");
+        assert!(stderr.contains(flag), "{command:?} {flag}: {stderr}");
+    }
 }

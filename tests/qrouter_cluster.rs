@@ -12,7 +12,7 @@
 use lasagna_repro::faultsim::{self, FaultPlan, Faults};
 use lasagna_repro::obs;
 use lasagna_repro::prelude::*;
-use lasagna_repro::qnet::{ClientConfig, QnetError, ReloadConfig, Server, ServerConfig};
+use lasagna_repro::qnet::{ClientConfig, ReloadConfig, Server, ServerConfig};
 use lasagna_repro::qrouter::{ClusterManifest, Router, RouterConfig, RouterError};
 use lasagna_repro::qserve::{
     self, ContigStore, GenKind, Hit, IndexConfig, MinimizerIndex, QueryConfig, QueryEngine,
@@ -74,12 +74,11 @@ fn single_node_answers(dir: &Path, queries: &[PackedSeq]) -> Vec<Option<Hit>> {
 /// replica of shard `s` holding the `s`-th postings slice of the full
 /// index. Servers land in the returned vec at `shard * replicas +
 /// replica`, so tests can kill a specific replica. `faults_for` arms
-/// per-server failpoints; `secret` turns on wire auth everywhere.
+/// per-server failpoints.
 fn start_cluster(
     dir: &Path,
     n_shards: u32,
     replicas: u32,
-    secret: Option<&str>,
     faults_for: impl Fn(u32, u32) -> Faults,
 ) -> (Vec<Server>, ClusterManifest) {
     let io = IoStats::default();
@@ -103,7 +102,6 @@ fn start_cluster(
                     write_timeout: Duration::from_secs(2),
                     drain_deadline: Duration::from_secs(10),
                     stall_ms: 100,
-                    auth_secret: secret.map(str::to_string),
                     ..ServerConfig::default()
                 },
                 &obs::Recorder::disabled(),
@@ -168,7 +166,7 @@ fn clean_cluster_is_bit_identical_to_single_node_across_shard_counts() {
     // final tie-break — must match single-node byte for byte.
     for n_shards in [1u32, 2, 3] {
         let (mut servers, manifest) =
-            start_cluster(dir.path(), n_shards, 2, None, |_, _| Faults::disabled());
+            start_cluster(dir.path(), n_shards, 2, |_, _| Faults::disabled());
         let rec = obs::Recorder::new();
         let router = router_for(manifest, &rec, Faults::disabled(), |_| {});
 
@@ -198,7 +196,7 @@ fn answers_survive_one_dead_replica_of_every_shard_bit_identically() {
     let queries = slice_queries(&contigs, 10_000, 60);
     let reference = single_node_answers(dir.path(), &queries);
 
-    let (mut servers, manifest) = start_cluster(dir.path(), 2, 2, None, |_, _| Faults::disabled());
+    let (mut servers, manifest) = start_cluster(dir.path(), 2, 2, |_, _| Faults::disabled());
     // Kill the first replica of every shard before any traffic.
     for shard in 0..2 {
         servers[shard * 2].shutdown();
@@ -249,7 +247,7 @@ fn hedging_races_both_replicas_and_stays_bit_identical() {
     let queries = slice_queries(&contigs, 10_000, 60);
     let reference = single_node_answers(dir.path(), &queries);
 
-    let (mut servers, manifest) = start_cluster(dir.path(), 2, 2, None, |_, _| Faults::disabled());
+    let (mut servers, manifest) = start_cluster(dir.path(), 2, 2, |_, _| Faults::disabled());
     let rec = obs::Recorder::new();
     // 30% of attempts stall far past the hedge ceiling, so the hedge
     // demonstrably fires and usually wins; the stalled loser still
@@ -297,7 +295,7 @@ fn hedge_loser_is_discarded_by_request_id_never_double_counted() {
     // conservation check below is the property: offered == merged,
     // exactly, so no late loser was ever accepted for a batch.
     let stall = FaultPlan::new().fail_prob(faultsim::QNET_FRAME_STALL, 20, 11);
-    let (mut servers, manifest) = start_cluster(dir.path(), 1, 2, None, |_, replica| {
+    let (mut servers, manifest) = start_cluster(dir.path(), 1, 2, |_, replica| {
         if replica == 0 {
             Faults::from_plan(&stall)
         } else {
@@ -342,7 +340,7 @@ fn a_fully_dead_shard_dead_letters_with_a_typed_error_not_a_hang() {
     let contigs = assemble_into(dir.path(), 74);
     let queries = slice_queries(&contigs, 256, 60);
 
-    let (mut servers, manifest) = start_cluster(dir.path(), 2, 1, None, |_, _| Faults::disabled());
+    let (mut servers, manifest) = start_cluster(dir.path(), 2, 1, |_, _| Faults::disabled());
     // Shard 1's only replica dies: that shard is simply gone.
     servers[1].shutdown();
     let rec = obs::Recorder::new();
@@ -383,65 +381,6 @@ fn a_fully_dead_shard_dead_letters_with_a_typed_error_not_a_hang() {
         0,
         "a failed scatter must not merge a partial answer"
     );
-    servers[0].shutdown();
-}
-
-#[test]
-fn auth_mismatch_fails_fast_naming_shard_and_peer() {
-    let dir = stdx::tempdir().unwrap();
-    let contigs = assemble_into(dir.path(), 75);
-    let queries = slice_queries(&contigs, 64, 60);
-
-    let (mut servers, manifest) =
-        start_cluster(dir.path(), 1, 1, Some("cluster-secret"), |_, _| {
-            Faults::disabled()
-        });
-    let expected_peer = manifest.shards[0].replicas[0].clone();
-    let router = router_for(
-        manifest,
-        &obs::Recorder::disabled(),
-        Faults::disabled(),
-        |cfg| {
-            cfg.client.auth_secret = Some("wrong-secret".to_string());
-        },
-    );
-
-    // Auth rejection is terminal: no ladder walk, no hedging — one
-    // typed error naming both the shard and the replica that refused.
-    let start = Instant::now();
-    let err = router.route(&queries).unwrap_err();
-    assert!(start.elapsed() < Duration::from_secs(10));
-    match &err {
-        RouterError::Net {
-            shard,
-            peer,
-            source,
-        } => {
-            assert_eq!(*shard, 0);
-            assert_eq!(*peer, expected_peer, "the error names the refusing peer");
-            assert!(
-                matches!(source, QnetError::AuthFailed),
-                "expected AuthFailed, got {source}"
-            );
-        }
-        other => panic!("expected Net {{ AuthFailed }}, got {other}"),
-    }
-    assert!(
-        router.dead_letters().is_empty(),
-        "terminal errors are not dead letters"
-    );
-
-    // The same cluster with the right secret answers normally.
-    let authed = router_for(
-        router.manifest().clone(),
-        &obs::Recorder::disabled(),
-        Faults::disabled(),
-        |cfg| {
-            cfg.client.auth_secret = Some("cluster-secret".to_string());
-        },
-    );
-    let reference = single_node_answers(dir.path(), &queries);
-    assert_eq!(authed.route(&queries).unwrap(), reference);
     servers[0].shutdown();
 }
 

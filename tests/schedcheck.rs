@@ -94,6 +94,31 @@ fn pct_seed_replays_bit_identical() {
     );
 }
 
+/// A batch that passes the queue-depth gate just after the drain swept
+/// its connection has no one to answer it, yet its chunk is queued. The
+/// connection handler waits that chunk out, so a finished drain leaves
+/// the queue empty (I3). This PCT seed, from the prober sweep of
+/// `repro schedcheck`, reaches that window.
+#[test]
+fn a_batch_admitted_after_the_drain_sweep_is_drained_before_shutdown_returns() {
+    let cfg = ScenarioConfig {
+        with_prober: true,
+        ..ScenarioConfig::default()
+    };
+    let run = pct::run_pct(&cfg, 0x12b0_9ab6_9279_2f1d, 3);
+    assert!(
+        run.violations.is_empty(),
+        "violations: {:?}",
+        run.violations
+    );
+    assert!(
+        run.trace
+            .iter()
+            .any(|g| g.task_name == "qnet.conn1" && g.point == "qserve.batch.wait"),
+        "the schedule no longer reaches the swept-admission window"
+    );
+}
+
 /// The two-shard cluster scenario: a real router scatter-gathering
 /// over two shard servers under the deterministic scheduler. Every
 /// explored interleaving must conserve reads (offered == merged +
