@@ -788,6 +788,24 @@ fn run_schedcheck(out: &Path) {
                 replay_each: true,
             }),
         },
+        // Two-chunk batches: a handler runs one chunk of its own batch
+        // while a worker holds the other slot, racing the drain. Dense
+        // change points (most land past a run's ~70 grants) preempt the
+        // gates often enough to reach deadline sheds too.
+        Row {
+            strategy: "pct",
+            scenario: "2-chunk batches",
+            report: explore_pct(&PctConfig {
+                scenario: ScenarioConfig {
+                    reads_per_batch: 4,
+                    ..ScenarioConfig::default()
+                },
+                seed0: 0x5eed_2c4b,
+                schedules: 512,
+                change_points: 32,
+                replay_each: false,
+            }),
+        },
         // A prober polls live Stats mid-run so snapshot-vs-rollup (I4) is
         // exercised under contention, not just at drain.
         Row {
@@ -807,7 +825,7 @@ fn run_schedcheck(out: &Path) {
     ];
 
     println!(
-        "{:<12} {:<18} {:>10} {:>10} {:>9} {:>9} {:>7} {:>9} {:>9} {:>11}",
+        "{:<12} {:<18} {:>10} {:>10} {:>9} {:>9} {:>7} {:>9} {:>9} {:>7} {:>11}",
         "strategy",
         "scenario",
         "schedules",
@@ -817,11 +835,12 @@ fn run_schedcheck(out: &Path) {
         "forced",
         "deadline",
         "fairness",
+        "helped",
         "violations"
     );
     for r in &rows {
         println!(
-            "{:<12} {:<18} {:>10} {:>10} {:>9} {:>9} {:>7} {:>9} {:>9} {:>11}",
+            "{:<12} {:<18} {:>10} {:>10} {:>9} {:>9} {:>7} {:>9} {:>9} {:>7} {:>11}",
             r.strategy,
             r.scenario,
             r.report.schedules_explored,
@@ -831,6 +850,7 @@ fn run_schedcheck(out: &Path) {
             r.report.force_closed_runs,
             r.report.deadline_shed_runs,
             r.report.fairness_shed_runs,
+            r.report.helped_under_drain_runs,
             r.report.violations.len(),
         );
     }

@@ -179,6 +179,35 @@ impl PackedSeq {
         revcomp_word(self.word_at(end - n, n)) >> (2 * (BASES_PER_WORD - n))
     }
 
+    /// The packed words, base `i` in bits `2(i mod 32)..` of word `i / 32`,
+    /// zero above the last base. Their little-endian bytes are the 4-bases-
+    /// per-byte wire layout.
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// Adopt `len` bases from packed `words` (the layout of [`words`]),
+    /// dropping surplus words and clearing the bits above `len`.
+    ///
+    /// # Panics
+    /// Panics if `words` holds fewer than `len` bases.
+    ///
+    /// [`words`]: PackedSeq::words
+    pub fn from_words(mut words: Vec<u64>, len: usize) -> PackedSeq {
+        let n = len.div_ceil(BASES_PER_WORD);
+        assert!(
+            words.len() >= n,
+            "{} words cannot hold {len} bases",
+            words.len()
+        );
+        words.truncate(n);
+        let tail = len % BASES_PER_WORD;
+        if tail != 0 {
+            words[n - 1] &= (1u64 << (2 * tail)) - 1;
+        }
+        PackedSeq { words, len }
+    }
+
     /// Build from 2-bit codes.
     pub fn from_codes(codes: &[u8]) -> PackedSeq {
         let mut out = PackedSeq::with_capacity(codes.len());
@@ -377,6 +406,22 @@ mod tests {
         check_cases(256, |rng| {
             let codes = rng.vec(0..200, |r| r.below(4) as u8);
             assert_eq!(PackedSeq::from_codes(&codes).to_codes(), codes);
+        });
+    }
+
+    #[test]
+    fn from_words_inverts_words_and_clears_padding() {
+        check_cases(256, |rng| {
+            let s = PackedSeq::from_codes(&rng.vec(0..200, |r| r.below(4) as u8));
+            assert_eq!(PackedSeq::from_words(s.words().to_vec(), s.len()), s);
+            // Garbage above the last base and a surplus word are dropped.
+            let mut dirty = s.words().to_vec();
+            let tail = s.len() % BASES_PER_WORD;
+            if let (Some(last), true) = (dirty.last_mut(), tail != 0) {
+                *last |= rng.next_u64() << (2 * tail);
+            }
+            dirty.push(rng.next_u64());
+            assert_eq!(PackedSeq::from_words(dirty, s.len()), s);
         });
     }
 

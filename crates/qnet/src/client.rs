@@ -18,8 +18,9 @@
 //! Every query shape goes through one attempt
 //! (`QueryClient::attempt`): write N requests of one kind, then
 //! drain N responses matched by `request_id`. A single batch is N = 1;
-//! [`QueryClient::query_batches_pipelined`] is N > 1, and the server may
-//! answer those out of order. One classifier (`classify`) turns each
+//! [`QueryClient::query_batches_pipelined`] is N > 1. The server answers
+//! one connection's requests in arrival order, but nothing here relies
+//! on it. One classifier (`classify`) turns each
 //! response into a typed outcome, and one loop (`QueryClient::run`)
 //! retries what is retryable. Every answer carries the store/index
 //! generation that computed it; [`QueryClient::set_generation_pin`]
@@ -225,8 +226,8 @@ impl QueryClient {
 
     /// Pipeline many batches down one connection: every request is
     /// written before any response is read, and answers are matched to
-    /// requests by `request_id` — the server executes admitted batches
-    /// concurrently and may answer out of order. Returns per-batch
+    /// requests by `request_id`, whatever order they arrive in. Returns
+    /// per-batch
     /// outcomes aligned with `batches`: the `(generation, hits)` pair
     /// that computed each answer, or that batch's terminal typed error
     /// (deadline, remote). Retryable outcomes are handled

@@ -383,21 +383,15 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
 }
 
 /// Append `seq` 2-bit packed: base count, then `ceil(len/4)` bytes with
-/// the earliest base in the low bits.
+/// the earliest base in the low bits — the little-endian image of
+/// [`PackedSeq::words`], cut after the last base's byte.
 fn put_seq(out: &mut Vec<u8>, seq: &PackedSeq) {
-    let codes = seq.to_codes();
-    put_u32(out, codes.len() as u32);
-    let mut byte = 0u8;
-    for (i, code) in codes.iter().enumerate() {
-        byte |= (code & 3) << (2 * (i % 4));
-        if i % 4 == 3 {
-            out.push(byte);
-            byte = 0;
-        }
+    put_u32(out, seq.len() as u32);
+    let end = out.len() + seq.len().div_ceil(4);
+    for w in seq.words() {
+        out.extend_from_slice(&w.to_le_bytes());
     }
-    if !codes.is_empty() && !codes.len().is_multiple_of(4) {
-        out.push(byte);
-    }
+    out.truncate(end);
 }
 
 /// Bounds-checked reader over a decoded frame payload; every overrun is
@@ -470,13 +464,17 @@ impl<'a> Cursor<'a> {
 
     fn seq(&mut self) -> crate::Result<PackedSeq> {
         let n_bases = self.u32("read length")? as usize;
-        let n_bytes = n_bases.div_ceil(4);
-        let packed = self.take(n_bytes, "read bases")?;
-        let mut codes = Vec::with_capacity(n_bases);
-        for i in 0..n_bases {
-            codes.push((packed[i / 4] >> (2 * (i % 4))) & 3);
+        let packed = self.take(n_bases.div_ceil(4), "read bases")?;
+        let (whole, tail) = packed.as_chunks::<8>();
+        let mut words = Vec::with_capacity(n_bases.div_ceil(32));
+        words.extend(whole.iter().map(|&bytes| u64::from_le_bytes(bytes)));
+        if !tail.is_empty() {
+            let mut last = [0u8; 8];
+            last[..tail.len()].copy_from_slice(tail);
+            words.push(u64::from_le_bytes(last));
         }
-        Ok(PackedSeq::from_codes(&codes))
+        // Padding bits in the last byte are cleared by `from_words`.
+        Ok(PackedSeq::from_words(words, n_bases))
     }
 
     fn finish(&self) -> crate::Result<()> {
@@ -1073,6 +1071,56 @@ mod tests {
             generation: 0,
         };
         assert_eq!(roundtrip_req(&empty), empty);
+    }
+
+    /// The per-base encoder the word copy replaced.
+    fn put_seq_per_base(out: &mut Vec<u8>, seq: &PackedSeq) {
+        let codes = seq.to_codes();
+        put_u32(out, codes.len() as u32);
+        let mut byte = 0u8;
+        for (i, code) in codes.iter().enumerate() {
+            byte |= (code & 3) << (2 * (i % 4));
+            if i % 4 == 3 {
+                out.push(byte);
+                byte = 0;
+            }
+        }
+        if !codes.is_empty() && !codes.len().is_multiple_of(4) {
+            out.push(byte);
+        }
+    }
+
+    /// The per-base decoder the word copy replaced: reads only the bits
+    /// of real bases, so padding bits never reach the sequence.
+    fn seq_per_base(bytes: &[u8]) -> PackedSeq {
+        let n_bases = u32::from_le_bytes(bytes[..4].try_into().unwrap()) as usize;
+        let packed = &bytes[4..];
+        let codes: Vec<u8> = (0..n_bases)
+            .map(|i| (packed[i / 4] >> (2 * (i % 4))) & 3)
+            .collect();
+        PackedSeq::from_codes(&codes)
+    }
+
+    #[test]
+    fn word_codec_matches_the_per_base_codec() {
+        stdx::check_cases(32, |rng| {
+            for len in 0..=257usize {
+                let read = PackedSeq::from_codes(&rng.vec(len..len + 1, |r| r.below(4) as u8));
+                let (mut words, mut bases) = (Vec::new(), Vec::new());
+                put_seq(&mut words, &read);
+                put_seq_per_base(&mut bases, &read);
+                assert_eq!(words, bases, "encoded bytes, length {len}");
+
+                // Random padding bits above the last base are ignored.
+                if len % 4 != 0 {
+                    let pad = (rng.below(255) as u8 + 1) << (2 * (len % 4));
+                    *words.last_mut().unwrap() |= pad;
+                }
+                let decoded = Cursor::new(&words, "test-peer").seq().unwrap();
+                assert_eq!(decoded, seq_per_base(&words), "decoded read, length {len}");
+                assert_eq!(decoded, read, "decoded read, length {len}");
+            }
+        });
     }
 
     #[test]

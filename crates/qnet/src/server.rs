@@ -23,13 +23,16 @@
 //! fairness hints from the bucket's own refill math, queue hints from a
 //! live EWMA of the worker pool's drain rate ([`DrainRate`]).
 //!
-//! Connections are **pipelined**: the read loop hands each admitted
-//! query to a responder thread and immediately reads the next frame, so
-//! one connection can have many requests in flight, each answered by a
-//! frame matched to its `request_id` (responses may arrive out of
-//! order). Gate-exempt requests (`PingV2`, `Stats`, `Reload`, …) are
-//! still answered inline from the read loop — they never queue behind a
-//! slow batch on the same connection.
+//! One thread per connection reads a frame, runs it and writes its
+//! answer before it reads the next. An admitted query waits for its
+//! batch in [`qserve::BatchHandle::wait`], which runs the batch's chunks
+//! on this thread whenever one of the service's execution slots is
+//! free, so a small batch on an idle server never leaves the thread that
+//! read it and no other thread is woken. Requests pipelined on one
+//! connection are therefore answered in arrival order, each frame still
+//! carrying its `request_id`. Gate-exempt requests (`PingV2`, `Stats`,
+//! `Reload`, …) are answered the same way, after any batch read before
+//! them.
 //!
 //! [`Request::Reload`] hot-swaps the serving store/index generation via
 //! [`QueryService::reload_from`] with zero shed: admission never
@@ -205,29 +208,24 @@ struct ClientTotals {
     fairness_shed: u64,
 }
 
-/// The write side of one accepted connection, shared between its read
-/// loop, its responder threads, and [`Server::shutdown`]. All response
-/// frames go through the mutex, so frames never interleave mid-write,
-/// and "the responder delivered the answer" and "the drain force-closed
-/// the straggler with a typed frame" are mutually exclusive by
-/// construction — a client can never receive both (or neither plus a
-/// silent close) for one admitted `request_id`.
+/// The write side of one accepted connection, shared between its
+/// handler thread and [`Server::shutdown`]. All response frames go
+/// through the mutex, so frames never interleave mid-write, and "the
+/// handler delivered the answer" and "the drain force-closed the
+/// straggler with a typed frame" are mutually exclusive by construction
+/// — a client can never receive both (or neither plus a silent close)
+/// for one admitted `request_id`.
 struct ConnShared {
     write: Mutex<ConnWrite>,
-    /// Responder threads spawned for admitted (pipelined) requests on
-    /// this connection, plus their scheduler task ids (model checking
-    /// only). Finished ones are reaped as new ones are pushed; the rest
-    /// are joined when the connection's read loop ends.
-    responders: Mutex<Vec<(JoinHandle<()>, Option<faultsim::sched::TaskId>)>>,
 }
 
 struct ConnWrite {
     sock: TcpStream,
     /// Admitted requests awaiting their responses on this connection,
     /// `request_id → n_reads`. An entry is inserted at admission (gate 4
-    /// passed) and removed by whichever side answers: the responder's
-    /// write, or the drain's typed force-close. Pipelining means many
-    /// entries can be pending at once.
+    /// passed) and removed by whichever side answers: the handler's
+    /// write, or the drain's typed force-close. The handler runs one
+    /// batch at a time, so at most one entry is pending.
     inflight: BTreeMap<u64, u64>,
     /// Set by the drain force-close (or response-path chaos); the
     /// handler stops writing (and reading) once its socket has been cut.
@@ -285,36 +283,6 @@ impl ConnShared {
         }
         w.closed = true;
         let _ = w.sock.shutdown(Shutdown::Both);
-    }
-
-    /// Track a freshly spawned responder. A finished responder's handle
-    /// is dropped here (detaching it, which lets the OS unmap its
-    /// stack), so a long-lived connection holds handles only for the
-    /// requests actually in flight instead of one per request it ever
-    /// served. Under a model-checking scheduler nothing is reaped: how
-    /// many `qnet.resp.join` steps the close takes must be a function of
-    /// the schedule, not of OS thread-exit timing.
-    fn push_responder(&self, thread: JoinHandle<()>, task: Option<faultsim::sched::TaskId>) {
-        let mut responders = self.responders.lock().unwrap_or_else(|e| e.into_inner());
-        if task.is_none() {
-            responders.retain(|(h, _)| !h.is_finished());
-        }
-        responders.push((thread, task));
-    }
-
-    /// Join every responder this connection spawned. Called by the read
-    /// loop after it exits, and idempotent (joining drains the list).
-    fn join_responders(&self) {
-        let responders =
-            std::mem::take(&mut *self.responders.lock().unwrap_or_else(|e| e.into_inner()));
-        for (h, task) in responders {
-            if let Some(id) = task {
-                faultsim::sched::wait_until("qnet.resp.join", &mut || {
-                    faultsim::sched::task_finished(id)
-                });
-            }
-            let _ = h.join();
-        }
     }
 }
 
@@ -699,15 +667,16 @@ impl Server {
                 .counter_on(self.inner.server_span, "qnet.drain.forced", 1);
         }
 
-        // Force-close every connection. Each straggler (admitted request
-        // still unanswered — a pipelined connection can hold several)
-        // first gets a best-effort typed `Draining` frame for its
-        // request_id — never a silent close — and is counted under
-        // `qnet.drain.force_closed`. The write mutex makes this atomic
-        // against a responder delivering the real answer: exactly one of
-        // the two frames reaches the wire per request. Idle handlers
-        // parked in `read_frame` wake with an error immediately instead
-        // of waiting out their read timeout.
+        // Force-close every connection. Each straggler (an admitted
+        // request its handler is still running) first gets a best-effort
+        // typed `Draining` frame for its request_id — never a silent
+        // close — and is counted under `qnet.drain.force_closed`. The
+        // write mutex makes this atomic against the handler delivering
+        // the real answer: exactly one of the two frames reaches the wire
+        // per request. Idle handlers parked in `read_frame` wake with an
+        // error immediately instead of waiting out their read timeout;
+        // busy ones finish their batch, skip its write and exit, and the
+        // joins below wait for them.
         faultsim::sched::point("qnet.drain.force_close");
         let mut force_closed = 0u64;
         for conn in self
@@ -848,7 +817,6 @@ fn accept_loop(inner: Arc<Inner>, listener: TcpListener) {
                 inflight: BTreeMap::new(),
                 closed: false,
             }),
-            responders: Mutex::new(Vec::new()),
         });
         inner
             .conns
@@ -924,11 +892,12 @@ fn handle_conn(
                 break;
             }
         };
-        let resp = match req {
+        let reply = |resp: Response| deliver(&inner, &conn, conn_id, None, &resp);
+        let alive = match req {
             // Health and telemetry probes bypass every admission gate:
             // a draining or overloaded server must still answer "how
             // are you doing".
-            Request::PingV2 => Some(Response::PongV2(PongStatus {
+            Request::PingV2 => reply(Response::PongV2(PongStatus {
                 ready: !inner.is_draining(),
                 draining: inner.is_draining(),
                 queue_depth: inner.service.queue_depth() as u64,
@@ -937,7 +906,7 @@ fn handle_conn(
             })),
             Request::Stats => {
                 faultsim::sched::point("qnet.stats.snapshot");
-                Some(Response::Stats(inner.stats_snapshot()))
+                reply(Response::Stats(inner.stats_snapshot()))
             }
             Request::Shutdown => {
                 let mut g = inner
@@ -947,7 +916,7 @@ fn handle_conn(
                 *g = true;
                 inner.shutdown_cv.notify_all();
                 drop(g);
-                Some(Response::ShutdownAck)
+                reply(Response::ShutdownAck)
             }
             // Gate-exempt like `Stats`: a saturated or draining server
             // must still let an operator roll it to a new generation.
@@ -955,7 +924,7 @@ fn handle_conn(
             Request::Reload {
                 request_id,
                 generation,
-            } => Some(handle_reload(&inner, request_id, generation)),
+            } => reply(handle_reload(&inner, request_id, generation)),
             Request::Query {
                 request_id,
                 deadline_ms,
@@ -974,7 +943,6 @@ fn handle_conn(
                 &client_id,
                 reads,
                 generation,
-                idx,
             ),
             Request::ShardQuery {
                 request_id,
@@ -994,27 +962,17 @@ fn handle_conn(
                 &client_id,
                 reads,
                 generation,
-                idx,
             ),
         };
-        // None: the query was admitted and handed to a responder thread
-        // — read the next frame immediately (pipelining). The responder
-        // answers through the same write mutex, matched by request_id.
-        let Some(resp) = resp else {
-            continue;
-        };
-
-        if !deliver(&inner, &conn, conn_id, None, &resp) {
+        if !alive {
             break;
         }
     }
 
     // The read loop is done (clean close, chaos, corrupt stream, or a
-    // failed write). Join the responders first so every admitted
-    // request still in flight delivers (or skips) its answer through
-    // the live socket, then cut the connection so the drain sweep does
-    // not misattribute a dead request as a live straggler.
-    conn.join_responders();
+    // failed write), and every request it read has been answered. Cut
+    // the connection so the drain sweep does not misattribute a dead
+    // request as a live straggler.
     let mut w = conn.write.lock().unwrap_or_else(|e| e.into_inner());
     w.inflight.clear();
     w.closed = true;
@@ -1102,11 +1060,11 @@ fn torn_frame(body: &[u8]) -> Vec<u8> {
 }
 
 /// Put one response on the wire, walking the response-path chaos
-/// failpoints first; both the read loop (gate-exempt answers and sheds,
-/// `request_id: None`) and the responders (the answer to admitted
-/// request `request_id`) deliver through here. `qnet.conn.drop` models
-/// a connection that dies after the work was done — the worst case for
-/// the client, whose retry must still land on the same answer.
+/// failpoints first; gate-exempt answers and sheds (`request_id: None`)
+/// and the answer to admitted request `request_id` all deliver through
+/// here. `qnet.conn.drop` models a connection that dies after the work
+/// was done — the worst case for the client, whose retry must still
+/// land on the same answer.
 /// `qnet.frame.stall` holds the response long enough for the client's
 /// read timeout to fire, then drops the connection. `qnet.frame.write`
 /// tears the frame mid-payload so the client exercises its checksum
@@ -1149,16 +1107,16 @@ fn deliver(
     }
 }
 
-/// Run one query through the admission gates. A rejected query returns
-/// its typed response for the read loop to write inline; an admitted
-/// query is handed to a responder thread (pipelining — the read loop
-/// moves straight to the next frame) and returns `None`. The responder
-/// holds the [`InflightGuard`] until its response write finishes —
-/// drain waits on it.
+/// Run one query through the admission gates and answer it on this
+/// thread. A refused query gets its typed response. An admitted one
+/// waits for its batch, running its chunks here whenever a service slot
+/// is free, and is answered through [`deliver`] under an
+/// [`InflightGuard`] held until that write is done — drain waits on it.
+/// Returns false when the connection must die.
 #[allow(clippy::too_many_arguments)]
 fn handle_query(
     inner: &Arc<Inner>,
-    conn: &Arc<ConnShared>,
+    conn: &ConnShared,
     conn_id: u64,
     client_spans: &mut HashMap<String, SpanGuard>,
     kind: QueryKind,
@@ -1167,8 +1125,7 @@ fn handle_query(
     client_id: &str,
     reads: Vec<genome::PackedSeq>,
     generation: u64,
-    idx: u64,
-) -> Option<Response> {
+) -> bool {
     let received = Instant::now();
     let received_vms = faultsim::sched::virtual_now_ms();
     let n_reads = reads.len() as u64;
@@ -1180,13 +1137,14 @@ fn handle_query(
                 .child_span(Some(conn_id), &format!("client:{client_id}"))
         })
         .id();
+    let refuse = |resp: Response| deliver(inner, conn, conn_id, None, &resp);
 
     // Gate 1: drain.
     faultsim::sched::point("qnet.gate.drain");
     if inner.is_draining() {
         inner.rec.counter_on(client_span, "qnet.rejected", n_reads);
         inner.charge_client(client_id, |t| t.rejected += n_reads);
-        return Some(Response::Draining { request_id });
+        return refuse(Response::Draining { request_id });
     }
 
     // Gate 2: deadline. A spent budget is shed before admission and
@@ -1203,7 +1161,7 @@ fn handle_query(
             .rec
             .counter_on(client_span, "qnet.deadline_shed", n_reads);
         inner.charge_client(client_id, |t| t.deadline_shed += n_reads);
-        return Some(Response::DeadlineExceeded { request_id });
+        return refuse(Response::DeadlineExceeded { request_id });
     }
 
     // Gate 3: per-client fairness, one token per read.
@@ -1216,7 +1174,7 @@ fn handle_query(
         let adm = inner.cfg.admission;
         let deficit_reads = (wait_s * adm.refill_per_s).ceil() as u64;
         let retry_after_ms = ((wait_s * 1000.0).ceil()).clamp(10.0, 5000.0) as u32;
-        return Some(Response::Overloaded {
+        return refuse(Response::Overloaded {
             request_id,
             scope: ShedScope::Fairness,
             queued: deficit_reads,
@@ -1242,7 +1200,8 @@ fn handle_query(
             .submit_candidates_pinned(reads, generation)
             .map(Admitted::Candidates),
     };
-    match submitted {
+    let handle = match submitted {
+        Ok(handle) => handle,
         Err(QserveError::Overloaded {
             queued, max_queue, ..
         }) => {
@@ -1254,149 +1213,107 @@ fn handle_query(
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
                 .retry_hint_ms(backlog_reads + n_reads);
-            Some(Response::Overloaded {
+            return refuse(Response::Overloaded {
                 request_id,
                 scope: ShedScope::Queue,
                 queued: queued as u64,
                 limit: max_queue as u64,
                 retry_after_ms,
-            })
+            });
         }
         // A pin naming a generation that is not resident (or any other
         // service-side failure) is terminal for this request: the typed
         // message names the generation, and nothing was queued.
-        Err(other) => Some(Response::Error {
-            request_id,
-            message: other.to_string(),
-        }),
-        Ok(handle) => {
-            // Mark the admitted request on the connection's write side
-            // *before* anything else can observe it: from here on, a
-            // drain force-close that cuts this socket is obligated (by
-            // the same mutex the response write takes) to first send a
-            // typed `Draining` frame for exactly this request_id.
-            let admitted_live = {
-                let mut w = conn.write.lock().unwrap_or_else(|e| e.into_inner());
-                if w.closed {
-                    false
-                } else {
-                    w.inflight.insert(request_id, n_reads);
-                    true
-                }
-            };
-            if !admitted_live {
-                // The drain swept this connection between the queue-depth
-                // check and the marker: the client already saw the socket
-                // close. Count the reads as drain-rejected; the typed
-                // response below is best-effort (the write is skipped on
-                // a closed connection, so the client observes EOF). The
-                // chunks are queued all the same, so wait them out here:
-                // the drain joins this handler, and must find the queue
-                // empty once it has.
-                inner.rec.counter_on(client_span, "qnet.rejected", n_reads);
-                inner.charge_client(client_id, |t| t.rejected += n_reads);
-                match handle {
-                    Admitted::Hits(h) => drop(h.wait()),
-                    Admitted::Candidates(h) => drop(h.wait()),
-                }
-                return Some(Response::Draining { request_id });
-            }
-            let guard = InflightGuard::new(inner);
-            spawn_responder(
-                inner,
-                conn,
-                conn_id,
-                client_span,
-                client_id.to_string(),
+        Err(other) => {
+            return refuse(Response::Error {
                 request_id,
-                n_reads,
-                received,
-                handle,
-                guard,
-                idx,
-            );
-            None
+                message: other.to_string(),
+            })
         }
-    }
-}
+    };
+    let admitted = Instant::now();
 
-/// Wait out one admitted batch on a dedicated thread and deliver its
-/// response through the connection's write mutex, matched by
-/// `request_id`. This is what makes a connection pipelined: the read
-/// loop never blocks on a batch, so many can be in flight at once and
-/// answer out of order. The responder owns the [`InflightGuard`] (drain
-/// waits for the response write) and delivers through the same
-/// [`deliver`] the inline path uses.
-#[allow(clippy::too_many_arguments)]
-fn spawn_responder(
-    inner: &Arc<Inner>,
-    conn: &Arc<ConnShared>,
-    conn_id: u64,
-    client_span: u64,
-    client_id: String,
-    request_id: u64,
-    n_reads: u64,
-    received: Instant,
-    handle: Admitted,
-    guard: InflightGuard,
-    idx: u64,
-) {
-    let inner = Arc::clone(inner);
-    let conn2 = Arc::clone(conn);
-    let token = faultsim::sched::announce(&format!("qnet.conn{idx}.resp{request_id}"));
-    let task = token.as_ref().map(|t| t.id());
-    let thread = std::thread::spawn(move || {
-        let _task = faultsim::sched::begin(token);
-        let _guard = guard; // released when the response write finishes
-        let admitted = Instant::now();
-        let resp = match handle {
-            Admitted::Hits(h) => Response::Hits {
-                request_id,
-                generation: h.generation(),
-                hits: h.wait(),
-            },
-            Admitted::Candidates(h) => Response::ShardCandidates {
-                request_id,
-                generation: h.generation(),
-                candidates: h.wait(),
-            },
-        };
-        let done = Instant::now();
-        inner
-            .drain_rate
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .observe(inner.now_s(), inner.service.drained_reads());
-        inner.rec.counter_on(client_span, "qnet.accepted", n_reads);
-        inner.charge_client(&client_id, |t| t.accepted += n_reads);
-        if inner.rec.is_enabled() {
-            // Front-end latency split, charged per read so the
-            // histograms weight big batches accordingly: queue =
-            // frame receipt → queue admission (the gates), exec =
-            // worker-pool turnaround, total = receipt → hits ready.
-            let queue_us = admitted.saturating_duration_since(received).as_micros() as u64;
-            let exec_us = done.saturating_duration_since(admitted).as_micros() as u64;
-            let total_us = done.saturating_duration_since(received).as_micros() as u64;
-            for (name, us) in [
-                ("qnet.latency.queue", queue_us),
-                ("qnet.latency.exec", exec_us),
-                ("qnet.latency.total", total_us),
-            ] {
-                let mut h = Histogram::new();
-                h.record_n(us, n_reads);
-                inner.rec.histogram_on(client_span, name, h);
-            }
-            inner.rec.gauge_on(
-                inner.server_span,
-                "qnet.drain.ewma_reads_per_s",
-                inner.drain_ewma().round() as u64,
+    // Mark the admitted request on the connection's write side *before*
+    // anything else can observe it: from here on, a drain force-close
+    // that cuts this socket is obligated (by the same mutex the response
+    // write takes) to first send a typed `Draining` frame for exactly
+    // this request_id.
+    let admitted_live = {
+        let mut w = conn.write.lock().unwrap_or_else(|e| e.into_inner());
+        if w.closed {
+            false
+        } else {
+            w.inflight.insert(request_id, n_reads);
+            true
+        }
+    };
+    if !admitted_live {
+        // The drain swept this connection between the queue-depth check
+        // and the marker: the client already saw the socket close. Count
+        // the reads as drain-rejected; the typed response below is
+        // best-effort (the write is skipped on a closed connection, so the
+        // client observes EOF). The chunks are queued all the same, so run
+        // them out here: the drain joins this handler, and must find the
+        // queue empty once it has.
+        inner.rec.counter_on(client_span, "qnet.rejected", n_reads);
+        inner.charge_client(client_id, |t| t.rejected += n_reads);
+        match handle {
+            Admitted::Hits(h) => drop(h.wait()),
+            Admitted::Candidates(h) => drop(h.wait()),
+        }
+        return refuse(Response::Draining { request_id });
+    }
+
+    let _guard = InflightGuard::new(inner); // released after the write below
+    let resp = match handle {
+        Admitted::Hits(h) => Response::Hits {
+            request_id,
+            generation: h.generation(),
+            hits: h.wait(),
+        },
+        Admitted::Candidates(h) => Response::ShardCandidates {
+            request_id,
+            generation: h.generation(),
+            candidates: h.wait(),
+        },
+    };
+    let done = Instant::now();
+    inner
+        .drain_rate
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .observe(inner.now_s(), inner.service.drained_reads());
+    inner.rec.counter_on(client_span, "qnet.accepted", n_reads);
+    inner.charge_client(client_id, |t| t.accepted += n_reads);
+    if inner.rec.is_enabled() {
+        // Front-end latency split, charged per read so the histograms
+        // weight big batches accordingly: queue = frame receipt → past
+        // all admission gates, exec = admission → answer ready (the
+        // batch's chunks on this thread or the workers), total = receipt
+        // → answer ready.
+        for (name, from, to) in [
+            ("qnet.latency.queue", received, admitted),
+            ("qnet.latency.exec", admitted, done),
+            ("qnet.latency.total", received, done),
+        ] {
+            let mut h = Histogram::new();
+            h.record_n(
+                to.saturating_duration_since(from).as_micros() as u64,
+                n_reads,
             );
+            inner.rec.histogram_on(client_span, name, h);
         }
-        if !deliver(&inner, &conn2, conn_id, Some(request_id), &resp) {
-            conn2.close(Some(request_id));
-        }
-    });
-    conn.push_responder(thread, task);
+        inner.rec.gauge_on(
+            inner.server_span,
+            "qnet.drain.ewma_reads_per_s",
+            inner.drain_ewma().round() as u64,
+        );
+    }
+    let alive = deliver(inner, conn, conn_id, Some(request_id), &resp);
+    if !alive {
+        conn.close(Some(request_id));
+    }
+    alive
 }
 
 #[cfg(test)]

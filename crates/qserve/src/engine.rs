@@ -160,10 +160,14 @@ impl QueryEngine {
 
     /// Seed: every placement `(contig, start-of-read-in-contig)` that the
     /// `seeds` of a `read_len`-base strand vote for, with its vote count,
-    /// in `(contig, offset)` order.
+    /// in `(contig, offset)` order. A shard skips the seeds another shard
+    /// owns without touching its directory: they have no postings here.
     fn voted_placements(&self, read_len: usize, seeds: &[(u64, u32)]) -> Vec<((u32, u32), u32)> {
         let mut starts: Vec<(u32, u32)> = Vec::new();
         for &(hash, read_off) in seeds {
+            if !self.index.owns(hash) {
+                continue;
+            }
             for &(contig, contig_off) in self.index.postings(hash) {
                 let Some(start) = contig_off.checked_sub(read_off) else {
                     continue; // read would hang off the contig's left edge

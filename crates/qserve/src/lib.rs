@@ -16,16 +16,18 @@
 //! * [`engine`] — [`QueryEngine`], which maps a read (or its Watson-Crick
 //!   complement) to its contig position: minimizer hits vote for candidate
 //!   diagonals, banded verification confirms or rejects them;
-//! * [`service`] — [`QueryService`], a worker pool consuming batched
-//!   requests from a bounded queue; over-depth submissions are shed with
-//!   a typed [`QserveError::Overloaded`] instead of queuing unboundedly;
+//! * [`service`] — [`QueryService`], batched requests drained from a
+//!   bounded queue in `workers` execution slots, held by the worker pool
+//!   or by a waiter running its own batch; over-depth submissions are
+//!   shed with a typed [`QserveError::Overloaded`] instead of queuing
+//!   unboundedly;
 //! * [`admission`] — [`FairAdmission`], weighted per-client token buckets
 //!   layered ahead of the queue by the `qnet` network front-end so one
 //!   hot client cannot starve the rest.
 //!
 //! Formats, query semantics, tuning knobs, and failure modes are
 //! documented in `SERVING.md`. Observability: workers run under
-//! `qserve.worker{i}` spans and emit `qserve.queries`,
+//! `qserve.worker{i}` spans, chunks emit `qserve.queries`,
 //! `qserve.batch.size`, and `qserve.shed` counters (see
 //! OBSERVABILITY.md). Corrupt stores and indexes fail loudly as
 //! [`gstream::StreamError::Corrupt`] with the offending path named; the `qserve.store.read` / `qserve.index.read`

@@ -162,6 +162,10 @@ pub struct MinimizerIndex {
     dir: Vec<u32>,
     /// `63 - bits` for a directory of `2^bits` buckets.
     dir_shift: u32,
+    /// Never serialized: `(shard, n_shards)` of the hash space this index
+    /// holds, `(0, 1)` for all of it. A decoded index claims the whole
+    /// space; only [`MinimizerIndex::build_shard`] narrows it.
+    owned: (u32, u32),
 }
 
 impl MinimizerIndex {
@@ -194,6 +198,7 @@ impl MinimizerIndex {
             postings,
             dir,
             dir_shift,
+            owned: (0, 1),
         }
     }
 
@@ -219,7 +224,10 @@ impl MinimizerIndex {
         assert!(shard < n_shards, "shard {shard} out of range 0..{n_shards}");
         let mut entries = sorted_entries(store, cfg);
         entries.retain(|&(hash, _, _)| shard_of_hash(hash, n_shards) == shard);
-        Self::from_entries(store, cfg, entries)
+        MinimizerIndex {
+            owned: (shard, n_shards),
+            ..Self::from_entries(store, cfg, entries)
+        }
     }
 
     /// Split sorted `(hash, contig, offset)` entries into the two columns,
@@ -334,6 +342,13 @@ impl MinimizerIndex {
     /// Checksum of the store payload this index was built from.
     pub fn store_checksum(&self) -> u64 {
         self.store_checksum
+    }
+
+    /// True when `hash` falls in this index's slice of the hash space, so
+    /// its postings, if any, are here. Any other hash has none.
+    pub(crate) fn owns(&self, hash: u64) -> bool {
+        let (shard, n_shards) = self.owned;
+        n_shards == 1 || shard_of_hash(hash, n_shards) == shard
     }
 
     /// All `(contig, offset)` postings for `hash` (possibly empty), in

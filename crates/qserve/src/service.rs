@@ -14,6 +14,16 @@
 //! workers raced over the chunks — the determinism property the golden
 //! test pins with `--workers 1` vs `--workers 8`.
 //!
+//! ## Slots and helping waiters
+//!
+//! A chunk runs only while it holds one of `workers` execution slots, so
+//! at most `workers` chunks run at once. A worker or a waiting submitter
+//! can hold a slot: [`BatchHandle::wait`] runs the waiter's own
+//! still-queued chunks whenever a slot is free, and a submission wakes
+//! workers only for the chunks beyond the one its submitter will run. A
+//! one-chunk batch on an idle service therefore runs on the thread that
+//! submitted it, and no worker wakes.
+//!
 //! ## Generations and hot reload
 //!
 //! The service holds its engines behind a generation handle rather than a
@@ -42,7 +52,7 @@ use gstream::IoStats;
 use obs::{Histogram, Recorder};
 use std::collections::VecDeque;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -138,30 +148,88 @@ enum BatchResults {
 
 /// One batch's shared completion state.
 struct BatchState {
-    inner: Mutex<BatchInner>,
-    done: Condvar,
+    /// One slot per submitted read, in submission order.
+    results: Mutex<BatchResults>,
+    /// Chunks not yet fully processed. Changed only under the queue lock,
+    /// so a waiter that reads it there cannot miss the last chunk's wake.
+    pending: AtomicUsize,
 }
 
-struct BatchInner {
-    /// One slot per submitted read, in submission order.
-    results: BatchResults,
-    /// Chunks not yet fully processed.
-    pending: usize,
+/// What a submitter holds for an admitted batch: the batch, and the
+/// service whose slots its waiter may take to run the batch's chunks.
+struct Ticket {
+    shared: Arc<Shared>,
+    state: Arc<BatchState>,
+    gen_id: u64,
+}
+
+impl Ticket {
+    /// Run this batch's still-queued chunks whenever a slot is free, block
+    /// until every chunk is done, and take the results.
+    fn wait(self) -> BatchResults {
+        while let Some(chunk) = self.next_own_chunk() {
+            self.shared.run_chunk(chunk, self.shared.parent_span, true);
+        }
+        let mut results = self.state.results.lock().unwrap_or_else(|e| e.into_inner());
+        std::mem::replace(&mut *results, BatchResults::Hits(Vec::new()))
+    }
+
+    /// A queued chunk of this batch, now holding a slot; `None` once the
+    /// batch is done.
+    fn next_own_chunk(&self) -> Option<Chunk> {
+        let shared = &self.shared;
+        let done = || self.state.pending.load(Ordering::SeqCst) == 0;
+        loop {
+            // Under a model-checking scheduler the condvar wait becomes a
+            // pollable schedule point, so "the submitter ran its own
+            // chunk" and "the submitter saw the batch finish" are
+            // explicit, explorable steps.
+            if faultsim::sched::active() {
+                faultsim::sched::wait_until("qserve.batch.wait", &mut || {
+                    let q = shared.lock_queue();
+                    done() || q.runnable(shared.slots, |c| c.of(&self.state)).is_some()
+                });
+            }
+            let mut q = shared.lock_queue();
+            loop {
+                if done() {
+                    return None;
+                }
+                if let Some(chunk) = q.take(shared.slots, |c| c.of(&self.state)) {
+                    return Some(chunk);
+                }
+                if faultsim::sched::active() {
+                    break; // another task was granted first: park again
+                }
+                q = shared.progress.wait(q).unwrap_or_else(|e| e.into_inner());
+            }
+        }
+    }
+}
+
+impl Drop for Ticket {
+    /// A batch dropped unwaited still completes: its chunks go to the
+    /// workers, since no waiter will take them.
+    fn drop(&mut self) {
+        if self.state.pending.load(Ordering::SeqCst) > 0 {
+            self.shared.available.notify_all();
+        }
+    }
 }
 
 /// A ticket for a submitted batch; [`wait`](BatchHandle::wait) blocks
 /// until every read is resolved and yields the results in submission
 /// order.
 pub struct BatchHandle {
-    state: Arc<BatchState>,
-    gen_id: u64,
+    ticket: Ticket,
 }
 
 impl BatchHandle {
-    /// Block until the batch completes; results align with the submitted
+    /// Block until the batch completes, running its queued chunks on this
+    /// thread whenever a slot is free; results align with the submitted
     /// reads (`results[i]` answers `reads[i]`).
     pub fn wait(self) -> Vec<Option<Hit>> {
-        match wait_results(&self.state) {
+        match self.ticket.wait() {
             BatchResults::Hits(hits) => hits,
             BatchResults::Candidates(_) => unreachable!("hit batch holds hit results"),
         }
@@ -171,7 +239,7 @@ impl BatchHandle {
     /// batch answers from it, even if a reload lands before the batch
     /// drains.
     pub fn generation(&self) -> u64 {
-        self.gen_id
+        self.ticket.gen_id
     }
 }
 
@@ -180,15 +248,15 @@ impl BatchHandle {
 /// [`wait`](CandidateBatchHandle::wait) blocks until every read is
 /// resolved and yields each read's full voted-candidate set.
 pub struct CandidateBatchHandle {
-    state: Arc<BatchState>,
-    gen_id: u64,
+    ticket: Ticket,
 }
 
 impl CandidateBatchHandle {
-    /// Block until the batch completes; `results[i]` holds every voted
+    /// Block until the batch completes, helping as
+    /// [`BatchHandle::wait`] does; `results[i]` holds every voted
     /// candidate placement for `reads[i]`.
     pub fn wait(self) -> Vec<Vec<Candidate>> {
-        match wait_results(&self.state) {
+        match self.ticket.wait() {
             BatchResults::Candidates(c) => c,
             BatchResults::Hits(_) => unreachable!("candidate batch holds candidate results"),
         }
@@ -196,30 +264,8 @@ impl CandidateBatchHandle {
 
     /// The generation this batch was admitted under.
     pub fn generation(&self) -> u64 {
-        self.gen_id
+        self.ticket.gen_id
     }
-}
-
-/// Block until `state.pending` drops to zero and take the results.
-fn wait_results(state: &BatchState) -> BatchResults {
-    // Under a model-checking scheduler the condvar wait becomes a
-    // pollable schedule point, so "the submitter saw the batch
-    // finish" is an explicit, explorable step.
-    if faultsim::sched::active() {
-        faultsim::sched::wait_until("qserve.batch.wait", &mut || {
-            state
-                .inner
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .pending
-                == 0
-        });
-    }
-    let mut inner = state.inner.lock().unwrap_or_else(|e| e.into_inner());
-    while inner.pending > 0 {
-        inner = state.done.wait(inner).unwrap_or_else(|e| e.into_inner());
-    }
-    std::mem::replace(&mut inner.results, BatchResults::Hits(Vec::new()))
 }
 
 /// A unit of work: a contiguous slice of one batch.
@@ -235,18 +281,55 @@ struct Chunk {
     /// against *this* engine, never "whatever is active now".
     gen: Arc<Generation>,
     /// When the chunk was admitted — the start of its queue-wait, which
-    /// workers fold into the `qserve.latency.queue` histogram.
+    /// is folded into the `qserve.latency.queue` histogram.
     enqueued: Instant,
+}
+
+impl Chunk {
+    fn of(&self, batch: &Arc<BatchState>) -> bool {
+        Arc::ptr_eq(&self.state, batch)
+    }
 }
 
 struct Queue {
     chunks: VecDeque<Chunk>,
+    /// Execution slots held by running chunks, at most `Shared::slots`.
+    busy: usize,
     shutdown: bool,
+}
+
+impl Queue {
+    /// Position of the first queued chunk matching `pick`, if a slot is
+    /// free to run it.
+    fn runnable(&self, slots: usize, pick: impl Fn(&Chunk) -> bool) -> Option<usize> {
+        if self.busy >= slots {
+            return None;
+        }
+        self.chunks.iter().position(pick)
+    }
+
+    /// Dequeue the first chunk matching `pick` into a free slot.
+    fn take(&mut self, slots: usize, pick: impl Fn(&Chunk) -> bool) -> Option<Chunk> {
+        let i = self.runnable(slots, pick)?;
+        self.busy += 1;
+        self.chunks.remove(i)
+    }
+
+    /// True once a shut-down queue holds nothing more to run.
+    fn drained(&self) -> bool {
+        self.shutdown && self.chunks.is_empty()
+    }
 }
 
 struct Shared {
     queue: Mutex<Queue>,
+    /// Wakes workers: chunks a submitter will not run itself, or
+    /// shutdown.
     available: Condvar,
+    /// Wakes waiters: a chunk finished, freeing its slot.
+    progress: Condvar,
+    /// Execution slots: the configured worker count.
+    slots: usize,
     gens: Mutex<GenState>,
     rec: Recorder,
     /// Span the workers parent themselves under (0 = no parent).
@@ -286,11 +369,93 @@ impl Shared {
             }
         }
     }
+
+    /// Resolve one dequeued `chunk`, tracing under `span`, then store its
+    /// answers and give back its slot. A waiter (`helper`) also wakes a
+    /// worker for whatever is still queued; a worker takes that itself.
+    fn run_chunk(&self, chunk: Chunk, span: u64, helper: bool) {
+        faultsim::sched::point("qserve.chunk.exec");
+        let n = chunk.reads.len() as u64;
+        self.rec.counter_on(span, "qserve.queries", n);
+        let traced = self.rec.is_enabled();
+        // Per-read latency, split queue-wait / execute / total, in
+        // microseconds. One histogram event per chunk keeps the
+        // trace small; the rollup merges chunks exactly.
+        let queue_us = Instant::now()
+            .saturating_duration_since(chunk.enqueued)
+            .as_micros() as u64;
+        let mut exec_h = Histogram::new();
+        let mut total_h = Histogram::new();
+        let mut hit_answers: Vec<Option<Hit>> = Vec::new();
+        let mut cand_answers: Vec<Vec<Candidate>> = Vec::new();
+        for read in &chunk.reads {
+            let begun = Instant::now();
+            match chunk.mode {
+                BatchMode::Hits => {
+                    hit_answers.push(chunk.gen.engine.query(read));
+                }
+                BatchMode::Candidates => {
+                    cand_answers.push(chunk.gen.engine.query_candidates(read));
+                }
+            }
+            if traced {
+                let exec_us = begun.elapsed().as_micros() as u64;
+                exec_h.record(exec_us);
+                total_h.record(queue_us + exec_us);
+            }
+        }
+        if traced {
+            let mut queue_h = Histogram::new();
+            queue_h.record_n(queue_us, n);
+            self.rec.histogram_on(span, "qserve.latency.queue", queue_h);
+            self.rec.histogram_on(span, "qserve.latency.exec", exec_h);
+            self.rec.histogram_on(span, "qserve.latency.total", total_h);
+        }
+        faultsim::sched::point("qserve.chunk.respond");
+        self.drained.fetch_add(n, Ordering::Relaxed);
+        // Un-count the chunk from its generation *before* the batch is
+        // marked done, so once a waiter observes completion the
+        // generation's in-flight count already reflects it; retire (via
+        // scavenge) can only fire at zero.
+        if chunk.gen.inflight.fetch_sub(1, Ordering::SeqCst) == 1 {
+            self.scavenge();
+        }
+        {
+            let mut results = chunk
+                .state
+                .results
+                .lock()
+                .unwrap_or_else(|e| e.into_inner());
+            match &mut *results {
+                BatchResults::Hits(slots) => {
+                    slots[chunk.start..chunk.start + hit_answers.len()]
+                        .clone_from_slice(&hit_answers);
+                }
+                BatchResults::Candidates(slots) => {
+                    for (i, c) in cand_answers.into_iter().enumerate() {
+                        slots[chunk.start + i] = c;
+                    }
+                }
+            }
+        }
+        let mut q = self.lock_queue();
+        q.busy -= 1;
+        chunk.state.pending.fetch_sub(1, Ordering::SeqCst);
+        let queued = !q.chunks.is_empty();
+        drop(q);
+        self.progress.notify_all();
+        if helper && queued {
+            self.available.notify_one();
+        }
+    }
 }
 
 /// A running query service. Dropping it closes the queue; workers drain
 /// the chunks already admitted (so outstanding [`BatchHandle`]s still
 /// complete) and exit.
+///
+/// Chunks run in `workers` execution slots, held by the workers or by
+/// waiters running their own batch (see the module docs).
 pub struct QueryService {
     shared: Arc<Shared>,
     cfg: ServiceConfig,
@@ -323,12 +488,16 @@ impl QueryService {
         cfg: ServiceConfig,
         rec: &Recorder,
     ) -> QueryService {
+        let slots = cfg.workers.max(1);
         let shared = Arc::new(Shared {
             queue: Mutex::new(Queue {
                 chunks: VecDeque::new(),
+                busy: 0,
                 shutdown: false,
             }),
             available: Condvar::new(),
+            progress: Condvar::new(),
+            slots,
             gens: Mutex::new(GenState {
                 active: Arc::new(Generation {
                     id: gen_id,
@@ -346,7 +515,7 @@ impl QueryService {
             drained: AtomicU64::new(0),
         });
         let mut worker_tasks = Vec::new();
-        let workers = (0..cfg.workers.max(1))
+        let workers = (0..slots)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 // Announce before spawn so a model-checking scheduler
@@ -432,8 +601,8 @@ impl QueryService {
     /// is not resident and queryable (active or previous). Routers use
     /// the pin to keep a mixed-generation rollout window coherent.
     pub fn submit_pinned(&self, reads: Vec<PackedSeq>, pin: u64) -> crate::Result<BatchHandle> {
-        let (state, gen_id) = self.submit_inner(reads, BatchMode::Hits, pin)?;
-        Ok(BatchHandle { state, gen_id })
+        let ticket = self.submit_inner(reads, BatchMode::Hits, pin)?;
+        Ok(BatchHandle { ticket })
     }
 
     /// Submit a batch in candidate mode: workers report every voted
@@ -452,8 +621,8 @@ impl QueryService {
         reads: Vec<PackedSeq>,
         pin: u64,
     ) -> crate::Result<CandidateBatchHandle> {
-        let (state, gen_id) = self.submit_inner(reads, BatchMode::Candidates, pin)?;
-        Ok(CandidateBatchHandle { state, gen_id })
+        let ticket = self.submit_inner(reads, BatchMode::Candidates, pin)?;
+        Ok(CandidateBatchHandle { ticket })
     }
 
     /// Resolve `pin` to a queryable resident generation. Draining and
@@ -475,25 +644,27 @@ impl QueryService {
         reads: Vec<PackedSeq>,
         mode: BatchMode,
         pin: u64,
-    ) -> crate::Result<(Arc<BatchState>, u64)> {
+    ) -> crate::Result<Ticket> {
         let results = match mode {
             BatchMode::Hits => BatchResults::Hits(vec![None; reads.len()]),
             BatchMode::Candidates => BatchResults::Candidates(vec![Vec::new(); reads.len()]),
         };
         let state = Arc::new(BatchState {
-            inner: Mutex::new(BatchInner {
-                results,
-                pending: 0,
-            }),
-            done: Condvar::new(),
+            results: Mutex::new(results),
+            pending: AtomicUsize::new(0),
         });
         // Resolve the pin under the gens lock, then admit under the
         // queue lock (gens-before-queue is the crate's lock order). The
         // in-flight bump happens only after admission succeeds, so a
         // shed batch leaves no generation accounting behind.
         let gen = Self::resolve_pin(&self.shared.lock_gens(), pin)?;
+        let ticket = Ticket {
+            shared: Arc::clone(&self.shared),
+            state: Arc::clone(&state),
+            gen_id: gen.id,
+        };
         if reads.is_empty() {
-            return Ok((state, gen.id));
+            return Ok(ticket);
         }
         let chunk_size = self.cfg.batch_chunk.max(1);
         let n_chunks = reads.len().div_ceil(chunk_size);
@@ -510,11 +681,7 @@ impl QueryService {
             self.shared
                 .rec
                 .counter("qserve.batch.size", reads.len() as u64);
-            state
-                .inner
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .pending = n_chunks;
+            state.pending.store(n_chunks, Ordering::SeqCst);
             gen.inflight.fetch_add(n_chunks as u64, Ordering::SeqCst);
             let enqueued = Instant::now();
             let mut reads = reads;
@@ -537,8 +704,11 @@ impl QueryService {
                 .rec
                 .gauge("qserve.queue.depth", q.chunks.len() as u64);
         }
-        self.shared.available.notify_all();
-        Ok((state, gen.id))
+        // The submitter's wait runs one chunk; wake workers for the rest.
+        for _ in 1..n_chunks.min(self.shared.slots) {
+            self.shared.available.notify_one();
+        }
+        Ok(ticket)
     }
 
     /// Submit and wait — the synchronous convenience path.
@@ -704,103 +874,37 @@ fn worker_loop(shared: &Shared, idx: usize) {
         .child_span(parent, &format!("qserve.worker{idx}"));
     loop {
         let chunk = if faultsim::sched::active() {
-            // Model-checked dequeue: park at the schedule point until
-            // work (or shutdown) is observable, then take it. Another
-            // worker granted first may have emptied the queue — loop and
-            // park again rather than trust a stale wake.
+            // Model-checked dequeue: park at the schedule point until a
+            // runnable chunk (or a drained shutdown) is observable, then
+            // take it. Another task granted first may have taken the
+            // chunk or the slot — loop and park again rather than trust a
+            // stale wake.
             loop {
                 faultsim::sched::wait_until("qserve.worker.dequeue", &mut || {
                     let q = shared.lock_queue();
-                    !q.chunks.is_empty() || q.shutdown
+                    q.runnable(shared.slots, |_| true).is_some() || q.drained()
                 });
                 let mut q = shared.lock_queue();
-                if let Some(chunk) = q.chunks.pop_front() {
+                if let Some(chunk) = q.take(shared.slots, |_| true) {
                     break chunk;
                 }
-                if q.shutdown {
+                if q.drained() {
                     return;
                 }
             }
         } else {
             let mut q = shared.lock_queue();
             loop {
-                if let Some(chunk) = q.chunks.pop_front() {
+                if let Some(chunk) = q.take(shared.slots, |_| true) {
                     break chunk;
                 }
-                if q.shutdown {
+                if q.drained() {
                     return;
                 }
                 q = shared.available.wait(q).unwrap_or_else(|e| e.into_inner());
             }
         };
-        faultsim::sched::point("qserve.worker.exec");
-        let n = chunk.reads.len() as u64;
-        shared.rec.counter_on(span.id(), "qserve.queries", n);
-        let traced = shared.rec.is_enabled();
-        // Per-read latency, split queue-wait / execute / total, in
-        // microseconds. One histogram event per chunk keeps the
-        // trace small; the rollup merges chunks exactly.
-        let queue_us = Instant::now()
-            .saturating_duration_since(chunk.enqueued)
-            .as_micros() as u64;
-        let mut exec_h = Histogram::new();
-        let mut total_h = Histogram::new();
-        let mut hit_answers: Vec<Option<Hit>> = Vec::new();
-        let mut cand_answers: Vec<Vec<Candidate>> = Vec::new();
-        for read in &chunk.reads {
-            let begun = Instant::now();
-            match chunk.mode {
-                BatchMode::Hits => {
-                    hit_answers.push(chunk.gen.engine.query(read));
-                }
-                BatchMode::Candidates => {
-                    cand_answers.push(chunk.gen.engine.query_candidates(read));
-                }
-            }
-            if traced {
-                let exec_us = begun.elapsed().as_micros() as u64;
-                exec_h.record(exec_us);
-                total_h.record(queue_us + exec_us);
-            }
-        }
-        if traced {
-            let mut queue_h = Histogram::new();
-            queue_h.record_n(queue_us, n);
-            let sid = span.id();
-            shared
-                .rec
-                .histogram_on(sid, "qserve.latency.queue", queue_h);
-            shared.rec.histogram_on(sid, "qserve.latency.exec", exec_h);
-            shared
-                .rec
-                .histogram_on(sid, "qserve.latency.total", total_h);
-        }
-        faultsim::sched::point("qserve.worker.respond");
-        shared
-            .drained
-            .fetch_add(chunk.reads.len() as u64, Ordering::Relaxed);
-        // Un-count the chunk from its generation *before* the batch is
-        // marked done, so once a waiter observes completion the
-        // generation's in-flight count already reflects it; retire (via
-        // scavenge) can only fire at zero.
-        if chunk.gen.inflight.fetch_sub(1, Ordering::SeqCst) == 1 {
-            shared.scavenge();
-        }
-        let mut inner = chunk.state.inner.lock().unwrap_or_else(|e| e.into_inner());
-        match &mut inner.results {
-            BatchResults::Hits(slots) => {
-                slots[chunk.start..chunk.start + hit_answers.len()].clone_from_slice(&hit_answers);
-            }
-            BatchResults::Candidates(slots) => {
-                for (i, c) in cand_answers.into_iter().enumerate() {
-                    slots[chunk.start + i] = c;
-                }
-            }
-        }
-        inner.pending -= 1;
-        if inner.pending == 0 {
-            chunk.state.done.notify_all();
-        }
+        shared.run_chunk(chunk, span.id(), false);
     }
 }
 
@@ -981,6 +1085,38 @@ mod tests {
             assert!(!cands.is_empty(), "every planted read has candidates");
         }
         assert!(svc.query_batch_candidates(Vec::new()).unwrap().is_empty());
+    }
+
+    #[test]
+    fn a_one_chunk_batch_runs_on_the_waiting_thread() {
+        let rec = Recorder::new();
+        let handle = rec.add_memory_sink();
+        let svc = QueryService::start(engine(), ServiceConfig::default(), &rec);
+        for _ in 0..100 {
+            assert_eq!(svc.query_batch(reads(10)).unwrap().len(), 10);
+        }
+        drop(svc);
+        rec.flush();
+        // The waiter traces under the service's parent span (none here);
+        // workers trace under their own root spans. Only a worker that
+        // was still starting (4 of them, one chunk each) or a spurious
+        // condvar wake could take a chunk.
+        let rollup = obs::Rollup::from_events(&handle.events());
+        assert!(rollup.unattached().counter("qserve.queries") >= 900);
+        assert_eq!(counter_total(&rollup, "qserve.queries"), 1000);
+    }
+
+    #[test]
+    fn a_batch_dropped_unwaited_still_drains() {
+        let rec = Recorder::disabled();
+        let svc = QueryService::start(engine(), ServiceConfig::default(), &rec);
+        drop(svc.submit(reads(10)).unwrap());
+        let t0 = Instant::now();
+        while svc.drained_reads() < 10 {
+            assert!(t0.elapsed().as_secs() < 10, "no worker took the chunk");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        assert_eq!(svc.queue_depth(), 0);
     }
 
     #[test]

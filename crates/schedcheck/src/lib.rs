@@ -117,11 +117,35 @@ pub struct ExploreReport {
     pub deadline_shed_runs: u64,
     /// Schedules in which at least one batch was fairness-shed.
     pub fairness_shed_runs: u64,
+    /// Schedules in which, after the drain began, a connection handler
+    /// ran a chunk of its own batch while a worker held another slot.
+    pub helped_under_drain_runs: u64,
     /// Invariant or scheduler violations, with replayable traces.
     pub violations: Vec<Violation>,
 }
 
-stdx::impl_json!(struct ExploreReport { schedules_explored, distinct_interleavings, diverged, max_steps, force_closed_runs, deadline_shed_runs, fairness_shed_runs, violations });
+stdx::impl_json!(struct ExploreReport { schedules_explored, distinct_interleavings, diverged, max_steps, force_closed_runs, deadline_shed_runs, fairness_shed_runs, helped_under_drain_runs, violations });
+
+/// True when, after `sc.drain.go` was granted, a `qnet.conn*` handler
+/// and a `qserve-worker-*` worker both held an execution slot: each was
+/// granted `qserve.chunk.exec` and not yet `qserve.chunk.respond`.
+pub fn helped_under_drain(trace: &[GrantRecord]) -> bool {
+    let mut draining = false;
+    let mut running: Vec<&str> = Vec::new();
+    for g in trace {
+        match g.point.as_str() {
+            "sc.drain.go" => draining = true,
+            "qserve.chunk.exec" => running.push(&g.task_name),
+            "qserve.chunk.respond" => running.retain(|t| *t != g.task_name),
+            _ => {}
+        }
+        let holds = |prefix: &str| running.iter().any(|t| t.starts_with(prefix));
+        if draining && holds("qnet.conn") && holds("qserve-worker-") {
+            return true;
+        }
+    }
+    false
+}
 
 impl ExploreReport {
     /// Fold `other` into `self` (union of hashes is handled by callers;
@@ -134,6 +158,7 @@ impl ExploreReport {
         self.force_closed_runs += other.force_closed_runs;
         self.deadline_shed_runs += other.deadline_shed_runs;
         self.fairness_shed_runs += other.fairness_shed_runs;
+        self.helped_under_drain_runs += other.helped_under_drain_runs;
         self.violations.extend(other.violations);
     }
 
@@ -157,6 +182,9 @@ impl ExploreReport {
             .any(|o| o.kind == OutcomeKind::FairnessShed)
         {
             self.fairness_shed_runs += 1;
+        }
+        if helped_under_drain(&run.trace) {
+            self.helped_under_drain_runs += 1;
         }
     }
 }

@@ -520,11 +520,12 @@ fn health_probe_answers_ready() {
     assert!(pong.ready && !pong.draining);
 }
 
-/// Regression (ROADMAP 3a): a finished responder's stack must be
-/// released while its connection lives on. The server used to keep
-/// every responder's `JoinHandle` until the connection closed, so each
+/// Regression (ROADMAP 3a): a long-lived connection must not pin memory
+/// mappings per request. The server once spawned a thread per request
+/// and kept its `JoinHandle` until the connection closed, so each
 /// request left one thread stack mapped and a long-lived connection
-/// died near 30 000 requests (`vm.max_map_count`).
+/// died near 30 000 requests (`vm.max_map_count`). It now answers on the
+/// connection's own thread (`tests/qnet_threads.rs`).
 #[cfg(target_os = "linux")]
 #[test]
 fn a_long_lived_connection_does_not_leak_a_thread_stack_per_request() {
@@ -561,7 +562,7 @@ fn a_long_lived_connection_does_not_leak_a_thread_stack_per_request() {
     assert!(
         after_5000 <= after_500 + 64,
         "{after_500} memory mappings after request 500, {after_5000} after request 5 000: \
-         finished responders are keeping their stacks"
+         requests are keeping thread stacks mapped"
     );
     server.shutdown();
 }

@@ -118,4 +118,25 @@ fn hostile_counts_fail_without_reserving_memory() {
             payload.len()
         );
     }
+    // A Query whose one read claims u32::MAX bases and brings 256 bytes.
+    // The bases are copied word by word only once the payload has shown
+    // them all, so a hostile length allocates no more than its bytes.
+    let long_read = [
+        &[1u8][..],
+        &u64le(7),
+        &u32le(100),
+        &u32le(1),
+        b"c",
+        &u32le(1),
+        &u32le(u32::MAX),
+        &[0x1b; 256],
+    ]
+    .concat();
+    let (err, largest) = largest_allocation(|| Request::decode(&long_read, "peer").err());
+    assert!(matches!(err, Some(QnetError::Corrupt { .. })), "{err:?}");
+    assert!(
+        largest <= long_read.len(),
+        "a {}-byte payload made a {largest}-byte allocation",
+        long_read.len()
+    );
 }

@@ -449,3 +449,36 @@ fn three_shard_candidates_replay_query_on_the_oracle_reads() {
     }
     assert!(mapped >= ORACLE_READS / 3, "only {mapped} reads mapped");
 }
+
+/// A shard looks up only the seeds it owns. Its candidates must equal
+/// those of the same postings looked up for every seed: the shard index
+/// decoded from its own `.mdx` bytes, which claims the whole hash space.
+#[test]
+fn shards_that_skip_foreign_seeds_answer_like_a_full_lookup() {
+    let dir = stdx::tempdir().unwrap();
+    let contigs = assemble_into(dir.path(), 56);
+    let open =
+        || ContigStore::open(&dir.path().join(qserve::STORE_FILE), &IoStats::default()).unwrap();
+    let reads = oracle_reads(&contigs, ORACLE_READS, ORACLE_READ_LEN);
+    for n_shards in [2u32, 3] {
+        for s in 0..n_shards {
+            let index = MinimizerIndex::build_shard(&open(), &IndexConfig::default(), s, n_shards);
+            let bytes = index.encode();
+            let every_seed = MinimizerIndex::decode(&bytes, Path::new("shard.mdx")).unwrap();
+            assert_eq!(every_seed.encode(), bytes, "the .mdx bytes are unchanged");
+            let shard = QueryEngine::new(open(), index, QueryConfig::default()).unwrap();
+            let oracle = QueryEngine::new(open(), every_seed, QueryConfig::default()).unwrap();
+            let mut voted = 0usize;
+            for (kind, read) in &reads {
+                let got = shard.query_candidates(read);
+                assert_eq!(
+                    got,
+                    oracle.query_candidates(read),
+                    "{kind:?}, shard {s} of {n_shards}"
+                );
+                voted += got.len();
+            }
+            assert!(voted > 0, "shard {s} of {n_shards} voted for nothing");
+        }
+    }
+}

@@ -5,8 +5,8 @@
 //! recorded trace, and from its PCT seed alone.
 
 use lasagna_repro::schedcheck::{
-    explore_dfs, explore_pct, pct, replay_trace, run_schedule, trace_hash, DfsConfig, PctConfig,
-    ScenarioConfig,
+    explore_dfs, explore_pct, helped_under_drain, pct, replay_trace, run_schedule, trace_hash,
+    DfsConfig, GrantRecord, OutcomeKind, PctConfig, ScenarioConfig,
 };
 
 /// A deterministic baseline schedule (always grant the lowest-task
@@ -111,11 +111,93 @@ fn a_batch_admitted_after_the_drain_sweep_is_drained_before_shutdown_returns() {
         "violations: {:?}",
         run.violations
     );
+    let swept = run
+        .trace
+        .iter()
+        .position(|g| g.point == "qnet.drain.force_close")
+        .expect("the drain force-closes");
     assert!(
-        run.trace
+        run.trace[swept..]
             .iter()
-            .any(|g| g.task_name == "qnet.conn1" && g.point == "qserve.batch.wait"),
+            .any(|g| g.task_name.starts_with("qnet.conn") && g.point == "qnet.gate.depth"),
         "the schedule no longer reaches the swept-admission window"
+    );
+}
+
+/// True when the drain's force-close was granted while a connection
+/// handler held an execution slot: it had been granted
+/// `qserve.chunk.exec` and not yet `qserve.chunk.respond`.
+fn force_closed_mid_chunk(trace: &[GrantRecord]) -> bool {
+    let mut running: Vec<&str> = Vec::new();
+    for g in trace {
+        match g.point.as_str() {
+            "qserve.chunk.exec" => running.push(&g.task_name),
+            "qserve.chunk.respond" => running.retain(|t| *t != g.task_name),
+            "qnet.drain.force_close" => return running.iter().any(|t| t.starts_with("qnet.conn")),
+            _ => {}
+        }
+    }
+    false
+}
+
+/// The drain deadline passes while a connection's own thread is running
+/// its batch. The sweep sends that request's typed `Draining` frame and
+/// cuts the socket; the thread finishes the chunk and skips its write,
+/// so the client sees exactly one frame for the request, and the ledger
+/// balances: `accepted == delivered + force_closed`. This PCT seed
+/// reaches that schedule.
+#[test]
+fn a_drain_that_force_closes_a_handler_mid_batch_answers_once() {
+    let cfg = ScenarioConfig::default();
+    let run = pct::run_pct(&cfg, 0x4309_dd08_6b36_ccb9, 3);
+    assert!(
+        run.violations.is_empty(),
+        "violations: {:?}",
+        run.violations
+    );
+    assert!(
+        force_closed_mid_chunk(&run.trace),
+        "the schedule no longer force-closes a handler that is running its batch"
+    );
+    assert_eq!(run.force_closed, cfg.reads_per_batch as u64, "one batch");
+    assert!(run
+        .outcomes
+        .iter()
+        .any(|o| o.kind == OutcomeKind::DrainShed));
+    // A second frame for the force-closed request would mispair the
+    // client's next request (Corrupt) or be an answer it never read.
+    assert!(run.outcomes.iter().all(|o| o.kind != OutcomeKind::Corrupt));
+    let delivered: u64 = run
+        .outcomes
+        .iter()
+        .filter(|o| o.kind == OutcomeKind::Hits)
+        .map(|o| o.n_reads)
+        .sum();
+    assert_eq!(
+        run.counters.get("qnet.accepted").copied().unwrap_or(0),
+        delivered + run.force_closed
+    );
+}
+
+/// With two-chunk batches a connection handler runs a chunk of its own
+/// batch in one execution slot while a worker holds the other, after
+/// the drain began. This PCT seed, from the `2-chunk batches` row of
+/// `repro schedcheck`, reaches that schedule and keeps every invariant.
+#[test]
+fn a_handler_runs_its_own_chunk_beside_a_worker_under_a_drain() {
+    let cfg = ScenarioConfig {
+        reads_per_batch: 4,
+        ..ScenarioConfig::default()
+    };
+    let run = pct::run_pct(&cfg, 0x8162_c2e3_83cd_c131, 32);
+    assert!(
+        run.violations.is_empty(),
+        "violations: {:?}",
+        run.violations
+    );
+    assert!(
+        helped_under_drain(&run.trace),
+        "the schedule no longer runs a handler's chunk beside a worker's under a drain"
     );
 }
 
