@@ -43,7 +43,7 @@ pub mod pool;
 pub mod proto;
 pub mod server;
 
-pub use client::{ClientConfig, QueryClient};
+pub use client::{ClientConfig, QueryClient, SentQuery};
 pub use pool::ClientPool;
 pub use proto::{
     ClientStats, LatencySummary, PongStatus, Request, Response, ShedScope, StatsSnapshot,
