@@ -169,25 +169,23 @@ impl Pipeline {
 
     pub(crate) fn dataset_fingerprint(&self, reads: &ReadSet) -> u64 {
         // FNV-1a over the knobs that change on-disk artifacts.
-        let mut h = 0xcbf29ce484222325u64;
-        let mut eat = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100000001b3);
-            }
-        };
-        eat(self.config.l_min as u64);
-        eat(self.config.l_max as u64);
-        eat(self.config.fingerprint_bits as u64);
-        eat(self.config.range_split as u64);
-        eat(reads.len() as u64);
-        eat(reads.total_bases());
+        let mut h = gstream::Fnv64::new();
+        for v in [
+            self.config.l_min as u64,
+            self.config.l_max as u64,
+            self.config.fingerprint_bits as u64,
+            self.config.range_split as u64,
+            reads.len() as u64,
+            reads.total_bases(),
+        ] {
+            h.update(&v.to_le_bytes());
+        }
         // Sample a few reads' first bases so a different dataset of the
         // same shape is still detected.
         for i in (0..reads.len()).step_by((reads.len() / 16).max(1)) {
-            eat(reads.first_base(i).code() as u64);
+            h.update(&(reads.first_base(i).code() as u64).to_le_bytes());
         }
-        h
+        h.finish()
     }
 
     /// The suffix/prefix partition pairs the single-node pipeline touches,
@@ -483,6 +481,15 @@ mod tests {
     use super::*;
     use crate::verify::verify_contigs;
     use genome::{GenomeSim, ShotgunSim};
+
+    #[test]
+    fn dataset_fingerprint_is_pinned() {
+        let genome = GenomeSim::uniform(600, 3).generate();
+        let reads = ShotgunSim::error_free(40, 5.0, 4).sample(&genome);
+        let dir = stdx::tempdir().unwrap();
+        let pipeline = Pipeline::laptop(AssemblyConfig::for_dataset(25, 40), dir.path()).unwrap();
+        assert_eq!(pipeline.dataset_fingerprint(&reads), 0x5984_6ef5_6b30_1e22);
+    }
 
     fn assemble_genome(
         genome_len: usize,

@@ -16,19 +16,15 @@
 //! [`QnetError::Corrupt`](crate::QnetError::Corrupt) and a reconnect.
 //!
 //! Every query shape goes through one attempt
-//! (`QueryClient::attempt`): write N requests of one kind, then
-//! drain N responses matched by `request_id`. A single batch is N = 1;
-//! [`QueryClient::query_batches_pipelined`] is N > 1. A shard query can
-//! also be split in two, [`QueryClient::send_shard_query`] (or the
+//! (`QueryClient::attempt`): write one request, then read the one
+//! response, which must echo its `request_id`. A shard query can also
+//! be split in two, [`QueryClient::send_shard_query`] (or the
 //! non-blocking [`QueryClient::try_send_shard_query`]) now and
 //! [`QueryClient::recv_shard_answer`] later, which is how one router
 //! thread scatters a batch to every shard before it gathers any answer;
 //! [`QueryClient::answer_ready`] reads the answer's bytes as they come
-//! and says when the whole frame is in. The halves use the same framing,
-//! classifier and length check as an attempt, and neither retries. The
-//! server answers
-//! one connection's requests in arrival order, but nothing here relies
-//! on it. One classifier (`classify`) turns each
+//! and says when the whole frame is in. The halves are the two halves of
+//! an attempt, and neither retries. One classifier (`classify`) turns each
 //! response into a typed outcome, and one loop (`QueryClient::run`)
 //! retries what is retryable. Every answer carries the store/index
 //! generation that computed it; [`QueryClient::set_generation_pin`]
@@ -50,7 +46,6 @@
 //! (`qnet.client.connect`, `qnet.client.send`, `qnet.client.read`); with
 //! no scheduler installed each is one relaxed load.
 
-use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
@@ -183,7 +178,7 @@ pub struct QueryClient {
     pin: u64,
 }
 
-/// One pipelined batch's outcome: the generation that answered and its
+/// A placement batch's outcome: the generation that answered and its
 /// hits, or the batch's terminal typed error.
 pub type BatchResult = crate::Result<(u64, Vec<Option<Hit>>)>;
 
@@ -254,7 +249,7 @@ impl QueryClient {
     /// [`query_batch`](Self::query_batch), also returning the
     /// generation that computed the placements.
     pub fn query_batch_tagged(&mut self, reads: &[PackedSeq]) -> BatchResult {
-        self.run(Kind::Query, &[reads])?.remove(0).map(hits)
+        self.run(Kind::Query, reads).map(hits)
     }
 
     /// Query a batch of reads against the server's *shard* of the
@@ -265,31 +260,10 @@ impl QueryClient {
     /// then [`recv_shard_answer`](Self::recv_shard_answer)) and drives
     /// its own fail-over.
     pub fn shard_query_batch(&mut self, reads: &[PackedSeq]) -> crate::Result<Vec<Vec<Candidate>>> {
-        match self.run(Kind::ShardQuery, &[reads])?.remove(0)? {
+        match self.run(Kind::ShardQuery, reads)? {
             (_, Answer::Candidates(c)) => Ok(c),
             _ => unreachable!("classify pairs a shard query with candidates"),
         }
-    }
-
-    /// Pipeline many batches down one connection: every request is
-    /// written before any response is read, and answers are matched to
-    /// requests by `request_id`, whatever order they arrive in. Returns
-    /// per-batch
-    /// outcomes aligned with `batches`: the `(generation, hits)` pair
-    /// that computed each answer, or that batch's terminal typed error
-    /// (deadline, remote). Retryable outcomes are handled
-    /// internally: sheds and drains leave the batch unanswered and the
-    /// whole stream in sync, so the retry loop backs off (honoring
-    /// `retry_after_ms`) and resends *only* the unanswered batches on
-    /// the same connection; wire errors desynchronize the stream, so
-    /// they reconnect first.
-    pub fn query_batches_pipelined(
-        &mut self,
-        batches: &[Vec<PackedSeq>],
-    ) -> crate::Result<Vec<BatchResult>> {
-        let batches: Vec<&[PackedSeq]> = batches.iter().map(Vec::as_slice).collect();
-        let outcomes = self.run(Kind::Query, &batches)?;
-        Ok(outcomes.into_iter().map(|o| o.map(hits)).collect())
     }
 
     /// Ask the server to hot-swap to store/index `generation` (`0` =
@@ -352,22 +326,18 @@ impl QueryClient {
     }
 
     /// The one retry loop, shared by every query shape: attempt the
-    /// unanswered batches until each has a terminal outcome. Retryable
-    /// failures back off (capped jittered exponential, honoring
-    /// `retry_after_ms` hints); a wire failure has already abandoned
-    /// the connection (see [`Self::attempt`]), a typed one keeps it.
-    /// Returns one outcome per batch, aligned with `batches`.
-    fn run(&mut self, kind: Kind, batches: &[&[PackedSeq]]) -> crate::Result<Vec<Outcome>> {
-        let mut outcomes: Vec<Option<Outcome>> = batches.iter().map(|_| None).collect();
+    /// batch until it has a terminal outcome. Retryable failures back
+    /// off (capped jittered exponential, honoring `retry_after_ms`
+    /// hints); a wire failure has already abandoned the connection (see
+    /// [`Self::attempt`]), a typed one keeps it.
+    fn run(&mut self, kind: Kind, reads: &[PackedSeq]) -> Outcome {
         let mut attempts: u32 = 0;
-        while outcomes.iter().any(Option::is_none) {
+        loop {
             attempts += 1;
-            let Err(err) = self.attempt(kind, batches, &mut outcomes) else {
-                continue;
+            let err = match self.attempt(kind, reads) {
+                Err(err) if err.is_retryable() => err,
+                outcome => return outcome,
             };
-            if !err.is_retryable() {
-                return Err(err);
-            }
             if attempts > self.cfg.max_retries {
                 return Err(QnetError::RetriesExhausted {
                     attempts,
@@ -390,10 +360,6 @@ impl QueryClient {
                 std::thread::sleep(Duration::from_millis(wait));
             }
         }
-        Ok(outcomes
-            .into_iter()
-            .map(|o| o.expect("the loop ends when every batch has an outcome"))
-            .collect())
     }
 
     /// Backoff before retry number `round` (1-based), in milliseconds:
@@ -409,72 +375,55 @@ impl QueryClient {
         full * jitter_millis / 1024
     }
 
-    /// One attempt over the batches that have no outcome yet: write all
-    /// their requests, then drain exactly one response per request.
-    /// Terminal per-batch outcomes are recorded into `outcomes`;
-    /// retryable ones (sheds, drains) are left unrecorded and the first
-    /// is returned as the attempt's error *after* the drain completes,
-    /// so the stream stays in sync and the connection survives. Only a
-    /// *wire* failure abandons the connection: after a torn frame or a
-    /// timeout the stream position is unknowable, and a fresh
-    /// connection is the only way to guarantee the next response pairs
-    /// with the next request.
-    fn attempt(
-        &mut self,
-        kind: Kind,
-        batches: &[&[PackedSeq]],
-        outcomes: &mut [Option<Outcome>],
-    ) -> crate::Result<()> {
-        let result = self.attempt_on_conn(kind, batches, outcomes);
-        self.hang_up_on_wire_error(result)
+    /// One attempt: write the batch's request, then read its answer. A
+    /// typed outcome — an answer, a shed, a drain — keeps the connection
+    /// in sync, so it survives. Only a *wire* failure abandons it: after
+    /// a torn frame or a timeout the stream position is unknowable, and
+    /// a fresh connection is the only way to guarantee the next response
+    /// pairs with the next request.
+    fn attempt(&mut self, kind: Kind, reads: &[PackedSeq]) -> Outcome {
+        let sent = self.send_query(kind, reads)?;
+        let answer = self.recv_answer(kind, sent);
+        self.hang_up_on_wire_error(answer)
     }
 
-    fn attempt_on_conn(
-        &mut self,
-        kind: Kind,
-        batches: &[&[PackedSeq]],
-        outcomes: &mut [Option<Outcome>],
-    ) -> crate::Result<()> {
-        self.ensure_conn()?;
+    /// Write one query of `kind` on the live connection, dialing first if
+    /// there is none. A wire failure drops the connection.
+    fn send_query(&mut self, kind: Kind, reads: &[PackedSeq]) -> crate::Result<SentQuery> {
         let tag = match kind {
             Kind::Query => proto::TAG_QUERY,
             Kind::ShardQuery => proto::TAG_SHARD_QUERY,
             Kind::Reload => unreachable!("reloads carry no reads"),
         };
-        // Encode every request into one contiguous write so a pipelined
-        // burst leaves in as few segments as the kernel allows.
-        let mut wire = Vec::new();
-        let mut pending: BTreeMap<u64, usize> = BTreeMap::new();
-        for (i, reads) in batches.iter().enumerate() {
-            if outcomes[i].is_none() {
-                pending.insert(self.frame_query(&mut wire, tag, reads)?, i);
-            }
-        }
-        self.send(&wire)?;
+        let result = self.ensure_conn().and_then(|()| {
+            let mut wire = Vec::new();
+            let request_id = self.frame_query(&mut wire, tag, reads)?;
+            self.send(&wire)?;
+            Ok(SentQuery {
+                request_id,
+                n_reads: reads.len(),
+            })
+        });
+        self.hang_up_on_wire_error(result)
+    }
 
-        // Drain one response per outstanding request, in whatever order
-        // the server answers. A retryable typed outcome is deferred
-        // rather than returned mid-drain: bailing out with responses
-        // still in flight would desynchronize the stream.
+    /// Read the answer to `sent` as a `kind` answer: what it means, or
+    /// `Corrupt` when it echoes another request's id or answers another
+    /// number of reads.
+    fn recv_answer(&mut self, kind: Kind, sent: SentQuery) -> Outcome {
         let peer = self.peer();
-        let mut deferred: Option<QnetError> = None;
-        while !pending.is_empty() {
-            let (rid, outcome) = self.recv_outcome(kind, &peer)?;
-            let Some(i) = pending.remove(&rid) else {
-                return Err(QnetError::Corrupt {
-                    peer,
-                    detail: format!("response id {rid} does not match any outstanding request"),
-                });
-            };
-            check_answer_len(&outcome, batches[i].len(), &peer)?;
-            match outcome {
-                Err(e) if e.is_retryable() => {
-                    deferred.get_or_insert(e);
-                }
-                terminal => outcomes[i] = Some(terminal),
-            }
+        let (rid, outcome) = classify(self.recv()?, kind, self.cfg.deadline_ms, &peer)?;
+        if rid != sent.request_id {
+            return Err(QnetError::Corrupt {
+                peer,
+                detail: format!(
+                    "response id {rid} does not match request id {}",
+                    sent.request_id
+                ),
+            });
         }
-        deferred.map_or(Ok(()), Err)
+        check_answer_len(&outcome, sent.n_reads, &peer)?;
+        outcome
     }
 
     /// Append one framed query of `tag` over `reads` to `wire`, under a
@@ -501,27 +450,12 @@ impl QueryClient {
         Ok(request_id)
     }
 
-    /// Read one response and classify it as an answer to a `kind`
-    /// request: the `request_id` it echoes and what it means.
-    fn recv_outcome(&mut self, kind: Kind, peer: &str) -> crate::Result<(u64, Outcome)> {
-        classify(self.recv()?, kind, self.cfg.deadline_ms, peer)
-    }
-
     /// Write one shard query and return without waiting for its answer;
     /// [`recv_shard_answer`](Self::recv_shard_answer) reads it. Dials
     /// first if no connection is live. One wire attempt, never retried;
     /// a wire failure drops the connection.
     pub fn send_shard_query(&mut self, reads: &[PackedSeq]) -> crate::Result<SentQuery> {
-        let result = self.ensure_conn().and_then(|()| {
-            let mut wire = Vec::new();
-            let request_id = self.frame_query(&mut wire, proto::TAG_SHARD_QUERY, reads)?;
-            self.send(&wire)?;
-            Ok(SentQuery {
-                request_id,
-                n_reads: reads.len(),
-            })
-        });
-        self.hang_up_on_wire_error(result)
+        self.send_query(Kind::ShardQuery, reads)
     }
 
     /// [`send_shard_query`](Self::send_shard_query) without blocking,
@@ -619,22 +553,7 @@ impl QueryClient {
         &mut self,
         sent: SentQuery,
     ) -> crate::Result<(u64, Vec<Vec<Candidate>>)> {
-        let peer = self.peer();
-        let result = self
-            .recv_outcome(Kind::ShardQuery, &peer)
-            .and_then(|(rid, outcome)| {
-                if rid != sent.request_id {
-                    return Err(QnetError::Corrupt {
-                        peer: peer.clone(),
-                        detail: format!(
-                            "response id {rid} does not match request id {}",
-                            sent.request_id
-                        ),
-                    });
-                }
-                check_answer_len(&outcome, sent.n_reads, &peer)?;
-                outcome
-            });
+        let result = self.recv_answer(Kind::ShardQuery, sent);
         match self.hang_up_on_wire_error(result)? {
             (generation, Answer::Candidates(c)) => Ok((generation, c)),
             _ => unreachable!("classify pairs a shard query with candidates"),
@@ -884,8 +803,8 @@ mod tests {
     }
 
     /// Read one frame off `sock` and decode the request in it. Unbuffered:
-    /// a buffered reader dropped between calls would swallow the frames a
-    /// pipelining client has already sent behind this one.
+    /// a buffered reader dropped between calls would swallow any frame
+    /// the client has already sent behind this one.
     fn read_request(sock: &mut TcpStream) -> Request {
         let payload = gstream::read_frame(sock, "client")
             .unwrap()
@@ -1222,56 +1141,6 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_batches_match_out_of_order_answers() {
-        let (addr, server) = fake_server(1, move |_, s| {
-            // Read all three requests before answering anything —
-            // proving the client really pipelines — then answer in
-            // scrambled order, tagging each answer's generation with
-            // its batch size so the test can check the alignment.
-            let mut got: Vec<(u64, usize)> = Vec::new();
-            for _ in 0..3 {
-                let Request::Query {
-                    request_id, reads, ..
-                } = read_request(s)
-                else {
-                    panic!("expected a query")
-                };
-                got.push((request_id, reads.len()));
-            }
-            for &(request_id, n) in [&got[2], &got[0], &got[1]] {
-                send_response(
-                    s,
-                    &Response::Hits {
-                        request_id,
-                        generation: n as u64,
-                        hits: vec![None; n],
-                    },
-                );
-            }
-        });
-        let rec = Recorder::disabled();
-        let mut client = QueryClient::new(fast_cfg(addr), &rec);
-        let read = "ACGT".parse::<PackedSeq>().unwrap();
-        let batches = vec![
-            vec![read.clone()],
-            vec![read.clone(), read.clone()],
-            vec![read.clone(), read.clone(), read.clone()],
-        ];
-        let results = client
-            .query_batches_pipelined(&batches)
-            .expect("all batches answered");
-        assert_eq!(results.len(), 3);
-        for (i, r) in results.iter().enumerate() {
-            let (generation, hits) = r.as_ref().expect("per-batch success");
-            assert_eq!(*generation, (i + 1) as u64, "answer matched to batch {i}");
-            assert_eq!(hits.len(), i + 1);
-        }
-        assert_eq!(client.reconnects(), 0);
-        assert_eq!(client.retries_total(), 0);
-        hang_up_and_join(client, server);
-    }
-
-    #[test]
     fn non_retryable_responses_surface_immediately() {
         let (addr, server) = fake_server(1, move |_, s| {
             let Request::Query { request_id, .. } = read_request(s) else {
@@ -1322,8 +1191,8 @@ mod tests {
     }
 
     /// The one classifier, pinned from outside: whatever a server
-    /// answers, `query_batch`, `shard_query_batch` and
-    /// `query_batches_pipelined` hand a `max_retries: 0` caller the same
+    /// answers, `query_batch` and `shard_query_batch` hand a
+    /// `max_retries: 0` caller the same
     /// typed error — inside `RetriesExhausted.last` where retryable —
     /// and so does the split `send_shard_query` (or
     /// `try_send_shard_query` and `answer_ready`) / `recv_shard_answer`;
@@ -1456,7 +1325,7 @@ mod tests {
                 e
             }
         }
-        let calls: [Call; 5] = [
+        let calls: [Call; 4] = [
             ("query_batch", |c, reads| {
                 c.query_batch(reads).expect_err("never an answer")
             }),
@@ -1481,11 +1350,6 @@ mod tests {
             ),
             ("shard_query_batch", |c, reads| {
                 c.shard_query_batch(reads).expect_err("never an answer")
-            }),
-            ("query_batches_pipelined", |c, reads| {
-                c.query_batches_pipelined(&[reads.to_vec()])
-                    .and_then(|mut per_batch| per_batch.remove(0))
-                    .expect_err("never an answer")
             }),
         ];
         let reads = vec![

@@ -39,20 +39,14 @@ stdx::impl_json!(struct GrantRecord { step, task, task_name, point, clock_ms });
 /// here mean equal `(task_name, point)` sequences for all practical
 /// purposes; replay asserts equality through this hash.
 pub fn trace_hash(trace: &[GrantRecord]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut h = gstream::Fnv64::new();
     for g in trace {
-        eat(g.task_name.as_bytes());
-        eat(b"@");
-        eat(g.point.as_bytes());
-        eat(b"\n");
+        h.update(g.task_name.as_bytes());
+        h.update(b"@");
+        h.update(g.point.as_bytes());
+        h.update(b"\n");
     }
-    h
+    h.finish()
 }
 
 /// Serialize a trace as JSONL: one [`GrantRecord`] object per line.
@@ -93,6 +87,15 @@ mod tests {
             point: point.to_string(),
             clock_ms: step,
         }
+    }
+
+    #[test]
+    fn trace_hash_is_pinned() {
+        let trace = [
+            grant(0, "client0", "qnet.client.read"),
+            grant(1, "drainer", "qnet.drain.set"),
+        ];
+        assert_eq!(trace_hash(&trace), 0x30ca_9188_1883_e798);
     }
 
     #[test]
