@@ -37,6 +37,8 @@ pub enum GenomeError {
     Io(std::io::Error),
     /// Malformed FASTA/FASTQ or an invalid nucleotide character.
     Parse(String),
+    /// A packed staging image that does not decode.
+    Corrupt(stdx::bytes::Corrupt),
     /// Reads of unequal length fed to a uniform-length container.
     LengthMismatch {
         /// Length the container expects.
@@ -51,6 +53,7 @@ impl std::fmt::Display for GenomeError {
         match self {
             GenomeError::Io(e) => write!(f, "I/O error: {e}"),
             GenomeError::Parse(m) => write!(f, "parse error: {m}"),
+            GenomeError::Corrupt(e) => write!(f, "corrupt: {e}"),
             GenomeError::LengthMismatch { expected, got } => {
                 write!(f, "read length {got} differs from expected {expected}")
             }
@@ -63,6 +66,12 @@ impl std::error::Error for GenomeError {}
 impl From<std::io::Error> for GenomeError {
     fn from(e: std::io::Error) -> Self {
         GenomeError::Io(e)
+    }
+}
+
+impl From<stdx::bytes::Corrupt> for GenomeError {
+    fn from(e: stdx::bytes::Corrupt) -> Self {
+        GenomeError::Corrupt(e)
     }
 }
 

@@ -179,31 +179,35 @@ impl PackedSeq {
         revcomp_word(self.word_at(end - n, n)) >> (2 * (BASES_PER_WORD - n))
     }
 
-    /// The packed words, base `i` in bits `2(i mod 32)..` of word `i / 32`,
-    /// zero above the last base. Their little-endian bytes are the 4-bases-
-    /// per-byte wire layout.
-    pub fn words(&self) -> &[u64] {
-        &self.words
+    /// Append the 2-bit byte image: `len().div_ceil(4)` bytes, four bases
+    /// per byte, the earliest base in the low bits — the little-endian
+    /// bytes of the packed words, cut after the last base's byte. The
+    /// wire, the contig store and the staged reads all use it.
+    pub fn extend_le_bytes(&self, out: &mut Vec<u8>) {
+        let end = out.len() + self.len.div_ceil(4);
+        for w in &self.words {
+            out.extend_from_slice(&w.to_le_bytes());
+        }
+        out.truncate(end);
     }
 
-    /// Adopt `len` bases from packed `words` (the layout of [`words`]),
-    /// dropping surplus words and clearing the bits above `len`.
+    /// Read `len` bases back from the first `len.div_ceil(4)` bytes of a
+    /// [`extend_le_bytes`](PackedSeq::extend_le_bytes) image, a word at a
+    /// time. Padding bits above the last base are cleared.
     ///
     /// # Panics
-    /// Panics if `words` holds fewer than `len` bases.
-    ///
-    /// [`words`]: PackedSeq::words
-    pub fn from_words(mut words: Vec<u64>, len: usize) -> PackedSeq {
-        let n = len.div_ceil(BASES_PER_WORD);
-        assert!(
-            words.len() >= n,
-            "{} words cannot hold {len} bases",
-            words.len()
-        );
-        words.truncate(n);
-        let tail = len % BASES_PER_WORD;
-        if tail != 0 {
-            words[n - 1] &= (1u64 << (2 * tail)) - 1;
+    /// Panics if `bytes` is shorter than `len.div_ceil(4)`.
+    pub fn from_le_bytes(bytes: &[u8], len: usize) -> PackedSeq {
+        let (whole, tail) = bytes[..len.div_ceil(4)].as_chunks::<8>();
+        let mut words = Vec::with_capacity(len.div_ceil(BASES_PER_WORD));
+        words.extend(whole.iter().map(|&b| u64::from_le_bytes(b)));
+        if !tail.is_empty() {
+            let mut last = [0u8; 8];
+            last[..tail.len()].copy_from_slice(tail);
+            words.push(u64::from_le_bytes(last));
+        }
+        if let (Some(last), tail @ 1..) = (words.last_mut(), len % BASES_PER_WORD) {
+            *last &= (1u64 << (2 * tail)) - 1;
         }
         PackedSeq { words, len }
     }
@@ -410,18 +414,19 @@ mod tests {
     }
 
     #[test]
-    fn from_words_inverts_words_and_clears_padding() {
+    fn le_bytes_invert_extend_and_clear_padding() {
         check_cases(256, |rng| {
             let s = PackedSeq::from_codes(&rng.vec(0..200, |r| r.below(4) as u8));
-            assert_eq!(PackedSeq::from_words(s.words().to_vec(), s.len()), s);
-            // Garbage above the last base and a surplus word are dropped.
-            let mut dirty = s.words().to_vec();
-            let tail = s.len() % BASES_PER_WORD;
-            if let (Some(last), true) = (dirty.last_mut(), tail != 0) {
-                *last |= rng.next_u64() << (2 * tail);
+            let mut bytes = Vec::new();
+            s.extend_le_bytes(&mut bytes);
+            assert_eq!(bytes.len(), s.len().div_ceil(4));
+            assert_eq!(PackedSeq::from_le_bytes(&bytes, s.len()), s);
+            // Garbage above the last base and surplus bytes are dropped.
+            if let (Some(last), tail @ 1..) = (bytes.last_mut(), s.len() % 4) {
+                *last |= (rng.next_u64() as u8) << (2 * tail);
             }
-            dirty.push(rng.next_u64());
-            assert_eq!(PackedSeq::from_words(dirty, s.len()), s);
+            bytes.extend(rng.vec(0..9, |r| r.next_u64() as u8));
+            assert_eq!(PackedSeq::from_le_bytes(&bytes, s.len()), s);
         });
     }
 

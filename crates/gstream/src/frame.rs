@@ -13,6 +13,7 @@
 use crate::record::fnv1a;
 use crate::StreamError;
 use std::io::{ErrorKind, Read, Write};
+use stdx::bytes::Cursor;
 
 /// Bytes of framing ahead of the payload: `u32` length + `u64` checksum.
 pub const FRAME_HEADER_BYTES: usize = 12;
@@ -71,6 +72,20 @@ fn fill<R: Read>(r: &mut R, buf: &mut [u8]) -> std::io::Result<Fill> {
     Ok(Fill::Full)
 }
 
+/// The payload length a frame header names, from its first four bytes.
+/// Too few bytes, or a length over [`MAX_FRAME_BYTES`], is corrupt naming
+/// `peer`.
+pub fn frame_len(header: &[u8], peer: &str) -> crate::Result<usize> {
+    let len = Cursor::new(header, peer).u32("frame length")? as usize;
+    if len > MAX_FRAME_BYTES {
+        let detail = format!("implausible length {len} (cap {MAX_FRAME_BYTES})");
+        return Err(Cursor::new(header, peer)
+            .corrupt("frame length", detail)
+            .into());
+    }
+    Ok(len)
+}
+
 /// Read one frame from `r`.
 ///
 /// Returns `Ok(None)` iff the stream ended cleanly *between* frames.
@@ -88,13 +103,8 @@ pub fn read_frame<R: Read>(r: &mut R, peer: &str) -> crate::Result<Option<Vec<u8
         }
         Fill::Full => {}
     }
-    let len = u32::from_le_bytes(header[..4].try_into().unwrap()) as usize;
+    let len = frame_len(&header, peer)?;
     let expected = u64::from_le_bytes(header[4..].try_into().unwrap());
-    if len > MAX_FRAME_BYTES {
-        return Err(StreamError::Corrupt(format!(
-            "peer {peer}: implausible frame length {len} (cap {MAX_FRAME_BYTES})"
-        )));
-    }
     let mut payload = vec![0u8; len];
     match fill(r, &mut payload)? {
         Fill::Full => {}

@@ -8,7 +8,8 @@
 //! blocks and host → device in small chunks; this crate implements that
 //! machinery:
 //!
-//! * [`record`] — fixed-width binary `(fingerprint, id)` records;
+//! * [`record`] — fixed-width binary `(fingerprint, id)` records and the
+//!   24-byte [`Footer`] trailer of every durable file;
 //! * [`reader`]/[`writer`] — sequential record streams, encoded, XXH64
 //!   checksummed and tallied in shared [`IoStats`] a 64 KiB block at a time
 //!   and charged to a disk bandwidth model;
@@ -33,12 +34,12 @@ pub mod spill;
 pub mod writer;
 
 pub use extsort::{ExternalSorter, SortConfig, SortReport};
-pub use frame::{read_frame, write_frame, FRAME_HEADER_BYTES, MAX_FRAME_BYTES};
+pub use frame::{frame_len, read_frame, write_frame, FRAME_HEADER_BYTES, MAX_FRAME_BYTES};
 pub use hostmem::{HostAlloc, HostMem, HostMemError};
 pub use iostats::{DiskModel, IoStats};
 pub use merge::{kway_merge, windowed_merge, FileSource, PairSink, PairSource, SliceSource};
 pub use reader::{read_blob, read_footer, RecordReader};
-pub use record::{fnv1a, BlobFooter, Columns, Fnv64, Footer, KvPair, Pairs, Xxh64};
+pub use record::{fnv1a, Columns, Fnv64, Footer, KvPair, Pairs, Xxh64};
 pub use spill::{range_of, PartitionKind, PartitionSet, SpillDir};
 pub use writer::{fsync_dir, fsync_parent_dir, write_blob, RecordWriter};
 
@@ -77,6 +78,12 @@ impl std::error::Error for StreamError {}
 impl From<std::io::Error> for StreamError {
     fn from(e: std::io::Error) -> Self {
         StreamError::Io(e)
+    }
+}
+
+impl From<stdx::bytes::Corrupt> for StreamError {
+    fn from(e: stdx::bytes::Corrupt) -> Self {
+        StreamError::Corrupt(e.to_string())
     }
 }
 

@@ -1,7 +1,7 @@
 //! Sequential record readers (the "read-only memory" of Fig. 3).
 
 use crate::iostats::IoStats;
-use crate::record::{BlobFooter, Columns, Footer, KvPair, Xxh64};
+use crate::record::{Columns, Footer, KvPair, Xxh64};
 use crate::writer::BLOCK_BYTES;
 use crate::{Result, StreamError};
 use std::fs::File;
@@ -9,43 +9,28 @@ use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
 
 /// Read a byte blob written by [`crate::writer::write_blob`], validating
-/// its [`BlobFooter`] (magic, length, checksum). Every failure names the
+/// its [`Footer`] (magic, length, checksum). Every failure names the
 /// offending file and surfaces as [`StreamError::Corrupt`], so a torn or
 /// bit-flipped store fails loudly before any consumer trusts its bytes.
 pub fn read_blob(path: &Path, io: &IoStats) -> Result<Vec<u8>> {
     let mut bytes = std::fs::read(path)?;
-    if bytes.len() < BlobFooter::BYTES {
-        return Err(StreamError::Corrupt(format!(
-            "{} has {} bytes, too short for the {}-byte blob footer",
-            path.display(),
-            bytes.len(),
-            BlobFooter::BYTES
-        )));
-    }
-    let tail: [u8; BlobFooter::BYTES] = bytes[bytes.len() - BlobFooter::BYTES..]
-        .try_into()
-        .expect("footer-sized tail");
-    let footer = BlobFooter::decode(&tail).ok_or_else(|| {
-        StreamError::Corrupt(format!(
-            "{} has no blob footer magic (truncated, torn, or foreign file)",
-            path.display()
-        ))
-    })?;
-    bytes.truncate(bytes.len() - BlobFooter::BYTES);
-    if footer.len != bytes.len() as u64 {
+    let tail = bytes.len().saturating_sub(Footer::BYTES);
+    let footer = Footer::decode(&bytes[tail..], Footer::BLOB, path)?;
+    bytes.truncate(tail);
+    if footer.records != bytes.len() as u64 {
         return Err(StreamError::Corrupt(format!(
             "{} footer promises {} payload bytes but carries {}",
             path.display(),
-            footer.len,
+            footer.records,
             bytes.len()
         )));
     }
-    if footer.checksum != crate::record::fnv1a(&bytes) {
+    let actual = crate::record::fnv1a(&bytes);
+    if footer.checksum != actual {
         return Err(StreamError::Corrupt(format!(
-            "{} checksum mismatch: footer {:#018x}, payload {:#018x}",
+            "{} checksum mismatch: footer {:#018x}, payload {actual:#018x}",
             path.display(),
             footer.checksum,
-            crate::record::fnv1a(&bytes)
         )));
     }
     io.add_read(bytes.len() as u64);
@@ -64,22 +49,11 @@ pub fn read_footer(path: &Path) -> Result<Footer> {
 /// Validate size + magic and return the footer; leaves the cursor at the
 /// start of the file.
 fn load_footer(file: &mut File, len: u64, path: &Path) -> Result<Footer> {
-    if len < Footer::BYTES as u64 {
-        return Err(StreamError::Corrupt(format!(
-            "{} has {len} bytes, too short for the {}-byte footer",
-            path.display(),
-            Footer::BYTES
-        )));
-    }
-    file.seek(SeekFrom::End(-(Footer::BYTES as i64)))?;
     let mut buf = [0u8; Footer::BYTES];
-    file.read_exact(&mut buf)?;
-    let footer = Footer::decode(&buf).ok_or_else(|| {
-        StreamError::Corrupt(format!(
-            "{} has no spill footer magic (truncated, foreign, or pre-footer file)",
-            path.display()
-        ))
-    })?;
+    let tail = &mut buf[..len.min(Footer::BYTES as u64) as usize];
+    file.seek(SeekFrom::End(-(tail.len() as i64)))?;
+    file.read_exact(tail)?;
+    let footer = Footer::decode(tail, Footer::SPILL, path)?;
     let data_len = len - Footer::BYTES as u64;
     if footer.records.checked_mul(KvPair::BYTES as u64) != Some(data_len) {
         return Err(StreamError::Corrupt(format!(

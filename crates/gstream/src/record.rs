@@ -11,6 +11,9 @@
 //! bit-flips all fail loudly as `StreamError::Corrupt` instead of silently
 //! mis-assembling. See ROBUSTNESS.md for the format.
 
+use std::path::Path;
+use stdx::bytes::Cursor;
+
 /// A `(fingerprint, vertex-id)` pair. The paper's "key-value pair": the key
 /// is the 128-bit fingerprint of an l-length suffix or prefix, the value the
 /// id of the read (vertex) it came from.
@@ -225,84 +228,64 @@ impl Default for Xxh64 {
     }
 }
 
-/// Fixed trailer of every spill/run file: written by `RecordWriter::finish`
-/// at the commit point, verified by `RecordReader` on open (size/magic) and
-/// on drain (checksum).
+/// The 24-byte trailer of every durable file, `magic ‖ records ‖ checksum`
+/// as little-endian u64s, written at the commit point and checked on open.
+/// The magic names the format: [`Footer::SPILL`] for spill/run files
+/// ([`KvPair`] records, [`Xxh64`] checksum), [`Footer::BLOB`] for byte
+/// blobs such as contig stores and indexes (one record per payload byte,
+/// FNV-1a checksum).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Footer {
-    /// Number of [`KvPair`] records preceding the footer.
+    /// Records preceding the trailer.
     pub records: u64,
-    /// [`Xxh64`] over the encoded record bytes.
+    /// Checksum of the bytes preceding the trailer.
     pub checksum: u64,
 }
 
 impl Footer {
     /// `b"KVSPILL2"` little-endian — rejects footer-less and foreign files,
     /// `KVSPILL1` (FNV-1a checksummed) ones among them.
-    pub const MAGIC: u64 = u64::from_le_bytes(*b"KVSPILL2");
+    pub const SPILL: u64 = u64::from_le_bytes(*b"KVSPILL2");
+    /// `b"LASBLOB1"` little-endian.
+    pub const BLOB: u64 = u64::from_le_bytes(*b"LASBLOB1");
     /// Encoded size in bytes.
     pub const BYTES: usize = 24;
 
-    /// Serialize as `magic ‖ records ‖ checksum`, all little-endian u64.
-    pub fn encode(&self) -> [u8; Self::BYTES] {
+    /// Serialize behind `magic`.
+    pub fn encode(&self, magic: u64) -> [u8; Self::BYTES] {
         let mut out = [0u8; Self::BYTES];
-        out[..8].copy_from_slice(&Self::MAGIC.to_le_bytes());
+        out[..8].copy_from_slice(&magic.to_le_bytes());
         out[8..16].copy_from_slice(&self.records.to_le_bytes());
         out[16..24].copy_from_slice(&self.checksum.to_le_bytes());
         out
     }
 
-    /// Deserialize; `None` if the magic does not match.
-    pub fn decode(buf: &[u8; Self::BYTES]) -> Option<Footer> {
-        let magic = u64::from_le_bytes(buf[..8].try_into().expect("8-byte magic"));
-        if magic != Self::MAGIC {
-            return None;
+    /// Decode the trailer of the file at `path` from its last bytes,
+    /// `tail` (the whole file when it is shorter than a trailer). A file
+    /// too short to hold one, or a magic other than `magic`, is corrupt.
+    pub fn decode(tail: &[u8], magic: u64, path: &Path) -> crate::Result<Footer> {
+        let source = path.to_string_lossy();
+        let mut c = Cursor::new(tail, &source);
+        if tail.len() < Self::BYTES {
+            let detail = format!("a {}-byte file cannot hold one", tail.len());
+            return Err(c.corrupt("trailer", detail).into());
         }
-        Some(Footer {
-            records: u64::from_le_bytes(buf[8..16].try_into().expect("8-byte count")),
-            checksum: u64::from_le_bytes(buf[16..24].try_into().expect("8-byte checksum")),
-        })
-    }
-}
-
-/// Fixed trailer of every durable byte blob (contig stores, minimizer
-/// indexes): written by [`crate::writer::write_blob`] at the commit point,
-/// verified by [`crate::reader::read_blob`] on open. Identical durability
-/// contract to [`Footer`], but framing arbitrary bytes instead of
-/// fixed-width records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BlobFooter {
-    /// Payload length in bytes.
-    pub len: u64,
-    /// FNV-1a 64 over the payload bytes.
-    pub checksum: u64,
-}
-
-impl BlobFooter {
-    /// `b"LASBLOB1"` little-endian — rejects footer-less and foreign files.
-    pub const MAGIC: u64 = u64::from_le_bytes(*b"LASBLOB1");
-    /// Encoded size in bytes.
-    pub const BYTES: usize = 24;
-
-    /// Serialize as `magic ‖ len ‖ checksum`, all little-endian u64.
-    pub fn encode(&self) -> [u8; Self::BYTES] {
-        let mut out = [0u8; Self::BYTES];
-        out[..8].copy_from_slice(&Self::MAGIC.to_le_bytes());
-        out[8..16].copy_from_slice(&self.len.to_le_bytes());
-        out[16..24].copy_from_slice(&self.checksum.to_le_bytes());
-        out
-    }
-
-    /// Deserialize; `None` if the magic does not match.
-    pub fn decode(buf: &[u8; Self::BYTES]) -> Option<BlobFooter> {
-        let magic = u64::from_le_bytes(buf[..8].try_into().expect("8-byte magic"));
-        if magic != Self::MAGIC {
-            return None;
+        let found = c.u64("trailer magic")?;
+        if found != magic {
+            let (want, got) = (magic.to_le_bytes(), found.to_le_bytes());
+            let detail = format!(
+                "{:?} is not {:?} (truncated, torn or foreign file)",
+                String::from_utf8_lossy(&got),
+                String::from_utf8_lossy(&want)
+            );
+            return Err(c.corrupt("trailer magic", detail).into());
         }
-        Some(BlobFooter {
-            len: u64::from_le_bytes(buf[8..16].try_into().expect("8-byte len")),
-            checksum: u64::from_le_bytes(buf[16..24].try_into().expect("8-byte checksum")),
-        })
+        let footer = Footer {
+            records: c.u64("trailer count")?,
+            checksum: c.u64("trailer checksum")?,
+        };
+        c.finish()?;
+        Ok(footer)
     }
 }
 
@@ -434,10 +417,13 @@ mod tests {
             records: 1234,
             checksum: 0xdead_beef,
         };
-        let mut buf = f.encode();
-        assert_eq!(Footer::decode(&buf), Some(f));
+        let path = Path::new("f.kv");
+        let mut buf = f.encode(Footer::SPILL);
+        assert_eq!(Footer::decode(&buf, Footer::SPILL, path).unwrap(), f);
+        assert!(Footer::decode(&buf, Footer::BLOB, path).is_err());
+        assert!(Footer::decode(&buf[1..], Footer::SPILL, path).is_err());
         buf[3] ^= 1;
-        assert_eq!(Footer::decode(&buf), None);
+        assert!(Footer::decode(&buf, Footer::SPILL, path).is_err());
     }
 
     #[test]

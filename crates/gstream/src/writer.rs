@@ -8,13 +8,13 @@
 //! the directory); [`RecordWriter::finish_scratch`] does not.
 
 use crate::iostats::IoStats;
-use crate::record::{BlobFooter, Footer, KvPair, Pairs, Xxh64};
+use crate::record::{Footer, KvPair, Pairs, Xxh64};
 use crate::{Result, StreamError};
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
-/// Durably write an arbitrary byte blob: payload + [`BlobFooter`] into
+/// Durably write an arbitrary byte blob: payload + [`Footer::BLOB`] into
 /// `<path>.tmp`, flush, `sync_all`, atomic rename, parent-directory fsync.
 /// The same commit discipline as [`RecordWriter::finish`], for artifacts
 /// that are not fixed-width record streams (contig stores, minimizer
@@ -22,13 +22,13 @@ use std::path::{Path, PathBuf};
 pub fn write_blob(path: &Path, payload: &[u8], io: &IoStats) -> Result<()> {
     let tmp = tmp_path(path);
     let write = || -> Result<()> {
-        let footer = BlobFooter {
-            len: payload.len() as u64,
+        let footer = Footer {
+            records: payload.len() as u64,
             checksum: crate::record::fnv1a(payload),
         };
         let mut file = BufWriter::with_capacity(1 << 16, File::create(&tmp)?);
         file.write_all(payload)?;
-        file.write_all(&footer.encode())?;
+        file.write_all(&footer.encode(Footer::BLOB))?;
         file.flush()?;
         file.get_ref().sync_all()?;
         drop(file);
@@ -229,7 +229,7 @@ impl RecordWriter {
             checksum: self.hasher.finish(),
         };
         let mut file = self.file.take().expect("writer already finished");
-        file.write_all(&footer.encode())?;
+        file.write_all(&footer.encode(Footer::SPILL))?;
         if how != Commit::Scratch {
             file.sync_all()?;
         }
@@ -325,8 +325,8 @@ mod tests {
         assert_eq!(footer.records, 1);
         let bytes = std::fs::read(&path).unwrap();
         assert_eq!(bytes.len(), KvPair::BYTES + Footer::BYTES);
-        let tail: [u8; Footer::BYTES] = bytes[KvPair::BYTES..].try_into().unwrap();
-        assert_eq!(Footer::decode(&tail), Some(footer));
+        let tail = &bytes[KvPair::BYTES..];
+        assert_eq!(Footer::decode(tail, Footer::SPILL, &path).unwrap(), footer);
     }
 
     #[test]

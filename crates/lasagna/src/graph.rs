@@ -18,6 +18,7 @@
 //! 4 + 1 bytes per vertex, the same footprint arithmetic as the paper's.
 
 use genome::readset::VertexId;
+use stdx::bytes::{put_u32, put_u64, Cursor};
 
 /// A directed overlap edge `(from, to, overlap)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -298,47 +299,43 @@ impl StringGraph {
         let n = self.out_target.len();
         let mut out = Vec::with_capacity(16 + n * 8 + self.out_bits.len() * 8);
         out.extend_from_slice(b"LSGR");
-        out.extend_from_slice(&(n as u32).to_le_bytes());
-        out.extend_from_slice(&self.edges.to_le_bytes());
-        for i in 0..n {
-            out.extend_from_slice(&self.out_target[i].to_le_bytes());
-            out.extend_from_slice(&self.out_overlap[i].to_le_bytes());
+        put_u32(&mut out, n as u32);
+        put_u64(&mut out, self.edges);
+        for (&target, &overlap) in self.out_target.iter().zip(&self.out_overlap) {
+            put_u32(&mut out, target);
+            put_u32(&mut out, overlap);
         }
-        for w in &self.out_bits {
-            out.extend_from_slice(&w.to_le_bytes());
+        for &w in &self.out_bits {
+            put_u64(&mut out, w);
         }
         out
     }
 
-    /// Reconstruct from [`StringGraph::to_bytes`] output.
-    pub fn from_bytes(bytes: &[u8]) -> std::result::Result<Self, String> {
-        let take = |b: &[u8], at: usize, n: usize| -> std::result::Result<Vec<u8>, String> {
-            b.get(at..at + n)
-                .map(|s| s.to_vec())
-                .ok_or_else(|| "truncated graph image".to_string())
-        };
-        if bytes.get(..4) != Some(b"LSGR") {
-            return Err("bad graph magic".into());
+    /// Reconstruct from [`StringGraph::to_bytes`] output, the checkpoint
+    /// `graph.bin`. The vertex count is checked against the bytes that
+    /// follow before the graph is allocated; any failure is a
+    /// [`gstream::StreamError::Corrupt`] naming `graph.bin`.
+    pub fn from_bytes(bytes: &[u8]) -> gstream::Result<Self> {
+        let mut c = Cursor::new(bytes, "graph.bin");
+        if c.take(4, "graph magic")? != b"LSGR" {
+            return Err(c.corrupt("graph magic", "not LSGR").into());
         }
-        let n = u32::from_le_bytes(take(bytes, 4, 4)?.try_into().unwrap()) as usize;
-        let edges = u64::from_le_bytes(take(bytes, 8, 8)?.try_into().unwrap());
-        let mut g = StringGraph::new((n as u32 / 2) * 2);
-        if g.out_target.len() != n {
-            return Err("odd vertex count in image".into());
+        let n = c.u32("vertex count")?;
+        if n % 2 != 0 {
+            return Err(c.corrupt("vertex count", format!("{n} is odd")).into());
         }
-        let mut at = 16;
-        for i in 0..n {
-            g.out_target[i] = u32::from_le_bytes(take(bytes, at, 4)?.try_into().unwrap());
-            g.out_overlap[i] = u32::from_le_bytes(take(bytes, at + 4, 4)?.try_into().unwrap());
-            at += 8;
+        let edges = c.u64("edge count")?;
+        // 8 bytes of edge table a vertex, then its out-bit.
+        c.count(n.into(), 8, "vertex count")?;
+        let mut g = StringGraph::new(n);
+        for i in 0..n as usize {
+            g.out_target[i] = c.u32("out target")?;
+            g.out_overlap[i] = c.u32("out overlap")?;
         }
         for w in g.out_bits.iter_mut() {
-            *w = u64::from_le_bytes(take(bytes, at, 8)?.try_into().unwrap());
-            at += 8;
+            *w = c.u64("out bits")?;
         }
-        if at != bytes.len() {
-            return Err("trailing bytes in graph image".into());
-        }
+        c.finish()?;
         g.edges = edges;
         Ok(g)
     }

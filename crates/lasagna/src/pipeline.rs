@@ -390,7 +390,7 @@ impl Pipeline {
         let _graph_guard = self.host.reserve(graph.memory_bytes())?;
         if manifest.is_done("reduce") && graph_path.exists() {
             let bytes = std::fs::read(&graph_path).map_err(gstream::StreamError::from)?;
-            graph = StringGraph::from_bytes(&bytes).map_err(crate::LasagnaError::BadConfig)?;
+            graph = StringGraph::from_bytes(&bytes)?;
             drop(rec.span("reduce (resumed)"));
         } else {
             self.phase("reduce", || {

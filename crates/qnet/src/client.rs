@@ -117,12 +117,11 @@ const READ_AHEAD_BYTES: usize = 8 << 10;
 /// Bytes still missing from the first frame in `buf`, or `None` when its
 /// header names a length over [`gstream::MAX_FRAME_BYTES`].
 fn frame_shortfall(buf: &[u8]) -> Option<usize> {
-    let Some(len) = buf.get(..4) else {
+    if buf.len() < 4 {
         return Some(gstream::FRAME_HEADER_BYTES - buf.len());
-    };
-    let len = u32::from_le_bytes(len.try_into().expect("four bytes")) as usize;
-    (len <= gstream::MAX_FRAME_BYTES)
-        .then(|| (gstream::FRAME_HEADER_BYTES + len).saturating_sub(buf.len()))
+    }
+    let len = gstream::frame_len(buf, "").ok()?;
+    Some((gstream::FRAME_HEADER_BYTES + len).saturating_sub(buf.len()))
 }
 
 /// Write as much of `wire` as a non-blocking socket takes now; returns

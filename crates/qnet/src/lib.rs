@@ -197,6 +197,15 @@ pub(crate) fn sock_readable(sock: &std::net::TcpStream) -> bool {
     }
 }
 
+impl From<stdx::bytes::Corrupt> for QnetError {
+    fn from(e: stdx::bytes::Corrupt) -> Self {
+        QnetError::Corrupt {
+            detail: e.message(),
+            peer: e.source,
+        }
+    }
+}
+
 /// Map a [`gstream::StreamError`] from the framing layer onto a qnet
 /// error, attributing corruption to `peer`.
 pub(crate) fn from_stream(e: gstream::StreamError, peer: &str) -> QnetError {

@@ -41,7 +41,6 @@ pub mod generations;
 pub mod minimizer;
 pub mod service;
 pub mod store;
-mod wire;
 
 pub use admission::{AdmissionConfig, FairAdmission, FairShed};
 pub use engine::{

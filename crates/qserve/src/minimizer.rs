@@ -21,10 +21,10 @@
 //! so the result is byte-identical regardless of thread count.
 
 use crate::store::ContigStore;
-use crate::wire::{put_u32, put_u64, Cursor};
 use genome::PackedSeq;
 use gstream::{IoStats, StreamError};
 use std::path::Path;
+use stdx::bytes::{put_u32, put_u64, Cursor};
 use stdx::splitmix64;
 
 /// Leading payload magic: `LASMIDX1`.
@@ -286,35 +286,35 @@ impl MinimizerIndex {
 
     /// Decode a validated payload. `path` is only used to name errors.
     pub fn decode(payload: &[u8], path: &Path) -> gstream::Result<MinimizerIndex> {
-        let mut cur = Cursor::new(payload, path);
+        let source = path.to_string_lossy();
+        let mut cur = Cursor::new(payload, &source);
         let magic = cur.u64("index magic")?;
         if magic != INDEX_MAGIC {
-            return Err(cur.corrupt(&format!(
-                "bad index magic {magic:#018x} (expected {INDEX_MAGIC:#018x})"
-            )));
+            let detail = format!("{magic:#018x} is not {INDEX_MAGIC:#018x}");
+            return Err(cur.corrupt("index magic", detail).into());
         }
         let k = cur.u32("k")?;
         let w = cur.u32("w")?;
         if !(1..=MAX_K as u32).contains(&k) || w == 0 {
-            return Err(cur.corrupt(&format!("implausible parameters k={k} w={w}")));
+            let detail = format!("implausible parameters k={k} w={w}");
+            return Err(cur.corrupt("k and w", detail).into());
         }
         let store_checksum = cur.u64("store checksum")?;
         let count = cur.u64("postings count")?;
-        if count.saturating_mul(16) > payload.len() as u64 || count > u32::MAX as u64 {
-            return Err(cur.corrupt(&format!(
-                "implausible postings count {count} in a {}-byte payload",
-                payload.len()
-            )));
+        if count > u32::MAX as u64 {
+            let detail = format!("{count} postings overflow a u32 position");
+            return Err(cur.corrupt("postings count", detail).into());
         }
-        let mut hashes = Vec::with_capacity(count as usize);
-        let mut postings = Vec::with_capacity(count as usize);
-        for i in 0..count {
-            let hash = cur.u64(&format!("hash of posting {i}"))?;
-            let contig = cur.u32(&format!("contig of posting {i}"))?;
-            let offset = cur.u32(&format!("offset of posting {i}"))?;
+        let count = cur.count(count, 16, "postings count")?;
+        let mut hashes = Vec::with_capacity(count);
+        let mut postings = Vec::with_capacity(count);
+        for _ in 0..count {
+            let hash = cur.u64("posting hash")?;
+            let contig = cur.u32("posting contig")?;
+            let offset = cur.u32("posting offset")?;
             if let (Some(&ph), Some(&pp)) = (hashes.last(), postings.last()) {
                 if (ph, pp) > (hash, (contig, offset)) {
-                    return Err(cur.corrupt(&format!("postings out of order at entry {i}")));
+                    return Err(cur.corrupt("posting hash", "postings out of order").into());
                 }
             }
             hashes.push(hash);

@@ -6,15 +6,15 @@
 //! durability and integrity story lives one layer down: the whole payload
 //! travels through [`gstream::write_blob`] / [`gstream::read_blob`], which
 //! give it the same tmp-file + fsync + atomic-rename commit and
-//! checksummed [`gstream::BlobFooter`] as every spill file. A torn or
+//! checksummed [`gstream::Footer`] as every spill file. A torn or
 //! bit-flipped store therefore fails [`ContigStore::open`] loudly as
 //! [`StreamError::Corrupt`] with the file path named — it can never serve
 //! garbage sequence.
 
-use crate::wire::{put_u64, Cursor};
 use genome::PackedSeq;
 use gstream::{IoStats, StreamError};
 use std::path::Path;
+use stdx::bytes::{put_u64, Cursor};
 
 /// Leading payload magic: `LASTIG01` (distinct from the blob footer's).
 pub const STORE_MAGIC: u64 = u64::from_le_bytes(*b"LASTIG01");
@@ -57,17 +57,7 @@ impl ContigStore {
             put_u64(&mut buf, c.len() as u64);
         }
         for c in contigs {
-            let mut byte = 0u8;
-            for (i, b) in c.iter().enumerate() {
-                byte |= b.code() << (2 * (i % 4));
-                if i % 4 == 3 {
-                    buf.push(byte);
-                    byte = 0;
-                }
-            }
-            if c.len() % 4 != 0 {
-                buf.push(byte);
-            }
+            c.extend_le_bytes(&mut buf);
         }
         buf
     }
@@ -106,40 +96,29 @@ impl ContigStore {
 
     /// Decode a validated payload. `path` is only used to name errors.
     pub fn decode(payload: &[u8], path: &Path) -> gstream::Result<ContigStore> {
-        let mut cur = Cursor::new(payload, path);
+        let source = path.to_string_lossy();
+        let mut cur = Cursor::new(payload, &source);
         let magic = cur.u64("store magic")?;
         if magic != STORE_MAGIC {
-            return Err(cur.corrupt(&format!(
-                "bad store magic {magic:#018x} (expected {STORE_MAGIC:#018x})"
-            )));
+            let detail = format!("{magic:#018x} is not {STORE_MAGIC:#018x}");
+            return Err(cur.corrupt("store magic", detail).into());
         }
         let count = cur.u64("contig count")?;
         let total = cur.u64("total bases")?;
-        // A count or total that cannot fit the payload is a corruption,
-        // not an allocation request.
-        if count.saturating_mul(8) > payload.len() as u64 || total / 4 > payload.len() as u64 {
-            return Err(cur.corrupt(&format!(
-                "implausible header: {count} contigs / {total} bases in a {}-byte payload",
-                payload.len()
-            )));
+        let count = cur.count(count, 8, "contig count")?;
+        let mut lens = Vec::with_capacity(count);
+        for _ in 0..count {
+            lens.push(cur.u64("contig length")?);
         }
-        let mut lens = Vec::with_capacity(count as usize);
-        for i in 0..count {
-            lens.push(cur.u64(&format!("length of contig {i}"))? as usize);
+        if lens.iter().try_fold(0u64, |sum, &l| sum.checked_add(l)) != Some(total) {
+            let detail = "contig lengths disagree with the header total";
+            return Err(cur.corrupt("contig length", detail).into());
         }
-        if lens.iter().map(|&l| l as u64).sum::<u64>() != total {
-            return Err(cur.corrupt("contig lengths disagree with the header total"));
-        }
-        let mut contigs = Vec::with_capacity(count as usize);
-        let mut codes = Vec::new();
-        for (i, &len) in lens.iter().enumerate() {
-            let bytes = cur.bytes(len.div_ceil(4), &format!("bases of contig {i}"))?;
-            codes.clear();
-            codes.reserve(len);
-            for j in 0..len {
-                codes.push((bytes[j / 4] >> (2 * (j % 4))) & 3);
-            }
-            contigs.push(PackedSeq::from_codes(&codes));
+        let mut contigs = Vec::with_capacity(count);
+        for len in lens {
+            let len = len as usize;
+            let bytes = cur.take(len.div_ceil(4), "contig bases")?;
+            contigs.push(PackedSeq::from_le_bytes(bytes, len));
         }
         cur.finish()?;
         Ok(ContigStore {

@@ -1,8 +1,12 @@
 //! # stdx — what the workspace needs beyond `std`, and nothing else
 //!
-//! The workspace has no third-party dependencies. The three things std
+//! The workspace has no third-party dependencies. The four things std
 //! lacks and more than one crate needs live here, each exactly once:
 //!
+//! * [`bytes`] — the one bounded byte reader, [`bytes::Cursor`], and its
+//!   little-endian writers: every binary format (wire frames, contig
+//!   stores, indexes, graph images, staged reads, file trailers) decodes
+//!   through it into a [`bytes::Corrupt`] naming source, field and offset;
 //! * [`json`] — an ordered [`json::Value`], a depth-capped parser with
 //!   typed errors, compact and pretty writers, and [`json::ToJson`] /
 //!   [`json::FromJson`] with [`impl_json!`] for plain structs and unit
@@ -16,6 +20,7 @@
 //!
 //! [`lock`] is the workspace's non-poisoning mutex acquire.
 
+pub mod bytes;
 pub mod json;
 mod rng;
 mod tempdir;

@@ -1,11 +1,15 @@
-//! A hostile frame payload cannot make the decoder reserve memory its
-//! bytes do not back. Each payload below claims a huge element count
-//! and then ends; decoding must fail with a typed `Corrupt` without one
-//! large allocation. A counting global allocator records the largest
-//! single allocation the decoding thread makes, which is why this file
-//! is a test binary of its own.
+//! A hostile payload cannot make a decoder reserve memory its bytes do
+//! not back. Each payload below, a frame, a contig store, a minimizer
+//! index or a graph checkpoint, claims a huge element count and then
+//! ends; decoding must fail with a typed `Corrupt` without one large
+//! allocation. A counting global allocator records the largest single
+//! allocation the decoding thread makes, which is why this file is a
+//! test binary of its own.
 
+use lasagna_repro::gstream::{self, StreamError};
+use lasagna_repro::lasagna::StringGraph;
 use lasagna_repro::qnet::{QnetError, Request, Response};
+use lasagna_repro::qserve::{ContigStore, MinimizerIndex};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -60,6 +64,22 @@ fn u64le(v: u64) -> [u8; 8] {
     v.to_le_bytes()
 }
 
+fn qnet_corrupt<T>(r: Result<T, QnetError>) -> Result<(), String> {
+    match r {
+        Err(QnetError::Corrupt { .. }) => Ok(()),
+        Err(e) => Err(format!("{e:?}")),
+        Ok(_) => Err("a successful decode".into()),
+    }
+}
+
+fn stream_corrupt<T>(r: gstream::Result<T>) -> Result<(), String> {
+    match r {
+        Err(StreamError::Corrupt(_)) => Ok(()),
+        Err(e) => Err(format!("{e:?}")),
+        Ok(_) => Err("a successful decode".into()),
+    }
+}
+
 #[test]
 fn hostile_counts_fail_without_reserving_memory() {
     // Query (request tag 1): id, deadline, client id "c", then a read
@@ -97,21 +117,48 @@ fn hostile_counts_fail_without_reserving_memory() {
     }
     stats.extend(u32le(1 << 16));
 
-    type Decode = fn(&[u8]) -> Option<QnetError>;
-    let cases: [(&str, &[u8], Decode); 4] = [
-        ("Query", &query, |b| Request::decode(b, "peer").err()),
-        ("ShardCandidates", &shard_candidates, |b| {
-            Response::decode(b, "peer").err()
+    // A contig store (`LASTIG01`) claiming 2^40 contigs.
+    let store = [&b"LASTIG01"[..], &u64le(1 << 40), &u64le(0)].concat();
+    // A minimizer index (`LASMIDX1`, k = 15, w = 8) claiming u32::MAX
+    // postings.
+    let index = [
+        &b"LASMIDX1"[..],
+        &u32le(15),
+        &u32le(8),
+        &u64le(0),
+        &u64le(u32::MAX as u64),
+    ]
+    .concat();
+    // A graph checkpoint claiming 2^24 vertices: 8 bytes of edge table
+    // each, 128 MiB, in a 16-byte image.
+    let graph = [&b"LSGR"[..], &u32le(1 << 24), &u64le(0)].concat();
+
+    /// `Ok` when decoding failed with the format's typed `Corrupt`.
+    type Decode = fn(&[u8]) -> Result<(), String>;
+    let cases: [(&str, &[u8], Decode); 7] = [
+        ("Query", &query, |b| {
+            qnet_corrupt(Request::decode(b, "peer"))
         }),
-        ("Hits", &hits, |b| Response::decode(b, "peer").err()),
-        ("Stats", &stats, |b| Response::decode(b, "peer").err()),
+        ("ShardCandidates", &shard_candidates, |b| {
+            qnet_corrupt(Response::decode(b, "peer"))
+        }),
+        ("Hits", &hits, |b| qnet_corrupt(Response::decode(b, "peer"))),
+        ("Stats", &stats, |b| {
+            qnet_corrupt(Response::decode(b, "peer"))
+        }),
+        ("store", &store, |b| {
+            stream_corrupt(ContigStore::decode(b, "hostile.store".as_ref()))
+        }),
+        ("index", &index, |b| {
+            stream_corrupt(MinimizerIndex::decode(b, "hostile.mdx".as_ref()))
+        }),
+        ("graph", &graph, |b| {
+            stream_corrupt(StringGraph::from_bytes(b))
+        }),
     ];
     for (name, payload, decode) in cases {
         let (err, largest) = largest_allocation(|| decode(payload));
-        assert!(
-            matches!(err, Some(QnetError::Corrupt { .. })),
-            "{name}: expected Corrupt, got {err:?}"
-        );
+        assert!(err.is_ok(), "{name}: expected Corrupt, got {err:?}");
         assert!(
             largest <= LIMIT,
             "{name}: a {}-byte payload made a {largest}-byte allocation",
