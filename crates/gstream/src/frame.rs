@@ -23,6 +23,9 @@ pub const FRAME_HEADER_BYTES: usize = 12;
 /// "implausible header" discipline as `ContigStore::decode`.
 pub const MAX_FRAME_BYTES: usize = 64 << 20;
 
+/// The most [`read_frame`] reserves for a payload before its bytes arrive.
+const PAYLOAD_RESERVE_BYTES: usize = 64 << 10;
+
 /// Write one frame: header then payload, no flush.
 ///
 /// Payloads above [`MAX_FRAME_BYTES`] are a caller bug surfaced as
@@ -105,14 +108,14 @@ pub fn read_frame<R: Read>(r: &mut R, peer: &str) -> crate::Result<Option<Vec<u8
     }
     let len = frame_len(&header, peer)?;
     let expected = u64::from_le_bytes(header[4..].try_into().unwrap());
-    let mut payload = vec![0u8; len];
-    match fill(r, &mut payload)? {
-        Fill::Full => {}
-        Fill::CleanEof | Fill::Torn { .. } => {
-            return Err(StreamError::Corrupt(format!(
-                "peer {peer}: stream ended inside a {len}-byte frame payload"
-            )))
-        }
+    // The buffer grows as bytes arrive, so a header that claims a huge
+    // payload costs no more memory than the bytes that really follow.
+    let mut payload = Vec::with_capacity(len.min(PAYLOAD_RESERVE_BYTES));
+    r.take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() < len {
+        return Err(StreamError::Corrupt(format!(
+            "peer {peer}: stream ended inside a {len}-byte frame payload"
+        )));
     }
     let actual = fnv1a(&payload);
     if actual != expected {

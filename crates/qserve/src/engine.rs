@@ -18,14 +18,22 @@
 //!    The reverse strand is compared from the read's own words, never a
 //!    materialised complement.
 //!
-//! Postings are read straight from the resident, sorted index: a lookup is
-//! one directory load and a short scan returning a borrowed slice, so the
-//! engine has no interior state. The tie-break order below is total, which
-//! makes query answers independent of worker count and batch order — the
-//! property the golden tests pin down.
+//! The engine resolves a whole batch of reads in one pass
+//! ([`QueryEngine::query_batch`], [`QueryEngine::query_candidates_batch`]):
+//! one [`Extractor`] pulls every read's seeds into one list, each index
+//! lookup step runs over all of them before the next (directory bucket,
+//! hash run, postings), so the loads of different seeds overlap rather
+//! than chaining, and each (read, strand) is then voted and verified in
+//! one reused buffer pair. The per-read entry points are batches of one.
+//!
+//! Postings are read straight from the resident, sorted index as borrowed
+//! slices, so the engine has no interior state. The tie-break order below
+//! is total, which makes query answers independent of worker count, batch
+//! order and batch split — the property the golden tests pin down.
 
-use crate::minimizer::{strand_minimizers, MinimizerIndex};
+use crate::minimizer::{Extractor, MinimizerIndex};
 use crate::store::ContigStore;
+use genome::PackedSeq;
 use gstream::IoStats;
 use std::path::Path;
 
@@ -101,6 +109,20 @@ pub struct CacheStats {
     pub misses: u64,
 }
 
+/// One owned seed of a batch: a minimizer of one strand of one read, and
+/// the index entry range its lookup has narrowed to so far.
+#[derive(Clone, Copy)]
+struct Seed {
+    hash: u64,
+    /// `read · 2 + strand`, strand 1 being the reverse complement.
+    tag: u32,
+    /// The minimizer's offset in its strand.
+    read_off: u32,
+    /// The hash's directory bucket after the first lookup step, its run
+    /// of entries after the second.
+    range: (u32, u32),
+}
+
 /// The resolution engine: store + index + config.
 ///
 /// Shared read-only across the [`QueryService`] worker pool; it has no
@@ -158,56 +180,33 @@ impl QueryEngine {
         CacheStats::default()
     }
 
-    /// Seed: every placement `(contig, start-of-read-in-contig)` that the
-    /// `seeds` of a `read_len`-base strand vote for, with its vote count,
-    /// in `(contig, offset)` order. A shard skips the seeds another shard
-    /// owns without touching its directory: they have no postings here.
-    fn voted_placements(&self, read_len: usize, seeds: &[(u64, u32)]) -> Vec<((u32, u32), u32)> {
-        let mut starts: Vec<(u32, u32)> = Vec::new();
-        for &(hash, read_off) in seeds {
-            if !self.index.owns(hash) {
-                continue;
-            }
-            for &(contig, contig_off) in self.index.postings(hash) {
-                let Some(start) = contig_off.checked_sub(read_off) else {
-                    continue; // read would hang off the contig's left edge
-                };
-                let clen = self.store.contig(contig as usize).len();
-                if start as usize + read_len > clen {
-                    continue; // hangs off the right edge
-                }
-                starts.push((contig, start));
-            }
-        }
-        starts.sort_unstable();
-        let mut voted: Vec<((u32, u32), u32)> = Vec::new();
-        for placement in starts {
-            match voted.last_mut() {
-                Some((p, v)) if *p == placement => *v += 1,
-                _ => voted.push((placement, 1)),
-            }
-        }
-        voted
+    /// Resolve one read. Returns the best placement within the mismatch
+    /// budget, or `None` if nothing verifies. A batch of one.
+    pub fn query(&self, read: &PackedSeq) -> Option<Hit> {
+        self.query_batch(std::slice::from_ref(read)).pop().flatten()
     }
 
-    /// Resolve one read. Returns the best placement within the mismatch
-    /// budget, or `None` if nothing verifies.
-    pub fn query(&self, read: &genome::PackedSeq) -> Option<Hit> {
-        if read.len() < self.index.k() {
-            return None;
-        }
-        let strands = strand_minimizers(read, self.index.k(), self.index.w());
-        let mut best: Option<Hit> = None;
-        for (reverse, seeds) in [false, true].into_iter().zip(strands) {
+    /// Every placement this engine's postings vote for, verified, in
+    /// `(reverse, contig, offset)` order — the shard half of the
+    /// scatter-gather protocol (see [`Candidate`]). A batch of one.
+    pub fn query_candidates(&self, read: &PackedSeq) -> Vec<Candidate> {
+        self.query_candidates_batch(std::slice::from_ref(read))
+            .pop()
+            .unwrap_or_default()
+    }
+
+    /// [`Self::query`] for each of `reads`, in one engine pass.
+    pub fn query_batch(&self, reads: &[PackedSeq]) -> Vec<Option<Hit>> {
+        let mut best: Vec<Option<Hit>> = vec![None; reads.len()];
+        self.resolve(reads, |r, reverse, voted| {
             // Rank: most votes first, then (contig, offset) for a total,
             // deterministic order before truncation.
-            let mut candidates = self.voted_placements(read.len(), &seeds);
-            candidates.retain(|&(_, v)| v >= self.cfg.min_votes);
-            candidates.sort_unstable_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-            candidates.truncate(self.cfg.max_candidates);
+            voted.retain(|&(_, v)| v >= self.cfg.min_votes);
+            voted.sort_unstable_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+            voted.truncate(self.cfg.max_candidates);
             // Verify: exact-diagonal comparison with early bail-out.
-            for ((contig, start), v) in candidates {
-                let Some(mm) = self.verify(read, reverse, contig, start) else {
+            for &((contig, start), votes) in voted.iter() {
+                let Some(mm) = self.verify(&reads[r], reverse, contig, start) else {
                     continue;
                 };
                 let hit = Hit {
@@ -215,51 +214,110 @@ impl QueryEngine {
                     offset: start,
                     reverse,
                     mismatches: mm,
-                    votes: v,
+                    votes,
                 };
-                if best.is_none_or(|b| hit_rank(&hit) < hit_rank(&b)) {
-                    best = Some(hit);
+                if best[r].is_none_or(|b| hit_rank(&hit) < hit_rank(&b)) {
+                    best[r] = Some(hit);
                 }
             }
-        }
+        });
         best
     }
 
-    /// Every placement this engine's postings vote for, verified, in
-    /// `(reverse, contig, offset)` order — the shard half of the
-    /// scatter-gather protocol (see [`Candidate`]). Unlike
-    /// [`Self::query`], nothing is filtered by `min_votes` or truncated
-    /// to `max_candidates`: those cuts depend on global vote counts, so
-    /// they belong to the merge side ([`select_hit`]).
-    pub fn query_candidates(&self, read: &genome::PackedSeq) -> Vec<Candidate> {
-        if read.len() < self.index.k() {
-            return Vec::new();
-        }
-        let strands = strand_minimizers(read, self.index.k(), self.index.w());
-        let mut out: Vec<Candidate> = Vec::new();
-        for (reverse, seeds) in [false, true].into_iter().zip(strands) {
-            for ((contig, start), v) in self.voted_placements(read.len(), &seeds) {
-                out.push(Candidate {
-                    contig,
-                    offset: start,
-                    reverse,
-                    votes: v,
-                    mismatches: self.verify(read, reverse, contig, start),
-                });
+    /// [`Self::query_candidates`] for each of `reads`, in one engine
+    /// pass. Unlike [`Self::query_batch`], nothing is filtered by
+    /// `min_votes` or truncated to `max_candidates`: those cuts depend on
+    /// global vote counts, so they belong to the merge side
+    /// ([`select_hit`]).
+    pub fn query_candidates_batch(&self, reads: &[PackedSeq]) -> Vec<Vec<Candidate>> {
+        let mut out: Vec<Vec<Candidate>> = vec![Vec::new(); reads.len()];
+        self.resolve(reads, |r, reverse, voted| {
+            out[r].extend(voted.iter().map(|&((contig, start), votes)| Candidate {
+                contig,
+                offset: start,
+                reverse,
+                votes,
+                mismatches: self.verify(&reads[r], reverse, contig, start),
+            }));
+        });
+        out
+    }
+
+    /// The seed stage of a batch. Hands `answer` every (read, strand) that
+    /// voted for at least one placement, forward strand first and reads in
+    /// order, as `(read index, reverse, placements with their votes)` with
+    /// the placements in `(contig, offset)` order; `answer` may reorder or
+    /// cut the buffer it is lent.
+    fn resolve(
+        &self,
+        reads: &[PackedSeq],
+        mut answer: impl FnMut(usize, bool, &mut Vec<((u32, u32), u32)>),
+    ) {
+        let (k, w) = (self.index.k(), self.index.w());
+        // Extract. A shard keeps only the seeds it owns: the others have
+        // no postings here, so their lookups are skipped.
+        let mut extractor = Extractor::default();
+        let mut seeds: Vec<Seed> = Vec::new();
+        for (r, read) in reads.iter().enumerate() {
+            let strands = extractor.extract(read, k, w, true);
+            for (strand, minima) in strands.into_iter().enumerate() {
+                let tag = u32::try_from(2 * r + strand).expect("a batch holds under 2^31 reads");
+                seeds.extend(
+                    minima
+                        .iter()
+                        .filter(|&&(hash, _)| self.index.owns(hash))
+                        .map(|&(hash, read_off)| Seed {
+                            hash,
+                            tag,
+                            read_off,
+                            range: (0, 0),
+                        }),
+                );
             }
         }
-        out
+        // Look up in stages: every seed's bucket, then every seed's hash
+        // run, then (below) every seed's postings slice. No load of one
+        // seed waits on another's.
+        for seed in &mut seeds {
+            seed.range = self.index.bucket(seed.hash);
+        }
+        for seed in &mut seeds {
+            seed.range = self.index.hash_run(seed.hash, seed.range);
+        }
+        // Vote each (read, strand) from its postings, then answer it.
+        let mut starts: Vec<(u32, u32)> = Vec::new();
+        let mut voted: Vec<((u32, u32), u32)> = Vec::new();
+        for group in seeds.chunk_by(|a, b| a.tag == b.tag) {
+            let (r, reverse) = (group[0].tag as usize / 2, group[0].tag % 2 == 1);
+            let read_len = reads[r].len();
+            starts.clear();
+            for seed in group {
+                for &(contig, contig_off) in self.index.postings_in(seed.range) {
+                    let Some(start) = contig_off.checked_sub(seed.read_off) else {
+                        continue; // read would hang off the contig's left edge
+                    };
+                    let clen = self.store.contig(contig as usize).len();
+                    if start as usize + read_len > clen {
+                        continue; // hangs off the right edge
+                    }
+                    starts.push((contig, start));
+                }
+            }
+            starts.sort_unstable();
+            voted.clear();
+            for &placement in &starts {
+                match voted.last_mut() {
+                    Some((p, v)) if *p == placement => *v += 1,
+                    _ => voted.push((placement, 1)),
+                }
+            }
+            answer(r, reverse, &mut voted);
+        }
     }
 
     /// Count mismatches of `read` (its reverse complement when `reverse`)
     /// against `contig` at `start`, or `None` once the budget is blown.
-    fn verify(
-        &self,
-        read: &genome::PackedSeq,
-        reverse: bool,
-        contig: u32,
-        start: u32,
-    ) -> Option<u32> {
+    fn verify(&self, read: &PackedSeq, reverse: bool, contig: u32, start: u32) -> Option<u32> {
         read.mismatches_at(
             reverse,
             self.store.contig(contig as usize),
@@ -287,28 +345,21 @@ where
     I: IntoIterator,
     I::Item: AsRef<[Candidate]>,
 {
-    use std::collections::BTreeMap;
-    let mut merged: BTreeMap<(bool, u32, u32), (u32, Option<u32>)> = BTreeMap::new();
+    let mut merged: Vec<Candidate> = Vec::new();
     for part in parts {
-        for c in part.as_ref() {
-            let slot = merged
-                .entry((c.reverse, c.contig, c.offset))
-                .or_insert((0, c.mismatches));
-            slot.0 += c.votes;
-        }
+        merged.extend_from_slice(part.as_ref());
     }
+    // Stable, so a placement's first report leads its run.
+    merged.sort_by_key(|c| (c.reverse, c.contig, c.offset));
+    merged.dedup_by(|later, first| {
+        let same = (later.reverse, later.contig, later.offset)
+            == (first.reverse, first.contig, first.offset);
+        if same {
+            first.votes += later.votes;
+        }
+        same
+    });
     merged
-        .into_iter()
-        .map(
-            |((reverse, contig, offset), (votes, mismatches))| Candidate {
-                contig,
-                offset,
-                reverse,
-                votes,
-                mismatches,
-            },
-        )
-        .collect()
 }
 
 /// Replay the single-node best-hit selection over a globally merged
@@ -354,8 +405,7 @@ pub fn select_hit(cfg: &QueryConfig, candidates: &[Candidate]) -> Option<Hit> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::minimizer::IndexConfig;
-    use genome::PackedSeq;
+    use crate::minimizer::{minimizers, IndexConfig};
 
     fn engine_over(contigs: &[&str], cfg: QueryConfig) -> QueryEngine {
         let contigs: Vec<PackedSeq> = contigs.iter().map(|s| s.parse().unwrap()).collect();
@@ -482,6 +532,212 @@ pub(crate) mod tests {
                 assert_eq!(select_hit(&cfg, &merged), single, "cfg {cfg:?}");
             }
         }
+    }
+
+    /// The per-read extraction the batch pass replaced: each strand's
+    /// minimizers on their own, the complement built as a copy.
+    fn strand_minimizers(read: &PackedSeq, k: usize, w: usize) -> [Vec<(u64, u32)>; 2] {
+        [
+            minimizers(read, k, w),
+            minimizers(&read.reverse_complement(), k, w),
+        ]
+    }
+
+    /// The per-read vote the batch pass replaced: one whole lookup per
+    /// owned seed, then a sort and a run-length count of the placements.
+    fn voted_placements(
+        eng: &QueryEngine,
+        read_len: usize,
+        seeds: &[(u64, u32)],
+    ) -> Vec<((u32, u32), u32)> {
+        let mut starts: Vec<(u32, u32)> = Vec::new();
+        for &(hash, read_off) in seeds {
+            if !eng.index.owns(hash) {
+                continue;
+            }
+            for &(contig, contig_off) in eng.index.postings(hash) {
+                let Some(start) = contig_off.checked_sub(read_off) else {
+                    continue;
+                };
+                if start as usize + read_len > eng.store.contig(contig as usize).len() {
+                    continue;
+                }
+                starts.push((contig, start));
+            }
+        }
+        starts.sort_unstable();
+        let mut voted: Vec<((u32, u32), u32)> = Vec::new();
+        for placement in starts {
+            match voted.last_mut() {
+                Some((p, v)) if *p == placement => *v += 1,
+                _ => voted.push((placement, 1)),
+            }
+        }
+        voted
+    }
+
+    /// [`QueryEngine::query`] one read at a time, as it was resolved before
+    /// batches.
+    fn query_oracle(eng: &QueryEngine, read: &PackedSeq) -> Option<Hit> {
+        if read.len() < eng.index.k() {
+            return None;
+        }
+        let strands = strand_minimizers(read, eng.index.k(), eng.index.w());
+        let mut best: Option<Hit> = None;
+        for (reverse, seeds) in [false, true].into_iter().zip(strands) {
+            let mut candidates = voted_placements(eng, read.len(), &seeds);
+            candidates.retain(|&(_, v)| v >= eng.cfg.min_votes);
+            candidates.sort_unstable_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+            candidates.truncate(eng.cfg.max_candidates);
+            for ((contig, start), votes) in candidates {
+                let Some(mm) = eng.verify(read, reverse, contig, start) else {
+                    continue;
+                };
+                let hit = Hit {
+                    contig,
+                    offset: start,
+                    reverse,
+                    mismatches: mm,
+                    votes,
+                };
+                if best.is_none_or(|b| hit_rank(&hit) < hit_rank(&b)) {
+                    best = Some(hit);
+                }
+            }
+        }
+        best
+    }
+
+    /// [`QueryEngine::query_candidates`] one read at a time, as it was
+    /// resolved before batches.
+    fn candidates_oracle(eng: &QueryEngine, read: &PackedSeq) -> Vec<Candidate> {
+        if read.len() < eng.index.k() {
+            return Vec::new();
+        }
+        let strands = strand_minimizers(read, eng.index.k(), eng.index.w());
+        let mut out: Vec<Candidate> = Vec::new();
+        for (reverse, seeds) in [false, true].into_iter().zip(strands) {
+            for ((contig, start), votes) in voted_placements(eng, read.len(), &seeds) {
+                out.push(Candidate {
+                    contig,
+                    offset: start,
+                    reverse,
+                    votes,
+                    mismatches: eng.verify(read, reverse, contig, start),
+                });
+            }
+        }
+        out
+    }
+
+    /// A random batch over `contigs`: 0–70 reads of 0–150 bases, each an
+    /// exact copy, a copy with 1–3 substitutions, foreign, the reverse
+    /// complement of one of those, or a duplicate of an earlier read.
+    fn random_batch(rng: &mut stdx::SplitMix64, contigs: &[Vec<u8>]) -> Vec<PackedSeq> {
+        let mut reads: Vec<PackedSeq> = Vec::new();
+        for _ in 0..rng.below(71) {
+            let len = rng.below(151) as usize;
+            let kind = rng.below(5);
+            if kind == 4 && !reads.is_empty() {
+                let earlier = reads[rng.below(reads.len() as u64) as usize].clone();
+                reads.push(earlier);
+                continue;
+            }
+            let mut codes = if kind == 2 {
+                (0..len).map(|_| rng.below(4) as u8).collect()
+            } else {
+                let contig = &contigs[rng.below(contigs.len() as u64) as usize];
+                let len = len.min(contig.len());
+                let start = rng.below((contig.len() - len + 1) as u64) as usize;
+                contig[start..start + len].to_vec()
+            };
+            if (kind == 1 || (kind == 3 && rng.below(2) == 0)) && !codes.is_empty() {
+                for _ in 0..1 + rng.below(3) {
+                    let i = rng.below(codes.len() as u64) as usize;
+                    codes[i] = (codes[i] + 1 + rng.below(3) as u8) & 3;
+                }
+            }
+            let read = PackedSeq::from_codes(&codes);
+            reads.push(if kind == 3 {
+                read.reverse_complement()
+            } else {
+                read
+            });
+        }
+        reads
+    }
+
+    #[test]
+    fn batches_match_the_per_read_oracle() {
+        stdx::check_cases(64, |rng| {
+            // Two or three contigs; the second repeats 60 bases of the
+            // first, so some reads have two true placements.
+            let mut contigs: Vec<Vec<u8>> = (0..2 + rng.below(2))
+                .map(|_| rng.vec(150..400, |r| r.below(4) as u8))
+                .collect();
+            let repeat = contigs[0][20..80].to_vec();
+            contigs[1][10..70].copy_from_slice(&repeat);
+            let reads = random_batch(rng, &contigs);
+            let cfg = if rng.below(2) == 0 {
+                QueryConfig::default()
+            } else {
+                QueryConfig {
+                    max_mismatches: 1,
+                    max_candidates: 2,
+                    min_votes: 2,
+                }
+            };
+            let packed: Vec<PackedSeq> = contigs.iter().map(|c| PackedSeq::from_codes(c)).collect();
+            for (k, w) in [(7, 4), (15, 8)] {
+                let icfg = IndexConfig { k, w, threads: 1 };
+                let full = ContigStore::from_contigs(packed.clone());
+                for n_shards in 1..=3 {
+                    for shard in 0..n_shards {
+                        let index = MinimizerIndex::build_shard(&full, &icfg, shard, n_shards);
+                        let store = ContigStore::from_contigs(packed.clone());
+                        let eng = QueryEngine::new(store, index, cfg).unwrap();
+                        let at = format!("k {k} w {w} shard {shard}/{n_shards}");
+                        let hits: Vec<Option<Hit>> =
+                            reads.iter().map(|r| query_oracle(&eng, r)).collect();
+                        assert_eq!(eng.query_batch(&reads), hits, "{at}");
+                        let lists: Vec<Vec<Candidate>> =
+                            reads.iter().map(|r| candidates_oracle(&eng, r)).collect();
+                        assert_eq!(eng.query_candidates_batch(&reads), lists, "{at}");
+                    }
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn merge_sums_votes_over_unsorted_parts_and_keeps_the_first_verdict() {
+        let c = |reverse, contig, offset, votes, mismatches| Candidate {
+            contig,
+            offset,
+            reverse,
+            votes,
+            mismatches,
+        };
+        let first = vec![
+            c(true, 0, 5, 1, None),
+            c(false, 1, 3, 2, Some(0)),
+            c(false, 0, 9, 1, Some(1)),
+        ];
+        let second = vec![
+            c(false, 1, 3, 1, Some(2)),
+            c(false, 0, 2, 4, Some(0)),
+            c(true, 0, 5, 2, Some(0)),
+        ];
+        assert_eq!(
+            merge_candidates([first, second]),
+            vec![
+                c(false, 0, 2, 4, Some(0)),
+                c(false, 0, 9, 1, Some(1)),
+                c(false, 1, 3, 3, Some(0)),
+                c(true, 0, 5, 3, None),
+            ]
+        );
+        assert!(merge_candidates(Vec::<Vec<Candidate>>::new()).is_empty());
     }
 
     #[test]

@@ -10,19 +10,26 @@
 //!
 //! Extraction is one rolling pass over the 2-bit codes that keeps the
 //! forward and the reverse-complement k-mer codes together, so a read's
-//! two strands cost one walk; each strand's window minimum is tracked in
-//! place and rescanned over its `w` slots only when it leaves the window.
+//! two strands cost one walk. Each strand's window minimum is tracked in
+//! place; when it leaves the window, the `w` slots are rescanned with a
+//! select on the carried minimum rather than a branch. One [`Extractor`]
+//! keeps its hash and minimizer buffers from one sequence to the next,
+//! so a query batch or an index builder thread allocates them once.
 //!
 //! The index is a flat postings table — `(hash, contig, offset)` sorted
 //! lexicographically — with a derived bucket directory over the top
-//! ⌊log₂ n⌋ bits of the (uniform) hash: a lookup is one directory load
-//! and a scan of a short contiguous run. Building walks contigs in
-//! parallel (contiguous chunks across threads) and sorts once at the end,
-//! so the result is byte-identical regardless of thread count.
+//! ⌊log₂ n⌋ bits of the (uniform) hash. A lookup is three steps: the
+//! bucket's entry range from the directory, a scan of that short run for
+//! the hash, and the postings slice. The engine takes each step for all
+//! of a batch's seeds before the next, so the loads of different seeds
+//! overlap. Building walks contigs in parallel (contiguous chunks across
+//! threads) and sorts once at the end, so the result is byte-identical
+//! regardless of thread count.
 
 use crate::store::ContigStore;
 use genome::PackedSeq;
 use gstream::{IoStats, StreamError};
+use std::hint::select_unpredictable;
 use std::path::Path;
 use stdx::bytes::{put_u32, put_u64, Cursor};
 use stdx::splitmix64;
@@ -59,81 +66,113 @@ impl Default for IndexConfig {
 /// than `k`; a sequence shorter than a full window yields its single
 /// global minimum.
 pub fn minimizers(seq: &PackedSeq, k: usize, w: usize) -> Vec<(u64, u32)> {
-    let [fwd, _] = rolling_minimizers(seq, k, w, false);
-    fwd
+    let mut extractor = Extractor::default();
+    extractor.extract(seq, k, w, false);
+    std::mem::take(&mut extractor.minima[0])
 }
 
-/// [`minimizers`] of `seq` and of its reverse complement (each in its own
-/// offset order) from one rolling pass, without building the complement.
-pub(crate) fn strand_minimizers(seq: &PackedSeq, k: usize, w: usize) -> [Vec<(u64, u32)>; 2] {
-    rolling_minimizers(seq, k, w, true)
+/// The one minimizer extraction pass, with buffers kept from one sequence
+/// to the next: the k-mer hashes of both strands and the minimizers
+/// picked from them. A batch of reads, or one index builder thread's
+/// contigs, allocates them once.
+#[derive(Default)]
+pub(crate) struct Extractor {
+    /// k-mer hashes of the forward strand and of the reverse complement.
+    hashes: [Vec<u64>; 2],
+    /// The window minima picked from each of `hashes`.
+    minima: [Vec<(u64, u32)>; 2],
 }
 
-/// The one extraction pass behind [`minimizers`] and [`strand_minimizers`];
-/// the complement's slot is empty unless `with_reverse`.
-fn rolling_minimizers(
-    seq: &PackedSeq,
-    k: usize,
-    w: usize,
-    with_reverse: bool,
-) -> [Vec<(u64, u32)>; 2] {
-    assert!((1..=MAX_K).contains(&k), "k must be in 1..={MAX_K}");
-    assert!(w >= 1, "window must hold at least one k-mer");
-    let len = seq.len();
-    if len < k {
-        return [Vec::new(), Vec::new()];
-    }
-    let n = len - k + 1; // k-mer count
-    let mask = (1u64 << (2 * k)) - 1; // k <= 31, so the shift is < 64
-    let top = 2 * (k - 1);
-    let mut fwd = vec![0u64; n];
-    let mut rev = vec![0u64; if with_reverse { n } else { 0 }];
-    let (mut f, mut r) = (0u64, 0u64);
-    for (i, code) in seq.codes().enumerate() {
-        f = ((f << 2) | code as u64) & mask;
-        // The complement's k-mer reads right to left: each new base enters
-        // at the most significant end, complemented.
-        r = (r >> 2) | (((code ^ 3) as u64) << top);
-        if i + 1 >= k {
-            let s = i + 1 - k;
-            // The k-mer hash: a cheap invertible mix, uniform enough that
-            // the windowed minimum samples positions independent of base
-            // composition. Stored index files depend on its exact bits.
-            fwd[s] = splitmix64(f);
+impl Extractor {
+    /// [`minimizers`] of `seq` and, when `with_reverse`, of its reverse
+    /// complement (in the complement's own offset order; empty otherwise),
+    /// from one rolling pass that never builds the complement. The slices
+    /// live until the next call.
+    pub(crate) fn extract(
+        &mut self,
+        seq: &PackedSeq,
+        k: usize,
+        w: usize,
+        with_reverse: bool,
+    ) -> [&[(u64, u32)]; 2] {
+        assert!((1..=MAX_K).contains(&k), "k must be in 1..={MAX_K}");
+        assert!(w >= 1, "window must hold at least one k-mer");
+        let [fwd, rev] = &mut self.hashes;
+        fwd.clear();
+        rev.clear();
+        if seq.len() >= k {
+            let n = seq.len() - k + 1; // k-mer count
+            let mask = (1u64 << (2 * k)) - 1; // k <= 31, so the shift is < 64
+            let top = 2 * (k - 1);
+            fwd.resize(n, 0);
             if with_reverse {
-                // Forward offset s is offset n - 1 - s of the complement.
-                rev[n - 1 - s] = splitmix64(r);
+                rev.resize(n, 0);
             }
-        }
-    }
-    [window_minima(&fwd, w), window_minima(&rev, w)]
-}
-
-/// The leftmost minimum of every window of `w` consecutive `hashes` (or
-/// of all of them when fewer), consecutive repeats collapsed.
-fn window_minima(hashes: &[u64], w: usize) -> Vec<(u64, u32)> {
-    let n = hashes.len();
-    // Random sequence yields about 2 / (w + 1) minimizers per k-mer.
-    let mut out = Vec::with_capacity(2 * n / (w + 1) + 1);
-    let first_full = w.min(n); // windows exist from k-mer index first_full-1
-    let mut m = 0; // leftmost minimum of the window ending at i
-    for i in 0..n {
-        if hashes[i] < hashes[m] {
-            m = i;
-        } else if m + w <= i {
-            // The minimum left the window [i + 1 - w, i]: rescan it.
-            m = i + 1 - w;
-            for j in m + 1..=i {
-                if hashes[j] < hashes[m] {
-                    m = j;
+            let (mut f, mut r) = (0u64, 0u64);
+            for (i, code) in seq.codes().enumerate() {
+                f = ((f << 2) | code as u64) & mask;
+                // The complement's k-mer reads right to left: each new base
+                // enters at the most significant end, complemented.
+                r = (r >> 2) | (((code ^ 3) as u64) << top);
+                if i + 1 >= k {
+                    let s = i + 1 - k;
+                    // The k-mer hash: a cheap invertible mix, uniform
+                    // enough that the windowed minimum samples positions
+                    // independent of base composition. Stored index files
+                    // depend on its exact bits.
+                    fwd[s] = splitmix64(f);
+                    if with_reverse {
+                        // Forward offset s is offset n - 1 - s of the
+                        // complement.
+                        rev[n - 1 - s] = splitmix64(r);
+                    }
                 }
             }
         }
-        if i + 1 >= first_full && out.last().is_none_or(|&(_, o)| o != m as u32) {
-            out.push((hashes[m], m as u32));
+        for (hashes, minima) in self.hashes.iter().zip(&mut self.minima) {
+            window_minima(hashes, w, minima);
+        }
+        let [fwd, rev] = &self.minima;
+        [fwd, rev]
+    }
+}
+
+/// Replace `out` with the leftmost minimum of every window of `w`
+/// consecutive `hashes` (or of all of them when fewer), consecutive
+/// repeats collapsed.
+///
+/// The minimum is tracked in place; only when it leaves the window is the
+/// window rescanned, carrying the running minimum's value and picking the
+/// next one with a select rather than a branch on the hashes.
+fn window_minima(hashes: &[u64], w: usize, out: &mut Vec<(u64, u32)>) {
+    out.clear();
+    let Some(&first) = hashes.first() else {
+        return;
+    };
+    let n = hashes.len();
+    // Random sequence yields about 2 / (w + 1) minimizers per k-mer.
+    out.reserve(2 * n / (w + 1) + 1);
+    let first_full = w.min(n); // windows exist from k-mer index first_full-1
+    let (mut m, mut min) = (0, first);
+    let mut pushed = usize::MAX; // offset of the last minimizer out
+    for (i, &hash) in hashes.iter().enumerate() {
+        if hash < min {
+            (m, min) = (i, hash);
+        } else if m + w <= i {
+            // The minimum left the window [i + 1 - w, i]: rescan it.
+            m = i + 1 - w;
+            min = hashes[m];
+            for (j, &h) in (m + 1..).zip(&hashes[m + 1..=i]) {
+                let less = h < min;
+                m = select_unpredictable(less, j, m);
+                min = select_unpredictable(less, h, min);
+            }
+        }
+        if i + 1 >= first_full && pushed != m {
+            out.push((min, m as u32));
+            pushed = m;
         }
     }
-    out
 }
 
 /// Deterministic shard assignment for one minimizer hash among `n_shards`
@@ -352,14 +391,33 @@ impl MinimizerIndex {
     }
 
     /// All `(contig, offset)` postings for `hash` (possibly empty), in
-    /// (contig, offset) order.
+    /// (contig, offset) order: the three lookup steps below, for one hash.
     pub fn postings(&self, hash: u64) -> &[(u32, u32)] {
+        self.postings_in(self.hash_run(hash, self.bucket(hash)))
+    }
+
+    /// Lookup step 1: the entry range `dir[b]..dir[b + 1]` of `hash`'s
+    /// directory bucket `b`.
+    pub(crate) fn bucket(&self, hash: u64) -> (u32, u32) {
         let bucket = bucket_of(hash, self.dir_shift);
-        let (lo, hi) = (self.dir[bucket] as usize, self.dir[bucket + 1] as usize);
-        let run = &self.hashes[lo..hi];
-        let before = run.iter().take_while(|&&h| h < hash).count();
-        let equal = run[before..].iter().take_while(|&&h| h == hash).count();
-        &self.postings[lo + before..lo + before + equal]
+        (self.dir[bucket], self.dir[bucket + 1])
+    }
+
+    /// Lookup step 2: narrow the entry range of `hash`'s bucket to the run
+    /// of entries that carry `hash` (empty when there is none).
+    pub(crate) fn hash_run(&self, hash: u64, (lo, hi): (u32, u32)) -> (u32, u32) {
+        let run = &self.hashes[lo as usize..hi as usize];
+        let before = run.iter().take_while(|&&h| h < hash).count() as u32;
+        let equal = run[before as usize..]
+            .iter()
+            .take_while(|&&h| h == hash)
+            .count() as u32;
+        (lo + before, lo + before + equal)
+    }
+
+    /// Lookup step 3: the postings of an entry range.
+    pub(crate) fn postings_in(&self, (lo, hi): (u32, u32)) -> &[(u32, u32)] {
+        &self.postings[lo as usize..hi as usize]
     }
 
     /// Fail with `Corrupt` unless this index was built from exactly the
@@ -412,11 +470,11 @@ fn sorted_entries(store: &ContigStore, cfg: &IndexConfig) -> Vec<(u64, u32, u32)
         for start in (0..n).step_by(per) {
             let end = (start + per).min(n);
             parts.push(scope.spawn(move || {
+                let mut extractor = Extractor::default();
                 let mut out = Vec::new();
                 for ci in start..end {
-                    for (hash, off) in minimizers(store.contig(ci), k, w) {
-                        out.push((hash, ci as u32, off));
-                    }
+                    let [fwd, _] = extractor.extract(store.contig(ci), k, w, false);
+                    out.extend(fwd.iter().map(|&(hash, off)| (hash, ci as u32, off)));
                 }
                 out
             }));
@@ -496,12 +554,18 @@ mod tests {
             };
             let s = PackedSeq::from_codes(&rng.vec(len..len + 1, |r| r.below(alphabet) as u8));
             let rc = s.reverse_complement();
+            // One extractor for every (k, w): what a call leaves in its
+            // buffers must not leak into the next.
+            let mut extractor = Extractor::default();
             for k in [1, 2, 15, 31] {
                 for w in [1, 2, 8, 33] {
-                    let [fwd, rev] = strand_minimizers(&s, k, w);
+                    let [fwd, rev] = extractor.extract(&s, k, w, true);
                     assert_eq!(fwd, minimizers_deque(&s, k, w), "len {len} k {k} w {w}");
                     assert_eq!(rev, minimizers_deque(&rc, k, w), "len {len} k {k} w {w} rc");
                     assert_eq!(minimizers(&s, k, w), fwd);
+                    let [fwd_only, none] = extractor.extract(&s, k, w, false);
+                    assert_eq!(fwd_only, minimizers_deque(&s, k, w));
+                    assert!(none.is_empty());
                 }
             }
         });

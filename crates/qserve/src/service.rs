@@ -379,37 +379,32 @@ impl Shared {
         self.rec.counter_on(span, "qserve.queries", n);
         let traced = self.rec.is_enabled();
         // Per-read latency, split queue-wait / execute / total, in
-        // microseconds. One histogram event per chunk keeps the
-        // trace small; the rollup merges chunks exactly.
+        // microseconds. The engine resolves the chunk in one pass, so a
+        // read's answer is ready when its chunk's is: each read is charged
+        // the chunk's execution time. One histogram event per chunk keeps
+        // the trace small; the rollup merges chunks exactly.
         let queue_us = Instant::now()
             .saturating_duration_since(chunk.enqueued)
             .as_micros() as u64;
-        let mut exec_h = Histogram::new();
-        let mut total_h = Histogram::new();
-        let mut hit_answers: Vec<Option<Hit>> = Vec::new();
-        let mut cand_answers: Vec<Vec<Candidate>> = Vec::new();
-        for read in &chunk.reads {
-            let begun = Instant::now();
-            match chunk.mode {
-                BatchMode::Hits => {
-                    hit_answers.push(chunk.gen.engine.query(read));
-                }
-                BatchMode::Candidates => {
-                    cand_answers.push(chunk.gen.engine.query_candidates(read));
-                }
+        let begun = Instant::now();
+        let engine = &chunk.gen.engine;
+        let answers = match chunk.mode {
+            BatchMode::Hits => BatchResults::Hits(engine.query_batch(&chunk.reads)),
+            BatchMode::Candidates => {
+                BatchResults::Candidates(engine.query_candidates_batch(&chunk.reads))
             }
-            if traced {
-                let exec_us = begun.elapsed().as_micros() as u64;
-                exec_h.record(exec_us);
-                total_h.record(queue_us + exec_us);
-            }
-        }
+        };
         if traced {
-            let mut queue_h = Histogram::new();
-            queue_h.record_n(queue_us, n);
-            self.rec.histogram_on(span, "qserve.latency.queue", queue_h);
-            self.rec.histogram_on(span, "qserve.latency.exec", exec_h);
-            self.rec.histogram_on(span, "qserve.latency.total", total_h);
+            let exec_us = begun.elapsed().as_micros() as u64;
+            for (name, us) in [
+                ("qserve.latency.queue", queue_us),
+                ("qserve.latency.exec", exec_us),
+                ("qserve.latency.total", queue_us + exec_us),
+            ] {
+                let mut h = Histogram::new();
+                h.record_n(us, n);
+                self.rec.histogram_on(span, name, h);
+            }
         }
         faultsim::sched::point("qserve.chunk.respond");
         self.drained.fetch_add(n, Ordering::Relaxed);
@@ -426,16 +421,16 @@ impl Shared {
                 .results
                 .lock()
                 .unwrap_or_else(|e| e.into_inner());
-            match &mut *results {
-                BatchResults::Hits(slots) => {
-                    slots[chunk.start..chunk.start + hit_answers.len()]
-                        .clone_from_slice(&hit_answers);
+            match (&mut *results, answers) {
+                (BatchResults::Hits(slots), BatchResults::Hits(hits)) => {
+                    slots[chunk.start..chunk.start + hits.len()].copy_from_slice(&hits);
                 }
-                BatchResults::Candidates(slots) => {
-                    for (i, c) in cand_answers.into_iter().enumerate() {
-                        slots[chunk.start + i] = c;
+                (BatchResults::Candidates(slots), BatchResults::Candidates(lists)) => {
+                    for (slot, list) in slots[chunk.start..].iter_mut().zip(lists) {
+                        *slot = list;
                     }
                 }
+                _ => unreachable!("a chunk answers in its batch's mode"),
             }
         }
         let mut q = self.lock_queue();
@@ -977,6 +972,32 @@ mod tests {
             per_workers.push(svc.query_batch(batch.clone()).unwrap());
         }
         assert_eq!(per_workers[0], per_workers[1]);
+    }
+
+    #[test]
+    fn chunk_size_and_worker_count_do_not_change_answers() {
+        let eng = engine();
+        let mut batch = reads(150);
+        batch.push("ACG".parse().unwrap()); // shorter than k
+        batch.push("GTGTGTGTGTGTGTGTGTGTGTGTGTGT".parse().unwrap()); // foreign
+        batch.push(batch[4].clone());
+        let hits: Vec<Option<Hit>> = batch.iter().map(|r| eng.query(r)).collect();
+        let lists: Vec<Vec<Candidate>> = batch.iter().map(|r| eng.query_candidates(r)).collect();
+        let rec = Recorder::disabled();
+        for batch_chunk in [1, 7, 64] {
+            for workers in [1, 4] {
+                let cfg = ServiceConfig {
+                    workers,
+                    batch_chunk,
+                    max_queue: 256,
+                };
+                let svc = QueryService::start(engine(), cfg, &rec);
+                let at = format!("chunk {batch_chunk}, {workers} workers");
+                assert_eq!(svc.query_batch(batch.clone()).unwrap(), hits, "{at}");
+                let got = svc.query_batch_candidates(batch.clone()).unwrap();
+                assert_eq!(got, lists, "{at}");
+            }
+        }
     }
 
     #[test]

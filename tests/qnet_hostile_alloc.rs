@@ -2,16 +2,22 @@
 //! not back. Each payload below, a frame, a contig store, a minimizer
 //! index or a graph checkpoint, claims a huge element count and then
 //! ends; decoding must fail with a typed `Corrupt` without one large
-//! allocation. A counting global allocator records the largest single
-//! allocation the decoding thread makes, which is why this file is a
-//! test binary of its own.
+//! allocation. The same holds for a frame header on the wire that claims
+//! a huge payload and then closes. A counting global allocator records
+//! the largest single allocation the decoding thread makes, which is why
+//! this file is a test binary of its own.
 
+use lasagna_repro::genome::PackedSeq;
 use lasagna_repro::gstream::{self, StreamError};
 use lasagna_repro::lasagna::StringGraph;
-use lasagna_repro::qnet::{QnetError, Request, Response};
+use lasagna_repro::obs::Recorder;
+use lasagna_repro::qnet::{ClientConfig, QnetError, QueryClient, Request, Response};
 use lasagna_repro::qserve::{ContigStore, MinimizerIndex};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::io::{Read, Write};
+use std::net::TcpListener;
+use std::time::Duration;
 
 /// No single allocation while decoding may exceed this many bytes.
 const LIMIT: usize = 4 << 10;
@@ -185,5 +191,46 @@ fn hostile_counts_fail_without_reserving_memory() {
         largest <= long_read.len(),
         "a {}-byte payload made a {largest}-byte allocation",
         long_read.len()
+    );
+}
+
+#[test]
+fn a_frame_header_claiming_64_mib_costs_the_client_only_what_arrives() {
+    // A server that reads one request frame, answers with a header
+    // claiming the largest payload a frame may carry, and closes.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let server = std::thread::spawn(move || {
+        let (mut sock, _) = listener.accept().unwrap();
+        let mut header = [0u8; gstream::FRAME_HEADER_BYTES];
+        sock.read_exact(&mut header).unwrap();
+        let len = u32::from_le_bytes(header[..4].try_into().unwrap()) as usize;
+        sock.read_exact(&mut vec![0u8; len]).unwrap();
+        sock.write_all(&u32le(gstream::MAX_FRAME_BYTES as u32))
+            .unwrap();
+        sock.write_all(&u64le(0)).unwrap();
+    });
+    let mut client = QueryClient::new(
+        ClientConfig {
+            addr,
+            max_retries: 0,
+            read_timeout: Duration::from_secs(10),
+            ..ClientConfig::default()
+        },
+        &Recorder::disabled(),
+    );
+    let reads: Vec<PackedSeq> = vec!["ACGTACGTAC".parse().unwrap()];
+    let (err, largest) = largest_allocation(|| client.query_batch(&reads).err());
+    server.join().unwrap();
+    let err = err.expect("a frame torn after its header must not decode");
+    assert!(
+        matches!(err.last_attempt(), QnetError::Corrupt { .. }),
+        "{err:?}"
+    );
+    // The connection's own 8 KiB read buffer is above `LIMIT`; a payload
+    // buffer sized by the header would be 64 MiB.
+    assert!(
+        largest < 1 << 20,
+        "a 12-byte answer made a {largest}-byte allocation"
     );
 }
