@@ -445,3 +445,132 @@ fn unknown_options_exit_2_naming_the_flag() {
         assert!(stderr.contains(flag), "{command:?} {flag}: {stderr}");
     }
 }
+
+/// A spawned `lasagna-cli` server, killed on drop so that a failing
+/// assertion cannot leave it running.
+struct Spawned {
+    child: std::process::Child,
+    stdout: std::io::BufReader<std::process::ChildStdout>,
+}
+
+impl Spawned {
+    fn start(args: &[&str]) -> Spawned {
+        let mut child = cli()
+            .args(args)
+            .stdout(std::process::Stdio::piped())
+            .spawn()
+            .expect("spawn server");
+        let stdout = std::io::BufReader::new(child.stdout.take().unwrap());
+        Spawned { child, stdout }
+    }
+
+    /// The next stdout line, panicking if the server exits first.
+    fn line(&mut self) -> String {
+        use std::io::BufRead;
+        let mut line = String::new();
+        let n = self
+            .stdout
+            .read_line(&mut line)
+            .expect("read server stdout");
+        assert!(n > 0, "server exited: {:?}", self.child.wait());
+        line.trim_end().to_string()
+    }
+
+    /// Wait for the server to exit on its own; true when it exited 0.
+    fn exited_ok(mut self) -> bool {
+        self.child.wait().expect("wait server").success()
+    }
+}
+
+impl Drop for Spawned {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+/// Run one CLI command to success and return its stdout.
+fn run_ok(args: &[&str]) -> String {
+    let out = cli().args(args).output().expect("run");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{args:?}: {stderr}");
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+#[test]
+fn serving_commands_answer_alike_in_process_over_tcp_and_through_the_router() {
+    let dir = workdir("serving");
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let (reads, queries, work) = (path("reads.fastq"), path("queries.fastq"), path("work"));
+    let simulate = ["simulate", "--genome-len", "5000", "--seed", "7"];
+    run_ok(&[&simulate[..], &["--coverage", "10", "--out", &reads]].concat());
+    run_ok(&[
+        "assemble",
+        "--reads",
+        &reads,
+        "--out",
+        &path("contigs.fa"),
+        "--work",
+        &work,
+    ]);
+    run_ok(&["index", "--work", &work]);
+    let mut sim_queries = simulate.to_vec();
+    sim_queries.extend(["--coverage", "2", "--error-rate", "0.01", "--out", &queries]);
+    run_ok(&sim_queries);
+    let query = |arm: &[&str], out: &str| {
+        run_ok(&[&["query", "--reads", &queries, "--out", out], arm].concat());
+        std::fs::read_to_string(out).unwrap()
+    };
+
+    let in_process = query(&["--work", &work], &path("hits_work.tsv"));
+
+    let mut serve = Spawned::start(&["serve", "--work", &work, "--addr", "127.0.0.1:0"]);
+    let listening = serve.line();
+    let addr = listening.strip_prefix("listening ").expect(&listening);
+    let over_tcp = query(&["--connect", addr], &path("hits_connect.tsv"));
+    let stats = run_ok(&["stats", "--connect", addr, "--format", "tsv"]);
+    assert!(
+        stats.lines().any(|l| l.starts_with("accepted\t")),
+        "{stats}"
+    );
+    run_ok(&["shutdown", "--connect", addr]);
+    assert!(serve.exited_ok());
+
+    let manifest = path("cluster.json");
+    let mut cluster = Spawned::start(&[
+        "serve-cluster",
+        "--work",
+        &work,
+        "--shards",
+        "2",
+        "--replicas",
+        "1",
+        "--manifest",
+        &manifest,
+    ]);
+    let mut replicas = Vec::new();
+    loop {
+        let line = cluster.line();
+        if line.starts_with("cluster manifest") {
+            break;
+        }
+        replicas.push(line.rsplit(' ').next().unwrap().to_string());
+    }
+    assert_eq!(replicas.len(), 2, "{replicas:?}");
+    let routed = query(&["--router", &manifest], &path("hits_router.tsv"));
+    run_ok(&["shutdown", "--connect", &replicas[1]]);
+    assert!(cluster.exited_ok());
+
+    let legacy = run_ok(&["generations", "--work", &work]);
+    assert!(
+        legacy.contains("legacy single-generation layout"),
+        "{legacy}"
+    );
+
+    // 100 reads at 1 % error; 87 of them map onto this assembly.
+    let mapped = in_process.lines().filter(|l| !l.ends_with("\t*")).count();
+    assert_eq!(in_process.lines().count(), 100);
+    assert_eq!(mapped, 87, "{in_process}");
+    assert_eq!(over_tcp, in_process);
+    assert_eq!(routed, in_process);
+}
