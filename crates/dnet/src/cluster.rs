@@ -364,7 +364,7 @@ fn wipe_node_dirs(nodes: &[Node]) -> Result<()> {
         };
         wipe().map_err(|e| DnetError::Node {
             node: r,
-            message: e.to_string(),
+            message: StreamError::Io(e).to_string(),
         })?;
     }
     Ok(())
@@ -685,7 +685,7 @@ impl Cluster {
                 let dir = workdir.join(format!("node{i}"));
                 std::fs::create_dir_all(&dir).map_err(|e| DnetError::Node {
                     node: i,
-                    message: e.to_string(),
+                    message: StreamError::Io(e).to_string(),
                 })?;
                 let device = Device::with_capacity(cfg.gpu.clone(), cfg.device_capacity);
                 device.set_faults(self.faults.clone());
@@ -1540,7 +1540,7 @@ impl Workers<'_> {
                 sorter
                     .sort_file(&spill, &input, &sorted)
                     .map_err(|e| e.to_string())?;
-                std::fs::rename(&sorted, &input).map_err(|e| e.to_string())?;
+                std::fs::rename(&sorted, &input).map_err(|e| StreamError::Io(e).to_string())?;
             }
             // The renames are only crash-durable once the directory entries
             // are: the store below fsyncs this directory, after them and

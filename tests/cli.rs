@@ -399,6 +399,36 @@ fn assemble_distributed_roundtrip_resume_and_corrupt_log() {
 }
 
 #[test]
+fn assemble_distributed_io_failure_exits_5() {
+    // A regular file where node 0's directory must go: the I/O failure
+    // must exit 5, like the single-node assembler's.
+    let dir = workdir("distributed-io");
+    let reads = dir.join("reads.fastq");
+    let work = dir.join("dwork");
+    std::fs::create_dir_all(&work).unwrap();
+    std::fs::write(work.join("node0"), b"in the way").unwrap();
+    let simulate = cli()
+        .args(["simulate", "--genome-len", "3000", "--coverage", "8"])
+        .args(["--read-len", "60", "--seed", "23", "--out"])
+        .arg(&reads)
+        .status()
+        .expect("simulate");
+    assert!(simulate.success());
+    let run = cli()
+        .args(["assemble-distributed", "--reads"])
+        .arg(&reads)
+        .args(["--out"])
+        .arg(dir.join("contigs.fa"))
+        .args(["--work"])
+        .arg(&work)
+        .output()
+        .expect("assemble-distributed");
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(5), "{stderr}");
+    assert!(stderr.contains("I/O error"), "{stderr}");
+}
+
+#[test]
 fn unknown_options_exit_2_naming_the_flag() {
     // Each command is valid but for one option no subcommand reads (two
     // of them deleted flags). The CLI must refuse it by name instead of
