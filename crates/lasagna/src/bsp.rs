@@ -11,8 +11,9 @@
 //! thread blocks on a real GPU) and charged to the device clock.
 //!
 //! [`extract_paths_bsp`] produces exactly the same paths as the sequential
-//! [`crate::traverse::extract_paths`] (property-tested equivalence), so it
-//! is a drop-in replacement for the compress phase's first stage.
+//! [`crate::traverse::extract_paths`] (property-tested equivalence). The
+//! pipeline runs the sequential walk; this module is compiled for tests
+//! only, as the oracle that the walk's paths are checked against.
 
 use crate::graph::StringGraph;
 use crate::traverse::{Path, PathStep, TraverseOptions};

@@ -27,10 +27,6 @@ pub struct AssemblyConfig {
     /// (1 = the paper's by-length partitioning; >1 enables the future-work
     /// by-fingerprint partitioning of the distributed reduce).
     pub range_split: u32,
-    /// Extract paths with the bulk-synchronous pointer-jumping traversal
-    /// (the paper's future work) instead of the sequential walk. Both
-    /// produce identical paths.
-    pub bsp_traversal: bool,
 }
 
 impl AssemblyConfig {
@@ -45,7 +41,6 @@ impl AssemblyConfig {
             sort: None,
             fingerprint_bits: 128,
             range_split: 1,
-            bsp_traversal: false,
         }
     }
 

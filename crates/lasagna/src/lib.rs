@@ -32,7 +32,8 @@
 //! println!("{} contigs, N50 {}", out.contigs.len(), out.report.contig_stats.n50);
 //! ```
 
-pub mod bsp;
+#[cfg(test)]
+mod bsp;
 pub mod config;
 pub mod contig;
 pub mod delta;

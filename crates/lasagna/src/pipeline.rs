@@ -412,16 +412,8 @@ impl Pipeline {
 
         // Compress: traverse paths and spell contigs.
         let (paths, contigs, contig_stats) = self.phase("compress", || {
-            let paths = if self.config.bsp_traversal {
-                crate::bsp::extract_paths_bsp(
-                    &graph,
-                    self.config.l_max,
-                    TraverseOptions::default(),
-                    Some(&self.device),
-                )
-            } else {
-                extract_paths_traced(&graph, self.config.l_max, TraverseOptions::default(), rec)
-            };
+            let paths =
+                extract_paths_traced(&graph, self.config.l_max, TraverseOptions::default(), rec);
             let (contigs, stats) = generate_contigs(&self.device, &self.host, &reads, &paths)?;
             // Export the assembly to the serving layer's on-disk store.
             // `lasagna-cli index` / `query` and the qserve crate read it

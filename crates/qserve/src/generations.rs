@@ -361,40 +361,31 @@ pub fn export(
 /// active generation when `generations.json` exists, else the legacy
 /// flat `contigs.store` / `contigs.mdx` pair as generation 0. Returns
 /// the engine and its generation id — feed both to
-/// [`crate::QueryService::start_with_generation`].
+/// [`crate::QueryService::start_with_generation`]. A store or index that
+/// cannot be read or decoded fails with its stream error, as
+/// [`crate::QueryEngine::open`] does, so a caller can tell corrupt bytes
+/// from unreadable ones.
 pub fn open_active_engine(
     dir: &Path,
     cfg: crate::QueryConfig,
     io: &IoStats,
-) -> Result<(crate::QueryEngine, u64), GenError> {
+) -> crate::Result<(crate::QueryEngine, u64)> {
     if !GenManifest::exists(dir) {
         let engine = crate::QueryEngine::open(
             &dir.join(crate::STORE_FILE),
             &dir.join(crate::INDEX_FILE),
             io,
             cfg,
-        )
-        .map_err(|e| GenError::Load {
-            generation: 0,
-            detail: e.to_string(),
-        })?;
+        )?;
         return Ok((engine, 0));
     }
     let manifest = GenManifest::load(dir, io)?;
     let entry = manifest.active_entry();
     let (store_path, index_path) = resolve_files(dir, entry);
-    let load_err = |e: gstream::StreamError| GenError::Load {
-        generation: entry.id,
-        detail: e.to_string(),
-    };
-    let store = crate::ContigStore::open(&store_path, io).map_err(load_err)?;
-    let index = crate::MinimizerIndex::open(&index_path, io).map_err(load_err)?;
+    let store = crate::ContigStore::open(&store_path, io)?;
+    let index = crate::MinimizerIndex::open(&index_path, io)?;
     validate_binding(entry, &store, &index, &faultsim::Faults::disabled())?;
-    let engine = crate::QueryEngine::new(store, index, cfg).map_err(|e| GenError::Load {
-        generation: entry.id,
-        detail: e.to_string(),
-    })?;
-    Ok((engine, entry.id))
+    Ok((crate::QueryEngine::new(store, index, cfg)?, entry.id))
 }
 
 #[cfg(test)]

@@ -1,141 +1,106 @@
 //! `lasagna-cli` — command-line interface to the assembler.
 //!
-//! ```text
-//! lasagna-cli simulate --genome-len 100000 --coverage 20 --read-len 100 \
-//!                  --out reads.fastq [--reference ref.fa] [--seed 7] [--error-rate 0.0]
-//!
-//! lasagna-cli assemble --reads reads.fastq --out contigs.fa \
-//!                  [--l-min 63] [--work /tmp/lasagna-work] \
-//!                  [--host-mem 256M] [--device-mem 64M] [--gpu k40] \
-//!                  [--graph greedy|full] [--traversal seq|bsp] [--resume yes] \
-//!                  [--trace-out trace.jsonl] [--metrics-json report.json] [--progress yes]
-//!
-//! lasagna-cli assemble-distributed --reads reads.fastq --out contigs.fa \
-//!                  [--nodes 2] [--reduce token|range] [--block-reads 1024] \
-//!                  [--l-min 63] [--work /tmp/lasagna-dwork] \
-//!                  [--host-mem 256M] [--device-mem 64M] [--gpu k20x] [--resume yes] \
-//!                  [--trace-out trace.jsonl] [--metrics-json report.json]
-//!
-//! lasagna-cli inspect-trace --trace trace.jsonl [--root assembly]
-//!
-//! lasagna-cli stats --contigs contigs.fa [--reference ref.fa]
-//!
-//! lasagna-cli stats --connect HOST:PORT [--format json|tsv]
-//!
-//! lasagna-cli top --connect HOST:PORT [--interval-ms 1000] [--iterations 0]
-//!
-//! lasagna-cli index --work /tmp/lasagna-work [--contigs contigs.fa] \
-//!                  [--k 15] [--w 8] [--threads 0]
-//!
-//! lasagna-cli query --work /tmp/lasagna-work --reads queries.fastq \
-//!                  [--out hits.tsv] [--batch 1024] [--workers 4] \
-//!                  [--max-mismatches 2] [--max-queue 64]
-//!
-//! lasagna-cli query --connect HOST:PORT --reads queries.fastq \
-//!                  [--out hits.tsv] [--batch 1024] [--client-id NAME] \
-//!                  [--deadline-ms 10000] [--retries 4]
-//!
-//! lasagna-cli query --router cluster.json --reads queries.fastq \
-//!                  [--out hits.tsv] [--batch 1024] [--client-id NAME] \
-//!                  [--deadline-ms 10000] [--hedge-max-ms 200] \
-//!                  [--failover-rounds 3]
-//!
-//! lasagna-cli serve --work /tmp/lasagna-work [--addr 127.0.0.1:0] \
-//!                  [--workers 4] [--max-mismatches 2] [--max-queue 64] \
-//!                  [--refill-per-s 50000] [--burst 20000] \
-//!                  [--read-timeout-ms 30000] [--drain-deadline-ms 5000] \
-//!                  [--faults SPEC] [--trace-out trace.jsonl]
-//!
-//! lasagna-cli serve-cluster --work /tmp/lasagna-work --shards 2 [--replicas 2] \
-//!                  [--manifest cluster.json] [--workers 2] \
-//!                  [--max-mismatches 2] [--max-queue 64] [--k 15] [--w 8]
-//!
-//! lasagna-cli shutdown --connect HOST:PORT
-//! ```
+//! `lasagna-cli help` prints every subcommand with its options; the
+//! [`COMMANDS`] table is the one place they are written.
 //!
 //! `index` builds the minimizer index over the contig store the assembly
 //! left in `--work` (or over `--contigs`, importing them into a fresh
 //! store first); `query` serves batched read lookups against it, either
 //! in-process (`--work`) or over TCP against a `serve` process
 //! (`--connect`). `serve` binds the hardened network front-end (qnet) on
-//! the indexed store and prints `listening HOST:PORT` once ready;
-//! `generations` lists a work dir's store/index generations, `reload`
-//! hot-swaps a live serve process to one without dropping a connection
-//! or a query, and `shutdown` asks a serve process to drain gracefully.
-//! The wire is unauthenticated: bind `serve` only on a trusted network.
-//! See SERVING.md for formats, semantics, and tuning.
+//! the work dir's active generation and prints `listening HOST:PORT` once
+//! ready; `generations` lists a work dir's store/index generations,
+//! `reload` hot-swaps a live serve process to one without dropping a
+//! connection or a query, and `shutdown` asks a serve process to drain
+//! gracefully. The wire is unauthenticated: bind `serve` only on a
+//! trusted network. See SERVING.md for formats, semantics, and tuning.
 
+use lasagna_repro::faultsim::{FaultPlan, Faults};
 use lasagna_repro::genome::fastq::{read_fasta, read_fastq, write_fasta, write_fastq};
 use lasagna_repro::genome::sim::is_substring_either_strand;
 use lasagna_repro::obs;
 use lasagna_repro::prelude::*;
+use lasagna_repro::qnet::{ClientConfig, QnetError, ReloadConfig, Server, ServerConfig};
+use lasagna_repro::qserve::{
+    AdmissionConfig, ContigStore, Hit, IndexConfig, MinimizerIndex, QueryConfig, ServiceConfig,
+};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::process::exit;
+use std::time::{Duration, Instant};
+
+type Opts = HashMap<String, String>;
+
+/// Every subcommand and its options, as `lasagna-cli help` prints them:
+/// one entry per form of a command, indented lines continuing it. This is
+/// the one place an option is written: `parse_opts` accepts for a command
+/// exactly the `--flags` its entries name.
+const COMMANDS: &str = "
+  lasagna-cli simulate --out reads.fastq [--genome-len 100000] [--coverage 20]
+        [--read-len 100] [--reference ref.fa] [--seed 7] [--error-rate 0.0]
+        [--repeat-fraction 0.01]
+  lasagna-cli assemble --reads reads.fastq --out contigs.fa [--l-min N] [--work DIR]
+        [--host-mem 256M] [--device-mem 64M] [--gpu k40|k20x|p40|p100|v100]
+        [--graph greedy|full] [--resume yes] [--trace-out trace.jsonl]
+        [--metrics-json report.json] [--progress yes]
+  lasagna-cli assemble-distributed --reads reads.fastq --out contigs.fa [--nodes 2]
+        [--reduce token|range] [--block-reads 1024] [--l-min N] [--work DIR]
+        [--host-mem 256M] [--device-mem 64M] [--gpu k20x] [--resume yes]
+        [--trace-out trace.jsonl] [--metrics-json report.json]
+  lasagna-cli inspect-trace --trace trace.jsonl [--root assembly]
+  lasagna-cli stats --contigs contigs.fa [--reference ref.fa]
+  lasagna-cli stats --connect HOST:PORT [--format json|tsv]
+  lasagna-cli top --connect HOST:PORT [--interval-ms 1000] [--iterations 0]
+  lasagna-cli index --work DIR [--contigs contigs.fa] [--k 15] [--w 8] [--threads 0]
+  lasagna-cli query --work DIR --reads queries.fastq [--out hits.tsv] [--batch 1024]
+        [--workers 4] [--max-mismatches 2] [--max-queue 64]
+  lasagna-cli query --connect HOST:PORT --reads queries.fastq [--out hits.tsv]
+        [--batch 1024] [--client-id NAME] [--deadline-ms 10000] [--retries 4]
+  lasagna-cli query --router cluster.json --reads queries.fastq [--out hits.tsv]
+        [--batch 1024] [--client-id NAME] [--deadline-ms 10000] [--max-mismatches 2]
+        [--hedge-max-ms 200] [--failover-rounds 3]
+  lasagna-cli serve --work DIR [--addr 127.0.0.1:0] [--workers 4] [--max-mismatches 2]
+        [--max-queue 64] [--refill-per-s 50000] [--burst 20000]
+        [--read-timeout-ms 30000] [--write-timeout-ms 10000]
+        [--drain-deadline-ms 5000] [--faults SPEC] [--trace-out trace.jsonl]
+  lasagna-cli serve-cluster --work DIR --shards N [--replicas 2]
+        [--manifest DIR/cluster.json] [--workers 2] [--max-mismatches 2]
+        [--max-queue 64] [--k 15] [--w 8] [--threads 0] [--read-timeout-ms 30000]
+        [--drain-deadline-ms 5000]
+  lasagna-cli generations --work DIR
+  lasagna-cli reload --connect HOST:PORT [--generation 0]
+  lasagna-cli shutdown --connect HOST:PORT
+";
 
 fn main() {
     let mut args = std::env::args().skip(1);
-    let Some(command) = args.next() else {
-        usage();
-    };
-    let opts = parse_opts(args.collect());
-    match command.as_str() {
-        "simulate" => simulate(&opts),
-        "assemble" => assemble(&opts),
-        "assemble-distributed" => assemble_distributed(&opts),
-        "inspect-trace" => inspect_trace(&opts),
-        "stats" => stats(&opts),
-        "top" => top(&opts),
-        "index" => index(&opts),
-        "query" => query(&opts),
-        "serve" => serve(&opts),
-        "serve-cluster" => serve_cluster(&opts),
-        "generations" => generations(&opts),
-        "reload" => reload(&opts),
-        "shutdown" => shutdown(&opts),
-        "--help" | "-h" | "help" => usage(),
+    let command = args.next().unwrap_or_default();
+    let run: fn(&Opts) = match command.as_str() {
+        "simulate" => simulate,
+        "assemble" => assemble,
+        "assemble-distributed" => assemble_distributed,
+        "inspect-trace" => inspect_trace,
+        "stats" => stats,
+        "top" => top,
+        "index" => index,
+        "query" => query,
+        "serve" => serve,
+        "serve-cluster" => serve_cluster,
+        "generations" => generations,
+        "reload" => reload,
+        "shutdown" => shutdown,
+        "" | "help" | "--help" | "-h" => usage(),
         other => {
             eprintln!("lasagna: unknown command {other:?}");
-            usage();
+            usage()
         }
-    }
+    };
+    run(&parse_opts(&command, args));
 }
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  lasagna simulate --genome-len N --coverage C --read-len L --out reads.fastq \
-         [--reference ref.fa] [--seed S] [--error-rate E] [--repeat-fraction F]\n  \
-         lasagna assemble --reads reads.fastq --out contigs.fa [--l-min N] [--work DIR] \
-         [--host-mem BYTES] [--device-mem BYTES] [--gpu k40|k20x|p40|p100|v100] \
-         [--resume yes] \
-         [--trace-out trace.jsonl] [--metrics-json report.json] [--progress yes]\n  \
-         lasagna assemble-distributed --reads reads.fastq --out contigs.fa [--nodes N] \
-         [--reduce token|range] [--block-reads N] [--l-min N] [--work DIR] \
-         [--host-mem BYTES] [--device-mem BYTES] [--gpu k40|k20x|p40|p100|v100] \
-         [--resume yes] [--trace-out trace.jsonl] [--metrics-json report.json]\n  \
-         lasagna inspect-trace --trace trace.jsonl [--root assembly]\n  \
-         lasagna stats --contigs contigs.fa [--reference ref.fa]\n  \
-         lasagna stats --connect HOST:PORT [--format json|tsv]\n  \
-         lasagna top --connect HOST:PORT [--interval-ms 1000] [--iterations 0]\n  \
-         lasagna index --work DIR [--contigs contigs.fa] [--k 15] [--w 8] [--threads 0]\n  \
-         lasagna query --work DIR --reads queries.fastq [--out hits.tsv] [--batch 1024] \
-         [--workers 4] [--max-mismatches 2] [--max-queue 64]\n  \
-         lasagna query --connect HOST:PORT --reads queries.fastq [--out hits.tsv] \
-         [--batch 1024] [--client-id NAME] [--deadline-ms 10000] [--retries 4]\n  \
-         lasagna query --router cluster.json --reads queries.fastq [--out hits.tsv] \
-         [--batch 1024] [--client-id NAME] [--deadline-ms 10000] [--hedge-max-ms 200] \
-         [--failover-rounds 3]\n  \
-         lasagna serve --work DIR [--addr 127.0.0.1:0] [--workers 4] \
-         [--max-mismatches 2] [--max-queue 64] [--refill-per-s 50000] [--burst 20000] \
-         [--read-timeout-ms 30000] [--drain-deadline-ms 5000] [--faults SPEC] \
-         [--trace-out trace.jsonl]\n  \
-         lasagna serve-cluster --work DIR --shards N [--replicas R] [--manifest FILE] \
-         [--workers 2] [--max-mismatches 2] [--max-queue 64] \
-         [--k 15] [--w 8]\n  \
-         lasagna generations --work DIR\n  \
-         lasagna reload --connect HOST:PORT [--generation N]\n  \
-         lasagna shutdown --connect HOST:PORT\n\
-         \nassemble resumes from --work's manifest.json when --resume yes; \
+        "usage:{COMMANDS}\nassemble resumes from --work's manifest.json when --resume yes; \
          assemble-distributed resumes from --work's superstep.log plus the \
          per-node manifests (see ROBUSTNESS.md).\nindex/query/serve answer reads \
          against the assembled contigs (see SERVING.md).\nexit codes: 0 ok, 1 error, \
@@ -147,78 +112,29 @@ fn usage() -> ! {
     exit(2);
 }
 
-/// Every `--option` some subcommand reads. Any other option is a usage
-/// error, not a flag silently ignored.
-const OPTIONS: &[&str] = &[
-    "addr",
-    "batch",
-    "block-reads",
-    "burst",
-    "client-id",
-    "connect",
-    "contigs",
-    "coverage",
-    "deadline-ms",
-    "device-mem",
-    "drain-deadline-ms",
-    "error-rate",
-    "failover-rounds",
-    "faults",
-    "format",
-    "generation",
-    "genome-len",
-    "gpu",
-    "graph",
-    "hedge-max-ms",
-    "host-mem",
-    "interval-ms",
-    "iterations",
-    "k",
-    "l-min",
-    "manifest",
-    "max-mismatches",
-    "max-queue",
-    "metrics-json",
-    "nodes",
-    "out",
-    "progress",
-    "read-len",
-    "read-timeout-ms",
-    "reads",
-    "reduce",
-    "reference",
-    "refill-per-s",
-    "repeat-fraction",
-    "replicas",
-    "resume",
-    "retries",
-    "root",
-    "router",
-    "seed",
-    "shards",
-    "threads",
-    "trace",
-    "trace-out",
-    "traversal",
-    "w",
-    "work",
-    "workers",
-    "write-timeout-ms",
-];
+/// The flags `command`'s entries in [`COMMANDS`] name, without their `--`.
+fn flags(command: &str) -> impl Iterator<Item = &'static str> + '_ {
+    COMMANDS
+        .split("lasagna-cli ")
+        .filter(move |entry| entry.split_whitespace().next() == Some(command))
+        .flat_map(str::split_whitespace)
+        .filter_map(|word| word.trim_start_matches('[').strip_prefix("--"))
+}
 
-fn parse_opts(argv: Vec<String>) -> HashMap<String, String> {
-    let mut opts = HashMap::new();
-    let mut iter = argv.into_iter();
-    while let Some(key) = iter.next() {
-        let Some(key) = key.strip_prefix("--") else {
-            eprintln!("lasagna: expected --option, got {key:?}");
+/// The `--flag value` pairs after the command. A flag the command's
+/// entries do not name is a usage error, not an option silently ignored.
+fn parse_opts(command: &str, mut args: impl Iterator<Item = String>) -> Opts {
+    let mut opts = Opts::new();
+    while let Some(arg) = args.next() {
+        let Some(key) = arg.strip_prefix("--") else {
+            eprintln!("lasagna: expected --option, got {arg:?}");
             exit(2);
         };
-        if !OPTIONS.contains(&key) {
-            eprintln!("lasagna: unknown option --{key}");
+        if !flags(command).any(|flag| flag == key) {
+            eprintln!("lasagna: unknown option --{key} for {command}");
             exit(2);
         }
-        let Some(value) = iter.next() else {
+        let Some(value) = args.next() else {
             eprintln!("lasagna: --{key} needs a value");
             exit(2);
         };
@@ -227,7 +143,7 @@ fn parse_opts(argv: Vec<String>) -> HashMap<String, String> {
     opts
 }
 
-fn get<T: std::str::FromStr>(opts: &HashMap<String, String>, key: &str, default: T) -> T {
+fn get<T: std::str::FromStr>(opts: &Opts, key: &str, default: T) -> T {
     match opts.get(key) {
         Some(v) => v.parse().unwrap_or_else(|_| {
             eprintln!("lasagna: bad value for --{key}: {v:?}");
@@ -237,7 +153,7 @@ fn get<T: std::str::FromStr>(opts: &HashMap<String, String>, key: &str, default:
     }
 }
 
-fn require(opts: &HashMap<String, String>, key: &str) -> String {
+fn require(opts: &Opts, key: &str) -> String {
     opts.get(key).cloned().unwrap_or_else(|| {
         eprintln!("lasagna: missing required --{key}");
         exit(2)
@@ -258,7 +174,7 @@ fn parse_mem(s: &str) -> u64 {
     }) * mult
 }
 
-fn simulate(opts: &HashMap<String, String>) {
+fn simulate(opts: &Opts) {
     let genome_len: usize = get(opts, "genome-len", 100_000);
     let coverage: f64 = get(opts, "coverage", 20.0);
     let read_len: usize = get(opts, "read-len", 100);
@@ -303,17 +219,20 @@ fn simulate(opts: &HashMap<String, String>) {
     }
 }
 
-/// Load reads (FASTQ or FASTA by extension) into a uniform-length set,
-/// warning about (and skipping) reads of a different length.
-fn load_reads(reads_path: &Path) -> ReadSet {
-    let records = if reads_path
-        .extension()
-        .is_some_and(|e| e == "fa" || e == "fasta")
-    {
-        read_fasta(reads_path).unwrap_or_else(die)
+/// Named records of a FASTA (by its `.fa`/`.fasta` extension) or FASTQ
+/// file.
+fn read_records(path: &Path) -> Vec<(String, PackedSeq)> {
+    if path.extension().is_some_and(|e| e == "fa" || e == "fasta") {
+        read_fasta(path).unwrap_or_else(die)
     } else {
-        read_fastq(reads_path).unwrap_or_else(die)
-    };
+        read_fastq(path).unwrap_or_else(die)
+    }
+}
+
+/// Load reads into a uniform-length set, warning about (and skipping)
+/// reads of a different length.
+fn load_reads(reads_path: &Path) -> ReadSet {
+    let records = read_records(reads_path);
     if records.is_empty() {
         eprintln!("lasagna: no reads in {}", reads_path.display());
         exit(1);
@@ -332,96 +251,144 @@ fn load_reads(reads_path: &Path) -> ReadSet {
     reads
 }
 
-fn assemble(opts: &HashMap<String, String>) {
-    let reads_path = PathBuf::from(require(opts, "reads"));
-    let out = PathBuf::from(require(opts, "out"));
-    let work = PathBuf::from(get(
-        opts,
-        "work",
-        std::env::temp_dir()
-            .join("lasagna-cli-work")
-            .to_string_lossy()
-            .into_owned(),
-    ));
-    let host_mem = parse_mem(&get(opts, "host-mem", "256M".to_string()));
-    let device_mem = parse_mem(&get(opts, "device-mem", "64M".to_string()));
-    let gpu = match get(opts, "gpu", "k40".to_string()).as_str() {
-        "k40" => GpuProfile::k40(),
-        "k20x" => GpuProfile::k20x(),
-        "p40" => GpuProfile::p40(),
-        "p100" => GpuProfile::p100(),
-        "v100" => GpuProfile::v100(),
-        other => {
-            eprintln!("lasagna: unknown GPU {other:?}");
-            exit(2);
-        }
-    };
-
-    let reads = load_reads(&reads_path);
-    let read_len = reads.read_len();
-    let default_l_min = (read_len as u32 * 5 / 8).max(1); // SGA-style ~0.63·L
-    let l_min: u32 = get(opts, "l-min", default_l_min);
-    println!(
-        "assembling {} reads × {} bp (l_min {}) on a virtual {} ({} device, {} host)",
-        reads.len(),
-        read_len,
-        l_min,
-        gpu.name,
-        device_mem,
-        host_mem
-    );
-
-    std::fs::create_dir_all(&work).unwrap_or_else(|e| {
+fn create_work_dir(work: &Path) {
+    std::fs::create_dir_all(work).unwrap_or_else(|e| {
         eprintln!("lasagna: cannot create workdir: {e}");
         exit(EXIT_IO)
     });
-    let mut config = AssemblyConfig::for_dataset(l_min, read_len as u32);
-    let traversal = get(opts, "traversal", "seq".to_string());
-    config.bsp_traversal = match traversal.as_str() {
-        "seq" => false,
-        "bsp" => true,
-        other => {
-            eprintln!("lasagna: unknown traversal {other:?} (seq|bsp)");
-            exit(2);
-        }
-    };
+}
+
+/// What `assemble` and `assemble-distributed` read alike: the reads,
+/// where the contigs go, the work dir, the memory budgets, the GPU and
+/// the configuration with its `--l-min`.
+struct AssemblyRun {
+    reads: ReadSet,
+    out: PathBuf,
+    work: PathBuf,
+    host_mem: u64,
+    device_mem: u64,
+    gpu: GpuProfile,
+    config: AssemblyConfig,
+}
+
+impl AssemblyRun {
+    /// Read the shared options and the reads, print the `assembling`
+    /// line (`on` describes the machine), and create the work dir.
+    fn start(
+        opts: &Opts,
+        work_name: &str,
+        gpu_name: &str,
+        on: impl FnOnce(&AssemblyRun) -> String,
+    ) -> AssemblyRun {
+        let reads_path = PathBuf::from(require(opts, "reads"));
+        let out = PathBuf::from(require(opts, "out"));
+        let work = std::env::temp_dir().join(work_name);
+        let work = PathBuf::from(get(opts, "work", work.to_string_lossy().into_owned()));
+        let host_mem = parse_mem(&get(opts, "host-mem", "256M".to_string()));
+        let device_mem = parse_mem(&get(opts, "device-mem", "64M".to_string()));
+        let gpu = match get(opts, "gpu", gpu_name.to_string()).as_str() {
+            "k40" => GpuProfile::k40(),
+            "k20x" => GpuProfile::k20x(),
+            "p40" => GpuProfile::p40(),
+            "p100" => GpuProfile::p100(),
+            "v100" => GpuProfile::v100(),
+            other => {
+                eprintln!("lasagna: unknown GPU {other:?}");
+                exit(2);
+            }
+        };
+        let reads = load_reads(&reads_path);
+        let read_len = reads.read_len() as u32;
+        let default_l_min = (read_len * 5 / 8).max(1); // SGA-style ~0.63·L
+        let l_min: u32 = get(opts, "l-min", default_l_min);
+        let run = AssemblyRun {
+            reads,
+            out,
+            work,
+            host_mem,
+            device_mem,
+            gpu,
+            config: AssemblyConfig::for_dataset(l_min, read_len),
+        };
+        println!(
+            "assembling {} reads × {} bp (l_min {}) on {}",
+            run.reads.len(),
+            read_len,
+            l_min,
+            on(&run)
+        );
+        create_work_dir(&run.work);
+        run
+    }
+
+    /// Write the contigs as FASTA to `--out`; `summary` ends the line
+    /// that says so.
+    fn write_contigs(&self, contigs: &[PackedSeq], summary: String) {
+        let named: Vec<(String, &PackedSeq)> = contigs
+            .iter()
+            .enumerate()
+            .map(|(i, c)| (format!("contig_{i} len={}", c.len()), c))
+            .collect();
+        write_fasta(&self.out, named.iter().map(|(n, c)| (n.as_str(), *c))).unwrap_or_else(die);
+        println!("contigs written to {} ({summary})", self.out.display());
+    }
+}
+
+/// `rec` with a JSONL sink on `--trace-out` when the flag is given.
+fn trace_recorder(opts: &Opts, rec: obs::Recorder) -> obs::Recorder {
+    if let Some(path) = opts.get("trace-out") {
+        let sink = obs::JsonlSink::create(Path::new(path)).unwrap_or_else(die);
+        rec.add_sink(Box::new(sink));
+    }
+    rec
+}
+
+/// Flush `rec` and say where `--trace-out` went.
+fn flush_trace(opts: &Opts, rec: &obs::Recorder) {
+    rec.flush();
+    if let Some(path) = opts.get("trace-out") {
+        println!("trace written to {path}");
+    }
+}
+
+/// Write `report` as pretty JSON to `--metrics-json` when it is given.
+fn write_metrics<T: stdx::json::ToJson>(opts: &Opts, report: &T) {
+    if let Some(path) = opts.get("metrics-json") {
+        std::fs::write(path, stdx::json::to_string_pretty(report)).unwrap_or_else(die);
+        println!("metrics written to {path}");
+    }
+}
+
+fn assemble(opts: &Opts) {
+    let run = AssemblyRun::start(opts, "lasagna-cli-work", "k40", |run| {
+        format!(
+            "a virtual {} ({} device, {} host)",
+            run.gpu.name, run.device_mem, run.host_mem
+        )
+    });
     let graph_mode = get(opts, "graph", "greedy".to_string());
-    let device = Device::with_capacity(gpu, device_mem);
-    let host = HostMem::new(host_mem);
-    let spill = SpillDir::create(&work, IoStats::default()).unwrap_or_else(die_stream);
+    let device = Device::with_capacity(run.gpu.clone(), run.device_mem);
+    let host = HostMem::new(run.host_mem);
+    let spill = SpillDir::create(&run.work, IoStats::default()).unwrap_or_else(die_stream);
 
-    let trace_out = opts.get("trace-out").map(PathBuf::from);
-    let metrics_json = opts.get("metrics-json").map(PathBuf::from);
-    let progress = get(opts, "progress", "no".to_string()) == "yes";
-
-    let (contigs, summary) = match graph_mode.as_str() {
+    let (contigs, n50) = match graph_mode.as_str() {
         "greedy" => {
             let resume = get(opts, "resume", "no".to_string()) == "yes";
-            let rec = obs::Recorder::new();
-            if let Some(path) = &trace_out {
-                let sink = obs::JsonlSink::create(path).unwrap_or_else(die);
-                rec.add_sink(Box::new(sink));
-            }
-            if progress {
+            let rec = trace_recorder(opts, obs::Recorder::new());
+            if get(opts, "progress", "no".to_string()) == "yes" {
                 rec.add_sink(Box::new(obs::ProgressSink::new(2)));
             }
-            let pipeline = Pipeline::new(device, host, spill, config)
+            let pipeline = Pipeline::new(device, host, spill, run.config)
                 .unwrap_or_else(die_run)
                 .with_recorder(rec.clone());
             let result = if resume {
-                pipeline.assemble_resumable(&reads).unwrap_or_else(die_run)
+                pipeline.assemble_resumable(&run.reads)
             } else {
-                pipeline.assemble(&reads).unwrap_or_else(die_run)
-            };
-            rec.flush();
-            if let Some(path) = &trace_out {
-                println!("trace written to {}", path.display());
+                pipeline.assemble(&run.reads)
             }
-            if let Some(path) = &metrics_json {
-                let json = stdx::json::to_string_pretty(&result.report);
-                std::fs::write(path, json).unwrap_or_else(die);
-                println!("metrics written to {}", path.display());
-            }
+            .unwrap_or_else(die_run);
+            flush_trace(opts, &rec);
+            write_metrics(opts, &result.report);
             let s = &result.report.contig_stats;
             println!(
                 "greedy graph: {} edges | contigs: {} ({} multi-read), {} bases, N50 {}, max {}",
@@ -430,21 +397,26 @@ fn assemble(opts: &HashMap<String, String>) {
             for p in &result.report.phases {
                 println!("  {:<9} {:>8.3}s wall", p.phase, p.wall_seconds);
             }
-            (result.contigs, format!("N50 {}", s.n50))
+            (result.contigs, s.n50)
         }
         "full" => {
-            if trace_out.is_some() || metrics_json.is_some() {
+            if opts.contains_key("trace-out") || opts.contains_key("metrics-json") {
                 eprintln!("lasagna: --trace-out/--metrics-json require --graph greedy");
             }
             // The Myers-style full string graph with transitive reduction:
             // conservative at repeats (stops at branches).
             let (graph, paths) = lasagna_repro::lasagna::fullgraph::assemble_full(
-                &device, &host, &spill, &config, &reads,
+                &device,
+                &host,
+                &spill,
+                &run.config,
+                &run.reads,
             )
             .unwrap_or_else(die_run);
-            let (contigs, stats) =
-                lasagna_repro::lasagna::contig::generate_contigs(&device, &host, &reads, &paths)
-                    .unwrap_or_else(die_run);
+            let (contigs, stats) = lasagna_repro::lasagna::contig::generate_contigs(
+                &device, &host, &run.reads, &paths,
+            )
+            .unwrap_or_else(die_run);
             println!(
                 "full graph: {} edges after reduction | contigs: {}, {} bases, N50 {}, max {}",
                 graph.edge_count(),
@@ -453,21 +425,14 @@ fn assemble(opts: &HashMap<String, String>) {
                 stats.n50,
                 stats.max_len
             );
-            (contigs, format!("N50 {}", stats.n50))
+            (contigs, stats.n50)
         }
         other => {
             eprintln!("lasagna: unknown graph mode {other:?} (greedy|full)");
             exit(2);
         }
     };
-
-    let named: Vec<(String, &PackedSeq)> = contigs
-        .iter()
-        .enumerate()
-        .map(|(i, c)| (format!("contig_{i} len={}", c.len()), c))
-        .collect();
-    write_fasta(&out, named.iter().map(|(n, c)| (n.as_str(), *c))).unwrap_or_else(die);
-    println!("contigs written to {} ({summary})", out.display());
+    run.write_contigs(&contigs, format!("N50 {n50}"));
 }
 
 /// Distributed assembly on the simulated cluster (Section III-E): master
@@ -475,37 +440,15 @@ fn assemble(opts: &HashMap<String, String>) {
 /// token-passing (or fingerprint-range) reduce. `--resume yes` picks up
 /// from `--work`'s superstep log and per-node manifests, skipping
 /// supersteps whose artifacts are durable and validated.
-fn assemble_distributed(opts: &HashMap<String, String>) {
+fn assemble_distributed(opts: &Opts) {
     use lasagna_repro::dnet::ReduceStrategy;
     use lasagna_repro::lasagna::contig::generate_contigs;
     use lasagna_repro::lasagna::traverse::{extract_paths, TraverseOptions};
 
-    let reads_path = PathBuf::from(require(opts, "reads"));
-    let out = PathBuf::from(require(opts, "out"));
-    let work = PathBuf::from(get(
-        opts,
-        "work",
-        std::env::temp_dir()
-            .join("lasagna-cli-dwork")
-            .to_string_lossy()
-            .into_owned(),
-    ));
     let nodes: usize = get(opts, "nodes", 2);
     let block_reads: usize = get(opts, "block-reads", 1024);
-    let host_mem = parse_mem(&get(opts, "host-mem", "256M".to_string()));
-    let device_mem = parse_mem(&get(opts, "device-mem", "64M".to_string()));
-    let gpu = match get(opts, "gpu", "k20x".to_string()).as_str() {
-        "k40" => GpuProfile::k40(),
-        "k20x" => GpuProfile::k20x(),
-        "p40" => GpuProfile::p40(),
-        "p100" => GpuProfile::p100(),
-        "v100" => GpuProfile::v100(),
-        other => {
-            eprintln!("lasagna: unknown GPU {other:?}");
-            exit(2);
-        }
-    };
-    let reduce_strategy = match get(opts, "reduce", "token".to_string()).as_str() {
+    let reduce = get(opts, "reduce", "token".to_string());
+    let reduce_strategy = match reduce.as_str() {
         "token" => ReduceStrategy::LengthToken,
         "range" => ReduceStrategy::FingerprintRange,
         other => {
@@ -513,45 +456,20 @@ fn assemble_distributed(opts: &HashMap<String, String>) {
             exit(2);
         }
     };
-
-    let reads = load_reads(&reads_path);
-    let read_len = reads.read_len();
-    let default_l_min = (read_len as u32 * 5 / 8).max(1);
-    let l_min: u32 = get(opts, "l-min", default_l_min);
-    println!(
-        "assembling {} reads × {} bp (l_min {}) on {} virtual {} nodes ({} reduce)",
-        reads.len(),
-        read_len,
-        l_min,
-        nodes,
-        gpu.name,
-        match reduce_strategy {
-            ReduceStrategy::LengthToken => "token",
-            ReduceStrategy::FingerprintRange => "range",
-        }
-    );
-
-    std::fs::create_dir_all(&work).unwrap_or_else(|e| {
-        eprintln!("lasagna: cannot create workdir: {e}");
-        exit(EXIT_IO)
+    let run = AssemblyRun::start(opts, "lasagna-cli-dwork", "k20x", |run| {
+        format!("{nodes} virtual {} nodes ({reduce} reduce)", run.gpu.name)
     });
-    let config = AssemblyConfig::for_dataset(l_min, read_len as u32);
 
-    let rec = obs::Recorder::new();
-    let trace_out = opts.get("trace-out").map(PathBuf::from);
-    if let Some(path) = &trace_out {
-        let sink = obs::JsonlSink::create(path).unwrap_or_else(die);
-        rec.add_sink(Box::new(sink));
-    }
+    let rec = trace_recorder(opts, obs::Recorder::new());
     let cluster = Cluster::new(ClusterConfig {
         nodes,
-        gpu: gpu.clone(),
-        device_capacity: device_mem,
-        host_capacity: host_mem,
+        gpu: run.gpu.clone(),
+        device_capacity: run.device_mem,
+        host_capacity: run.host_mem,
         disk: DiskModel::cluster_scratch(),
         net: NetModel::infiniband_56g(),
         block_reads,
-        assembly: config,
+        assembly: run.config,
         reduce_strategy,
     })
     .unwrap_or_else(die_dnet)
@@ -559,20 +477,17 @@ fn assemble_distributed(opts: &HashMap<String, String>) {
 
     let resume = get(opts, "resume", "no".to_string()) == "yes";
     let result = if resume {
-        cluster.resume(&reads, &work)
+        cluster.resume(&run.reads, &run.work)
     } else {
-        cluster.assemble(&reads, &work)
+        cluster.assemble(&run.reads, &run.work)
     }
     .unwrap_or_else(die_dnet);
-    rec.flush();
-    if let Some(path) = &trace_out {
-        println!("trace written to {}", path.display());
-    }
+    flush_trace(opts, &rec);
 
     if result.report.resumed {
         println!(
             "resumed from {}'s superstep log (completed supersteps skipped)",
-            work.display()
+            run.work.display()
         );
     }
     println!(
@@ -588,35 +503,25 @@ fn assemble_distributed(opts: &HashMap<String, String>) {
             p.name, p.wall_seconds, p.modeled_seconds
         );
     }
-    if let Some(path) = opts.get("metrics-json").map(PathBuf::from) {
-        let json = stdx::json::to_string_pretty(&result.report);
-        std::fs::write(&path, json).unwrap_or_else(die);
-        println!("metrics written to {}", path.display());
-    }
+    write_metrics(opts, &result.report);
 
     // Contigs from the merged graph, on one local device (traversal is a
     // single-node stage either way; the distributed win is upstream).
-    let device = Device::with_capacity(gpu, device_mem);
-    let host = HostMem::new(host_mem);
-    let paths = extract_paths(&result.graph, read_len as u32, TraverseOptions::default());
-    let (contigs, stats) = generate_contigs(&device, &host, &reads, &paths).unwrap_or_else(die_run);
-    let named: Vec<(String, &PackedSeq)> = contigs
-        .iter()
-        .enumerate()
-        .map(|(i, c)| (format!("contig_{i} len={}", c.len()), c))
-        .collect();
-    write_fasta(&out, named.iter().map(|(n, c)| (n.as_str(), *c))).unwrap_or_else(die);
-    println!(
-        "contigs written to {} ({} contigs, N50 {})",
-        out.display(),
-        stats.count,
-        stats.n50
+    let device = Device::with_capacity(run.gpu.clone(), run.device_mem);
+    let host = HostMem::new(run.host_mem);
+    let read_len = run.reads.read_len() as u32;
+    let paths = extract_paths(&result.graph, read_len, TraverseOptions::default());
+    let (contigs, stats) =
+        generate_contigs(&device, &host, &run.reads, &paths).unwrap_or_else(die_run);
+    run.write_contigs(
+        &contigs,
+        format!("{} contigs, N50 {}", stats.count, stats.n50),
     );
 }
 
 /// Pretty-print a recorded JSONL trace: per-phase totals rolled up from
 /// the events, plus per-partition rows under the sort and reduce phases.
-fn inspect_trace(opts: &HashMap<String, String>) {
+fn inspect_trace(opts: &Opts) {
     let path = PathBuf::from(require(opts, "trace"));
     let text = std::fs::read_to_string(&path).unwrap_or_else(die);
     let rollup = obs::Rollup::from_jsonl(&text).unwrap_or_else(die);
@@ -705,18 +610,15 @@ fn inspect_trace(opts: &HashMap<String, String>) {
 
     // Admission-gate roll-up with per-client attribution, for qnet
     // server traces (client:{id} spans, possibly across connections).
-    let shed_total = agg.counter("qnet.accepted")
-        + agg.counter("qnet.rejected")
-        + agg.counter("qnet.deadline_shed")
-        + agg.counter("qnet.fairness_shed");
-    if shed_total > 0 {
-        println!(
-            "  admission: {} accepted, {} rejected, {} deadline-shed, {} fairness-shed (reads)",
-            agg.counter("qnet.accepted"),
-            agg.counter("qnet.rejected"),
-            agg.counter("qnet.deadline_shed"),
-            agg.counter("qnet.fairness_shed")
-        );
+    const GATES: [&str; 4] = [
+        "qnet.accepted",
+        "qnet.rejected",
+        "qnet.deadline_shed",
+        "qnet.fairness_shed",
+    ];
+    let total = GATES.map(|gate| agg.counter(gate));
+    if total.iter().sum::<u64>() > 0 {
+        println!("  admission: {} (reads)", gate_counts(total));
         let mut per_client: std::collections::BTreeMap<String, [u64; 4]> = Default::default();
         let mut stack = vec![root.id];
         while let Some(id) = stack.pop() {
@@ -724,21 +626,29 @@ fn inspect_trace(opts: &HashMap<String, String>) {
                 if let Some(client) = child.name.strip_prefix("client:") {
                     let c = rollup.subtree(child.id);
                     let row = per_client.entry(client.to_string()).or_default();
-                    row[0] += c.counter("qnet.accepted");
-                    row[1] += c.counter("qnet.rejected");
-                    row[2] += c.counter("qnet.deadline_shed");
-                    row[3] += c.counter("qnet.fairness_shed");
+                    for (sum, gate) in row.iter_mut().zip(GATES) {
+                        *sum += c.counter(gate);
+                    }
                 }
                 stack.push(child.id);
             }
         }
-        for (client, [acc, rej, dl, fair]) in &per_client {
-            println!("    {client}: {acc} accepted, {rej} rejected, {dl} deadline-shed, {fair} fairness-shed");
+        for (client, row) in per_client {
+            println!("    {client}: {}", gate_counts(row));
         }
     }
 }
 
-fn stats(opts: &HashMap<String, String>) {
+/// Reads past each admission gate: accepted, rejected, deadline-shed
+/// and fairness-shed.
+fn gate_counts([accepted, rejected, deadline, fairness]: [u64; 4]) -> String {
+    format!(
+        "{accepted} accepted, {rejected} rejected, {deadline} deadline-shed, \
+         {fairness} fairness-shed"
+    )
+}
+
+fn stats(opts: &Opts) {
     if opts.contains_key("connect") {
         return stats_remote(opts);
     }
@@ -773,28 +683,31 @@ fn stats(opts: &HashMap<String, String>) {
     }
 }
 
-fn stats_client(
-    opts: &HashMap<String, String>,
-    client_id: &str,
-) -> lasagna_repro::qnet::QueryClient {
-    use lasagna_repro::qnet::{ClientConfig, QueryClient};
-    let connect = require(opts, "connect");
-    let rec = obs::Recorder::disabled();
-    QueryClient::new(
-        ClientConfig {
-            addr: connect,
-            client_id: client_id.to_string(),
-            ..ClientConfig::default()
-        },
-        &rec,
-    )
+/// Client settings from `--client-id`, `--deadline-ms` and `--retries`;
+/// `client_id` names the caller when `--client-id` is not given.
+fn client_config(opts: &Opts, client_id: &str) -> ClientConfig {
+    let defaults = ClientConfig::default();
+    ClientConfig {
+        client_id: get(opts, "client-id", client_id.to_string()),
+        deadline_ms: get(opts, "deadline-ms", defaults.deadline_ms),
+        max_retries: get(opts, "retries", defaults.max_retries),
+        ..defaults
+    }
+}
+
+/// A client of the `serve` process at `--connect`.
+fn client(opts: &Opts, client_id: &str) -> QueryClient {
+    let cfg = ClientConfig {
+        addr: require(opts, "connect"),
+        ..client_config(opts, client_id)
+    };
+    QueryClient::new(cfg, &obs::Recorder::disabled())
 }
 
 /// The `--connect` arm of `stats`: one `Stats` round trip, printed as
 /// pretty JSON (default) or flat TSV for shell pipelines.
-fn stats_remote(opts: &HashMap<String, String>) {
-    let mut client = stats_client(opts, "stats");
-    let snap = client.stats().unwrap_or_else(die_qnet);
+fn stats_remote(opts: &Opts) {
+    let snap = client(opts, "stats").stats().unwrap_or_else(die_qnet);
     match get(opts, "format", "json".to_string()).as_str() {
         "json" => println!("{}", stdx::json::to_string_pretty(&snap)),
         "tsv" => print!("{}", snapshot_tsv(&snap)),
@@ -855,10 +768,10 @@ fn snapshot_tsv(s: &lasagna_repro::qnet::StatsSnapshot) -> String {
 /// A refreshing terminal view over `Stats`: clear the screen, render a
 /// compact dashboard, sleep, repeat. `--iterations 0` runs until the
 /// connection dies or the user interrupts.
-fn top(opts: &HashMap<String, String>) {
-    let mut client = stats_client(opts, "top");
+fn top(opts: &Opts) {
+    let mut client = client(opts, "top");
     let connect = require(opts, "connect");
-    let interval = std::time::Duration::from_millis(get(opts, "interval-ms", 1_000u64));
+    let interval = Duration::from_millis(get(opts, "interval-ms", 1_000u64));
     let iterations: u64 = get(opts, "iterations", 0u64);
     let mut done = 0u64;
     loop {
@@ -874,10 +787,13 @@ fn top(opts: &HashMap<String, String>) {
             "queue {}   inflight {}   drained {} reads   drain rate {:.0} reads/s",
             snap.queue_depth, snap.inflight, snap.drained_reads, snap.drain_ewma_reads_per_s
         );
-        println!(
-            "gates: {} accepted, {} rejected, {} deadline-shed, {} fairness-shed",
-            snap.accepted, snap.rejected, snap.deadline_shed, snap.fairness_shed
-        );
+        let gates = [
+            snap.accepted,
+            snap.rejected,
+            snap.deadline_shed,
+            snap.fairness_shed,
+        ];
+        println!("gates: {}", gate_counts(gates));
         println!(
             "generation {}   reloads {}   rollbacks {}",
             snap.generation, snap.reloads, snap.rollbacks
@@ -912,8 +828,7 @@ fn top(opts: &HashMap<String, String>) {
                 );
             }
         }
-        use std::io::Write as _;
-        std::io::stdout().flush().ok();
+        flush_stdout();
         done += 1;
         if iterations > 0 && done >= iterations {
             break;
@@ -922,13 +837,26 @@ fn top(opts: &HashMap<String, String>) {
     }
 }
 
+fn flush_stdout() {
+    use std::io::Write as _;
+    std::io::stdout().flush().ok();
+}
+
+fn index_config(opts: &Opts) -> IndexConfig {
+    IndexConfig {
+        k: get(opts, "k", 15usize),
+        w: get(opts, "w", 8usize),
+        threads: get(opts, "threads", 0usize),
+    }
+}
+
 /// Build the minimizer index for an assembly's contig store.
 ///
 /// The store is normally `--work/contigs.store`, written by `assemble`;
 /// with `--contigs FILE` the FASTA is imported into a fresh store at that
 /// path first (so any external assembly can be served).
-fn index(opts: &HashMap<String, String>) {
-    use lasagna_repro::qserve::{ContigStore, IndexConfig, MinimizerIndex, INDEX_FILE, STORE_FILE};
+fn index(opts: &Opts) {
+    use lasagna_repro::qserve::{INDEX_FILE, STORE_FILE};
 
     let work = PathBuf::from(require(opts, "work"));
     let store_path = work.join(STORE_FILE);
@@ -938,10 +866,7 @@ fn index(opts: &HashMap<String, String>) {
     if let Some(contigs_path) = opts.get("contigs") {
         let contigs = read_fasta(&PathBuf::from(contigs_path)).unwrap_or_else(die);
         let seqs: Vec<PackedSeq> = contigs.into_iter().map(|(_, c)| c).collect();
-        std::fs::create_dir_all(&work).unwrap_or_else(|e| {
-            eprintln!("lasagna: cannot create workdir: {e}");
-            exit(EXIT_IO)
-        });
+        create_work_dir(&work);
         ContigStore::write(&store_path, &seqs, &io).unwrap_or_else(die_stream);
         println!(
             "imported {} contigs from {contigs_path} into {}",
@@ -951,12 +876,8 @@ fn index(opts: &HashMap<String, String>) {
     }
 
     let store = ContigStore::open(&store_path, &io).unwrap_or_else(die_stream);
-    let cfg = IndexConfig {
-        k: get(opts, "k", 15usize),
-        w: get(opts, "w", 8usize),
-        threads: get(opts, "threads", 0usize),
-    };
-    let start = std::time::Instant::now();
+    let cfg = index_config(opts);
+    let start = Instant::now();
     let idx = MinimizerIndex::build(&store, &cfg);
     idx.write(&index_path, &io).unwrap_or_else(die_stream);
     println!(
@@ -971,301 +892,205 @@ fn index(opts: &HashMap<String, String>) {
     );
 }
 
-/// Format one TSV row per read: `name  contig  offset  strand
-/// mismatches` (`*` columns for unmapped reads).
-fn hit_rows(
-    window: &[(String, PackedSeq)],
-    hits: Vec<Option<lasagna_repro::qserve::Hit>>,
-    rows: &mut Vec<String>,
-) {
-    for ((name, _), hit) in window.iter().zip(hits) {
-        rows.push(match hit {
-            Some(h) => format!(
-                "{name}\t{}\t{}\t{}\t{}",
-                h.contig,
-                h.offset,
-                if h.reverse { '-' } else { '+' },
-                h.mismatches
-            ),
-            None => format!("{name}\t*\t*\t*\t*"),
-        });
-    }
-}
-
-fn load_query_reads(reads_path: &Path) -> Vec<(String, PackedSeq)> {
-    if reads_path
-        .extension()
-        .is_some_and(|e| e == "fa" || e == "fasta")
-    {
-        read_fasta(reads_path).unwrap_or_else(die)
-    } else {
-        read_fastq(reads_path).unwrap_or_else(die)
-    }
-}
-
-fn write_rows(out: Option<PathBuf>, rows: &[String]) {
-    if let Some(out) = out {
-        let mut tsv = rows.join("\n");
-        tsv.push('\n');
-        std::fs::write(&out, tsv).unwrap_or_else(die);
-        println!("hits written to {}", out.display());
-    }
-}
-
-/// Serve a batch of reads against an indexed assembly — in-process with
-/// `--work`, or over TCP against a `serve` process with `--connect`.
-fn query(opts: &HashMap<String, String>) {
-    use lasagna_repro::qserve::{
-        QueryConfig, QueryEngine, QueryService, ServiceConfig, INDEX_FILE, STORE_FILE,
-    };
-
-    if opts.contains_key("connect") {
-        return query_remote(opts);
-    }
-    if opts.contains_key("router") {
-        return query_router(opts);
-    }
-
-    let work = PathBuf::from(require(opts, "work"));
-    let reads_path = PathBuf::from(require(opts, "reads"));
-    let out = opts.get("out").map(PathBuf::from);
-    let batch: usize = get(opts, "batch", 1024usize);
-    let workers: usize = get(opts, "workers", 4usize);
-    let io = IoStats::default();
-
-    let reads = load_query_reads(&reads_path);
-
-    let qcfg = QueryConfig {
+fn query_config(opts: &Opts) -> QueryConfig {
+    QueryConfig {
         max_mismatches: get(opts, "max-mismatches", 2u32),
         ..QueryConfig::default()
-    };
-    let engine = QueryEngine::open(&work.join(STORE_FILE), &work.join(INDEX_FILE), &io, qcfg)
-        .unwrap_or_else(die_qserve);
-    let rec = obs::Recorder::new();
-    let svc = QueryService::start(
-        engine,
-        ServiceConfig {
-            workers,
-            max_queue: get(opts, "max-queue", 64usize),
-            ..ServiceConfig::default()
-        },
-        &rec,
-    );
-
-    let start = std::time::Instant::now();
-    let mut rows = Vec::with_capacity(reads.len());
-    for window in reads.chunks(batch.max(1)) {
-        let seqs: Vec<PackedSeq> = window.iter().map(|(_, s)| s.clone()).collect();
-        let hits = svc.query_batch(seqs).unwrap_or_else(die_qserve);
-        hit_rows(window, hits, &mut rows);
     }
-    let elapsed = start.elapsed().as_secs_f64();
+}
+
+fn service_config(opts: &Opts, workers: usize) -> ServiceConfig {
+    ServiceConfig {
+        workers: get(opts, "workers", workers),
+        max_queue: get(opts, "max-queue", 64usize),
+        ..ServiceConfig::default()
+    }
+}
+
+/// Open what `--work` serves: the active generation of its
+/// `generations.json`, or the legacy `contigs.store`/`contigs.mdx` pair
+/// as generation 0. Returns the engine and its generation id.
+fn open_served(opts: &Opts, work: &Path) -> (QueryEngine, u64) {
+    lasagna_repro::qserve::generations::open_active_engine(
+        work,
+        query_config(opts),
+        &IoStats::default(),
+    )
+    .unwrap_or_else(die_qserve)
+}
+
+/// Answer `reads` in `batch`-sized chunks with `answer`: one TSV row per
+/// read, `name  contig  offset  strand  mismatches` (`*` columns for
+/// unmapped reads), and the seconds the chunks took.
+fn answer_batches(
+    reads: &[(String, PackedSeq)],
+    batch: usize,
+    mut answer: impl FnMut(Vec<PackedSeq>) -> Vec<Option<Hit>>,
+) -> (Vec<String>, f64) {
+    let start = Instant::now();
+    let mut rows = Vec::with_capacity(reads.len());
+    for window in reads.chunks(batch) {
+        let hits = answer(window.iter().map(|(_, s)| s.clone()).collect());
+        for ((name, _), hit) in window.iter().zip(hits) {
+            rows.push(match hit {
+                Some(h) => format!(
+                    "{name}\t{}\t{}\t{}\t{}",
+                    h.contig,
+                    h.offset,
+                    if h.reverse { '-' } else { '+' },
+                    h.mismatches
+                ),
+                None => format!("{name}\t*\t*\t*\t*"),
+            });
+        }
+    }
+    (rows, start.elapsed().as_secs_f64())
+}
+
+/// Answer a file of reads against an indexed assembly: in-process with
+/// `--work`, over TCP against a `serve` process with `--connect` (through
+/// the retry/backoff client), or with `--router` across a sharded,
+/// replicated cluster through the scatter-gather router, which hedges
+/// slow shards and fails over dead replicas while producing answers
+/// byte-identical to a single-node server's (see SERVING.md, "Cluster
+/// serving"). Sheds, drains, exhausted retries and a shard with no live
+/// replica (`ShardUnavailable`) exit 6.
+fn query(opts: &Opts) {
+    use lasagna_repro::qrouter::ClusterManifest;
+
+    let reads = read_records(Path::new(&require(opts, "reads")));
+    let batch = get(opts, "batch", 1024usize).max(1);
+    // Each arm names where the batches went and how its summary ends.
+    let (via, tail, (rows, elapsed)) = if let Some(connect) = opts.get("connect") {
+        let mut client = client(opts, "cli");
+        let answered = answer_batches(&reads, batch, |seqs| {
+            client.query_batch(&seqs).unwrap_or_else(die_qnet)
+        });
+        let tail = format!("; {} retries", client.retries_total());
+        (format!(" via {connect}"), tail, answered)
+    } else if let Some(manifest_path) = opts.get("router") {
+        let manifest = ClusterManifest::load(Path::new(manifest_path)).unwrap_or_else(die_qrouter);
+        let router = Router::new(
+            manifest,
+            RouterConfig {
+                client: client_config(opts, "cli"),
+                query: query_config(opts),
+                hedge_max_ms: get(opts, "hedge-max-ms", 200u64),
+                failover_rounds: get(opts, "failover-rounds", 3u32),
+                ..RouterConfig::default()
+            },
+            Faults::disabled(),
+            &obs::Recorder::disabled(),
+        )
+        .unwrap_or_else(die_qrouter);
+        for (addr, healthy) in router.probe_health() {
+            if !healthy {
+                eprintln!(
+                    "lasagna: replica {addr} unhealthy; deprioritized in the fail-over ladder"
+                );
+            }
+        }
+        let answered = answer_batches(&reads, batch, |seqs| {
+            router.route(&seqs).unwrap_or_else(die_qrouter)
+        });
+        let n_shards = router.manifest().n_shards;
+        let via = format!(" across {n_shards} shards via {manifest_path}");
+        (via, String::new(), answered)
+    } else {
+        let work = PathBuf::from(require(opts, "work"));
+        let (engine, generation) = open_served(opts, &work);
+        let rec = obs::Recorder::new();
+        let svc =
+            QueryService::start_with_generation(engine, generation, service_config(opts, 4), &rec);
+        let answered = answer_batches(&reads, batch, |seqs| {
+            svc.query_batch(seqs).unwrap_or_else(die_qserve)
+        });
+        (String::new(), String::new(), answered)
+    };
+
     let mapped = rows.iter().filter(|r| !r.ends_with("\t*")).count();
     println!(
-        "queried {} reads in {elapsed:.3}s ({:.0} reads/s): {mapped} mapped, {} unmapped",
+        "queried {} reads{via} in {elapsed:.3}s ({:.0} reads/s): \
+         {mapped} mapped, {} unmapped{tail}",
         rows.len(),
         rows.len() as f64 / elapsed.max(1e-9),
         rows.len() - mapped
     );
-    write_rows(out, &rows);
+    if let Some(out) = opts.get("out") {
+        let mut tsv = rows.join("\n");
+        tsv.push('\n');
+        std::fs::write(out, tsv).unwrap_or_else(die);
+        println!("hits written to {out}");
+    }
 }
 
-/// The `--connect` arm of `query`: batches go over TCP through the
-/// retry/backoff client; sheds, drains, and exhausted retries exit 6.
-fn query_remote(opts: &HashMap<String, String>) {
-    use lasagna_repro::qnet::{ClientConfig, QueryClient};
-
-    let connect = require(opts, "connect");
-    let reads_path = PathBuf::from(require(opts, "reads"));
-    let out = opts.get("out").map(PathBuf::from);
-    let batch: usize = get(opts, "batch", 1024usize);
-    let reads = load_query_reads(&reads_path);
-
-    let rec = obs::Recorder::new();
-    let mut client = QueryClient::new(
-        ClientConfig {
-            addr: connect.clone(),
-            client_id: get(opts, "client-id", "cli".to_string()),
-            deadline_ms: get(opts, "deadline-ms", 10_000u32),
-            max_retries: get(opts, "retries", 4u32),
-            ..ClientConfig::default()
+/// Server settings from the flags `serve` takes. `serve-cluster` takes
+/// only the timeouts, so its servers keep the other defaults.
+fn server_config(opts: &Opts, reload: ReloadConfig) -> ServerConfig {
+    ServerConfig {
+        addr: get(opts, "addr", "127.0.0.1:0".to_string()),
+        read_timeout: Duration::from_millis(get(opts, "read-timeout-ms", 30_000u64)),
+        write_timeout: Duration::from_millis(get(opts, "write-timeout-ms", 10_000u64)),
+        drain_deadline: Duration::from_millis(get(opts, "drain-deadline-ms", 5_000u64)),
+        admission: AdmissionConfig {
+            refill_per_s: get(opts, "refill-per-s", 50_000.0f64),
+            burst: get(opts, "burst", 20_000.0f64),
         },
-        &rec,
-    );
-
-    let start = std::time::Instant::now();
-    let mut rows = Vec::with_capacity(reads.len());
-    for window in reads.chunks(batch.max(1)) {
-        let seqs: Vec<PackedSeq> = window.iter().map(|(_, s)| s.clone()).collect();
-        let hits = client.query_batch(&seqs).unwrap_or_else(die_qnet);
-        hit_rows(window, hits, &mut rows);
+        reload: Some(reload),
+        ..ServerConfig::default()
     }
-    let elapsed = start.elapsed().as_secs_f64();
-    let mapped = rows.iter().filter(|r| !r.ends_with("\t*")).count();
-    println!(
-        "queried {} reads via {connect} in {elapsed:.3}s ({:.0} reads/s): \
-         {mapped} mapped, {} unmapped; {} retries",
-        rows.len(),
-        rows.len() as f64 / elapsed.max(1e-9),
-        rows.len() - mapped,
-        client.retries_total()
-    );
-    write_rows(out, &rows);
 }
 
-/// The `--router` arm of `query`: batches fan out over a sharded,
-/// replicated cluster through the scatter-gather router, which hedges
-/// slow shards and fails over dead replicas while producing answers
-/// byte-identical to a single-node server's (see SERVING.md, "Cluster
-/// serving"). A shard with no live replica exits 6 (`ShardUnavailable`).
-fn query_router(opts: &HashMap<String, String>) {
-    use lasagna_repro::qnet::ClientConfig;
-    use lasagna_repro::qrouter::{ClusterManifest, Router, RouterConfig};
-    use lasagna_repro::qserve::QueryConfig;
-
-    let manifest_path = PathBuf::from(require(opts, "router"));
-    let reads_path = PathBuf::from(require(opts, "reads"));
-    let out = opts.get("out").map(PathBuf::from);
-    let batch: usize = get(opts, "batch", 1024usize);
-    let reads = load_query_reads(&reads_path);
-
-    let manifest = ClusterManifest::load(&manifest_path).unwrap_or_else(die_qrouter);
-    let rec = obs::Recorder::disabled();
-    let router = Router::new(
-        manifest,
-        RouterConfig {
-            client: ClientConfig {
-                client_id: get(opts, "client-id", "cli".to_string()),
-                deadline_ms: get(opts, "deadline-ms", 10_000u32),
-                ..ClientConfig::default()
-            },
-            query: QueryConfig {
-                max_mismatches: get(opts, "max-mismatches", 2u32),
-                ..QueryConfig::default()
-            },
-            hedge_max_ms: get(opts, "hedge-max-ms", 200u64),
-            failover_rounds: get(opts, "failover-rounds", 3u32),
-            ..RouterConfig::default()
-        },
-        lasagna_repro::faultsim::Faults::disabled(),
-        &rec,
-    )
-    .unwrap_or_else(die_qrouter);
-
-    for (addr, healthy) in router.probe_health() {
-        if !healthy {
-            eprintln!("lasagna: replica {addr} unhealthy; deprioritized in the fail-over ladder");
-        }
-    }
-
-    let start = std::time::Instant::now();
-    let mut rows = Vec::with_capacity(reads.len());
-    for window in reads.chunks(batch.max(1)) {
-        let seqs: Vec<PackedSeq> = window.iter().map(|(_, s)| s.clone()).collect();
-        let hits = router.route(&seqs).unwrap_or_else(die_qrouter);
-        hit_rows(window, hits, &mut rows);
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    let mapped = rows.iter().filter(|r| !r.ends_with("\t*")).count();
-    println!(
-        "queried {} reads across {} shards via {} in {elapsed:.3}s ({:.0} reads/s): \
-         {mapped} mapped, {} unmapped",
-        rows.len(),
-        router.manifest().n_shards,
-        manifest_path.display(),
-        rows.len() as f64 / elapsed.max(1e-9),
-        rows.len() - mapped,
-    );
-    write_rows(out, &rows);
-}
-
-/// Serve an indexed assembly over TCP until a `shutdown` command (or
-/// SIGKILL) arrives, then drain gracefully. Prints `listening HOST:PORT`
-/// once the socket is bound so scripts can discover an `--addr :0` port.
-fn serve(opts: &HashMap<String, String>) {
-    use lasagna_repro::faultsim;
-    use lasagna_repro::qnet::{Server, ServerConfig};
-    use lasagna_repro::qserve::{
-        AdmissionConfig, QueryConfig, QueryEngine, QueryService, ServiceConfig, INDEX_FILE,
-        STORE_FILE,
-    };
-    use std::time::Duration;
-
+/// Serve the work dir's active generation over TCP until a `shutdown`
+/// command (or SIGKILL) arrives, then drain gracefully. Prints
+/// `listening HOST:PORT` once the socket is bound so scripts can
+/// discover an `--addr :0` port. `reload` swaps it to another generation
+/// of the same work dir.
+fn serve(opts: &Opts) {
     let work = PathBuf::from(require(opts, "work"));
-    let io = IoStats::default();
-    let qcfg = QueryConfig {
-        max_mismatches: get(opts, "max-mismatches", 2u32),
-        ..QueryConfig::default()
-    };
-    let engine = QueryEngine::open(&work.join(STORE_FILE), &work.join(INDEX_FILE), &io, qcfg)
-        .unwrap_or_else(die_qserve);
+    let (engine, generation) = open_served(opts, &work);
 
     // Without a trace file the recorder runs sink-only: events still
     // feed the server's live telemetry (the `Stats` command) but are
     // not buffered in memory, so an always-on server stays bounded.
-    let trace_out = opts.get("trace-out").map(PathBuf::from);
-    let rec = match &trace_out {
-        Some(_) => obs::Recorder::new(),
-        None => obs::Recorder::sink_only(),
+    let rec = if opts.contains_key("trace-out") {
+        obs::Recorder::new()
+    } else {
+        obs::Recorder::sink_only()
     };
-    if let Some(path) = &trace_out {
-        let sink = obs::JsonlSink::create(path).unwrap_or_else(die);
-        rec.add_sink(Box::new(sink));
-    }
+    let rec = trace_recorder(opts, rec);
     let faults = match opts.get("faults") {
         Some(spec) => {
-            let plan = faultsim::FaultPlan::parse(spec).unwrap_or_else(|e| {
+            let plan = FaultPlan::parse(spec).unwrap_or_else(|e| {
                 eprintln!("lasagna: bad --faults: {e}");
                 exit(2)
             });
-            let f = faultsim::Faults::from_plan(&plan);
+            let f = Faults::from_plan(&plan);
             f.set_recorder(rec.clone());
             f
         }
-        None => faultsim::Faults::disabled(),
+        None => Faults::disabled(),
     };
 
-    let svc = QueryService::start(
-        engine,
-        ServiceConfig {
-            workers: get(opts, "workers", 4usize),
-            max_queue: get(opts, "max-queue", 64usize),
-            ..ServiceConfig::default()
-        },
-        &rec,
-    );
-    let mut server = Server::start(
-        svc,
-        ServerConfig {
-            addr: get(opts, "addr", "127.0.0.1:0".to_string()),
-            read_timeout: Duration::from_millis(get(opts, "read-timeout-ms", 30_000u64)),
-            write_timeout: Duration::from_millis(get(opts, "write-timeout-ms", 10_000u64)),
-            drain_deadline: Duration::from_millis(get(opts, "drain-deadline-ms", 5_000u64)),
-            admission: AdmissionConfig {
-                refill_per_s: get(opts, "refill-per-s", 50_000.0f64),
-                burst: get(opts, "burst", 20_000.0f64),
-            },
-            ..ServerConfig::default()
-        },
-        &rec,
-        faults,
-    )
-    .unwrap_or_else(|e| {
-        eprintln!("lasagna: cannot bind: {e}");
-        exit(EXIT_IO)
-    });
+    let svc =
+        QueryService::start_with_generation(engine, generation, service_config(opts, 4), &rec);
+    let reload = ReloadConfig {
+        work_dir: work,
+        shard: None,
+    };
+    let mut server =
+        Server::start(svc, server_config(opts, reload), &rec, faults).unwrap_or_else(|e| {
+            eprintln!("lasagna: cannot bind: {e}");
+            exit(EXIT_IO)
+        });
 
     println!("listening {}", server.local_addr());
-    use std::io::Write as _;
-    std::io::stdout().flush().ok();
+    flush_stdout();
 
     server.wait_shutdown_requested(None);
     println!("shutdown requested; draining");
     let report = server.shutdown();
-    rec.flush();
-    if let Some(path) = &trace_out {
-        println!("trace written to {}", path.display());
-    }
+    flush_trace(opts, &rec);
     println!(
         "drained: {} in-flight at drain start, {}",
         report.inflight_at_start,
@@ -1277,22 +1102,18 @@ fn serve(opts: &HashMap<String, String>) {
     );
 }
 
-/// Serve an indexed assembly as a sharded, replicated in-process
-/// cluster: `--shards` × `--replicas` qnet servers, each holding the
-/// full contig store but only its shard's slice of the minimizer
-/// postings (`MinimizerIndex::build_shard`). Prints one
+/// Serve the work dir's active generation as a sharded, replicated
+/// in-process cluster: `--shards` × `--replicas` qnet servers, each
+/// holding the full contig store but only its shard's slice of the
+/// minimizer postings (`MinimizerIndex::build_shard`). Prints one
 /// `listening shard S replica R HOST:PORT` line per server, writes the
 /// cluster manifest (default `--work/cluster.json`) for
 /// `query --router`, and drains the whole cluster when any replica
-/// receives a `shutdown` command.
-fn serve_cluster(opts: &HashMap<String, String>) {
-    use lasagna_repro::qnet::{Server, ServerConfig};
+/// receives a `shutdown` command. Each replica reloads from the same
+/// work dir, so `Router::rollout` can roll the cluster to another
+/// generation.
+fn serve_cluster(opts: &Opts) {
     use lasagna_repro::qrouter::ClusterManifest;
-    use lasagna_repro::qserve::{
-        ContigStore, IndexConfig, MinimizerIndex, QueryConfig, QueryEngine, QueryService,
-        ServiceConfig, STORE_FILE,
-    };
-    use std::time::Duration;
 
     let work = PathBuf::from(require(opts, "work"));
     let n_shards: u32 = get(opts, "shards", 0u32);
@@ -1306,51 +1127,36 @@ fn serve_cluster(opts: &HashMap<String, String>) {
         "manifest",
         work.join("cluster.json").to_string_lossy().into_owned(),
     ));
-    let io = IoStats::default();
-    let store = ContigStore::open(&work.join(STORE_FILE), &io).unwrap_or_else(die_stream);
-    let icfg = IndexConfig {
-        k: get(opts, "k", 15usize),
-        w: get(opts, "w", 8usize),
-        threads: get(opts, "threads", 0usize),
-    };
-    let qcfg = QueryConfig {
-        max_mismatches: get(opts, "max-mismatches", 2u32),
-        ..QueryConfig::default()
-    };
+    let (served, generation) = open_served(opts, &work);
+    let store = served.store();
+    let icfg = index_config(opts);
 
     let mut manifest = ClusterManifest::new(n_shards, store.checksum());
+    manifest.generation = generation;
     let mut servers = Vec::new();
     let rec = obs::Recorder::sink_only();
     for shard in 0..n_shards {
         // One shard index build, shared by every replica of the shard.
-        let index = MinimizerIndex::build_shard(&store, &icfg, shard, n_shards);
+        let index = MinimizerIndex::build_shard(store, &icfg, shard, n_shards);
         for replica in 0..replicas {
-            let store = ContigStore::open(&work.join(STORE_FILE), &io).unwrap_or_else(die_stream);
-            let engine = QueryEngine::new(store, index.clone(), qcfg).unwrap_or_else(die_qserve);
-            let svc = QueryService::start(
+            let replica_store = ContigStore::from_contigs(store.contigs().to_vec());
+            let engine = QueryEngine::new(replica_store, index.clone(), query_config(opts))
+                .unwrap_or_else(die_qserve);
+            let svc = QueryService::start_with_generation(
                 engine,
-                ServiceConfig {
-                    workers: get(opts, "workers", 2usize),
-                    max_queue: get(opts, "max-queue", 64usize),
-                    ..ServiceConfig::default()
-                },
+                generation,
+                service_config(opts, 2),
                 &rec,
             );
-            let server = Server::start(
-                svc,
-                ServerConfig {
-                    addr: "127.0.0.1:0".to_string(),
-                    read_timeout: Duration::from_millis(get(opts, "read-timeout-ms", 30_000u64)),
-                    drain_deadline: Duration::from_millis(get(opts, "drain-deadline-ms", 5_000u64)),
-                    ..ServerConfig::default()
-                },
-                &rec,
-                lasagna_repro::faultsim::Faults::disabled(),
-            )
-            .unwrap_or_else(|e| {
-                eprintln!("lasagna: cannot bind shard {shard} replica {replica}: {e}");
-                exit(EXIT_IO)
-            });
+            let reload = ReloadConfig {
+                work_dir: work.clone(),
+                shard: Some((shard, n_shards, icfg)),
+            };
+            let server = Server::start(svc, server_config(opts, reload), &rec, Faults::disabled())
+                .unwrap_or_else(|e| {
+                    eprintln!("lasagna: cannot bind shard {shard} replica {replica}: {e}");
+                    exit(EXIT_IO)
+                });
             let addr = server.local_addr().to_string();
             println!("listening shard {shard} replica {replica} {addr}");
             manifest.add_replica(shard, addr);
@@ -1364,8 +1170,7 @@ fn serve_cluster(opts: &HashMap<String, String>) {
         replicas,
         manifest_path.display()
     );
-    use std::io::Write as _;
-    std::io::stdout().flush().ok();
+    flush_stdout();
 
     // A `shutdown` sent to any replica drains the whole cluster.
     'watch: loop {
@@ -1397,7 +1202,7 @@ fn serve_cluster(opts: &HashMap<String, String>) {
 /// (full/delta), parent, size, checksum, and which one is active. The
 /// active generation is what `serve` boots (and what `reload
 /// --generation 0` targets).
-fn generations(opts: &HashMap<String, String>) {
+fn generations(opts: &Opts) {
     use lasagna_repro::qserve::{GenKind, GenManifest, GEN_MANIFEST_FILE, STORE_FILE};
 
     let work = PathBuf::from(require(opts, "work"));
@@ -1452,28 +1257,20 @@ fn generations(opts: &HashMap<String, String>) {
 /// other value targets that generation explicitly. The server answers
 /// only after the swap is complete — on failure it rolls back loudly
 /// and the old generation keeps serving.
-fn reload(opts: &HashMap<String, String>) {
+fn reload(opts: &Opts) {
     let generation: u64 = get(opts, "generation", 0u64);
-    let mut client = stats_client(opts, "reload");
-    let active = client.reload(generation).unwrap_or_else(die_qnet);
+    let active = client(opts, "reload")
+        .reload(generation)
+        .unwrap_or_else(die_qnet);
     println!("reload complete; now serving generation {active}");
 }
 
 /// Ask a `serve` process to drain gracefully and stop.
-fn shutdown(opts: &HashMap<String, String>) {
-    use lasagna_repro::qnet::{ClientConfig, QueryClient};
-
+fn shutdown(opts: &Opts) {
     let connect = require(opts, "connect");
-    let rec = obs::Recorder::disabled();
-    let mut client = QueryClient::new(
-        ClientConfig {
-            addr: connect.clone(),
-            client_id: "shutdown".to_string(),
-            ..ClientConfig::default()
-        },
-        &rec,
-    );
-    client.request_shutdown().unwrap_or_else(die_qnet);
+    client(opts, "shutdown")
+        .request_shutdown()
+        .unwrap_or_else(die_qnet);
     println!("shutdown acknowledged by {connect}; server is draining");
 }
 
@@ -1551,10 +1348,8 @@ fn die_qserve<T>(e: lasagna_repro::qserve::QserveError) -> T {
     })
 }
 
-fn die_qnet<T>(e: lasagna_repro::qnet::QnetError) -> T {
-    use lasagna_repro::qnet::QnetError;
-    eprintln!("lasagna: {e}");
-    exit(match &e {
+fn qnet_exit_code(e: &QnetError) -> i32 {
+    match e {
         QnetError::Corrupt { .. } => EXIT_CORRUPT,
         QnetError::Io(_) => EXIT_IO,
         QnetError::Overloaded { .. } | QnetError::Draining | QnetError::RetriesExhausted { .. } => {
@@ -1564,36 +1359,31 @@ fn die_qnet<T>(e: lasagna_repro::qnet::QnetError) -> T {
         // is still serving, so this is an operator retry, not an outage.
         QnetError::ReloadFailed { .. } => 1,
         QnetError::DeadlineExceeded { .. } | QnetError::Remote(_) => 1,
-    })
+    }
+}
+
+fn die_qnet<T>(e: QnetError) -> T {
+    eprintln!("lasagna: {e}");
+    exit(qnet_exit_code(&e))
 }
 
 /// Router failures map onto the same ladder: a dead shard is
-/// "unavailable, resubmit later" (6), a terminal network error keeps its
-/// qnet mapping, and a bad manifest is an input error (1).
+/// "unavailable, resubmit later" (6), a terminal network error keeps
+/// qnet's mapping of the attempt that ended it, and a bad manifest is
+/// an input error (1).
 fn die_qrouter<T>(e: lasagna_repro::qrouter::RouterError) -> T {
     use lasagna_repro::qrouter::RouterError;
-    match &e {
-        RouterError::Net { source, .. } => {
-            eprintln!("lasagna: {e}");
-            exit(match source {
-                lasagna_repro::qnet::QnetError::Corrupt { .. } => EXIT_CORRUPT,
-                lasagna_repro::qnet::QnetError::Io(_) => EXIT_IO,
-                _ => 1,
-            })
-        }
-        RouterError::ShardUnavailable { .. } => {
-            eprintln!("lasagna: {e}");
-            exit(EXIT_OVERLOADED)
-        }
+    eprintln!("lasagna: {e}");
+    exit(match &e {
+        RouterError::Net { source, .. } => qnet_exit_code(source.last_attempt()),
         // Skew means the merge was refused to protect the answer; a
         // failed rollout left the pin (and service) on the old
         // generation. Both are resubmit/retry conditions.
-        RouterError::GenerationSkew { .. } | RouterError::RolloutFailed { .. } => {
-            eprintln!("lasagna: {e}");
-            exit(EXIT_OVERLOADED)
-        }
-        RouterError::Manifest(_) => die(e),
-    }
+        RouterError::ShardUnavailable { .. }
+        | RouterError::GenerationSkew { .. }
+        | RouterError::RolloutFailed { .. } => EXIT_OVERLOADED,
+        RouterError::Manifest(_) => 1,
+    })
 }
 
 /// Distributed errors cross thread boundaries as strings (see

@@ -74,7 +74,7 @@ fn simulate_assemble_stats_roundtrip() {
 }
 
 #[test]
-fn full_graph_and_bsp_modes_work() {
+fn full_graph_mode_works() {
     let dir = workdir("modes");
     let reads = dir.join("reads.fastq");
     cli()
@@ -92,28 +92,23 @@ fn full_graph_and_bsp_modes_work() {
         .status()
         .expect("simulate");
 
-    for (mode, extra) in [
-        ("full", vec!["--graph", "full"]),
-        ("bsp", vec!["--traversal", "bsp"]),
-    ] {
-        let out = dir.join(format!("contigs_{mode}.fa"));
-        let run = cli()
-            .args(["assemble", "--reads"])
-            .arg(&reads)
-            .args(["--out"])
-            .arg(&out)
-            .args(["--work"])
-            .arg(dir.join(format!("work_{mode}")))
-            .args(&extra)
-            .output()
-            .expect("assemble");
-        assert!(
-            run.status.success(),
-            "{mode}: {}",
-            String::from_utf8_lossy(&run.stderr)
-        );
-        assert!(out.exists(), "{mode} wrote no contigs");
-    }
+    let out = dir.join("contigs_full.fa");
+    let run = cli()
+        .args(["assemble", "--reads"])
+        .arg(&reads)
+        .args(["--out"])
+        .arg(&out)
+        .args(["--work"])
+        .arg(dir.join("work_full"))
+        .args(["--graph", "full"])
+        .output()
+        .expect("assemble");
+    assert!(
+        run.status.success(),
+        "{}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    assert!(out.exists(), "full graph mode wrote no contigs");
 }
 
 #[test]
@@ -430,9 +425,9 @@ fn assemble_distributed_io_failure_exits_5() {
 
 #[test]
 fn unknown_options_exit_2_naming_the_flag() {
-    // Each command is valid but for one option no subcommand reads (two
-    // of them deleted flags). The CLI must refuse it by name instead of
-    // running without it.
+    // Each command is valid but for one option it does not read: a
+    // deleted flag, or one only another command reads. The CLI must
+    // refuse it by name instead of running without it.
     let dir = workdir("unknown-opts");
     let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
     let (reads, contigs, work) = (path("reads.fastq"), path("contigs.fa"), path("work"));
@@ -462,8 +457,12 @@ fn unknown_options_exit_2_naming_the_flag() {
 
     for (command, flag, value) in [
         (&assemble[..], "--correct", "21"),
+        (&assemble, "--traversal", "bsp"),
         (&query, "--auth-secret", "S"),
         (&query, "--cache-mb", "16"),
+        (&simulate, "--workers", "2"),
+        (&assemble, "--shards", "2"),
+        (&query, "--trace-out", "trace.jsonl"),
     ] {
         let out = cli()
             .args(command)
@@ -603,4 +602,60 @@ fn serving_commands_answer_alike_in_process_over_tcp_and_through_the_router() {
     assert_eq!(mapped, 87, "{in_process}");
     assert_eq!(over_tcp, in_process);
     assert_eq!(routed, in_process);
+}
+
+#[test]
+fn serve_boots_the_active_generation_and_reload_swaps_it() {
+    use lasagna_repro::genome::fastq::write_fastq;
+    use lasagna_repro::prelude::{GenomeSim, IoStats};
+    use lasagna_repro::qserve::{generations, GenKind, IndexConfig};
+
+    // Two generations with disjoint contigs; the second export is active.
+    let dir = workdir("reload");
+    let work = dir.join("work");
+    std::fs::create_dir_all(&work).unwrap();
+    let contig = |seed| {
+        GenomeSim {
+            len: 3_000,
+            repeat_fraction: 0.0,
+            repeat_len: 200,
+            seed,
+        }
+        .generate()
+    };
+    let (gen1, gen2) = (contig(31), contig(32));
+    for contigs in [&gen1, &gen2] {
+        let cfg = IndexConfig::default();
+        let io = IoStats::default();
+        let one = std::slice::from_ref(contigs);
+        generations::export(&work, one, &cfg, 1, 100, GenKind::Full, &io).unwrap();
+    }
+    let queries = dir.join("queries.fastq");
+    write_fastq(&queries, [("from_gen1", &gen1.slice(1_000, 100))]).unwrap();
+    let (work, queries) = (work.to_str().unwrap(), queries.to_str().unwrap());
+
+    let mut serve = Spawned::start(&["serve", "--work", work]);
+    let listening = serve.line();
+    let addr = listening.strip_prefix("listening ").expect(&listening);
+    let generation = || {
+        let stats = run_ok(&["stats", "--connect", addr, "--format", "tsv"]);
+        let row = stats.lines().find_map(|l| l.strip_prefix("generation\t"));
+        row.expect(&stats).to_string()
+    };
+    let mapped = || {
+        let summary = run_ok(&["query", "--connect", addr, "--reads", queries]);
+        summary.contains(": 1 mapped, 0 unmapped")
+    };
+
+    assert_eq!(generation(), "2");
+    assert!(
+        !mapped(),
+        "generation 2 has no contig the read was cut from"
+    );
+    let reload = run_ok(&["reload", "--connect", addr, "--generation", "1"]);
+    assert!(reload.contains("now serving generation 1"), "{reload}");
+    assert_eq!(generation(), "1");
+    assert!(mapped(), "the read must map once generation 1 serves");
+    run_ok(&["shutdown", "--connect", addr]);
+    assert!(serve.exited_ok());
 }

@@ -174,39 +174,6 @@ fn reads_with_sequencing_errors_still_assemble_without_false_edges() {
 }
 
 #[test]
-fn bsp_traversal_produces_identical_assembly() {
-    let genome = GenomeSim::uniform(4_000, 121).generate();
-    let reads = ShotgunSim::error_free(70, 12.0, 122).sample(&genome);
-
-    let d1 = stdx::tempdir().unwrap();
-    let seq_cfg = AssemblyConfig::for_dataset(45, 70);
-    let seq = Pipeline::laptop(seq_cfg, d1.path())
-        .unwrap()
-        .assemble(&reads)
-        .unwrap();
-
-    let d2 = stdx::tempdir().unwrap();
-    let mut bsp_cfg = AssemblyConfig::for_dataset(45, 70);
-    bsp_cfg.bsp_traversal = true;
-    let bsp = Pipeline::laptop(bsp_cfg, d2.path())
-        .unwrap()
-        .assemble(&reads)
-        .unwrap();
-
-    assert_eq!(seq.report.graph_edges, bsp.report.graph_edges);
-    assert_eq!(seq.report.contig_stats, bsp.report.contig_stats);
-    // The BSP run charges pointer-jump supersteps to the device.
-    let compress = bsp.report.phase("compress").unwrap();
-    assert!(compress.device.per_kernel.contains_key("bsp_pointer_jump"));
-    // Contigs must be the same set.
-    let mut a: Vec<String> = seq.contigs.iter().map(|c| c.to_string()).collect();
-    let mut b: Vec<String> = bsp.contigs.iter().map(|c| c.to_string()).collect();
-    a.sort();
-    b.sort();
-    assert_eq!(a, b);
-}
-
-#[test]
 fn resume_skips_completed_phases_and_reproduces_the_result() {
     let genome = GenomeSim::uniform(3_000, 131).generate();
     let reads = ShotgunSim::error_free(70, 10.0, 132).sample(&genome);
