@@ -1163,6 +1163,9 @@ fn serve_cluster(opts: &Opts) {
             servers.push(server);
         }
     }
+    // Replicas hold their own store and shard index; the full index
+    // opened with the store is not served.
+    drop(served);
     manifest.save(&manifest_path).unwrap_or_else(die_qrouter);
     println!(
         "cluster manifest ({} shards x {} replicas) written to {}",
