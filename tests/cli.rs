@@ -1,6 +1,6 @@
 //! End-to-end exercise of the `lasagna-cli` binary.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn cli() -> Command {
@@ -394,14 +394,13 @@ fn assemble_distributed_roundtrip_resume_and_corrupt_log() {
 }
 
 #[test]
-fn assemble_distributed_io_failure_exits_5() {
-    // A regular file where node 0's directory must go: the I/O failure
-    // must exit 5, like the single-node assembler's.
-    let dir = workdir("distributed-io");
+fn assemble_distributed_exit_codes_match_the_single_node_ones() {
+    // Each row sets up a failure in its own work dir and names the exit
+    // code and the stderr text the distributed assembler must answer
+    // with, as `assemble` does. The reads have `l_min` 37, a length that
+    // rank 0 owns on two nodes.
+    let dir = workdir("distributed-exit");
     let reads = dir.join("reads.fastq");
-    let work = dir.join("dwork");
-    std::fs::create_dir_all(&work).unwrap();
-    std::fs::write(work.join("node0"), b"in the way").unwrap();
     let simulate = cli()
         .args(["simulate", "--genome-len", "3000", "--coverage", "8"])
         .args(["--read-len", "60", "--seed", "23", "--out"])
@@ -409,18 +408,75 @@ fn assemble_distributed_io_failure_exits_5() {
         .status()
         .expect("simulate");
     assert!(simulate.success());
-    let run = cli()
-        .args(["assemble-distributed", "--reads"])
-        .arg(&reads)
-        .args(["--out"])
-        .arg(dir.join("contigs.fa"))
-        .args(["--work"])
-        .arg(&work)
-        .output()
-        .expect("assemble-distributed");
-    let stderr = String::from_utf8_lossy(&run.stderr);
-    assert_eq!(run.status.code(), Some(5), "{stderr}");
-    assert!(stderr.contains("I/O error"), "{stderr}");
+    let run = |work: &Path, extra: &[&str]| {
+        cli()
+            .args(["assemble-distributed", "--reads"])
+            .arg(&reads)
+            .args(["--out"])
+            .arg(dir.join("contigs.fa"))
+            .args(["--work"])
+            .arg(work)
+            .args(extra)
+            .output()
+            .expect("assemble-distributed")
+    };
+    // A regular file where node 0's directory must go.
+    let blocked = |work: &Path| {
+        std::fs::create_dir_all(work).unwrap();
+        std::fs::write(work.join("node0"), b"in the way").unwrap();
+    };
+    // A clean run, then one bit flipped in both rank 0 files of length
+    // 37: the unreadable candidate list sends the resume back to the
+    // join, which must refuse the sorted partition it reads.
+    let damaged = |work: &Path| {
+        assert!(run(work, &[]).status.success(), "clean run failed");
+        for file in ["sfx_00037.kv", "cnd_00037_r000.kv"] {
+            let path = work.join("node0").join(file);
+            let mut bytes = std::fs::read(&path).unwrap();
+            let mid = bytes.len() / 2;
+            bytes[mid] ^= 0x10;
+            std::fs::write(&path, bytes).unwrap();
+        }
+    };
+    type Row<'a> = (
+        &'a str,
+        &'a dyn Fn(&Path),
+        &'a [&'a str],
+        i32,
+        &'a [&'a str],
+    );
+    let rows: [Row; 3] = [
+        ("io", &blocked, &[], 5, &["node 0: ", "I/O error"]),
+        (
+            "oom",
+            &|_| {},
+            &["--device-mem", "1K"],
+            4,
+            // The input is one block, so either rank may map it.
+            &[": device: device out of memory"],
+        ),
+        (
+            "corrupt",
+            &damaged,
+            &["--resume", "yes"],
+            3,
+            &[
+                "node 0: stream: corrupt stream: ",
+                "sfx_00037.kv checksum mismatch",
+            ],
+        ),
+    ];
+    for (name, setup, extra, code, texts) in rows {
+        let work = dir.join(format!("dwork-{name}"));
+        setup(&work);
+        let out = run(&work, extra);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(code), "{name}: {stderr}");
+        assert!(stderr.starts_with("lasagna: node "), "{name}: {stderr}");
+        for text in texts {
+            assert!(stderr.contains(text), "{name}: {stderr}");
+        }
+    }
 }
 
 #[test]
