@@ -9,6 +9,7 @@
 
 use crate::env::{ScaledEnv, Testbed};
 use crate::paper;
+use crate::Result;
 use dnet::{Cluster, ClusterConfig, ReduceStrategy};
 use genome::{DatasetPreset, ReadSet};
 use gstream::{ExternalSorter, HostMem, IoStats, KvPair, RecordWriter, SortConfig, SpillDir};
@@ -137,7 +138,7 @@ pub fn table6(
     scale: u64,
     runs_64: &[DatasetRun],
     runs_128: &[DatasetRun],
-) -> Result<Vec<Table6Row>, String> {
+) -> Result<Vec<Table6Row>> {
     let mut rows = Vec::new();
     for (i, &preset) in DatasetPreset::ALL.iter().enumerate() {
         let scaled = preset.scaled(scale);
@@ -160,7 +161,7 @@ pub fn table6(
             match baseline.run(&reads) {
                 Ok((_graph, report)) => sga_wall[j] = Some(report.total_seconds()),
                 Err(sga::SgaError::OutOfMemory { .. }) => sga_wall[j] = None,
-                Err(e) => return Err(format!("{}: SGA failed: {e}", preset.name())),
+                Err(e) => return Err(format!("{}: SGA failed: {e}", preset.name()).into()),
             }
         }
 
@@ -337,7 +338,7 @@ stdx::impl_json!(struct Fig10Point {
 });
 
 /// Fig. 10: H.Genome on 1-8 SuperMic nodes.
-pub fn fig10(scale: u64, nodes_list: &[usize], workdir: &Path) -> Result<Vec<Fig10Point>, String> {
+pub fn fig10(scale: u64, nodes_list: &[usize], workdir: &Path) -> Result<Vec<Fig10Point>> {
     let scaled = DatasetPreset::HGenome.scaled(scale);
     let (_genome, reads) = scaled.materialize();
     let assembly = AssemblyConfig::for_dataset(scaled.l_min, scaled.read_len as u32);
@@ -349,10 +350,9 @@ pub fn fig10(scale: u64, nodes_list: &[usize], workdir: &Path) -> Result<Vec<Fig
     let mut out = Vec::new();
     for &n in nodes_list {
         let dir = workdir.join(format!("f10_{n}"));
-        std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
-        let cluster = Cluster::supermic(n, env.host_bytes(), env.device_bytes(), assembly)
-            .map_err(|e| e.to_string())?;
-        let result = cluster.assemble(&reads, &dir).map_err(|e| e.to_string())?;
+        std::fs::create_dir_all(&dir)?;
+        let cluster = Cluster::supermic(n, env.host_bytes(), env.device_bytes(), assembly)?;
+        let result = cluster.assemble(&reads, &dir)?;
         let phases: Vec<(String, f64)> = result
             .report
             .phases
@@ -388,7 +388,7 @@ stdx::impl_json!(struct SchemeRow { scheme, map_modeled, kernel_seconds });
 /// Map-kernel ablation: the paper's block-per-read Hillis-Steele kernel vs
 /// the thread-per-read strawman it rejects for "excessive memory
 /// throttling" (Section III-A). H.Genome scaled, map phase only.
-pub fn mapscheme(scale: u64, workdir: &Path) -> Result<Vec<SchemeRow>, String> {
+pub fn mapscheme(scale: u64, workdir: &Path) -> Result<Vec<SchemeRow>> {
     use fingerprint::FingerprintScheme;
     let scaled = DatasetPreset::HGenome.scaled(scale);
     let (_genome, reads) = scaled.materialize();
@@ -402,15 +402,15 @@ pub fn mapscheme(scale: u64, workdir: &Path) -> Result<Vec<SchemeRow>, String> {
         (FingerprintScheme::BlockPerRead, "block-per-read"),
     ] {
         let dir = workdir.join(name);
-        std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
+        std::fs::create_dir_all(&dir)?;
         let mut config = AssemblyConfig::for_dataset(scaled.l_min, scaled.read_len as u32);
         config.fingerprint_scheme = scheme;
         let device = env.device();
         let host = env.host();
-        let spill = SpillDir::create(&dir, IoStats::default()).map_err(|e| e.to_string())?;
+        let spill = SpillDir::create(&dir, IoStats::default())?;
         let before = device.stats();
         let io_before = spill.io().snapshot();
-        lasagna::map::run(&device, &host, &spill, &config, &reads).map_err(|e| e.to_string())?;
+        lasagna::map::run(&device, &host, &spill, &config, &reads)?;
         let dev = device.stats().since(&before);
         let io = spill.io().snapshot().since(&io_before);
         out.push(SchemeRow {
@@ -440,7 +440,7 @@ stdx::impl_json!(struct DiskRow { media, read_mb_s, total_modeled, sort_modeled 
 /// Storage-media sweep: the paper argues "LaSAGNA will benefit from the
 /// use of local disks and faster media such as solid-state drives"
 /// (Section III-E). H.Genome on the 64 GB testbed across disk models.
-pub fn disks(scale: u64, workdir: &Path) -> Result<Vec<DiskRow>, String> {
+pub fn disks(scale: u64, workdir: &Path) -> Result<Vec<DiskRow>> {
     use gstream::DiskModel;
     let scaled = DatasetPreset::HGenome.scaled(scale);
     let (_genome, reads) = scaled.materialize();
@@ -455,12 +455,11 @@ pub fn disks(scale: u64, workdir: &Path) -> Result<Vec<DiskRow>, String> {
         ("SSD (520 MB/s)", DiskModel::ssd()),
     ] {
         let dir = workdir.join(label.split_whitespace().next().unwrap());
-        std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
+        std::fs::create_dir_all(&dir)?;
         let config = AssemblyConfig::for_dataset(scaled.l_min, scaled.read_len as u32);
-        let spill = SpillDir::create(&dir, IoStats::new(model)).map_err(|e| e.to_string())?;
-        let pipeline =
-            Pipeline::new(env.device(), env.host(), spill, config).map_err(|e| e.to_string())?;
-        let result = pipeline.assemble(&reads).map_err(|e| e.to_string())?;
+        let spill = SpillDir::create(&dir, IoStats::new(model))?;
+        let pipeline = Pipeline::new(env.device(), env.host(), spill, config)?;
+        let result = pipeline.assemble(&reads)?;
         out.push(DiskRow {
             media: label.to_string(),
             read_mb_s: model.read_bytes_per_s / 1e6,
@@ -589,7 +588,7 @@ pub fn reduce_strategies(
     scale: u64,
     nodes_list: &[usize],
     workdir: &Path,
-) -> Result<Vec<StrategyPoint>, String> {
+) -> Result<Vec<StrategyPoint>> {
     let scaled = DatasetPreset::HGenome.scaled(scale);
     let (_genome, reads) = scaled.materialize();
     let assembly = AssemblyConfig::for_dataset(scaled.l_min, scaled.read_len as u32);
@@ -605,7 +604,7 @@ pub fn reduce_strategies(
             (ReduceStrategy::FingerprintRange, "fingerprint-range"),
         ] {
             let dir = workdir.join(format!("rs_{n}_{name}"));
-            std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
+            std::fs::create_dir_all(&dir)?;
             let cluster = Cluster::new(ClusterConfig {
                 nodes: n,
                 gpu: vgpu::GpuProfile::k20x(),
@@ -616,9 +615,8 @@ pub fn reduce_strategies(
                 block_reads: 1024,
                 assembly,
                 reduce_strategy: strategy,
-            })
-            .map_err(|e| e.to_string())?;
-            let result = cluster.assemble(&reads, &dir).map_err(|e| e.to_string())?;
+            })?;
+            let result = cluster.assemble(&reads, &dir)?;
             let phase = |p: &str| {
                 result
                     .report
@@ -654,7 +652,7 @@ stdx::impl_json!(struct FpCheckRow { bits, edges, false_edges });
 
 /// The zero-false-positive check (Section IV-B): 128-bit fingerprints must
 /// admit no false edges; truncated widths progressively do.
-pub fn fpcheck(scale: u64, workdir: &Path) -> Result<Vec<FpCheckRow>, String> {
+pub fn fpcheck(scale: u64, workdir: &Path) -> Result<Vec<FpCheckRow>> {
     let scaled = DatasetPreset::HChr14.scaled(scale);
     let (_genome, reads) = scaled.materialize();
     let env = ScaledEnv {
@@ -664,13 +662,12 @@ pub fn fpcheck(scale: u64, workdir: &Path) -> Result<Vec<FpCheckRow>, String> {
     let mut out = Vec::new();
     for bits in [128u32, 64, 48, 32, 24, 16] {
         let dir = workdir.join(format!("fp_{bits}"));
-        std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
+        std::fs::create_dir_all(&dir)?;
         let mut config = AssemblyConfig::for_dataset(scaled.l_min, scaled.read_len as u32);
         config.fingerprint_bits = bits;
-        let spill = SpillDir::create(&dir, IoStats::default()).map_err(|e| e.to_string())?;
-        let pipeline =
-            Pipeline::new(env.device(), env.host(), spill, config).map_err(|e| e.to_string())?;
-        let result = pipeline.assemble(&reads).map_err(|e| e.to_string())?;
+        let spill = SpillDir::create(&dir, IoStats::default())?;
+        let pipeline = Pipeline::new(env.device(), env.host(), spill, config)?;
+        let result = pipeline.assemble(&reads)?;
         out.push(FpCheckRow {
             bits,
             edges: result.graph.edge_count(),
@@ -699,16 +696,13 @@ stdx::impl_json!(struct FaultRow { scenario, injected, recovered, detail });
 /// every failpoint and resume from the checkpoint manifest; kill
 /// distributed nodes mid-superstep and fail over; lose the reduce token
 /// and regenerate it. Every scenario must reproduce the clean run exactly.
-pub fn faults(workdir: &Path) -> Result<Vec<FaultRow>, String> {
+pub fn faults(workdir: &Path) -> Result<Vec<FaultRow>> {
     let genome = genome::GenomeSim::uniform(2_000, 77).generate();
     let reads = genome::ShotgunSim::error_free(60, 8.0, 78).sample(&genome);
     let config = AssemblyConfig::for_dataset(40, 60);
     let base_dir = workdir.join("baseline");
-    std::fs::create_dir_all(&base_dir).map_err(|e| e.to_string())?;
-    let baseline = Pipeline::laptop(config, &base_dir)
-        .map_err(|e| e.to_string())?
-        .assemble(&reads)
-        .map_err(|e| e.to_string())?;
+    std::fs::create_dir_all(&base_dir)?;
+    let baseline = Pipeline::laptop(config, &base_dir)?.assemble(&reads)?;
 
     let mut rows = Vec::new();
 
@@ -722,17 +716,13 @@ pub fn faults(workdir: &Path) -> Result<Vec<FaultRow>, String> {
     ] {
         for nth in [1u64, 4] {
             let dir = workdir.join(format!("{}_{nth}", point.replace('.', "_")));
-            std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
+            std::fs::create_dir_all(&dir)?;
             let plan = faultsim::FaultPlan::new().fail_at(point, nth);
-            let crash = Pipeline::laptop(config, &dir)
-                .map_err(|e| e.to_string())?
+            let crash = Pipeline::laptop(config, &dir)?
                 .with_faults(faultsim::Faults::from_plan(&plan))
                 .assemble_resumable(&reads);
-            let injected = matches!(&crash, Err(e) if faultsim::is_injected(&e.to_string()));
-            let (recovered, detail) = match Pipeline::laptop(config, &dir)
-                .map_err(|e| e.to_string())?
-                .resume(&reads)
-            {
+            let injected = matches!(&crash, Err(e) if e.fault().is_some());
+            let (recovered, detail) = match Pipeline::laptop(config, &dir)?.resume(&reads) {
                 Ok(out) if out.contigs == baseline.contigs => (
                     true,
                     format!(
@@ -769,7 +759,7 @@ pub fn faults(workdir: &Path) -> Result<Vec<FaultRow>, String> {
         ("reduce token lost", faultsim::DNET_TOKEN, 1),
     ] {
         let dir = workdir.join(format!("dnet_{}_{nth}", point.replace('.', "_")));
-        std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
+        std::fs::create_dir_all(&dir)?;
         let faults = faultsim::Faults::from_plan(&faultsim::FaultPlan::new().fail_at(point, nth));
         let outcome = Cluster::new(ClusterConfig {
             nodes: 3,
@@ -863,7 +853,7 @@ pub fn faults(workdir: &Path) -> Result<Vec<FaultRow>, String> {
 
     {
         let dir = workdir.join("dnet_range_failover");
-        std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
+        std::fs::create_dir_all(&dir)?;
         let faults =
             faultsim::Faults::from_plan(&faultsim::FaultPlan::new().fail_at(faultsim::DNET_AM, 3));
         let outcome = mk_cluster(3, ReduceStrategy::FingerprintRange)
@@ -894,7 +884,7 @@ pub fn faults(workdir: &Path) -> Result<Vec<FaultRow>, String> {
             "dnet_resume_{}",
             label.split(' ').next().unwrap_or("x")
         ));
-        std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
+        std::fs::create_dir_all(&dir)?;
         let faults = faultsim::Faults::from_plan(&plan);
         let crash = mk_cluster(2, ReduceStrategy::LengthToken)
             .map(|c| c.with_faults(faults.clone()))
@@ -917,14 +907,13 @@ pub fn faults(workdir: &Path) -> Result<Vec<FaultRow>, String> {
         // append — is inflicted directly, then the resume must drop the
         // torn record and replay that superstep.
         let dir = workdir.join("dnet_torn_log");
-        std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
+        std::fs::create_dir_all(&dir)?;
         mk_cluster(2, ReduceStrategy::LengthToken)
-            .and_then(|c| c.assemble_resumable(&reads, &dir))
-            .map_err(|e| e.to_string())?;
+            .and_then(|c| c.assemble_resumable(&reads, &dir))?;
         let log = dir.join(dnet::superstep::LOG_NAME);
-        let mut bytes = std::fs::read(&log).map_err(|e| e.to_string())?;
+        let mut bytes = std::fs::read(&log)?;
         bytes.truncate(bytes.len().saturating_sub(10));
-        std::fs::write(&log, bytes).map_err(|e| e.to_string())?;
+        std::fs::write(&log, bytes)?;
         let outcome =
             mk_cluster(2, ReduceStrategy::LengthToken).and_then(|c| c.resume(&reads, &dir));
         let resumed_flag = matches!(&outcome, Ok(out) if out.report.resumed);
@@ -941,19 +930,15 @@ pub fn faults(workdir: &Path) -> Result<Vec<FaultRow>, String> {
         // ENOSPC mid-run surfaces as a real I/O error; resuming once space
         // is freed completes from the durable checkpoints.
         let dir = workdir.join("disk_full_resume");
-        std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
+        std::fs::create_dir_all(&dir)?;
         let faults = faultsim::Faults::from_plan(
             &faultsim::FaultPlan::new().fail_at(faultsim::DISK_FULL, 2),
         );
-        let crash = Pipeline::laptop(config, &dir)
-            .map_err(|e| e.to_string())?
+        let crash = Pipeline::laptop(config, &dir)?
             .with_faults(faults.clone())
             .assemble_resumable(&reads);
         let injected = !faults.injected().is_empty();
-        let (recovered, detail) = match Pipeline::laptop(config, &dir)
-            .map_err(|e| e.to_string())?
-            .resume(&reads)
-        {
+        let (recovered, detail) = match Pipeline::laptop(config, &dir)?.resume(&reads) {
             Ok(out) if out.contigs == baseline.contigs => (
                 true,
                 format!(
@@ -1027,7 +1012,7 @@ fn hist_percentiles_ms(h: &obs::Histogram) -> (f64, f64, f64, f64) {
 /// store the pipeline exported, then sweep worker counts over the same
 /// 10 000-read query load. Every configuration must produce identical
 /// answers — the sweep only moves throughput and latency.
-pub fn serve(workdir: &Path) -> Result<Vec<ServeRow>, String> {
+pub fn serve(workdir: &Path) -> Result<Vec<ServeRow>> {
     let (store_path, index_path, queries) = serve_fixture(workdir)?;
     let io = IoStats::default();
     let mut rows = Vec::new();
@@ -1038,8 +1023,7 @@ pub fn serve(workdir: &Path) -> Result<Vec<ServeRow>, String> {
             &index_path,
             &io,
             qserve::QueryConfig::default(),
-        )
-        .map_err(|e| e.to_string())?;
+        )?;
         // An enabled recorder so the service's per-read latency
         // histograms land in the archived row alongside the coarse
         // per-batch timings.
@@ -1057,7 +1041,7 @@ pub fn serve(workdir: &Path) -> Result<Vec<ServeRow>, String> {
         let run_start = std::time::Instant::now();
         for batch in queries.chunks(256) {
             let t = std::time::Instant::now();
-            let hits = svc.query_batch(batch.to_vec()).map_err(|e| e.to_string())?;
+            let hits = svc.query_batch(batch.to_vec())?;
             latencies_ms.push(t.elapsed().as_secs_f64() * 1e3);
             answers.extend(hits);
         }
@@ -1066,7 +1050,7 @@ pub fn serve(workdir: &Path) -> Result<Vec<ServeRow>, String> {
             None => reference = Some(answers.clone()),
             Some(expected) => {
                 if *expected != answers {
-                    return Err(format!("answers diverged at workers={workers}"));
+                    return Err(format!("answers diverged at workers={workers}").into());
                 }
             }
         }
@@ -1099,30 +1083,24 @@ pub fn serve(workdir: &Path) -> Result<Vec<ServeRow>, String> {
 /// configurations and transports.
 fn serve_fixture(
     workdir: &Path,
-) -> Result<
-    (
-        std::path::PathBuf,
-        std::path::PathBuf,
-        Vec<genome::PackedSeq>,
-    ),
-    String,
-> {
+) -> Result<(
+    std::path::PathBuf,
+    std::path::PathBuf,
+    Vec<genome::PackedSeq>,
+)> {
     let genome = genome::GenomeSim::uniform(20_000, 11).generate();
     let reads = genome::ShotgunSim::error_free(80, 12.0, 12).sample(&genome);
     let config = AssemblyConfig::for_dataset(50, 80);
     let dir = workdir.join("serve");
-    std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
-    let out = Pipeline::laptop(config, &dir)
-        .map_err(|e| e.to_string())?
-        .assemble(&reads)
-        .map_err(|e| e.to_string())?;
+    std::fs::create_dir_all(&dir)?;
+    let out = Pipeline::laptop(config, &dir)?.assemble(&reads)?;
 
     let io = IoStats::default();
     let store_path = dir.join(qserve::STORE_FILE);
     let index_path = dir.join(qserve::INDEX_FILE);
-    let store = qserve::ContigStore::open(&store_path, &io).map_err(|e| e.to_string())?;
+    let store = qserve::ContigStore::open(&store_path, &io)?;
     let index = qserve::MinimizerIndex::build(&store, &qserve::IndexConfig::default());
-    index.write(&index_path, &io).map_err(|e| e.to_string())?;
+    index.write(&index_path, &io)?;
 
     let queries = slice_queries(out.contigs.as_slice(), 10_000, 60);
     if queries.is_empty() {
@@ -1232,7 +1210,7 @@ fn qnet_server_rollup(rollup: &obs::Rollup) -> (GateTotals, Vec<(String, GateTot
 /// probabilistic connection drops). Every scenario must return answers
 /// bit-identical to the in-process service; chaos only moves latency
 /// and the retry count.
-pub fn serve_net(workdir: &Path) -> Result<Vec<ServeNetRow>, String> {
+pub fn serve_net(workdir: &Path) -> Result<Vec<ServeNetRow>> {
     use std::time::Duration;
 
     let (store_path, index_path, queries) = serve_fixture(workdir)?;
@@ -1244,7 +1222,6 @@ pub fn serve_net(workdir: &Path) -> Result<Vec<ServeNetRow>, String> {
             &io,
             qserve::QueryConfig::default(),
         )
-        .map_err(|e| e.to_string())
     };
 
     // In-process reference answers: the ground truth every network
@@ -1256,11 +1233,7 @@ pub fn serve_net(workdir: &Path) -> Result<Vec<ServeNetRow>, String> {
     );
     let mut reference = Vec::with_capacity(queries.len());
     for batch in queries.chunks(256) {
-        reference.extend(
-            reference_svc
-                .query_batch(batch.to_vec())
-                .map_err(|e| e.to_string())?,
-        );
+        reference.extend(reference_svc.query_batch(batch.to_vec())?);
     }
     drop(reference_svc);
 
@@ -1306,8 +1279,7 @@ pub fn serve_net(workdir: &Path) -> Result<Vec<ServeNetRow>, String> {
             },
             &rec,
             faults,
-        )
-        .map_err(|e| e.to_string())?;
+        )?;
         let mut client = qnet::QueryClient::new(
             qnet::ClientConfig {
                 addr: server.local_addr().to_string(),
@@ -1413,10 +1385,10 @@ fn start_cluster(
     store_path: &Path,
     n_shards: u32,
     replicas: u32,
-) -> Result<(Vec<qnet::Server>, qrouter::ClusterManifest), String> {
+) -> Result<(Vec<qnet::Server>, qrouter::ClusterManifest)> {
     use std::time::Duration;
     let io = IoStats::default();
-    let store = qserve::ContigStore::open(store_path, &io).map_err(|e| e.to_string())?;
+    let store = qserve::ContigStore::open(store_path, &io)?;
     let mut manifest = qrouter::ClusterManifest::new(n_shards, store.checksum());
     let mut servers = Vec::new();
     for shard in 0..n_shards {
@@ -1427,14 +1399,12 @@ fn start_cluster(
             n_shards,
         );
         for _replica in 0..replicas {
-            let replica_store =
-                qserve::ContigStore::open(store_path, &io).map_err(|e| e.to_string())?;
+            let replica_store = qserve::ContigStore::open(store_path, &io)?;
             let engine = qserve::QueryEngine::new(
                 replica_store,
                 index.clone(),
                 qserve::QueryConfig::default(),
-            )
-            .map_err(|e| e.to_string())?;
+            )?;
             let svc = qserve::QueryService::start(
                 engine,
                 qserve::ServiceConfig {
@@ -1453,8 +1423,7 @@ fn start_cluster(
                 },
                 &obs::Recorder::disabled(),
                 faultsim::Faults::disabled(),
-            )
-            .map_err(|e| e.to_string())?;
+            )?;
             manifest.add_replica(shard, server.local_addr().to_string());
             servers.push(server);
         }
@@ -1470,7 +1439,7 @@ fn start_cluster(
 /// Every scenario must return answers bit-identical to a single-node
 /// server, and the router's counters must conserve: every offered read
 /// is either merged or dead-lettered, never silently dropped.
-pub fn serve_cluster(workdir: &Path) -> Result<Vec<ServeClusterRow>, String> {
+pub fn serve_cluster(workdir: &Path) -> Result<Vec<ServeClusterRow>> {
     let (store_path, index_path, queries) = serve_fixture(workdir)?;
     let io = IoStats::default();
 
@@ -1481,18 +1450,13 @@ pub fn serve_cluster(workdir: &Path) -> Result<Vec<ServeClusterRow>, String> {
             &index_path,
             &io,
             qserve::QueryConfig::default(),
-        )
-        .map_err(|e| e.to_string())?,
+        )?,
         qserve::ServiceConfig::default(),
         &obs::Recorder::disabled(),
     );
     let mut reference = Vec::with_capacity(queries.len());
     for batch in queries.chunks(256) {
-        reference.extend(
-            reference_svc
-                .query_batch(batch.to_vec())
-                .map_err(|e| e.to_string())?,
-        );
+        reference.extend(reference_svc.query_batch(batch.to_vec())?);
     }
     drop(reference_svc);
 
@@ -1576,8 +1540,7 @@ pub fn serve_cluster(workdir: &Path) -> Result<Vec<ServeClusterRow>, String> {
             },
             sc.faults,
             &rec,
-        )
-        .map_err(|e| e.to_string())?;
+        )?;
 
         let mut answers = Vec::with_capacity(queries.len());
         let mut latencies_ms = Vec::new();
@@ -1596,7 +1559,7 @@ pub fn serve_cluster(workdir: &Path) -> Result<Vec<ServeClusterRow>, String> {
                     latencies_ms.push(t.elapsed().as_secs_f64() * 1e3);
                     answers.extend(hits);
                 }
-                Err(e) => return Err(format!("{}: {e}", sc.name)),
+                Err(e) => return Err(format!("{}: {e}", sc.name).into()),
             }
         }
         let elapsed = run_start.elapsed().as_secs_f64();
@@ -1688,17 +1651,15 @@ fn export_reload_generation(
     id: u64,
     contigs: &[genome::PackedSeq],
     io: &IoStats,
-) -> Result<(), String> {
+) -> Result<()> {
     let store_name = qserve::gen_store_file(id);
     let index_name = qserve::gen_index_file(id);
-    qserve::ContigStore::write(&dir.join(&store_name), contigs, io).map_err(|e| e.to_string())?;
-    let store = qserve::ContigStore::open(&dir.join(&store_name), io).map_err(|e| e.to_string())?;
+    qserve::ContigStore::write(&dir.join(&store_name), contigs, io)?;
+    let store = qserve::ContigStore::open(&dir.join(&store_name), io)?;
     let index = qserve::MinimizerIndex::build(&store, &qserve::IndexConfig::default());
-    index
-        .write(&dir.join(&index_name), io)
-        .map_err(|e| e.to_string())?;
+    index.write(&dir.join(&index_name), io)?;
     let mut manifest = if qserve::GenManifest::exists(dir) {
-        qserve::GenManifest::load(dir, io).map_err(|e| e.to_string())?
+        qserve::GenManifest::load(dir, io)?
     } else {
         qserve::GenManifest {
             version: qserve::generations::GEN_MANIFEST_VERSION,
@@ -1720,7 +1681,7 @@ fn export_reload_generation(
         },
         parent: if id == 1 { None } else { Some(id - 1) },
     });
-    manifest.store(dir, io).map_err(|e| e.to_string())
+    Ok(manifest.store(dir, io)?)
 }
 
 /// Hot-reload serving benchmark: a client streams query batches
@@ -1730,7 +1691,7 @@ fn export_reload_generation(
 /// answered it, and the zero-downtime contract is measured directly:
 /// zero reads shed, zero reconnects, across clean rolling reloads and
 /// a reload that rolls back under an armed load fault.
-pub fn serve_reload(workdir: &Path) -> Result<Vec<ServeReloadRow>, String> {
+pub fn serve_reload(workdir: &Path) -> Result<Vec<ServeReloadRow>> {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
     use std::time::Duration;
@@ -1738,7 +1699,7 @@ pub fn serve_reload(workdir: &Path) -> Result<Vec<ServeReloadRow>, String> {
     const GENERATIONS: u64 = 4;
     let io = IoStats::default();
     let dir = workdir.join("serve-reload");
-    std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
+    std::fs::create_dir_all(&dir)?;
 
     // Generation k serves contigs 0..k: each swap grows the corpus by
     // one contig (a delta generation), and the base contig keeps the
@@ -1757,8 +1718,7 @@ pub fn serve_reload(workdir: &Path) -> Result<Vec<ServeReloadRow>, String> {
     for id in 1..=GENERATIONS {
         let store = qserve::ContigStore::from_contigs(contigs[..id as usize].to_vec());
         let index = qserve::MinimizerIndex::build(&store, &qserve::IndexConfig::default());
-        let engine = qserve::QueryEngine::new(store, index, qserve::QueryConfig::default())
-            .map_err(|e| e.to_string())?;
+        let engine = qserve::QueryEngine::new(store, index, qserve::QueryConfig::default())?;
         oracles.insert(id, queries.iter().map(|q| engine.query(q)).collect());
     }
     let oracles = Arc::new(oracles);
@@ -1788,12 +1748,9 @@ pub fn serve_reload(workdir: &Path) -> Result<Vec<ServeReloadRow>, String> {
     let mut rows = Vec::new();
     for sc in scenarios {
         // The server starts on generation 1 with the reload path armed.
-        let store = qserve::ContigStore::open(&dir.join(qserve::gen_store_file(1)), &io)
-            .map_err(|e| e.to_string())?;
-        let index = qserve::MinimizerIndex::open(&dir.join(qserve::gen_index_file(1)), &io)
-            .map_err(|e| e.to_string())?;
-        let engine = qserve::QueryEngine::new(store, index, qserve::QueryConfig::default())
-            .map_err(|e| e.to_string())?;
+        let store = qserve::ContigStore::open(&dir.join(qserve::gen_store_file(1)), &io)?;
+        let index = qserve::MinimizerIndex::open(&dir.join(qserve::gen_index_file(1)), &io)?;
+        let engine = qserve::QueryEngine::new(store, index, qserve::QueryConfig::default())?;
         let svc = qserve::QueryService::start_with_generation(
             engine,
             1,
@@ -1820,8 +1777,7 @@ pub fn serve_reload(workdir: &Path) -> Result<Vec<ServeReloadRow>, String> {
             },
             &obs::Recorder::disabled(),
             sc.faults,
-        )
-        .map_err(|e| e.to_string())?;
+        )?;
         let addr = server.local_addr();
 
         // The streaming client: continuous 256-read tagged batches on
@@ -1915,13 +1871,12 @@ pub fn serve_reload(workdir: &Path) -> Result<Vec<ServeReloadRow>, String> {
             std::thread::sleep(Duration::from_millis(30));
         }
         stop.store(true, Ordering::Relaxed);
-        let (served, reads, clean, reconnects, elapsed) = streamer
-            .join()
-            .map_err(|_| "streaming client panicked".to_string())?;
+        let (served, reads, clean, reconnects, elapsed) =
+            streamer.join().map_err(|_| "streaming client panicked")?;
         if let Some(e) = script_err {
-            return Err(e);
+            return Err(e.into());
         }
-        let snap = ctl.stats().map_err(|e| e.to_string())?;
+        let snap = ctl.stats()?;
         server.shutdown();
 
         rows.push(ServeReloadRow {

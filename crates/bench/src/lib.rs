@@ -16,6 +16,9 @@ pub mod experiments;
 pub mod paper;
 pub mod validate;
 
+/// What a runner returns: its rows, or the first error that stopped it.
+pub type Result<T> = std::result::Result<T, Box<dyn std::error::Error + Send + Sync>>;
+
 /// Default scale factor: the paper's sizes divided by 20,000 put the
 /// largest dataset (H.Genome) at ~62 k reads and the 128 GB host budget at
 /// ~6.4 MiB, small enough for CI yet still forcing multi-run external

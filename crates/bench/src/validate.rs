@@ -7,6 +7,7 @@
 
 use crate::env::Testbed;
 use crate::experiments;
+use crate::Result;
 use std::path::Path;
 
 /// Outcome of one claim check.
@@ -35,12 +36,11 @@ fn claim(claim: &str, source: &str, pass: bool, evidence: String) -> ClaimResult
 
 /// Run every claim check at `scale` (large scales are fast; 40,000 runs in
 /// seconds). Returns one row per claim.
-pub fn validate(scale: u64, workdir: &Path) -> Result<Vec<ClaimResult>, String> {
+pub fn validate(scale: u64, workdir: &Path) -> Result<Vec<ClaimResult>> {
     let mut out = Vec::new();
 
     // --- Single-node pipeline claims (Tables II/III) -------------------
-    let runs = experiments::run_testbed(Testbed::queenbee2(), scale, &workdir.join("v_t2"))
-        .map_err(|e| e.to_string())?;
+    let runs = experiments::run_testbed(Testbed::queenbee2(), scale, &workdir.join("v_t2"))?;
     {
         let sort_dominant = runs.iter().all(|r| {
             let sort = r.report.phase("sort").unwrap().modeled_seconds;
@@ -105,8 +105,7 @@ pub fn validate(scale: u64, workdir: &Path) -> Result<Vec<ClaimResult>, String> 
     }
 
     // --- 64 GB vs 128 GB (Table III's H.Genome knee) ---------------------
-    let small = experiments::run_testbed(Testbed::supermic(), scale, &workdir.join("v_t3"))
-        .map_err(|e| e.to_string())?;
+    let small = experiments::run_testbed(Testbed::supermic(), scale, &workdir.join("v_t3"))?;
     {
         let big_hg = runs[3].report.total_modeled_seconds();
         let small_hg = small[3].report.total_modeled_seconds();
@@ -150,7 +149,7 @@ pub fn validate(scale: u64, workdir: &Path) -> Result<Vec<ClaimResult>, String> 
 
     // --- Sort sweeps (Figs. 8-9) ----------------------------------------
     {
-        let points = experiments::fig8(scale, &workdir.join("v_f8")).map_err(|e| e.to_string())?;
+        let points = experiments::fig8(scale, &workdir.join("v_f8"))?;
         let host_effect = {
             let at = |h: usize, d: usize| {
                 points
@@ -201,7 +200,7 @@ pub fn validate(scale: u64, workdir: &Path) -> Result<Vec<ClaimResult>, String> 
             "pass counts non-increasing in m_h".into(),
         ));
 
-        let f9 = experiments::fig9(scale, &workdir.join("v_f9")).map_err(|e| e.to_string())?;
+        let f9 = experiments::fig9(scale, &workdir.join("v_f9"))?;
         let best = |gpu: &str| {
             f9.iter()
                 .filter(|p| p.gpu == gpu)

@@ -11,7 +11,7 @@
 
 use crate::netmodel::NetStats;
 use gstream::spill::PartitionKind;
-use gstream::KvPair;
+use gstream::{KvPair, StreamError};
 use std::sync::mpsc::{channel, Receiver, Sender};
 
 /// A request an active message can carry.
@@ -53,7 +53,7 @@ pub enum Response {
     /// corrupt partition file). Carried back to the requester so storage
     /// corruption fails the phase loudly instead of silently shrinking
     /// the assembly.
-    Error(String),
+    Error(StreamError),
 }
 
 type Envelope = (Request, Sender<Response>);
@@ -80,11 +80,7 @@ impl AmClient {
     /// fires *before* the message leaves, modeling a sender that dies
     /// mid-superstep (the message is never delivered, the server side
     /// survives). The cluster driver treats the error as a node failure.
-    pub fn try_call(
-        &self,
-        from_rank: usize,
-        req: Request,
-    ) -> std::result::Result<(Response, f64), faultsim::FaultError> {
+    pub fn try_call(&self, from_rank: usize, req: Request) -> gstream::Result<(Response, f64)> {
         self.faults.hit(faultsim::DNET_AM)?;
         Ok(self.call(from_rank, req))
     }
@@ -108,7 +104,7 @@ impl AmClient {
                 Response::Partition(pairs) => (pairs.len() * KvPair::BYTES) as u64,
                 Response::Block(_) => 24,
                 Response::Bye => 0,
-                Response::Error(m) => m.len() as u64,
+                Response::Error(e) => e.to_string().len() as u64,
             };
             seconds += self.net.add_message(payload);
         }
@@ -205,7 +201,10 @@ mod tests {
         });
         assert!(client.try_call(0, Request::GetBlock).is_ok());
         let err = client.try_call(0, Request::GetBlock).unwrap_err();
-        assert!(faultsim::is_injected(&err.to_string()));
+        assert!(
+            matches!(&err, StreamError::Fault(f) if f.point == faultsim::DNET_AM && f.occurrence == 2),
+            "{err}"
+        );
         // One-shot: the retry goes through, and the failed send was never
         // charged to the network model.
         assert!(client.try_call(0, Request::GetBlock).is_ok());

@@ -61,7 +61,7 @@ use gstream::{
     StreamError,
 };
 use lasagna::config::AssemblyConfig;
-use lasagna::{map, reduce, Manifest, StringGraph};
+use lasagna::{map, reduce, LasagnaError, Manifest, StringGraph};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -348,7 +348,7 @@ impl Ownership {
 fn master_err(e: StreamError) -> DnetError {
     DnetError::Node {
         node: 0,
-        message: e.to_string(),
+        source: e.into(),
     }
 }
 
@@ -364,7 +364,7 @@ fn wipe_node_dirs(nodes: &[Node]) -> Result<()> {
         };
         wipe().map_err(|e| DnetError::Node {
             node: r,
-            message: StreamError::Io(e).to_string(),
+            source: StreamError::Io(e).into(),
         })?;
     }
     Ok(())
@@ -427,17 +427,13 @@ fn build_resume_plan(
             if rec.owners.len() != own.table.len()
                 || rec.owners.iter().any(|&r| r as usize >= n_nodes)
             {
-                return Err(DnetError::Node {
-                    node: 0,
-                    message: StreamError::Corrupt(format!(
-                        "superstep log ownership table ({} entries) does not fit \
-                         this cluster shape ({} expected, {} nodes)",
-                        rec.owners.len(),
-                        own.table.len(),
-                        n_nodes
-                    ))
-                    .to_string(),
-                });
+                return Err(master_err(StreamError::Corrupt(format!(
+                    "superstep log ownership table ({} entries) does not fit \
+                     this cluster shape ({} expected, {} nodes)",
+                    rec.owners.len(),
+                    own.table.len(),
+                    n_nodes
+                ))));
             }
             own.table = rec.owners.iter().map(|&r| r as usize).collect();
         }
@@ -495,13 +491,13 @@ fn build_resume_plan(
                 // window. Fail loudly rather than mis-assemble.
                 return Err(DnetError::Node {
                     node: owner,
-                    message: StreamError::Corrupt(format!(
+                    source: StreamError::Corrupt(format!(
                         "resumed sorted partition {sfx_tag}/{pfx_tag} on rank \
                          {owner} ({} / {}) does not match its manifest footer",
                         sfx_path.display(),
                         pfx_path.display()
                     ))
-                    .to_string(),
+                    .into(),
                 });
             }
         } else if n_nodes > 1
@@ -685,7 +681,7 @@ impl Cluster {
                 let dir = workdir.join(format!("node{i}"));
                 std::fs::create_dir_all(&dir).map_err(|e| DnetError::Node {
                     node: i,
-                    message: StreamError::Io(e).to_string(),
+                    source: StreamError::Io(e).into(),
                 })?;
                 let device = Device::with_capacity(cfg.gpu.clone(), cfg.device_capacity);
                 device.set_faults(self.faults.clone());
@@ -745,12 +741,7 @@ impl Cluster {
                 match Manifest::load(&node.dir) {
                     Ok(Some(m)) if m.config_hash == fingerprint => m,
                     Ok(_) => Manifest::new(fingerprint),
-                    Err(e) => {
-                        return Err(DnetError::Node {
-                            node: r,
-                            message: e.to_string(),
-                        })
-                    }
+                    Err(source) => return Err(DnetError::Node { node: r, source }),
                 }
             } else {
                 Manifest::new(fingerprint)
@@ -765,10 +756,7 @@ impl Cluster {
         } else {
             for (r, m) in manifests.iter().enumerate() {
                 m.store(&nodes[r].dir, &self.faults)
-                    .map_err(|e| DnetError::Node {
-                        node: r,
-                        message: e.to_string(),
-                    })?;
+                    .map_err(|source| DnetError::Node { node: r, source })?;
             }
             slog.append(&SuperstepRecord::header(fingerprint, own.logged()))
                 .map_err(master_err)?;
@@ -826,14 +814,6 @@ impl Cluster {
         // Workers claim manifests by rank; claims are durable before the
         // master learns of them.
         let manifests: Vec<Mutex<Manifest>> = manifests.into_iter().map(Mutex::new).collect();
-        let workers = Workers {
-            clients: &clients,
-            assignment: &assignment,
-            manifests: &manifests,
-            faults: &self.faults,
-            n_blocks,
-            ranges,
-        };
         let mut master = Master {
             recorder: &self.recorder,
             faults: &self.faults,
@@ -872,27 +852,22 @@ impl Cluster {
                             ranges,
                         } => {
                             let bdir = dir.join(format!("block{block}"));
-                            match SpillDir::open(&bdir, io.clone())
-                                .map(|spill| spill.path_range(kind, len, range, ranges))
-                            {
+                            let fetched = SpillDir::open(&bdir, io.clone()).and_then(|spill| {
+                                let p = spill.path_range(kind, len, range, ranges);
                                 // A block that produced nothing for this
                                 // length legitimately has no file.
-                                Ok(p) if !p.exists() => Response::Partition(Vec::new()),
-                                Ok(p) => {
-                                    match gstream::RecordReader::open(&p, io.clone())
-                                        .and_then(|mut r| r.read_all())
-                                    {
-                                        Ok(pairs) => Response::Partition(pairs),
-                                        // Never swallow a torn or bit-flipped
-                                        // partition: report it so the fetch
-                                        // fails the phase loudly instead of
-                                        // silently dropping overlaps.
-                                        Err(e) => Response::Error(format!(
-                                            "block {block} partition fetch failed: {e}"
-                                        )),
-                                    }
+                                if !p.exists() {
+                                    return Ok(Vec::new());
                                 }
-                                Err(e) => Response::Error(e.to_string()),
+                                RecordReader::open(&p, io.clone())?.read_all()
+                            });
+                            match fetched {
+                                Ok(pairs) => Response::Partition(pairs),
+                                // Never swallow a torn or bit-flipped
+                                // partition: report it so the fetch fails
+                                // the phase loudly instead of silently
+                                // dropping overlaps.
+                                Err(e) => Response::Error(e),
                             }
                         }
                         Request::Shutdown => Response::Bye,
@@ -908,30 +883,24 @@ impl Cluster {
                 // introduces the additional overhead of an all-to-all data
                 // transfer").
                 let map_one = |rank: usize, node: &Node, _: &[WorkItem]| -> RankResult<()> {
-                    let mf = &workers.manifests[rank];
+                    let mf = &manifests[rank];
                     if n_nodes == 1 {
                         if !single_map_done {
-                            let spill = SpillDir::open(&node.dir, node.io.clone())
-                                .map_err(|e| e.to_string())?;
-                            map::run(&node.device, &node.host, &spill, &assembly, reads)
-                                .map_err(|e| e.to_string())?;
+                            let spill = SpillDir::open(&node.dir, node.io.clone())?;
+                            map::run(&node.device, &node.host, &spill, &assembly, reads)?;
                             let mut m = lock(mf);
                             m.mark_phase("map");
-                            m.store(&node.dir, &self.faults)
-                                .map_err(|e| e.to_string())?;
+                            m.store(&node.dir, &self.faults)?;
                         }
                         return Ok((0.0, ()));
                     }
                     loop {
-                        let (resp, _net_s) = clients[0]
-                            .try_call(rank, Request::GetBlock)
-                            .map_err(|e| e.to_string())?;
+                        let (resp, _net_s) = clients[0].try_call(rank, Request::GetBlock)?;
                         let Response::Block(Some((b, start, end))) = resp else {
                             return Ok((0.0, ()));
                         };
                         let bdir = node.dir.join(format!("block{b}"));
-                        let spill =
-                            SpillDir::open(&bdir, node.io.clone()).map_err(|e| e.to_string())?;
+                        let spill = SpillDir::open(&bdir, node.io.clone())?;
                         map::run_range(
                             &node.device,
                             &node.host,
@@ -940,15 +909,13 @@ impl Cluster {
                             reads,
                             start,
                             end,
-                        )
-                        .map_err(|e| e.to_string())?;
+                        )?;
                         // The claim is durable before the master can hand
                         // the block's partitions to any shuffler.
                         {
                             let mut m = lock(mf);
                             m.mark_block(b as u64);
-                            m.store(&node.dir, &self.faults)
-                                .map_err(|e| e.to_string())?;
+                            m.store(&node.dir, &self.faults)?;
                         }
                         lock(&assignment)[b] = Some(rank);
                     }
@@ -993,6 +960,24 @@ impl Cluster {
                     *lock(&queue) = requeue.into_iter().collect();
                 }
                 master.close(phase, max_f(&map_modeled));
+                // A dead mapper keeps its finished blocks, so once map ends
+                // every block has a rank to fetch it from (one node maps
+                // the whole input and never shuffles).
+                let mappers: Vec<usize> = if n_nodes == 1 {
+                    Vec::new()
+                } else {
+                    let a = lock(&assignment);
+                    (0..n_blocks)
+                        .map(|block| a[block].ok_or(DnetError::Unassigned { block }))
+                        .collect::<Result<_>>()?
+                };
+                let workers = Workers {
+                    clients: &clients,
+                    mappers: &mappers,
+                    manifests: &manifests,
+                    faults: &self.faults,
+                    ranges,
+                };
 
                 // --- Phase 2: shuffle (no-op on one node) ---------------------
                 master.run_phase(
@@ -1097,10 +1082,7 @@ impl Cluster {
 
         merged_graph
             .check_invariants()
-            .map_err(|m| DnetError::Node {
-                node: 0,
-                message: m,
-            })?;
+            .map_err(DnetError::BrokenGraph)?;
 
         let report = DistributedReport {
             nodes: n_nodes,
@@ -1144,7 +1126,7 @@ struct Master<'a> {
 
 /// What a rank's body returns for one superstep: the modeled network
 /// seconds it spent beside the phase's output, or the error that ended it.
-type RankResult<T> = std::result::Result<(f64, T), String>;
+type RankResult<T> = std::result::Result<(f64, T), LasagnaError>;
 
 impl Master<'_> {
     /// Open phase `name`'s span; a resumed run counts the items it skips.
@@ -1206,24 +1188,21 @@ impl Master<'_> {
             });
             let (mut ok, mut failed) = (Vec::new(), Vec::new());
             for (rank, h) in handles.collect::<Vec<_>>() {
-                let message = match h.join() {
+                let source = match h.join() {
                     Ok(Ok(v)) => {
                         ok.push((rank, v));
                         continue;
                     }
-                    Ok(Err(message)) => message,
-                    Err(_) => "panicked".into(),
+                    Ok(Err(source)) => source,
+                    Err(_) => return Err(DnetError::Panicked { node: rank }),
                 };
-                if round >= MAX_RECOVERY_ROUNDS || !faultsim::is_injected(&message) {
-                    return Err(DnetError::Node {
-                        node: rank,
-                        message,
-                    });
+                match source.fault() {
+                    Some(f) if round < MAX_RECOVERY_ROUNDS => {
+                        self.faults.record_retry(&f.point);
+                        failed.push(rank);
+                    }
+                    _ => return Err(DnetError::Node { node: rank, source }),
                 }
-                if let Some(point) = faultsim::injected_point(&message) {
-                    self.faults.record_retry(point);
-                }
-                failed.push(rank);
             }
             Ok((ok, failed))
         })
@@ -1260,10 +1239,7 @@ impl Master<'_> {
         }
         let survivors: Vec<usize> = (0..self.alive.len()).filter(|&i| self.alive[i]).collect();
         if survivors.is_empty() {
-            return Err(DnetError::Node {
-                node: failed[0],
-                message: "no surviving nodes to fail over to".into(),
-            });
+            return Err(DnetError::NoSurvivors { node: failed[0] });
         }
         let mut moved = Vec::new();
         for (i, owner) in self.own.table.iter_mut().enumerate() {
@@ -1416,14 +1392,10 @@ impl Master<'_> {
             match logged.get(&(len as u64)) {
                 Some(&c) if c == checksum => {}
                 Some(_) => {
-                    return Err(DnetError::Node {
-                        node: 0,
-                        message: StreamError::Corrupt(format!(
-                            "resumed commit at length {len} diverged from the \
-                             superstep log (token checksum mismatch)"
-                        ))
-                        .to_string(),
-                    });
+                    return Err(master_err(StreamError::Corrupt(format!(
+                        "resumed commit at length {len} diverged from the \
+                         superstep log (token checksum mismatch)"
+                    ))));
                 }
                 None => {
                     self.slog
@@ -1449,14 +1421,14 @@ impl Master<'_> {
 /// the ranks to fail over.
 type RoundOutcome<T> = (Vec<(usize, T)>, Vec<usize>);
 
-/// What every rank's work reads: the active-message endpoints, the block →
-/// mapper assignment, the per-rank manifests and the failpoints.
+/// What every rank's work reads: the active-message endpoints, the rank
+/// that mapped each input block, the per-rank manifests and the
+/// failpoints.
 struct Workers<'a> {
     clients: &'a [AmClient],
-    assignment: &'a Mutex<Vec<Option<usize>>>,
+    mappers: &'a [usize],
     manifests: &'a [Mutex<Manifest>],
     faults: &'a faultsim::Faults,
-    n_blocks: usize,
     ranges: u32,
 }
 
@@ -1468,53 +1440,40 @@ impl Workers<'_> {
     /// map output. Each completed item is claimed in the rank's manifest
     /// (tags + footers) before the next begins, so a resume trusts exactly
     /// the items that were durable. Returns the modeled network seconds.
-    fn shuffle(
-        &self,
-        rank: usize,
-        node: &Node,
-        items: &[WorkItem],
-    ) -> std::result::Result<f64, String> {
+    fn shuffle(&self, rank: usize, node: &Node, items: &[WorkItem]) -> lasagna::Result<f64> {
         let ranges = self.ranges;
         let mut net_s = 0.0;
-        let spill = SpillDir::open(&node.dir, node.io.clone()).map_err(|e| e.to_string())?;
+        let spill = SpillDir::open(&node.dir, node.io.clone())?;
         for it in items {
             for kind in [PartitionKind::Suffix, PartitionKind::Prefix] {
                 let dest = spill.path_range(kind, it.len, it.range, ranges);
-                let mut w =
-                    RecordWriter::create(&dest, node.io.clone()).map_err(|e| e.to_string())?;
-                for b in 0..self.n_blocks {
-                    let src =
-                        lock(self.assignment)[b].ok_or_else(|| format!("block {b} unassigned"))?;
-                    let (resp, secs) = self.clients[src]
-                        .try_call(
-                            rank,
-                            Request::FetchPartition {
-                                block: b,
-                                kind,
-                                len: it.len,
-                                range: it.range,
-                                ranges,
-                            },
-                        )
-                        .map_err(|e| e.to_string())?;
+                let mut w = RecordWriter::create(&dest, node.io.clone())?;
+                for (b, &src) in self.mappers.iter().enumerate() {
+                    let (resp, secs) = self.clients[src].try_call(
+                        rank,
+                        Request::FetchPartition {
+                            block: b,
+                            kind,
+                            len: it.len,
+                            range: it.range,
+                            ranges,
+                        },
+                    )?;
                     net_s += secs;
                     match resp {
-                        Response::Partition(pairs) => {
-                            w.write_all(&pairs).map_err(|e| e.to_string())?
-                        }
-                        Response::Error(m) => return Err(m),
-                        _ => return Err("bad shuffle response".into()),
+                        Response::Partition(pairs) => w.write_all(&pairs)?,
+                        Response::Error(e) => return Err(e.into()),
+                        other => unreachable!("a partition fetch answered {other:?}"),
                     }
                 }
-                w.finish().map_err(|e| e.to_string())?;
+                w.finish()?;
             }
             let mut m = lock(&self.manifests[rank]);
             for kind in [PartitionKind::Suffix, PartitionKind::Prefix] {
                 m.mark_shuffled(&part_tag(kind, it.len, it.range, ranges));
-                m.record_file(&spill.path_range(kind, it.len, it.range, ranges))
-                    .map_err(|e| e.to_string())?;
+                m.record_file(&spill.path_range(kind, it.len, it.range, ranges))?;
             }
-            m.store(&node.dir, self.faults).map_err(|e| e.to_string())?;
+            m.store(&node.dir, self.faults)?;
         }
         Ok(net_s)
     }
@@ -1522,25 +1481,17 @@ impl Workers<'_> {
     /// Sort step for one owner: externally sort each of `items`' partition
     /// pairs in place with the node's own GPU and disk, then claim the
     /// sorted footers in the rank's manifest.
-    fn sort(
-        &self,
-        rank: usize,
-        node: &Node,
-        items: &[WorkItem],
-    ) -> std::result::Result<(), String> {
+    fn sort(&self, rank: usize, node: &Node, items: &[WorkItem]) -> lasagna::Result<()> {
         let ranges = self.ranges;
-        let spill = SpillDir::open(&node.dir, node.io.clone()).map_err(|e| e.to_string())?;
+        let spill = SpillDir::open(&node.dir, node.io.clone())?;
         let sort_config = SortConfig::from_budgets(&node.host, &node.device);
-        let sorter = ExternalSorter::new(node.device.clone(), node.host.clone(), sort_config)
-            .map_err(|e| e.to_string())?;
+        let sorter = ExternalSorter::new(node.device.clone(), node.host.clone(), sort_config)?;
         for it in items {
             for kind in [PartitionKind::Suffix, PartitionKind::Prefix] {
                 let input = spill.path_range(kind, it.len, it.range, ranges);
                 let sorted = spill.scratch_path(&format!("{}{}r{}s", kind.tag(), it.len, it.range));
-                sorter
-                    .sort_file(&spill, &input, &sorted)
-                    .map_err(|e| e.to_string())?;
-                std::fs::rename(&sorted, &input).map_err(|e| StreamError::Io(e).to_string())?;
+                sorter.sort_file(&spill, &input, &sorted)?;
+                std::fs::rename(&sorted, &input).map_err(StreamError::Io)?;
             }
             // The renames are only crash-durable once the directory entries
             // are: the store below fsyncs this directory, after them and
@@ -1550,10 +1501,9 @@ impl Workers<'_> {
             let mut m = lock(&self.manifests[rank]);
             for kind in [PartitionKind::Suffix, PartitionKind::Prefix] {
                 m.mark_sorted(&part_tag(kind, it.len, it.range, ranges));
-                m.record_file(&spill.path_range(kind, it.len, it.range, ranges))
-                    .map_err(|e| e.to_string())?;
+                m.record_file(&spill.path_range(kind, it.len, it.range, ranges))?;
             }
-            m.store(&node.dir, self.faults).map_err(|e| e.to_string())?;
+            m.store(&node.dir, self.faults)?;
         }
         Ok(())
     }
@@ -1569,37 +1519,31 @@ impl Workers<'_> {
         rank: usize,
         node: &Node,
         items: &[WorkItem],
-    ) -> std::result::Result<NodeItemCandidates, String> {
+    ) -> lasagna::Result<NodeItemCandidates> {
         let ranges = self.ranges;
-        let spill = SpillDir::open(&node.dir, node.io.clone()).map_err(|e| e.to_string())?;
+        let spill = SpillDir::open(&node.dir, node.io.clone())?;
         let window = reduce::window_budget(&node.host, &node.device);
         let mut out = Vec::new();
         for it in items {
-            let mut sfx = spill
-                .reader_range(PartitionKind::Suffix, it.len, it.range, ranges)
-                .map_err(|e| e.to_string())?;
-            let mut pfx = spill
-                .reader_range(PartitionKind::Prefix, it.len, it.range, ranges)
-                .map_err(|e| e.to_string())?;
+            let mut sfx = spill.reader_range(PartitionKind::Suffix, it.len, it.range, ranges)?;
+            let mut pfx = spill.reader_range(PartitionKind::Prefix, it.len, it.range, ranges)?;
             let mut cands: Vec<(u32, u32)> = Vec::new();
             reduce::join_partition(&node.device, &mut sfx, &mut pfx, window, |u, v| {
                 cands.push((u, v))
-            })
-            .map_err(|e| e.to_string())?;
-            sfx.verify_to_end().map_err(|e| e.to_string())?;
-            pfx.verify_to_end().map_err(|e| e.to_string())?;
+            })?;
+            sfx.verify_to_end()?;
+            pfx.verify_to_end()?;
             let ctag = cand_tag(it.len, it.range);
             let cpath = node.dir.join(format!("{ctag}.kv"));
-            let mut w = RecordWriter::create(&cpath, node.io.clone()).map_err(|e| e.to_string())?;
+            let mut w = RecordWriter::create(&cpath, node.io.clone())?;
             for &(u, v) in &cands {
-                w.write(KvPair::new(u as u128, v))
-                    .map_err(|e| e.to_string())?;
+                w.write(KvPair::new(u as u128, v))?;
             }
-            w.finish().map_err(|e| e.to_string())?;
+            w.finish()?;
             let mut m = lock(&self.manifests[rank]);
             m.mark_joined(&ctag);
-            m.record_file(&cpath).map_err(|e| e.to_string())?;
-            m.store(&node.dir, self.faults).map_err(|e| e.to_string())?;
+            m.record_file(&cpath)?;
+            m.store(&node.dir, self.faults)?;
             out.push((it.len, it.range, cands));
         }
         Ok(out)
@@ -1932,8 +1876,7 @@ mod tests {
             .assemble(&reads, dir.path())
             .unwrap_err();
         assert!(
-            err.to_string().contains("no surviving nodes")
-                || faultsim::is_injected(&err.to_string()),
+            matches!(err, DnetError::NoSurvivors { node: 0 }),
             "unexpected error: {err}"
         );
     }
@@ -1997,7 +1940,11 @@ mod tests {
             ))
             .assemble_resumable(&reads, dir.path())
             .unwrap_err();
-        assert!(faultsim::is_injected(&err.to_string()), "got {err}");
+        assert_eq!(
+            err.fault().map(|f| (f.point.as_str(), f.occurrence)),
+            Some((faultsim::SUPERSTEP_WRITE, 5)),
+            "got {err}"
+        );
 
         let rec = obs::Recorder::new();
         let out = cluster(2, 25, 40, 37)

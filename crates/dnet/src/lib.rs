@@ -38,18 +38,52 @@ pub enum DnetError {
     Node {
         /// Node rank.
         node: usize,
-        /// Underlying error rendered to text (errors cross thread
-        /// boundaries as strings).
-        message: String,
+        /// The error that ended the rank's work.
+        source: lasagna::LasagnaError,
     },
+    /// A rank's thread panicked.
+    Panicked {
+        /// Node rank.
+        node: usize,
+    },
+    /// Every rank has died, so a failed superstep has no survivor to
+    /// move to.
+    NoSurvivors {
+        /// The first rank that died in the last round.
+        node: usize,
+    },
+    /// The map phase ended with an input block no rank holds.
+    Unassigned {
+        /// Input block index.
+        block: usize,
+    },
+    /// The merged graph broke a [`lasagna::StringGraph`] invariant.
+    BrokenGraph(String),
     /// Cluster misconfiguration.
     BadConfig(String),
+}
+
+impl DnetError {
+    /// The injected fault that ended a rank, if one did (see
+    /// [`lasagna::LasagnaError::fault`]).
+    pub fn fault(&self) -> Option<&faultsim::FaultError> {
+        match self {
+            DnetError::Node { source, .. } => source.fault(),
+            _ => None,
+        }
+    }
 }
 
 impl std::fmt::Display for DnetError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            DnetError::Node { node, message } => write!(f, "node {node}: {message}"),
+            DnetError::Node { node, source } => write!(f, "node {node}: {source}"),
+            DnetError::Panicked { node } => write!(f, "node {node}: panicked"),
+            DnetError::NoSurvivors { node } => {
+                write!(f, "node {node}: no surviving nodes to fail over to")
+            }
+            DnetError::Unassigned { block } => write!(f, "node 0: block {block} unassigned"),
+            DnetError::BrokenGraph(m) => write!(f, "node 0: {m}"),
             DnetError::BadConfig(m) => write!(f, "bad cluster config: {m}"),
         }
     }

@@ -431,22 +431,6 @@ impl Faults {
     }
 }
 
-/// True if a stringified error chain came from an injected fault rather
-/// than a real failure. Errors cross thread boundaries as strings in
-/// `dnet`, so recovery keys off the [`FaultError`] display prefix.
-pub fn is_injected(message: &str) -> bool {
-    message.contains("injected fault at ")
-}
-
-/// The failpoint named in an injected-fault message, if any — used by
-/// recovery code to attribute its retry to the right `fault.retries.*`
-/// counter after the original [`FaultError`] was stringified.
-pub fn injected_point(message: &str) -> Option<&str> {
-    let rest = message.split("injected fault at ").nth(1)?;
-    let end = rest.find(" (occurrence")?;
-    Some(&rest[..end])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -595,19 +579,6 @@ mod tests {
         assert!(FaultPlan::parse("qnet.accept:p101").is_err());
         assert!(FaultPlan::parse("qnet.accept:p5@").is_err());
         assert!(FaultPlan::parse("qnet.accept:pnope").is_err());
-    }
-
-    #[test]
-    fn injected_faults_are_recognizable_in_error_chains() {
-        let f = Faults::from_plan(&FaultPlan::new().fail_at(KERNEL_LAUNCH, 1));
-        let err = f.hit(KERNEL_LAUNCH).unwrap_err();
-        assert!(is_injected(&format!("node 2: device: {err}")));
-        assert!(!is_injected("disk on fire"));
-        assert_eq!(
-            injected_point(&format!("node 2: device: {err}")),
-            Some(KERNEL_LAUNCH)
-        );
-        assert_eq!(injected_point("disk on fire"), None);
     }
 
     #[test]

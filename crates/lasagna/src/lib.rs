@@ -84,6 +84,22 @@ impl std::fmt::Display for LasagnaError {
 
 impl std::error::Error for LasagnaError {}
 
+impl LasagnaError {
+    /// The injected fault this error carries, wherever the failing layer
+    /// wrapped it: recovery code fails over on an injected death and
+    /// propagates every real error.
+    pub fn fault(&self) -> Option<&faultsim::FaultError> {
+        use gstream::StreamError;
+        use vgpu::DeviceError;
+        match self {
+            LasagnaError::Stream(StreamError::Fault(f))
+            | LasagnaError::Stream(StreamError::Device(DeviceError::Fault(f)))
+            | LasagnaError::Device(DeviceError::Fault(f)) => Some(f),
+            _ => None,
+        }
+    }
+}
+
 impl From<gstream::StreamError> for LasagnaError {
     fn from(e: gstream::StreamError) -> Self {
         LasagnaError::Stream(e)

@@ -1389,24 +1389,15 @@ fn die_qrouter<T>(e: lasagna_repro::qrouter::RouterError) -> T {
     })
 }
 
-/// Distributed errors cross thread boundaries as strings (see
-/// `dnet::DnetError`), so the exit-code mapping matches on the rendered
-/// `StreamError` prefixes instead of variants.
+/// A rank's typed error maps as the single-node assembler's does; the
+/// master's own conditions (a panicked rank, no survivors, a broken graph)
+/// are plain errors.
 fn dnet_exit_code(e: &lasagna_repro::dnet::DnetError) -> i32 {
     use lasagna_repro::dnet::DnetError;
     match e {
         DnetError::BadConfig(_) => 2,
-        DnetError::Node { message, .. } => {
-            if message.contains("corrupt stream") {
-                EXIT_CORRUPT
-            } else if message.contains("out of memory") || message.contains("host memory") {
-                EXIT_OOM
-            } else if message.contains("I/O error") {
-                EXIT_IO
-            } else {
-                1
-            }
-        }
+        DnetError::Node { source, .. } => run_exit_code(source),
+        _ => 1,
     }
 }
 

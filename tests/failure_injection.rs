@@ -124,6 +124,11 @@ fn flip_bit_mid_file(path: &Path) {
     std::fs::write(path, bytes).unwrap();
 }
 
+/// The failpoint and occurrence of the injected fault `err` carries.
+fn armed(err: &LasagnaError) -> Option<(&str, u64)> {
+    err.fault().map(|f| (f.point.as_str(), f.occurrence))
+}
+
 fn is_corrupt(err: &LasagnaError) -> bool {
     matches!(err, LasagnaError::Stream(gstream::StreamError::Corrupt(_)))
 }
@@ -145,8 +150,9 @@ fn crash_at_every_failpoint_then_resume_reproduces_identical_contigs() {
                 .with_faults(Faults::from_plan(&FaultPlan::new().fail_at(point, nth)))
                 .assemble_resumable(&r)
                 .unwrap_err();
-            assert!(
-                faultsim::is_injected(&err.to_string()),
+            assert_eq!(
+                armed(&err),
+                Some((point, nth)),
                 "{point}:{nth} died on a real error: {err}"
             );
             // A fresh process resumes from the manifest and must produce
@@ -178,7 +184,11 @@ fn crash_on_first_middle_and_last_map_commit_leaves_nothing_a_rerun_trusts() {
             .with_faults(Faults::from_plan(&plan))
             .assemble_resumable(&r)
             .unwrap_err();
-        assert!(faultsim::is_injected(&err.to_string()), "{nth}: {err}");
+        assert_eq!(
+            armed(&err),
+            Some((faultsim::SPILL_WRITE, nth)),
+            "{nth}: {err}"
+        );
 
         // The files committed before the crash are there (suffix before
         // prefix, ascending length), no temp file is, and the manifest
@@ -236,8 +246,9 @@ fn crash_on_scratch_and_final_sort_commits_then_resume_reproduces_identical_cont
             .with_faults(Faults::from_plan(&plan))
             .assemble_resumable(&r)
             .unwrap_err();
-        assert!(
-            faultsim::is_injected(&err.to_string()),
+        assert_eq!(
+            armed(&err),
+            Some((faultsim::SPILL_WRITE, map_commits + nth)),
             "{landed_on}: {err}"
         );
         let exists = |label| dir.path().join(format!("scratch_{label}.kv")).exists();
@@ -309,7 +320,7 @@ fn resume_after_mid_sort_crash_redoes_only_unsorted_partitions() {
         ))
         .assemble_resumable(&r)
         .unwrap_err();
-    assert!(faultsim::is_injected(&err.to_string()), "{err}");
+    assert_eq!(armed(&err), Some((faultsim::READER_OPEN, 9)), "{err}");
     let manifest = Manifest::load(dir.path()).unwrap().unwrap();
     assert_eq!(manifest.sorted, ["sfx_00040", "pfx_00040"]);
     assert!(manifest.is_done("map") && !manifest.is_done("sort"));
@@ -378,7 +389,7 @@ fn crash_between_sort_checkpoints_resorts_exactly_what_the_stored_manifest_does_
             .with_faults(Faults::from_plan(&FaultPlan::new().fail_at(point, nth)))
             .assemble_resumable(&r)
             .unwrap_err();
-        assert!(faultsim::is_injected(&err.to_string()), "{what}: {err}");
+        assert_eq!(armed(&err), Some((point, nth)), "{what}: {err}");
         let manifest = Manifest::load(dir.path()).unwrap().unwrap();
         assert_eq!(manifest.sorted, all_tags[..marked], "{what}");
         assert!(!manifest.is_done("sort"), "{what}");
