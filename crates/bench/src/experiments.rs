@@ -1076,7 +1076,8 @@ pub fn serve(workdir: &Path) -> Result<Vec<ServeRow>> {
     Ok(rows)
 }
 
-/// Assemble a small genome, export and index its contig store, and build
+/// Assemble a small genome, export its contigs as the next generation of
+/// the serving work dir (store and index), and build
 /// the deterministic 10k-read query load shared by the serving benches:
 /// windows sliced from the contigs themselves (alternating strands,
 /// striding offsets), so the expected answer set is identical across
@@ -1095,12 +1096,10 @@ fn serve_fixture(
     std::fs::create_dir_all(&dir)?;
     let out = Pipeline::laptop(config, &dir)?.assemble(&reads)?;
 
-    let io = IoStats::default();
-    let store_path = dir.join(qserve::STORE_FILE);
-    let index_path = dir.join(qserve::INDEX_FILE);
-    let store = qserve::ContigStore::open(&store_path, &io)?;
-    let index = qserve::MinimizerIndex::build(&store, &qserve::IndexConfig::default());
-    index.write(&index_path, &io)?;
+    let icfg = qserve::IndexConfig::default();
+    let id = qserve::generations::export(&dir, &out.contigs, &icfg, &IoStats::default())?;
+    let store_path = dir.join(qserve::gen_store_file(id));
+    let index_path = dir.join(qserve::gen_index_file(id));
 
     let queries = slice_queries(out.contigs.as_slice(), 10_000, 60);
     if queries.is_empty() {
@@ -1644,46 +1643,6 @@ stdx::impl_json!(struct ServeReloadRow {
     scenario, reads, reloads_requested, reloads_ok, rollbacks, shed, reconnects, final_generation, generations_served, identical_to_oracle, reload_ms, reads_per_sec
 });
 
-/// Export `contigs` as generation `id` into `dir` — store, index, and
-/// manifest entry — the layout the wire `Reload` verb consumes.
-fn export_reload_generation(
-    dir: &Path,
-    id: u64,
-    contigs: &[genome::PackedSeq],
-    io: &IoStats,
-) -> Result<()> {
-    let store_name = qserve::gen_store_file(id);
-    let index_name = qserve::gen_index_file(id);
-    qserve::ContigStore::write(&dir.join(&store_name), contigs, io)?;
-    let store = qserve::ContigStore::open(&dir.join(&store_name), io)?;
-    let index = qserve::MinimizerIndex::build(&store, &qserve::IndexConfig::default());
-    index.write(&dir.join(&index_name), io)?;
-    let mut manifest = if qserve::GenManifest::exists(dir) {
-        qserve::GenManifest::load(dir, io)?
-    } else {
-        qserve::GenManifest {
-            version: qserve::generations::GEN_MANIFEST_VERSION,
-            active: id,
-            generations: Vec::new(),
-        }
-    };
-    manifest.admit(qserve::GenEntry {
-        id,
-        store: store_name,
-        index: index_name,
-        store_checksum: store.checksum(),
-        reads: contigs.len() as u64,
-        read_len: 60,
-        kind: if id == 1 {
-            qserve::GenKind::Full
-        } else {
-            qserve::GenKind::Delta
-        },
-        parent: if id == 1 { None } else { Some(id - 1) },
-    });
-    Ok(manifest.store(dir, io)?)
-}
-
 /// Hot-reload serving benchmark: a client streams query batches
 /// continuously over one connection while a control connection walks
 /// the server through generation swaps (`BENCH_serve_reload.json`).
@@ -1702,13 +1661,15 @@ pub fn serve_reload(workdir: &Path) -> Result<Vec<ServeReloadRow>> {
     std::fs::create_dir_all(&dir)?;
 
     // Generation k serves contigs 0..k: each swap grows the corpus by
-    // one contig (a delta generation), and the base contig keeps the
-    // same contig id everywhere.
+    // one contig, and the base contig keeps the same contig id
+    // everywhere. The ids 1..=GENERATIONS are the ones `export` assigns
+    // in a fresh dir.
     let contigs: Vec<genome::PackedSeq> = (0..GENERATIONS)
         .map(|i| genome::GenomeSim::uniform(5_000, 21 + i).generate())
         .collect();
+    let icfg = qserve::IndexConfig::default();
     for id in 1..=GENERATIONS {
-        export_reload_generation(&dir, id, &contigs[..id as usize], &io)?;
+        qserve::generations::export(&dir, &contigs[..id as usize], &icfg, &io)?;
     }
     let queries = slice_queries(&contigs[..1], 2_048, 60);
 

@@ -55,7 +55,7 @@ pub const QSERVE_STORE_READ: &str = "qserve.store.read";
 /// `qserve::MinimizerIndex::open`.
 pub const QSERVE_INDEX_READ: &str = "qserve.index.read";
 /// Failpoint: exporting the contig store (`qserve::ContigStore::write`,
-/// which the pipeline's compress phase calls). Like [`DISK_FULL`] it
+/// which `qserve::generations::export` calls). Like [`DISK_FULL`] it
 /// surfaces as `StreamError::Io` with `ErrorKind::StorageFull` — the real
 /// ENOSPC shape — so the export's shed-and-retry path (and CLI exit 5)
 /// is exercised against the genuine error type.

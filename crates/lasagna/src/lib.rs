@@ -36,7 +36,6 @@
 mod bsp;
 pub mod config;
 pub mod contig;
-pub mod delta;
 pub mod fullgraph;
 pub mod graph;
 pub mod manifest;
@@ -50,10 +49,9 @@ pub mod verify;
 
 pub use config::AssemblyConfig;
 pub use contig::ContigStats;
-pub use delta::ReadsMeta;
 pub use fullgraph::MultiGraph;
 pub use graph::{Edge, StringGraph};
-pub use manifest::Manifest;
+pub use manifest::{Manifest, ReadsMeta};
 pub use pipeline::{AssemblyOutput, Pipeline};
 pub use report::{AssemblyReport, PhaseMetrics};
 pub use traverse::{Path, PathStep};

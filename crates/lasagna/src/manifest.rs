@@ -247,6 +247,28 @@ impl Manifest {
     }
 }
 
+/// The `reads.meta.json` sidecar: the shape of a staged `reads.packed`
+/// (the packed staging format carries no header of its own), for callers
+/// that stage reads by hand and record them beside the manifest.
+#[derive(Debug)]
+pub struct ReadsMeta {
+    /// Length of every read in the staged corpus.
+    pub read_len: u32,
+    /// Number of reads staged.
+    pub reads: u64,
+}
+
+stdx::impl_json!(struct ReadsMeta { read_len, reads });
+
+impl ReadsMeta {
+    /// Write the sidecar into `dir`.
+    pub fn store(&self, dir: &Path) -> Result<()> {
+        let body = stdx::json::to_string_pretty(self);
+        std::fs::write(dir.join("reads.meta.json"), body).map_err(StreamError::from)?;
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

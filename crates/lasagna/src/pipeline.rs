@@ -300,14 +300,6 @@ impl Pipeline {
         let staged_path = self.spill.root().join("reads.packed");
         let packed = reads.to_packed_bytes();
         std::fs::write(&staged_path, &packed).map_err(gstream::StreamError::from)?;
-        // The sidecar records what `reads.packed` holds; delta assembly
-        // (`assemble_delta`) needs it to reconstruct the corpus a work
-        // directory was assembled from.
-        crate::delta::ReadsMeta {
-            read_len: reads.read_len() as u32,
-            reads: reads.len() as u64,
-        }
-        .store(self.spill.root())?;
         let reads = self.phase("load", || {
             let bytes = std::fs::read(&staged_path).map_err(gstream::StreamError::from)?;
             self.spill.io().add_read(bytes.len() as u64);
@@ -415,34 +407,6 @@ impl Pipeline {
             let paths =
                 extract_paths_traced(&graph, self.config.l_max, TraverseOptions::default(), rec);
             let (contigs, stats) = generate_contigs(&self.device, &self.host, &reads, &paths)?;
-            // Export the assembly to the serving layer's on-disk store.
-            // `lasagna-cli index` / `query` and the qserve crate read it
-            // back; write_blob gives it the same atomic-rename durability
-            // as every spill artifact. ENOSPC (real, or injected via the
-            // `qserve.store.write` failpoint) is recoverable exactly once,
-            // like the sorter's run commits: the failed export wrote
-            // nothing (the failpoint fires before the first byte; a torn
-            // blob commit sheds its temp file), so the retry starts clean.
-            // A second ENOSPC means the disk is genuinely full and
-            // propagates as Io/StorageFull — CLI exit code 5 — never a
-            // half-written store that passes footer validation.
-            let store_path = self.spill.root().join(qserve::STORE_FILE);
-            let mut retried = false;
-            loop {
-                match qserve::ContigStore::write(&store_path, &contigs, self.spill.io()) {
-                    Ok(()) => break,
-                    Err(gstream::StreamError::Io(e))
-                        if e.kind() == std::io::ErrorKind::StorageFull && !retried =>
-                    {
-                        self.spill
-                            .io()
-                            .faults()
-                            .record_retry(faultsim::QSERVE_STORE_WRITE);
-                        retried = true;
-                    }
-                    Err(e) => return Err(e.into()),
-                }
-            }
             Ok((paths, contigs, stats))
         })?;
 
@@ -565,6 +529,18 @@ mod tests {
         assert!(sort.device_peak_bytes > 0);
         let map = out.report.phase("map").unwrap();
         assert!(map.host_peak_bytes > 0);
+    }
+
+    #[test]
+    fn assembly_ends_at_contigs_and_writes_no_serving_files() {
+        let genome = GenomeSim::uniform(1000, 8).generate();
+        let reads = ShotgunSim::error_free(40, 8.0, 9).sample(&genome);
+        let dir = stdx::tempdir().unwrap();
+        let pipeline = Pipeline::laptop(AssemblyConfig::for_dataset(25, 40), dir.path()).unwrap();
+        assert!(!pipeline.assemble(&reads).unwrap().contigs.is_empty());
+        for name in ["contigs.store", "reads.meta.json"] {
+            assert!(!dir.path().join(name).exists(), "assembly wrote {name}");
+        }
     }
 
     #[test]

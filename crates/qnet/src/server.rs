@@ -908,15 +908,17 @@ fn handle_conn(
                 faultsim::sched::point("qnet.stats.snapshot");
                 reply(Response::Stats(inner.stats_snapshot()))
             }
+            // Acknowledge before signalling: the drain the signal starts
+            // closes this connection, and the ack must be on the wire first.
             Request::Shutdown => {
+                let alive = reply(Response::ShutdownAck);
                 let mut g = inner
                     .shutdown_requested
                     .lock()
                     .unwrap_or_else(|e| e.into_inner());
                 *g = true;
                 inner.shutdown_cv.notify_all();
-                drop(g);
-                reply(Response::ShutdownAck)
+                alive
             }
             // Gate-exempt like `Stats`: a saturated or draining server
             // must still let an operator roll it to a new generation.

@@ -1,11 +1,9 @@
-//! Versioned store/index generations: the on-disk manifest that lets a
-//! new assembly land *beside* the live one instead of over it.
+//! Versioned store/index generations: the one on-disk layout a work
+//! directory serves, which lets a new assembly land *beside* the live one
+//! instead of over it.
 //!
-//! A work directory historically held exactly one store (`contigs.store`)
-//! and one index (`contigs.mdx`); refreshing the corpus meant overwriting
-//! them and restarting every server that had the old bytes mapped. With
-//! generations, each export writes `gen-NNNNNN.store` / `gen-NNNNNN.mdx`
-//! and appends an entry to `generations.json`; the manifest's `active`
+//! Each [`export`] writes `gen-NNNNNN.store` / `gen-NNNNNN.mdx` and
+//! appends an entry to `generations.json`; the manifest's `active`
 //! field is the *only* mutable pointer, and it flips atomically
 //! (tmp + fsync + rename + dir fsync, the same discipline as every other
 //! artifact). A serving process hot-reloads by re-reading the manifest,
@@ -37,24 +35,6 @@ pub fn gen_index_file(id: u64) -> String {
     format!("gen-{id:06}.mdx")
 }
 
-/// How a generation's store was produced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GenKind {
-    /// From-scratch assembly of the whole corpus.
-    Full,
-    /// Delta assembly: new reads folded into `parent`'s sorted
-    /// partitions and graph (bit-identical to a full rebuild of the
-    /// union — the golden in `lasagna` holds that line).
-    Delta,
-}
-
-stdx::impl_json!(
-    enum GenKind {
-        Full = "full",
-        Delta = "delta",
-    }
-);
-
 /// One exported generation: which files hold it and what binds them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GenEntry {
@@ -67,20 +47,9 @@ pub struct GenEntry {
     /// [`crate::ContigStore::checksum`] of the store — the identity the
     /// index is bound to and the value reload validation re-derives.
     pub store_checksum: u64,
-    /// Reads in the corpus this generation was assembled from.
-    pub reads: u64,
-    /// Read length of that corpus.
-    pub read_len: u32,
-    /// Full rebuild or delta on top of `parent`.
-    pub kind: GenKind,
-    /// For a delta generation, the generation its partitions started
-    /// from; `None` for a full build.
-    pub parent: Option<u64>,
 }
 
-stdx::impl_json!(struct GenEntry {
-    id, store, index, store_checksum, reads, read_len, kind, parent
-});
+stdx::impl_json!(struct GenEntry { id, store, index, store_checksum });
 
 /// The generation manifest: every exported generation plus the single
 /// `active` pointer servers load on start and on `Reload`.
@@ -164,8 +133,8 @@ impl GenManifest {
         dir.join(GEN_MANIFEST_FILE)
     }
 
-    /// Whether `dir` carries a generation manifest at all (a legacy work
-    /// directory with bare `contigs.store` does not).
+    /// Whether `dir` carries a generation manifest at all (nothing has
+    /// been exported into it yet when it does not).
     pub fn exists(dir: &Path) -> bool {
         Self::path(dir).is_file()
     }
@@ -263,13 +232,6 @@ impl From<GenError> for crate::QserveError {
     }
 }
 
-/// Resolve a generation's store/index paths inside `dir`, falling back
-/// to the legacy flat `contigs.store` / `contigs.mdx` names when the
-/// directory predates generations (no `generations.json`).
-pub fn resolve_files(dir: &Path, entry: &GenEntry) -> (PathBuf, PathBuf) {
-    (dir.join(&entry.store), dir.join(&entry.index))
-}
-
 /// Validate that an opened store and index are the build `entry`
 /// promises: the store's checksum matches the manifest, and the index
 /// is bound to that same store. The `qserve.gen.validate` failpoint
@@ -310,18 +272,21 @@ pub fn validate_binding(
 /// `gen-NNNNNN.store`, reopen it, build and write `gen-NNNNNN.mdx`
 /// with `index_cfg`, then append the checksum-bound entry to
 /// `generations.json` (created on first export) and make it active.
-/// `reads`/`read_len` describe the corpus the contigs were assembled
-/// from; a [`GenKind::Delta`] records the previous generation as its
-/// parent. Returns the new id ([`GenManifest::next_id`]). Serving
-/// processes pick it up via the `Reload` wire command (SERVING.md,
-/// "Generations & hot reload").
+/// Returns the new id ([`GenManifest::next_id`]). Serving processes pick
+/// it up via the `Reload` wire command (SERVING.md, "Generations & hot
+/// reload").
+///
+/// ENOSPC on the store write (real, or injected via the
+/// `qserve.store.write` failpoint) is recoverable exactly once, like the
+/// sorter's run commits: the failed write left nothing behind (the
+/// failpoint fires before the first byte; a torn blob commit sheds its
+/// temp file), so the retry starts clean. A second ENOSPC means the disk
+/// is genuinely full and propagates as `Io`/`StorageFull` (CLI exit
+/// code 5) before the manifest changes.
 pub fn export(
     dir: &Path,
     contigs: &[genome::PackedSeq],
     index_cfg: &crate::IndexConfig,
-    reads: u64,
-    read_len: u32,
-    kind: GenKind,
     io: &IoStats,
 ) -> crate::Result<u64> {
     let mut manifest = if GenManifest::exists(dir) {
@@ -333,34 +298,31 @@ pub fn export(
             generations: Vec::new(),
         }
     };
-    let parent = manifest.generations.last().map(|g| g.id);
     let id = manifest.next_id();
-    let store_name = gen_store_file(id);
-    let index_name = gen_index_file(id);
-    crate::ContigStore::write(&dir.join(&store_name), contigs, io)?;
-    let store = crate::ContigStore::open(&dir.join(&store_name), io)?;
+    let (store_name, index_name) = (gen_store_file(id), gen_index_file(id));
+    let store_path = dir.join(&store_name);
+    match crate::ContigStore::write(&store_path, contigs, io) {
+        Err(gstream::StreamError::Io(e)) if e.kind() == std::io::ErrorKind::StorageFull => {
+            io.faults().record_retry(faultsim::QSERVE_STORE_WRITE);
+            crate::ContigStore::write(&store_path, contigs, io)?;
+        }
+        written => written?,
+    }
+    let store = crate::ContigStore::open(&store_path, io)?;
     crate::MinimizerIndex::build(&store, index_cfg).write(&dir.join(&index_name), io)?;
     manifest.admit(GenEntry {
         id,
         store: store_name,
         index: index_name,
         store_checksum: store.checksum(),
-        reads,
-        read_len,
-        kind,
-        parent: match kind {
-            GenKind::Full => None,
-            GenKind::Delta => parent,
-        },
     });
     manifest.store(dir, io)?;
     Ok(id)
 }
 
 /// Open the engine a server in `dir` should start with: the manifest's
-/// active generation when `generations.json` exists, else the legacy
-/// flat `contigs.store` / `contigs.mdx` pair as generation 0. Returns
-/// the engine and its generation id — feed both to
+/// active generation, validated against its entry. Returns the engine
+/// and its generation id — feed both to
 /// [`crate::QueryService::start_with_generation`]. A store or index that
 /// cannot be read or decoded fails with its stream error, as
 /// [`crate::QueryEngine::open`] does, so a caller can tell corrupt bytes
@@ -370,20 +332,10 @@ pub fn open_active_engine(
     cfg: crate::QueryConfig,
     io: &IoStats,
 ) -> crate::Result<(crate::QueryEngine, u64)> {
-    if !GenManifest::exists(dir) {
-        let engine = crate::QueryEngine::open(
-            &dir.join(crate::STORE_FILE),
-            &dir.join(crate::INDEX_FILE),
-            io,
-            cfg,
-        )?;
-        return Ok((engine, 0));
-    }
     let manifest = GenManifest::load(dir, io)?;
     let entry = manifest.active_entry();
-    let (store_path, index_path) = resolve_files(dir, entry);
-    let store = crate::ContigStore::open(&store_path, io)?;
-    let index = crate::MinimizerIndex::open(&index_path, io)?;
+    let store = crate::ContigStore::open(&dir.join(&entry.store), io)?;
+    let index = crate::MinimizerIndex::open(&dir.join(&entry.index), io)?;
     validate_binding(entry, &store, &index, &faultsim::Faults::disabled())?;
     Ok((crate::QueryEngine::new(store, index, cfg)?, entry.id))
 }
@@ -398,14 +350,6 @@ mod tests {
             store: gen_store_file(id),
             index: gen_index_file(id),
             store_checksum: 0x1000 + id,
-            reads: 8 * id,
-            read_len: 64,
-            kind: if id == 1 {
-                GenKind::Full
-            } else {
-                GenKind::Delta
-            },
-            parent: if id == 1 { None } else { Some(id - 1) },
         }
     }
 
@@ -425,7 +369,7 @@ mod tests {
         assert_eq!(back, m);
         assert_eq!(back.active, 2);
         assert_eq!(back.next_id(), 3);
-        assert_eq!(back.active_entry().kind, GenKind::Delta);
+        assert_eq!(back.active_entry().store, "gen-000002.store");
         // No tmp residue after a clean store.
         assert!(!dir.path().join("generations.json.tmp").exists());
     }

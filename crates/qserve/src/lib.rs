@@ -1,7 +1,8 @@
 //! # qserve — the contig query service
 //!
 //! Everything upstream of this crate produces an assembly; this crate
-//! serves it. The paper's pipeline ends when contigs hit disk, but the
+//! serves it. The paper's pipeline ends when contigs hit disk (`lasagna`
+//! does not depend on this crate), but the
 //! north-star deployment keeps answering "where does this read come from?"
 //! long after the assembly finished — alignment front-ends, contamination
 //! screens, coverage dashboards. `qserve` is that serving layer:
@@ -13,6 +14,10 @@
 //! * [`minimizer`] — [`MinimizerIndex`], a (w,k)-window minimizer index
 //!   mapping minimizer hashes to `(contig, offset)` postings, built in
 //!   parallel over contigs and serialized beside the store;
+//! * [`generations`] — the one layout a work directory serves:
+//!   [`generations::export`] writes a store, its index and a
+//!   `generations.json` entry, and [`generations::open_active_engine`]
+//!   opens the active one;
 //! * [`engine`] — [`QueryEngine`], which maps a read (or its Watson-Crick
 //!   complement) to its contig position: minimizer hits vote for candidate
 //!   diagonals, banded verification confirms or rejects them;
@@ -32,8 +37,8 @@
 //! OBSERVABILITY.md). Corrupt stores and indexes fail loudly as
 //! [`gstream::StreamError::Corrupt`] with the offending path named; the `qserve.store.read` / `qserve.index.read`
 //! failpoints inject those failures deterministically, and
-//! `qserve.store.write` injects ENOSPC into the pipeline's store export
-//! (ROBUSTNESS.md).
+//! `qserve.store.write` injects ENOSPC into [`generations::export`]'s
+//! store write (ROBUSTNESS.md).
 
 pub mod admission;
 pub mod engine;
@@ -47,7 +52,7 @@ pub use engine::{
     merge_candidates, select_hit, CacheStats, Candidate, Hit, QueryConfig, QueryEngine,
 };
 pub use generations::{
-    gen_index_file, gen_store_file, GenEntry, GenError, GenKind, GenManifest, GEN_MANIFEST_FILE,
+    gen_index_file, gen_store_file, GenEntry, GenError, GenManifest, GEN_MANIFEST_FILE,
 };
 pub use minimizer::{minimizers, shard_of_hash, IndexConfig, MinimizerIndex};
 pub use service::{
@@ -55,10 +60,10 @@ pub use service::{
 };
 pub use store::ContigStore;
 
-/// File name of the contig store inside an assembly work directory.
+/// Conventional file name of a single contig store written by hand with
+/// [`ContigStore::write`]. A served work directory holds generations
+/// instead ([`gen_store_file`]).
 pub const STORE_FILE: &str = "contigs.store";
-/// File name of the minimizer index inside an assembly work directory.
-pub const INDEX_FILE: &str = "contigs.mdx";
 
 /// Errors from the query service.
 #[derive(Debug)]

@@ -784,15 +784,14 @@ impl QueryService {
                 detail: e.to_string(),
             });
         }
-        let (store_path, index_path) = generations::resolve_files(dir, &entry);
         let load_err = |e: gstream::StreamError| GenError::Load {
             generation: id,
             detail: e.to_string(),
         };
-        let store = ContigStore::open(&store_path, io).map_err(load_err)?;
+        let store = ContigStore::open(&dir.join(&entry.store), io).map_err(load_err)?;
         let index = match shard {
             Some((s, n_shards, icfg)) => MinimizerIndex::build_shard(&store, &icfg, s, n_shards),
-            None => MinimizerIndex::open(&index_path, io).map_err(load_err)?,
+            None => MinimizerIndex::open(&dir.join(&entry.index), io).map_err(load_err)?,
         };
         generations::validate_binding(&entry, &store, &index, faults)?;
         // The engine's own constructor re-verifies the store/index
@@ -908,7 +907,7 @@ mod tests {
     use super::*;
     use crate::minimizer::{IndexConfig, MinimizerIndex};
     use crate::store::ContigStore;
-    use crate::{GenKind, QueryConfig};
+    use crate::QueryConfig;
 
     const REF: &str = "ACGTACGGTTCAGATTACAGGCATCGGATGCATTCAGGACCTTAGGACCATTGACCATGG\
                        ACCAGTTACACGGTTAACCGGTTAACCATGCAGGACTTCAGATCCATTGGCATCAGGATC";
@@ -1148,7 +1147,7 @@ mod tests {
     }
 
     /// Export `contigs` as the next generation of `dir`.
-    fn export(dir: &Path, kind: GenKind, contigs: &[&str]) {
+    fn export(dir: &Path, contigs: &[&str]) {
         let seqs: Vec<PackedSeq> = contigs.iter().map(|c| c.parse().unwrap()).collect();
         let icfg = IndexConfig {
             k: 9,
@@ -1156,7 +1155,7 @@ mod tests {
             threads: 1,
         };
         let io = IoStats::new(gstream::DiskModel::ssd());
-        generations::export(dir, &seqs, &icfg, seqs.len() as u64, 30, kind, &io).unwrap();
+        generations::export(dir, &seqs, &icfg, &io).unwrap();
     }
 
     const REF2: &str = "TTGACCATGGACCAGTTACACGGTTAACCGGTTAACCATGCAGGACTTCAGATCCATTGG\
@@ -1166,7 +1165,7 @@ mod tests {
     fn reload_swaps_generations_and_batches_answer_from_their_admitted_generation() {
         let dir = stdx::tempdir().unwrap();
         let io = IoStats::new(gstream::DiskModel::ssd());
-        export(dir.path(), GenKind::Full, &[REF]);
+        export(dir.path(), &[REF]);
         let svc = QueryService::start_with_generation(
             engine(),
             1,
@@ -1178,7 +1177,7 @@ mod tests {
         let queries = reads(50);
         let before = svc.query_batch(queries.clone()).unwrap();
 
-        export(dir.path(), GenKind::Delta, &[REF2]);
+        export(dir.path(), &[REF2]);
         let admitted = svc
             .reload_from(dir.path(), None, None, &io, &faultsim::Faults::disabled())
             .unwrap();
@@ -1225,8 +1224,8 @@ mod tests {
     fn failed_reload_rolls_back_loudly_and_names_the_generation() {
         let dir = stdx::tempdir().unwrap();
         let io = IoStats::new(gstream::DiskModel::ssd());
-        export(dir.path(), GenKind::Full, &[REF]);
-        export(dir.path(), GenKind::Delta, &[REF2]);
+        export(dir.path(), &[REF]);
+        export(dir.path(), &[REF2]);
         let svc = QueryService::start_with_generation(
             engine(),
             1,
@@ -1292,19 +1291,10 @@ mod tests {
     fn reload_of_an_index_pointing_past_its_store_rolls_back() {
         let dir = stdx::tempdir().unwrap();
         let io = IoStats::new(gstream::DiskModel::ssd());
-        export(dir.path(), GenKind::Full, &[REF]);
+        export(dir.path(), &[REF]);
         let (one, payload) = crate::engine::tests::index_patched_to_one_contig_store();
         let contigs: Vec<PackedSeq> = one.contigs().to_vec();
-        generations::export(
-            dir.path(),
-            &contigs,
-            &IndexConfig::default(),
-            1,
-            30,
-            GenKind::Delta,
-            &io,
-        )
-        .unwrap();
+        generations::export(dir.path(), &contigs, &IndexConfig::default(), &io).unwrap();
         // Generation 2's checksums all agree with its manifest entry; only
         // its postings name a contig the store does not have.
         let mdx = dir.path().join(generations::gen_index_file(2));
@@ -1341,7 +1331,7 @@ mod tests {
     fn superseded_generations_retire_only_when_idle() {
         let dir = stdx::tempdir().unwrap();
         let io = IoStats::new(gstream::DiskModel::ssd());
-        export(dir.path(), GenKind::Full, &[REF]);
+        export(dir.path(), &[REF]);
         let svc = QueryService::start_with_generation(
             engine(),
             1,
@@ -1350,7 +1340,7 @@ mod tests {
         );
         svc.query_batch(reads(10)).unwrap();
 
-        export(dir.path(), GenKind::Delta, &[REF2]);
+        export(dir.path(), &[REF2]);
         svc.reload_from(
             dir.path(),
             Some(2),
@@ -1359,7 +1349,7 @@ mod tests {
             &faultsim::Faults::disabled(),
         )
         .unwrap();
-        export(dir.path(), GenKind::Delta, &[REF]);
+        export(dir.path(), &[REF]);
         svc.reload_from(
             dir.path(),
             Some(3),

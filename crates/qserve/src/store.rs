@@ -1,7 +1,7 @@
 //! The on-disk contig store.
 //!
-//! Written by the pipeline's traverse/compress phase, read by the query
-//! service. The payload is deliberately dumb — a count, per-contig lengths,
+//! Written by [`crate::generations::export`] from an assembly's contigs,
+//! read by the query service. The payload is deliberately dumb — a count, per-contig lengths,
 //! then every contig 2-bit packed, 4 bases per byte — because the
 //! durability and integrity story lives one layer down: the whole payload
 //! travels through [`gstream::write_blob`] / [`gstream::read_blob`], which

@@ -7,8 +7,8 @@
 //! ## Topology
 //!
 //! * **work dir** — a real generation store built before scheduling
-//!   begins: `gen-000001` (one contig) and `gen-000002` (a delta: the
-//!   same contig plus a second one), both listed in `generations.json`.
+//!   begins: `gen-000001` (one contig) and `gen-000002` (the same
+//!   contig plus a second one), both listed in `generations.json`.
 //! * **server** — the real accept loop with
 //!   [`qnet::ReloadConfig`] pointing at the work dir, started on
 //!   generation 1.
@@ -50,8 +50,7 @@ use genome::PackedSeq;
 use gstream::IoStats;
 use qnet::{DrainReport, QnetError, ReloadConfig, Server, ServerConfig, StatsSnapshot};
 use qserve::{
-    generations, AdmissionConfig, GenKind, Hit, QueryConfig, QueryEngine, QueryService,
-    ServiceConfig,
+    generations, AdmissionConfig, Hit, QueryConfig, QueryEngine, QueryService, ServiceConfig,
 };
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
@@ -369,13 +368,12 @@ pub fn run_reload_schedule(
     let gen2 = [base.clone(), extra.clone()];
 
     // The on-disk generations the server will reload from, written
-    // before any scheduling begins: a full build, then its delta.
+    // before any scheduling begins: the base contig, then a second
+    // generation that adds one.
     let dir = stdx::tempdir().expect("reload scenario work dir");
     let io = IoStats::new(gstream::DiskModel::ssd());
-    for (contigs, kind) in [(&gen2[..1], GenKind::Full), (&gen2[..], GenKind::Delta)] {
-        let n = contigs.len() as u64;
-        let read_len = harness::READ_BASES as u32;
-        generations::export(dir.path(), contigs, &harness::INDEX, n, read_len, kind, &io)
+    for contigs in [&gen2[..1], &gen2[..]] {
+        generations::export(dir.path(), contigs, &harness::INDEX, &io)
             .expect("export scenario generation");
     }
 

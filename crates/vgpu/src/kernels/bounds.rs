@@ -8,7 +8,7 @@
 
 use crate::buffer::DeviceBuffer;
 use crate::device::Device;
-use crate::exec::{par_map_into, par_parts, part_len, ELEMENT_GRAIN};
+use crate::exec::par_map_into;
 use crate::kernels::radix::RadixKey;
 use crate::stats::KernelCost;
 
@@ -55,55 +55,14 @@ impl Device {
         Ok(out)
     }
 
-    /// For each needle, the index one past the last element of `haystack`
-    /// that is `<=` the needle. `haystack` must be sorted ascending.
-    pub fn vec_upper_bound<K: RadixKey>(
-        &self,
-        needles: &DeviceBuffer<K>,
-        haystack: &DeviceBuffer<K>,
-    ) -> crate::Result<DeviceBuffer<u32>> {
-        let cost = search_cost::<K>(needles.len(), haystack.len());
-        let mut out = self.launch_bounds("vec_upper_bound", needles.len(), cost)?;
-        let hay = haystack.as_slice();
-        par_map_into(needles.as_slice(), out.as_mut_slice(), |n| {
-            hay.partition_point(|h| h <= n) as u32
-        });
-        Ok(out)
-    }
-
-    /// Element-wise `u - l` (the paper's `GPU_VEC_DIFFERENCE`): the number of
-    /// occurrences of each searched key.
-    pub fn vec_difference(
-        &self,
-        upper: &DeviceBuffer<u32>,
-        lower: &DeviceBuffer<u32>,
-    ) -> crate::Result<DeviceBuffer<u32>> {
-        debug_assert_eq!(upper.len(), lower.len());
-        let mut out =
-            self.launch_bounds("vec_difference", upper.len(), difference_cost(upper.len()))?;
-        let (upper, lower) = (upper.as_slice(), lower.as_slice());
-        let step = part_len(out.len(), ELEMENT_GRAIN);
-        par_parts(
-            out.as_mut_slice()
-                .chunks_mut(step)
-                .zip(upper.chunks(step).zip(lower.chunks(step))),
-            |(out, (upper, lower))| {
-                for (o, (u, l)) in out.iter_mut().zip(upper.iter().zip(lower)) {
-                    *o = u - l;
-                }
-            },
-        );
-        Ok(out)
-    }
-
     /// Algorithm 2's three launches over windows that are *both* sorted:
     /// for each needle its lower bound in `haystack` and its occurrence
     /// count there (`upper - lower`). `needles` and `haystack` must be
     /// ascending.
     ///
     /// Charged as the paper formulates it — [`Device::vec_lower_bound`],
-    /// [`Device::vec_upper_bound`] and [`Device::vec_difference`] gated,
-    /// reserved and charged in that order, so a device or a fault plan
+    /// `vec_upper_bound` and `vec_difference` gated, reserved and charged
+    /// in that order, so a device or a fault plan
     /// cannot tell the two routes apart — and executed as the
     /// work-efficient host equivalent: one merge-join in which the haystack
     /// cursor only moves forward and a repeated needle takes its
@@ -143,8 +102,55 @@ impl Device {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::{par_parts, part_len, ELEMENT_GRAIN};
     use crate::GpuProfile;
     use stdx::check_cases;
+
+    /// The other two of Algorithm 2's launches as the paper formulates
+    /// them: with [`Device::vec_lower_bound`], the oracle of
+    /// [`Device::vec_bounds_sorted`].
+    impl Device {
+        /// For each needle, the index one past the last element of `haystack`
+        /// that is `<=` the needle. `haystack` must be sorted ascending.
+        fn vec_upper_bound<K: RadixKey>(
+            &self,
+            needles: &DeviceBuffer<K>,
+            haystack: &DeviceBuffer<K>,
+        ) -> crate::Result<DeviceBuffer<u32>> {
+            let cost = search_cost::<K>(needles.len(), haystack.len());
+            let mut out = self.launch_bounds("vec_upper_bound", needles.len(), cost)?;
+            let hay = haystack.as_slice();
+            par_map_into(needles.as_slice(), out.as_mut_slice(), |n| {
+                hay.partition_point(|h| h <= n) as u32
+            });
+            Ok(out)
+        }
+
+        /// Element-wise `u - l` (the paper's `GPU_VEC_DIFFERENCE`): the number of
+        /// occurrences of each searched key.
+        fn vec_difference(
+            &self,
+            upper: &DeviceBuffer<u32>,
+            lower: &DeviceBuffer<u32>,
+        ) -> crate::Result<DeviceBuffer<u32>> {
+            debug_assert_eq!(upper.len(), lower.len());
+            let mut out =
+                self.launch_bounds("vec_difference", upper.len(), difference_cost(upper.len()))?;
+            let (upper, lower) = (upper.as_slice(), lower.as_slice());
+            let step = part_len(out.len(), ELEMENT_GRAIN);
+            par_parts(
+                out.as_mut_slice()
+                    .chunks_mut(step)
+                    .zip(upper.chunks(step).zip(lower.chunks(step))),
+                |(out, (upper, lower))| {
+                    for (o, (u, l)) in out.iter_mut().zip(upper.iter().zip(lower)) {
+                        *o = u - l;
+                    }
+                },
+            );
+            Ok(out)
+        }
+    }
 
     fn dev() -> Device {
         Device::new(GpuProfile::k40())

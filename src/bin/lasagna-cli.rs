@@ -3,9 +3,8 @@
 //! `lasagna-cli help` prints every subcommand with its options; the
 //! [`COMMANDS`] table is the one place they are written.
 //!
-//! `index` builds the minimizer index over the contig store the assembly
-//! left in `--work` (or over `--contigs`, importing them into a fresh
-//! store first); `query` serves batched read lookups against it, either
+//! `index` imports `--contigs` into `--work` as its next store/index
+//! generation; `query` serves batched read lookups against it, either
 //! in-process (`--work`) or over TCP against a `serve` process
 //! (`--connect`). `serve` binds the hardened network front-end (qnet) on
 //! the work dir's active generation and prints `listening HOST:PORT` once
@@ -22,7 +21,8 @@ use lasagna_repro::obs;
 use lasagna_repro::prelude::*;
 use lasagna_repro::qnet::{ClientConfig, QnetError, ReloadConfig, Server, ServerConfig};
 use lasagna_repro::qserve::{
-    AdmissionConfig, ContigStore, Hit, IndexConfig, MinimizerIndex, QueryConfig, ServiceConfig,
+    generations, AdmissionConfig, ContigStore, GenManifest, Hit, IndexConfig, MinimizerIndex,
+    QueryConfig, ServiceConfig, GEN_MANIFEST_FILE,
 };
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -51,7 +51,7 @@ const COMMANDS: &str = "
   lasagna-cli stats --contigs contigs.fa [--reference ref.fa]
   lasagna-cli stats --connect HOST:PORT [--format json|tsv]
   lasagna-cli top --connect HOST:PORT [--interval-ms 1000] [--iterations 0]
-  lasagna-cli index --work DIR [--contigs contigs.fa] [--k 15] [--w 8] [--threads 0]
+  lasagna-cli index --work DIR --contigs contigs.fa [--k 15] [--w 8] [--threads 0]
   lasagna-cli query --work DIR --reads queries.fastq [--out hits.tsv] [--batch 1024]
         [--workers 4] [--max-mismatches 2] [--max-queue 64]
   lasagna-cli query --connect HOST:PORT --reads queries.fastq [--out hits.tsv]
@@ -850,45 +850,30 @@ fn index_config(opts: &Opts) -> IndexConfig {
     }
 }
 
-/// Build the minimizer index for an assembly's contig store.
-///
-/// The store is normally `--work/contigs.store`, written by `assemble`;
-/// with `--contigs FILE` the FASTA is imported into a fresh store at that
-/// path first (so any external assembly can be served).
+/// Import `--contigs` (FASTA, from `assemble` or any other assembler)
+/// into `--work` as its next generation: store, minimizer index and
+/// manifest entry, through `qserve::generations::export`. The new
+/// generation is active, so `serve` boots it and `reload` swaps a live
+/// server to it.
 fn index(opts: &Opts) {
-    use lasagna_repro::qserve::{INDEX_FILE, STORE_FILE};
-
     let work = PathBuf::from(require(opts, "work"));
-    let store_path = work.join(STORE_FILE);
-    let index_path = work.join(INDEX_FILE);
-    let io = IoStats::default();
-
-    if let Some(contigs_path) = opts.get("contigs") {
-        let contigs = read_fasta(&PathBuf::from(contigs_path)).unwrap_or_else(die);
-        let seqs: Vec<PackedSeq> = contigs.into_iter().map(|(_, c)| c).collect();
-        create_work_dir(&work);
-        ContigStore::write(&store_path, &seqs, &io).unwrap_or_else(die_stream);
-        println!(
-            "imported {} contigs from {contigs_path} into {}",
-            seqs.len(),
-            store_path.display()
-        );
-    }
-
-    let store = ContigStore::open(&store_path, &io).unwrap_or_else(die_stream);
+    let contigs_path = require(opts, "contigs");
+    let contigs = read_fasta(&PathBuf::from(&contigs_path)).unwrap_or_else(die);
+    let seqs: Vec<PackedSeq> = contigs.into_iter().map(|(_, c)| c).collect();
+    create_work_dir(&work);
     let cfg = index_config(opts);
     let start = Instant::now();
-    let idx = MinimizerIndex::build(&store, &cfg);
-    idx.write(&index_path, &io).unwrap_or_else(die_stream);
+    let id =
+        generations::export(&work, &seqs, &cfg, &IoStats::default()).unwrap_or_else(die_qserve);
     println!(
-        "indexed {} contigs ({} bases): {} postings (k={}, w={}) in {:.3}s -> {}",
-        store.len(),
-        store.total_bases(),
-        idx.postings_len(),
-        idx.k(),
-        idx.w(),
+        "generation {id}: {} contigs ({} bases) from {contigs_path} indexed (k={}, w={}) \
+         in {:.3}s -> {}",
+        seqs.len(),
+        seqs.iter().map(|c| c.len()).sum::<usize>(),
+        cfg.k,
+        cfg.w,
         start.elapsed().as_secs_f64(),
-        index_path.display()
+        work.join(generations::gen_index_file(id)).display()
     );
 }
 
@@ -908,15 +893,10 @@ fn service_config(opts: &Opts, workers: usize) -> ServiceConfig {
 }
 
 /// Open what `--work` serves: the active generation of its
-/// `generations.json`, or the legacy `contigs.store`/`contigs.mdx` pair
-/// as generation 0. Returns the engine and its generation id.
+/// `generations.json`. Returns the engine and its generation id.
 fn open_served(opts: &Opts, work: &Path) -> (QueryEngine, u64) {
-    lasagna_repro::qserve::generations::open_active_engine(
-        work,
-        query_config(opts),
-        &IoStats::default(),
-    )
-    .unwrap_or_else(die_qserve)
+    generations::open_active_engine(work, query_config(opts), &IoStats::default())
+        .unwrap_or_else(die_qserve)
 }
 
 /// Answer `reads` in `batch`-sized chunks with `answer`: one TSV row per
@@ -1201,51 +1181,27 @@ fn serve_cluster(opts: &Opts) {
     );
 }
 
-/// List a work directory's store/index generations: id, kind
-/// (full/delta), parent, size, checksum, and which one is active. The
-/// active generation is what `serve` boots (and what `reload
-/// --generation 0` targets).
+/// List a work directory's store/index generations: id, store checksum,
+/// files, and which one is active. The active generation is what `serve`
+/// boots (and what `reload --generation 0` targets).
 fn generations(opts: &Opts) {
-    use lasagna_repro::qserve::{GenKind, GenManifest, GEN_MANIFEST_FILE, STORE_FILE};
-
     let work = PathBuf::from(require(opts, "work"));
-    let io = IoStats::default();
     if !GenManifest::exists(&work) {
-        if work.join(STORE_FILE).exists() {
-            println!(
-                "{}: legacy single-generation layout ({STORE_FILE} present, \
-                 no {GEN_MANIFEST_FILE})",
-                work.display()
-            );
-            return;
-        }
         eprintln!(
-            "lasagna: no {GEN_MANIFEST_FILE} or {STORE_FILE} under {}",
+            "lasagna: no {GEN_MANIFEST_FILE} under {} (run index first)",
             work.display()
         );
         exit(1);
     }
-    let manifest = GenManifest::load(&work, &io).unwrap_or_else(|e| {
+    let manifest = GenManifest::load(&work, &IoStats::default()).unwrap_or_else(|e| {
         eprintln!("lasagna: {e}");
         exit(EXIT_CORRUPT)
     });
-    println!(
-        "{:<8} {:>6} {:>7} {:>9} {:>8} {:>17}  files",
-        "gen", "kind", "parent", "reads", "readlen", "checksum"
-    );
+    println!("{:<8} {:>17}  files", "gen", "checksum");
     for g in &manifest.generations {
         println!(
-            "{:<8} {:>6} {:>7} {:>9} {:>8} {:>17}  {} + {}",
+            "{:<8} {:>17}  {} + {}",
             format!("{}{}", g.id, if g.id == manifest.active { "*" } else { "" }),
-            match g.kind {
-                GenKind::Full => "full",
-                GenKind::Delta => "delta",
-            },
-            g.parent
-                .map(|p| p.to_string())
-                .unwrap_or_else(|| "-".to_string()),
-            g.reads,
-            g.read_len,
             format!("{:016x}", g.store_checksum),
             g.store,
             g.index,

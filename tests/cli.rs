@@ -120,6 +120,15 @@ fn bad_arguments_exit_nonzero_with_a_message() {
     let out = cli().args(["frobnicate"]).output().expect("run");
     assert!(!out.status.success());
 
+    // `index` imports contigs; without `--contigs` it has nothing to serve.
+    let work = workdir("index-without-contigs");
+    let out = cli()
+        .args(["index", "--work", work.to_str().unwrap()])
+        .output()
+        .expect("run");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--contigs"));
+
     let out = cli()
         .args([
             "assemble",
@@ -503,7 +512,7 @@ fn unknown_options_exit_2_naming_the_flag() {
     for setup in [
         &simulate[..],
         &assemble,
-        &["index", "--work", &work],
+        &["index", "--work", &work, "--contigs", &contigs],
         &query,
     ] {
         let out = cli().args(setup).output().expect("run");
@@ -598,7 +607,7 @@ fn serving_commands_answer_alike_in_process_over_tcp_and_through_the_router() {
         "--work",
         &work,
     ]);
-    run_ok(&["index", "--work", &work]);
+    run_ok(&["index", "--work", &work, "--contigs", &path("contigs.fa")]);
     let mut sim_queries = simulate.to_vec();
     sim_queries.extend(["--coverage", "2", "--error-rate", "0.01", "--out", &queries]);
     run_ok(&sim_queries);
@@ -646,11 +655,8 @@ fn serving_commands_answer_alike_in_process_over_tcp_and_through_the_router() {
     run_ok(&["shutdown", "--connect", &replicas[1]]);
     assert!(cluster.exited_ok());
 
-    let legacy = run_ok(&["generations", "--work", &work]);
-    assert!(
-        legacy.contains("legacy single-generation layout"),
-        "{legacy}"
-    );
+    let listed = run_ok(&["generations", "--work", &work]);
+    assert!(listed.contains("active: generation 1 (*)"), "{listed}");
 
     // 100 reads at 1 % error; 87 of them map onto this assembly.
     let mapped = in_process.lines().filter(|l| !l.ends_with("\t*")).count();
@@ -662,14 +668,13 @@ fn serving_commands_answer_alike_in_process_over_tcp_and_through_the_router() {
 
 #[test]
 fn serve_boots_the_active_generation_and_reload_swaps_it() {
-    use lasagna_repro::genome::fastq::write_fastq;
-    use lasagna_repro::prelude::{GenomeSim, IoStats};
-    use lasagna_repro::qserve::{generations, GenKind, IndexConfig};
+    use lasagna_repro::genome::fastq::{write_fasta, write_fastq};
+    use lasagna_repro::prelude::GenomeSim;
 
-    // Two generations with disjoint contigs; the second export is active.
+    // Two generations with disjoint contigs, each imported by its own
+    // `index --contigs` run; the second import is active.
     let dir = workdir("reload");
     let work = dir.join("work");
-    std::fs::create_dir_all(&work).unwrap();
     let contig = |seed| {
         GenomeSim {
             len: 3_000,
@@ -680,11 +685,11 @@ fn serve_boots_the_active_generation_and_reload_swaps_it() {
         .generate()
     };
     let (gen1, gen2) = (contig(31), contig(32));
-    for contigs in [&gen1, &gen2] {
-        let cfg = IndexConfig::default();
-        let io = IoStats::default();
-        let one = std::slice::from_ref(contigs);
-        generations::export(&work, one, &cfg, 1, 100, GenKind::Full, &io).unwrap();
+    for (name, contigs) in [("gen1.fa", &gen1), ("gen2.fa", &gen2)] {
+        let fasta = dir.join(name);
+        write_fasta(&fasta, [("contig_0", contigs)]).unwrap();
+        let (work, fasta) = (work.to_str().unwrap(), fasta.to_str().unwrap());
+        run_ok(&["index", "--work", work, "--contigs", fasta]);
     }
     let queries = dir.join("queries.fastq");
     write_fastq(&queries, [("from_gen1", &gen1.slice(1_000, 100))]).unwrap();

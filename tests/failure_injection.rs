@@ -111,6 +111,7 @@ fn empty_input_produces_empty_but_valid_output_everywhere() {
 
 use lasagna_repro::faultsim::{self, FaultPlan, Faults};
 use lasagna_repro::lasagna::Manifest;
+use lasagna_repro::qserve::{self, generations, ContigStore, IndexConfig};
 use std::path::Path;
 
 fn laptop_on(dir: &Path) -> Pipeline {
@@ -711,15 +712,16 @@ fn torn_tail_in_the_checkpointed_graph_fails_resume_loudly() {
 
 #[test]
 fn torn_tail_in_the_contig_store_fails_open_loudly() {
-    use lasagna_repro::qserve::{self, ContigStore};
     let r = reads(42);
     let dir = stdx::tempdir().unwrap();
-    laptop_on(dir.path()).assemble(&r).unwrap();
-    let store_path = dir.path().join(qserve::STORE_FILE);
-    tear_tail_512(&store_path);
-    let err = ContigStore::open(&store_path, &IoStats::default()).unwrap_err();
+    let contigs = laptop_on(dir.path()).assemble(&r).unwrap().contigs;
+    let io = IoStats::default();
+    let id = generations::export(dir.path(), &contigs, &IndexConfig::default(), &io).unwrap();
+    let store_name = qserve::gen_store_file(id);
+    tear_tail_512(&dir.path().join(&store_name));
+    let err = ContigStore::open(&dir.path().join(&store_name), &io).unwrap_err();
     assert!(matches!(err, gstream::StreamError::Corrupt(_)), "got {err}");
-    assert!(err.to_string().contains(qserve::STORE_FILE), "got {err}");
+    assert!(err.to_string().contains(&store_name), "got {err}");
 }
 
 #[test]
@@ -777,19 +779,25 @@ fn distributed_kill_of_every_node_resumes_without_redoing_mapped_blocks() {
     );
 }
 
-// --- Disk-full during the contig-store export (see SERVING.md) ----------
+// --- Disk-full during the generation export (see SERVING.md) ----------
+
+/// Assemble `reads(24)` in `dir` and export the contigs as its next
+/// generation, with `faults` armed on the export's I/O.
+fn export_with(dir: &Path, faults: &Faults) -> (Vec<PackedSeq>, qserve::Result<u64>) {
+    let contigs = laptop_on(dir).assemble(&reads(24)).unwrap().contigs;
+    assert!(!contigs.is_empty());
+    let io = IoStats::default();
+    io.set_faults(faults.clone());
+    let exported = generations::export(dir, &contigs, &IndexConfig::default(), &io);
+    (contigs, exported)
+}
 
 #[test]
 fn disk_full_during_store_export_is_absorbed_by_one_retry() {
-    use lasagna_repro::qserve::{self, ContigStore};
-    let r = reads(24);
     let dir = stdx::tempdir().unwrap();
     let faults = Faults::from_plan(&FaultPlan::new().fail_at(faultsim::QSERVE_STORE_WRITE, 1));
-    let out = laptop_on(dir.path())
-        .with_faults(faults.clone())
-        .assemble(&r)
-        .unwrap();
-    assert!(!out.contigs.is_empty());
+    let (contigs, exported) = export_with(dir.path(), &faults);
+    let id = exported.unwrap();
     assert_eq!(
         faults.hits(faultsim::QSERVE_STORE_WRITE),
         2,
@@ -797,28 +805,29 @@ fn disk_full_during_store_export_is_absorbed_by_one_retry() {
     );
     // The retried export is complete and bit-identical: the failed
     // attempt left nothing behind to confuse the reader.
-    let store =
-        ContigStore::open(&dir.path().join(qserve::STORE_FILE), &IoStats::default()).unwrap();
-    assert_eq!(store.contigs(), &out.contigs[..]);
+    let store_path = dir.path().join(qserve::gen_store_file(id));
+    let store = ContigStore::open(&store_path, &IoStats::default()).unwrap();
+    assert_eq!(store.contigs(), &contigs[..]);
 }
 
 #[test]
 fn disk_full_twice_during_store_export_propagates_as_storage_full() {
-    let r = reads(24);
     let dir = stdx::tempdir().unwrap();
     let plan = FaultPlan::new()
         .fail_at(faultsim::QSERVE_STORE_WRITE, 1)
         .fail_at(faultsim::QSERVE_STORE_WRITE, 2);
-    let err = laptop_on(dir.path())
-        .with_faults(Faults::from_plan(&plan))
-        .assemble(&r)
-        .unwrap_err();
+    let (_, exported) = export_with(dir.path(), &Faults::from_plan(&plan));
+    let err = exported.unwrap_err();
     assert!(
         matches!(
             &err,
-            LasagnaError::Stream(gstream::StreamError::Io(e))
+            qserve::QserveError::Stream(gstream::StreamError::Io(e))
                 if e.kind() == std::io::ErrorKind::StorageFull
         ),
         "a genuinely full disk must surface as StorageFull I/O, got {err}"
+    );
+    assert!(
+        !qserve::GenManifest::exists(dir.path()),
+        "a failed export lists no generation"
     );
 }

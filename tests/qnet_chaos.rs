@@ -22,14 +22,16 @@ fn reads(seed: u64) -> ReadSet {
     ShotgunSim::error_free(60, 8.0, seed + 1).sample(&genome)
 }
 
-/// Assemble an error-free dataset into `dir`, leaving `contigs.store`
-/// behind, and return the contigs the pipeline reported.
+/// Assemble an error-free dataset into `dir`, write the contigs the
+/// pipeline reported to `contigs.store` there, and return them.
 fn assemble_into(dir: &Path, seed: u64) -> Vec<PackedSeq> {
-    Pipeline::laptop(AssemblyConfig::for_dataset(40, 60), dir)
+    let contigs = Pipeline::laptop(AssemblyConfig::for_dataset(40, 60), dir)
         .unwrap()
         .assemble(&reads(seed))
         .unwrap()
-        .contigs
+        .contigs;
+    ContigStore::write(&dir.join(qserve::STORE_FILE), &contigs, &IoStats::default()).unwrap();
+    contigs
 }
 
 /// Deterministic query load: `count` windows of `len` bases sliced from

@@ -15,8 +15,8 @@ use lasagna_repro::prelude::*;
 use lasagna_repro::qnet::{ClientConfig, ReloadConfig, Server, ServerConfig};
 use lasagna_repro::qrouter::{ClusterManifest, Router, RouterConfig, RouterError};
 use lasagna_repro::qserve::{
-    self, ContigStore, GenKind, Hit, IndexConfig, MinimizerIndex, QueryConfig, QueryEngine,
-    QueryService, ServiceConfig,
+    self, ContigStore, Hit, IndexConfig, MinimizerIndex, QueryConfig, QueryEngine, QueryService,
+    ServiceConfig,
 };
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -26,14 +26,17 @@ fn reads(seed: u64) -> ReadSet {
     ShotgunSim::error_free(60, 8.0, seed + 1).sample(&genome)
 }
 
-/// Assemble an error-free dataset into `dir`, leaving `contigs.store`
-/// behind for both the single-node oracle and the cluster replicas.
+/// Assemble an error-free dataset into `dir` and write its contigs to
+/// `contigs.store` there, for both the single-node oracle and the
+/// cluster replicas.
 fn assemble_into(dir: &Path, seed: u64) -> Vec<PackedSeq> {
-    Pipeline::laptop(AssemblyConfig::for_dataset(40, 60), dir)
+    let contigs = Pipeline::laptop(AssemblyConfig::for_dataset(40, 60), dir)
         .unwrap()
         .assemble(&reads(seed))
         .unwrap()
-        .contigs
+        .contigs;
+    ContigStore::write(&dir.join(qserve::STORE_FILE), &contigs, &IoStats::default()).unwrap();
+    contigs
 }
 
 /// Deterministic query load: `count` windows of `len` bases sliced from
@@ -384,14 +387,13 @@ fn a_fully_dead_shard_dead_letters_with_a_typed_error_not_a_hang() {
     servers[0].shutdown();
 }
 
-/// Export generation 1 (`contigs_a`, full) and generation 2 (`gen2`,
-/// its delta) into the work dir — store, index, and manifest entry —
+/// Export generation 1 (`contigs_a`) and generation 2 (`gen2`, a
+/// superset) into the work dir — store, index, and manifest entry —
 /// the layout each replica's `Reload` consumes (the replica rebuilds
 /// its own shard slice from the store).
 fn export_two_generations(dir: &Path, contigs_a: &[PackedSeq], gen2: &[PackedSeq], io: &IoStats) {
-    for (contigs, kind) in [(contigs_a, GenKind::Full), (gen2, GenKind::Delta)] {
-        let (icfg, n) = (IndexConfig::default(), contigs.len() as u64);
-        qserve::generations::export(dir, contigs, &icfg, n, 60, kind, io).unwrap();
+    for contigs in [contigs_a, gen2] {
+        qserve::generations::export(dir, contigs, &IndexConfig::default(), io).unwrap();
     }
 }
 

@@ -1,5 +1,5 @@
 //! Golden-path tests for the contig query service (see SERVING.md):
-//! the pipeline's exported store round-trips bit-identically, simulated
+//! an assembly exported as a generation serves its contigs bit for bit, simulated
 //! reads resolve back to their true origin, answers are invariant across
 //! worker counts, and the engine agrees with an exhaustive-scan placer
 //! that shares no code with it.
@@ -17,14 +17,16 @@ fn reads(seed: u64) -> ReadSet {
     ShotgunSim::error_free(60, 8.0, seed + 1).sample(&genome)
 }
 
-/// Assemble an error-free dataset into `dir`, leaving `contigs.store`
-/// behind, and return the contigs the pipeline reported.
+/// Assemble an error-free dataset into `dir`, write the contigs the
+/// pipeline reported to `contigs.store` there, and return them.
 fn assemble_into(dir: &Path, seed: u64) -> Vec<PackedSeq> {
-    Pipeline::laptop(AssemblyConfig::for_dataset(40, 60), dir)
+    let contigs = Pipeline::laptop(AssemblyConfig::for_dataset(40, 60), dir)
         .unwrap()
         .assemble(&reads(seed))
         .unwrap()
-        .contigs
+        .contigs;
+    ContigStore::write(&dir.join(qserve::STORE_FILE), &contigs, &IoStats::default()).unwrap();
+    contigs
 }
 
 /// Deterministic query load: `count` windows of `len` bases sliced from
@@ -63,11 +65,15 @@ fn engine_for(dir: &Path) -> QueryEngine {
 
 #[test]
 fn pipeline_exports_a_bit_identical_contig_store() {
-    let dir = stdx::tempdir().unwrap();
+    let (dir, work) = (stdx::tempdir().unwrap(), stdx::tempdir().unwrap());
     let contigs = assemble_into(dir.path(), 50);
     assert!(!contigs.is_empty());
-    let store =
-        ContigStore::open(&dir.path().join(qserve::STORE_FILE), &IoStats::default()).unwrap();
+    let io = IoStats::default();
+    qserve::generations::export(work.path(), &contigs, &IndexConfig::default(), &io).unwrap();
+    let (engine, generation) =
+        qserve::generations::open_active_engine(work.path(), QueryConfig::default(), &io).unwrap();
+    assert_eq!(generation, 1);
+    let store = engine.store();
     assert_eq!(
         store.contigs(),
         &contigs[..],

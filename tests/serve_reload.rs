@@ -13,8 +13,8 @@ use lasagna_repro::qnet::{
     ClientConfig, QnetError, QueryClient, ReloadConfig, Server, ServerConfig,
 };
 use lasagna_repro::qserve::{
-    self, ContigStore, GenKind, Hit, IndexConfig, MinimizerIndex, QueryConfig, QueryEngine,
-    QueryService, ServiceConfig,
+    self, ContigStore, Hit, IndexConfig, MinimizerIndex, QueryConfig, QueryEngine, QueryService,
+    ServiceConfig,
 };
 use std::path::Path;
 use std::time::Duration;
@@ -62,7 +62,7 @@ fn oracle_answers(contigs: &[PackedSeq], queries: &[PackedSeq]) -> Vec<Option<Hi
 }
 
 /// A two-generation work dir: generation 1 is corpus A, generation 2 is
-/// the delta corpus A + B. Returns the queries (A windows then B
+/// corpus A + B. Returns the queries (A windows then B
 /// windows, so the oracles must disagree on the B tail) and both
 /// oracles' answers.
 struct TwoGenerations {
@@ -91,9 +91,8 @@ fn two_generations(seed: u64) -> TwoGenerations {
 
     let work = stdx::tempdir().unwrap();
     let io = IoStats::default();
-    for (contigs, kind) in [(&contigs_a, GenKind::Full), (&gen2, GenKind::Delta)] {
-        let (icfg, n) = (IndexConfig::default(), contigs.len() as u64);
-        qserve::generations::export(work.path(), contigs, &icfg, n, 60, kind, &io).unwrap();
+    for contigs in [&contigs_a, &gen2] {
+        qserve::generations::export(work.path(), contigs, &IndexConfig::default(), &io).unwrap();
     }
     TwoGenerations {
         work,
