@@ -1,21 +1,37 @@
 //! # sched — cooperative deterministic scheduler for model checking
 //!
-//! The serving stack (`qnet` + `qserve`) is threaded code full of ordered
-//! admission gates, drain flags, and in-flight counters. To *prove* the
-//! protocol's invariants rather than stress-test them, `crates/schedcheck`
-//! runs the real server under this scheduler: every racy transition in the
-//! instrumented code announces itself at a named **schedule point**
-//! ([`point`]), every blocking wait becomes a pollable predicate
-//! ([`wait_until`]), and a controller thread ([`Controller`]) grants
-//! exactly one task leave to run between any two points. The sequence of
-//! grants *is* the interleaving; an exploration strategy (exhaustive DFS,
-//! seeded random priorities) picks it.
+//! The serving stack (`qnet` + `qserve` + `qrouter`) is threaded code
+//! full of ordered admission gates, drain flags, and in-flight counters.
+//! To *prove* the protocol's invariants rather than stress-test them,
+//! `crates/schedcheck` runs the real server under this scheduler: every
+//! racy transition in the instrumented code announces itself at a named
+//! **schedule point** ([`point`]), every blocking wait becomes a pollable
+//! predicate ([`wait_until`]), and a controller thread ([`Controller`])
+//! grants exactly one task leave to run between any two points. The
+//! sequence of grants *is* the interleaving; an exploration strategy
+//! (exhaustive DFS, seeded random priorities) picks it.
+//!
+//! ## One way to block
+//!
+//! The serving crates block only through this module's primitives, each
+//! of which decides for itself whether a controller drives the calling
+//! thread:
+//!
+//! - [`wait`] — a condvar wait on a predicate, with an optional
+//!   [`Deadline`];
+//! - [`pause`] — a fixed hold (a backoff, a chaos stall);
+//! - [`Deadline`] — a point on the virtual or the wall clock;
+//! - [`spawn`] / [`spawn_scoped`] — a thread that is also a task, joined
+//!   by [`Thread::join`] / [`join_scoped`].
+//!
+//! Code built on them runs the same lines with and without a controller;
+//! only the lines inside each primitive differ.
 //!
 //! ## No scheduler, no cost
 //!
 //! All hooks early-return on a relaxed [`AtomicBool`] load when no
-//! controller is installed, and threads that never registered via
-//! [`begin`] pass through even when one is. Production serving pays one
+//! controller is installed, and threads that were not spawned as tasks
+//! pass through even when one is. Production serving pays one
 //! predictable branch per point.
 //!
 //! ## Virtual time
@@ -23,47 +39,32 @@
 //! The scheduler owns a virtual clock ([`virtual_now_ms`]): it advances
 //! **only** when the controller grants a step (1 ms per grant) or jumps it
 //! to the earliest timed waiter's deadline when every task is blocked
-//! ([`wait_until_deadline`]). Deadline gates and drain timeouts in the
-//! instrumented code consult this clock when a scheduler is installed, so
-//! "the budget expired while the request sat in the queue" is a *schedule*
-//! (a deterministic, replayable choice) rather than a wall-clock accident.
+//! ([`wait_until_deadline`]). A [`Deadline`] taken on a task reads this
+//! clock, so "the budget expired while the request sat in the queue" is
+//! a *schedule* (a deterministic, replayable choice) rather than a
+//! wall-clock accident.
 //!
 //! ## Task lifecycle
 //!
-//! A thread participates as a **task**. The spawning side calls
-//! [`announce`] *before* `thread::spawn` (so the controller knows a task
-//! is coming and will not treat the system as quiescent), hands the
-//! returned [`SpawnToken`] to the child, and the child calls [`begin`] as
-//! its first act. Dropping the returned [`TaskGuard`] (or letting the
-//! closure end) marks the task exited. Real threads block on condvars
-//! while waiting for grants — there is no busy-wait in the tasks
-//! themselves.
+//! A thread participates as a **task**. [`spawn`] announces the task
+//! *before* the OS thread exists (so the controller knows a task is
+//! coming and will not treat the system as quiescent), and the child
+//! registers as its first act; the task is marked exited when its body
+//! returns. Real threads block on condvars while waiting for grants —
+//! there is no busy-wait in the tasks themselves.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::{self, JoinHandle, Scope, ScopedJoinHandle};
 use std::time::{Duration, Instant};
 use stdx::lock;
 
 /// Index of a task in the controller's registry (dense, spawn order).
 pub type TaskId = usize;
 
-/// Handed from [`announce`] (spawner side) to [`begin`] (child side).
-#[derive(Debug)]
-pub struct SpawnToken {
-    id: TaskId,
-}
-
-impl SpawnToken {
-    /// The task id this token will register as — stored by joiners so
-    /// [`task_finished`] can be used as a deterministic join predicate.
-    pub fn id(&self) -> TaskId {
-        self.id
-    }
-}
-
 /// Registered-task guard; dropping it marks the task exited.
 #[derive(Debug)]
-pub struct TaskGuard {
+struct TaskGuard {
     id: TaskId,
 }
 
@@ -135,8 +136,9 @@ pub fn installed() -> bool {
 }
 
 /// True if a controller is installed *and* the calling thread is a
-/// registered task. Instrumented code uses this to choose between its
-/// normal blocking wait and the pollable [`wait_until`] path.
+/// registered task. [`wait`], [`pause`] and [`Deadline`] choose their
+/// checked form on it; the one caller outside this module is `qnet`'s
+/// accept loop, whose blocking `accept` cannot be a schedule point.
 pub fn active() -> bool {
     installed() && CURRENT.with(|c| c.get().is_some())
 }
@@ -147,30 +149,29 @@ pub fn virtual_now_ms() -> Option<u64> {
 }
 
 /// Announce a task the spawner is about to create. Returns `None` when no
-/// controller is installed (the common case — callers thread the `None`
-/// straight through to [`begin`]).
-pub fn announce(name: &str) -> Option<SpawnToken> {
+/// controller is installed (the common case — [`spawn`] threads the
+/// `None` straight through to [`begin`]).
+fn announce(name: &str) -> Option<TaskId> {
     let s = shared()?;
     let mut st = lock(&s.state);
     st.tasks.push(Task {
         name: name.to_string(),
         phase: Phase::NotStarted,
     });
-    let id = st.tasks.len() - 1;
     s.ctl.notify_all();
-    Some(SpawnToken { id })
+    Some(st.tasks.len() - 1)
 }
 
 /// Register the calling thread as the announced task. First act of the
 /// spawned closure; keep the guard alive for the thread's whole life.
-pub fn begin(token: Option<SpawnToken>) -> Option<TaskGuard> {
-    let token = token?;
+fn begin(task: Option<TaskId>) -> Option<TaskGuard> {
+    let id = task?;
     let s = shared()?;
-    CURRENT.with(|c| c.set(Some(token.id)));
+    CURRENT.with(|c| c.set(Some(id)));
     let mut st = lock(&s.state);
-    st.tasks[token.id].phase = Phase::Running;
+    st.tasks[id].phase = Phase::Running;
     s.ctl.notify_all();
-    Some(TaskGuard { id: token.id })
+    Some(TaskGuard { id })
 }
 
 impl Drop for TaskGuard {
@@ -191,7 +192,7 @@ impl Drop for TaskGuard {
 /// dying thread *before* the OS thread terminates, so readiness is a pure
 /// function of scheduler state (deterministic), and the real `join()`
 /// that follows blocks only for the final few microseconds of teardown.
-pub fn task_finished(id: TaskId) -> bool {
+fn task_finished(id: TaskId) -> bool {
     match shared() {
         Some(s) => matches!(
             lock(&s.state).tasks.get(id).map(|t| &t.phase),
@@ -282,6 +283,196 @@ fn wait_until_inner(name: &str, wake_at_ms: Option<u64>, ready: &mut dyn FnMut()
         // Controller asked for a re-poll (or granted us straight through);
         // drop the lock and re-run the predicate.
     }
+}
+
+/// A point on the calling thread's clock: the scheduler's virtual
+/// milliseconds while a controller drives the thread, the wall clock
+/// otherwise. One thread's deadlines are all of one kind, so the order is
+/// the clock's. Virtual arithmetic saturates: a clock the controller
+/// jumped to `u64::MAX` makes every deadline pass rather than wrap.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Deadline {
+    /// Virtual milliseconds since the controller was installed.
+    Virtual(u64),
+    Wall(Instant),
+}
+
+impl Deadline {
+    /// `d` from now, with no floor: a zero budget has already passed.
+    pub fn after(d: Duration) -> Deadline {
+        if active() {
+            let ms = u64::try_from(d.as_millis()).unwrap_or(u64::MAX);
+            Deadline::Virtual(virtual_now_ms().unwrap_or(0).saturating_add(ms))
+        } else {
+            Deadline::Wall(Instant::now() + d)
+        }
+    }
+
+    /// `ms` from now; at least one virtual millisecond, so that a timed
+    /// wait under a controller always yields to the other tasks.
+    pub fn after_ms(ms: u64) -> Deadline {
+        let ms = if active() { ms.max(1) } else { ms };
+        Deadline::after(Duration::from_millis(ms))
+    }
+
+    /// True once the clock reached the deadline.
+    pub fn passed(self) -> bool {
+        match self {
+            Deadline::Virtual(at) => virtual_now_ms().unwrap_or(u64::MAX) >= at,
+            Deadline::Wall(at) => Instant::now() >= at,
+        }
+    }
+
+    /// Wall time left; zero on the virtual clock.
+    pub fn remaining(self) -> Duration {
+        match self {
+            Deadline::Virtual(_) => Duration::ZERO,
+            Deadline::Wall(at) => at.saturating_duration_since(Instant::now()),
+        }
+    }
+
+    /// Block until the deadline passes: a timed wait at schedule point
+    /// `name` on the virtual clock, a sleep on the wall clock.
+    pub fn sleep(self, name: &str) {
+        match self {
+            Deadline::Virtual(at) => wait_until_deadline(name, at, &mut || self.passed()),
+            Deadline::Wall(_) => thread::sleep(self.remaining()),
+        }
+    }
+}
+
+/// Block until `ready` holds for the value behind `m`, or `until`
+/// passes. Returns the locked guard and whether `ready` held on it.
+/// Whoever changes what `ready` reads notifies `cv` after the change.
+///
+/// Under a controller the wait is schedule point `name`: [`wait_until`]
+/// when `until` is `None` (an untimed wait never moves the virtual
+/// clock), [`wait_until_deadline`] otherwise, then the lock is taken.
+/// Without one it is the condvar loop.
+pub fn wait<'a, T>(
+    name: &str,
+    m: &'a Mutex<T>,
+    cv: &Condvar,
+    until: Option<Deadline>,
+    ready: impl Fn(&T) -> bool,
+) -> (MutexGuard<'a, T>, bool) {
+    if active() {
+        let mut probe = || ready(&lock(m)) || until.is_some_and(Deadline::passed);
+        match until {
+            Some(Deadline::Virtual(at)) => wait_until_deadline(name, at, &mut probe),
+            _ => wait_until(name, &mut probe),
+        }
+        let guard = lock(m);
+        let held = ready(&guard);
+        return (guard, held);
+    }
+    let mut guard = lock(m);
+    loop {
+        if ready(&guard) {
+            return (guard, true);
+        }
+        guard = match until {
+            None => cv.wait(guard).unwrap_or_else(PoisonError::into_inner),
+            Some(d) if d.passed() => return (guard, false),
+            Some(d) => wait_for(cv, guard, d.remaining()),
+        };
+    }
+}
+
+/// Hold the calling thread for `d`: a bare schedule point `name` under a
+/// controller (whose clock moves only at grants, so a real sleep would
+/// stall the whole schedule), `thread::sleep` otherwise.
+pub fn pause(name: &str, d: Duration) {
+    if active() {
+        point(name);
+    } else {
+        thread::sleep(d);
+    }
+}
+
+/// A thread started by [`spawn`]; under a controller, also a task.
+#[derive(Debug)]
+pub struct Thread<T> {
+    handle: JoinHandle<T>,
+    task: Option<TaskId>,
+}
+
+/// A thread started by [`spawn_scoped`]; join it with [`join_scoped`].
+#[derive(Debug)]
+pub struct ScopedThread<'scope, T> {
+    handle: ScopedJoinHandle<'scope, T>,
+    task: Option<TaskId>,
+}
+
+/// Run `body` on a new thread named `name`. Under a controller the thread
+/// is task `name`: announced before the spawn, so the controller counts it
+/// from the moment it is promised, and registered as the thread's first
+/// act. Dropping the [`Thread`] detaches it.
+pub fn spawn<T: Send + 'static>(
+    name: &str,
+    body: impl FnOnce() -> T + Send + 'static,
+) -> Thread<T> {
+    let task = announce(name);
+    let handle = thread::Builder::new()
+        .name(name.to_string())
+        .spawn(move || {
+            let _task = begin(task);
+            body()
+        })
+        .expect("spawn thread");
+    Thread { handle, task }
+}
+
+/// [`spawn`] inside `scope`.
+pub fn spawn_scoped<'scope, 'env, T: Send + 'scope>(
+    scope: &'scope Scope<'scope, 'env>,
+    name: &str,
+    body: impl FnOnce() -> T + Send + 'scope,
+) -> ScopedThread<'scope, T> {
+    let task = announce(name);
+    let handle = thread::Builder::new()
+        .name(name.to_string())
+        .spawn_scoped(scope, move || {
+            let _task = begin(task);
+            body()
+        })
+        .expect("spawn scoped thread");
+    ScopedThread { handle, task }
+}
+
+/// Park at `name` until every task in `tasks` has exited; no point at
+/// all when there is none.
+fn await_exit(name: &str, tasks: &[TaskId]) {
+    if !tasks.is_empty() {
+        wait_until(name, &mut || tasks.iter().all(|&id| task_finished(id)));
+    }
+}
+
+impl<T> Thread<T> {
+    /// Wait for the thread and take what its body returned (`Err` if it
+    /// panicked). Under a controller the joiner first parks at schedule
+    /// point `name` until the task has exited, so the tasks it waits for
+    /// can still be granted the steps they need to finish.
+    pub fn join(self, name: &str) -> thread::Result<T> {
+        await_exit(name, self.task.as_slice());
+        self.handle.join()
+    }
+}
+
+/// Join `threads` after one wait at schedule point `name` for all of
+/// them, however many there are. A panic in any of them resumes on the
+/// caller, as at the end of a `thread::scope`.
+pub fn join_scoped<T>(name: &str, threads: Vec<ScopedThread<'_, T>>) -> Vec<T> {
+    let tasks: Vec<TaskId> = threads.iter().filter_map(|t| t.task).collect();
+    await_exit(name, &tasks);
+    threads
+        .into_iter()
+        .map(|t| {
+            t.handle
+                .join()
+                .unwrap_or_else(|p| std::panic::resume_unwind(p))
+        })
+        .collect()
 }
 
 /// A schedulable choice: `task` is parked at `point` and may be granted.
@@ -655,5 +846,111 @@ mod tests {
         drop(ctl);
         setter.join().unwrap();
         waiter.join().unwrap();
+    }
+
+    /// Grant the lowest-id candidate until every task has exited; the
+    /// points granted, each with the clock just before its grant.
+    fn drive_lowest(ctl: &Controller) -> Vec<(String, u64)> {
+        let mut trace = Vec::new();
+        loop {
+            match ctl.step().unwrap() {
+                StepState::AllExited => return trace,
+                StepState::Enabled(cands) => {
+                    let pick = cands.iter().min_by_key(|c| c.task).unwrap();
+                    trace.push((pick.point.clone(), ctl.clock_ms()));
+                    ctl.grant(pick.task);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn wait_returns_on_notify_without_a_controller() {
+        let _serial = lock(&SERIAL);
+        let pair = Arc::new((Mutex::new(false), Condvar::new()));
+        let setter = {
+            let pair = Arc::clone(&pair);
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(10));
+                *lock(&pair.0) = true;
+                pair.1.notify_all();
+            })
+        };
+        let (guard, held) = wait("free.wait", &pair.0, &pair.1, None, |set| *set);
+        assert!(held && *guard);
+        drop(guard);
+        setter.join().unwrap();
+    }
+
+    #[test]
+    fn wait_gives_up_at_a_wall_deadline() {
+        let _serial = lock(&SERIAL);
+        let (m, cv) = (Mutex::new(0u32), Condvar::new());
+        let t0 = Instant::now();
+        let until = Deadline::after_ms(20);
+        assert!(matches!(until, Deadline::Wall(_)));
+        let (guard, held) = wait("free.wait", &m, &cv, Some(until), |n| *n > 0);
+        assert!(!held);
+        assert_eq!(*guard, 0);
+        assert!(t0.elapsed() >= Duration::from_millis(20));
+        assert!(until.passed());
+    }
+
+    #[test]
+    fn spawned_threads_hand_back_their_value_or_their_panic() {
+        let _serial = lock(&SERIAL);
+        assert_eq!(spawn("free.value", || 6 * 7).join("free.join").unwrap(), 42);
+        let panicked = spawn("free.panic", || -> u32 { panic!("body panicked") });
+        assert!(panicked.join("free.join").is_err());
+    }
+
+    #[test]
+    fn a_timed_wait_passes_its_deadline_once_the_clock_jumps() {
+        let _serial = lock(&SERIAL);
+        let ctl = Controller::install();
+        let waiter = spawn("waiter", || {
+            let (m, cv) = (Mutex::new(false), Condvar::new());
+            let until = Deadline::after_ms(50);
+            let held = wait("waiter.deadline", &m, &cv, Some(until), |set| *set).1;
+            (until, held, until.passed())
+        });
+        let trace = drive_lowest(&ctl);
+        assert_eq!(trace.len(), 1);
+        assert_eq!(trace[0].0, "waiter.deadline");
+        assert!(ctl.clock_ms() >= 50);
+        drop(ctl);
+        let (until, held, passed) = waiter.join("test.join").unwrap();
+        assert_eq!(until, Deadline::Virtual(50));
+        assert!(!held && passed);
+    }
+
+    #[test]
+    fn an_untimed_wait_leaves_the_virtual_clock_where_it_was() {
+        let _serial = lock(&SERIAL);
+        let ctl = Controller::install();
+        let pair = Arc::new((Mutex::new(false), Condvar::new()));
+        let waiter = {
+            let pair = Arc::clone(&pair);
+            spawn("waiter", move || {
+                wait("waiter.ready", &pair.0, &pair.1, None, |set| *set).1
+            })
+        };
+        // Not a task: the flag flips in real time while the waiter is the
+        // only task and is blocked, so nothing but the controller's own
+        // stall loop runs in between.
+        let setter = {
+            let pair = Arc::clone(&pair);
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(30));
+                *lock(&pair.0) = true;
+                pair.1.notify_all();
+            })
+        };
+        let trace = drive_lowest(&ctl);
+        assert_eq!(trace, vec![("waiter.ready".to_string(), 0)]);
+        assert_eq!(ctl.clock_ms(), 1, "only the grant moved the clock");
+        drop(ctl);
+        assert!(waiter.join("test.join").unwrap());
+        setter.join().unwrap();
     }
 }

@@ -350,14 +350,7 @@ impl QueryClient {
                 _ => 0,
             };
             let wait = self.backoff_ms(attempts).max(hint_ms);
-            // Under the deterministic scheduler a real sleep would stall
-            // the whole schedule on wall time; the virtual clock only
-            // moves at schedule points, so just yield at one instead.
-            if faultsim::sched::active() {
-                faultsim::sched::point("qnet.client.backoff");
-            } else {
-                std::thread::sleep(Duration::from_millis(wait));
-            }
+            faultsim::sched::pause("qnet.client.backoff", Duration::from_millis(wait));
         }
     }
 
@@ -658,14 +651,12 @@ impl QueryClient {
         // Under the deterministic scheduler, park until the response (or
         // EOF) is actually observable so the blocking read below cannot
         // stall the schedule on wall time.
-        if faultsim::sched::active() {
-            let (ahead, reader) = (&conn.ahead, &conn.reader);
-            faultsim::sched::wait_until("qnet.client.read", &mut || {
-                frame_shortfall(ahead).is_none_or(|n| n == 0)
-                    || !reader.buffer().is_empty()
-                    || crate::sock_readable(reader.get_ref())
-            });
-        }
+        let (ahead, reader) = (&conn.ahead, &conn.reader);
+        faultsim::sched::wait_until("qnet.client.read", &mut || {
+            frame_shortfall(ahead).is_none_or(|n| n == 0)
+                || !reader.buffer().is_empty()
+                || crate::sock_readable(reader.get_ref())
+        });
         let mut ahead = std::mem::take(&mut conn.ahead);
         let mut unread = ahead.as_slice();
         let frame = gstream::read_frame(&mut (&mut unread).chain(&mut conn.reader), &conn.peer);

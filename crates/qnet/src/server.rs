@@ -8,6 +8,17 @@
 //! The serving tier is expected to hold tens of connections (assembler
 //! nodes), not tens of thousands, so threads are the right cost point.
 //!
+//! The server starts, waits and stalls only through [`faultsim::sched`]:
+//! `sched::spawn` for the accept loop and the handlers (joined by the
+//! drain), `sched::wait` for the drain's in-flight wait and
+//! [`Server::wait_shutdown_requested`], `sched::pause` for the chaos
+//! stalls, and a `sched::Deadline` for the deadline gate. Under the
+//! `schedcheck` model checker each of these is a schedule point on the
+//! virtual clock, and the code around it is the code production runs.
+//! The accept loop is the one exception: a blocking `accept` cannot be
+//! a schedule point, so under the checker it polls a non-blocking
+//! listener instead.
+//!
 //! A query passes four gates, in order, before it reaches a worker:
 //!
 //! 1. **drain** — a draining server admits nothing new
@@ -45,12 +56,12 @@ use std::io::{BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::proto::{
     ClientStats, LatencySummary, PongStatus, Request, Response, ShedScope, StatsSnapshot,
 };
+use faultsim::sched::{self, Deadline};
 use obs::{Histogram, LiveRollup, Recorder, SpanGuard};
 use qserve::{FairAdmission, FairShed, QserveError, QueryService};
 
@@ -221,12 +232,11 @@ struct ConnShared {
 
 struct ConnWrite {
     sock: TcpStream,
-    /// Admitted requests awaiting their responses on this connection,
-    /// `request_id → n_reads`. An entry is inserted at admission (gate 4
-    /// passed) and removed by whichever side answers: the handler's
-    /// write, or the drain's typed force-close. The handler runs one
-    /// batch at a time, so at most one entry is pending.
-    inflight: BTreeMap<u64, u64>,
+    /// The admitted request awaiting its response on this connection,
+    /// `(request_id, n_reads)`. Set at admission (gate 4 passed) and
+    /// taken by whichever side answers: the handler's write, or the
+    /// drain's typed force-close. The handler runs one batch at a time.
+    inflight: Option<(u64, u64)>,
     /// Set by the drain force-close (or response-path chaos); the
     /// handler stops writing (and reading) once its socket has been cut.
     closed: bool,
@@ -251,7 +261,7 @@ impl ConnShared {
     /// per admitted request ever reaches the wire.
     fn write_response_for(&self, request_id: u64, frame: &[u8]) -> bool {
         let mut w = self.write.lock().unwrap_or_else(|e| e.into_inner());
-        let pending = w.inflight.remove(&request_id).is_some();
+        let pending = w.inflight.take_if(|(rid, _)| *rid == request_id).is_some();
         if w.closed || !pending {
             return false;
         }
@@ -264,7 +274,7 @@ impl ConnShared {
     fn write_torn(&self, request_id: Option<u64>, torn: &[u8]) {
         let mut w = self.write.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(rid) = request_id {
-            w.inflight.remove(&rid);
+            w.inflight.take_if(|(pending, _)| *pending == rid);
         }
         if !w.closed {
             let _ = w.sock.write_all(torn);
@@ -272,17 +282,29 @@ impl ConnShared {
         }
     }
 
-    /// Cut the socket (response-path chaos or a fatal write error). The
-    /// marker for `request_id`, when given, is cleared first: the
-    /// request died with its connection and must not be misattributed
-    /// as a live drain straggler.
-    fn close(&self, request_id: Option<u64>) {
+    /// Cut the connection: clear the in-flight marker, stop writing and
+    /// shut the socket. The handler closes when its connection dies, so
+    /// that its request is not misattributed as a live drain straggler.
+    /// The drain sweep closes with `drain`: a request still marked is a
+    /// straggler, first answered with a best-effort typed `Draining`
+    /// frame under the same lock as the handler's write, so exactly one
+    /// frame per admitted request reaches the wire. Returns the
+    /// straggler's reads (0 when there was none).
+    fn close(&self, drain: bool) -> u64 {
         let mut w = self.write.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(rid) = request_id {
-            w.inflight.remove(&rid);
+        let mut straggler = 0;
+        if let Some((request_id, n_reads)) = w.inflight.take().filter(|_| drain) {
+            let body = Response::Draining { request_id }.encode();
+            let mut frame = Vec::with_capacity(gstream::FRAME_HEADER_BYTES + body.len());
+            if gstream::write_frame(&mut frame, &body).is_ok() {
+                let _ = w.sock.write_all(&frame);
+                let _ = w.sock.flush();
+            }
+            straggler = n_reads;
         }
         w.closed = true;
         let _ = w.sock.shutdown(Shutdown::Both);
+        straggler
     }
 }
 
@@ -303,16 +325,17 @@ struct Inner {
     /// Set once a drain begins; gates both accept and query admission.
     draining: AtomicBool,
     /// Admitted requests whose response has not yet been written.
-    inflight: AtomicU64,
+    inflight: Mutex<u64>,
+    /// Signalled when `inflight` drops to zero; the drain waits on it.
+    inflight_cv: Condvar,
     /// Reads force-closed at the drain deadline (see
     /// [`DrainReport::force_closed`]).
     force_closed: AtomicU64,
     /// Write sides of every accepted connection, for the drain's typed
     /// force-close sweep.
     conns: Mutex<Vec<Arc<ConnShared>>>,
-    /// Handler threads plus their scheduler task ids (model checking
-    /// only) so a drain under `schedcheck` can park while joining.
-    handlers: Mutex<Vec<(JoinHandle<()>, Option<faultsim::sched::TaskId>)>>,
+    /// Handler threads, joined by the drain.
+    handlers: Mutex<Vec<sched::Thread<()>>>,
     conn_seq: AtomicU64,
     /// Signalled when a peer sends [`Request::Shutdown`].
     shutdown_requested: Mutex<bool>,
@@ -326,7 +349,7 @@ impl Inner {
         // Under a model-checking scheduler, admission and drain-rate
         // clocks follow virtual time so token refill is a function of
         // the explored schedule, not the host.
-        match faultsim::sched::virtual_now_ms() {
+        match sched::virtual_now_ms() {
             Some(ms) => ms as f64 / 1000.0,
             None => self.epoch.elapsed().as_secs_f64(),
         }
@@ -334,6 +357,10 @@ impl Inner {
 
     fn is_draining(&self) -> bool {
         self.draining.load(Ordering::SeqCst)
+    }
+
+    fn inflight(&self) -> std::sync::MutexGuard<'_, u64> {
+        self.inflight.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     fn charge_client(&self, client_id: &str, apply: impl FnOnce(&mut ClientTotals)) {
@@ -400,7 +427,7 @@ impl Inner {
         StatsSnapshot {
             uptime_ms: self.epoch.elapsed().as_millis() as u64,
             draining: self.is_draining(),
-            inflight: self.inflight.load(Ordering::SeqCst),
+            inflight: *self.inflight(),
             queue_depth: self.service.queue_depth() as u64,
             drained_reads: self.service.drained_reads(),
             drain_ewma_reads_per_s: self.drain_ewma(),
@@ -442,8 +469,8 @@ struct InflightGuard {
 
 impl InflightGuard {
     fn new(inner: &Arc<Inner>) -> InflightGuard {
-        faultsim::sched::point("qnet.inflight.enter");
-        inner.inflight.fetch_add(1, Ordering::SeqCst);
+        sched::point("qnet.inflight.enter");
+        *inner.inflight() += 1;
         InflightGuard {
             inner: Arc::clone(inner),
         }
@@ -452,8 +479,12 @@ impl InflightGuard {
 
 impl Drop for InflightGuard {
     fn drop(&mut self) {
-        faultsim::sched::point("qnet.inflight.exit");
-        self.inner.inflight.fetch_sub(1, Ordering::SeqCst);
+        sched::point("qnet.inflight.exit");
+        let mut n = self.inner.inflight();
+        *n -= 1;
+        if *n == 0 {
+            self.inner.inflight_cv.notify_all();
+        }
     }
 }
 
@@ -466,9 +497,7 @@ impl Drop for InflightGuard {
 pub struct Server {
     inner: Arc<Inner>,
     addr: SocketAddr,
-    accept: Option<JoinHandle<()>>,
-    /// Scheduler task id of the accept loop (model checking only).
-    accept_task: Option<faultsim::sched::TaskId>,
+    accept: Option<sched::Thread<()>>,
     /// Keeps the `qnet.server` span open until shutdown.
     span: Option<SpanGuard>,
     report: Option<DrainReport>,
@@ -509,7 +538,8 @@ impl Server {
             server_span: span.id(),
             epoch: Instant::now(),
             draining: AtomicBool::new(false),
-            inflight: AtomicU64::new(0),
+            inflight: Mutex::new(0),
+            inflight_cv: Condvar::new(),
             force_closed: AtomicU64::new(0),
             conns: Mutex::new(Vec::new()),
             handlers: Mutex::new(Vec::new()),
@@ -520,17 +550,11 @@ impl Server {
             client_totals: Mutex::new(BTreeMap::new()),
         });
         let accept_inner = Arc::clone(&inner);
-        let token = faultsim::sched::announce("qnet.accept");
-        let accept_task = token.as_ref().map(|t| t.id());
-        let accept = std::thread::spawn(move || {
-            let _task = faultsim::sched::begin(token);
-            accept_loop(accept_inner, listener)
-        });
+        let accept = sched::spawn("qnet.accept", move || accept_loop(accept_inner, listener));
         Ok(Server {
             inner,
             addr,
             accept: Some(accept),
-            accept_task,
             span: Some(span),
             report: None,
         })
@@ -571,41 +595,17 @@ impl Server {
     /// shutdown was requested. The caller still decides whether to
     /// [`Server::shutdown`].
     pub fn wait_shutdown_requested(&self, timeout: Option<Duration>) -> bool {
-        let guard = self
-            .inner
-            .shutdown_requested
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        match timeout {
-            None => {
-                let mut g = guard;
-                while !*g {
-                    g = self
-                        .inner
-                        .shutdown_cv
-                        .wait(g)
-                        .unwrap_or_else(|e| e.into_inner());
-                }
-                true
-            }
-            Some(t) => {
-                let deadline = Instant::now() + t;
-                let mut g = guard;
-                while !*g {
-                    let left = deadline.saturating_duration_since(Instant::now());
-                    if left.is_zero() {
-                        return false;
-                    }
-                    let (g2, _) = self
-                        .inner
-                        .shutdown_cv
-                        .wait_timeout(g, left)
-                        .unwrap_or_else(|e| e.into_inner());
-                    g = g2;
-                }
-                true
-            }
-        }
+        let inner = &self.inner;
+        let until = timeout.map(Deadline::after);
+        let asked = |requested: &bool| *requested;
+        sched::wait(
+            "qnet.shutdown.wait",
+            &inner.shutdown_requested,
+            &inner.shutdown_cv,
+            until,
+            asked,
+        )
+        .1
     }
 
     /// Gracefully drain and stop: stop accepting, answer new queries
@@ -617,8 +617,8 @@ impl Server {
             return r;
         }
         self.inner.draining.store(true, Ordering::SeqCst);
-        faultsim::sched::point("qnet.drain.set");
-        let inflight_at_start = self.inner.inflight.load(Ordering::SeqCst);
+        sched::point("qnet.drain.set");
+        let inflight_at_start = *self.inner.inflight();
         self.inner.rec.gauge_on(
             self.inner.server_span,
             "qnet.drain.inflight",
@@ -629,38 +629,24 @@ impl Server {
         // the draining flag and exits, dropping the listener.
         let _ = TcpStream::connect(self.addr);
         if let Some(h) = self.accept.take() {
-            if let Some(id) = self.accept_task.take() {
-                faultsim::sched::wait_until("qnet.accept.join", &mut || {
-                    faultsim::sched::task_finished(id)
-                });
-            }
-            let _ = h.join();
+            let _ = h.join("qnet.accept.join");
         }
 
         // Wait for in-flight requests, bounded by the drain deadline —
         // virtual time under a model-checking scheduler (the deadline
         // "passing" is then an explored schedule choice), wall time
         // otherwise.
-        let mut completed = true;
-        if faultsim::sched::active() {
-            let wake = faultsim::sched::virtual_now_ms().unwrap_or(0)
-                + self.inner.cfg.drain_deadline.as_millis() as u64;
-            let inner = &self.inner;
-            faultsim::sched::wait_until_deadline("qnet.drain.deadline", wake, &mut || {
-                inner.inflight.load(Ordering::SeqCst) == 0
-                    || faultsim::sched::virtual_now_ms().unwrap_or(u64::MAX) >= wake
-            });
-            completed = self.inner.inflight.load(Ordering::SeqCst) == 0;
-        } else {
-            let deadline = Instant::now() + self.inner.cfg.drain_deadline;
-            while self.inner.inflight.load(Ordering::SeqCst) > 0 {
-                if Instant::now() >= deadline {
-                    completed = false;
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(2));
-            }
-        }
+        let inner = &self.inner;
+        let until = Deadline::after(inner.cfg.drain_deadline);
+        let idle = |n: &u64| *n == 0;
+        let completed = sched::wait(
+            "qnet.drain.deadline",
+            &inner.inflight,
+            &inner.inflight_cv,
+            Some(until),
+            idle,
+        )
+        .1;
         if !completed {
             self.inner
                 .rec
@@ -677,28 +663,15 @@ impl Server {
         // error immediately instead of waiting out their read timeout;
         // busy ones finish their batch, skip its write and exit, and the
         // joins below wait for them.
-        faultsim::sched::point("qnet.drain.force_close");
-        let mut force_closed = 0u64;
-        for conn in self
+        sched::point("qnet.drain.force_close");
+        let force_closed: u64 = self
             .inner
             .conns
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .iter()
-        {
-            let mut w = conn.write.lock().unwrap_or_else(|e| e.into_inner());
-            for (request_id, n_reads) in std::mem::take(&mut w.inflight) {
-                let body = crate::proto::Response::Draining { request_id }.encode();
-                let mut frame = Vec::with_capacity(gstream::FRAME_HEADER_BYTES + body.len());
-                if gstream::write_frame(&mut frame, &body).is_ok() {
-                    let _ = w.sock.write_all(&frame);
-                    let _ = w.sock.flush();
-                }
-                force_closed += n_reads;
-            }
-            w.closed = true;
-            let _ = w.sock.shutdown(Shutdown::Both);
-        }
+            .map(|conn| conn.close(true))
+            .sum();
         if force_closed > 0 {
             self.inner
                 .force_closed
@@ -716,13 +689,8 @@ impl Server {
                 .lock()
                 .unwrap_or_else(|e| e.into_inner()),
         );
-        for (h, task) in handlers {
-            if let Some(id) = task {
-                faultsim::sched::wait_until("qnet.conn.join", &mut || {
-                    faultsim::sched::task_finished(id)
-                });
-            }
-            let _ = h.join();
+        for h in handlers {
+            let _ = h.join("qnet.conn.join");
         }
 
         drop(self.span.take());
@@ -746,12 +714,13 @@ impl Drop for Server {
 }
 
 fn accept_loop(inner: Arc<Inner>, listener: TcpListener) {
-    let checked = faultsim::sched::active();
+    // The serving code's one fork on the scheduler: a blocking `accept`
+    // cannot be a schedule point, so under the model checker the loop
+    // polls a non-blocking listener from one instead. "A connection
+    // arrived" is then an explorable step, and "drain began" wakes the
+    // loop without a real connection.
+    let checked = sched::active();
     if checked {
-        // Model-checked accept: poll a non-blocking listener from a
-        // schedule point instead of blocking in `accept`, so "a
-        // connection arrived" is an explorable step and "drain began"
-        // wakes the loop without a real connection.
         let _ = listener.set_nonblocking(true);
     }
     loop {
@@ -761,7 +730,7 @@ fn accept_loop(inner: Arc<Inner>, listener: TcpListener) {
                 let inner = &inner;
                 let listener = &listener;
                 let slot = &mut slot;
-                faultsim::sched::wait_until("qnet.accept.wait", &mut || {
+                sched::wait_until("qnet.accept.wait", &mut || {
                     if inner.is_draining() {
                         return true;
                     }
@@ -814,7 +783,7 @@ fn accept_loop(inner: Arc<Inner>, listener: TcpListener) {
         let conn = Arc::new(ConnShared {
             write: Mutex::new(ConnWrite {
                 sock: write_half,
-                inflight: BTreeMap::new(),
+                inflight: None,
                 closed: false,
             }),
         });
@@ -825,17 +794,14 @@ fn accept_loop(inner: Arc<Inner>, listener: TcpListener) {
             .push(Arc::clone(&conn));
         let idx = inner.conn_seq.fetch_add(1, Ordering::Relaxed);
         let conn_inner = Arc::clone(&inner);
-        let token = faultsim::sched::announce(&format!("qnet.conn{idx}"));
-        let task = token.as_ref().map(|t| t.id());
-        let handle = std::thread::spawn(move || {
-            let _task = faultsim::sched::begin(token);
+        let handler = sched::spawn(&format!("qnet.conn{idx}"), move || {
             handle_conn(conn_inner, sock, conn, peer, idx)
         });
         inner
             .handlers
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .push((handle, task));
+            .push(handler);
     }
 }
 
@@ -857,19 +823,14 @@ fn handle_conn(
     let mut reader = BufReader::new(sock);
 
     loop {
-        if faultsim::sched::active() {
-            // Model-checked read: park until a frame (or EOF, or the
-            // drain force-close) is observable, so "the request
-            // arrived" is a schedule step instead of a blocking read.
-            {
-                let reader = &reader;
-                faultsim::sched::wait_until("qnet.conn.read", &mut || {
-                    !reader.buffer().is_empty() || crate::sock_readable(reader.get_ref())
-                });
-            }
-            if conn.write.lock().unwrap_or_else(|e| e.into_inner()).closed {
-                break;
-            }
+        // Under the model checker, park until a frame (or EOF, or the
+        // drain force-close) is observable, so "the request arrived" is
+        // a schedule step instead of a blocking read.
+        sched::wait_until("qnet.conn.read", &mut || {
+            !reader.buffer().is_empty() || crate::sock_readable(reader.get_ref())
+        });
+        if conn.write.lock().unwrap_or_else(|e| e.into_inner()).closed {
+            break;
         }
         let payload = match gstream::read_frame(&mut reader, &peer_s) {
             Ok(Some(p)) => p,
@@ -905,7 +866,7 @@ fn handle_conn(
                 generation: inner.service.active_generation(),
             })),
             Request::Stats => {
-                faultsim::sched::point("qnet.stats.snapshot");
+                sched::point("qnet.stats.snapshot");
                 reply(Response::Stats(inner.stats_snapshot()))
             }
             // Acknowledge before signalling: the drain the signal starts
@@ -972,13 +933,8 @@ fn handle_conn(
     }
 
     // The read loop is done (clean close, chaos, corrupt stream, or a
-    // failed write), and every request it read has been answered. Cut
-    // the connection so the drain sweep does not misattribute a dead
-    // request as a live straggler.
-    let mut w = conn.write.lock().unwrap_or_else(|e| e.into_inner());
-    w.inflight.clear();
-    w.closed = true;
-    let _ = w.sock.shutdown(Shutdown::Both);
+    // failed write), and every request it read has been answered.
+    conn.close(false);
 }
 
 /// Answer a gate-exempt [`Request::Reload`]: hot-swap the serving
@@ -1015,11 +971,10 @@ fn handle_reload(inner: &Arc<Inner>, request_id: u64, generation: u64) -> Respon
         inner
             .rec
             .counter_on(inner.server_span, "qnet.reload.stalled", 1);
-        if faultsim::sched::active() {
-            faultsim::sched::point("qnet.reload.stall");
-        } else {
-            std::thread::sleep(Duration::from_millis(inner.cfg.stall_ms));
-        }
+        sched::pause(
+            "qnet.reload.stall",
+            Duration::from_millis(inner.cfg.stall_ms),
+        );
         return failed(
             inner,
             format!(
@@ -1084,7 +1039,10 @@ fn deliver(
     }
     if inner.faults.hit(faultsim::QNET_FRAME_STALL).is_err() {
         inner.rec.counter_on(conn_id, "qnet.frame.stalled", 1);
-        std::thread::sleep(Duration::from_millis(inner.cfg.stall_ms));
+        sched::pause(
+            "qnet.frame.stall",
+            Duration::from_millis(inner.cfg.stall_ms),
+        );
         return false;
     }
     let body = resp.encode();
@@ -1129,7 +1087,7 @@ fn handle_query(
     generation: u64,
 ) -> bool {
     let received = Instant::now();
-    let received_vms = faultsim::sched::virtual_now_ms();
+    let budget = Deadline::after(Duration::from_millis(u64::from(deadline_ms)));
     let n_reads = reads.len() as u64;
     let client_span = client_spans
         .entry(client_id.to_string())
@@ -1142,7 +1100,7 @@ fn handle_query(
     let refuse = |resp: Response| deliver(inner, conn, conn_id, None, &resp);
 
     // Gate 1: drain.
-    faultsim::sched::point("qnet.gate.drain");
+    sched::point("qnet.gate.drain");
     if inner.is_draining() {
         inner.rec.counter_on(client_span, "qnet.rejected", n_reads);
         inner.charge_client(client_id, |t| t.rejected += n_reads);
@@ -1153,12 +1111,8 @@ fn handle_query(
     // does not debit the fairness bucket — no work happened. Under a
     // model-checking scheduler the budget burns in virtual time, so
     // expiry is a schedule choice rather than a wall-clock accident.
-    faultsim::sched::point("qnet.gate.deadline");
-    let expired = match received_vms {
-        Some(v0) => faultsim::sched::virtual_now_ms().unwrap_or(v0) >= v0 + u64::from(deadline_ms),
-        None => Instant::now() >= received + Duration::from_millis(u64::from(deadline_ms)),
-    };
-    if expired {
+    sched::point("qnet.gate.deadline");
+    if budget.passed() {
         inner
             .rec
             .counter_on(client_span, "qnet.deadline_shed", n_reads);
@@ -1167,7 +1121,7 @@ fn handle_query(
     }
 
     // Gate 3: per-client fairness, one token per read.
-    faultsim::sched::point("qnet.gate.fairness");
+    sched::point("qnet.gate.fairness");
     if let Err(FairShed { wait_s }) = inner.admission.admit(client_id, n_reads, inner.now_s()) {
         inner
             .rec
@@ -1191,7 +1145,7 @@ fn handle_query(
     // into admission: the batch binds to the pinned (or active)
     // generation here and answers from it even if a reload swaps the
     // active pointer while the batch is queued.
-    faultsim::sched::point("qnet.gate.depth");
+    sched::point("qnet.gate.depth");
     let submitted = match kind {
         QueryKind::Hits => inner
             .service
@@ -1245,7 +1199,7 @@ fn handle_query(
         if w.closed {
             false
         } else {
-            w.inflight.insert(request_id, n_reads);
+            w.inflight = Some((request_id, n_reads));
             true
         }
     };
@@ -1313,7 +1267,7 @@ fn handle_query(
     }
     let alive = deliver(inner, conn, conn_id, Some(request_id), &resp);
     if !alive {
-        conn.close(Some(request_id));
+        conn.close(false);
     }
     alive
 }

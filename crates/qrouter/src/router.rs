@@ -83,7 +83,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use faultsim::{sched, Faults};
+use faultsim::sched::{self, Deadline};
+use faultsim::Faults;
 use genome::PackedSeq;
 use obs::{Histogram, Recorder};
 use qnet::{ClientConfig, ClientPool, QnetError, QueryClient, SentQuery};
@@ -164,53 +165,6 @@ type RoundResult = Result<(Tagged, bool), QnetError>;
 /// the others again, so a primary that fails starts its shard's
 /// fail-over within this much of failing.
 const SWEEP: Duration = Duration::from_millis(1);
-
-/// A point on the router's clock: the scheduler's virtual milliseconds
-/// while a model checker drives the thread, the wall clock otherwise.
-/// One thread's deadlines are all of one kind, so the order is the
-/// clock's.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Deadline {
-    Virtual(u64),
-    Wall(Instant),
-}
-
-impl Deadline {
-    /// `ms` from now; at least one virtual millisecond, so that a timed
-    /// wait under the model checker always yields to the other tasks.
-    fn after_ms(ms: u64) -> Deadline {
-        if sched::active() {
-            let now = sched::virtual_now_ms().unwrap_or(0);
-            Deadline::Virtual(now.saturating_add(ms.max(1)))
-        } else {
-            Deadline::Wall(Instant::now() + Duration::from_millis(ms))
-        }
-    }
-
-    fn passed(self) -> bool {
-        match self {
-            Deadline::Virtual(at) => sched::virtual_now_ms().unwrap_or(u64::MAX) >= at,
-            Deadline::Wall(at) => Instant::now() >= at,
-        }
-    }
-
-    /// Wall time left; zero on the virtual clock.
-    fn remaining(self) -> Duration {
-        match self {
-            Deadline::Virtual(_) => Duration::ZERO,
-            Deadline::Wall(at) => at.saturating_duration_since(Instant::now()),
-        }
-    }
-
-    /// Block until the deadline passes: a timed wait at schedule point
-    /// `point` under the model checker, a sleep otherwise.
-    fn sleep(self, point: &str) {
-        match self {
-            Deadline::Virtual(at) => sched::wait_until_deadline(point, at, &mut || self.passed()),
-            Deadline::Wall(_) => std::thread::sleep(self.remaining()),
-        }
-    }
-}
 
 /// A wire attempt whose shard query is written and whose answer is
 /// unread, on a pooled client that no other attempt can touch.
@@ -318,28 +272,7 @@ impl Race {
     /// names the wait for the model checker.
     fn wait(&self, launched: usize, until: Option<Deadline>, point: &str) -> bool {
         let settled = |o: &Vec<Outcome>| o.iter().any(|o| o.result.is_ok()) || o.len() >= launched;
-        if sched::active() {
-            let at = match until {
-                Some(Deadline::Virtual(at)) => at,
-                _ => u64::MAX,
-            };
-            sched::wait_until_deadline(point, at, &mut || {
-                settled(&self.lock()) || until.is_some_and(Deadline::passed)
-            });
-            return settled(&self.lock());
-        }
-        let mut outcomes = self.lock();
-        while !settled(&outcomes) {
-            outcomes = match until {
-                None => self.cv.wait(outcomes).unwrap_or_else(|e| e.into_inner()),
-                Some(d) if d.passed() => return false,
-                Some(d) => {
-                    let waited = self.cv.wait_timeout(outcomes, d.remaining());
-                    waited.unwrap_or_else(|e| e.into_inner()).0
-                }
-            };
-        }
-        true
+        sched::wait(point, &self.outcomes, &self.cv, until, settled).1
     }
 }
 
@@ -465,17 +398,15 @@ impl Router {
             // A shard whose primary cannot answer on this thread walks
             // the rest of its ladder (hedge race, fail-over) on a thread
             // of its own, from the moment that is known.
-            let mut escalated = false;
+            let mut escalated = Vec::new();
             let mut escalate = |shard: u32, ladder: Vec<String>, first: RoundStart| {
-                escalated = true;
-                let token = sched::announce(&format!("qrouter.s{shard}.q{seq}"));
-                scope.spawn(move || {
-                    let _guard = sched::begin(token);
+                let name = format!("qrouter.s{shard}.q{seq}");
+                escalated.push(sched::spawn_scoped(scope, &name, move || {
                     fill(
                         shard,
                         self.query_shard(shard, seq, pin, reads, &ladder, first),
-                    );
-                });
+                    )
+                }));
             };
 
             // Scatter: every shard's primary that can leave without
@@ -539,17 +470,7 @@ impl Router {
                 }
                 await_any(&mut waiting);
             }
-            if escalated && sched::active() {
-                // Scheduler-aware join: park until every shard task has
-                // filled its slot, so the scheduler can interleave the
-                // shard tasks while we wait. The scope's real joins then
-                // return immediately.
-                sched::wait_until("qrouter.scatter.join", &mut || {
-                    slots
-                        .iter()
-                        .all(|s| s.lock().unwrap_or_else(|e| e.into_inner()).is_some())
-                });
-            }
+            sched::join_scoped("qrouter.scatter.join", escalated);
         });
 
         let mut per_shard = Vec::with_capacity(n_shards);
@@ -1038,9 +959,7 @@ fn spawn_racer(
 ) {
     let shared = Arc::clone(shared);
     let race = Arc::clone(race);
-    let token = sched::announce(name);
-    std::thread::spawn(move || {
-        let _guard = sched::begin(token);
+    sched::spawn(name, move || {
         let result = run(&shared);
         race.push(Outcome { attempt, result });
     });

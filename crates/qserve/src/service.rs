@@ -54,7 +54,6 @@ use std::collections::VecDeque;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// Worker-pool and queueing knobs.
@@ -179,30 +178,26 @@ impl Ticket {
     fn next_own_chunk(&self) -> Option<Chunk> {
         let shared = &self.shared;
         let done = || self.state.pending.load(Ordering::SeqCst) == 0;
+        let own = |c: &Chunk| c.of(&self.state);
         loop {
-            // Under a model-checking scheduler the condvar wait becomes a
-            // pollable schedule point, so "the submitter ran its own
-            // chunk" and "the submitter saw the batch finish" are
-            // explicit, explorable steps.
-            if faultsim::sched::active() {
-                faultsim::sched::wait_until("qserve.batch.wait", &mut || {
-                    let q = shared.lock_queue();
-                    done() || q.runnable(shared.slots, |c| c.of(&self.state)).is_some()
-                });
+            // Under the model checker "the submitter ran its own chunk"
+            // and "the submitter saw the batch finish" are explicit,
+            // explorable steps at this point.
+            let (mut q, _) = faultsim::sched::wait(
+                "qserve.batch.wait",
+                &shared.queue,
+                &shared.progress,
+                None,
+                |q| done() || q.runnable(shared.slots, own).is_some(),
+            );
+            if done() {
+                return None;
             }
-            let mut q = shared.lock_queue();
-            loop {
-                if done() {
-                    return None;
-                }
-                if let Some(chunk) = q.take(shared.slots, |c| c.of(&self.state)) {
-                    return Some(chunk);
-                }
-                if faultsim::sched::active() {
-                    break; // another task was granted first: park again
-                }
-                q = shared.progress.wait(q).unwrap_or_else(|e| e.into_inner());
+            if let Some(chunk) = q.take(shared.slots, own) {
+                return Some(chunk);
             }
+            // Another task was granted first and took the chunk or the
+            // slot: wait again.
         }
     }
 }
@@ -454,11 +449,7 @@ impl Shared {
 pub struct QueryService {
     shared: Arc<Shared>,
     cfg: ServiceConfig,
-    workers: Vec<JoinHandle<()>>,
-    /// Scheduler task ids of the workers (model checking only): joins
-    /// poll [`faultsim::sched::task_finished`] so the joining task parks
-    /// instead of blocking the whole explored schedule.
-    worker_tasks: Vec<faultsim::sched::TaskId>,
+    workers: Vec<faultsim::sched::Thread<()>>,
 }
 
 impl QueryService {
@@ -509,29 +500,18 @@ impl QueryService {
             parent_span: rec.current(),
             drained: AtomicU64::new(0),
         });
-        let mut worker_tasks = Vec::new();
         let workers = (0..slots)
             .map(|i| {
                 let shared = Arc::clone(&shared);
-                // Announce before spawn so a model-checking scheduler
-                // (schedcheck) counts the worker from the instant it is
-                // promised, not the instant the OS runs it.
-                let token = faultsim::sched::announce(&format!("qserve-worker-{i}"));
-                worker_tasks.extend(token.as_ref().map(|t| t.id()));
-                std::thread::Builder::new()
-                    .name(format!("qserve-worker-{i}"))
-                    .spawn(move || {
-                        let _task = faultsim::sched::begin(token);
-                        worker_loop(&shared, i)
-                    })
-                    .expect("spawn query worker")
+                faultsim::sched::spawn(&format!("qserve-worker-{i}"), move || {
+                    worker_loop(&shared, i)
+                })
             })
             .collect();
         QueryService {
             shared,
             cfg,
             workers,
-            worker_tasks,
         }
     }
 
@@ -842,18 +822,8 @@ impl Drop for QueryService {
     fn drop(&mut self) {
         self.shared.lock_queue().shutdown = true;
         self.shared.available.notify_all();
-        // Model-checked join: park until each worker task marks itself
-        // exited (a pure scheduler-state predicate), so the workers can
-        // still be granted the steps they need to drain and leave.
-        if faultsim::sched::active() {
-            for id in self.worker_tasks.drain(..) {
-                faultsim::sched::wait_until("qserve.worker.join", &mut || {
-                    faultsim::sched::task_finished(id)
-                });
-            }
-        }
         for w in self.workers.drain(..) {
-            let _ = w.join();
+            let _ = w.join("qserve.worker.join");
         }
     }
 }
@@ -867,38 +837,22 @@ fn worker_loop(shared: &Shared, idx: usize) {
         .rec
         .child_span(parent, &format!("qserve.worker{idx}"));
     loop {
-        let chunk = if faultsim::sched::active() {
-            // Model-checked dequeue: park at the schedule point until a
-            // runnable chunk (or a drained shutdown) is observable, then
-            // take it. Another task granted first may have taken the
-            // chunk or the slot — loop and park again rather than trust a
-            // stale wake.
-            loop {
-                faultsim::sched::wait_until("qserve.worker.dequeue", &mut || {
-                    let q = shared.lock_queue();
-                    q.runnable(shared.slots, |_| true).is_some() || q.drained()
-                });
-                let mut q = shared.lock_queue();
-                if let Some(chunk) = q.take(shared.slots, |_| true) {
-                    break chunk;
-                }
-                if q.drained() {
-                    return;
-                }
-            }
-        } else {
-            let mut q = shared.lock_queue();
-            loop {
-                if let Some(chunk) = q.take(shared.slots, |_| true) {
-                    break chunk;
-                }
-                if q.drained() {
-                    return;
-                }
-                q = shared.available.wait(q).unwrap_or_else(|e| e.into_inner());
-            }
-        };
-        shared.run_chunk(chunk, span.id(), false);
+        // Another task granted first under the model checker may have
+        // taken the chunk or the slot: then wait again rather than trust
+        // a stale wake.
+        let (mut q, _) = faultsim::sched::wait(
+            "qserve.worker.dequeue",
+            &shared.queue,
+            &shared.available,
+            None,
+            |q| q.runnable(shared.slots, |_| true).is_some() || q.drained(),
+        );
+        if let Some(chunk) = q.take(shared.slots, |_| true) {
+            drop(q);
+            shared.run_chunk(chunk, span.id(), false);
+        } else if q.drained() {
+            return;
+        }
     }
 }
 

@@ -20,7 +20,6 @@ use qserve::{ContigStore, IndexConfig, MinimizerIndex, QueryConfig, QueryEngine}
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::sync::MutexGuard;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Base length of every scenario contig.
@@ -117,7 +116,7 @@ pub(crate) fn client(addr: SocketAddr, client_id: String, deadline_ms: u32) -> Q
 /// what it returned.
 pub(crate) struct Task<T> {
     name: String,
-    handle: JoinHandle<T>,
+    thread: sched::Thread<T>,
 }
 
 /// One schedule execution in progress: holds the process-wide schedule
@@ -144,19 +143,15 @@ impl Harness {
         }
     }
 
-    /// Announce and spawn scripted task `name`.
+    /// Spawn scripted task `name`.
     pub fn spawn<T: Send + 'static>(
         &self,
         name: &str,
         body: impl FnOnce() -> T + Send + 'static,
     ) -> Task<T> {
-        let token = sched::announce(name);
         Task {
             name: name.to_string(),
-            handle: std::thread::spawn(move || {
-                let _task = sched::begin(token);
-                body()
-            }),
+            thread: sched::spawn(name, body),
         }
     }
 
@@ -227,7 +222,8 @@ impl Driven {
     /// Join a scripted task; a panic is recorded as a violation and
     /// yields `None`.
     pub fn join<T>(&mut self, task: Task<T>) -> Option<T> {
-        let joined = task.handle.join().ok();
+        // The controller is gone by now, so the join never parks.
+        let joined = task.thread.join("harness.join").ok();
         if joined.is_none() {
             self.panicked
                 .push(format!("scripted task {} panicked", task.name));
