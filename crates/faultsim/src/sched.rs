@@ -25,7 +25,12 @@
 //!   by [`Thread::join`] / [`join_scoped`].
 //!
 //! Code built on them runs the same lines with and without a controller;
-//! only the lines inside each primitive differ.
+//! only the lines inside each primitive differ. Two waits are not condvar
+//! waits and keep their own fork: `qnet`'s accept loop (a blocking
+//! `accept` cannot be a schedule point, so under a controller it polls a
+//! non-blocking listener) and `qrouter`'s gather wait `await_any` (on the
+//! wall clock it waits on a shard's socket; on the virtual clock it is a
+//! [`wait_until_deadline`] on the same readiness probe).
 //!
 //! ## No scheduler, no cost
 //!
@@ -315,7 +320,10 @@ impl Deadline {
         Deadline::after(Duration::from_millis(ms))
     }
 
-    /// True once the clock reached the deadline.
+    /// True once the clock reached the deadline. A virtual deadline
+    /// counts as passed once the controller is gone, so a task that
+    /// free-runs after an aborted schedule never waits on a clock that
+    /// no longer moves.
     pub fn passed(self) -> bool {
         match self {
             Deadline::Virtual(at) => virtual_now_ms().unwrap_or(u64::MAX) >= at,

@@ -9,10 +9,10 @@
 //! nodes), not tens of thousands, so threads are the right cost point.
 //!
 //! The server starts, waits and stalls only through [`faultsim::sched`]:
-//! `sched::spawn` for the accept loop and the handlers (joined by the
-//! drain), `sched::wait` for the drain's in-flight wait and
-//! [`Server::wait_shutdown_requested`], `sched::pause` for the chaos
-//! stalls, and a `sched::Deadline` for the deadline gate. Under the
+//! its `spawn` for the accept loop and the handlers (joined by the
+//! drain), its `wait` for the drain's in-flight wait and
+//! [`Server::wait_shutdown_requested`], its `pause` for the chaos
+//! stalls, and its `Deadline` for the deadline gate. Under the
 //! `schedcheck` model checker each of these is a schedule point on the
 //! virtual clock, and the code around it is the code production runs.
 //! The accept loop is the one exception: a blocking `accept` cannot be
@@ -714,7 +714,7 @@ impl Drop for Server {
 }
 
 fn accept_loop(inner: Arc<Inner>, listener: TcpListener) {
-    // The serving code's one fork on the scheduler: a blocking `accept`
+    // The server's one fork on the scheduler: a blocking `accept`
     // cannot be a schedule point, so under the model checker the loop
     // polls a non-blocking listener from one instead. "A connection
     // arrived" is then an explorable step, and "drain began" wakes the
