@@ -109,6 +109,9 @@ pub struct SortReport {
     pub io: IoSnapshot,
     /// Modeled device seconds (kernels + transfers).
     pub device_seconds: f64,
+    /// Window advances of every merge of the sort, block merges included
+    /// (see [`crate::Merged`]).
+    pub window_advances: u64,
 }
 
 /// Where [`ExternalSorter::sort_file`] writes a run or a merge result, and
@@ -162,8 +165,9 @@ impl ExternalSorter {
     }
 
     /// Attach a recorder: each [`ExternalSorter::sort_file`] emits `sort.*`
-    /// counters (pairs, runs, merge/disk passes, spilled bytes) on the
-    /// recorder's current span.
+    /// counters (pairs, runs, merge/disk passes, spilled bytes) and the
+    /// sum of its merges' `merge.window_advances` on the recorder's
+    /// current span, once per call.
     pub fn with_recorder(mut self, recorder: obs::Recorder) -> Self {
         self.recorder = recorder;
         self
@@ -186,14 +190,18 @@ impl ExternalSorter {
         rec.counter("sort.spill_bytes", report.io.bytes_written);
         rec.metric("sort.io_seconds", report.io.total_seconds());
         rec.metric("sort.device_seconds", report.device_seconds);
+        if report.window_advances > 0 {
+            rec.counter("merge.window_advances", report.window_advances);
+        }
     }
 
     /// Sort the next `block_pairs` pairs of `reader` in memory by streaming
     /// `m_d`-sized chunks through the device (radix sort per chunk, then
     /// iterative pairwise Algorithm-1 merging of the sorted chunks). Each
     /// chunk is decoded into the vectors that are moved to the device,
-    /// sorted there and moved back as a run.
-    fn sort_block(&self, reader: &mut RecordReader, block_pairs: usize) -> Result<Columns> {
+    /// sorted there and moved back as a run. Returns the sorted block and
+    /// the window advances of its merges.
+    fn sort_block(&self, reader: &mut RecordReader, block_pairs: usize) -> Result<(Columns, u64)> {
         let m_d = self.config.device_block_pairs;
         let mut left = reader.remaining().min(block_pairs as u64) as usize;
         let mut runs: Vec<Columns> = Vec::with_capacity(left / m_d + 1);
@@ -210,6 +218,7 @@ impl ExternalSorter {
             });
         }
         // Iterative pairwise merging, doubling run length each round.
+        let mut window_advances = 0;
         while runs.len() > 1 {
             let mut next = Vec::with_capacity(runs.len() / 2 + 1);
             let mut iter = runs.into_iter();
@@ -219,13 +228,14 @@ impl ExternalSorter {
                         let pairs = a.len() + b.len();
                         let _guard = self.host.reserve((pairs * KvPair::BYTES) as u64)?;
                         let mut merged = Columns::with_capacity(pairs);
-                        device_merge(
+                        window_advances += device_merge(
                             &self.device,
                             a.pairs_from(0),
                             b.pairs_from(0),
                             m_d,
                             &mut merged,
-                        )?;
+                        )?
+                        .window_advances;
                         next.push(merged);
                     }
                     None => next.push(a),
@@ -233,7 +243,7 @@ impl ExternalSorter {
             }
             runs = next;
         }
-        Ok(runs.pop().unwrap_or_default())
+        Ok((runs.pop().unwrap_or_default(), window_advances))
     }
 
     /// Write one sorted run, retrying once after ENOSPC.
@@ -281,12 +291,14 @@ impl ExternalSorter {
         let total_pairs = reader.remaining();
         let initial_runs = total_pairs.div_ceil(m_h as u64) as u32;
         let mut run_paths = Vec::new();
+        let mut window_advances = 0;
         for run in 0..initial_runs.max(1) {
             let _block_guard = self
                 .host
                 .reserve((m_h * KvPair::BYTES) as u64)
                 .map_err(StreamError::from)?;
-            let sorted = self.sort_block(&mut reader, m_h)?;
+            let (sorted, block_advances) = self.sort_block(&mut reader, m_h)?;
+            window_advances += block_advances;
             let target = if initial_runs <= 1 {
                 Target::Output(output)
             } else {
@@ -332,7 +344,7 @@ impl ExternalSorter {
                     .map(|p| RecordReader::open(p, spill.io().clone()).map(FileSource::new))
                     .collect::<Result<_>>()?;
                 let mut w = RecordWriter::create(target.path(), spill.io().clone())?;
-                if let [a, b] = sources.as_mut_slice() {
+                let merged = if let [a, b] = sources.as_mut_slice() {
                     windowed_merge(
                         &self.device,
                         a,
@@ -340,7 +352,7 @@ impl ExternalSorter {
                         &mut w,
                         m_h,
                         self.config.device_block_pairs,
-                    )?;
+                    )?
                 } else {
                     let mut dyns: Vec<&mut dyn PairSource> = sources
                         .iter_mut()
@@ -352,8 +364,9 @@ impl ExternalSorter {
                         &mut w,
                         m_h,
                         self.config.device_block_pairs,
-                    )?;
-                }
+                    )?
+                };
+                window_advances += merged.window_advances;
                 target.commit(w)?;
                 for p in group {
                     std::fs::remove_file(p)?;
@@ -373,6 +386,7 @@ impl ExternalSorter {
             disk_passes: 1 + merge_passes,
             io: spill.io().snapshot().since(&io_before),
             device_seconds: self.device.stats().since(&dev_before).total_seconds(),
+            window_advances,
         };
         self.emit_report(&report);
         Ok(report)
@@ -517,6 +531,15 @@ mod tests {
         );
         assert_eq!(agg.counter("sort.spill_bytes"), report.io.bytes_written);
         assert_eq!(agg.metric("sort.io_seconds"), report.io.total_seconds());
+        assert!(report.window_advances > 0);
+        assert_eq!(agg.counter("merge.window_advances"), report.window_advances);
+        // Once per sort: the merges themselves emit nothing.
+        let advance_events = rec
+            .events()
+            .iter()
+            .filter(|e| matches!(e, obs::Event::Counter { name, .. } if name == "merge.window_advances"))
+            .count();
+        assert_eq!(advance_events, 1);
     }
 
     #[test]

@@ -37,7 +37,9 @@ pub use extsort::{ExternalSorter, SortConfig, SortReport};
 pub use frame::{frame_len, read_frame, write_frame, FRAME_HEADER_BYTES, MAX_FRAME_BYTES};
 pub use hostmem::{HostAlloc, HostMem, HostMemError};
 pub use iostats::{DiskModel, IoStats};
-pub use merge::{kway_merge, windowed_merge, FileSource, PairSink, PairSource, SliceSource};
+pub use merge::{
+    kway_merge, windowed_merge, FileSource, Merged, PairSink, PairSource, SliceSource,
+};
 pub use reader::{read_blob, read_footer, RecordReader};
 pub use record::{fnv1a, Columns, Fnv64, Footer, KvPair, Pairs, Xxh64};
 pub use spill::{range_of, PartitionKind, PartitionSet, SpillDir};

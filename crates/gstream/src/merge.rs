@@ -144,17 +144,46 @@ impl PairSink for Columns {
     }
 }
 
-/// Merge two equalized in-memory runs on the device into `out`; returns the
-/// number of pairs emitted. Runs whose combined size exceeds `device_pairs`
-/// are merged by re-entering the windowed algorithm with `M = device_pairs`
-/// — the second level of the paper's hybrid scheme.
+/// What a merge did: the pairs it emitted and its window advances, the
+/// rounds that emitted output, those of the merges it re-entered included.
+/// [`crate::ExternalSorter`] sums the advances of one sort into its
+/// `merge.window_advances` counter; a merge itself emits no event.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Merged {
+    /// Pairs emitted into the sink.
+    pub pairs: u64,
+    /// Window advances, nested merges' included.
+    pub window_advances: u64,
+}
+
+impl Merged {
+    /// One window of `pairs` emitted as it is.
+    fn window(pairs: usize) -> Merged {
+        Merged {
+            pairs: pairs as u64,
+            window_advances: 1,
+        }
+    }
+}
+
+impl std::ops::AddAssign for Merged {
+    fn add_assign(&mut self, other: Merged) {
+        self.pairs += other.pairs;
+        self.window_advances += other.window_advances;
+    }
+}
+
+/// Merge two equalized in-memory runs on the device into `out`. Runs whose
+/// combined size exceeds `device_pairs` are merged by re-entering the
+/// windowed algorithm with `M = device_pairs` — the second level of the
+/// paper's hybrid scheme.
 pub fn device_merge<K: PairSink>(
     dev: &Device,
     a: Pairs<'_>,
     b: Pairs<'_>,
     device_pairs: usize,
     out: &mut K,
-) -> Result<u64> {
+) -> Result<Merged> {
     if a.len() + b.len() > device_pairs {
         return windowed_merge(
             dev,
@@ -178,17 +207,15 @@ pub fn device_merge<K: PairSink>(
         keys: &keys,
         vals: &vals,
     })?;
-    Ok(keys.len() as u64)
+    Ok(Merged {
+        pairs: keys.len() as u64,
+        window_advances: 0,
+    })
 }
 
 /// Merge sorted sources `a` and `b` into `out`, holding at most
 /// `window_pairs` pairs in working memory and at most `device_pairs` pairs
-/// on the device. Returns the number of pairs emitted.
-///
-/// When the device carries an [`obs::Recorder`] (see
-/// [`Device::set_recorder`]), the total number of window advances (rounds
-/// that emitted output) is recorded as the `merge.window_advances` counter
-/// on the recorder's current span.
+/// on the device. Returns the pairs emitted and the window advances.
 pub fn windowed_merge<SA, SB, K>(
     dev: &Device,
     a: &mut SA,
@@ -196,51 +223,7 @@ pub fn windowed_merge<SA, SB, K>(
     out: &mut K,
     window_pairs: usize,
     device_pairs: usize,
-) -> Result<u64>
-where
-    SA: PairSource,
-    SB: PairSource,
-    K: PairSink,
-{
-    let mut advances = 0u64;
-    let result = windowed_merge_inner(dev, a, b, out, window_pairs, device_pairs, &mut advances);
-    if advances > 0 {
-        let rec = dev.recorder();
-        if rec.is_enabled() {
-            rec.counter("merge.window_advances", advances);
-        }
-    }
-    result
-}
-
-/// Emit the rest of `src`, a window at a time, once the other side is done.
-fn drain<S: PairSource, K: PairSink>(
-    src: &mut S,
-    out: &mut K,
-    half: usize,
-    advances: &mut u64,
-) -> Result<u64> {
-    let mut emitted = 0;
-    while !src.window().is_empty() {
-        let n = src.window().len();
-        out.emit(src.window())?;
-        emitted += n as u64;
-        *advances += 1;
-        src.consume(n);
-        src.fill(half)?;
-    }
-    Ok(emitted)
-}
-
-fn windowed_merge_inner<SA, SB, K>(
-    dev: &Device,
-    a: &mut SA,
-    b: &mut SB,
-    out: &mut K,
-    window_pairs: usize,
-    device_pairs: usize,
-    advances: &mut u64,
-) -> Result<u64>
+) -> Result<Merged>
 where
     SA: PairSource,
     SB: PairSource,
@@ -252,7 +235,7 @@ where
         )));
     }
     let half = window_pairs / 2;
-    let mut emitted = 0u64;
+    let mut merged = Merged::default();
 
     loop {
         a.fill(half)?;
@@ -261,10 +244,12 @@ where
 
         // Line 19: one side exhausted — stream the remainder of the other.
         if af.is_empty() {
-            return Ok(emitted + drain(b, out, half, advances)?);
+            merged += drain(b, out, half)?;
+            return Ok(merged);
         }
         if bf.is_empty() {
-            return Ok(emitted + drain(a, out, half, advances)?);
+            merged += drain(a, out, half)?;
+            return Ok(merged);
         }
 
         let a_last = af.keys[af.len() - 1];
@@ -273,17 +258,15 @@ where
         // Lines 5-6: whole-window ordering, no merge needed.
         if a_last <= bf.keys[0] {
             out.emit(af)?;
-            emitted += af.len() as u64;
-            *advances += 1;
             let n = af.len();
+            merged += Merged::window(n);
             a.consume(n);
             continue;
         }
         if b_last < af.keys[0] {
             out.emit(bf)?;
-            emitted += bf.len() as u64;
-            *advances += 1;
             let n = bf.len();
+            merged += Merged::window(n);
             b.consume(n);
             continue;
         }
@@ -300,36 +283,53 @@ where
         } else {
             (af.keys.partition_point(|&key| key <= b_last), bf.len())
         };
-        emitted += device_merge(dev, af.first(take_a), bf.first(take_b), device_pairs, out)?;
-        *advances += 1;
+        merged += device_merge(dev, af.first(take_a), bf.first(take_b), device_pairs, out)?;
+        merged.window_advances += 1;
         a.consume(take_a);
         b.consume(take_b);
     }
 }
 
+/// Emit the rest of `src`, a window at a time, once the other side is done.
+fn drain<S: PairSource, K: PairSink>(src: &mut S, out: &mut K, half: usize) -> Result<Merged> {
+    let mut merged = Merged::default();
+    while !src.window().is_empty() {
+        let n = src.window().len();
+        out.emit(src.window())?;
+        merged += Merged::window(n);
+        src.consume(n);
+        src.fill(half)?;
+    }
+    Ok(merged)
+}
+
 /// Merge `runs`, each sorted, into `out` by rounds of pairwise device
-/// merges; on equal keys an earlier run's pairs come first.
+/// merges; on equal keys an earlier run's pairs come first. Returns the
+/// window advances of the device merges that re-entered the windowed
+/// algorithm.
 fn tournament<K: PairSink>(
     dev: &Device,
     runs: &[Pairs<'_>],
     device_pairs: usize,
     out: &mut K,
-) -> Result<()> {
+) -> Result<u64> {
     match runs {
-        [] => Ok(()),
-        [only] => out.emit(*only),
-        [a, b] => device_merge(dev, *a, *b, device_pairs, out).map(|_| ()),
+        [] => Ok(0),
+        [only] => out.emit(*only).map(|()| 0),
+        [a, b] => Ok(device_merge(dev, *a, *b, device_pairs, out)?.window_advances),
         _ => {
             let mut merged = Vec::with_capacity(runs.len() / 2);
+            let mut advances = 0;
             for pair in runs.chunks_exact(2) {
                 let mut run = Columns::with_capacity(pair[0].len() + pair[1].len());
-                device_merge(dev, pair[0], pair[1], device_pairs, &mut run)?;
+                advances +=
+                    device_merge(dev, pair[0], pair[1], device_pairs, &mut run)?.window_advances;
                 merged.push(run);
             }
             let mut next: Vec<Pairs<'_>> = merged.iter().map(|run| run.pairs_from(0)).collect();
             // An odd run out sits this round out, still last.
             next.extend(runs.chunks_exact(2).remainder());
-            tournament(dev, &next, device_pairs, out)
+            Ok(advances + tournament(dev, &next, device_pairs, out)?)
         }
     }
 }
@@ -350,18 +350,17 @@ pub fn kway_merge<K>(
     out: &mut K,
     window_pairs: usize,
     device_pairs: usize,
-) -> Result<u64>
+) -> Result<Merged>
 where
     K: PairSink,
 {
     if sources.is_empty() {
-        return Ok(0);
+        return Ok(Merged::default());
     }
     let per_window = (window_pairs / (sources.len() + 1)).max(2);
     // Whether a source's stream has ended: its window is then all it has.
     let mut exhausted = vec![false; sources.len()];
-    let mut emitted = 0u64;
-    let mut rounds = 0u64;
+    let mut merged = Merged::default();
 
     loop {
         // Refill.
@@ -372,13 +371,7 @@ where
             }
         }
         if sources.iter().all(|src| src.window().is_empty()) {
-            if rounds > 0 {
-                let rec = dev.recorder();
-                if rec.is_enabled() {
-                    rec.counter("merge.window_advances", rounds);
-                }
-            }
-            return Ok(emitted);
+            return Ok(merged);
         }
 
         // Safe frontier: the smallest last-key among windows whose stream
@@ -431,9 +424,8 @@ where
             .map(|(src, &cut)| src.window().first(cut))
             .collect();
         if !runs.is_empty() {
-            tournament(dev, &runs, device_pairs, out)?;
-            emitted += cuts.iter().sum::<usize>() as u64;
-            rounds += 1;
+            merged.window_advances += 1 + tournament(dev, &runs, device_pairs, out)?;
+            merged.pairs += cuts.iter().sum::<usize>() as u64;
         }
         for (src, &cut) in sources.iter_mut().zip(&cuts) {
             src.consume(cut);
@@ -475,7 +467,7 @@ mod tests {
             device,
         )
         .unwrap();
-        assert_eq!(n as usize, out.len());
+        assert_eq!(n.pairs as usize, out.len());
         assert_eq!(out.keys.len(), out.vals.len());
         out
     }
@@ -577,10 +569,13 @@ mod tests {
         let b = kv(&[2, 4, 6, 8, 10, 12, 14, 16]);
         let mut got = Columns::default();
         let n = device_merge(&d, a.pairs_from(0), b.pairs_from(0), 4, &mut got).unwrap();
-        assert_eq!(n, 16);
+        assert_eq!(n.pairs, 16);
         assert_eq!(got.keys, (1..=16).collect::<Vec<u128>>());
-        // Several launches, since no single one may hold more than four pairs.
-        assert!(d.stats().per_kernel["merge_pairs"].launches >= 4);
+        // Several launches, since no single one may hold more than four
+        // pairs, each in a window advance of the re-entered merge.
+        let launches = d.stats().per_kernel["merge_pairs"].launches;
+        assert!(launches >= 4);
+        assert!(n.window_advances >= launches);
     }
 
     #[test]
@@ -606,7 +601,7 @@ mod tests {
         for (window, device) in [(2, 2), (7, 3), (64, 16), (5_000, 64)] {
             let in_memory = dev();
             let mut expect = Columns::default();
-            windowed_merge(
+            let in_memory_merged = windowed_merge(
                 &in_memory,
                 &mut SliceSource::new(a.pairs_from(0)),
                 &mut SliceSource::new(b.pairs_from(0)),
@@ -619,7 +614,7 @@ mod tests {
 
             let from_files = dev();
             let mut got = Columns::default();
-            windowed_merge(
+            let from_files_merged = windowed_merge(
                 &from_files,
                 &mut file_source("a.kv", &a),
                 &mut file_source("b.kv", &b),
@@ -629,6 +624,7 @@ mod tests {
             )
             .unwrap();
             assert_eq!(got, expect, "window={window} device={device}");
+            assert_eq!(from_files_merged, in_memory_merged);
             let (files, memory) = (from_files.stats(), in_memory.stats());
             assert_eq!(files.kernel_launches, memory.kernel_launches);
             assert_eq!(files.h2d_bytes, memory.h2d_bytes);
@@ -648,7 +644,7 @@ mod tests {
             .collect();
         let mut out = Columns::default();
         let n = kway_merge(&d, &mut dyns, &mut out, window, device).unwrap();
-        assert_eq!(n as usize, out.len());
+        assert_eq!(n.pairs as usize, out.len());
         out
     }
 

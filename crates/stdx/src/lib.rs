@@ -1,7 +1,7 @@
 //! # stdx — what the workspace needs beyond `std`, and nothing else
 //!
-//! The workspace has no third-party dependencies. The four things std
-//! lacks and more than one crate needs live here, each exactly once:
+//! The workspace has no third-party dependencies. The things std lacks
+//! and more than one crate or test needs live here, each exactly once:
 //!
 //! * [`bytes`] — the one bounded byte reader, [`bytes::Cursor`], and its
 //!   little-endian writers: every binary format (wire frames, contig
@@ -16,15 +16,20 @@
 //! * [`splitmix64`] / [`SplitMix64`] — the repo's one deterministic PRNG
 //!   (index files, PCT seeds, failpoint draws and simulated reads all
 //!   come from it), and [`check_cases`], the seeded loop behind the
-//!   randomized tests.
+//!   randomized tests;
+//! * [`CountingAlloc`] — the system allocator counting allocations, live
+//!   bytes and their peak, for test binaries that pin memory (installed as
+//!   the global allocator by no production binary).
 //!
 //! [`lock`] is the workspace's non-poisoning mutex acquire.
 
+mod alloc;
 pub mod bytes;
 pub mod json;
 mod rng;
 mod tempdir;
 
+pub use alloc::CountingAlloc;
 pub use rng::{check_cases, splitmix64, SplitMix64};
 pub use tempdir::{tempdir, TempDir};
 

@@ -153,10 +153,12 @@ impl Device {
         &self.profile
     }
 
-    /// Attach an [`obs::Recorder`]: subsequent kernel launches emit
-    /// `kernel.launches` / `kernel.seconds` events on the recorder's
-    /// current span, and [`crate::exec::launch`] opens a `kernel:<name>`
-    /// span per launch. Shared by all clones of this device.
+    /// Attach an [`obs::Recorder`]: [`crate::exec::launch`] then opens a
+    /// `kernel:<name>` span per launch, carrying that launch's
+    /// `kernel.launches` / `kernel.blocks` / `kernel.seconds`. The built-in
+    /// kernels and [`Device::charge_kernel`] emit nothing: their cost
+    /// reaches a trace only through [`Device::stats`] deltas, so a run
+    /// buffers no event per launch. Shared by all clones of this device.
     pub fn set_recorder(&self, recorder: obs::Recorder) {
         *lock(&self.inner.recorder) = recorder;
     }
@@ -249,10 +251,11 @@ impl Device {
         std::mem::take(&mut buf.data)
     }
 
-    /// Charge one kernel launch of the given cost to the device clock.
-    /// Kernels in [`crate::kernels`] call this; custom kernels built on
-    /// [`crate::exec`] do too.
-    pub fn charge_kernel(&self, name: &str, cost: KernelCost) {
+    /// Charge one kernel launch of the given cost to the device clock and
+    /// return the modeled seconds charged. Kernels in [`crate::kernels`]
+    /// call this; custom kernels built on [`crate::exec`] do too. Only the
+    /// counters behind [`Device::stats`] change: no event is emitted.
+    pub fn charge_kernel(&self, name: &str, cost: KernelCost) -> f64 {
         let compute_s = cost.flops as f64 / self.profile.compute_ops_per_s();
         let memory_s = cost.bytes as f64 / self.profile.sustained_mem_bytes_per_s();
         let seconds = compute_s.max(memory_s) + LAUNCH_OVERHEAD_S;
@@ -270,11 +273,7 @@ impl Device {
             entry.bytes += cost.bytes;
             entry.seconds += seconds;
         }
-        let rec = lock(&self.inner.recorder);
-        if rec.is_enabled() {
-            rec.counter("kernel.launches", 1);
-            rec.metric("kernel.seconds", seconds);
-        }
+        seconds
     }
 
     /// Charge PCIe traffic without materializing buffers — used by fused
@@ -457,6 +456,54 @@ mod tests {
         let err = dev.gather(&a, &b).unwrap_err();
         assert!(matches!(err, DeviceError::Fault(_)), "got {err}");
         assert!(dev.gather(&a, &dev.h2d(&[1u32]).unwrap()).is_ok());
+    }
+
+    /// Uploads, sorts, merges, searches and downloads on `dev`.
+    fn kernels_and_transfers(dev: &Device) {
+        let keys: Vec<u64> = (0..300).map(|i| (i * 2654435761u64) % 1000).collect();
+        let vals: Vec<u32> = (0..300).collect();
+        let mut dk = dev.h2d(&keys).unwrap();
+        let mut dv = dev.h2d_vec(vals).unwrap();
+        dev.sort_pairs(&mut dk, &mut dv).unwrap();
+        let (mk, mv) = dev.merge_pairs(&dk, &dv, &dk, &dv).unwrap();
+        let (lower, counts) = dev.vec_bounds_sorted(&dk, &mk).unwrap();
+        dev.charge_transfer(64, 32);
+        let _ = (dev.d2h(&lower), dev.d2h_vec(counts), dev.d2h_vec(mv));
+    }
+
+    #[test]
+    fn kernels_and_transfers_emit_no_event_and_charge_the_same_with_a_recorder() {
+        let plain = Device::with_capacity(GpuProfile::k40(), 1 << 20);
+        let traced = Device::with_capacity(GpuProfile::k40(), 1 << 20);
+        let rec = obs::Recorder::new();
+        traced.set_recorder(rec.clone());
+        let span = rec.span("caller");
+        kernels_and_transfers(&plain);
+        kernels_and_transfers(&traced);
+        drop(span);
+        // The caller's span start and end, nothing from the device.
+        assert_eq!(rec.events().len(), 2);
+
+        let (p, t) = (plain.stats(), traced.stats());
+        assert!(p.kernel_launches >= 5 && p.mem_peak > 0);
+        assert_eq!(t, p);
+        let bits = |s: &DeviceStats| {
+            let kernels = s.per_kernel.iter().map(|(name, k)| {
+                (
+                    name.clone(),
+                    k.launches,
+                    k.flops,
+                    k.bytes,
+                    k.seconds.to_bits(),
+                )
+            });
+            (
+                s.kernel_seconds.to_bits(),
+                s.transfer_seconds.to_bits(),
+                kernels.collect::<Vec<_>>(),
+            )
+        };
+        assert_eq!(bits(&t), bits(&p));
     }
 
     #[test]

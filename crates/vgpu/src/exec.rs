@@ -245,7 +245,9 @@ pub struct BlockCtx {
 }
 
 /// Launch `blocks` blocks of `threads_per_block` threads running `kernel`,
-/// charging `cost` to the device clock.
+/// charging `cost` to the device clock. With a recorder attached to the
+/// device, the launch runs under a `kernel:{name}` span carrying its
+/// `kernel.launches`, `kernel.blocks` and `kernel.seconds`.
 ///
 /// Blocks run concurrently; the closure itself expresses intra-block
 /// parallelism as loops over `0..ctx.threads` with whatever barrier
@@ -261,14 +263,15 @@ pub fn launch<F>(
     F: Fn(BlockCtx) + Sync,
 {
     let rec = device.recorder();
-    let _span = if rec.is_enabled() {
-        let span = rec.span(&format!("kernel:{name}"));
+    let span = rec
+        .is_enabled()
+        .then(|| rec.span(&format!("kernel:{name}")));
+    let seconds = device.charge_kernel(name, cost);
+    if let Some(span) = &span {
+        rec.counter_on(span.id(), "kernel.launches", 1);
         rec.counter_on(span.id(), "kernel.blocks", blocks as u64);
-        Some(span)
-    } else {
-        None
-    };
-    device.charge_kernel(name, cost);
+        rec.metric_on(span.id(), "kernel.seconds", seconds);
+    }
     par_ranges(blocks, BLOCK_GRAIN, |part| {
         for block_idx in part {
             kernel(BlockCtx {

@@ -6,6 +6,7 @@
 use lasagna_repro::lasagna::AssemblyReport;
 use lasagna_repro::obs;
 use lasagna_repro::prelude::*;
+use std::collections::BTreeMap;
 
 fn sample(genome_len: usize, read_len: usize, coverage: f64, seed: u64) -> ReadSet {
     let genome = GenomeSim::uniform(genome_len, seed).generate();
@@ -222,6 +223,89 @@ fn histogram_events_round_trip_jsonl_bit_identically() {
             assert!(
                 from_disk.percentile(lo) <= from_disk.percentile(hi),
                 "{name}"
+            );
+        }
+    }
+}
+
+/// An extsort-shaped assembly: 50 bp reads, 20 overlap lengths, a 64 KiB
+/// device, and block sizes that cut every partition into 4 runs sorted in
+/// 3 disk passes, with `m_d` chunks of 14 pairs inside each run.
+fn extsort_assembly() -> (Pipeline, stdx::TempDir) {
+    let reads = sample(1000, 50, 15.0, 53);
+    let dir = stdx::tempdir().unwrap();
+    let m_h = reads.len() / 2;
+    let mut config = AssemblyConfig::for_dataset(30, 50);
+    config.sort = Some(SortConfig {
+        host_block_pairs: m_h,
+        device_block_pairs: m_h * 3 / 32,
+        kway: false,
+    });
+    let pipeline = Pipeline::new(
+        Device::with_capacity(GpuProfile::k40(), 64 << 10),
+        HostMem::new(64 << 20),
+        SpillDir::create(dir.path(), IoStats::default()).unwrap(),
+        config,
+    )
+    .unwrap();
+    pipeline.assemble(&reads).unwrap();
+    (pipeline, dir)
+}
+
+/// An extsort assembly's counter totals and span names, pinned. Kernels and
+/// merges emit no event of their own: launches reach the trace through the
+/// phase `device.*` deltas and window advances through one counter per
+/// partition span, and these sums hold all of them.
+#[test]
+fn extsort_trace_totals_and_span_names_are_pinned() {
+    let (pipeline, _dir) = extsort_assembly();
+    let events = pipeline.recorder().events();
+    let totals = obs::Rollup::from_events(&events).totals();
+    let pinned = [
+        ("merge.window_advances", 15_747),
+        ("sort.pairs", 24_000),
+        ("sort.initial_runs", 160),
+        ("sort.merge_passes", 80),
+        ("sort.disk_passes", 120),
+        ("sort.spill_bytes", 1_440_000),
+        ("device.kernel_launches", 14_304),
+        ("device.kernel.merge_pairs.launches", 12_401),
+    ];
+    for (name, value) in pinned {
+        assert_eq!(totals.counter(name), value, "{name}");
+    }
+
+    let mut spans = BTreeMap::<&str, usize>::new();
+    for event in &events {
+        if let obs::Event::SpanStart { name, .. } = event {
+            *spans.entry(name).or_default() += 1;
+        }
+    }
+    let tags: Vec<String> = (30..50)
+        .flat_map(|len| ["sfx", "pfx", "len"].map(|kind| format!("{kind}_{len:05}")))
+        .collect();
+    let mut expected: BTreeMap<&str, usize> =
+        ["assembly", "load", "map", "sort", "reduce", "compress"]
+            .into_iter()
+            .map(|name| (name, 1))
+            .collect();
+    expected.extend(tags.iter().map(|tag| (tag.as_str(), 1)));
+    assert_eq!(spans, expected);
+
+    // `kernel.launches` is a `kernel:{name}` span's own event, and an
+    // assembly launches no kernel through `vgpu::exec::launch`.
+    let kernel_spans: Vec<u64> = events
+        .iter()
+        .filter_map(|event| match event {
+            obs::Event::SpanStart { id, name, .. } if name.starts_with("kernel:") => Some(*id),
+            _ => None,
+        })
+        .collect();
+    for event in &events {
+        if let obs::Event::Counter { span, name, .. } = event {
+            assert!(
+                name != "kernel.launches" || kernel_spans.contains(span),
+                "kernel.launches on span {span}, not a kernel span"
             );
         }
     }
