@@ -24,13 +24,15 @@
 //! thread scatters a batch to every shard before it gathers any answer;
 //! [`QueryClient::answer_ready`] reads the answer's bytes as they come
 //! and says when the whole frame is in. The halves are the two halves of
-//! an attempt, and neither retries. One classifier (`classify`) turns each
-//! response into a typed outcome, and one loop (`QueryClient::run`)
-//! retries what is retryable. Every answer carries the store/index
-//! generation that computed it; [`QueryClient::set_generation_pin`]
-//! pins future queries to one generation, which the scatter-gather
-//! router uses to keep a rolling reload's mixed-generation window
-//! coherent.
+//! an attempt, and neither retries. Both query shapes share that path:
+//! the answer type (`Option<Hit>` or `Vec<Candidate>`) decides the
+//! request tag and the one response variant that answers it, one
+//! classifier (`classify`) turns every other response into a typed
+//! error, and one loop (`QueryClient::run`) retries what is retryable.
+//! Every answer carries the store/index generation that computed it;
+//! [`QueryClient::set_generation_pin`] pins future queries to one
+//! generation, which the scatter-gather router uses to keep a rolling
+//! reload's mixed-generation window coherent.
 //!
 //! A client never hangs: connects (bounded by the write timeout), reads,
 //! and writes all carry timeouts, and the retry loop is bounded by
@@ -98,6 +100,25 @@ impl Default for ClientConfig {
     }
 }
 
+impl ClientConfig {
+    /// Backoff before retry number `round` (1-based), in milliseconds:
+    /// `base · 2^(round-1)` with the exponent capped, scaled by a
+    /// deterministic jitter factor in [0.5, 1.0) keyed on the seed, the
+    /// round and `salt`. The client's own retries use no salt; the pool
+    /// salts with a replica's address, so a fail-over sweep across
+    /// replicas does not retry in lockstep.
+    pub(crate) fn backoff_ms(&self, salt: &str, round: u32) -> u64 {
+        let exp = round.saturating_sub(1).min(self.backoff_cap_rounds);
+        let full = self.backoff_base_ms.saturating_mul(1u64 << exp);
+        let mut key = self.jitter_seed ^ u64::from(round).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        for b in salt.as_bytes() {
+            key = splitmix64(key ^ u64::from(*b));
+        }
+        let jitter_millis = 512 + (splitmix64(key) % 512); // in units of 1/1024
+        full * jitter_millis / 1024
+    }
+}
+
 struct Conn {
     stream: TcpStream,
     reader: BufReader<TcpStream>,
@@ -140,29 +161,48 @@ fn write_until_full(stream: &mut TcpStream, wire: &[u8]) -> std::io::Result<usiz
     Ok(done)
 }
 
-/// The request kinds that carry a `request_id` and are answered through
-/// [`classify`].
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Kind {
-    /// [`Request::Query`], answered with [`Response::Hits`].
-    Query,
-    /// [`Request::ShardQuery`], answered with
-    /// [`Response::ShardCandidates`].
-    ShardQuery,
-    /// [`Request::Reload`], answered with [`Response::ReloadDone`].
-    Reload,
+/// A query's answer shape on the wire: the request tag that asks for it
+/// and the one response variant that carries it.
+trait WireAnswer: Sized {
+    /// The tag of a request answered in this shape.
+    const TAG: u8;
+    /// The `request_id` `resp` echoes and what it means for a query of
+    /// this shape: its answers when `resp` is this shape's variant, else
+    /// what [`classify`] makes of it.
+    fn outcome(resp: Response, budget_ms: u32, peer: &str) -> crate::Result<(u64, Outcome<Self>)>;
 }
 
-/// A successful answer, matching the [`Kind`] it was asked in.
-enum Answer {
-    Hits(Vec<Option<Hit>>),
-    Candidates(Vec<Vec<Candidate>>),
-    Reloaded,
+impl WireAnswer for Option<Hit> {
+    const TAG: u8 = proto::TAG_QUERY;
+    fn outcome(resp: Response, budget_ms: u32, peer: &str) -> crate::Result<(u64, Outcome<Self>)> {
+        match resp {
+            Response::Hits {
+                request_id,
+                generation,
+                hits,
+            } => Ok((request_id, Ok((generation, hits)))),
+            other => classify(other, budget_ms, peer),
+        }
+    }
 }
 
-/// One request's outcome: the generation that answered plus the answer,
-/// or the request's typed error.
-type Outcome = crate::Result<(u64, Answer)>;
+impl WireAnswer for Vec<Candidate> {
+    const TAG: u8 = proto::TAG_SHARD_QUERY;
+    fn outcome(resp: Response, budget_ms: u32, peer: &str) -> crate::Result<(u64, Outcome<Self>)> {
+        match resp {
+            Response::ShardCandidates {
+                request_id,
+                generation,
+                candidates,
+            } => Ok((request_id, Ok((generation, candidates)))),
+            other => classify(other, budget_ms, peer),
+        }
+    }
+}
+
+/// One query's outcome: the generation that answered plus one answer per
+/// read, or the request's typed error.
+type Outcome<A> = crate::Result<(u64, Vec<A>)>;
 
 /// A connection-owning client for the qnet wire protocol.
 pub struct QueryClient {
@@ -248,7 +288,7 @@ impl QueryClient {
     /// [`query_batch`](Self::query_batch), also returning the
     /// generation that computed the placements.
     pub fn query_batch_tagged(&mut self, reads: &[PackedSeq]) -> BatchResult {
-        self.run(Kind::Query, reads).map(hits)
+        self.run(reads)
     }
 
     /// Query a batch of reads against the server's *shard* of the
@@ -259,10 +299,7 @@ impl QueryClient {
     /// then [`recv_shard_answer`](Self::recv_shard_answer)) and drives
     /// its own fail-over.
     pub fn shard_query_batch(&mut self, reads: &[PackedSeq]) -> crate::Result<Vec<Vec<Candidate>>> {
-        match self.run(Kind::ShardQuery, reads)? {
-            (_, Answer::Candidates(c)) => Ok(c),
-            _ => unreachable!("classify pairs a shard query with candidates"),
-        }
+        Ok(self.run(reads)?.1)
     }
 
     /// Ask the server to hot-swap to store/index `generation` (`0` =
@@ -276,14 +313,33 @@ impl QueryClient {
             request_id,
             generation,
         })?;
-        let classified = classify(resp, Kind::Reload, self.cfg.deadline_ms, &self.peer());
-        let (rid, outcome) = self.hang_up_on_wire_error(classified)?;
+        let (rid, outcome) = match resp {
+            Response::ReloadDone {
+                request_id,
+                generation,
+            } => (request_id, Ok(generation)),
+            Response::ReloadFailed {
+                request_id,
+                generation,
+                message,
+            } => (
+                request_id,
+                Err(QnetError::ReloadFailed {
+                    generation,
+                    message,
+                }),
+            ),
+            other => {
+                let classified = classify(other, self.cfg.deadline_ms, &self.peer());
+                self.hang_up_on_wire_error(classified)?
+            }
+        };
         if rid != request_id {
             return Err(self.desynced(format!(
                 "response id {rid} does not match request id {request_id}"
             )));
         }
-        outcome.map(|(active, _)| active)
+        outcome
     }
 
     /// Probe the server: readiness, drain state, queue depth, the
@@ -329,11 +385,11 @@ impl QueryClient {
     /// off (capped jittered exponential, honoring `retry_after_ms`
     /// hints); a wire failure has already abandoned the connection (see
     /// [`Self::attempt`]), a typed one keeps it.
-    fn run(&mut self, kind: Kind, reads: &[PackedSeq]) -> Outcome {
+    fn run<A: WireAnswer>(&mut self, reads: &[PackedSeq]) -> Outcome<A> {
         let mut attempts: u32 = 0;
         loop {
             attempts += 1;
-            let err = match self.attempt(kind, reads) {
+            let err = match self.attempt(reads) {
                 Err(err) if err.is_retryable() => err,
                 outcome => return outcome,
             };
@@ -354,17 +410,10 @@ impl QueryClient {
         }
     }
 
-    /// Backoff before retry number `round` (1-based), in milliseconds:
-    /// `base · 2^(round-1)` with the exponent capped, scaled by a
-    /// deterministic jitter factor in [0.5, 1.0) keyed on the seed and
-    /// the round.
+    /// Backoff before retry number `round` (1-based), in milliseconds
+    /// ([`ClientConfig::backoff_ms`], unsalted).
     fn backoff_ms(&self, round: u32) -> u64 {
-        let exp = round.saturating_sub(1).min(self.cfg.backoff_cap_rounds);
-        let full = self.cfg.backoff_base_ms.saturating_mul(1u64 << exp);
-        let h =
-            splitmix64(self.cfg.jitter_seed ^ u64::from(round).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let jitter_millis = 512 + (h % 512); // in units of 1/1024
-        full * jitter_millis / 1024
+        self.cfg.backoff_ms("", round)
     }
 
     /// One attempt: write the batch's request, then read its answer. A
@@ -373,23 +422,18 @@ impl QueryClient {
     /// a torn frame or a timeout the stream position is unknowable, and
     /// a fresh connection is the only way to guarantee the next response
     /// pairs with the next request.
-    fn attempt(&mut self, kind: Kind, reads: &[PackedSeq]) -> Outcome {
-        let sent = self.send_query(kind, reads)?;
-        let answer = self.recv_answer(kind, sent);
-        self.hang_up_on_wire_error(answer)
+    fn attempt<A: WireAnswer>(&mut self, reads: &[PackedSeq]) -> Outcome<A> {
+        let sent = self.send_query::<A>(reads)?;
+        self.recv_answer(sent)
     }
 
-    /// Write one query of `kind` on the live connection, dialing first if
-    /// there is none. A wire failure drops the connection.
-    fn send_query(&mut self, kind: Kind, reads: &[PackedSeq]) -> crate::Result<SentQuery> {
-        let tag = match kind {
-            Kind::Query => proto::TAG_QUERY,
-            Kind::ShardQuery => proto::TAG_SHARD_QUERY,
-            Kind::Reload => unreachable!("reloads carry no reads"),
-        };
+    /// Write one query answered in shape `A` on the live connection,
+    /// dialing first if there is none. A wire failure drops the
+    /// connection.
+    fn send_query<A: WireAnswer>(&mut self, reads: &[PackedSeq]) -> crate::Result<SentQuery> {
         let result = self.ensure_conn().and_then(|()| {
             let mut wire = Vec::new();
-            let request_id = self.frame_query(&mut wire, tag, reads)?;
+            let request_id = self.frame_query(&mut wire, A::TAG, reads)?;
             self.send(&wire)?;
             Ok(SentQuery {
                 request_id,
@@ -399,23 +443,27 @@ impl QueryClient {
         self.hang_up_on_wire_error(result)
     }
 
-    /// Read the answer to `sent` as a `kind` answer: what it means, or
+    /// Read the answer to `sent` in shape `A`: what it means, or
     /// `Corrupt` when it echoes another request's id or answers another
-    /// number of reads.
-    fn recv_answer(&mut self, kind: Kind, sent: SentQuery) -> Outcome {
+    /// number of reads. A wire failure drops the connection.
+    fn recv_answer<A: WireAnswer>(&mut self, sent: SentQuery) -> Outcome<A> {
         let peer = self.peer();
-        let (rid, outcome) = classify(self.recv()?, kind, self.cfg.deadline_ms, &peer)?;
-        if rid != sent.request_id {
-            return Err(QnetError::Corrupt {
-                peer,
-                detail: format!(
+        let answer = self.recv().and_then(|resp| {
+            let (rid, outcome) = A::outcome(resp, self.cfg.deadline_ms, &peer)?;
+            let answered = outcome.as_ref().map_or(sent.n_reads, |(_, a)| a.len());
+            let detail = if rid != sent.request_id {
+                format!(
                     "response id {rid} does not match request id {}",
                     sent.request_id
-                ),
-            });
-        }
-        check_answer_len(&outcome, sent.n_reads, &peer)?;
-        outcome
+                )
+            } else if answered != sent.n_reads {
+                format!("{answered} answers for {} reads", sent.n_reads)
+            } else {
+                return outcome;
+            };
+            Err(QnetError::Corrupt { peer, detail })
+        });
+        self.hang_up_on_wire_error(answer)
     }
 
     /// Append one framed query of `tag` over `reads` to `wire`, under a
@@ -447,7 +495,7 @@ impl QueryClient {
     /// first if no connection is live. One wire attempt, never retried;
     /// a wire failure drops the connection.
     pub fn send_shard_query(&mut self, reads: &[PackedSeq]) -> crate::Result<SentQuery> {
-        self.send_query(Kind::ShardQuery, reads)
+        self.send_query::<Vec<Candidate>>(reads)
     }
 
     /// [`send_shard_query`](Self::send_shard_query) without blocking,
@@ -466,7 +514,9 @@ impl QueryClient {
         }
         let mut wire = Vec::new();
         let request_id = self.frame_query(&mut wire, proto::TAG_SHARD_QUERY, reads)?;
-        let conn = self.conn.as_mut().expect("checked above");
+        let Some(conn) = self.conn.as_mut() else {
+            return Ok(None);
+        };
         faultsim::sched::point("qnet.client.send");
         let _ = conn.stream.set_nonblocking(true);
         let written = write_until_full(&mut conn.stream, &wire);
@@ -545,11 +595,7 @@ impl QueryClient {
         &mut self,
         sent: SentQuery,
     ) -> crate::Result<(u64, Vec<Vec<Candidate>>)> {
-        let result = self.recv_answer(Kind::ShardQuery, sent);
-        match self.hang_up_on_wire_error(result)? {
-            (generation, Answer::Candidates(c)) => Ok((generation, c)),
-            _ => unreachable!("classify pairs a shard query with candidates"),
-        }
+        self.recv_answer(sent)
     }
 
     fn take_request_id(&mut self) -> u64 {
@@ -638,7 +684,9 @@ impl QueryClient {
 
     /// Write already-framed bytes to the live connection.
     fn send(&mut self, wire: &[u8]) -> crate::Result<()> {
-        let conn = self.conn.as_mut().expect("connection established");
+        let Some(conn) = self.conn.as_mut() else {
+            return Err(QnetError::Io(ErrorKind::NotConnected.into()));
+        };
         faultsim::sched::point("qnet.client.send");
         Ok(conn.stream.write_all(wire)?)
     }
@@ -679,69 +727,18 @@ impl QueryClient {
     }
 }
 
-/// `Corrupt` unless `outcome` answers exactly `n_reads` reads; a typed
-/// error answers none and passes.
-fn check_answer_len(outcome: &Outcome, n_reads: usize, peer: &str) -> crate::Result<()> {
-    let answered = match outcome {
-        Ok((_, Answer::Hits(hits))) => hits.len(),
-        Ok((_, Answer::Candidates(lists))) => lists.len(),
-        _ => n_reads,
-    };
-    if answered != n_reads {
-        return Err(QnetError::Corrupt {
-            peer: peer.to_string(),
-            detail: format!("{answered} answers for {n_reads} reads"),
-        });
-    }
-    Ok(())
-}
-
-fn hits((generation, answer): (u64, Answer)) -> (u64, Vec<Option<Hit>>) {
-    match answer {
-        Answer::Hits(hits) => (generation, hits),
-        _ => unreachable!("classify pairs a placement query with hits"),
-    }
-}
-
-/// The one table from wire responses to typed outcomes: the
-/// `request_id` a response echoes and what it means for a request of
-/// `kind`. A response that cannot answer such a request at all — a
-/// probe reply, or the other kind's answer — means the stream is
-/// desynchronized: `Corrupt`, naming `peer`.
-fn classify(
+/// The one table from wire responses that answer no request to typed
+/// errors: the `request_id` a shed, drain, spent deadline or server error
+/// echoes, and what it means, as the outcome of any request. A response
+/// that cannot answer the request at all — a probe reply, or another
+/// request shape's answer — means the stream is desynchronized:
+/// `Corrupt`, naming `peer`.
+fn classify<T>(
     resp: Response,
-    kind: Kind,
     budget_ms: u32,
     peer: &str,
-) -> crate::Result<(u64, Outcome)> {
-    Ok(match resp {
-        Response::Hits {
-            request_id,
-            generation,
-            hits,
-        } if kind == Kind::Query => (request_id, Ok((generation, Answer::Hits(hits)))),
-        Response::ShardCandidates {
-            request_id,
-            generation,
-            candidates,
-        } if kind == Kind::ShardQuery => {
-            (request_id, Ok((generation, Answer::Candidates(candidates))))
-        }
-        Response::ReloadDone {
-            request_id,
-            generation,
-        } if kind == Kind::Reload => (request_id, Ok((generation, Answer::Reloaded))),
-        Response::ReloadFailed {
-            request_id,
-            generation,
-            message,
-        } if kind == Kind::Reload => (
-            request_id,
-            Err(QnetError::ReloadFailed {
-                generation,
-                message,
-            }),
-        ),
+) -> crate::Result<(u64, crate::Result<T>)> {
+    let (request_id, err) = match resp {
         Response::Overloaded {
             request_id,
             scope,
@@ -750,28 +747,29 @@ fn classify(
             retry_after_ms,
         } => (
             request_id,
-            Err(QnetError::Overloaded {
+            QnetError::Overloaded {
                 scope,
                 queued,
                 limit,
                 retry_after_ms,
-            }),
+            },
         ),
-        Response::Draining { request_id } => (request_id, Err(QnetError::Draining)),
+        Response::Draining { request_id } => (request_id, QnetError::Draining),
         Response::DeadlineExceeded { request_id } => {
-            (request_id, Err(QnetError::DeadlineExceeded { budget_ms }))
+            (request_id, QnetError::DeadlineExceeded { budget_ms })
         }
         Response::Error {
             request_id,
             message,
-        } => (request_id, Err(QnetError::Remote(message))),
+        } => (request_id, QnetError::Remote(message)),
         other => {
             return Err(QnetError::Corrupt {
                 peer: peer.to_string(),
                 detail: format!("unexpected response type {other:?}"),
             })
         }
-    })
+    };
+    Ok((request_id, Err(err)))
 }
 
 #[cfg(test)]

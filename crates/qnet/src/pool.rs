@@ -26,7 +26,6 @@
 
 use std::collections::HashMap;
 use std::sync::Mutex;
-use stdx::splitmix64;
 
 use crate::client::{ClientConfig, QueryClient};
 use obs::Recorder;
@@ -118,26 +117,12 @@ impl ClientPool {
             .unwrap_or(0)
     }
 
-    /// Backoff before retry `round` (1-based) against `addr`:
-    /// `base · 2^(round-1)` with the exponent capped at
-    /// `cap_rounds`, scaled by a deterministic jitter in [0.5, 1.0)
-    /// keyed on the seed, the address, and the round — the same shape
-    /// as [`QueryClient`]'s retry backoff and `dnet`'s recovery
-    /// backoff, de-synchronized across replicas so fail-over sweeps
-    /// don't stampede one survivor.
+    /// Backoff before retry `round` (1-based) against `addr`: the
+    /// client's capped jittered exponential backoff
+    /// ([`ClientConfig::backoff_ms`]), salted with the address so
+    /// fail-over sweeps across replicas don't stampede one survivor.
     pub fn backoff_ms(&self, addr: &str, round: u32) -> u64 {
-        let base = self.template.backoff_base_ms;
-        let exp = round
-            .saturating_sub(1)
-            .min(self.template.backoff_cap_rounds);
-        let full = base.saturating_mul(1u64 << exp);
-        let mut key =
-            self.template.jitter_seed ^ u64::from(round).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        for b in addr.as_bytes() {
-            key = splitmix64(key ^ u64::from(*b));
-        }
-        let jitter_millis = 512 + (splitmix64(key) % 512); // units of 1/1024
-        full * jitter_millis / 1024
+        self.template.backoff_ms(addr, round)
     }
 }
 

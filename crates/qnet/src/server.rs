@@ -19,7 +19,10 @@
 //! a schedule point, so under the checker it polls a non-blocking
 //! listener instead.
 //!
-//! A query passes four gates, in order, before it reaches a worker:
+//! A placement query ([`Request::Query`]) and a shard query
+//! ([`Request::ShardQuery`]) differ only in their [`qserve::Answer`] type
+//! and the response variant that carries it, so one generic handler runs
+//! both. A query passes four gates, in order, before it reaches a worker:
 //!
 //! 1. **drain** — a draining server admits nothing new
 //!    ([`proto::Response::Draining`](crate::proto::Response::Draining));
@@ -324,7 +327,7 @@ struct Inner {
     epoch: Instant,
     /// Set once a drain begins; gates both accept and query admission.
     draining: AtomicBool,
-    /// Admitted requests whose response has not yet been written.
+    /// Requests past admission whose response has not yet been written.
     inflight: Mutex<u64>,
     /// Signalled when `inflight` drops to zero; the drain waits on it.
     inflight_cv: Condvar,
@@ -443,21 +446,6 @@ impl Inner {
             latency,
         }
     }
-}
-
-/// Which query shape gate 4 admits: a placement query answered with
-/// [`Response::Hits`], or a shard query answered with the full voted
-/// candidate set ([`Response::ShardCandidates`]).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum QueryKind {
-    Hits,
-    Candidates,
-}
-
-/// An admitted batch's ticket, matching its [`QueryKind`].
-enum Admitted {
-    Hits(qserve::BatchHandle),
-    Candidates(qserve::CandidateBatchHandle),
 }
 
 /// Decrements the in-flight count when dropped, so every exit path from
@@ -900,12 +888,16 @@ fn handle_conn(
                 &conn,
                 conn_id,
                 &mut client_spans,
-                QueryKind::Hits,
                 request_id,
                 deadline_ms,
                 &client_id,
                 reads,
                 generation,
+                |request_id, generation, hits| Response::Hits {
+                    request_id,
+                    generation,
+                    hits,
+                },
             ),
             Request::ShardQuery {
                 request_id,
@@ -919,12 +911,16 @@ fn handle_conn(
                 &conn,
                 conn_id,
                 &mut client_spans,
-                QueryKind::Candidates,
                 request_id,
                 deadline_ms,
                 &client_id,
                 reads,
                 generation,
+                |request_id, generation, candidates| Response::ShardCandidates {
+                    request_id,
+                    generation,
+                    candidates,
+                },
             ),
         };
         if !alive {
@@ -1068,23 +1064,24 @@ fn deliver(
 }
 
 /// Run one query through the admission gates and answer it on this
-/// thread. A refused query gets its typed response. An admitted one
-/// waits for its batch, running its chunks here whenever a service slot
-/// is free, and is answered through [`deliver`] under an
-/// [`InflightGuard`] held until that write is done — drain waits on it.
-/// Returns false when the connection must die.
+/// thread, whatever its answer shape `A`. A refused query gets its typed
+/// response. An admitted one waits for its batch, running its chunks
+/// here whenever a service slot is free, and is answered with
+/// `respond(request_id, generation, answers)` through [`deliver`] under
+/// an [`InflightGuard`] held until that write is done — drain waits on
+/// it. Returns false when the connection must die.
 #[allow(clippy::too_many_arguments)]
-fn handle_query(
+fn handle_query<A: qserve::Answer>(
     inner: &Arc<Inner>,
     conn: &ConnShared,
     conn_id: u64,
     client_spans: &mut HashMap<String, SpanGuard>,
-    kind: QueryKind,
     request_id: u64,
     deadline_ms: u32,
     client_id: &str,
     reads: Vec<genome::PackedSeq>,
     generation: u64,
+    respond: fn(u64, u64, Vec<A>) -> Response,
 ) -> bool {
     let received = Instant::now();
     let budget = Deadline::after(Duration::from_millis(u64::from(deadline_ms)));
@@ -1139,24 +1136,14 @@ fn handle_query(
         });
     }
 
-    // Gate 4: shared queue depth. Both query kinds go through the same
+    // Gate 4: shared queue depth. Both answer shapes go through the same
     // service queue — shard queries obey the same backpressure, drain,
     // and accounting as placement queries. The generation pin rides
     // into admission: the batch binds to the pinned (or active)
     // generation here and answers from it even if a reload swaps the
     // active pointer while the batch is queued.
     sched::point("qnet.gate.depth");
-    let submitted = match kind {
-        QueryKind::Hits => inner
-            .service
-            .submit_pinned(reads, generation)
-            .map(Admitted::Hits),
-        QueryKind::Candidates => inner
-            .service
-            .submit_candidates_pinned(reads, generation)
-            .map(Admitted::Candidates),
-    };
-    let handle = match submitted {
+    let handle = match inner.service.submit_pinned::<A>(reads, generation) {
         Ok(handle) => handle,
         Err(QserveError::Overloaded {
             queued, max_queue, ..
@@ -1213,26 +1200,12 @@ fn handle_query(
         // queue empty once it has.
         inner.rec.counter_on(client_span, "qnet.rejected", n_reads);
         inner.charge_client(client_id, |t| t.rejected += n_reads);
-        match handle {
-            Admitted::Hits(h) => drop(h.wait()),
-            Admitted::Candidates(h) => drop(h.wait()),
-        }
+        drop(handle.wait());
         return refuse(Response::Draining { request_id });
     }
 
     let _guard = InflightGuard::new(inner); // released after the write below
-    let resp = match handle {
-        Admitted::Hits(h) => Response::Hits {
-            request_id,
-            generation: h.generation(),
-            hits: h.wait(),
-        },
-        Admitted::Candidates(h) => Response::ShardCandidates {
-            request_id,
-            generation: h.generation(),
-            candidates: h.wait(),
-        },
-    };
+    let resp = respond(request_id, handle.generation(), handle.wait());
     let done = Instant::now();
     inner
         .drain_rate

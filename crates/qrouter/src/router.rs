@@ -98,6 +98,10 @@ use crate::RouterError;
 /// `hedge_max_ms` so cold starts don't hedge on noise.
 const HEDGE_WARMUP_SAMPLES: u64 = 8;
 
+/// Which latency percentile of a shard's recent round-trips sets its
+/// hedge delay: hedge when the primary is slower than its p95.
+const HEDGE_PERCENTILE: f64 = 0.95;
+
 /// Tuning for the router. `Default` is sized for the in-process
 /// clusters the bench and tests run; production deployments mostly
 /// tune `client` (deadline) and `hedge_max_ms`.
@@ -115,9 +119,6 @@ pub struct RouterConfig {
     /// Hedge delay ceiling in milliseconds; also the delay used while a
     /// shard's latency history is still warming up.
     pub hedge_max_ms: u64,
-    /// Which latency percentile of the shard's recent round-trips sets
-    /// the hedge delay (e.g. `0.95`: hedge when slower than p95).
-    pub hedge_percentile: f64,
     /// Fail-over rounds per shard before the batch is dead-lettered.
     /// Each round is one primary attempt plus at most one hedge.
     pub failover_rounds: u32,
@@ -130,7 +131,6 @@ impl Default for RouterConfig {
             query: QueryConfig::default(),
             hedge_min_ms: 2,
             hedge_max_ms: 200,
-            hedge_percentile: 0.95,
             failover_rounds: 3,
         }
     }
@@ -655,18 +655,18 @@ impl Router {
         }
 
         // Prefer a success from either attempt; a hedge can win even if
-        // the primary failed first.
-        let mut outcomes = race.lock();
-        if let Some(pos) = outcomes.iter().position(|o| o.result.is_ok()) {
-            let won = outcomes.swap_remove(pos);
-            let Ok(tagged) = won.result else {
-                unreachable!()
-            };
-            return Ok((tagged, won.attempt == 1));
+        // the primary failed first. Otherwise the last failure ends the
+        // round. The waits above return only once a racer has reported.
+        let taken = race
+            .lock()
+            .drain(..)
+            .reduce(|first, next| if first.result.is_ok() { first } else { next });
+        match taken {
+            Some(Outcome { attempt, result }) => result.map(|tagged| (tagged, attempt == 1)),
+            None => Err(QnetError::Io(std::io::Error::other(
+                "a hedge race ended unreported",
+            ))),
         }
-        let lost = outcomes.pop().expect("a finished race has outcomes");
-        let Err(e) = lost.result else { unreachable!() };
-        Err(e)
     }
 
     /// The replica order the ladder walks for `shard`: the manifest's
@@ -684,7 +684,7 @@ impl Router {
         rotated
     }
 
-    /// The hedge delay for `shard`: the configured percentile of its
+    /// The hedge delay for `shard`: the [`HEDGE_PERCENTILE`] of its
     /// recent round-trips clamped to `[hedge_min_ms, hedge_max_ms]`, or
     /// the ceiling while the history is still warming up.
     fn hedge_delay_ms(&self, shard: u32) -> u64 {
@@ -695,7 +695,7 @@ impl Router {
         if h.count() < HEDGE_WARMUP_SAMPLES {
             return cfg.hedge_max_ms;
         }
-        h.percentile(cfg.hedge_percentile)
+        h.percentile(HEDGE_PERCENTILE)
             .clamp(cfg.hedge_min_ms, cfg.hedge_max_ms)
     }
 

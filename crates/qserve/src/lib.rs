@@ -55,9 +55,7 @@ pub use generations::{
     gen_index_file, gen_store_file, GenEntry, GenError, GenManifest, GEN_MANIFEST_FILE,
 };
 pub use minimizer::{minimizers, shard_of_hash, IndexConfig, MinimizerIndex};
-pub use service::{
-    BatchHandle, CandidateBatchHandle, GenerationStats, QueryService, ServiceConfig,
-};
+pub use service::{Answer, BatchHandle, GenerationStats, QueryService, ServiceConfig};
 pub use store::ContigStore;
 
 /// Conventional file name of a single contig store written by hand with

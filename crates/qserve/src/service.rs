@@ -9,6 +9,12 @@
 //! [`QserveError::Overloaded`] and an `qserve.shed` counter — nothing is
 //! partially processed, so a shed batch can simply be resubmitted.
 //!
+//! A batch's [`Answer`] type is what each read gets back: its selected
+//! placement, or a shard's full candidate vote. Each chunk carries the
+//! job that resolves and stores its own answers, so batches of both
+//! shapes share one queue, its slots and its admission gate, and come
+//! back through one [`BatchHandle`].
+//!
 //! Results land in per-batch slots indexed by the read's position in the
 //! submitted batch, so the answer vector is identical no matter how many
 //! workers raced over the chunks — the determinism property the golden
@@ -40,7 +46,7 @@
 //! [`GenError`] naming the generation) and the previously active
 //! generation keeps serving. See SERVING.md, "Generations & hot reload".
 //!
-//! [`submit`]: QueryService::submit
+//! [`submit`]: QueryService::submit_pinned
 
 use crate::engine::{Candidate, Hit, QueryEngine};
 use crate::generations::{self, GenError, GenManifest};
@@ -129,56 +135,67 @@ pub struct GenerationStats {
     pub retired: Vec<u64>,
 }
 
-/// What a batch's workers compute per read: the selected placement
-/// (single-node serving) or the full voted-candidate set (shard-scoped
-/// serving, where final selection happens at the router after merging
-/// per-shard votes — see `qserve::merge_candidates`).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum BatchMode {
-    Hits,
-    Candidates,
+/// What a batch answers per read, and the one engine pass that resolves
+/// a chunk of it: the selected placement (`Option<Hit>`, single-node
+/// serving) or every voted candidate (`Vec<Candidate>`, a shard's vote,
+/// which the router merges before it selects — see
+/// [`merge_candidates`](crate::merge_candidates)).
+pub trait Answer: Clone + Default + Send + 'static {
+    /// Resolve `reads` in one pass; answer `i` answers `reads[i]`.
+    fn resolve(engine: &QueryEngine, reads: &[PackedSeq]) -> Vec<Self>;
 }
 
-/// Per-batch result storage, matching the batch's [`BatchMode`].
-enum BatchResults {
-    Hits(Vec<Option<Hit>>),
-    Candidates(Vec<Vec<Candidate>>),
+impl Answer for Option<Hit> {
+    fn resolve(engine: &QueryEngine, reads: &[PackedSeq]) -> Vec<Self> {
+        engine.query_batch(reads)
+    }
 }
 
-/// One batch's shared completion state.
-struct BatchState {
-    /// One slot per submitted read, in submission order.
-    results: Mutex<BatchResults>,
-    /// Chunks not yet fully processed. Changed only under the queue lock,
-    /// so a waiter that reads it there cannot miss the last chunk's wake.
-    pending: AtomicUsize,
+impl Answer for Vec<Candidate> {
+    fn resolve(engine: &QueryEngine, reads: &[PackedSeq]) -> Vec<Self> {
+        engine.query_candidates_batch(reads)
+    }
 }
 
-/// What a submitter holds for an admitted batch: the batch, and the
-/// service whose slots its waiter may take to run the batch's chunks.
-struct Ticket {
+/// A ticket for a submitted batch: its answer slots, and the service
+/// whose slots its waiter may take to run the batch's chunks;
+/// [`wait`](BatchHandle::wait) blocks until every read is resolved and
+/// yields the answers in submission order.
+pub struct BatchHandle<A> {
     shared: Arc<Shared>,
-    state: Arc<BatchState>,
+    /// Chunks of the batch not yet fully processed. Changed only under
+    /// the queue lock, so a waiter that reads it there cannot miss the
+    /// last chunk's wake.
+    pending: Arc<AtomicUsize>,
+    /// One slot per submitted read, in submission order.
+    answers: Arc<Mutex<Vec<A>>>,
     gen_id: u64,
 }
 
-impl Ticket {
-    /// Run this batch's still-queued chunks whenever a slot is free, block
-    /// until every chunk is done, and take the results.
-    fn wait(self) -> BatchResults {
+impl<A> BatchHandle<A> {
+    /// Block until the batch completes, running its queued chunks on this
+    /// thread whenever a slot is free; answers align with the submitted
+    /// reads (`answers[i]` answers `reads[i]`).
+    pub fn wait(self) -> Vec<A> {
         while let Some(chunk) = self.next_own_chunk() {
             self.shared.run_chunk(chunk, self.shared.parent_span, true);
         }
-        let mut results = self.state.results.lock().unwrap_or_else(|e| e.into_inner());
-        std::mem::replace(&mut *results, BatchResults::Hits(Vec::new()))
+        std::mem::take(&mut *self.answers.lock().unwrap_or_else(|e| e.into_inner()))
+    }
+
+    /// The generation this batch was admitted under — every read in the
+    /// batch answers from it, even if a reload lands before the batch
+    /// drains.
+    pub fn generation(&self) -> u64 {
+        self.gen_id
     }
 
     /// A queued chunk of this batch, now holding a slot; `None` once the
     /// batch is done.
     fn next_own_chunk(&self) -> Option<Chunk> {
         let shared = &self.shared;
-        let done = || self.state.pending.load(Ordering::SeqCst) == 0;
-        let own = |c: &Chunk| c.of(&self.state);
+        let done = || self.pending.load(Ordering::SeqCst) == 0;
+        let own = |c: &Chunk| Arc::ptr_eq(&c.pending, &self.pending);
         loop {
             // Under the model checker "the submitter ran its own chunk"
             // and "the submitter saw the batch finish" are explicit,
@@ -202,88 +219,33 @@ impl Ticket {
     }
 }
 
-impl Drop for Ticket {
+impl<A> Drop for BatchHandle<A> {
     /// A batch dropped unwaited still completes: its chunks go to the
     /// workers, since no waiter will take them.
     fn drop(&mut self) {
-        if self.state.pending.load(Ordering::SeqCst) > 0 {
+        if self.pending.load(Ordering::SeqCst) > 0 {
             self.shared.available.notify_all();
         }
     }
 }
 
-/// A ticket for a submitted batch; [`wait`](BatchHandle::wait) blocks
-/// until every read is resolved and yields the results in submission
-/// order.
-pub struct BatchHandle {
-    ticket: Ticket,
-}
-
-impl BatchHandle {
-    /// Block until the batch completes, running its queued chunks on this
-    /// thread whenever a slot is free; results align with the submitted
-    /// reads (`results[i]` answers `reads[i]`).
-    pub fn wait(self) -> Vec<Option<Hit>> {
-        match self.ticket.wait() {
-            BatchResults::Hits(hits) => hits,
-            BatchResults::Candidates(_) => unreachable!("hit batch holds hit results"),
-        }
-    }
-
-    /// The generation this batch was admitted under — every read in the
-    /// batch answers from it, even if a reload lands before the batch
-    /// drains.
-    pub fn generation(&self) -> u64 {
-        self.ticket.gen_id
-    }
-}
-
-/// A ticket for a batch submitted in candidate mode via
-/// [`QueryService::submit_candidates`];
-/// [`wait`](CandidateBatchHandle::wait) blocks until every read is
-/// resolved and yields each read's full voted-candidate set.
-pub struct CandidateBatchHandle {
-    ticket: Ticket,
-}
-
-impl CandidateBatchHandle {
-    /// Block until the batch completes, helping as
-    /// [`BatchHandle::wait`] does; `results[i]` holds every voted
-    /// candidate placement for `reads[i]`.
-    pub fn wait(self) -> Vec<Vec<Candidate>> {
-        match self.ticket.wait() {
-            BatchResults::Candidates(c) => c,
-            BatchResults::Hits(_) => unreachable!("candidate batch holds candidate results"),
-        }
-    }
-
-    /// The generation this batch was admitted under.
-    pub fn generation(&self) -> u64 {
-        self.ticket.gen_id
-    }
-}
-
-/// A unit of work: a contiguous slice of one batch.
+/// A unit of work: a contiguous slice of one batch, whatever its answer
+/// shape, so batches of both shapes share one queue.
 struct Chunk {
-    state: Arc<BatchState>,
-    /// Offset of `reads[0]` within the batch's result vector.
-    start: usize,
-    reads: Vec<PackedSeq>,
-    /// What the workers compute for this chunk's reads; always matches
-    /// the variant of the batch's result storage.
-    mode: BatchMode,
+    /// Its batch's [`BatchHandle::pending`], which also tells a waiter
+    /// its own chunks.
+    pending: Arc<AtomicUsize>,
+    /// Reads in the chunk.
+    n: usize,
+    /// Resolves the chunk's reads against an engine and stores the
+    /// answers in the batch's slots.
+    job: Box<dyn FnOnce(&QueryEngine) + Send>,
     /// The generation the chunk was admitted under; the worker resolves
     /// against *this* engine, never "whatever is active now".
     gen: Arc<Generation>,
     /// When the chunk was admitted — the start of its queue-wait, which
     /// is folded into the `qserve.latency.queue` histogram.
     enqueued: Instant,
-}
-
-impl Chunk {
-    fn of(&self, batch: &Arc<BatchState>) -> bool {
-        Arc::ptr_eq(&self.state, batch)
-    }
 }
 
 struct Queue {
@@ -370,7 +332,7 @@ impl Shared {
     /// worker for whatever is still queued; a worker takes that itself.
     fn run_chunk(&self, chunk: Chunk, span: u64, helper: bool) {
         faultsim::sched::point("qserve.chunk.exec");
-        let n = chunk.reads.len() as u64;
+        let n = chunk.n as u64;
         self.rec.counter_on(span, "qserve.queries", n);
         let traced = self.rec.is_enabled();
         // Per-read latency, split queue-wait / execute / total, in
@@ -382,13 +344,7 @@ impl Shared {
             .saturating_duration_since(chunk.enqueued)
             .as_micros() as u64;
         let begun = Instant::now();
-        let engine = &chunk.gen.engine;
-        let answers = match chunk.mode {
-            BatchMode::Hits => BatchResults::Hits(engine.query_batch(&chunk.reads)),
-            BatchMode::Candidates => {
-                BatchResults::Candidates(engine.query_candidates_batch(&chunk.reads))
-            }
-        };
+        (chunk.job)(&chunk.gen.engine);
         if traced {
             let exec_us = begun.elapsed().as_micros() as u64;
             for (name, us) in [
@@ -410,27 +366,9 @@ impl Shared {
         if chunk.gen.inflight.fetch_sub(1, Ordering::SeqCst) == 1 {
             self.scavenge();
         }
-        {
-            let mut results = chunk
-                .state
-                .results
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            match (&mut *results, answers) {
-                (BatchResults::Hits(slots), BatchResults::Hits(hits)) => {
-                    slots[chunk.start..chunk.start + hits.len()].copy_from_slice(&hits);
-                }
-                (BatchResults::Candidates(slots), BatchResults::Candidates(lists)) => {
-                    for (slot, list) in slots[chunk.start..].iter_mut().zip(lists) {
-                        *slot = list;
-                    }
-                }
-                _ => unreachable!("a chunk answers in its batch's mode"),
-            }
-        }
         let mut q = self.lock_queue();
         q.busy -= 1;
-        chunk.state.pending.fetch_sub(1, Ordering::SeqCst);
+        chunk.pending.fetch_sub(1, Ordering::SeqCst);
         let queued = !q.chunks.is_empty();
         drop(q);
         self.progress.notify_all();
@@ -563,83 +501,40 @@ impl QueryService {
         self.shared.drained.load(Ordering::Relaxed)
     }
 
-    /// Submit a batch. Returns a [`BatchHandle`] on admission, or
-    /// [`QserveError::Overloaded`] if the queue cannot absorb it. The
+    /// Submit a placement batch. Returns a [`BatchHandle`] on admission,
+    /// or [`QserveError::Overloaded`] if the queue cannot absorb it. The
     /// batch binds to the active generation at admission.
-    pub fn submit(&self, reads: Vec<PackedSeq>) -> crate::Result<BatchHandle> {
+    pub fn submit(&self, reads: Vec<PackedSeq>) -> crate::Result<BatchHandle<Option<Hit>>> {
         self.submit_pinned(reads, 0)
     }
 
-    /// [`submit`](Self::submit), pinned: `pin == 0` means "the active
-    /// generation, whatever it is"; any other value demands that exact
-    /// generation and fails with [`GenError::MissingGeneration`] if it
-    /// is not resident and queryable (active or previous). Routers use
-    /// the pin to keep a mixed-generation rollout window coherent.
-    pub fn submit_pinned(&self, reads: Vec<PackedSeq>, pin: u64) -> crate::Result<BatchHandle> {
-        let ticket = self.submit_inner(reads, BatchMode::Hits, pin)?;
-        Ok(BatchHandle { ticket })
-    }
-
-    /// Submit a batch in candidate mode: workers report every voted
-    /// candidate placement per read instead of selecting one. This is the
-    /// shard-serving path — admission, chunking, and shedding are
-    /// identical to [`submit`](Self::submit), so shard queries obey the
-    /// same backpressure as placement queries.
-    pub fn submit_candidates(&self, reads: Vec<PackedSeq>) -> crate::Result<CandidateBatchHandle> {
-        self.submit_candidates_pinned(reads, 0)
-    }
-
-    /// [`submit_candidates`](Self::submit_candidates) with a generation
-    /// pin (same semantics as [`submit_pinned`](Self::submit_pinned)).
-    pub fn submit_candidates_pinned(
+    /// Submit a batch answered in shape `A` — placements, or a shard's
+    /// candidate votes; both shapes share the queue, the slots and the
+    /// admission gate. `pin == 0` means "the active generation, whatever
+    /// it is"; any other value demands that exact generation and fails
+    /// with [`GenError::MissingGeneration`] if it is not resident and
+    /// queryable (active or previous). Routers use the pin to keep a
+    /// mixed-generation rollout window coherent.
+    pub fn submit_pinned<A: Answer>(
         &self,
         reads: Vec<PackedSeq>,
         pin: u64,
-    ) -> crate::Result<CandidateBatchHandle> {
-        let ticket = self.submit_inner(reads, BatchMode::Candidates, pin)?;
-        Ok(CandidateBatchHandle { ticket })
-    }
-
-    /// Resolve `pin` to a queryable resident generation. Draining and
-    /// retired generations are not queryable: a pin outlives its
-    /// generation only if the operator rolled forward twice without the
-    /// client re-pinning, and that deserves a loud typed error.
-    fn resolve_pin(gens: &GenState, pin: u64) -> crate::Result<Arc<Generation>> {
-        if pin == 0 || pin == gens.active.id {
-            return Ok(Arc::clone(&gens.active));
-        }
-        match &gens.previous {
-            Some(prev) if prev.id == pin => Ok(Arc::clone(prev)),
-            _ => Err(GenError::MissingGeneration { requested: pin }.into()),
-        }
-    }
-
-    fn submit_inner(
-        &self,
-        reads: Vec<PackedSeq>,
-        mode: BatchMode,
-        pin: u64,
-    ) -> crate::Result<Ticket> {
-        let results = match mode {
-            BatchMode::Hits => BatchResults::Hits(vec![None; reads.len()]),
-            BatchMode::Candidates => BatchResults::Candidates(vec![Vec::new(); reads.len()]),
-        };
-        let state = Arc::new(BatchState {
-            results: Mutex::new(results),
-            pending: AtomicUsize::new(0),
-        });
+    ) -> crate::Result<BatchHandle<A>> {
+        let answers = Arc::new(Mutex::new(vec![A::default(); reads.len()]));
+        let pending = Arc::new(AtomicUsize::new(0));
         // Resolve the pin under the gens lock, then admit under the
         // queue lock (gens-before-queue is the crate's lock order). The
         // in-flight bump happens only after admission succeeds, so a
         // shed batch leaves no generation accounting behind.
         let gen = Self::resolve_pin(&self.shared.lock_gens(), pin)?;
-        let ticket = Ticket {
+        let handle = BatchHandle {
             shared: Arc::clone(&self.shared),
-            state: Arc::clone(&state),
+            pending: Arc::clone(&pending),
+            answers: Arc::clone(&answers),
             gen_id: gen.id,
         };
         if reads.is_empty() {
-            return Ok(ticket);
+            return Ok(handle);
         }
         let chunk_size = self.cfg.batch_chunk.max(1);
         let n_chunks = reads.len().div_ceil(chunk_size);
@@ -656,23 +551,28 @@ impl QueryService {
             self.shared
                 .rec
                 .counter("qserve.batch.size", reads.len() as u64);
-            state.pending.store(n_chunks, Ordering::SeqCst);
+            pending.store(n_chunks, Ordering::SeqCst);
             gen.inflight.fetch_add(n_chunks as u64, Ordering::SeqCst);
             let enqueued = Instant::now();
             let mut reads = reads;
             let mut start = 0usize;
             while !reads.is_empty() {
                 let rest = reads.split_off(reads.len().min(chunk_size));
-                let len = reads.len();
+                let (n, answers) = (reads.len(), Arc::clone(&answers));
                 q.chunks.push_back(Chunk {
-                    state: Arc::clone(&state),
-                    start,
-                    reads,
-                    mode,
+                    pending: Arc::clone(&pending),
+                    n,
+                    job: Box::new(move |engine| {
+                        let got = A::resolve(engine, &reads);
+                        let mut slots = answers.lock().unwrap_or_else(|e| e.into_inner());
+                        for (slot, answer) in slots[start..].iter_mut().zip(got) {
+                            *slot = answer;
+                        }
+                    }),
                     gen: Arc::clone(&gen),
                     enqueued,
                 });
-                start += len;
+                start += n;
                 reads = rest;
             }
             self.shared
@@ -683,7 +583,21 @@ impl QueryService {
         for _ in 1..n_chunks.min(self.shared.slots) {
             self.shared.available.notify_one();
         }
-        Ok(ticket)
+        Ok(handle)
+    }
+
+    /// Resolve `pin` to a queryable resident generation. Draining and
+    /// retired generations are not queryable: a pin outlives its
+    /// generation only if the operator rolled forward twice without the
+    /// client re-pinning, and that deserves a loud typed error.
+    fn resolve_pin(gens: &GenState, pin: u64) -> crate::Result<Arc<Generation>> {
+        if pin == 0 || pin == gens.active.id {
+            return Ok(Arc::clone(&gens.active));
+        }
+        match &gens.previous {
+            Some(prev) if prev.id == pin => Ok(Arc::clone(prev)),
+            _ => Err(GenError::MissingGeneration { requested: pin }.into()),
+        }
     }
 
     /// Submit and wait — the synchronous convenience path.
@@ -691,12 +605,13 @@ impl QueryService {
         Ok(self.submit(reads)?.wait())
     }
 
-    /// Submit in candidate mode and wait — the synchronous shard path.
+    /// Submit a batch of candidate votes and wait — the synchronous
+    /// shard path.
     pub fn query_batch_candidates(
         &self,
         reads: Vec<PackedSeq>,
     ) -> crate::Result<Vec<Vec<Candidate>>> {
-        Ok(self.submit_candidates(reads)?.wait())
+        Ok(self.submit_pinned(reads, 0)?.wait())
     }
 
     /// Hot-reload a generation from `dir`'s `generations.json` and swap
@@ -1061,6 +976,45 @@ mod tests {
         assert!(svc.query_batch_candidates(Vec::new()).unwrap().is_empty());
     }
 
+    /// Placement and candidate batches submitted at once share one queue,
+    /// its slots and its helping waiters; each gets its own shape's
+    /// answers, and nothing stays queued or in flight afterwards.
+    #[test]
+    fn batches_of_both_shapes_share_one_queue() {
+        let eng = engine();
+        for workers in [1, 3] {
+            let cfg = ServiceConfig {
+                workers,
+                batch_chunk: 4,
+                ..ServiceConfig::default()
+            };
+            let svc = QueryService::start(engine(), cfg, &Recorder::disabled());
+            std::thread::scope(|s| {
+                for t in 0..3 {
+                    let (svc, eng) = (&svc, &eng);
+                    s.spawn(move || {
+                        for round in 0..20 {
+                            let batch = reads(1 + (t * 7 + round * 5) % 23);
+                            if (t + round) % 2 == 0 {
+                                let hits = svc.query_batch(batch.clone()).unwrap();
+                                let want: Vec<_> = batch.iter().map(|r| eng.query(r)).collect();
+                                assert_eq!(hits, want, "{workers} workers, thread {t}");
+                            } else {
+                                let lists = svc.query_batch_candidates(batch.clone()).unwrap();
+                                let want: Vec<_> =
+                                    batch.iter().map(|r| eng.query_candidates(r)).collect();
+                                assert_eq!(lists, want, "{workers} workers, thread {t}");
+                            }
+                        }
+                    });
+                }
+            });
+            assert_eq!(svc.queue_depth(), 0, "{workers} workers");
+            let stats = svc.generation_stats();
+            assert!(stats.inflight.iter().all(|&(_, n)| n == 0), "{stats:?}");
+        }
+    }
+
     #[test]
     fn a_one_chunk_batch_runs_on_the_waiting_thread() {
         let rec = Recorder::new();
@@ -1142,12 +1096,14 @@ mod tests {
         // to 1 answer bit-identically to the pre-reload service.
         let unpinned = svc.submit(queries.clone()).unwrap();
         assert_eq!(unpinned.generation(), 2);
-        let pinned = svc.submit_pinned(queries.clone(), 1).unwrap();
+        let pinned = svc
+            .submit_pinned::<Option<Hit>>(queries.clone(), 1)
+            .unwrap();
         assert_eq!(pinned.generation(), 1);
         assert_eq!(pinned.wait(), before);
 
         // A pin to a generation that is not resident is a typed error.
-        match svc.submit_pinned(queries.clone(), 7) {
+        match svc.submit_pinned::<Option<Hit>>(queries.clone(), 7) {
             Err(QserveError::Generation(GenError::MissingGeneration { requested: 7 })) => {}
             other => panic!("expected MissingGeneration, got {:?}", other.map(|_| ())),
         }
@@ -1323,7 +1279,7 @@ mod tests {
 
         // Pinning to the retired generation is refused.
         assert!(matches!(
-            svc.submit_pinned(reads(1), 1),
+            svc.submit_pinned::<Vec<Candidate>>(reads(1), 1),
             Err(QserveError::Generation(GenError::MissingGeneration {
                 requested: 1
             }))
