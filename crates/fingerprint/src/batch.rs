@@ -105,47 +105,57 @@ pub fn batch_fingerprints(
     scheme: FingerprintScheme,
 ) -> BatchOutput {
     let read_len = batch.first().map_or(0, |r| r.len());
+    charge_fingerprint_kernel(device, scheme, batch.len(), read_len);
     let mut out = BatchOutput {
         read_len,
         reads: batch.len(),
         rows: vec![0; 2 * read_len * batch.len()],
     };
     let (prefix, suffix) = out.rows.split_at_mut(read_len * batch.len());
-    batch_fingerprints_into(
-        device,
-        rk,
-        batch,
-        scheme,
-        1..read_len + 1,
-        prefix,
-        suffix,
-        |fp, _| fp,
-    );
+    fingerprint_rows_into(rk, batch, 0, 1..read_len + 1, prefix, suffix, |fp, _| fp);
     out
 }
 
-/// The fused map kernel: fingerprint a batch of same-length reads and keep
-/// the lengths in `lens`, length-major. `prefix` and `suffix` hold
-/// `lens.len()` rows of `batch.len()` tuples; row `k`, column `b` receives
-/// `make(fingerprint, b)` for read `b`'s prefix or suffix of length
-/// `lens.start + k`.
-///
-/// The device is charged exactly as [`batch_fingerprints`] charges it: the
-/// whole kernel, whatever the caller keeps.
-#[allow(clippy::too_many_arguments)]
-pub fn batch_fingerprints_into<T: Send>(
+/// Charge `device` one launch of the fingerprint kernel over a batch of
+/// `reads` reads of `read_len` bases: the whole kernel, all prefixes and
+/// suffixes of every read, whatever the host later computes of it and in
+/// however many slices.
+pub fn charge_fingerprint_kernel(
     device: &Device,
-    rk: &RabinKarp,
-    batch: &[Vec<u8>],
     scheme: FingerprintScheme,
+    reads: usize,
+    read_len: usize,
+) {
+    device.charge_kernel(
+        match scheme {
+            FingerprintScheme::ThreadPerRead => "fingerprint_thread_per_read",
+            FingerprintScheme::BlockPerRead => "fingerprint_block_per_read",
+        },
+        scheme_cost(scheme, reads, read_len),
+    );
+}
+
+/// The fused map kernel's host side, with no device: fingerprint a slice
+/// of same-length reads and keep the lengths in `lens`, length-major.
+/// `prefix` and `suffix` hold `lens.len()` rows of `reads.len()` tuples;
+/// row `k`, column `b` receives `make(fingerprint, first_col + b)` for
+/// read `b`'s prefix or suffix of length `lens.start + k`. `first_col` is
+/// where the slice starts in its batch, so a batch computed slice by
+/// slice hands `make` the columns it would have handed it whole.
+///
+/// The device is charged by [`charge_fingerprint_kernel`], once a batch.
+pub fn fingerprint_rows_into<T: Send>(
+    rk: &RabinKarp,
+    reads: &[Vec<u8>],
+    first_col: usize,
     lens: Range<usize>,
     prefix: &mut [T],
     suffix: &mut [T],
     make: impl Fn(Fingerprint128, usize) -> T + Sync,
 ) {
-    let read_len = batch.first().map_or(0, |r| r.len());
+    let read_len = reads.first().map_or(0, |r| r.len());
     assert!(
-        batch.iter().all(|r| r.len() == read_len),
+        reads.iter().all(|r| r.len() == read_len),
         "reads of one batch share a length"
     );
     assert!(
@@ -153,32 +163,25 @@ pub fn batch_fingerprints_into<T: Send>(
         "lengths {lens:?} outside 1..={read_len}"
     );
     assert!(
-        prefix.len() == lens.len() * batch.len() && suffix.len() == prefix.len(),
-        "one row of batch.len() tuples per kept length and side"
+        prefix.len() == lens.len() * reads.len() && suffix.len() == prefix.len(),
+        "one row of reads.len() tuples per kept length and side"
     );
-    device.charge_kernel(
-        match scheme {
-            FingerprintScheme::ThreadPerRead => "fingerprint_thread_per_read",
-            FingerprintScheme::BlockPerRead => "fingerprint_block_per_read",
-        },
-        scheme_cost(scheme, batch.len(), read_len),
-    );
-    if batch.is_empty() || lens.is_empty() {
+    if reads.is_empty() || lens.is_empty() {
         return;
     }
     // Each part owns a range of columns (reads) in every row; whole tiles,
     // so that a part boundary splits no tile. The grain counts bases: one
     // costs about what a search or a copy per element does.
-    let step = part_len(batch.len() * read_len, ELEMENT_GRAIN)
+    let step = part_len(reads.len() * read_len, ELEMENT_GRAIN)
         .div_ceil(read_len)
         .next_multiple_of(TILE);
-    let mut parts: Vec<_> = batch
+    let mut parts: Vec<_> = reads
         .chunks(step)
         .map(|reads| (reads, Vec::new(), Vec::new()))
         .collect();
     for (prefix_row, suffix_row) in prefix
-        .chunks_mut(batch.len())
-        .zip(suffix.chunks_mut(batch.len()))
+        .chunks_mut(reads.len())
+        .zip(suffix.chunks_mut(reads.len()))
     {
         let columns = prefix_row.chunks_mut(step).zip(suffix_row.chunks_mut(step));
         for ((_, prefix_rows, suffix_rows), (p, s)) in parts.iter_mut().zip(columns) {
@@ -186,7 +189,7 @@ pub fn batch_fingerprints_into<T: Send>(
             suffix_rows.push(s);
         }
     }
-    let first_cols = (0..).step_by(step);
+    let first_cols = (first_col..).step_by(step);
     par_parts(
         parts.into_iter().zip(first_cols),
         |((reads, mut prefix_rows, mut suffix_rows), first_col)| {
@@ -241,22 +244,21 @@ mod tests {
 
     #[test]
     fn kept_lengths_land_in_their_rows_across_part_boundaries() {
-        // Enough bases that the batch is cut into parallel parts, and a
+        // Enough bases that the slice is cut into parallel parts, and a
         // read count that leaves the last tile short.
         let mut rng = stdx::SplitMix64::new(3);
         let reads: Vec<Vec<u8>> = (0..301)
             .map(|_| (0..20).map(|_| (rng.next_u64() >> 62) as u8).collect())
             .collect();
-        let dev = Device::new(GpuProfile::k40());
         let rk = RabinKarp::new(20);
         let lens = 12..20;
+        let first_col = 1000;
         let mut prefix = vec![(0, 0); lens.len() * reads.len()];
         let mut suffix = prefix.clone();
-        batch_fingerprints_into(
-            &dev,
+        fingerprint_rows_into(
             &rk,
             &reads,
-            FingerprintScheme::BlockPerRead,
+            first_col,
             lens.clone(),
             &mut prefix,
             &mut suffix,
@@ -265,14 +267,25 @@ mod tests {
         for (k, len) in lens.enumerate() {
             for (b, codes) in reads.iter().enumerate() {
                 let at = k * reads.len() + b;
-                assert_eq!(prefix[at], (rk.fingerprint(&codes[..len]), b));
-                assert_eq!(suffix[at], (rk.fingerprint(&codes[20 - len..]), b));
+                assert_eq!(prefix[at], (rk.fingerprint(&codes[..len]), first_col + b));
+                assert_eq!(
+                    suffix[at],
+                    (rk.fingerprint(&codes[20 - len..]), first_col + b)
+                );
             }
         }
-        // Keeping fewer lengths charges the same kernel.
+    }
+
+    #[test]
+    fn the_charge_depends_on_the_batch_alone() {
+        let rk = RabinKarp::new(8);
         let whole = Device::new(GpuProfile::k40());
-        batch_fingerprints(&whole, &rk, &reads, FingerprintScheme::BlockPerRead);
-        assert_eq!(dev.stats().kernel_seconds, whole.stats().kernel_seconds);
+        batch_fingerprints(&whole, &rk, &batch(), FingerprintScheme::BlockPerRead);
+        let charged = Device::new(GpuProfile::k40());
+        charge_fingerprint_kernel(&charged, FingerprintScheme::BlockPerRead, 3, 8);
+        assert_eq!(charged.stats().kernel_launches, 1);
+        assert_eq!(charged.stats().per_kernel, whole.stats().per_kernel);
+        assert_eq!(charged.stats().kernel_seconds, whole.stats().kernel_seconds);
     }
 
     #[test]

@@ -13,8 +13,10 @@
 //! *executes* its work-efficient equivalent — one Horner pass per read for
 //! the prefixes, the same Fig. 6 step for the suffixes, no wide division —
 //! and writes only the lengths the caller keeps, length-major, straight
-//! into the caller's rows ([`batch_fingerprints_into`]). The lock-step scan
-//! itself lives on in the tests, as the oracle for Fig. 5.
+//! into the caller's rows ([`fingerprint_rows_into`]); the device is charged
+//! once a batch ([`charge_fingerprint_kernel`]), however many slices the
+//! host computes it in. The lock-step scan itself lives on in the tests,
+//! as the oracle for Fig. 5.
 //!
 //! Following Section IV-B, a fingerprint is **two independent 64-bit
 //! hashes** (different radixes and prime moduli) packed into a `u128` —
@@ -26,9 +28,12 @@ pub mod batch;
 pub mod params;
 pub mod scan;
 
-pub use batch::{batch_fingerprints, batch_fingerprints_into, BatchOutput, FingerprintScheme};
+pub use batch::{
+    batch_fingerprints, charge_fingerprint_kernel, fingerprint_rows_into, BatchOutput,
+    FingerprintScheme,
+};
 pub use params::{HashParams, PlaceValues};
-pub use scan::RabinKarp;
+pub use scan::{RabinKarp, TILE};
 
 /// A 128-bit fingerprint: hash under parameter set 0 in the high 64 bits,
 /// hash under parameter set 1 in the low 64 bits.

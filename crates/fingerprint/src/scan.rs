@@ -12,7 +12,7 @@ const LANES: usize = 4;
 /// Strands whose tuples are stored together: each kept row receives this
 /// many adjacent tuples at a time, whole cache lines of them, while their
 /// prefix hashes (16 B per base and strand) still fit in L1.
-pub(crate) const TILE: usize = 4 * LANES;
+pub const TILE: usize = 4 * LANES;
 
 /// Dual Rabin-Karp hasher over 2-bit base codes.
 ///

@@ -8,15 +8,33 @@
 //! partition, and are appended to the per-length partition files a row at
 //! a time. Lengths below `l_min` and the full read length are dropped (the
 //! latter would create self-loops) before they are ever stored.
+//!
+//! A *device batch* is what the paper charges: up to 90% of the device
+//! filled with reads and their fingerprint outputs (a
+//! [`vgpu::DeviceReservation`], which takes no host bytes), one upload,
+//! one kernel launch and one download of its kept tuples. The host
+//! executes that batch one *tile* of `TILE_READS` reads at a time: each
+//! tile is fingerprinted into the same two tile-sized row buffers and
+//! written to the partitions before the next, so the host holds one
+//! tile's tuples whatever the device's size. Tiles go out in vertex
+//! order, so every partition receives the tuples, and the bytes, that the
+//! whole batch would give it.
 
 use crate::config::AssemblyConfig;
 use crate::Result;
-use fingerprint::{batch_fingerprints_into, truncate_bits, RabinKarp};
+use fingerprint::{charge_fingerprint_kernel, fingerprint_rows_into, truncate_bits, RabinKarp};
 use genome::ReadSet;
 use gstream::spill::{PartitionSet, SpillDir};
 use gstream::{HostMem, KvPair};
 use std::collections::BTreeMap;
 use vgpu::Device;
+
+/// Reads of a device batch that the host fingerprints and writes at a
+/// time. Their 256 strands are whole scan tiles, and enough bases to
+/// share out over the cores; their kept tuples, 32 B per strand, length
+/// and side, are 0.6 MB for 100 bp reads.
+const TILE_READS: usize = 128;
+const _: () = assert!((2 * TILE_READS).is_multiple_of(fingerprint::TILE));
 
 /// Per-length record counts produced by the map phase.
 pub type PartitionCounts = BTreeMap<u32, (u64, u64)>;
@@ -111,11 +129,13 @@ pub fn run_range_traced(
     let device_cap = (device.capacity() as usize * 9 / 10 / per_read_device_bytes).max(1);
     let host_cap = (host.capacity() as usize / (n * 2) / 2).max(1);
     let batch_reads = config.map_batch_reads.min(host_cap).min(device_cap);
-    // Staged codes and kept tuples of one batch, reused by the next: two
-    // strands per read, and per side one row of tuples per kept length.
+    // Staged codes of one batch, reused by the next: two strands per read.
     let mut batch: Vec<Vec<u8>> = vec![Vec::new(); batch_reads.min(end - start) * 2];
+    // Kept tuples of one tile, reused by the next: per side one row of
+    // tuples per kept length.
     let kept = config.l_min as usize..config.l_max as usize;
-    let mut suffix = vec![KvPair::default(); batch.len() * kept.len()];
+    let tile_strands = 2 * TILE_READS;
+    let mut suffix = vec![KvPair::default(); batch.len().min(tile_strands) * kept.len()];
     let mut prefix = suffix.clone();
 
     let mut batches = 0u64;
@@ -126,7 +146,8 @@ pub fn run_range_traced(
         // Host staging buffer for the batch: forward + reverse codes; the
         // device holds the batch plus its fingerprint outputs.
         let _host_guard = host.reserve(((batch_end - read_idx) * n * 2) as u64)?;
-        let _device_staging = device.alloc::<u8>((batch_end - read_idx) * per_read_device_bytes)?;
+        let _device_staging =
+            device.reserve(((batch_end - read_idx) * per_read_device_bytes) as u64)?;
 
         let batch = &mut batch[..(batch_end - read_idx) * 2];
         let (strand_pairs, _) = batch.as_chunks_mut::<2>();
@@ -142,31 +163,28 @@ pub fn run_range_traced(
             (batch.len() * n) as u64 / 4,
             (batch.len() * kept.len() * 2 * KvPair::BYTES) as u64,
         );
+        charge_fingerprint_kernel(device, config.fingerprint_scheme, batch.len(), n);
 
         // Strand `b` of the batch is vertex `2 · read_idx + b`.
-        let first_vertex = read_idx * 2;
-        let tuples = batch.len() * kept.len();
-        batch_fingerprints_into(
-            device,
-            &rk,
-            batch,
-            config.fingerprint_scheme,
-            kept.clone(),
-            &mut prefix[..tuples],
-            &mut suffix[..tuples],
-            |fp, b| {
-                KvPair::new(
-                    truncate_bits(fp, config.fingerprint_bits),
-                    (first_vertex + b) as u32,
-                )
-            },
-        );
-        partitions.write_rows(
-            config.l_min,
-            batch.len(),
-            &suffix[..tuples],
-            &prefix[..tuples],
-        )?;
+        let first_vertices = (read_idx * 2..).step_by(tile_strands);
+        for (tile, first_vertex) in batch.chunks(tile_strands).zip(first_vertices) {
+            let tuples = tile.len() * kept.len();
+            fingerprint_rows_into(
+                &rk,
+                tile,
+                first_vertex,
+                kept.clone(),
+                &mut prefix[..tuples],
+                &mut suffix[..tuples],
+                |fp, v| KvPair::new(truncate_bits(fp, config.fingerprint_bits), v as u32),
+            );
+            partitions.write_rows(
+                config.l_min,
+                tile.len(),
+                &suffix[..tuples],
+                &prefix[..tuples],
+            )?;
+        }
         read_idx = batch_end;
     }
 
@@ -326,16 +344,30 @@ mod tests {
             .into()
     }
 
+    /// Batch sizes around and across the host tile: one read, a few, one
+    /// short of a tile, a tile, one over, three tiles and a ragged fourth,
+    /// and more than the whole set.
+    const BATCHINGS: [usize; 7] = [
+        1,
+        7,
+        TILE_READS - 1,
+        TILE_READS,
+        TILE_READS + 1,
+        3 * TILE_READS + 5,
+        4096,
+    ];
+
     #[test]
     fn every_partition_equals_the_per_vertex_reference_for_any_batching() {
         let genome = GenomeSim::uniform(600, 11).generate();
-        let reads = ShotgunSim::error_free(24, 12.0, 12).sample(&genome);
-        // Enough tuples per batch that the whole-set batch is fingerprinted
-        // and written in parallel parts.
-        assert!(reads.len() * 2 * 9 * 2 > vgpu::exec::ELEMENT_GRAIN);
+        let reads = ShotgunSim::error_free(24, 20.0, 12).sample(&genome);
+        // Enough reads that a batch spans four tiles, and enough tuples per
+        // tile that it is fingerprinted and written in parallel parts.
+        assert!(reads.len() > 3 * TILE_READS + 5, "{} reads", reads.len());
+        const { assert!(2 * TILE_READS * 9 * 2 > vgpu::exec::ELEMENT_GRAIN) };
         for range_split in [1, 3] {
             for fingerprint_bits in [128, 40] {
-                for map_batch_reads in [1, 7, 4096] {
+                for map_batch_reads in BATCHINGS {
                     let (_g, device, host, spill) = setup();
                     let mut config = AssemblyConfig::for_dataset(15, 24);
                     config.range_split = range_split;
@@ -415,13 +447,42 @@ mod tests {
 
     #[test]
     fn map_charges_device_kernels_and_transfers() {
-        let (_g, device, host, spill) = setup();
-        let reads = tiny_reads();
-        let config = AssemblyConfig::for_dataset(12, 20);
-        run(&device, &host, &spill, &config, &reads).unwrap();
-        let stats = device.stats();
-        assert!(stats.kernel_launches > 0);
-        assert!(stats.h2d_bytes > 0);
-        assert!(stats.d2h_bytes > 0);
+        // One launch, one upload and one download per device batch however
+        // many tiles the host computes it in, and the batch held on the
+        // device only while it is mapped.
+        let genome = GenomeSim::uniform(600, 11).generate();
+        let reads = ShotgunSim::error_free(24, 20.0, 12).sample(&genome);
+        let config = AssemblyConfig::for_dataset(15, 24);
+        let (n, kept) = (24, 9);
+        let strands = 2 * reads.len();
+        for map_batch_reads in BATCHINGS {
+            let (_g, device, host, spill) = setup();
+            let config = AssemblyConfig {
+                map_batch_reads,
+                ..config
+            };
+            run(&device, &host, &spill, &config, &reads).unwrap();
+            let stats = device.stats();
+            let batches = reads.len().div_ceil(map_batch_reads) as u64;
+            assert_eq!(
+                stats.kernel_launches, batches,
+                "batches of {map_batch_reads}"
+            );
+            assert_eq!(
+                (stats.h2d_bytes, stats.d2h_bytes),
+                (
+                    (strands * n / 4) as u64,
+                    (strands * kept * 2 * KvPair::BYTES) as u64
+                ),
+                "batches of {map_batch_reads}"
+            );
+            let per_read_device_bytes = 2 * n + 2 * 2 * n * 16;
+            let batch = map_batch_reads.min(reads.len());
+            assert_eq!(
+                (stats.mem_used, stats.mem_peak),
+                (0, (batch * per_read_device_bytes) as u64),
+                "batches of {map_batch_reads}"
+            );
+        }
     }
 }

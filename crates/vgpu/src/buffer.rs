@@ -70,9 +70,28 @@ impl<T> Drop for DeviceBuffer<T> {
     }
 }
 
+/// Device bytes held with no contents behind them.
+///
+/// Created by [`crate::Device::reserve`] for space a fused pipeline keeps
+/// on the device while the host executes it some other way (the map
+/// phase's staged batch and its fingerprint outputs): the bytes count
+/// against the device capacity until it is dropped, exactly as a
+/// [`DeviceBuffer`] of that size would, and no host memory is taken.
+#[derive(Debug)]
+pub struct DeviceReservation {
+    pub(crate) bytes: u64,
+    pub(crate) owner: Arc<DeviceInner>,
+}
+
+impl Drop for DeviceReservation {
+    fn drop(&mut self) {
+        self.owner.release(self.bytes);
+    }
+}
+
 #[cfg(test)]
 mod tests {
-    use crate::{Device, GpuProfile};
+    use crate::{Device, DeviceError, GpuProfile};
 
     fn tiny_device() -> Device {
         Device::with_capacity(GpuProfile::k40(), 1024)
@@ -107,6 +126,37 @@ mod tests {
         let dev = tiny_device();
         let mut buf = dev.h2d(&[1u8]).unwrap();
         buf.truncate(2);
+    }
+
+    #[test]
+    fn a_reservation_accounts_exactly_as_a_buffer_of_its_bytes() {
+        // Usage while 800 B are held, the error of 300 B more, then usage
+        // and peak after the drop.
+        let reserved = {
+            let dev = tiny_device();
+            let held = dev.reserve(800).unwrap();
+            let in_use = dev.stats().mem_used;
+            let over = dev.reserve(300).unwrap_err();
+            drop(held);
+            let stats = dev.stats();
+            (in_use, over, stats.mem_used, stats.mem_peak)
+        };
+        let allocated = {
+            let dev = tiny_device();
+            let held = dev.alloc::<u64>(100).unwrap();
+            let in_use = dev.stats().mem_used;
+            let over = dev.alloc::<u8>(300).unwrap_err();
+            drop(held);
+            let stats = dev.stats();
+            (in_use, over, stats.mem_used, stats.mem_peak)
+        };
+        let oom = DeviceError::OutOfMemory {
+            requested: 300,
+            in_use: 800,
+            capacity: 1024,
+        };
+        assert_eq!(reserved, (800, oom, 0, 800));
+        assert_eq!(reserved, allocated);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The virtual device: allocation accounting, transfers, and time charging.
 
-use crate::buffer::DeviceBuffer;
+use crate::buffer::{DeviceBuffer, DeviceReservation};
 use crate::profile::GpuProfile;
 use crate::stats::{DeviceStats, KernelCost, KernelStat, LAUNCH_OVERHEAD_S};
 use std::collections::BTreeMap;
@@ -201,12 +201,26 @@ impl Device {
             .saturating_sub(self.inner.used.load(Ordering::Relaxed))
     }
 
-    /// Allocate an uninitialized (zeroed) buffer of `len` elements.
+    /// Allocate a zero-filled buffer of `len` elements.
     pub fn alloc<T: Default + Clone>(&self, len: usize) -> crate::Result<DeviceBuffer<T>> {
         let bytes = (len * std::mem::size_of::<T>()) as u64;
         self.inner.reserve(bytes)?;
         Ok(DeviceBuffer {
             data: vec![T::default(); len],
+            bytes,
+            owner: Arc::clone(&self.inner),
+        })
+    }
+
+    /// Hold `bytes` of device memory with no buffer behind them: the
+    /// capacity check, the [`DeviceError::OutOfMemory`], `mem_used` and
+    /// `mem_peak` are those of an [`Device::alloc`] of as many bytes, and
+    /// the bytes are released when the reservation is dropped. The device
+    /// twin of a host-budget reservation, for device space whose contents
+    /// the host never materializes.
+    pub fn reserve(&self, bytes: u64) -> crate::Result<DeviceReservation> {
+        self.inner.reserve(bytes)?;
+        Ok(DeviceReservation {
             bytes,
             owner: Arc::clone(&self.inner),
         })

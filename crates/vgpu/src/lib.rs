@@ -38,7 +38,7 @@ pub mod kernels;
 pub mod profile;
 pub mod stats;
 
-pub use buffer::DeviceBuffer;
+pub use buffer::{DeviceBuffer, DeviceReservation};
 pub use device::{Device, DeviceError};
 pub use exec::BlockCtx;
 pub use kernels::radix::RadixKey;
