@@ -3,20 +3,20 @@
 use crate::graph::DbgGraph;
 use crate::kmer::Kmer;
 use genome::{PackedSeq, ReadSet};
-use gstream::{HostMem, HostMemError};
+use gstream::{HostMem, OverBudget};
 
 /// DBG assembler failure modes.
 #[derive(Debug)]
 pub enum DbgError {
     /// The k-mer table outgrew the host budget (the paper's observation
     /// about first-generation assemblers on large datasets).
-    OutOfMemory(HostMemError),
+    OutOfMemory(OverBudget),
 }
 
 impl std::fmt::Display for DbgError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            DbgError::OutOfMemory(e) => write!(f, "k-mer table OOM: {e}"),
+            DbgError::OutOfMemory(e) => write!(f, "k-mer table OOM: host memory {e}"),
         }
     }
 }
@@ -281,7 +281,11 @@ mod tests {
         let genome = GenomeSim::uniform(2_000, 9).generate();
         let reads = ShotgunSim::error_free(60, 10.0, 10).sample(&genome);
         match assembler(21, 10_000).assemble(&reads) {
-            Err(DbgError::OutOfMemory(e)) => assert!(e.requested > 0),
+            Err(err @ DbgError::OutOfMemory(_)) => {
+                assert!(err.requested() > 0);
+                let text = err.to_string();
+                assert!(text.starts_with("k-mer table OOM: host memory budget exceeded"));
+            }
             other => panic!("expected OOM, got {:?}", other.map(|(c, r)| (c.len(), r))),
         }
     }

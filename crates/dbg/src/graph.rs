@@ -2,7 +2,7 @@
 
 use crate::kmer::{canonical_kmers, Kmer};
 use genome::ReadSet;
-use gstream::{HostAlloc, HostMem, HostMemError};
+use gstream::{HostMem, OverBudget, Reservation};
 use std::collections::HashMap;
 
 /// Bytes billed per distinct k-mer node: a hash-table slot (key, coverage
@@ -27,7 +27,7 @@ pub struct DbgGraph {
     k: usize,
     nodes: HashMap<u64, NodeData>,
     host: HostMem,
-    reservations: Vec<HostAlloc>,
+    reservations: Vec<Reservation>,
     billed_nodes: u64,
 }
 
@@ -67,7 +67,7 @@ impl DbgGraph {
         self.nodes.get(&kmer.bits()).copied()
     }
 
-    fn touch(&mut self, canonical: Kmer) -> Result<&mut NodeData, HostMemError> {
+    fn touch(&mut self, canonical: Kmer) -> Result<&mut NodeData, OverBudget> {
         if !self.nodes.contains_key(&canonical.bits()) {
             self.reservations.push(self.host.reserve(BYTES_PER_NODE)?);
             self.billed_nodes += 1;
@@ -81,7 +81,7 @@ impl DbgGraph {
 
     /// Insert every k-mer of every read (both strands folded by
     /// canonicalization) and the adjacency between consecutive windows.
-    pub fn add_reads(&mut self, reads: &ReadSet) -> Result<(), HostMemError> {
+    pub fn add_reads(&mut self, reads: &ReadSet) -> Result<(), OverBudget> {
         let k = self.k;
         for read in reads.iter() {
             let codes = read.to_codes();

@@ -57,8 +57,7 @@ use genome::ReadSet;
 use gstream::iostats::DiskModel;
 use gstream::spill::{PartitionKind, SpillDir};
 use gstream::{
-    ExternalSorter, Fnv64, HostMem, IoStats, KvPair, RecordReader, RecordWriter, SortConfig,
-    StreamError,
+    ExternalSorter, Fnv64, HostMem, IoStats, KvPair, RecordReader, RecordWriter, StreamError,
 };
 use lasagna::config::AssemblyConfig;
 use lasagna::{map, reduce, LasagnaError, Manifest, StringGraph};
@@ -972,6 +971,7 @@ impl Cluster {
                         .collect::<Result<_>>()?
                 };
                 let workers = Workers {
+                    assembly: &cfg.assembly,
                     clients: &clients,
                     mappers: &mappers,
                     manifests: &manifests,
@@ -1425,6 +1425,7 @@ type RoundOutcome<T> = (Vec<(usize, T)>, Vec<usize>);
 /// that mapped each input block, the per-rank manifests and the
 /// failpoints.
 struct Workers<'a> {
+    assembly: &'a AssemblyConfig,
     clients: &'a [AmClient],
     mappers: &'a [usize],
     manifests: &'a [Mutex<Manifest>],
@@ -1484,7 +1485,7 @@ impl Workers<'_> {
     fn sort(&self, rank: usize, node: &Node, items: &[WorkItem]) -> lasagna::Result<()> {
         let ranges = self.ranges;
         let spill = SpillDir::open(&node.dir, node.io.clone())?;
-        let sort_config = SortConfig::from_budgets(&node.host, &node.device);
+        let sort_config = lasagna::sortphase::sort_config(self.assembly, &node.host, &node.device);
         let sorter = ExternalSorter::new(node.device.clone(), node.host.clone(), sort_config)?;
         for it in items {
             for kind in [PartitionKind::Suffix, PartitionKind::Prefix] {
@@ -1625,6 +1626,45 @@ mod tests {
         // All fetches are rank-local; only charge would be token hops, and
         // with one node there are none.
         assert_eq!(out.report.network_bytes, 0);
+    }
+
+    #[test]
+    fn one_node_charges_map_and_sort_as_the_pipeline_does() {
+        let reads = sample(1200, 40, 8.0, 29);
+        // Budget-derived blocks, and blocks far below what the budgets
+        // allow: several runs and merge passes per partition.
+        let small = gstream::SortConfig {
+            host_block_pairs: 64,
+            device_block_pairs: 16,
+            kway: false,
+        };
+        for sort in [None, Some(small)] {
+            let mut assembly = AssemblyConfig::for_dataset(25, 40);
+            assembly.sort = sort;
+            let mut c = cluster(1, 25, 40, 64);
+            c.config.assembly = assembly;
+            let dir = stdx::tempdir().unwrap();
+            let distributed = c.assemble(&reads, dir.path()).unwrap().report;
+            let dir = stdx::tempdir().unwrap();
+            let pipeline = lasagna::Pipeline::new(
+                Device::with_capacity(GpuProfile::k20x(), 1 << 20),
+                HostMem::new(8 << 20),
+                SpillDir::create(dir.path(), IoStats::new(DiskModel::hdd())).unwrap(),
+                assembly,
+            )
+            .unwrap();
+            let single = pipeline.assemble(&reads).unwrap().report;
+            // Reduce is not pinned: dnet's charges more (ROADMAP item 13).
+            for phase in ["map", "sort"] {
+                let expect = single.phase(phase).unwrap().modeled_seconds;
+                let got = distributed.phase(phase).unwrap().modeled_seconds;
+                // Equal up to the order the same charges were summed in.
+                assert!(
+                    expect > 0.0 && (got - expect).abs() <= 1e-12 * expect,
+                    "{sort:?} {phase}: {got} vs {expect}"
+                );
+            }
+        }
     }
 
     #[test]

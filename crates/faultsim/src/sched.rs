@@ -347,6 +347,38 @@ impl Deadline {
             Deadline::Wall(_) => thread::sleep(self.remaining()),
         }
     }
+
+    /// Block until what the caller waits for may have come, or the
+    /// deadline passes. `probe(t)` looks for it, blocking for at most `t`
+    /// (a socket read, say), and says whether it came. On the virtual
+    /// clock this is schedule point `name`, polling `probe(Duration::ZERO)`
+    /// until it holds or the deadline passes; on the wall clock it is one
+    /// `probe` for the time left, at most `cap`, and none once the
+    /// deadline has passed.
+    pub fn wait_io(self, name: &str, cap: Duration, probe: &mut dyn FnMut(Duration) -> bool) {
+        match self {
+            Deadline::Virtual(at) => {
+                wait_until_deadline(name, at, &mut || self.passed() || probe(Duration::ZERO))
+            }
+            Deadline::Wall(_) => {
+                let wait = self.remaining().min(cap);
+                if !wait.is_zero() {
+                    probe(wait);
+                }
+            }
+        }
+    }
+}
+
+/// Wall milliseconds since `start`, for a latency history; 1 while a
+/// controller is installed, whose virtual clock barely moves inside one
+/// operation, so that the history still fills.
+pub fn elapsed_ms(start: Instant) -> u64 {
+    if virtual_now_ms().is_some() {
+        1
+    } else {
+        start.elapsed().as_millis() as u64
+    }
 }
 
 /// Block until `ready` holds for the value behind `m`, or `until`
@@ -960,5 +992,49 @@ mod tests {
         drop(ctl);
         assert!(waiter.join("test.join").unwrap());
         setter.join().unwrap();
+    }
+
+    #[test]
+    fn a_wall_io_wait_probes_once_for_the_time_left_capped() {
+        let _serial = lock(&SERIAL);
+        let mut waits = Vec::new();
+        let until = Deadline::after(Duration::from_secs(60));
+        until.wait_io("free.io", Duration::from_millis(1), &mut |t| {
+            waits.push(t);
+            false
+        });
+        Deadline::after(Duration::ZERO).wait_io("free.io", Duration::MAX, &mut |t| {
+            waits.push(t);
+            true
+        });
+        // One probe for the cap; none past the deadline.
+        assert_eq!(waits, vec![Duration::from_millis(1)]);
+        let five_ms_ago = Instant::now() - Duration::from_millis(5);
+        assert!(elapsed_ms(five_ms_ago) >= 5);
+    }
+
+    #[test]
+    fn a_virtual_io_wait_polls_until_the_clock_jumps_to_its_deadline() {
+        let _serial = lock(&SERIAL);
+        let ctl = Controller::install();
+        let waiter = spawn("waiter", || {
+            let until = Deadline::after_ms(40);
+            let mut polls = Vec::new();
+            until.wait_io("waiter.io", Duration::from_millis(1), &mut |t| {
+                polls.push(t);
+                false
+            });
+            (until.passed(), polls, elapsed_ms(Instant::now()))
+        });
+        let trace = drive_lowest(&ctl);
+        assert_eq!(trace.len(), 1);
+        assert_eq!(trace[0].0, "waiter.io");
+        assert!(ctl.clock_ms() >= 40);
+        let (passed, polls, elapsed) = waiter.join("test.join").unwrap();
+        drop(ctl);
+        // Every probe is a poll that must not block.
+        assert!(passed && !polls.is_empty());
+        assert!(polls.iter().all(|t| t.is_zero()));
+        assert_eq!(elapsed, 1, "a latency under a controller is its floor");
     }
 }

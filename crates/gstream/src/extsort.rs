@@ -17,13 +17,13 @@
 //! `log2(m_h / m_d)` (~3-4×). The `sort_levels` ablation bench measures
 //! exactly this difference.
 
-use crate::hostmem::HostMem;
 use crate::iostats::IoSnapshot;
 use crate::merge::{device_merge, kway_merge, windowed_merge, FileSource, PairSource};
 use crate::reader::RecordReader;
 use crate::record::{Columns, KvPair, Pairs};
 use crate::spill::SpillDir;
 use crate::writer::RecordWriter;
+use crate::HostMem;
 use crate::{Result, StreamError};
 use std::path::{Path, PathBuf};
 use vgpu::Device;

@@ -13,7 +13,9 @@
 //! * [`reader`]/[`writer`] — sequential record streams, encoded, XXH64
 //!   checksummed and tallied in shared [`IoStats`] a 64 KiB block at a time
 //!   and charged to a disk bandwidth model;
-//! * [`hostmem`] — host-memory budget accounting (the paper's m_h);
+//! * [`HostMem`] — the host-memory budget (the paper's m_h): the
+//!   workspace's one [`stdx::Ledger`], which the virtual device keeps its
+//!   books with too;
 //! * [`spill`] — per-overlap-length partition files (the map phase output);
 //! * [`merge`] — the paper's **Algorithm 1**: external merging of two sorted
 //!   streams with window equalization by upper-bound and device merges;
@@ -25,7 +27,6 @@
 
 pub mod extsort;
 pub mod frame;
-pub mod hostmem;
 pub mod iostats;
 pub mod merge;
 pub mod reader;
@@ -35,7 +36,6 @@ pub mod writer;
 
 pub use extsort::{ExternalSorter, SortConfig, SortReport};
 pub use frame::{frame_len, read_frame, write_frame, FRAME_HEADER_BYTES, MAX_FRAME_BYTES};
-pub use hostmem::{HostAlloc, HostMem, HostMemError};
 pub use iostats::{DiskModel, IoStats};
 pub use merge::{
     kway_merge, windowed_merge, FileSource, Merged, PairSink, PairSource, SliceSource,
@@ -43,6 +43,7 @@ pub use merge::{
 pub use reader::{read_blob, read_footer, RecordReader};
 pub use record::{fnv1a, Columns, Fnv64, Footer, KvPair, Pairs, Xxh64};
 pub use spill::{range_of, PartitionKind, PartitionSet, SpillDir};
+pub use stdx::{Ledger as HostMem, OverBudget, Reservation};
 pub use writer::{fsync_dir, fsync_parent_dir, write_blob, RecordWriter};
 
 /// Errors from streaming operations.
@@ -55,7 +56,7 @@ pub enum StreamError {
     /// Device-side failure (out of device memory, bad launch).
     Device(vgpu::DeviceError),
     /// Host-memory budget exceeded.
-    HostMem(hostmem::HostMemError),
+    HostMem(OverBudget),
     /// Configuration that cannot work (e.g. zero-sized windows).
     BadConfig(String),
     /// A deterministic injected fault (see `faultsim` and ROBUSTNESS.md).
@@ -68,7 +69,7 @@ impl std::fmt::Display for StreamError {
             StreamError::Io(e) => write!(f, "I/O error: {e}"),
             StreamError::Corrupt(m) => write!(f, "corrupt stream: {m}"),
             StreamError::Device(e) => write!(f, "device error: {e}"),
-            StreamError::HostMem(e) => write!(f, "host memory: {e}"),
+            StreamError::HostMem(e) => write!(f, "host memory {e}"),
             StreamError::BadConfig(m) => write!(f, "bad configuration: {m}"),
             StreamError::Fault(e) => write!(f, "{e}"),
         }
@@ -95,8 +96,8 @@ impl From<vgpu::DeviceError> for StreamError {
     }
 }
 
-impl From<hostmem::HostMemError> for StreamError {
-    fn from(e: hostmem::HostMemError) -> Self {
+impl From<OverBudget> for StreamError {
+    fn from(e: OverBudget) -> Self {
         StreamError::HostMem(e)
     }
 }
@@ -109,3 +110,45 @@ impl From<faultsim::FaultError> for StreamError {
 
 /// Convenience alias for fallible streaming operations.
 pub type Result<T> = std::result::Result<T, StreamError>;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use vgpu::{Device, DeviceError, GpuProfile};
+
+    #[test]
+    fn host_and_device_refuse_the_same_over_reservation_with_their_own_errors() {
+        let host = HostMem::new(1000);
+        let device = Device::with_capacity(GpuProfile::k40(), 1000);
+        let (_h, _d) = (host.reserve(800).unwrap(), device.reserve(800).unwrap());
+
+        let host_err = StreamError::from(host.reserve(300).unwrap_err());
+        let device_err = StreamError::from(device.reserve(300).unwrap_err());
+        let StreamError::HostMem(OverBudget {
+            requested,
+            in_use,
+            capacity,
+        }) = host_err
+        else {
+            panic!("host: {host_err:?}");
+        };
+        assert_eq!((requested, in_use, capacity), (300, 800, 1000));
+        let StreamError::Device(DeviceError::OutOfMemory {
+            requested,
+            in_use,
+            capacity,
+        }) = device_err
+        else {
+            panic!("device: {device_err:?}");
+        };
+        assert_eq!((requested, in_use, capacity), (300, 800, 1000));
+        assert_eq!(
+            host_err.to_string(),
+            "host memory budget exceeded: requested 300 B with 800 B in use of 1000 B"
+        );
+        assert_eq!(
+            device_err.to_string(),
+            "device error: device out of memory: requested 300 B with 800 B in use of 1000 B"
+        );
+    }
+}

@@ -116,8 +116,8 @@ impl From<genome::GenomeError> for LasagnaError {
     }
 }
 
-impl From<gstream::HostMemError> for LasagnaError {
-    fn from(e: gstream::HostMemError) -> Self {
+impl From<gstream::OverBudget> for LasagnaError {
+    fn from(e: gstream::OverBudget) -> Self {
         LasagnaError::Stream(gstream::StreamError::HostMem(e))
     }
 }

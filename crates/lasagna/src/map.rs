@@ -11,7 +11,7 @@
 //!
 //! A *device batch* is what the paper charges: up to 90% of the device
 //! filled with reads and their fingerprint outputs (a
-//! [`vgpu::DeviceReservation`], which takes no host bytes), one upload,
+//! [`vgpu::Device::reserve`], which takes no host bytes), one upload,
 //! one kernel launch and one download of its kept tuples. The host
 //! executes that batch one *tile* of `TILE_READS` reads at a time: each
 //! tile is fingerprinted into the same two tile-sized row buffers and

@@ -45,14 +45,12 @@ impl Pipeline {
         config: AssemblyConfig,
     ) -> Result<Self> {
         config.validate()?;
-        let recorder = obs::Recorder::new();
-        device.set_recorder(recorder.clone());
         Ok(Pipeline {
             device,
             host,
             spill,
             config,
-            recorder,
+            recorder: obs::Recorder::new(),
             faults: faultsim::Faults::disabled(),
         })
     }
@@ -96,7 +94,6 @@ impl Pipeline {
         } else {
             obs::Recorder::new()
         };
-        self.device.set_recorder(self.recorder.clone());
         self.faults.set_recorder(self.recorder.clone());
         self
     }
@@ -298,8 +295,8 @@ impl Pipeline {
         // place) and stream them back in, charging the read I/O — the
         // "Load" row of Tables II/III.
         let staged_path = self.spill.root().join("reads.packed");
-        let packed = reads.to_packed_bytes();
-        std::fs::write(&staged_path, &packed).map_err(gstream::StreamError::from)?;
+        std::fs::write(&staged_path, reads.to_packed_bytes())
+            .map_err(gstream::StreamError::from)?;
         let reads = self.phase("load", || {
             let bytes = std::fs::read(&staged_path).map_err(gstream::StreamError::from)?;
             self.spill.io().add_read(bytes.len() as u64);
@@ -495,6 +492,20 @@ mod tests {
         // Sort must dominate modeled time among map/sort (paper: >50%).
         let sort = out.report.phase("sort").unwrap().modeled_seconds;
         assert!(sort > 0.0);
+    }
+
+    #[test]
+    fn load_holds_the_staged_image_on_the_host_and_every_reservation_goes_back() {
+        let genome = GenomeSim::uniform(1000, 5).generate();
+        let reads = ShotgunSim::error_free(40, 8.0, 6).sample(&genome);
+        let dir = stdx::tempdir().unwrap();
+        let pipeline = Pipeline::laptop(AssemblyConfig::for_dataset(25, 40), dir.path()).unwrap();
+        let out = pipeline.assemble(&reads).unwrap();
+        let load = out.report.phase("load").unwrap();
+        assert_eq!(load.host_peak_bytes, reads.to_packed_bytes().len() as u64);
+        assert_eq!(load.device_peak_bytes, 0);
+        assert_eq!(pipeline.host().used(), 0);
+        assert_eq!(pipeline.device().stats().mem_used, 0);
     }
 
     #[test]

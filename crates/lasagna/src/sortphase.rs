@@ -51,9 +51,9 @@ pub fn run_traced(
     })
 }
 
-/// The block sizes the phase sorts with: the configured ones, or the
-/// largest the budgets allow.
-pub(crate) fn sort_config(config: &AssemblyConfig, host: &HostMem, device: &Device) -> SortConfig {
+/// The block sizes a sort phase sorts with, single-node or distributed:
+/// the configured ones, or the largest the budgets allow.
+pub fn sort_config(config: &AssemblyConfig, host: &HostMem, device: &Device) -> SortConfig {
     config
         .sort
         .unwrap_or_else(|| SortConfig::from_budgets(host, device))

@@ -588,17 +588,10 @@ impl Router {
     /// Feed a round that ended in an answer into the shard's round-trip
     /// history, which drives its hedge delay.
     fn record_round(&self, shard: u32, started: Instant, hedge_won: bool) {
-        let elapsed_ms = if sched::virtual_now_ms().is_some() {
-            // Virtual time barely moves inside one round; record the
-            // wall floor so warmup still fills.
-            1
-        } else {
-            started.elapsed().as_millis() as u64
-        };
         self.latency[shard as usize]
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .record(elapsed_ms);
+            .record(sched::elapsed_ms(started));
         if hedge_won {
             self.shared.rec.counter("qrouter.hedge.won", 1);
         }
@@ -921,30 +914,26 @@ fn attempt(
 /// passed. On the wall clock it waits on the soonest shard's socket,
 /// for at most [`SWEEP`] while other shards wait too.
 fn await_any(waiting: &mut [Waiting]) {
-    let others = waiting.len() > 1;
-    let Some(soonest) = waiting.iter_mut().min_by_key(|w| w.hedge_at) else {
+    let cap = if waiting.len() > 1 {
+        SWEEP
+    } else {
+        Duration::MAX
+    };
+    let Some(soonest) = (0..waiting.len()).min_by_key(|&i| waiting[i].hedge_at) else {
         return;
     };
-    let until = soonest.hedge_at;
-    match until {
-        Deadline::Virtual(at) => {
-            sched::wait_until_deadline("qrouter.primary.wait", at, &mut || {
-                until.passed()
-                    || waiting
-                        .iter_mut()
-                        .any(|w| w.primary.client.answer_ready(Duration::ZERO))
-            })
+    let until = waiting[soonest].hedge_at;
+    // A zero wait is the virtual clock's poll, of every shard; a timed one
+    // waits on the soonest shard's socket.
+    until.wait_io("qrouter.primary.wait", cap, &mut |wait| {
+        if wait.is_zero() {
+            waiting
+                .iter_mut()
+                .any(|w| w.primary.client.answer_ready(Duration::ZERO))
+        } else {
+            waiting[soonest].primary.client.answer_ready(wait)
         }
-        Deadline::Wall(_) => {
-            let wait = match others {
-                true => until.remaining().min(SWEEP),
-                false => until.remaining(),
-            };
-            if !wait.is_zero() {
-                soonest.primary.client.answer_ready(wait);
-            }
-        }
-    }
+    });
 }
 
 /// Run one racer of a hedge race on its own thread and push its outcome

@@ -11,6 +11,10 @@
 //!   typed errors, compact and pretty writers, and [`json::ToJson`] /
 //!   [`json::FromJson`] with [`impl_json!`] for plain structs and unit
 //!   enums;
+//! * [`Ledger`] — a capacity-bounded byte budget with a peak, whose
+//!   [`Reservation`]s give their bytes back on drop: the host budget
+//!   (`gstream::HostMem`) and the virtual device's memory both keep their
+//!   books with it;
 //! * [`TempDir`] — a unique directory under `std::env::temp_dir()`,
 //!   removed on drop;
 //! * [`splitmix64`] / [`SplitMix64`] — the repo's one deterministic PRNG
@@ -26,10 +30,12 @@
 mod alloc;
 pub mod bytes;
 pub mod json;
+mod ledger;
 mod rng;
 mod tempdir;
 
 pub use alloc::CountingAlloc;
+pub use ledger::{Ledger, OverBudget, Reservation};
 pub use rng::{check_cases, splitmix64, SplitMix64};
 pub use tempdir::{tempdir, TempDir};
 

@@ -1,19 +1,19 @@
 //! Device-resident buffers.
 
-use crate::device::DeviceInner;
-use std::sync::Arc;
+use stdx::Reservation;
 
 /// A typed allocation in virtual device memory.
 ///
-/// Created by [`crate::Device::alloc`] / [`crate::Device::h2d`]; the bytes it
-/// occupies count against the device capacity until it is dropped. The
-/// backing store is host RAM — the point is the *accounting*, which makes
-/// out-of-memory behave exactly like `cudaMalloc` failing on a 6 GB card.
+/// Created by [`crate::Device::h2d`] / [`crate::Device::h2d_vec`] and by
+/// the kernels for their outputs: a vector plus the device bytes it holds,
+/// which count against the device capacity until the buffer is dropped.
+/// The backing store is host RAM — the point is the *accounting*, which
+/// makes out-of-memory behave exactly like `cudaMalloc` failing on a 6 GB
+/// card.
 #[derive(Debug)]
 pub struct DeviceBuffer<T> {
     pub(crate) data: Vec<T>,
-    pub(crate) bytes: u64,
-    pub(crate) owner: Arc<DeviceInner>,
+    pub(crate) held: Reservation,
 }
 
 impl<T> DeviceBuffer<T> {
@@ -29,7 +29,7 @@ impl<T> DeviceBuffer<T> {
 
     /// Bytes this buffer charges against device capacity.
     pub fn bytes(&self) -> u64 {
-        self.bytes
+        self.held.bytes()
     }
 
     /// Device-side view of the contents. Reading it does *not* model a
@@ -42,50 +42,6 @@ impl<T> DeviceBuffer<T> {
     /// Mutable device-side view (for in-place kernels).
     pub fn as_mut_slice(&mut self) -> &mut [T] {
         &mut self.data
-    }
-
-    /// Shrink the buffer to `len` elements, releasing the freed bytes back
-    /// to the device. Mirrors the paper's `RESIZE` step in Algorithms 1/2.
-    ///
-    /// # Panics
-    /// Panics if `len` exceeds the current length.
-    pub fn truncate(&mut self, len: usize) {
-        assert!(
-            len <= self.data.len(),
-            "truncate({len}) beyond buffer length {}",
-            self.data.len()
-        );
-        let elem = std::mem::size_of::<T>() as u64;
-        let freed = (self.data.len() - len) as u64 * elem;
-        self.data.truncate(len);
-        self.data.shrink_to_fit();
-        self.bytes -= freed;
-        self.owner.release(freed);
-    }
-}
-
-impl<T> Drop for DeviceBuffer<T> {
-    fn drop(&mut self) {
-        self.owner.release(self.bytes);
-    }
-}
-
-/// Device bytes held with no contents behind them.
-///
-/// Created by [`crate::Device::reserve`] for space a fused pipeline keeps
-/// on the device while the host executes it some other way (the map
-/// phase's staged batch and its fingerprint outputs): the bytes count
-/// against the device capacity until it is dropped, exactly as a
-/// [`DeviceBuffer`] of that size would, and no host memory is taken.
-#[derive(Debug)]
-pub struct DeviceReservation {
-    pub(crate) bytes: u64,
-    pub(crate) owner: Arc<DeviceInner>,
-}
-
-impl Drop for DeviceReservation {
-    fn drop(&mut self) {
-        self.owner.release(self.bytes);
     }
 }
 
@@ -107,25 +63,6 @@ mod tests {
         }
         assert_eq!(dev.stats().mem_used, 0);
         assert_eq!(dev.stats().mem_peak, 128);
-    }
-
-    #[test]
-    fn truncate_releases_bytes() {
-        let dev = tiny_device();
-        let mut buf = dev.h2d(&[1u64, 2, 3, 4]).unwrap();
-        assert_eq!(dev.stats().mem_used, 32);
-        buf.truncate(1);
-        assert_eq!(buf.len(), 1);
-        assert_eq!(dev.stats().mem_used, 8);
-        assert_eq!(buf.as_slice(), &[1]);
-    }
-
-    #[test]
-    #[should_panic(expected = "beyond buffer length")]
-    fn truncate_growing_panics() {
-        let dev = tiny_device();
-        let mut buf = dev.h2d(&[1u8]).unwrap();
-        buf.truncate(2);
     }
 
     #[test]
@@ -157,6 +94,15 @@ mod tests {
         };
         assert_eq!(reserved, (800, oom, 0, 800));
         assert_eq!(reserved, allocated);
+    }
+
+    #[test]
+    fn a_buffer_outlives_the_device_handle_that_made_it() {
+        let dev = tiny_device();
+        let buf = dev.clone().h2d(&[7u64; 16]).unwrap();
+        assert_eq!(dev.stats().mem_used, 128);
+        assert_eq!(dev.d2h_vec(buf), vec![7; 16]);
+        assert_eq!(dev.stats().mem_used, 0);
     }
 
     #[test]

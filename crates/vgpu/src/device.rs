@@ -1,14 +1,13 @@
 //! The virtual device: allocation accounting, transfers, and time charging.
 
-use crate::buffer::{DeviceBuffer, DeviceReservation};
+use crate::buffer::DeviceBuffer;
 use crate::profile::GpuProfile;
 use crate::stats::{DeviceStats, KernelCost, KernelStat, LAUNCH_OVERHEAD_S};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::sync::Mutex;
-use stdx::lock;
+use stdx::{lock, Ledger, Reservation};
 
 /// Errors surfaced by device operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,13 +52,20 @@ impl From<faultsim::FaultError> for DeviceError {
     }
 }
 
+impl From<stdx::OverBudget> for DeviceError {
+    fn from(e: stdx::OverBudget) -> Self {
+        DeviceError::OutOfMemory {
+            requested: e.requested,
+            in_use: e.in_use,
+            capacity: e.capacity,
+        }
+    }
+}
+
 #[derive(Debug)]
-pub(crate) struct DeviceInner {
-    pub(crate) capacity: u64,
-    used: AtomicU64,
-    peak: AtomicU64,
+struct DeviceInner {
+    memory: Ledger,
     counters: Mutex<Counters>,
-    recorder: Mutex<obs::Recorder>,
     faults: Mutex<faultsim::Faults>,
 }
 
@@ -71,38 +77,6 @@ struct Counters {
     d2h_bytes: u64,
     transfer_seconds: f64,
     per_kernel: BTreeMap<String, KernelStat>,
-}
-
-impl DeviceInner {
-    fn reserve(&self, bytes: u64) -> Result<(), DeviceError> {
-        let mut current = self.used.load(Ordering::Relaxed);
-        loop {
-            let next = current + bytes;
-            if next > self.capacity {
-                return Err(DeviceError::OutOfMemory {
-                    requested: bytes,
-                    in_use: current,
-                    capacity: self.capacity,
-                });
-            }
-            match self.used.compare_exchange_weak(
-                current,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => {
-                    self.peak.fetch_max(next, Ordering::Relaxed);
-                    return Ok(());
-                }
-                Err(actual) => current = actual,
-            }
-        }
-    }
-
-    pub(crate) fn release(&self, bytes: u64) {
-        self.used.fetch_sub(bytes, Ordering::Relaxed);
-    }
 }
 
 /// A virtual GPU.
@@ -119,7 +93,7 @@ impl fmt::Debug for Device {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Device")
             .field("profile", &self.profile.name)
-            .field("capacity", &self.inner.capacity)
+            .field("capacity", &self.capacity())
             .finish()
     }
 }
@@ -138,11 +112,8 @@ impl Device {
         Device {
             profile,
             inner: Arc::new(DeviceInner {
-                capacity,
-                used: AtomicU64::new(0),
-                peak: AtomicU64::new(0),
+                memory: Ledger::new(capacity),
                 counters: Mutex::new(Counters::default()),
-                recorder: Mutex::new(obs::Recorder::disabled()),
                 faults: Mutex::new(faultsim::Faults::disabled()),
             }),
         }
@@ -151,22 +122,6 @@ impl Device {
     /// The product profile this device models.
     pub fn profile(&self) -> &GpuProfile {
         &self.profile
-    }
-
-    /// Attach an [`obs::Recorder`]: [`crate::exec::launch`] then opens a
-    /// `kernel:<name>` span per launch, carrying that launch's
-    /// `kernel.launches` / `kernel.blocks` / `kernel.seconds`. The built-in
-    /// kernels and [`Device::charge_kernel`] emit nothing: their cost
-    /// reaches a trace only through [`Device::stats`] deltas, so a run
-    /// buffers no event per launch. Shared by all clones of this device.
-    pub fn set_recorder(&self, recorder: obs::Recorder) {
-        *lock(&self.inner.recorder) = recorder;
-    }
-
-    /// The recorder attached via [`Device::set_recorder`]
-    /// ([`obs::Recorder::disabled`] by default).
-    pub fn recorder(&self) -> obs::Recorder {
-        lock(&self.inner.recorder).clone()
     }
 
     /// Arm fault injection: every public kernel method checks the
@@ -191,64 +146,43 @@ impl Device {
 
     /// Usable capacity in bytes.
     pub fn capacity(&self) -> u64 {
-        self.inner.capacity
+        self.inner.memory.capacity()
     }
 
     /// Bytes of capacity not reserved right now.
     pub fn mem_free(&self) -> u64 {
-        self.inner
-            .capacity
-            .saturating_sub(self.inner.used.load(Ordering::Relaxed))
+        self.capacity().saturating_sub(self.inner.memory.used())
     }
 
     /// Allocate a zero-filled buffer of `len` elements.
-    pub fn alloc<T: Default + Clone>(&self, len: usize) -> crate::Result<DeviceBuffer<T>> {
-        let bytes = (len * std::mem::size_of::<T>()) as u64;
-        self.inner.reserve(bytes)?;
+    pub(crate) fn alloc<T: Default + Clone>(&self, len: usize) -> crate::Result<DeviceBuffer<T>> {
+        let held = self.reserve((len * std::mem::size_of::<T>()) as u64)?;
         Ok(DeviceBuffer {
             data: vec![T::default(); len],
-            bytes,
-            owner: Arc::clone(&self.inner),
+            held,
         })
     }
 
     /// Hold `bytes` of device memory with no buffer behind them: the
     /// capacity check, the [`DeviceError::OutOfMemory`], `mem_used` and
-    /// `mem_peak` are those of an [`Device::alloc`] of as many bytes, and
-    /// the bytes are released when the reservation is dropped. The device
-    /// twin of a host-budget reservation, for device space whose contents
-    /// the host never materializes.
-    pub fn reserve(&self, bytes: u64) -> crate::Result<DeviceReservation> {
-        self.inner.reserve(bytes)?;
-        Ok(DeviceReservation {
-            bytes,
-            owner: Arc::clone(&self.inner),
-        })
+    /// `mem_peak` are those of a buffer of as many bytes, and the bytes
+    /// are released when the reservation is dropped. For device space
+    /// whose contents the host never materializes.
+    pub fn reserve(&self, bytes: u64) -> crate::Result<Reservation> {
+        Ok(self.inner.memory.reserve(bytes)?)
     }
 
     /// Copy a host slice into a fresh device buffer, charging PCIe time.
     pub fn h2d<T: Clone>(&self, host: &[T]) -> crate::Result<DeviceBuffer<T>> {
-        let bytes = std::mem::size_of_val(host) as u64;
-        self.inner.reserve(bytes)?;
-        self.charge_transfer(bytes, 0);
-        Ok(DeviceBuffer {
-            data: host.to_vec(),
-            bytes,
-            owner: Arc::clone(&self.inner),
-        })
+        self.h2d_vec(host.to_vec())
     }
 
     /// [`Device::h2d`] of a vector the host is done with: the same bytes
     /// reserved and charged, and the vector itself becomes the buffer.
     pub fn h2d_vec<T>(&self, host: Vec<T>) -> crate::Result<DeviceBuffer<T>> {
-        let bytes = std::mem::size_of_val(host.as_slice()) as u64;
-        self.inner.reserve(bytes)?;
-        self.charge_transfer(bytes, 0);
-        Ok(DeviceBuffer {
-            data: host,
-            bytes,
-            owner: Arc::clone(&self.inner),
-        })
+        let held = self.reserve(std::mem::size_of_val(host.as_slice()) as u64)?;
+        self.charge_transfer(held.bytes(), 0);
+        Ok(DeviceBuffer { data: host, held })
     }
 
     /// Copy a device buffer back to the host, charging PCIe time.
@@ -260,9 +194,9 @@ impl Device {
     /// [`Device::d2h`] of a buffer the device is done with: the same bytes
     /// charged, the buffer's reservation released, and its contents handed
     /// back without a copy.
-    pub fn d2h_vec<T>(&self, mut buf: DeviceBuffer<T>) -> Vec<T> {
+    pub fn d2h_vec<T>(&self, buf: DeviceBuffer<T>) -> Vec<T> {
         self.charge_transfer(0, buf.bytes());
-        std::mem::take(&mut buf.data)
+        buf.data
     }
 
     /// Charge one kernel launch of the given cost to the device clock and
@@ -310,8 +244,8 @@ impl Device {
             h2d_bytes: c.h2d_bytes,
             d2h_bytes: c.d2h_bytes,
             transfer_seconds: c.transfer_seconds,
-            mem_used: self.inner.used.load(Ordering::Relaxed),
-            mem_peak: self.inner.peak.load(Ordering::Relaxed),
+            mem_used: self.inner.memory.used(),
+            mem_peak: self.inner.memory.peak(),
             per_kernel: c.per_kernel.clone(),
         }
     }
@@ -319,16 +253,14 @@ impl Device {
     /// Reset the peak-memory watermark (used between pipeline phases when
     /// reporting per-phase peaks, Tables IV/V).
     pub fn reset_peak(&self) {
-        self.inner
-            .peak
-            .store(self.inner.used.load(Ordering::Relaxed), Ordering::Relaxed);
+        self.inner.memory.reset_peak();
     }
 
     /// Largest number of `T` elements that fit in the *remaining* device
     /// memory, after reserving `reserved_fraction` of capacity for scratch
     /// space (sorting needs double buffers).
     pub fn elements_that_fit<T>(&self, reserved_fraction: f64) -> usize {
-        let usable = (self.inner.capacity as f64 * (1.0 - reserved_fraction)) as u64;
+        let usable = (self.capacity() as f64 * (1.0 - reserved_fraction)) as u64;
         (usable as usize) / std::mem::size_of::<T>().max(1)
     }
 }
@@ -472,52 +404,19 @@ mod tests {
         assert!(dev.gather(&a, &dev.h2d(&[1u32]).unwrap()).is_ok());
     }
 
-    /// Uploads, sorts, merges, searches and downloads on `dev`.
-    fn kernels_and_transfers(dev: &Device) {
-        let keys: Vec<u64> = (0..300).map(|i| (i * 2654435761u64) % 1000).collect();
-        let vals: Vec<u32> = (0..300).collect();
-        let mut dk = dev.h2d(&keys).unwrap();
-        let mut dv = dev.h2d_vec(vals).unwrap();
-        dev.sort_pairs(&mut dk, &mut dv).unwrap();
-        let (mk, mv) = dev.merge_pairs(&dk, &dv, &dk, &dv).unwrap();
-        let (lower, counts) = dev.vec_bounds_sorted(&dk, &mk).unwrap();
-        dev.charge_transfer(64, 32);
-        let _ = (dev.d2h(&lower), dev.d2h_vec(counts), dev.d2h_vec(mv));
-    }
-
     #[test]
-    fn kernels_and_transfers_emit_no_event_and_charge_the_same_with_a_recorder() {
-        let plain = Device::with_capacity(GpuProfile::k40(), 1 << 20);
-        let traced = Device::with_capacity(GpuProfile::k40(), 1 << 20);
-        let rec = obs::Recorder::new();
-        traced.set_recorder(rec.clone());
-        let span = rec.span("caller");
-        kernels_and_transfers(&plain);
-        kernels_and_transfers(&traced);
-        drop(span);
-        // The caller's span start and end, nothing from the device.
-        assert_eq!(rec.events().len(), 2);
-
-        let (p, t) = (plain.stats(), traced.stats());
-        assert!(p.kernel_launches >= 5 && p.mem_peak > 0);
-        assert_eq!(t, p);
-        let bits = |s: &DeviceStats| {
-            let kernels = s.per_kernel.iter().map(|(name, k)| {
-                (
-                    name.clone(),
-                    k.launches,
-                    k.flops,
-                    k.bytes,
-                    k.seconds.to_bits(),
-                )
-            });
-            (
-                s.kernel_seconds.to_bits(),
-                s.transfer_seconds.to_bits(),
-                kernels.collect::<Vec<_>>(),
-            )
-        };
-        assert_eq!(bits(&t), bits(&p));
+    fn a_sort_holds_its_double_buffer_only_while_it_runs() {
+        let dev = Device::with_capacity(GpuProfile::k40(), 1 << 10);
+        let mut keys = dev.h2d(&[3u64, 1, 2, 9, 7]).unwrap(); // 40 B
+        let mut vals = dev.h2d(&[0u32, 1, 2, 3, 4]).unwrap(); // 20 B
+        dev.sort_pairs(&mut keys, &mut vals).unwrap();
+        let stats = dev.stats();
+        assert_eq!((stats.mem_used, stats.mem_peak), (60, 120));
+        // The sorted contents moved in; each buffer kept its own bytes.
+        assert_eq!((keys.bytes(), vals.bytes()), (40, 20));
+        assert_eq!(dev.d2h_vec(keys), vec![1, 2, 3, 7, 9]);
+        assert_eq!(dev.d2h_vec(vals), vec![1, 2, 0, 4, 3]);
+        assert_eq!(dev.stats().mem_used, 0);
     }
 
     #[test]
@@ -549,35 +448,6 @@ mod stress_tests {
         // must reflect the narrower key.
         let stat = &dev.stats().per_kernel["radix_sort_pairs"];
         assert_eq!(stat.flops, <u32 as RadixKey>::BYTES as u64 * 500 * 2);
-    }
-
-    #[test]
-    fn concurrent_allocations_respect_capacity() {
-        let dev = Device::with_capacity(GpuProfile::k40(), 10_000);
-        let failures = std::sync::atomic::AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                let dev = dev.clone();
-                let failures = &failures;
-                s.spawn(move || {
-                    for _ in 0..50 {
-                        match dev.alloc::<u8>(400) {
-                            Ok(buf) => {
-                                assert!(dev.stats().mem_used <= 10_000);
-                                drop(buf);
-                            }
-                            Err(_) => {
-                                failures.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            }
-                        }
-                    }
-                });
-            }
-        });
-        // All buffers dropped: accounting returns to zero regardless of
-        // how the threads interleaved.
-        assert_eq!(dev.stats().mem_used, 0);
-        assert!(dev.stats().mem_peak <= 10_000);
     }
 
     #[test]

@@ -1,14 +1,9 @@
-//! Grid/block kernel execution, and the workspace's one parallel-for.
+//! The workspace's one parallel-for: how the host executes a kernel.
 //!
-//! The paper's map phase launches "a grid of thread blocks where the number
-//! of blocks equals the number of reads in the batch, and the number of
-//! threads per block equals the read-length" (Section III-A). This module
-//! gives custom kernels the same shape: [`launch`] runs one closure per
-//! block, blocks execute in parallel, and the closure does the block's
-//! work however the host does it best. The lock-step of a block's threads
-//! is the cost model's story — it is what a launch is *charged* for — not
-//! something the executor simulates: the fingerprint kernel is charged as
-//! a log-step scan and executed as one sequential pass per read.
+//! A kernel is *charged* as the paper launches it (a grid of thread blocks
+//! in lock-step, [`crate::Device::charge_kernel`]) and *executed* however
+//! the host does that work best: the fingerprint kernel is charged as a
+//! log-step scan and executed as one sequential pass per read.
 //!
 //! Parallel execution is [`par_parts`]: a call is cut into at most
 //! [`threads`] contiguous parts ([`part_len`] sizes them), the caller runs
@@ -18,8 +13,6 @@
 //! thread alone. A parallel call pays one queue push and one thread wake-up
 //! per extra part, and allocates nothing that another thread frees.
 
-use crate::device::Device;
-use crate::stats::KernelCost;
 use std::any::Any;
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -30,9 +23,6 @@ use std::sync::{Condvar, Mutex, OnceLock, PoisonError};
 use std::thread::Thread;
 use stdx::lock;
 
-/// Grain for calls whose items are whole kernel blocks or chain walks: two
-/// are already worth two threads.
-pub const BLOCK_GRAIN: usize = 2;
 /// Grain for calls that do a search or a copy per element: a wake-up costs
 /// more than a few thousand of those.
 pub const ELEMENT_GRAIN: usize = 4096;
@@ -235,77 +225,16 @@ pub fn par_map_into<A: Sync, O: Send>(src: &[A], out: &mut [O], f: impl Fn(&A) -
     });
 }
 
-/// Context handed to a kernel closure for one block.
-#[derive(Debug, Clone, Copy)]
-pub struct BlockCtx {
-    /// Index of this block within the grid.
-    pub block_idx: usize,
-    /// Number of simulated threads per block.
-    pub threads: usize,
-}
-
-/// Launch `blocks` blocks of `threads_per_block` threads running `kernel`,
-/// charging `cost` to the device clock. With a recorder attached to the
-/// device, the launch runs under a `kernel:{name}` span carrying its
-/// `kernel.launches`, `kernel.blocks` and `kernel.seconds`.
-///
-/// Blocks run concurrently; the closure itself expresses intra-block
-/// parallelism as loops over `0..ctx.threads` with whatever barrier
-/// structure the algorithm needs (double-buffering for scans).
-pub fn launch<F>(
-    device: &Device,
-    name: &str,
-    blocks: usize,
-    threads_per_block: usize,
-    cost: KernelCost,
-    kernel: F,
-) where
-    F: Fn(BlockCtx) + Sync,
-{
-    let rec = device.recorder();
-    let span = rec
-        .is_enabled()
-        .then(|| rec.span(&format!("kernel:{name}")));
-    let seconds = device.charge_kernel(name, cost);
-    if let Some(span) = &span {
-        rec.counter_on(span.id(), "kernel.launches", 1);
-        rec.counter_on(span.id(), "kernel.blocks", blocks as u64);
-        rec.metric_on(span.id(), "kernel.seconds", seconds);
-    }
-    par_ranges(blocks, BLOCK_GRAIN, |part| {
-        for block_idx in part {
-            kernel(BlockCtx {
-                block_idx,
-                threads: threads_per_block,
-            })
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::GpuProfile;
     use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn every_block_runs_exactly_once() {
-        let dev = Device::new(GpuProfile::k40());
-        let hits = AtomicUsize::new(0);
-        launch(&dev, "count", 37, 8, KernelCost::new(37, 0), |ctx| {
-            assert!(ctx.block_idx < 37);
-            assert_eq!(ctx.threads, 8);
-            hits.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 37);
-        assert_eq!(dev.stats().kernel_launches, 1);
-    }
 
     #[test]
     fn parts_run_exactly_once_and_results_keep_part_order() {
         for len in [0usize, 1, 2, 3, 7, 64, 1000, 10_007] {
             let hits: Vec<AtomicUsize> = (0..len).map(|_| AtomicUsize::new(0)).collect();
-            let parts = par_ranges(len, BLOCK_GRAIN, |part| {
+            let parts = par_ranges(len, 2, |part| {
                 for i in part.clone() {
                     hits[i].fetch_add(1, Ordering::Relaxed);
                 }
@@ -356,76 +285,28 @@ mod tests {
         assert_eq!(par_parts(0..4u32, |i| i * 2), vec![0, 2, 4, 6]);
     }
 
+    /// A kernel's parallel-for, called from inside a part of another's.
     #[test]
     fn a_launch_from_inside_a_launch_runs_inline_and_does_not_deadlock() {
-        let dev = Device::new(GpuProfile::k40());
         let hits = AtomicUsize::new(0);
-        launch(&dev, "outer", 8, 1, KernelCost::default(), |_| {
-            // On a helper this must not queue behind the job that runs it.
-            launch(&dev, "inner", 8, 1, KernelCost::default(), |_| {
-                hits.fetch_add(1, Ordering::Relaxed);
-            });
+        par_ranges(8, 2, |outer| {
+            // On a helper this must not queue behind the part that runs it.
+            for _ in outer {
+                par_ranges(8, 2, |inner| {
+                    hits.fetch_add(inner.len(), Ordering::Relaxed);
+                });
+            }
         });
         assert_eq!(hits.load(Ordering::Relaxed), 64);
     }
 
     #[test]
-    fn one_block_grid_runs_on_the_caller() {
-        let dev = Device::new(GpuProfile::k40());
+    fn a_call_below_its_grain_runs_on_the_caller() {
         let caller = std::thread::current().id();
-        launch(&dev, "one", 1, 4, KernelCost::default(), |ctx| {
-            assert_eq!(ctx.block_idx, 0);
+        let parts = par_ranges(ELEMENT_GRAIN - 1, ELEMENT_GRAIN, |part| {
             assert_eq!(std::thread::current().id(), caller);
+            part
         });
-    }
-
-    #[test]
-    fn launch_opens_a_kernel_span_when_recorder_attached() {
-        let dev = Device::new(GpuProfile::k40());
-        let rec = obs::Recorder::new();
-        dev.set_recorder(rec.clone());
-        launch(&dev, "scan", 4, 8, KernelCost::new(32, 64), |_| {});
-        let rollup = obs::Rollup::from_events(&rec.events());
-        let span = rollup.root_named("kernel:scan").unwrap();
-        assert!(span.wall_seconds >= 0.0);
-        let agg = rollup.subtree(span.id);
-        assert_eq!(agg.counter("kernel.blocks"), 4);
-        assert_eq!(agg.counter("kernel.launches"), 1);
-        assert!(agg.metric("kernel.seconds") > 0.0);
-    }
-
-    #[test]
-    fn zero_blocks_still_charges_one_launch() {
-        let dev = Device::new(GpuProfile::k40());
-        launch(&dev, "empty", 0, 32, KernelCost::default(), |_| {
-            panic!("no block should run")
-        });
-        assert_eq!(dev.stats().kernel_launches, 1);
-    }
-
-    #[test]
-    fn blocks_can_write_disjoint_output_regions() {
-        let dev = Device::new(GpuProfile::k40());
-        let n_blocks = 16;
-        let threads = 4;
-        let out: Vec<AtomicUsize> = (0..n_blocks * threads)
-            .map(|_| AtomicUsize::new(0))
-            .collect();
-        launch(
-            &dev,
-            "fill",
-            n_blocks,
-            threads,
-            KernelCost::default(),
-            |ctx| {
-                for t in 0..ctx.threads {
-                    out[ctx.block_idx * ctx.threads + t]
-                        .store(ctx.block_idx * 100 + t, Ordering::Relaxed);
-                }
-            },
-        );
-        assert_eq!(out[0].load(Ordering::Relaxed), 0);
-        assert_eq!(out[5].load(Ordering::Relaxed), 101);
-        assert_eq!(out[63].load(Ordering::Relaxed), 1503);
+        assert_eq!(parts, vec![0..ELEMENT_GRAIN - 1]);
     }
 }

@@ -1,4 +1,4 @@
-//! Gather/scatter kernels.
+//! The gather kernel.
 //!
 //! Contig generation copies each path tuple "to the unique location
 //! corresponding to its read-ID with a *gather* operation in GPU (i.e.,
@@ -37,41 +37,6 @@ impl Device {
         par_map_into(indices.as_slice(), out.as_mut_slice(), |&i| s[i as usize]);
         Ok(out)
     }
-
-    /// `out[indices[i]] = src[i]`; `out` has length `out_len`. Indices must
-    /// be unique (the contig layout guarantees this: a read belongs to at
-    /// most one path position).
-    pub fn scatter<T: Default + Clone + Copy + Send + Sync>(
-        &self,
-        src: &DeviceBuffer<T>,
-        indices: &DeviceBuffer<u32>,
-        out_len: usize,
-    ) -> crate::Result<DeviceBuffer<T>> {
-        self.launch_gate()?;
-        let elem = std::mem::size_of::<T>() as u64;
-        if src.len() != indices.len() {
-            return Err(DeviceError::BadLaunch(
-                "scatter: src/index length mismatch".into(),
-            ));
-        }
-        if let Some(&bad) = indices.as_slice().iter().find(|&&i| i as usize >= out_len) {
-            return Err(DeviceError::BadLaunch(format!(
-                "scatter index {bad} out of range for output of length {out_len}"
-            )));
-        }
-        let mut out = self.alloc::<T>(out_len)?;
-        self.charge_kernel(
-            "scatter",
-            KernelCost::new(src.len() as u64, src.len() as u64 * (elem * 2 + 4)),
-        );
-        let s = src.as_slice();
-        let idx = indices.as_slice();
-        let o = out.as_mut_slice();
-        for i in 0..s.len() {
-            o[idx[i] as usize] = s[i];
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -104,32 +69,10 @@ mod tests {
     }
 
     #[test]
-    fn scatter_inverts_gather_for_permutations() {
-        let d = dev();
-        let src = d.h2d(&[5u64, 6, 7]).unwrap();
-        let perm = d.h2d(&[2u32, 0, 1]).unwrap();
-        let scattered = d.scatter(&src, &perm, 3).unwrap();
-        assert_eq!(d.d2h(&scattered), vec![6, 7, 5]);
-        let gathered = d.gather(&scattered, &perm).unwrap();
-        assert_eq!(d.d2h(&gathered), d.d2h(&src));
-    }
-
-    #[test]
-    fn scatter_validates_lengths_and_range() {
-        let d = dev();
-        let src = d.h2d(&[1u32, 2]).unwrap();
-        let idx = d.h2d(&[0u32]).unwrap();
-        assert!(d.scatter(&src, &idx, 4).is_err());
-        let idx2 = d.h2d(&[0u32, 9]).unwrap();
-        assert!(d.scatter(&src, &idx2, 4).is_err());
-    }
-
-    #[test]
-    fn empty_gather_and_scatter() {
+    fn empty_gather() {
         let d = dev();
         let src = d.h2d::<u64>(&[]).unwrap();
         let idx = d.h2d::<u32>(&[]).unwrap();
         assert!(d.d2h(&d.gather(&src, &idx).unwrap()).is_empty());
-        assert_eq!(d.d2h(&d.scatter(&src, &idx, 0).unwrap()), Vec::<u64>::new());
     }
 }

@@ -4,8 +4,10 @@
 //! CUDA devices. This crate substitutes a *virtual* device that reproduces
 //! the properties the paper's algorithms depend on:
 //!
-//! * a **bounded device memory** — allocations go through [`Device`] and fail
-//!   with [`DeviceError::OutOfMemory`] when the configured capacity would be
+//! * a **bounded device memory** — buffers and bare reservations
+//!   ([`Device::reserve`]) are held against the device's [`stdx::Ledger`],
+//!   the same ledger the host budget keeps, and fail with
+//!   [`DeviceError::OutOfMemory`] when the configured capacity would be
 //!   exceeded, exactly like `cudaMalloc` on a 6 GB K20X;
 //! * **explicit host↔device transfers** ([`Device::h2d`] / [`Device::d2h`])
 //!   whose bytes are counted and charged to a PCIe bandwidth model;
@@ -19,6 +21,9 @@
 //!
 //! Kernels execute on the host CPU (in parallel through [`exec::par_parts`]), so
 //! results are real; only the *reported device time* comes from the model.
+//! The device emits no trace event: a launch or transfer changes only the
+//! counters behind [`Device::stats`], whose deltas the callers' phase spans
+//! carry.
 //!
 //! ```
 //! use vgpu::{Device, GpuProfile};
@@ -38,9 +43,8 @@ pub mod kernels;
 pub mod profile;
 pub mod stats;
 
-pub use buffer::{DeviceBuffer, DeviceReservation};
+pub use buffer::DeviceBuffer;
 pub use device::{Device, DeviceError};
-pub use exec::BlockCtx;
 pub use kernels::radix::RadixKey;
 pub use profile::GpuProfile;
 pub use stats::{DeviceStats, KernelCost};

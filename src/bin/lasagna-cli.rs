@@ -558,9 +558,6 @@ fn inspect_trace(opts: &Opts) {
             obs::human_bytes(agg.gauge("device.peak_bytes")),
         );
         for part in rollup.children(phase.id) {
-            if part.name.starts_with("kernel:") {
-                continue;
-            }
             let p = rollup.subtree(part.id);
             let detail = match phase.name.as_str() {
                 "sort" => format!(

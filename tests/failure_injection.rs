@@ -60,7 +60,22 @@ fn host_budget_smaller_than_one_read_fails_cleanly() {
     let host = HostMem::new(64); // bytes!
     let spill = SpillDir::create(dir.path(), IoStats::default()).unwrap();
     let pipeline = Pipeline::new(device, host, spill, config).unwrap();
-    assert!(pipeline.assemble(&reads(3)).is_err());
+    let err = pipeline.assemble(&reads(3)).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            LasagnaError::Stream(gstream::StreamError::HostMem(gstream::OverBudget {
+                capacity: 64,
+                ..
+            }))
+        ),
+        "got {err}"
+    );
+    assert!(
+        err.to_string()
+            .starts_with("stream: host memory budget exceeded: requested "),
+        "{err}"
+    );
 }
 
 #[test]
