@@ -22,13 +22,23 @@
 //! bucket's entry range from the directory, a scan of that short run for
 //! the hash, and the postings slice. The engine takes each step for all
 //! of a batch's seeds before the next, so the loads of different seeds
-//! overlap. Building walks contigs in parallel (contiguous chunks across
-//! threads) and sorts once at the end, so the result is byte-identical
-//! regardless of thread count.
+//! overlap.
+//!
+//! Building splits the contigs into contiguous runs, one per thread. A
+//! thread keeps only the minimizers whose hash its shard owns, in a part
+//! sized from the expected count, and sorts that part. The sorted parts
+//! are merged straight into the index's two columns, each allocated at the
+//! exact total, and a part is freed once consumed: no list of every shard's
+//! entries ever exists, and the build peaks at about the parts plus the
+//! columns. Entries are unique `(hash, contig, offset)` triples, so the
+//! merge is their one sorted order and the bytes do not depend on the
+//! thread count.
 
 use crate::store::ContigStore;
 use genome::PackedSeq;
 use gstream::{IoStats, StreamError};
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::hint::select_unpredictable;
 use std::path::Path;
 use stdx::bytes::{put_u32, put_u64, Cursor};
@@ -241,10 +251,10 @@ impl MinimizerIndex {
         }
     }
 
-    /// Index every contig of `store`, splitting contigs across threads and
-    /// sorting the merged postings once — deterministic for any `threads`.
+    /// Index every contig of `store`: the one shard that owns the whole
+    /// hash space. Deterministic for any `threads`.
     pub fn build(store: &ContigStore, cfg: &IndexConfig) -> MinimizerIndex {
-        Self::from_entries(store, cfg, sorted_entries(store, cfg))
+        Self::build_shard(store, cfg, 0, 1)
     }
 
     /// Build the `shard`-of-`n_shards` slice of the postings space: exactly
@@ -253,7 +263,8 @@ impl MinimizerIndex {
     /// the postings space, **not** the contigs — the shard indexes are a
     /// disjoint cover of the full index, and every shard still binds to
     /// the full store's checksum, so any shard can verify any candidate
-    /// placement against the whole assembly.
+    /// placement against the whole assembly. Builder threads drop other
+    /// shards' minimizers as they extract them.
     pub fn build_shard(
         store: &ContigStore,
         cfg: &IndexConfig,
@@ -261,31 +272,17 @@ impl MinimizerIndex {
         n_shards: u32,
     ) -> MinimizerIndex {
         assert!(shard < n_shards, "shard {shard} out of range 0..{n_shards}");
-        let mut entries = sorted_entries(store, cfg);
-        entries.retain(|&(hash, _, _)| shard_of_hash(hash, n_shards) == shard);
+        let (hashes, postings) = merge_parts(sorted_parts(store, cfg, shard, n_shards));
         MinimizerIndex {
             owned: (shard, n_shards),
-            ..Self::from_entries(store, cfg, entries)
+            ..Self::from_sorted(
+                cfg.k as u32,
+                cfg.w as u32,
+                store.checksum(),
+                hashes,
+                postings,
+            )
         }
-    }
-
-    /// Split sorted `(hash, contig, offset)` entries into the two columns,
-    /// releasing the entries before the directory is derived.
-    fn from_entries(
-        store: &ContigStore,
-        cfg: &IndexConfig,
-        entries: Vec<(u64, u32, u32)>,
-    ) -> MinimizerIndex {
-        let hashes = entries.iter().map(|&(h, _, _)| h).collect();
-        let postings = entries.iter().map(|&(_, c, o)| (c, o)).collect();
-        drop(entries);
-        Self::from_sorted(
-            cfg.k as u32,
-            cfg.w as u32,
-            store.checksum(),
-            hashes,
-            postings,
-        )
     }
 
     /// Serialize to a payload (no footer — [`gstream::write_blob`]'s job).
@@ -452,10 +449,16 @@ impl MinimizerIndex {
     }
 }
 
-/// Every contig's minimizers as `(hash, contig, offset)`, sorted. Contigs
-/// are split into contiguous chunks across threads; the sort makes the
-/// result independent of the split.
-fn sorted_entries(store: &ContigStore, cfg: &IndexConfig) -> Vec<(u64, u32, u32)> {
+/// One part per builder thread, each sorted: the `(hash, contig, offset)`
+/// of every minimizer in the thread's contiguous run of contigs whose hash
+/// `shard` owns among `n_shards`. The runs are in contig order, so the
+/// parts are too.
+fn sorted_parts(
+    store: &ContigStore,
+    cfg: &IndexConfig,
+    shard: u32,
+    n_shards: u32,
+) -> Vec<Vec<(u64, u32, u32)>> {
     let threads = if cfg.threads == 0 {
         std::thread::available_parallelism().map_or(1, |n| n.get())
     } else {
@@ -464,27 +467,77 @@ fn sorted_entries(store: &ContigStore, cfg: &IndexConfig) -> Vec<(u64, u32, u32)
     let (k, w) = (cfg.k, cfg.w);
     let n = store.len();
     let per = n.div_ceil(threads.max(1)).max(1);
-    let mut entries: Vec<(u64, u32, u32)> = Vec::new();
     std::thread::scope(|scope| {
-        let mut parts = Vec::new();
-        for start in (0..n).step_by(per) {
-            let end = (start + per).min(n);
-            parts.push(scope.spawn(move || {
-                let mut extractor = Extractor::default();
-                let mut out = Vec::new();
-                for ci in start..end {
-                    let [fwd, _] = extractor.extract(store.contig(ci), k, w, false);
-                    out.extend(fwd.iter().map(|&(hash, off)| (hash, ci as u32, off)));
-                }
-                out
-            }));
+        let workers: Vec<_> = (0..n)
+            .step_by(per)
+            .map(|start| {
+                let contigs = start..(start + per).min(n);
+                scope.spawn(move || {
+                    let kmers = contigs
+                        .clone()
+                        .map(|ci| (store.contig(ci).len() + 1).saturating_sub(k))
+                        .sum();
+                    let mut part = Vec::with_capacity(part_capacity(kmers, w, n_shards));
+                    let mut extractor = Extractor::default();
+                    for ci in contigs {
+                        let [fwd, _] = extractor.extract(store.contig(ci), k, w, false);
+                        part.extend(
+                            fwd.iter()
+                                .filter(|&&(hash, _)| {
+                                    n_shards == 1 || shard_of_hash(hash, n_shards) == shard
+                                })
+                                .map(|&(hash, off)| (hash, ci as u32, off)),
+                        );
+                    }
+                    part.sort_unstable();
+                    // Give back the estimate's spare room before the merge
+                    // allocates the columns.
+                    part.shrink_to_fit();
+                    part
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|worker| worker.join().expect("index build worker panicked"))
+            .collect()
+    })
+}
+
+/// Room for one shard's minimizers among `kmers` k-mers: a random sequence
+/// has about `2 / (w + 1)` per k-mer, split evenly among `n_shards`. The
+/// count strays from that by about one square root of itself; four square
+/// roots more keep a part from doubling past its estimate.
+fn part_capacity(kmers: usize, w: usize, n_shards: u32) -> usize {
+    let expected = 2 * kmers / (w + 1) / n_shards as usize;
+    expected + 4 * expected.isqrt() + 64
+}
+
+/// Merge sorted parts into the index's two columns, each allocated at the
+/// exact total, freeing a part once it is consumed. Entries are unique, so
+/// the result is the one sorted order of their union, whatever the split.
+fn merge_parts(parts: Vec<Vec<(u64, u32, u32)>>) -> (Vec<u64>, Vec<(u32, u32)>) {
+    let total = parts.iter().map(Vec::len).sum();
+    let mut hashes = Vec::with_capacity(total);
+    let mut postings = Vec::with_capacity(total);
+    let mut parts: Vec<_> = parts.into_iter().map(Vec::into_iter).collect();
+    // The smallest unconsumed entry of each part, and the part it heads.
+    let mut heads: BinaryHeap<_> = (0..parts.len())
+        .filter_map(|i| Some(Reverse((parts[i].next()?, i))))
+        .collect();
+    while let Some(mut head) = heads.peek_mut() {
+        let Reverse(((hash, contig, offset), i)) = *head;
+        hashes.push(hash);
+        postings.push((contig, offset));
+        match parts[i].next() {
+            Some(next) => head.0 = (next, i),
+            None => {
+                PeekMut::pop(head);
+                parts[i] = Vec::new().into_iter();
+            }
         }
-        for part in parts {
-            entries.extend(part.join().expect("index build worker panicked"));
-        }
-    });
-    entries.sort_unstable();
-    entries
+    }
+    (hashes, postings)
 }
 
 /// Directory bucket of `hash`: its top `63 - shift` bits (bucket 0 for a
@@ -685,6 +738,35 @@ mod tests {
         for threads in [2, 4, 7] {
             let multi = MinimizerIndex::build(&store, &IndexConfig { threads, ..base });
             assert_eq!(one.encode(), multi.encode(), "threads={threads}");
+        }
+        // Eleven contigs of uneven lengths, two of them shorter than k, so
+        // each thread count splits a shard's entries differently.
+        let mut rng = stdx::SplitMix64::new(50);
+        let contigs = (0..11)
+            .map(|i| {
+                let len = if i % 5 == 3 {
+                    5
+                } else {
+                    20 + rng.below(400) as usize
+                };
+                PackedSeq::from_codes(&rng.vec(len..len + 1, |r| r.below(4) as u8))
+            })
+            .collect();
+        let store = ContigStore::from_contigs(contigs);
+        for n_shards in [2, 3] {
+            for shard in 0..n_shards {
+                let build = |threads| {
+                    let cfg = IndexConfig { threads, ..base };
+                    MinimizerIndex::build_shard(&store, &cfg, shard, n_shards).encode()
+                };
+                let one = build(1);
+                for threads in [2, 3, 8] {
+                    assert!(
+                        build(threads) == one,
+                        "shard {shard} of {n_shards}, threads={threads}"
+                    );
+                }
+            }
         }
     }
 

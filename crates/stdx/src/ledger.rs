@@ -110,11 +110,6 @@ impl Ledger {
             }
         }
     }
-
-    /// Number of `elem_bytes`-sized records that fit in the *whole* budget.
-    pub fn elements_that_fit(&self, elem_bytes: usize) -> usize {
-        (self.inner.capacity as usize) / elem_bytes.max(1)
-    }
 }
 
 /// Bytes held against a [`Ledger`], released when dropped.
@@ -193,13 +188,6 @@ mod tests {
         assert_eq!(mem.peak(), 100);
         drop(held);
         assert_eq!((mem.used(), mem.peak()), (0, 100));
-    }
-
-    #[test]
-    fn elements_that_fit_divides_capacity() {
-        let mem = Ledger::new(100);
-        assert_eq!(mem.elements_that_fit(20), 5);
-        assert_eq!(mem.elements_that_fit(0), 100); // degenerate guard
     }
 
     #[test]
