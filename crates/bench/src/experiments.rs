@@ -357,7 +357,7 @@ pub fn fig10(scale: u64, nodes_list: &[usize], workdir: &Path) -> Result<Vec<Fig
             .report
             .phases
             .iter()
-            .map(|p| (p.name.clone(), p.modeled_seconds))
+            .map(|p| (p.phase.clone(), p.modeled_seconds))
             .collect();
         let total = result.report.total_modeled_seconds();
         out.push(Fig10Point {

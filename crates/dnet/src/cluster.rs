@@ -60,7 +60,7 @@ use gstream::{
     ExternalSorter, Fnv64, HostMem, IoStats, KvPair, RecordReader, RecordWriter, StreamError,
 };
 use lasagna::config::AssemblyConfig;
-use lasagna::{map, reduce, LasagnaError, Manifest, StringGraph};
+use lasagna::{map, reduce, LasagnaError, Manifest, PhaseMetrics, StringGraph};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -107,26 +107,15 @@ pub struct ClusterConfig {
     pub reduce_strategy: ReduceStrategy,
 }
 
-/// One phase's aggregated timing.
-#[derive(Debug, Clone, Default)]
-pub struct PhaseSummary {
-    /// Phase name.
-    pub name: String,
-    /// Real wall seconds (max over nodes; chain wall for the token stage).
-    pub wall_seconds: f64,
-    /// Modeled seconds (parallel parts: max over nodes; serial parts: sum).
-    pub modeled_seconds: f64,
-}
-
-stdx::impl_json!(struct PhaseSummary { name, wall_seconds, modeled_seconds });
-
 /// Cluster-level measurements.
 #[derive(Debug, Clone, Default)]
 pub struct DistributedReport {
     /// Node count.
     pub nodes: usize,
-    /// map / shuffle / sort / reduce summaries.
-    pub phases: Vec<PhaseSummary>,
+    /// map / shuffle / sort / reduce, each folded over its ranks: traffic
+    /// adds, peaks take the maximum, wall is the master's, and modeled is
+    /// the slowest rank's (network included) plus the serial part.
+    pub phases: Vec<PhaseMetrics>,
     /// Bytes moved across the interconnect.
     pub network_bytes: u64,
     /// Active messages sent.
@@ -140,7 +129,7 @@ pub struct DistributedReport {
 }
 
 stdx::impl_json!(struct DistributedReport {
-    nodes, phases, network_bytes, network_messages, edges, candidates, resumed = false
+    nodes, phases, network_bytes, network_messages, edges, candidates, resumed
 });
 
 impl DistributedReport {
@@ -149,9 +138,9 @@ impl DistributedReport {
         self.phases.iter().map(|p| p.modeled_seconds).sum()
     }
 
-    /// Summary for a phase by name.
-    pub fn phase(&self, name: &str) -> Option<&PhaseSummary> {
-        self.phases.iter().find(|p| p.name == name)
+    /// Metrics for a phase by name ([`lasagna::report::find_phase`]).
+    pub fn phase(&self, name: &str) -> Option<&PhaseMetrics> {
+        lasagna::report::find_phase(&self.phases, name)
     }
 }
 
@@ -173,10 +162,6 @@ struct Node {
     host: HostMem,
     io: IoStats,
     dir: PathBuf,
-}
-
-fn node_modeled(node: &Node, dev0: &vgpu::DeviceStats, io0: &gstream::iostats::IoSnapshot) -> f64 {
-    node.device.stats().since(dev0).total_seconds() + node.io.snapshot().since(io0).total_seconds()
 }
 
 /// Recovery bookkeeping for one distributed assembly (see ROBUSTNESS.md).
@@ -920,7 +905,7 @@ impl Cluster {
                     }
                 };
                 let phase = master.open("map", map_done.len());
-                let mut map_modeled: Vec<f64> = Vec::new();
+                let mut ranks = Vec::new();
                 let mut round = 0u32;
                 loop {
                     round += 1;
@@ -942,7 +927,7 @@ impl Cluster {
                             .map(|b| b as u64)
                             .collect()
                     };
-                    map_modeled.extend(ok.into_iter().map(|(_, (m, ()))| m));
+                    ranks.extend(ok.into_iter().map(|(_, (m, ()))| m));
                     if master.barrier("map", round, done_now, &failed)?.is_none() {
                         break;
                     }
@@ -958,7 +943,7 @@ impl Cluster {
                     master.recovery.block_retries += requeue.len() as u64;
                     *lock(&queue) = requeue.into_iter().collect();
                 }
-                master.close(phase, max_f(&map_modeled));
+                master.close(phase, ranks, 0.0);
                 // A dead mapper keeps its finished blocks, so once map ends
                 // every block has a rank to fetch it from (one node maps
                 // the whole input and never shuffles).
@@ -1100,10 +1085,6 @@ impl Cluster {
     }
 }
 
-fn max_f(xs: &[f64]) -> f64 {
-    xs.iter().copied().fold(0.0, f64::max)
-}
-
 /// A phase whose span is open: its name and when it started.
 struct OpenPhase {
     name: &'static str,
@@ -1121,7 +1102,7 @@ struct Master<'a> {
     own: Ownership,
     alive: Vec<bool>,
     recovery: RecoveryStats,
-    phases: Vec<PhaseSummary>,
+    phases: Vec<PhaseMetrics>,
 }
 
 /// What a rank's body returns for one superstep: the modeled network
@@ -1140,21 +1121,29 @@ impl Master<'_> {
         OpenPhase { name, span, t0 }
     }
 
-    /// Close a phase: report its modeled seconds and its summary.
-    fn close(&mut self, phase: OpenPhase, modeled: f64) {
+    /// Close a phase: fold its `ranks`' records into its own with
+    /// [`PhaseMetrics::merge`], then take the master's wall and, for
+    /// modeled, the slowest rank plus the `serial` part.
+    fn close(&mut self, phase: OpenPhase, ranks: Vec<PhaseMetrics>, serial: f64) {
+        let slowest = ranks.iter().map(|r| r.modeled_seconds).fold(0.0, f64::max);
+        let mut record = PhaseMetrics {
+            phase: phase.name.into(),
+            ..Default::default()
+        };
+        ranks.into_iter().for_each(|rank| record.merge(rank));
+        record.modeled_seconds = slowest + serial;
+        let (span, modeled) = (phase.span.id(), record.modeled_seconds);
         self.recorder
-            .metric_on(phase.span.id(), "phase.modeled_seconds", modeled);
+            .metric_on(span, "phase.modeled_seconds", modeled);
         drop(phase.span);
-        self.phases.push(PhaseSummary {
-            name: phase.name.into(),
-            wall_seconds: phase.t0.elapsed().as_secs_f64(),
-            modeled_seconds: modeled,
-        });
+        record.wall_seconds = phase.t0.elapsed().as_secs_f64();
+        self.phases.push(record);
     }
 
     /// One superstep: run `body` on every planned `(rank, items)` in its
-    /// own thread under a `rank{r}` span, charge the rank its device and
-    /// disk time plus the network seconds `body` returns, and join them.
+    /// own thread, measured on a `rank{r}` span like a pipeline phase
+    /// ([`lasagna::report::measure_phase`]), charge the rank the network
+    /// seconds `body` returns on top, and join them.
     /// A rank that died on an *injected* fault is reported for fail-over
     /// while retries remain; any real error — and any injected fault once
     /// the retry budget is spent — propagates at once.
@@ -1165,18 +1154,23 @@ impl Master<'_> {
         round: u32,
         plan: &[(usize, Vec<WorkItem>)],
         body: &(impl Fn(usize, &Node, &[WorkItem]) -> RankResult<T> + Sync),
-    ) -> Result<RoundOutcome<(f64, T)>> {
+    ) -> Result<RoundOutcome<(PhaseMetrics, T)>> {
         let (name, span) = (phase.name, phase.span.id());
         std::thread::scope(|s| {
             let handles = plan.iter().map(|(rank, items)| {
                 let (rank, node, rec) = (*rank, &nodes[*rank], self.recorder.clone());
-                let run = move || -> RankResult<T> {
+                let run = move || -> lasagna::Result<(PhaseMetrics, T)> {
                     let rspan = rec.child_span(Some(span), &format!("rank{rank}"));
-                    let dev0 = node.device.stats();
-                    let io0 = node.io.snapshot();
-                    let (net_s, out) = body(rank, node, items)?;
-                    let m = node_modeled(node, &dev0, &io0) + net_s;
-                    rec.metric_on(rspan.id(), "rank.modeled_seconds", m);
+                    let ((net_s, out), mut m) = lasagna::report::measure_phase(
+                        &rec,
+                        rspan.id(),
+                        &node.device,
+                        &node.host,
+                        &node.io,
+                        || body(rank, node, items),
+                    )?;
+                    m.modeled_seconds += net_s;
+                    rec.metric_on(rspan.id(), "rank.modeled_seconds", m.modeled_seconds);
                     // The shuffle's work is network traffic; it alone
                     // reports that time (OBSERVABILITY.md).
                     if name == "shuffle" {
@@ -1270,7 +1264,7 @@ impl Master<'_> {
         finish: impl FnOnce(&mut Self, u64, Vec<T>) -> Result<f64>,
     ) -> Result<()> {
         let phase = self.open(name, skipped);
-        let mut modeled = Vec::new();
+        let mut ranks = Vec::new();
         let mut outputs = Vec::new();
         let mut round = 0u32;
         while !todo.is_empty() {
@@ -1291,7 +1285,7 @@ impl Master<'_> {
                 .flat_map(|(_, items)| items.iter().map(WorkItem::id))
                 .collect();
             for (_, (m, out)) in ok {
-                modeled.push(m);
+                ranks.push(m);
                 outputs.push(out);
             }
             match self.barrier(step, round, done, &failed)? {
@@ -1300,7 +1294,7 @@ impl Master<'_> {
             }
         }
         let serial = finish(self, phase.span.id(), outputs)?;
-        self.close(phase, max_f(&modeled) + serial);
+        self.close(phase, ranks, serial);
         Ok(())
     }
 
@@ -1608,7 +1602,7 @@ mod tests {
         let reads = sample(800, 40, 6.0, 13);
         let dir = stdx::tempdir().unwrap();
         let out = cluster(2, 25, 40, 64).assemble(&reads, dir.path()).unwrap();
-        let names: Vec<&str> = out.report.phases.iter().map(|p| p.name.as_str()).collect();
+        let names: Vec<&str> = out.report.phases.iter().map(|p| p.phase.as_str()).collect();
         assert_eq!(names, vec!["map", "shuffle", "sort", "reduce"]);
         assert!(
             out.report.network_bytes > 0,
@@ -1654,17 +1648,49 @@ mod tests {
             )
             .unwrap();
             let single = pipeline.assemble(&reads).unwrap().report;
-            // Reduce is not pinned: dnet's charges more (ROADMAP item 13).
+            // Reduce stays out: dnet's is dearer by 14 % on this sample
+            // (CHANGES.md's FOUND line on reduce, ROADMAP item 13).
             for phase in ["map", "sort"] {
-                let expect = single.phase(phase).unwrap().modeled_seconds;
-                let got = distributed.phase(phase).unwrap().modeled_seconds;
-                // Equal up to the order the same charges were summed in.
-                assert!(
-                    expect > 0.0 && (got - expect).abs() <= 1e-12 * expect,
-                    "{sort:?} {phase}: {got} vs {expect}"
+                let (expect, got) = (
+                    single.phase(phase).unwrap(),
+                    distributed.phase(phase).unwrap(),
                 );
+                // Every field but wall. One node maps the whole input at
+                // once, so launches match too. Seconds are equal up to
+                // the order the same charges were summed in: the
+                // pipeline's deltas subtract the load phase's I/O.
+                let ((got, got_s), (expect, expect_s)) =
+                    (split_seconds(got), split_seconds(expect));
+                assert_eq!(got, expect, "{sort:?} {phase}");
+                for (got, expect) in got_s.into_iter().zip(expect_s) {
+                    assert!(
+                        (got - expect).abs() <= 1e-12 * expect,
+                        "{sort:?} {phase}: {got} vs {expect}"
+                    );
+                }
+                assert!(expect.device.kernel_launches > 0 && expect.io.bytes_written > 0);
             }
         }
+    }
+
+    /// A phase record's seconds but wall, in a fixed order, and the rest
+    /// of it with every seconds field zeroed.
+    fn split_seconds(m: &PhaseMetrics) -> (PhaseMetrics, Vec<f64>) {
+        let mut rest = PhaseMetrics {
+            wall_seconds: 0.0,
+            ..m.clone()
+        };
+        let (d, io) = (&mut rest.device, &mut rest.io);
+        let mut fields = vec![
+            &mut rest.modeled_seconds,
+            &mut d.kernel_seconds,
+            &mut d.transfer_seconds,
+            &mut io.read_seconds,
+            &mut io.write_seconds,
+        ];
+        fields.extend(d.per_kernel.values_mut().map(|k| &mut k.seconds));
+        let seconds = fields.into_iter().map(std::mem::take).collect();
+        (rest, seconds)
     }
 
     #[test]
@@ -1842,29 +1868,6 @@ mod tests {
             .unwrap();
         assert_same_graph(&out.graph, &expect, "kernel kill");
         assert_eq!(faults.injected().len(), 1);
-    }
-
-    #[test]
-    fn a_report_written_before_resume_existed_still_parses() {
-        let report = DistributedReport {
-            nodes: 3,
-            phases: vec![PhaseSummary {
-                name: "map".into(),
-                wall_seconds: 0.25,
-                modeled_seconds: 1.0 / 3.0,
-            }],
-            network_bytes: u64::MAX,
-            resumed: true,
-            ..Default::default()
-        };
-        let json = stdx::json::to_string_pretty(&report);
-        let back: DistributedReport = stdx::json::from_str(&json).unwrap();
-        assert_eq!(stdx::json::to_string_pretty(&back), json);
-        let legacy = json.replace(",\n  \"resumed\": true", "");
-        assert_ne!(legacy, json);
-        let back: DistributedReport = stdx::json::from_str(&legacy).unwrap();
-        assert!(!back.resumed);
-        assert_eq!(back.network_bytes, u64::MAX);
     }
 
     #[test]

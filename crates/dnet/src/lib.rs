@@ -25,9 +25,7 @@ pub mod netmodel;
 pub mod superstep;
 
 pub use am::{AmClient, AmServer, Request, Response};
-pub use cluster::{
-    Cluster, ClusterConfig, DistributedOutput, DistributedReport, PhaseSummary, ReduceStrategy,
-};
+pub use cluster::{Cluster, ClusterConfig, DistributedOutput, DistributedReport, ReduceStrategy};
 pub use netmodel::{NetModel, NetStats};
 pub use superstep::{LogRecovery, SuperstepLog, SuperstepRecord};
 

@@ -40,9 +40,9 @@ stdx::impl_json!(struct FileEntry { records, checksum });
 /// The same schema serves two callers: the single-node pipeline keeps one
 /// manifest per spill directory, and every rank of a distributed cluster
 /// keeps one in its node directory (`node<i>/manifest.json`). The
-/// distributed fields (`blocks`, `shuffled`, `joined`) default to empty so
-/// single-node manifests — and manifests written before they existed —
-/// parse unchanged.
+/// distributed fields (`blocks`, `shuffled`, `joined`) stay empty in a
+/// single-node manifest. Every field is required: a manifest an older
+/// build wrote without one is `Corrupt`, never guessed at.
 #[derive(Debug, Clone)]
 pub struct Manifest {
     /// Schema version ([`MANIFEST_VERSION`]).
@@ -66,10 +66,7 @@ pub struct Manifest {
     pub joined: Vec<String>,
 }
 
-stdx::impl_json!(struct Manifest {
-    version, config_hash, phases, sorted, files,
-    blocks = Vec::new(), shuffled = Vec::new(), joined = Vec::new(),
-});
+stdx::impl_json!(struct Manifest { version, config_hash, phases, sorted, files, blocks, shuffled, joined });
 
 impl Manifest {
     /// Fresh manifest for a run with the given dataset/config fingerprint.
@@ -305,17 +302,8 @@ mod tests {
         assert!(!back.is_shuffled("sfx_00046"));
         assert!(back.is_joined("pfx_00045_r001"));
 
-        // A pre-distributed manifest (no per-node fields) still parses.
-        let legacy = format!(
-            "{{\"version\":{MANIFEST_VERSION},\"config_hash\":9,\
-             \"phases\":[\"map\"],\"sorted\":[],\"files\":{{}}}}"
-        );
-        std::fs::write(dir.path().join(MANIFEST_NAME), legacy).unwrap();
-        let back = Manifest::load(dir.path()).unwrap().unwrap();
-        assert!(back.blocks.is_empty());
-        assert!(back.shuffled.is_empty());
-        assert!(back.joined.is_empty());
-        assert!(back.is_done("map"));
+        let fresh = Manifest::new(9);
+        assert!(fresh.blocks.is_empty() && fresh.shuffled.is_empty() && fresh.joined.is_empty());
     }
 
     #[test]
@@ -327,9 +315,20 @@ mod tests {
     #[test]
     fn garbage_manifest_fails_loudly() {
         let dir = stdx::tempdir().unwrap();
-        std::fs::write(dir.path().join(MANIFEST_NAME), b"{not json").unwrap();
-        let err = Manifest::load(dir.path()).unwrap_err();
-        assert!(format!("{err}").contains("unreadable"), "{err}");
+        // Not JSON, and a manifest an older build wrote before the
+        // distributed fields existed: both are corrupt, not a fresh run.
+        let older = format!(
+            "{{\"version\":{MANIFEST_VERSION},\"config_hash\":9,\
+             \"phases\":[\"map\"],\"sorted\":[],\"files\":{{}}}}"
+        );
+        for text in ["{not json".to_string(), older] {
+            std::fs::write(dir.path().join(MANIFEST_NAME), text).unwrap();
+            let err = Manifest::load(dir.path()).unwrap_err();
+            assert!(
+                matches!(&err, crate::LasagnaError::Stream(StreamError::Corrupt(m)) if m.contains("unreadable")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

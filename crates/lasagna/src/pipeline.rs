@@ -4,7 +4,7 @@ use crate::config::AssemblyConfig;
 use crate::contig::generate_contigs;
 use crate::graph::StringGraph;
 use crate::manifest::Manifest;
-use crate::report::AssemblyReport;
+use crate::report::{measure_phase, AssemblyReport};
 use crate::traverse::{extract_paths_traced, Path, TraverseOptions};
 use crate::{map, reduce, sortphase, Result};
 use genome::{PackedSeq, ReadSet};
@@ -121,22 +121,18 @@ impl Pipeline {
         &self.recorder
     }
 
-    /// Run `f` under a phase span, emitting the canonical per-phase
-    /// `device.*`/`io.*` deltas plus peak gauges on the span. The report
-    /// is later rolled up from exactly these events.
+    /// Run `f` under a phase span, measured by [`measure_phase`]. The
+    /// report is later rolled up from the events that leaves on the span.
     pub(crate) fn phase<T>(&self, name: &str, f: impl FnOnce() -> Result<T>) -> Result<T> {
-        let rec = &self.recorder;
-        let span = rec.span(name);
-        let dev0 = self.device.stats();
-        let io0 = self.spill.io().snapshot();
-        self.device.reset_peak();
-        self.host.reset_peak();
-        let out = f()?;
-        let dev = self.device.stats();
-        dev.since(&dev0).emit(rec, span.id());
-        self.spill.io().snapshot().since(&io0).emit(rec, span.id());
-        rec.gauge_on(span.id(), "host.peak_bytes", self.host.peak());
-        rec.gauge_on(span.id(), "device.peak_bytes", dev.mem_peak);
+        let span = self.recorder.span(name);
+        let (out, _) = measure_phase(
+            &self.recorder,
+            span.id(),
+            &self.device,
+            &self.host,
+            self.spill.io(),
+            f,
+        )?;
         Ok(out)
     }
 

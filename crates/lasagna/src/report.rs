@@ -1,8 +1,11 @@
 //! Per-phase metrics and the final assembly report.
 
 use crate::contig::ContigStats;
+use crate::Result;
 use gstream::iostats::IoSnapshot;
-use vgpu::DeviceStats;
+use gstream::{HostMem, IoStats};
+use std::time::Instant;
+use vgpu::{Device, DeviceStats};
 
 /// Measurements for one pipeline phase — the columns of Tables II-V.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -63,6 +66,47 @@ impl PhaseMetrics {
     }
 }
 
+/// Run `f` as one phase on `device`, `host` and `io`, and record it on
+/// `span`: both peaks are reset first, and afterwards the phase's
+/// `device.*`/`io.*` deltas and the `host.peak_bytes`/`device.peak_bytes`
+/// gauges are emitted there. The returned record is unnamed and holds
+/// what [`AssemblyReport::from_trace`] rebuilds from those events, and the
+/// closure's wall. The pipeline and every distributed rank call this.
+pub fn measure_phase<T>(
+    rec: &obs::Recorder,
+    span: u64,
+    device: &Device,
+    host: &HostMem,
+    io: &IoStats,
+    f: impl FnOnce() -> Result<T>,
+) -> Result<(T, PhaseMetrics)> {
+    let (t0, dev0, io0) = (Instant::now(), device.stats(), io.snapshot());
+    device.reset_peak();
+    host.reset_peak();
+    let out = f()?;
+    let mut m = PhaseMetrics {
+        wall_seconds: t0.elapsed().as_secs_f64(),
+        device: device.stats().since(&dev0),
+        io: io.snapshot().since(&io0),
+        host_peak_bytes: host.peak(),
+        ..Default::default()
+    };
+    // The current allocation is transient and not part of the events.
+    (m.device_peak_bytes, m.device.mem_used) = (m.device.mem_peak, 0);
+    m.compute_modeled();
+    m.device.emit(rec, span);
+    m.io.emit(rec, span);
+    rec.gauge_on(span, "host.peak_bytes", m.host_peak_bytes);
+    rec.gauge_on(span, "device.peak_bytes", m.device_peak_bytes);
+    Ok((out, m))
+}
+
+/// The record of phase `name` in `phases`, matched case-insensitively:
+/// the one lookup rule of the single-node and the distributed report.
+pub fn find_phase<'a>(phases: &'a [PhaseMetrics], name: &str) -> Option<&'a PhaseMetrics> {
+    phases.iter().find(|p| p.phase.eq_ignore_ascii_case(name))
+}
+
 /// Everything measured during one assembly.
 #[derive(Debug, Clone, Default)]
 pub struct AssemblyReport {
@@ -95,11 +139,9 @@ impl AssemblyReport {
         self.phases.iter().map(|p| p.modeled_seconds).sum()
     }
 
-    /// Metrics for a phase by name (case-insensitive).
+    /// Metrics for a phase by name ([`find_phase`]).
     pub fn phase(&self, name: &str) -> Option<&PhaseMetrics> {
-        self.phases
-            .iter()
-            .find(|p| p.phase.eq_ignore_ascii_case(name))
+        find_phase(&self.phases, name)
     }
 
     /// Append phase metrics; a phase already present under the same name
@@ -281,6 +323,50 @@ mod tests {
         assert_eq!(map.device_peak_bytes, 512);
         assert_eq!(map.modeled_seconds, 1.5 + 0.75);
         assert!(map.wall_seconds > 0.0);
+    }
+
+    #[test]
+    fn a_measured_phase_is_what_its_trace_rolls_up_to() {
+        let rec = obs::Recorder::new();
+        let device = Device::with_capacity(vgpu::GpuProfile::k40(), 1 << 20);
+        let host = HostMem::new(1 << 20);
+        let io = IoStats::default();
+        // Earlier work and a peak from before the phase are not its own.
+        device.charge_kernel("warmup", vgpu::KernelCost::new(10, 10));
+        drop(host.reserve(8192).unwrap());
+        let measured = {
+            let _root = rec.span("assembly");
+            let span = rec.span("sort");
+            let (out, measured) = measure_phase(&rec, span.id(), &device, &host, &io, || {
+                let _rows = host.reserve(4096)?;
+                let buf = device.h2d(&[7u32; 64])?;
+                device.charge_kernel("radix", vgpu::KernelCost::new(1000, 512));
+                io.add_read(100);
+                io.add_write(50);
+                Ok(device.d2h(&buf).len())
+            })
+            .unwrap();
+            assert_eq!(out, 64);
+            measured
+        };
+        assert_eq!(measured.host_peak_bytes, 4096);
+        assert_eq!(measured.device_peak_bytes, 256);
+        assert_eq!(measured.device.kernel_launches, 1);
+        assert_eq!(
+            (measured.io.bytes_read, measured.io.bytes_written),
+            (100, 50)
+        );
+        let rollup = obs::Rollup::from_events(&rec.events());
+        let report = AssemblyReport::from_trace(&rollup, "assembly");
+        let rebuilt = report.phase("sort").unwrap();
+        assert_eq!(
+            PhaseMetrics {
+                phase: "sort".into(),
+                wall_seconds: rebuilt.wall_seconds,
+                ..measured
+            },
+            *rebuilt
+        );
     }
 
     #[test]

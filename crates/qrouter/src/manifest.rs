@@ -43,20 +43,16 @@ pub struct ClusterManifest {
     /// when every shard answered for the same store.
     pub store_checksum: u64,
     /// The store/index generation every replica should be serving
-    /// (`0` = unversioned legacy build: whatever each replica's work
-    /// dir calls active). The router seeds its generation pin from
-    /// this and advances it only through [`crate::Router::rollout`],
-    /// so a manifest written after a rollout replays the same pin on
-    /// restart. Absent in version-1 manifests written before
-    /// generations existed; those parse as `0`.
+    /// (`0` = no pin: whatever each replica's work dir calls active).
+    /// The router seeds its generation pin from this and advances it
+    /// only through [`crate::Router::rollout`], so a manifest written
+    /// after a rollout replays the same pin on restart.
     pub generation: u64,
     /// One entry per shard, in shard order.
     pub shards: Vec<ShardEntry>,
 }
 
-stdx::impl_json!(struct ClusterManifest {
-    version, n_shards, store_checksum, generation = 0, shards
-});
+stdx::impl_json!(struct ClusterManifest { version, n_shards, store_checksum, generation, shards });
 
 impl ClusterManifest {
     /// An empty manifest for `n_shards` shards over one store; replicas
@@ -180,21 +176,6 @@ mod tests {
         let back = ClusterManifest::from_json(&m.to_json()).unwrap();
         assert_eq!(back, m);
         assert_eq!(back.generation, 42);
-    }
-
-    #[test]
-    fn pre_generation_manifests_parse_as_generation_zero() {
-        // A manifest written before generations existed carries no
-        // `generation` key; it must still parse, pinned to 0 (follow
-        // each replica's active) rather than failing or inventing an id.
-        let legacy = r#"{
-            "version": 1,
-            "n_shards": 1,
-            "store_checksum": 7,
-            "shards": [{ "shard": 0, "replicas": ["h:1"] }]
-        }"#;
-        let m = ClusterManifest::from_json(legacy).unwrap();
-        assert_eq!(m.generation, 0);
     }
 
     #[test]

@@ -129,42 +129,26 @@ pub trait FromJson: Sized {
     }
 }
 
-fn read_field<T: FromJson>(
-    fields: &[(String, Value)],
-    name: &'static str,
-    absent: impl FnOnce() -> Result<T>,
-) -> Result<T> {
+/// Reads struct field `name` out of an object's members.
+pub fn field<T: FromJson>(fields: &[(String, Value)], name: &'static str) -> Result<T> {
     match fields.iter().find(|(k, _)| k == name) {
         Some((_, value)) => T::from_json(value).map_err(|source| Error::Field {
             name,
             source: Box::new(source),
         }),
-        None => absent(),
+        None => T::missing(name),
     }
 }
 
-/// Reads struct field `name` out of an object's members.
-pub fn field<T: FromJson>(fields: &[(String, Value)], name: &'static str) -> Result<T> {
-    read_field(fields, name, || T::missing(name))
-}
-
-/// [`field`], with `default()` standing in for an absent member (files
-/// written before the field existed).
-pub fn field_or<T: FromJson>(
-    fields: &[(String, Value)],
-    name: &'static str,
-    default: impl FnOnce() -> T,
-) -> Result<T> {
-    read_field(fields, name, || Ok(default()))
-}
-
 /// Implements [`ToJson`] and [`FromJson`] for a struct with named fields
-/// (`struct T { a, b = value_when_absent }`) or an enum of unit variants
+/// (`struct T { a, b }`) or an enum of unit variants
 /// (`enum T { A, B = "name_on_the_wire" }`). Every field must be listed:
 /// `FromJson` builds `Self { .. }`, so a forgotten one does not compile.
+/// Every field is required unless it is an `Option`: a file has one
+/// version, the one this build writes.
 #[macro_export]
 macro_rules! impl_json {
-    (struct $ty:ident { $($field:ident $(= $default:expr)?),* $(,)? }) => {
+    (struct $ty:ident { $($field:ident),* $(,)? }) => {
         impl $crate::json::ToJson for $ty {
             fn to_json(&self) -> $crate::json::Value {
                 $crate::json::Value::Object(vec![$((
@@ -177,7 +161,7 @@ macro_rules! impl_json {
             fn from_json(value: &$crate::json::Value) -> $crate::json::Result<Self> {
                 let fields = value.as_object()?;
                 Ok(Self {
-                    $($field: $crate::impl_json!(@read fields $field $($default)?)),*
+                    $($field: $crate::json::field(fields, stringify!($field))?),*
                 })
             }
         }
@@ -200,12 +184,6 @@ macro_rules! impl_json {
                 }
             }
         }
-    };
-    (@read $fields:ident $field:ident) => {
-        $crate::json::field($fields, stringify!($field))?
-    };
-    (@read $fields:ident $field:ident $default:expr) => {
-        $crate::json::field_or($fields, stringify!($field), || $default)?
     };
     (@name $variant:ident) => { stringify!($variant) };
     (@name $variant:ident $name:literal) => { $name };
@@ -780,12 +758,8 @@ mod tests {
         items: Vec<Inner>,
         pair: (u32, String),
         by_id: BTreeMap<u64, String>,
-        added_later: Vec<u64>,
     }
-    impl_json!(struct Outer {
-        name, colour, signed, small, flag, maybe, items, pair, by_id,
-        added_later = vec![7],
-    });
+    impl_json!(struct Outer { name, colour, signed, small, flag, maybe, items, pair, by_id });
 
     fn sample() -> Outer {
         Outer {
@@ -807,7 +781,6 @@ mod tests {
             ],
             pair: (9, "nine".into()),
             by_id: BTreeMap::from([(3, "c".into()), (11, "k".into())]),
-            added_later: vec![],
         }
     }
 
@@ -865,9 +838,7 @@ mod tests {
     }
 
     #[test]
-    fn an_absent_field_takes_its_default_or_none_or_fails() {
-        let text = to_string(&sample()).replace(r#","added_later":[]"#, "");
-        assert_eq!(from_str::<Outer>(&text).unwrap().added_later, vec![7]);
+    fn an_absent_field_is_none_or_fails() {
         let text = to_string(&sample()).replace(r#""maybe":null,"#, "");
         assert_eq!(from_str::<Outer>(&text).unwrap().maybe, None);
         assert_eq!(

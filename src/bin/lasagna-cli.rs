@@ -389,15 +389,8 @@ fn assemble(opts: &Opts) {
             .unwrap_or_else(die_run);
             flush_trace(opts, &rec);
             write_metrics(opts, &result.report);
-            let s = &result.report.contig_stats;
-            println!(
-                "greedy graph: {} edges | contigs: {} ({} multi-read), {} bases, N50 {}, max {}",
-                result.report.graph_edges, s.count, s.multi_read, s.total_bases, s.n50, s.max_len
-            );
-            for p in &result.report.phases {
-                println!("  {:<9} {:>8.3}s wall", p.phase, p.wall_seconds);
-            }
-            (result.contigs, s.n50)
+            print!("{}", result.report);
+            (result.contigs, result.report.contig_stats.n50)
         }
         "full" => {
             if opts.contains_key("trace-out") || opts.contains_key("metrics-json") {
@@ -498,10 +491,7 @@ fn assemble_distributed(opts: &Opts) {
         result.report.network_messages
     );
     for p in &result.report.phases {
-        println!(
-            "  {:<9} {:>8.3}s wall {:>10.4}s modeled",
-            p.name, p.wall_seconds, p.modeled_seconds
-        );
+        println!("  {p}");
     }
     write_metrics(opts, &result.report);
 

@@ -363,10 +363,15 @@ fn assemble_distributed_roundtrip_resume_and_corrupt_log() {
         report
             .phases
             .iter()
-            .map(|p| p.name.as_str())
+            .map(|p| p.phase.as_str())
             .collect::<Vec<_>>(),
         vec!["map", "shuffle", "sort", "reduce"]
     );
+    // The same phase record as a single-node assembly's: the ranks'
+    // device and disk traffic, not only their seconds.
+    let map = report.phase("map").unwrap();
+    assert!(map.device.kernel_launches > 0, "{map:?}");
+    assert!(map.io.bytes_written > 0, "{map:?}");
     assert!(!report.resumed);
     let first_fa = std::fs::read(&contigs).expect("no contigs written");
     assert!(!first_fa.is_empty());
