@@ -720,7 +720,7 @@ pub fn faults(workdir: &Path) -> Result<Vec<FaultRow>> {
             let plan = faultsim::FaultPlan::new().fail_at(point, nth);
             let crash = Pipeline::laptop(config, &dir)?
                 .with_faults(faultsim::Faults::from_plan(&plan))
-                .assemble_resumable(&reads);
+                .resume(&reads);
             let injected = matches!(&crash, Err(e) if e.fault().is_some());
             let (recovered, detail) = match Pipeline::laptop(config, &dir)?.resume(&reads) {
                 Ok(out) if out.contigs == baseline.contigs => (
@@ -888,7 +888,7 @@ pub fn faults(workdir: &Path) -> Result<Vec<FaultRow>> {
         let faults = faultsim::Faults::from_plan(&plan);
         let crash = mk_cluster(2, ReduceStrategy::LengthToken)
             .map(|c| c.with_faults(faults.clone()))
-            .and_then(|c| c.assemble_resumable(&reads, &dir));
+            .and_then(|c| c.resume(&reads, &dir));
         let injected = !faults.injected().is_empty() && crash.is_err();
         let outcome =
             mk_cluster(2, ReduceStrategy::LengthToken).and_then(|c| c.resume(&reads, &dir));
@@ -908,8 +908,7 @@ pub fn faults(workdir: &Path) -> Result<Vec<FaultRow>> {
         // torn record and replay that superstep.
         let dir = workdir.join("dnet_torn_log");
         std::fs::create_dir_all(&dir)?;
-        mk_cluster(2, ReduceStrategy::LengthToken)
-            .and_then(|c| c.assemble_resumable(&reads, &dir))?;
+        mk_cluster(2, ReduceStrategy::LengthToken).and_then(|c| c.resume(&reads, &dir))?;
         let log = dir.join(dnet::superstep::LOG_NAME);
         let mut bytes = std::fs::read(&log)?;
         bytes.truncate(bytes.len().saturating_sub(10));
@@ -936,7 +935,7 @@ pub fn faults(workdir: &Path) -> Result<Vec<FaultRow>> {
         );
         let crash = Pipeline::laptop(config, &dir)?
             .with_faults(faults.clone())
-            .assemble_resumable(&reads);
+            .resume(&reads);
         let injected = !faults.injected().is_empty();
         let (recovered, detail) = match Pipeline::laptop(config, &dir)?.resume(&reads) {
             Ok(out) if out.contigs == baseline.contigs => (

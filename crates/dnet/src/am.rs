@@ -10,7 +10,7 @@
 //! the requester; rank-local messages are free, as they are under GASNet.
 
 use crate::netmodel::NetStats;
-use gstream::spill::PartitionKind;
+use gstream::spill::Partition;
 use gstream::{KvPair, StreamError};
 use std::sync::mpsc::{channel, Receiver, Sender};
 
@@ -25,14 +25,8 @@ pub enum Request {
     FetchPartition {
         /// Input block index.
         block: usize,
-        /// Suffix or prefix side.
-        kind: PartitionKind,
-        /// Overlap length of the partition.
-        len: u32,
-        /// Fingerprint range index.
-        range: u32,
-        /// Total ranges the map split each length into.
-        ranges: u32,
+        /// The partition of the block's map output.
+        part: Partition,
     },
     /// Stop the server thread.
     Shutdown,

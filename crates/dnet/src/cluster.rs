@@ -12,8 +12,10 @@
 //!    map output and the final graph matches the single-node graph
 //!    exactly;
 //! 3. **sort** — each node externally sorts its owned partitions with its
-//!    own GPU and disk (the aggregate-I/O win of scaling out);
-//! 4. **reduce** — overlap candidates are found in parallel, but edges are
+//!    own GPU and disk (the aggregate-I/O win of scaling out), through the
+//!    pipeline's step, `lasagna::sortphase::sort_partition`;
+//! 4. **reduce** — overlap candidates are found in parallel, by the
+//!    pipeline's join step `lasagna::reduce::join_pair`, but edges are
 //!    applied under the out-degree bit-vector, which travels from the owner
 //!    of partition `l+1` to the owner of `l` — the serialization that
 //!    bounds scalability at `t_o·p/n + t_g·p`.
@@ -55,14 +57,12 @@ use crate::superstep::{SuperstepLog, SuperstepRecord, HEADER_PHASE};
 use crate::{DnetError, Result};
 use genome::ReadSet;
 use gstream::iostats::DiskModel;
-use gstream::spill::{PartitionKind, SpillDir};
-use gstream::{
-    ExternalSorter, Fnv64, HostMem, IoStats, KvPair, RecordReader, RecordWriter, StreamError,
-};
+use gstream::spill::{Partition, SpillDir};
+use gstream::{Fnv64, HostMem, IoStats, KvPair, RecordReader, RecordWriter, StreamError};
 use lasagna::config::AssemblyConfig;
-use lasagna::{map, reduce, LasagnaError, Manifest, PhaseMetrics, StringGraph};
+use lasagna::{map, reduce, sortphase, LasagnaError, Manifest, PhaseMetrics, StringGraph};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 use std::sync::Mutex;
 use std::time::Instant;
@@ -157,11 +157,12 @@ pub struct DistributedOutput {
 /// `(length, fingerprint range, candidate pairs)`.
 type NodeItemCandidates = Vec<(u32, u32, Vec<(u32, u32)>)>;
 
+/// One rank's resources: its GPU, its host budget, and its private disk
+/// (a spill directory with its own I/O counters).
 struct Node {
     device: Device,
     host: HostMem,
-    io: IoStats,
-    dir: PathBuf,
+    spill: SpillDir,
 }
 
 /// Recovery bookkeeping for one distributed assembly (see ROBUSTNESS.md).
@@ -213,17 +214,6 @@ impl WorkItem {
 /// rebuilds from the durable map output before its own step.
 fn inherited(items: &[WorkItem]) -> Vec<WorkItem> {
     items.iter().copied().filter(|it| it.rebuild).collect()
-}
-
-/// File-name stem of a partition, matching `SpillDir::path_range` naming
-/// (`sfx_00045`, or `sfx_00045_r001` when length partitions are split by
-/// fingerprint range). Also the tag recorded in per-node manifests.
-fn part_tag(kind: PartitionKind, len: u32, range: u32, ranges: u32) -> String {
-    if ranges <= 1 {
-        format!("{}_{:05}", kind.tag(), len)
-    } else {
-        format!("{}_{:05}_r{:03}", kind.tag(), len, range)
-    }
 }
 
 /// Manifest tag of a durable candidate list (reduce-join graph delta).
@@ -340,11 +330,12 @@ fn master_err(e: StreamError) -> DnetError {
 /// artifacts from a predecessor cannot leak into this assembly.
 fn wipe_node_dirs(nodes: &[Node]) -> Result<()> {
     for (r, n) in nodes.iter().enumerate() {
+        let dir = n.spill.root();
         let wipe = || -> std::io::Result<()> {
-            if n.dir.exists() {
-                std::fs::remove_dir_all(&n.dir)?;
+            if dir.exists() {
+                std::fs::remove_dir_all(dir)?;
             }
-            std::fs::create_dir_all(&n.dir)
+            std::fs::create_dir_all(dir)
         };
         wipe().map_err(|e| DnetError::Node {
             node: r,
@@ -447,7 +438,7 @@ fn build_resume_plan(
                 continue;
             }
             for (r, m) in manifests.iter().enumerate() {
-                if m.has_block(b) && nodes[r].dir.join(format!("block{b}")).exists() {
+                if m.has_block(b) && nodes[r].spill.root().join(format!("block{b}")).exists() {
                     plan.map_done.insert(b);
                     plan.assignment_init[b as usize] = Some(r);
                     break;
@@ -459,12 +450,9 @@ fn build_resume_plan(
     for it in own.items() {
         let (id, len, range) = (it.id(), it.len, it.range);
         let owner = own.rank_of(&it);
-        let m = &manifests[owner];
-        let dir = &nodes[owner].dir;
-        let sfx_tag = part_tag(PartitionKind::Suffix, len, range, ranges);
-        let pfx_tag = part_tag(PartitionKind::Prefix, len, range, ranges);
-        let sfx_path = dir.join(format!("{sfx_tag}.kv"));
-        let pfx_path = dir.join(format!("{pfx_tag}.kv"));
+        let (m, spill) = (&manifests[owner], &nodes[owner].spill);
+        let [sfx_tag, pfx_tag] = Partition::pair(len, range, ranges).map(|part| part.name());
+        let (sfx_path, pfx_path) = (spill.file(&sfx_tag), spill.file(&pfx_tag));
         if log_sort.contains(&id) && m.is_sorted(&sfx_tag) && m.is_sorted(&pfx_tag) {
             if m.file_matches(&sfx_path) && m.file_matches(&pfx_path) {
                 plan.sort_done.insert(id);
@@ -494,14 +482,14 @@ fn build_resume_plan(
             plan.shuffle_done.insert(id);
         }
         let ctag = cand_tag(len, range);
-        let cpath = dir.join(format!("{ctag}.kv"));
+        let cpath = spill.file(&ctag);
         if plan.sort_done.contains(&id)
             && log_join.contains(&id)
             && m.is_joined(&ctag)
             && m.file_matches(&cpath)
         {
             if let Ok(pairs) =
-                RecordReader::open(&cpath, nodes[owner].io.clone()).and_then(|mut r| r.read_all())
+                RecordReader::open(&cpath, spill.io().clone()).and_then(|mut r| r.read_all())
             {
                 plan.join_done.insert(id);
                 plan.preloaded.push((
@@ -625,13 +613,8 @@ impl Cluster {
 
     /// Run the distributed pipeline, resuming from `workdir`'s superstep
     /// log and per-node manifests when they belong to this exact run
-    /// (same dataset, config, and cluster shape); otherwise starts fresh.
-    pub fn assemble_resumable(&self, reads: &ReadSet, workdir: &Path) -> Result<DistributedOutput> {
-        self.assemble_inner(reads, workdir, true)
-    }
-
-    /// Alias of [`Cluster::assemble_resumable`], mirroring the
-    /// single-node `Pipeline::resume`.
+    /// (same dataset, config, and cluster shape); otherwise starts fresh,
+    /// as the single-node `Pipeline::resume` does.
     pub fn resume(&self, reads: &ReadSet, workdir: &Path) -> Result<DistributedOutput> {
         self.assemble_inner(reads, workdir, true)
     }
@@ -662,20 +645,20 @@ impl Cluster {
         // Per-node resources (private disks: separate IoStats per node).
         let nodes: Vec<Node> = (0..n_nodes)
             .map(|i| {
-                let dir = workdir.join(format!("node{i}"));
-                std::fs::create_dir_all(&dir).map_err(|e| DnetError::Node {
-                    node: i,
-                    source: StreamError::Io(e).into(),
+                let io = IoStats::new(cfg.disk);
+                io.set_faults(self.faults.clone());
+                let spill = SpillDir::open(&workdir.join(format!("node{i}")), io).map_err(|e| {
+                    DnetError::Node {
+                        node: i,
+                        source: e.into(),
+                    }
                 })?;
                 let device = Device::with_capacity(cfg.gpu.clone(), cfg.device_capacity);
                 device.set_faults(self.faults.clone());
-                let io = IoStats::new(cfg.disk);
-                io.set_faults(self.faults.clone());
                 Ok(Node {
                     device,
                     host: HostMem::new(cfg.host_capacity),
-                    io,
-                    dir,
+                    spill,
                 })
             })
             .collect::<Result<_>>()?;
@@ -722,7 +705,7 @@ impl Cluster {
         let mut manifests: Vec<Manifest> = Vec::with_capacity(n_nodes);
         for (r, node) in nodes.iter().enumerate() {
             let m = if resumed {
-                match Manifest::load(&node.dir) {
+                match Manifest::load(node.spill.root()) {
                     Ok(Some(m)) if m.config_hash == fingerprint => m,
                     Ok(_) => Manifest::new(fingerprint),
                     Err(source) => return Err(DnetError::Node { node: r, source }),
@@ -739,7 +722,7 @@ impl Cluster {
             build_resume_plan(&replayed, &manifests, &nodes, n_blocks, &mut own, ranges)?
         } else {
             for (r, m) in manifests.iter().enumerate() {
-                m.store(&nodes[r].dir, &self.faults)
+                m.store(nodes[r].spill.root(), &self.faults)
                     .map_err(|source| DnetError::Node { node: r, source })?;
             }
             slog.append(&SuperstepRecord::header(fingerprint, own.logged()))
@@ -820,30 +803,22 @@ impl Cluster {
             for (rank, server) in servers.drain(..).enumerate() {
                 let queue = Arc::clone(&queue);
                 let blocks = blocks.clone();
-                let dir = nodes[rank].dir.clone();
-                let io = nodes[rank].io.clone();
+                let spill = nodes[rank].spill.clone();
                 scope.spawn(move || {
                     server.serve(move |req| match req {
                         Request::GetBlock => {
                             let next = lock(&queue).pop_front();
                             Response::Block(next.map(|b| (b, blocks[b].0, blocks[b].1)))
                         }
-                        Request::FetchPartition {
-                            block,
-                            kind,
-                            len,
-                            range,
-                            ranges,
-                        } => {
-                            let bdir = dir.join(format!("block{block}"));
-                            let fetched = SpillDir::open(&bdir, io.clone()).and_then(|spill| {
-                                let p = spill.path_range(kind, len, range, ranges);
+                        Request::FetchPartition { block, part } => {
+                            let bdir = spill.root().join(format!("block{block}"));
+                            let fetched = SpillDir::open(&bdir, spill.io().clone()).and_then(|b| {
                                 // A block that produced nothing for this
                                 // length legitimately has no file.
-                                if !p.exists() {
+                                if !b.path_range(part).exists() {
                                     return Ok(Vec::new());
                                 }
-                                RecordReader::open(&p, io.clone())?.read_all()
+                                b.reader_range(part)?.read_all()
                             });
                             match fetched {
                                 Ok(pairs) => Response::Partition(pairs),
@@ -866,15 +841,14 @@ impl Cluster {
                 // no shuffle component ("scaling out from a single node
                 // introduces the additional overhead of an all-to-all data
                 // transfer").
-                let map_one = |rank: usize, node: &Node, _: &[WorkItem]| -> RankResult<()> {
+                let map_one = |rank: usize, node: &Node, _, _: &[WorkItem]| -> RankResult<()> {
                     let mf = &manifests[rank];
                     if n_nodes == 1 {
                         if !single_map_done {
-                            let spill = SpillDir::open(&node.dir, node.io.clone())?;
-                            map::run(&node.device, &node.host, &spill, &assembly, reads)?;
+                            map::run(&node.device, &node.host, &node.spill, &assembly, reads)?;
                             let mut m = lock(mf);
                             m.mark_phase("map");
-                            m.store(&node.dir, &self.faults)?;
+                            m.store(node.spill.root(), &self.faults)?;
                         }
                         return Ok((0.0, ()));
                     }
@@ -883,8 +857,8 @@ impl Cluster {
                         let Response::Block(Some((b, start, end))) = resp else {
                             return Ok((0.0, ()));
                         };
-                        let bdir = node.dir.join(format!("block{b}"));
-                        let spill = SpillDir::open(&bdir, node.io.clone())?;
+                        let bdir = node.spill.root().join(format!("block{b}"));
+                        let spill = SpillDir::open(&bdir, node.spill.io().clone())?;
                         map::run_range(
                             &node.device,
                             &node.host,
@@ -899,7 +873,7 @@ impl Cluster {
                         {
                             let mut m = lock(mf);
                             m.mark_block(b as u64);
-                            m.store(&node.dir, &self.faults)?;
+                            m.store(node.spill.root(), &self.faults)?;
                         }
                         lock(&assignment)[b] = Some(rank);
                     }
@@ -961,6 +935,7 @@ impl Cluster {
                     mappers: &mappers,
                     manifests: &manifests,
                     faults: &self.faults,
+                    rec: &self.recorder,
                     ranges,
                 };
 
@@ -970,7 +945,7 @@ impl Cluster {
                     ("shuffle", "shuffle"),
                     shuffle_todo,
                     shuffle_done.len(),
-                    |rank, node, items| Ok((workers.shuffle(rank, node, items)?, ())),
+                    |rank, node, _, items| Ok((workers.shuffle(rank, node, items)?, ())),
                     |_, _, _| Ok(0.0),
                 )?;
 
@@ -982,9 +957,9 @@ impl Cluster {
                     ("sort", "sort"),
                     sort_todo,
                     sort_done.len(),
-                    |rank, node, items| {
+                    |rank, node, span, items| {
                         let net_s = workers.shuffle(rank, node, &inherited(items))?;
-                        workers.sort(rank, node, items)?;
+                        workers.sort(rank, node, span, items)?;
                         Ok((net_s, ()))
                     },
                     |_, _, _| Ok(0.0),
@@ -999,11 +974,11 @@ impl Cluster {
                     ("reduce", "join"),
                     join_todo,
                     join_done.len(),
-                    |rank, node, items| {
+                    |rank, node, span, items| {
                         let moved = inherited(items);
                         let net_s = workers.shuffle(rank, node, &moved)?;
-                        workers.sort(rank, node, &moved)?;
-                        Ok((net_s, workers.join(rank, node, items)?))
+                        workers.sort(rank, node, span, &moved)?;
+                        Ok((net_s, workers.join(rank, node, span, items)?))
                     },
                     |master, span, found| {
                         // Candidates keyed by item, [length][range] (one
@@ -1142,8 +1117,9 @@ impl Master<'_> {
 
     /// One superstep: run `body` on every planned `(rank, items)` in its
     /// own thread, measured on a `rank{r}` span like a pipeline phase
-    /// ([`lasagna::report::measure_phase`]), charge the rank the network
-    /// seconds `body` returns on top, and join them.
+    /// ([`lasagna::report::measure_phase`]) and handed that span's id for
+    /// its partitions' spans, charge the rank the network seconds `body`
+    /// returns on top, and join them.
     /// A rank that died on an *injected* fault is reported for fail-over
     /// while retries remain; any real error — and any injected fault once
     /// the retry budget is spent — propagates at once.
@@ -1153,7 +1129,7 @@ impl Master<'_> {
         phase: &OpenPhase,
         round: u32,
         plan: &[(usize, Vec<WorkItem>)],
-        body: &(impl Fn(usize, &Node, &[WorkItem]) -> RankResult<T> + Sync),
+        body: &(impl Fn(usize, &Node, u64, &[WorkItem]) -> RankResult<T> + Sync),
     ) -> Result<RoundOutcome<(PhaseMetrics, T)>> {
         let (name, span) = (phase.name, phase.span.id());
         std::thread::scope(|s| {
@@ -1166,8 +1142,8 @@ impl Master<'_> {
                         rspan.id(),
                         &node.device,
                         &node.host,
-                        &node.io,
-                        || body(rank, node, items),
+                        node.spill.io(),
+                        || body(rank, node, rspan.id(), items),
                     )?;
                     m.modeled_seconds += net_s;
                     rec.metric_on(rspan.id(), "rank.modeled_seconds", m.modeled_seconds);
@@ -1260,7 +1236,7 @@ impl Master<'_> {
         (name, step): (&'static str, &str),
         mut todo: Vec<WorkItem>,
         skipped: usize,
-        body: impl Fn(usize, &Node, &[WorkItem]) -> RankResult<T> + Sync,
+        body: impl Fn(usize, &Node, u64, &[WorkItem]) -> RankResult<T> + Sync,
         finish: impl FnOnce(&mut Self, u64, Vec<T>) -> Result<f64>,
     ) -> Result<()> {
         let phase = self.open(name, skipped);
@@ -1326,7 +1302,7 @@ impl Master<'_> {
                 rebuild: false,
             })
         };
-        let mut offered = 0u64;
+        let (mut offered, mut accepted) = (0u64, 0u64);
         let mut apply_wall = 0.0;
         let mut token_net_s = 0.0;
         let mut bits = StringGraph::new(vertices).out_bits();
@@ -1343,6 +1319,7 @@ impl Master<'_> {
                 for &(u, v) in cands {
                     if g.try_add_edge(u, v, len).is_ok() {
                         let _ = graph.try_add_edge(u, v, len);
+                        accepted += 1;
                     }
                 }
                 offered += cands.len() as u64;
@@ -1404,7 +1381,11 @@ impl Master<'_> {
                 }
             }
         }
-        self.recorder.counter_on(span, "reduce.candidates", offered);
+        // Stage A's ranks recorded the candidates they found; the guard's
+        // verdicts on them are recorded here.
+        self.recorder.counter_on(span, "reduce.accepted", accepted);
+        self.recorder
+            .counter_on(span, "reduce.rejected", offered - accepted);
         self.recorder
             .metric_on(span, "reduce.token_net_seconds", token_net_s);
         Ok((offered, apply_wall + token_net_s))
@@ -1416,14 +1397,15 @@ impl Master<'_> {
 type RoundOutcome<T> = (Vec<(usize, T)>, Vec<usize>);
 
 /// What every rank's work reads: the active-message endpoints, the rank
-/// that mapped each input block, the per-rank manifests and the
-/// failpoints.
+/// that mapped each input block, the per-rank manifests, the failpoints
+/// and the recorder.
 struct Workers<'a> {
     assembly: &'a AssemblyConfig,
     clients: &'a [AmClient],
     mappers: &'a [usize],
     manifests: &'a [Mutex<Manifest>],
     faults: &'a faultsim::Faults,
+    rec: &'a obs::Recorder,
     ranges: u32,
 }
 
@@ -1436,24 +1418,14 @@ impl Workers<'_> {
     /// (tags + footers) before the next begins, so a resume trusts exactly
     /// the items that were durable. Returns the modeled network seconds.
     fn shuffle(&self, rank: usize, node: &Node, items: &[WorkItem]) -> lasagna::Result<f64> {
-        let ranges = self.ranges;
-        let mut net_s = 0.0;
-        let spill = SpillDir::open(&node.dir, node.io.clone())?;
+        let (spill, mut net_s) = (&node.spill, 0.0);
         for it in items {
-            for kind in [PartitionKind::Suffix, PartitionKind::Prefix] {
-                let dest = spill.path_range(kind, it.len, it.range, ranges);
-                let mut w = RecordWriter::create(&dest, node.io.clone())?;
-                for (b, &src) in self.mappers.iter().enumerate() {
-                    let (resp, secs) = self.clients[src].try_call(
-                        rank,
-                        Request::FetchPartition {
-                            block: b,
-                            kind,
-                            len: it.len,
-                            range: it.range,
-                            ranges,
-                        },
-                    )?;
+            let pair = Partition::pair(it.len, it.range, self.ranges);
+            for part in pair {
+                let mut w = RecordWriter::create(&spill.path_range(part), spill.io().clone())?;
+                for (block, &src) in self.mappers.iter().enumerate() {
+                    let (resp, secs) = self.clients[src]
+                        .try_call(rank, Request::FetchPartition { block, part })?;
                     net_s += secs;
                     match resp {
                         Response::Partition(pairs) => w.write_all(&pairs)?,
@@ -1463,85 +1435,83 @@ impl Workers<'_> {
                 }
                 w.finish()?;
             }
-            let mut m = lock(&self.manifests[rank]);
-            for kind in [PartitionKind::Suffix, PartitionKind::Prefix] {
-                m.mark_shuffled(&part_tag(kind, it.len, it.range, ranges));
-                m.record_file(&spill.path_range(kind, it.len, it.range, ranges))?;
-            }
-            m.store(&node.dir, self.faults)?;
+            let names = pair.map(|part| part.name());
+            self.claim(rank, node, Manifest::mark_shuffled, names)?;
         }
         Ok(net_s)
     }
 
-    /// Sort step for one owner: externally sort each of `items`' partition
-    /// pairs in place with the node's own GPU and disk, then claim the
-    /// sorted footers in the rank's manifest.
-    fn sort(&self, rank: usize, node: &Node, items: &[WorkItem]) -> lasagna::Result<()> {
-        let ranges = self.ranges;
-        let spill = SpillDir::open(&node.dir, node.io.clone())?;
-        let sort_config = lasagna::sortphase::sort_config(self.assembly, &node.host, &node.device);
-        let sorter = ExternalSorter::new(node.device.clone(), node.host.clone(), sort_config)?;
+    /// Sort step for one owner: sort each of `items`' partition pairs in
+    /// place with the node's own GPU and disk, through the pipeline's
+    /// [`sortphase::sort_partition`] under the rank's `span`, then claim
+    /// the sorted footers in the rank's manifest.
+    fn sort(&self, rank: usize, node: &Node, span: u64, items: &[WorkItem]) -> lasagna::Result<()> {
+        let (device, host, spill) = (&node.device, &node.host, &node.spill);
+        let (assembly, rec) = (self.assembly, self.rec);
         for it in items {
-            for kind in [PartitionKind::Suffix, PartitionKind::Prefix] {
-                let input = spill.path_range(kind, it.len, it.range, ranges);
-                let sorted = spill.scratch_path(&format!("{}{}r{}s", kind.tag(), it.len, it.range));
-                sorter.sort_file(&spill, &input, &sorted)?;
-                std::fs::rename(&sorted, &input).map_err(StreamError::Io)?;
+            let pair = Partition::pair(it.len, it.range, self.ranges);
+            for part in pair {
+                sortphase::sort_partition(device, host, spill, assembly, rec, span, part)?;
             }
             // The renames are only crash-durable once the directory entries
-            // are: the store below fsyncs this directory, after them and
-            // after its own rename, as `Pipeline`'s sort phase does. A
+            // are: the store in `claim` fsyncs this directory, after them
+            // and after its own rename, as `Pipeline`'s sort phase does. A
             // resume that finds a sorted claim without the file it claims
             // (a footer that does not match) fails loudly.
-            let mut m = lock(&self.manifests[rank]);
-            for kind in [PartitionKind::Suffix, PartitionKind::Prefix] {
-                m.mark_sorted(&part_tag(kind, it.len, it.range, ranges));
-                m.record_file(&spill.path_range(kind, it.len, it.range, ranges))?;
-            }
-            m.store(&node.dir, self.faults)?;
+            let names = pair.map(|part| part.name());
+            self.claim(rank, node, Manifest::mark_sorted, names)?;
         }
         Ok(())
     }
 
     /// Reduce stage A for one owner: join each of `items`' sorted partition
-    /// pairs, collecting candidates. Both streams are drained afterwards so
-    /// a corrupt tail fails here, loudly, rather than shrinking the
-    /// assembly. Each item's candidate list — the superstep's graph delta —
-    /// is written durably (`cnd_<len>_r<range>.kv`) and claimed in the
-    /// manifest, so a resumed reduce reloads it instead of re-joining.
+    /// pairs through the pipeline's [`reduce::join_pair`] under the rank's
+    /// `span`, collecting candidates. Each item's candidate list — the
+    /// superstep's graph delta — is written durably
+    /// (`cnd_<len>_r<range>.kv`) and claimed in the manifest, so a resumed
+    /// reduce reloads it instead of re-joining.
     fn join(
         &self,
         rank: usize,
         node: &Node,
+        span: u64,
         items: &[WorkItem],
     ) -> lasagna::Result<NodeItemCandidates> {
-        let ranges = self.ranges;
-        let spill = SpillDir::open(&node.dir, node.io.clone())?;
-        let window = reduce::window_budget(&node.host, &node.device);
+        let (device, host, spill) = (&node.device, &node.host, &node.spill);
         let mut out = Vec::new();
         for it in items {
-            let mut sfx = spill.reader_range(PartitionKind::Suffix, it.len, it.range, ranges)?;
-            let mut pfx = spill.reader_range(PartitionKind::Prefix, it.len, it.range, ranges)?;
+            let pair = Partition::pair(it.len, it.range, self.ranges);
             let mut cands: Vec<(u32, u32)> = Vec::new();
-            reduce::join_partition(&node.device, &mut sfx, &mut pfx, window, |u, v| {
+            reduce::join_pair(device, host, spill, self.rec, span, pair, |u, v| {
                 cands.push((u, v))
             })?;
-            sfx.verify_to_end()?;
-            pfx.verify_to_end()?;
             let ctag = cand_tag(it.len, it.range);
-            let cpath = node.dir.join(format!("{ctag}.kv"));
-            let mut w = RecordWriter::create(&cpath, node.io.clone())?;
+            let mut w = RecordWriter::create(&spill.file(&ctag), spill.io().clone())?;
             for &(u, v) in &cands {
                 w.write(KvPair::new(u as u128, v))?;
             }
             w.finish()?;
-            let mut m = lock(&self.manifests[rank]);
-            m.mark_joined(&ctag);
-            m.record_file(&cpath)?;
-            m.store(&node.dir, self.faults)?;
+            self.claim(rank, node, Manifest::mark_joined, [ctag])?;
             out.push((it.len, it.range, cands));
         }
         Ok(out)
+    }
+
+    /// Claim the node's record files `names` in rank `rank`'s manifest —
+    /// each marked with `mark` and its footer recorded — and store it.
+    fn claim(
+        &self,
+        rank: usize,
+        node: &Node,
+        mark: fn(&mut Manifest, &str),
+        names: impl IntoIterator<Item = String>,
+    ) -> lasagna::Result<()> {
+        let mut m = lock(&self.manifests[rank]);
+        for name in names {
+            mark(&mut m, &name);
+            m.record_file(&node.spill.file(&name))?;
+        }
+        m.store(node.spill.root(), self.faults)
     }
 }
 
@@ -1623,7 +1593,7 @@ mod tests {
     }
 
     #[test]
-    fn one_node_charges_map_and_sort_as_the_pipeline_does() {
+    fn one_node_charges_every_phase_as_the_pipeline_does() {
         let reads = sample(1200, 40, 8.0, 29);
         // Budget-derived blocks, and blocks far below what the budgets
         // allow: several runs and merge passes per partition.
@@ -1632,6 +1602,7 @@ mod tests {
             device_block_pairs: 16,
             kway: false,
         };
+        let graph_bytes = StringGraph::new(reads.vertex_count()).memory_bytes();
         for sort in [None, Some(small)] {
             let mut assembly = AssemblyConfig::for_dataset(25, 40);
             assembly.sort = sort;
@@ -1639,6 +1610,13 @@ mod tests {
             c.config.assembly = assembly;
             let dir = stdx::tempdir().unwrap();
             let distributed = c.assemble(&reads, dir.path()).unwrap().report;
+            // The records of rank 0's candidate lists, as the disk counts them.
+            let candidate_bytes: u64 = std::fs::read_dir(dir.path().join("node0"))
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .filter(|p| p.file_name().unwrap().to_string_lossy().starts_with("cnd_"))
+                .map(|p| gstream::read_footer(&p).unwrap().records * KvPair::BYTES as u64)
+                .sum();
             let dir = stdx::tempdir().unwrap();
             let pipeline = lasagna::Pipeline::new(
                 Device::with_capacity(GpuProfile::k20x(), 1 << 20),
@@ -1648,9 +1626,7 @@ mod tests {
             )
             .unwrap();
             let single = pipeline.assemble(&reads).unwrap().report;
-            // Reduce stays out: dnet's is dearer by 14 % on this sample
-            // (CHANGES.md's FOUND line on reduce, ROADMAP item 13).
-            for phase in ["map", "sort"] {
+            for phase in ["map", "sort", "reduce"] {
                 let (expect, got) = (
                     single.phase(phase).unwrap(),
                     distributed.phase(phase).unwrap(),
@@ -1659,38 +1635,52 @@ mod tests {
                 // once, so launches match too. Seconds are equal up to
                 // the order the same charges were summed in: the
                 // pipeline's deltas subtract the load phase's I/O.
-                let ((got, got_s), (expect, expect_s)) =
+                let ((mut got, got_device, got_rest), (expect, expect_device, expect_rest)) =
                     (split_seconds(got), split_seconds(expect));
+                let mut seconds = vec![(got_device, expect_device)];
+                if phase == "reduce" {
+                    // Where one node's reduce differs, by exactly this
+                    // much: the rank writes its candidate lists, and the
+                    // graph is held by the master, not on the rank's host
+                    // budget. Modeled and disk seconds follow the bytes.
+                    assert!(got.host_peak_bytes > 0 && candidate_bytes > 0);
+                    got.io.bytes_written -= candidate_bytes;
+                    got.host_peak_bytes += graph_bytes;
+                } else {
+                    seconds.push((got_rest, expect_rest));
+                }
                 assert_eq!(got, expect, "{sort:?} {phase}");
-                for (got, expect) in got_s.into_iter().zip(expect_s) {
+                for (got, expect) in seconds.into_iter().flat_map(|(g, e)| g.into_iter().zip(e)) {
                     assert!(
                         (got - expect).abs() <= 1e-12 * expect,
                         "{sort:?} {phase}: {got} vs {expect}"
                     );
                 }
-                assert!(expect.device.kernel_launches > 0 && expect.io.bytes_written > 0);
+                let bytes = expect.io.bytes_read + expect.io.bytes_written;
+                assert!(expect.device.kernel_launches > 0 && bytes > 0);
             }
         }
     }
 
-    /// A phase record's seconds but wall, in a fixed order, and the rest
-    /// of it with every seconds field zeroed.
-    fn split_seconds(m: &PhaseMetrics) -> (PhaseMetrics, Vec<f64>) {
+    /// A phase record's seconds but wall, in a fixed order — the device's
+    /// (kernels, transfers, each kernel), then modeled and disk — and the
+    /// rest of it with every seconds field zeroed.
+    fn split_seconds(m: &PhaseMetrics) -> (PhaseMetrics, Vec<f64>, Vec<f64>) {
         let mut rest = PhaseMetrics {
             wall_seconds: 0.0,
             ..m.clone()
         };
         let (d, io) = (&mut rest.device, &mut rest.io);
-        let mut fields = vec![
+        let mut device = vec![&mut d.kernel_seconds, &mut d.transfer_seconds];
+        device.extend(d.per_kernel.values_mut().map(|k| &mut k.seconds));
+        let other = [
             &mut rest.modeled_seconds,
-            &mut d.kernel_seconds,
-            &mut d.transfer_seconds,
             &mut io.read_seconds,
             &mut io.write_seconds,
         ];
-        fields.extend(d.per_kernel.values_mut().map(|k| &mut k.seconds));
-        let seconds = fields.into_iter().map(std::mem::take).collect();
-        (rest, seconds)
+        let device = device.into_iter().map(std::mem::take).collect();
+        let other = other.into_iter().map(std::mem::take).collect();
+        (rest, device, other)
     }
 
     #[test]
@@ -1806,9 +1796,32 @@ mod tests {
             assert_eq!(ranks.len(), 2, "phase {} rank spans", phase.name);
             assert!(ranks.iter().all(|r| r.name.starts_with("rank")));
         }
+        // Each rank sorts its partitions under their own spans, as the
+        // pipeline does, and every pair the map wrote is sorted once.
+        let sort = rollup.child_named(root.id, "sort").unwrap();
+        let parts: Vec<_> = rollup
+            .children(sort.id)
+            .into_iter()
+            .flat_map(|rank| rollup.children(rank.id))
+            .collect();
+        assert_eq!(parts.len(), 2 * 15, "one span per partition");
+        assert!(parts
+            .iter()
+            .all(|p| p.name.starts_with("sfx_") || p.name.starts_with("pfx_")));
+        assert_eq!(
+            rollup.subtree(sort.id).counter("sort.pairs"),
+            2 * 15 * reads.vertex_count() as u64
+        );
+        // The ranks count the candidates they find, the commit the
+        // guard's verdicts on them.
         let reduce = rollup.child_named(root.id, "reduce").unwrap();
         let agg = rollup.subtree(reduce.id);
         assert_eq!(agg.counter("reduce.candidates"), out.report.candidates);
+        assert_eq!(
+            agg.counter("reduce.accepted") + agg.counter("reduce.rejected"),
+            out.report.candidates
+        );
+        assert_eq!(agg.counter("reduce.accepted") * 2, out.report.edges);
         let root_agg = rollup.subtree(root.id);
         assert_eq!(root_agg.counter("net.bytes"), out.report.network_bytes);
     }
@@ -1981,7 +1994,7 @@ mod tests {
             .with_faults(faultsim::Faults::from_plan(
                 &faultsim::FaultPlan::new().fail_at(faultsim::SUPERSTEP_WRITE, 5),
             ))
-            .assemble_resumable(&reads, dir.path())
+            .resume(&reads, dir.path())
             .unwrap_err();
         assert_eq!(
             err.fault().map(|f| (f.point.as_str(), f.occurrence)),
@@ -2025,7 +2038,7 @@ mod tests {
             .fail_at(faultsim::DNET_AM, 3);
         cluster(3, 25, 40, 37)
             .with_faults(faultsim::Faults::from_plan(&plan))
-            .assemble_resumable(&reads, dir.path())
+            .resume(&reads, dir.path())
             .unwrap_err();
         let out = cluster(3, 25, 40, 37).resume(&reads, dir.path()).unwrap();
         assert!(out.report.resumed);
@@ -2042,7 +2055,7 @@ mod tests {
             .fail_at(faultsim::DNET_AM, 2);
         range_cluster(2, 25, 40, 37)
             .with_faults(faultsim::Faults::from_plan(&plan))
-            .assemble_resumable(&reads, dir.path())
+            .resume(&reads, dir.path())
             .unwrap_err();
         let out = range_cluster(2, 25, 40, 37)
             .resume(&reads, dir.path())

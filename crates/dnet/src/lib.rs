@@ -12,7 +12,11 @@
 //! budget, I/O counters, and spill directory; [`am`] is the active-message
 //! layer (request/response over channels with a network bandwidth model);
 //! [`cluster`] drives the four distributed phases and merges the disjoint
-//! per-node edge sets into one string graph.
+//! per-node edge sets into one string graph. A rank maps, sorts and joins
+//! through `lasagna`'s own steps (`map::run` / `map::run_range`,
+//! `sortphase::sort_partition`, `reduce::join_pair`), so one node and many
+//! run — and are charged for — the same partition work; only the shuffle,
+//! the token and the checkpoints are `dnet`'s.
 //!
 //! The simulation preserves the paper's *structure* — dynamic block
 //! assignment, an all-to-all shuffle that only appears beyond one node, a

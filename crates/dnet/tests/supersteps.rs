@@ -173,7 +173,7 @@ fn resume_after_a_fail_over_runs_on_the_logged_owners() {
     let dir = stdx::tempdir().unwrap();
     let err = cluster(3, ReduceStrategy::LengthToken)
         .with_faults(faultsim::Faults::from_plan(&plan))
-        .assemble_resumable(&reads, dir.path())
+        .resume(&reads, dir.path())
         .unwrap_err();
     assert_eq!(
         err.fault().map(|f| (f.point.as_str(), f.occurrence)),
@@ -212,7 +212,7 @@ fn corrupt_map_output_fails_the_resumed_shuffle_without_fail_over() {
     let plan = faultsim::FaultPlan::new().fail_at(faultsim::SUPERSTEP_WRITE, 3);
     cluster(3, ReduceStrategy::LengthToken)
         .with_faults(faultsim::Faults::from_plan(&plan))
-        .assemble_resumable(&reads, dir.path())
+        .resume(&reads, dir.path())
         .unwrap_err();
     let victim = (0..3)
         .map(|r| dir.path().join(format!("node{r}/block0/pfx_00025.kv")))

@@ -149,7 +149,6 @@ pub struct ExternalSorter {
     device: Device,
     host: HostMem,
     config: SortConfig,
-    recorder: obs::Recorder,
 }
 
 impl ExternalSorter {
@@ -160,39 +159,12 @@ impl ExternalSorter {
             device,
             host,
             config,
-            recorder: obs::Recorder::disabled(),
         })
-    }
-
-    /// Attach a recorder: each [`ExternalSorter::sort_file`] emits `sort.*`
-    /// counters (pairs, runs, merge/disk passes, spilled bytes) and the
-    /// sum of its merges' `merge.window_advances` on the recorder's
-    /// current span, once per call.
-    pub fn with_recorder(mut self, recorder: obs::Recorder) -> Self {
-        self.recorder = recorder;
-        self
     }
 
     /// The active configuration.
     pub fn config(&self) -> SortConfig {
         self.config
-    }
-
-    fn emit_report(&self, report: &SortReport) {
-        let rec = &self.recorder;
-        if !rec.is_enabled() {
-            return;
-        }
-        rec.counter("sort.pairs", report.pairs);
-        rec.counter("sort.initial_runs", u64::from(report.initial_runs));
-        rec.counter("sort.merge_passes", u64::from(report.merge_passes));
-        rec.counter("sort.disk_passes", u64::from(report.disk_passes));
-        rec.counter("sort.spill_bytes", report.io.bytes_written);
-        rec.metric("sort.io_seconds", report.io.total_seconds());
-        rec.metric("sort.device_seconds", report.device_seconds);
-        if report.window_advances > 0 {
-            rec.counter("merge.window_advances", report.window_advances);
-        }
     }
 
     /// Sort the next `block_pairs` pairs of `reader` in memory by streaming
@@ -379,7 +351,7 @@ impl ExternalSorter {
             merge_passes += 1;
         }
 
-        let report = SortReport {
+        Ok(SortReport {
             pairs: total_pairs,
             initial_runs,
             merge_passes,
@@ -387,9 +359,7 @@ impl ExternalSorter {
             io: spill.io().snapshot().since(&io_before),
             device_seconds: self.device.stats().since(&dev_before).total_seconds(),
             window_advances,
-        };
-        self.emit_report(&report);
-        Ok(report)
+        })
     }
 }
 
@@ -497,49 +467,6 @@ mod tests {
         let report = sorter.sort_file(&spill, &input, &output).unwrap();
         assert_eq!(report.pairs, 0);
         assert!(read_output(&spill, &output).is_empty());
-    }
-
-    #[test]
-    fn sort_file_emits_counters_matching_its_report() {
-        let (_g, spill, sorter) = setup(1000, 400);
-        let rec = obs::Recorder::new();
-        let sorter = sorter.with_recorder(rec.clone());
-        let pairs: Vec<KvPair> = (0..100u32)
-            .rev()
-            .map(|i| KvPair::new(i as u128, i))
-            .collect();
-        let input = write_input(&spill, &pairs);
-        let output = spill.scratch_path("out");
-        let span = rec.span("sfx_00005");
-        let report = sorter.sort_file(&spill, &input, &output).unwrap();
-        drop(span);
-        let rollup = obs::Rollup::from_events(&rec.events());
-        let node = rollup.root_named("sfx_00005").unwrap();
-        let agg = rollup.subtree(node.id);
-        assert_eq!(agg.counter("sort.pairs"), report.pairs);
-        assert_eq!(
-            agg.counter("sort.initial_runs"),
-            u64::from(report.initial_runs)
-        );
-        assert_eq!(
-            agg.counter("sort.merge_passes"),
-            u64::from(report.merge_passes)
-        );
-        assert_eq!(
-            agg.counter("sort.disk_passes"),
-            u64::from(report.disk_passes)
-        );
-        assert_eq!(agg.counter("sort.spill_bytes"), report.io.bytes_written);
-        assert_eq!(agg.metric("sort.io_seconds"), report.io.total_seconds());
-        assert!(report.window_advances > 0);
-        assert_eq!(agg.counter("merge.window_advances"), report.window_advances);
-        // Once per sort: the merges themselves emit nothing.
-        let advance_events = rec
-            .events()
-            .iter()
-            .filter(|e| matches!(e, obs::Event::Counter { name, .. } if name == "merge.window_advances"))
-            .count();
-        assert_eq!(advance_events, 1);
     }
 
     #[test]

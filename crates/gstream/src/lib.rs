@@ -42,7 +42,7 @@ pub use merge::{
 };
 pub use reader::{read_blob, read_footer, RecordReader};
 pub use record::{fnv1a, Columns, Fnv64, Footer, KvPair, Pairs, Xxh64};
-pub use spill::{range_of, PartitionKind, PartitionSet, SpillDir};
+pub use spill::{range_of, Partition, PartitionKind, PartitionSet, SpillDir};
 pub use stdx::{Ledger as HostMem, OverBudget, Reservation};
 pub use writer::{fsync_dir, fsync_parent_dir, write_blob, RecordWriter};
 

@@ -35,6 +35,45 @@ impl PartitionKind {
     }
 }
 
+/// One partition file: the `kind` side of overlap length `len`, fingerprint
+/// range `range` of the `ranges` each length is split into (`ranges` ≤ 1:
+/// the whole length).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Partition {
+    /// Suffix or prefix side.
+    pub kind: PartitionKind,
+    /// Overlap length.
+    pub len: u32,
+    /// Fingerprint range index.
+    pub range: u32,
+    /// Ranges each length is split into.
+    pub ranges: u32,
+}
+
+impl Partition {
+    /// The suffix and the prefix partition that one join pairs, in that
+    /// order.
+    pub fn pair(len: u32, range: u32, ranges: u32) -> [Partition; 2] {
+        [PartitionKind::Suffix, PartitionKind::Prefix].map(|kind| Partition {
+            kind,
+            len,
+            range,
+            ranges,
+        })
+    }
+
+    /// The partition's one name: its file stem, its manifest tag and its
+    /// span (`sfx_00045`, or `sfx_00045_r001` under a range split).
+    pub fn name(&self) -> String {
+        let (tag, len) = (self.kind.tag(), self.len);
+        if self.ranges <= 1 {
+            format!("{tag}_{len:05}")
+        } else {
+            format!("{tag}_{len:05}_r{:03}", self.range)
+        }
+    }
+}
+
 /// A directory of per-length suffix/prefix partition files.
 #[derive(Debug, Clone)]
 pub struct SpillDir {
@@ -109,38 +148,37 @@ impl SpillDir {
         &self.io
     }
 
+    /// Path of the record file `name` (`<root>/<name>.kv`).
+    pub fn file(&self, name: &str) -> PathBuf {
+        self.root.join(format!("{name}.kv"))
+    }
+
     /// Path of the partition file for `kind` at overlap length `len`.
     pub fn path(&self, kind: PartitionKind, len: u32) -> PathBuf {
-        self.root.join(format!("{}_{:05}.kv", kind.tag(), len))
+        self.path_range(Partition {
+            kind,
+            len,
+            range: 0,
+            ranges: 1,
+        })
     }
 
-    /// Path of the range-split partition file for `kind` at length `len`,
-    /// fingerprint range `range` (the paper's future-work partitioning
-    /// "based on fingerprints rather than on lengths"). Range 0 of a
-    /// 1-range split aliases the plain per-length path.
-    pub fn path_range(&self, kind: PartitionKind, len: u32, range: u32, ranges: u32) -> PathBuf {
-        if ranges <= 1 {
-            self.path(kind, len)
-        } else {
-            self.root
-                .join(format!("{}_{:05}_r{:03}.kv", kind.tag(), len, range))
-        }
+    /// Path of the file of partition `part`, named by [`Partition::name`]
+    /// (a range split is the paper's future-work partitioning "based on
+    /// fingerprints rather than on lengths"). Range 0 of a 1-range split
+    /// is the plain per-length path.
+    pub fn path_range(&self, part: Partition) -> PathBuf {
+        self.file(&part.name())
     }
 
-    /// Open a range-split partition for reading.
-    pub fn reader_range(
-        &self,
-        kind: PartitionKind,
-        len: u32,
-        range: u32,
-        ranges: u32,
-    ) -> Result<RecordReader> {
-        RecordReader::open(&self.path_range(kind, len, range, ranges), self.io.clone())
+    /// Open partition `part` for reading.
+    pub fn reader_range(&self, part: Partition) -> Result<RecordReader> {
+        RecordReader::open(&self.path_range(part), self.io.clone())
     }
 
     /// Path for a scratch file (sort runs, merged outputs).
     pub fn scratch_path(&self, label: &str) -> PathBuf {
-        self.root.join(format!("scratch_{label}.kv"))
+        self.file(&format!("scratch_{label}"))
     }
 
     /// Open a partition for reading.
@@ -229,14 +267,9 @@ impl PartitionSet {
         let mut prefix = Vec::with_capacity(slots);
         for len in l_min..l_max {
             for r in 0..ranges {
-                suffix.push(RecordWriter::create(
-                    &spill.path_range(PartitionKind::Suffix, len, r, ranges),
-                    spill.io().clone(),
-                )?);
-                prefix.push(RecordWriter::create(
-                    &spill.path_range(PartitionKind::Prefix, len, r, ranges),
-                    spill.io().clone(),
-                )?);
+                let [sfx, pfx] = Partition::pair(len, r, ranges).map(|part| spill.path_range(part));
+                suffix.push(RecordWriter::create(&sfx, spill.io().clone())?);
+                prefix.push(RecordWriter::create(&pfx, spill.io().clone())?);
             }
         }
         Ok(PartitionSet {
@@ -311,9 +344,10 @@ impl PartitionSet {
         let counts = self.finish()?;
         if rec.is_enabled() {
             let mut tuples = 0u64;
-            for (len, (sfx, pfx)) in &counts {
-                rec.counter(&format!("spill.tuples.sfx_{len:05}"), *sfx);
-                rec.counter(&format!("spill.tuples.pfx_{len:05}"), *pfx);
+            for (&len, &(sfx, pfx)) in &counts {
+                for (part, n) in Partition::pair(len, 0, 1).iter().zip([sfx, pfx]) {
+                    rec.counter(&format!("spill.tuples.{}", part.name()), n);
+                }
                 tuples += sfx + pfx;
             }
             rec.counter("spill.bytes", tuples * KvPair::BYTES as u64);
@@ -453,7 +487,13 @@ mod tests {
         for (kind, all) in [(PartitionKind::Suffix, &sfx), (PartitionKind::Prefix, &pfx)] {
             for (len, row) in (l_min..l_max).zip(all.chunks(cols as usize)) {
                 for r in 0..3 {
-                    let got = s.reader_range(kind, len, r, 3).unwrap().read_all().unwrap();
+                    let part = Partition {
+                        kind,
+                        len,
+                        range: r,
+                        ranges: 3,
+                    };
+                    let got = s.reader_range(part).unwrap().read_all().unwrap();
                     let expect: Vec<KvPair> = row
                         .iter()
                         .copied()
@@ -553,16 +593,10 @@ mod tests {
         let counts = set.finish().unwrap();
         assert_eq!(counts[&4], (4, 4));
         assert_eq!(counts[&5], (0, 0));
-        let r0 = s
-            .reader_range(PartitionKind::Suffix, 4, 0, 2)
-            .unwrap()
-            .read_all()
-            .unwrap();
-        let r1 = s
-            .reader_range(PartitionKind::Suffix, 4, 1, 2)
-            .unwrap()
-            .read_all()
-            .unwrap();
+        let [r0, r1] = [0, 1].map(|range| {
+            let [sfx, _] = Partition::pair(4, range, 2);
+            s.reader_range(sfx).unwrap().read_all().unwrap()
+        });
         assert_eq!(r0, low);
         assert_eq!(r1, high);
     }
@@ -603,9 +637,10 @@ mod tests {
     #[test]
     fn single_range_split_aliases_plain_paths() {
         let (_g, s) = spill();
-        assert_eq!(
-            s.path_range(PartitionKind::Prefix, 9, 0, 1),
-            s.path(PartitionKind::Prefix, 9)
-        );
+        let [_, pfx] = Partition::pair(9, 0, 1);
+        assert_eq!(s.path_range(pfx), s.path(PartitionKind::Prefix, 9));
+        assert_eq!(pfx.name(), "pfx_00009");
+        let [sfx, _] = Partition::pair(45, 1, 2);
+        assert_eq!(s.path_range(sfx), s.root().join("sfx_00045_r001.kv"));
     }
 }

@@ -198,7 +198,7 @@ pub fn run_range_traced(
 mod tests {
     use super::*;
     use genome::{GenomeSim, ShotgunSim};
-    use gstream::spill::{range_of, PartitionKind};
+    use gstream::spill::{range_of, Partition, PartitionKind};
     use gstream::IoStats;
     use vgpu::GpuProfile;
 
@@ -424,22 +424,15 @@ mod tests {
                 len as usize,
                 config.fingerprint_bits,
             );
-            for (kind, expect) in [PartitionKind::Suffix, PartitionKind::Prefix]
-                .into_iter()
-                .zip(expect)
-            {
-                for r in 0..ranges {
-                    let got = spill
-                        .reader_range(kind, len, r, ranges)
-                        .unwrap()
-                        .read_all()
-                        .unwrap();
+            for r in 0..ranges {
+                for (part, expect) in Partition::pair(len, r, ranges).into_iter().zip(&expect) {
+                    let got = spill.reader_range(part).unwrap().read_all().unwrap();
                     let of_range: Vec<KvPair> = expect
                         .iter()
                         .copied()
                         .filter(|p| range_of(p.key, ranges) == r)
                         .collect();
-                    assert_eq!(got, of_range, "{kind:?} {len} range {r} of {ranges}");
+                    assert_eq!(got, of_range, "{part:?}");
                 }
             }
         }

@@ -8,7 +8,6 @@ use crate::report::{measure_phase, AssemblyReport};
 use crate::traverse::{extract_paths_traced, Path, TraverseOptions};
 use crate::{map, reduce, sortphase, Result};
 use genome::{PackedSeq, ReadSet};
-use gstream::spill::PartitionKind;
 use gstream::{HostMem, IoStats, SpillDir, StreamError};
 use vgpu::{Device, GpuProfile};
 
@@ -141,21 +140,15 @@ impl Pipeline {
         self.assemble_inner(reads, false)
     }
 
-    /// Run the pipeline, skipping phases a previous run already completed
-    /// in this spill directory (as recorded by `manifest.json`). The
+    /// Resume an interrupted assembly from this spill directory's
+    /// checkpoint manifest (`manifest.json`), skipping phases and
+    /// already-sorted partitions a previous run completed and recomputing
+    /// the rest. Every artifact the manifest claims is durable is
+    /// validated first (a mismatch fails loudly with `Corrupt`). The
     /// manifest is keyed to the configuration and the dataset, so resuming
     /// with different reads or parameters starts from scratch. Built for
     /// the paper's regime — multi-hour assemblies — where losing a 12-hour
     /// sort to a crash is unacceptable.
-    pub fn assemble_resumable(&self, reads: &ReadSet) -> Result<AssemblyOutput> {
-        self.assemble_inner(reads, true)
-    }
-
-    /// Resume an interrupted assembly from this spill directory's
-    /// checkpoint manifest: validates every artifact the manifest claims
-    /// is durable (fails loudly with `Corrupt` on any mismatch), skips
-    /// completed phases and already-sorted partitions, and recomputes the
-    /// rest. Alias of [`Pipeline::assemble_resumable`].
     pub fn resume(&self, reads: &ReadSet) -> Result<AssemblyOutput> {
         self.assemble_inner(reads, true)
     }
@@ -181,24 +174,10 @@ impl Pipeline {
         h.finish()
     }
 
-    /// The suffix/prefix partition pairs the single-node pipeline touches,
-    /// in sort order — the iteration shared by sorting, checkpoint
-    /// recording, and resume validation.
-    pub(crate) fn partitions(&self) -> impl Iterator<Item = (PartitionKind, String, u32)> + '_ {
-        (self.config.l_min..self.config.l_max).flat_map(|len| {
-            [
-                (PartitionKind::Suffix, "sfx"),
-                (PartitionKind::Prefix, "pfx"),
-            ]
-            .into_iter()
-            .map(move |(kind, tag_kind)| (kind, format!("{tag_kind}_{len:05}"), len))
-        })
-    }
-
     /// Record the footer of every existing partition file in the manifest.
     fn record_partitions(&self, manifest: &mut Manifest) -> Result<()> {
-        for (kind, _tag, len) in self.partitions() {
-            let path = self.spill.path(kind, len);
+        for part in sortphase::partitions(&self.config) {
+            let path = self.spill.path_range(part);
             if path.exists() {
                 manifest.record_file(&path)?;
             }
@@ -217,8 +196,8 @@ impl Pipeline {
     /// crash in that window legitimately leaves a valid file whose
     /// footer differs from the manifest entry; it simply gets re-sorted.
     fn validate_resume(&self, manifest: &Manifest) -> Result<()> {
-        for (kind, tag, len) in self.partitions() {
-            let path = self.spill.path(kind, len);
+        for part in sortphase::partitions(&self.config) {
+            let (path, tag) = (self.spill.path_range(part), part.name());
             if !path.exists() {
                 if manifest.is_sorted(&tag) {
                     return Err(StreamError::Corrupt(format!(

@@ -20,7 +20,7 @@ use crate::config::AssemblyConfig;
 use crate::graph::StringGraph;
 use crate::Result;
 use genome::readset::VertexId;
-use gstream::spill::{PartitionKind, SpillDir};
+use gstream::spill::{Partition, SpillDir};
 use gstream::{FileSource, HostMem, KvPair, PairSource, Pairs, RecordReader};
 use vgpu::Device;
 
@@ -64,36 +64,23 @@ fn half_window(window_pairs: usize) -> usize {
 
 /// Join one sorted suffix/prefix partition pair, invoking `on_candidate`
 /// for every fingerprint match `(suffix-vertex, prefix-vertex)` in stream
-/// order. Returns the candidate count. The callback form lets the
-/// single-node reduce feed the graph directly while the distributed reduce
-/// collects candidates to apply under the bit-vector token (Section
-/// III-E3).
+/// order. Returns the candidate count and the co-advancing window rounds
+/// (one per `LOWER_BOUND` cut). The callback form lets the single-node
+/// reduce feed the graph directly while the distributed reduce collects
+/// candidates to apply under the bit-vector token (Section III-E3); both
+/// call it through [`join_pair`], which holds the windows on the host
+/// budget and records the join.
 pub fn join_partition(
     device: &Device,
     sfx: &mut RecordReader,
     pfx: &mut RecordReader,
     window_pairs: usize,
-    on_candidate: impl FnMut(VertexId, VertexId),
-) -> Result<u64> {
-    let mut advances = 0u64;
-    join_partition_counting(device, sfx, pfx, window_pairs, &mut advances, on_candidate)
-}
-
-/// [`join_partition`] that also counts co-advancing window rounds into
-/// `advances` (one per `LOWER_BOUND` cut), for the reduce phase's
-/// `reduce.window_advances` counter.
-fn join_partition_counting(
-    device: &Device,
-    sfx: &mut RecordReader,
-    pfx: &mut RecordReader,
-    window_pairs: usize,
-    advances: &mut u64,
     mut on_candidate: impl FnMut(VertexId, VertexId),
-) -> Result<u64> {
+) -> Result<(u64, u64)> {
     let half = half_window(window_pairs);
     let mut ws = FileSource::new(sfx);
     let mut wp = FileSource::new(pfx);
-    let mut candidates = 0u64;
+    let (mut candidates, mut advances) = (0u64, 0u64);
 
     loop {
         ws.fill(half)?;
@@ -103,7 +90,7 @@ fn join_partition_counting(
             // (or vice versa) produce no edges.
             break;
         }
-        *advances += 1;
+        advances += 1;
 
         // f ← MIN_KEY(S_{M/2}, P_{M/2}); cut both windows at LOWER_BOUND(f).
         let f = last_key(&ws).min(last_key(&wp));
@@ -137,7 +124,7 @@ fn join_partition_counting(
         ws.consume(cut_s);
         wp.consume(cut_p);
     }
-    Ok(candidates)
+    Ok((candidates, advances))
 }
 
 /// Lines 8-17 of Algorithm 2: vectorized bounds on the device, candidate
@@ -220,10 +207,39 @@ pub fn run(
     )
 }
 
+/// Join the sorted suffix/prefix partition `pair` of `spill`, the one
+/// per-item join step of the pipeline and of every distributed rank. The
+/// two windows are held on `host` for the whole join, and
+/// `reduce.candidates` and `reduce.window_advances` land on `span`.
+/// Returns the candidate count.
+pub fn join_pair(
+    device: &Device,
+    host: &HostMem,
+    spill: &SpillDir,
+    rec: &obs::Recorder,
+    span: u64,
+    [sfx, pfx]: [Partition; 2],
+    on_candidate: impl FnMut(VertexId, VertexId),
+) -> Result<u64> {
+    let window_pairs = window_budget(host, device);
+    let _guard = host.reserve(window_bytes(window_pairs))?;
+    let (mut sfx, mut pfx) = (spill.reader_range(sfx)?, spill.reader_range(pfx)?);
+    let (candidates, advances) =
+        join_partition(device, &mut sfx, &mut pfx, window_pairs, on_candidate)?;
+    // The join stops as soon as one stream runs dry, which can leave a
+    // tail of the other stream unread; drain both so corruption anywhere
+    // in a partition fails loudly here rather than flowing silently into
+    // the assembly.
+    sfx.verify_to_end()?;
+    pfx.verify_to_end()?;
+    rec.counter_on(span, "reduce.candidates", candidates);
+    rec.counter_on(span, "reduce.window_advances", advances);
+    Ok(candidates)
+}
+
 /// [`run`] with structured events: each overlap length joins under its
-/// own span (`len_00045`, …) carrying `reduce.candidates`,
-/// `reduce.accepted`, `reduce.rejected` (guard-refused edges), and
-/// `reduce.window_advances`.
+/// own span (`len_00045`, …) carrying [`join_pair`]'s counters,
+/// `reduce.accepted` and `reduce.rejected` (guard-refused edges).
 pub fn run_traced(
     device: &Device,
     host: &HostMem,
@@ -232,43 +248,21 @@ pub fn run_traced(
     graph: &mut StringGraph,
     rec: &obs::Recorder,
 ) -> Result<ReducePhaseReport> {
-    let window_pairs = window_budget(host, device);
     let mut report = ReducePhaseReport::default();
-
     for len in (config.l_min..config.l_max).rev() {
-        let s_path = spill.path(PartitionKind::Suffix, len);
-        let p_path = spill.path(PartitionKind::Prefix, len);
-        if !s_path.exists() || !p_path.exists() {
+        let pair = Partition::pair(len, 0, 1);
+        if !pair.iter().all(|&part| spill.path_range(part).exists()) {
             continue;
         }
         let span = rec.span(&format!("len_{len:05}"));
-        let _guard = host.reserve(window_bytes(window_pairs))?;
-        let mut sfx = spill.reader(PartitionKind::Suffix, len)?;
-        let mut pfx = spill.reader(PartitionKind::Prefix, len)?;
         let mut accepted = 0u64;
-        let mut advances = 0u64;
-        let c = join_partition_counting(
-            device,
-            &mut sfx,
-            &mut pfx,
-            window_pairs,
-            &mut advances,
-            |u, v| {
-                if graph.try_add_edge(u, v, len).is_ok() {
-                    accepted += 1;
-                }
-            },
-        )?;
-        // The join stops as soon as one stream runs dry, which can leave a
-        // tail of the other stream unread; drain both so corruption
-        // anywhere in a partition fails loudly here rather than flowing
-        // silently into the assembly.
-        sfx.verify_to_end()?;
-        pfx.verify_to_end()?;
-        rec.counter_on(span.id(), "reduce.candidates", c);
+        let c = join_pair(device, host, spill, rec, span.id(), pair, |u, v| {
+            if graph.try_add_edge(u, v, len).is_ok() {
+                accepted += 1;
+            }
+        })?;
         rec.counter_on(span.id(), "reduce.accepted", accepted);
         rec.counter_on(span.id(), "reduce.rejected", c - accepted);
-        rec.counter_on(span.id(), "reduce.window_advances", advances);
         drop(span);
         report.candidates += c;
         report.accepted += accepted;
@@ -280,6 +274,7 @@ pub fn run_traced(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gstream::spill::PartitionKind;
     use gstream::IoStats;
     use stdx::check_cases;
     use vgpu::GpuProfile;
@@ -401,12 +396,9 @@ mod tests {
 
             // 28 keys to a tile, 100 pairs to a window.
             let device = Device::with_capacity(GpuProfile::k40(), 2_000);
-            let (mut advances, mut got) = (0, Vec::new());
-            let candidates =
-                join_partition_counting(&device, &mut sfx, &mut pfx, 200, &mut advances, |u, v| {
-                    got.push((u, v))
-                })
-                .unwrap();
+            let mut got = Vec::new();
+            let (candidates, advances) =
+                join_partition(&device, &mut sfx, &mut pfx, 200, |u, v| got.push((u, v))).unwrap();
             // One side alone tiles into at most four: more launches than
             // that per round means segments times chunks.
             let launches = device.stats().per_kernel["vec_lower_bound"].launches;
@@ -461,10 +453,11 @@ mod tests {
             let mut sfx = spill.reader(PartitionKind::Suffix, 5).unwrap();
             let mut pfx = spill.reader(PartitionKind::Prefix, 5).unwrap();
             let mut graph = StringGraph::new(512);
-            let candidates = join_partition(&device, &mut sfx, &mut pfx, window_budget, |u, v| {
-                let _ = graph.try_add_edge(u, v, 5);
-            })
-            .unwrap();
+            let (candidates, _) =
+                join_partition(&device, &mut sfx, &mut pfx, window_budget, |u, v| {
+                    let _ = graph.try_add_edge(u, v, 5);
+                })
+                .unwrap();
 
             let mut naive = 0u64;
             for (ks, _) in &s {

@@ -7,8 +7,8 @@
 
 use crate::config::AssemblyConfig;
 use crate::Result;
-use gstream::spill::{PartitionKind, SpillDir};
-use gstream::{ExternalSorter, HostMem, SortConfig, SortReport};
+use gstream::spill::{Partition, SpillDir};
+use gstream::{ExternalSorter, HostMem, SortConfig, SortReport, StreamError};
 use std::path::Path;
 use vgpu::Device;
 
@@ -59,13 +59,57 @@ pub fn sort_config(config: &AssemblyConfig, host: &HostMem, device: &Device) -> 
         .unwrap_or_else(|| SortConfig::from_budgets(host, device))
 }
 
+/// The partitions of a single-node run in the order they are sorted:
+/// suffix then prefix of each length, ascending.
+pub(crate) fn partitions(config: &AssemblyConfig) -> impl Iterator<Item = Partition> {
+    (config.l_min..config.l_max).flat_map(|len| Partition::pair(len, 0, 1))
+}
+
+/// Sort partition `part` of `spill` in place, the one per-partition step of
+/// the pipeline and of every distributed rank: under a span named
+/// [`Partition::name`] opened under `parent` (0, what
+/// [`obs::Recorder::current`] reads with no span open, makes it a root),
+/// the file is sorted into a scratch file, which is renamed over it, and
+/// the sort's `sort.*` counters (and `merge.window_advances` when a merge
+/// advanced) land on that span. The sorter reports; this step records.
+pub fn sort_partition(
+    device: &Device,
+    host: &HostMem,
+    spill: &SpillDir,
+    config: &AssemblyConfig,
+    rec: &obs::Recorder,
+    parent: u64,
+    part: Partition,
+) -> Result<SortReport> {
+    let name = part.name();
+    let span = rec.child_span((parent != 0).then_some(parent), &name);
+    let blocks = sort_config(config, host, device);
+    let sorter = ExternalSorter::new(device.clone(), host.clone(), blocks)?;
+    let input = spill.path_range(part);
+    let sorted = spill.scratch_path(&format!("{name}_sorted"));
+    let report = sorter.sort_file(spill, &input, &sorted)?;
+    std::fs::rename(&sorted, &input).map_err(StreamError::from)?;
+    let id = span.id();
+    rec.counter_on(id, "sort.pairs", report.pairs);
+    rec.counter_on(id, "sort.initial_runs", report.initial_runs.into());
+    rec.counter_on(id, "sort.merge_passes", report.merge_passes.into());
+    rec.counter_on(id, "sort.disk_passes", report.disk_passes.into());
+    rec.counter_on(id, "sort.spill_bytes", report.io.bytes_written);
+    rec.metric_on(id, "sort.io_seconds", report.io.total_seconds());
+    rec.metric_on(id, "sort.device_seconds", report.device_seconds);
+    if report.window_advances > 0 {
+        rec.counter_on(id, "merge.window_advances", report.window_advances);
+    }
+    Ok(report)
+}
+
 /// [`run_traced`] with per-partition resume support.
 ///
-/// Partitions whose tag (`sfx_00045`, …) satisfies `skip` are already
+/// Partitions whose name (`sfx_00045`, …) satisfies `skip` are already
 /// durably sorted from a previous run: their footer record count still feeds
 /// the report totals, but they are not re-sorted and emit **no** span (so a
 /// trace of a resumed run shows exactly which partitions were redone). After
-/// each freshly sorted partition lands under its final name, `on_sorted(tag,
+/// each freshly sorted partition lands under its final name, `on_sorted(name,
 /// path)` runs before the next partition starts.
 ///
 /// What is durable when `on_sorted` runs: the sorted file's bytes (synced
@@ -84,48 +128,28 @@ pub fn run_checkpointed(
     skip: impl Fn(&str) -> bool,
     on_sorted: &mut dyn FnMut(&str, &Path) -> Result<()>,
 ) -> Result<SortPhaseReport> {
-    let sorter = ExternalSorter::new(
-        device.clone(),
-        host.clone(),
-        sort_config(config, host, device),
-    )?
-    .with_recorder(rec.clone());
-
     let mut report = SortPhaseReport::default();
-    for len in config.l_min..config.l_max {
-        for (kind, tag_kind) in [
-            (PartitionKind::Suffix, "sfx"),
-            (PartitionKind::Prefix, "pfx"),
-        ] {
-            let input = spill.path(kind, len);
-            if !input.exists() {
-                continue;
-            }
-            let tag = format!("{tag_kind}_{len:05}");
-            if skip(&tag) {
-                let footer = gstream::read_footer(&input)?;
-                report.total_pairs += footer.records;
-                report.partitions.push((
-                    len,
-                    tag_kind.to_string(),
-                    SortReport {
-                        pairs: footer.records,
-                        ..SortReport::default()
-                    },
-                ));
-                continue;
-            }
-            let span = rec.span(&tag);
-            let sorted = spill.scratch_path(&format!("{tag_kind}_{len}_sorted"));
-            let r = sorter.sort_file(spill, &input, &sorted)?;
-            // Replace the unsorted partition with the sorted file.
-            std::fs::rename(&sorted, &input).map_err(gstream::StreamError::from)?;
-            drop(span);
-            on_sorted(&tag, &input)?;
-            report.total_pairs += r.pairs;
-            report.max_disk_passes = report.max_disk_passes.max(r.disk_passes);
-            report.partitions.push((len, tag_kind.to_string(), r));
+    for part in partitions(config) {
+        let (input, name) = (spill.path_range(part), part.name());
+        if !input.exists() {
+            continue;
         }
+        let r = if skip(&name) {
+            let footer = gstream::read_footer(&input)?;
+            SortReport {
+                pairs: footer.records,
+                ..SortReport::default()
+            }
+        } else {
+            let r = sort_partition(device, host, spill, config, rec, rec.current(), part)?;
+            on_sorted(&name, &input)?;
+            r
+        };
+        report.total_pairs += r.pairs;
+        report.max_disk_passes = report.max_disk_passes.max(r.disk_passes);
+        report
+            .partitions
+            .push((part.len, part.kind.tag().to_string(), r));
     }
     Ok(report)
 }
@@ -133,6 +157,7 @@ pub fn run_checkpointed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gstream::spill::PartitionKind;
     use gstream::{IoStats, KvPair};
     use vgpu::GpuProfile;
 
@@ -174,6 +199,58 @@ mod tests {
                 .collect();
             assert_eq!(got, vec![1, 2, 7, 9]);
         }
+    }
+
+    #[test]
+    fn sort_file_emits_counters_matching_its_report() {
+        // 1 000-byte budget → m_h = 25 pairs; 100 pairs → 4 runs, merged.
+        let (_g, device, host, spill) = setup(1000);
+        let keys: Vec<u128> = (0..100u32).rev().map(u128::from).collect();
+        write_partition(&spill, PartitionKind::Suffix, 5, &keys);
+        let config = AssemblyConfig::for_dataset(5, 6);
+        let rec = obs::Recorder::new();
+        let phase = rec.span("sort");
+        let [sfx, _] = Partition::pair(5, 0, 1);
+        let report =
+            sort_partition(&device, &host, &spill, &config, &rec, phase.id(), sfx).unwrap();
+        drop(phase);
+        let rollup = obs::Rollup::from_events(&rec.events());
+        let sort = rollup.root_named("sort").unwrap();
+        let node = rollup.child_named(sort.id, "sfx_00005").unwrap();
+        let agg = rollup.subtree(node.id);
+        assert_eq!(agg.counter("sort.pairs"), report.pairs);
+        assert_eq!(
+            agg.counter("sort.initial_runs"),
+            u64::from(report.initial_runs)
+        );
+        assert_eq!(
+            agg.counter("sort.merge_passes"),
+            u64::from(report.merge_passes)
+        );
+        assert_eq!(
+            agg.counter("sort.disk_passes"),
+            u64::from(report.disk_passes)
+        );
+        assert_eq!(agg.counter("sort.spill_bytes"), report.io.bytes_written);
+        assert_eq!(agg.metric("sort.io_seconds"), report.io.total_seconds());
+        assert_eq!(agg.metric("sort.device_seconds"), report.device_seconds);
+        assert!(report.window_advances > 0);
+        assert_eq!(agg.counter("merge.window_advances"), report.window_advances);
+        // Once per sort: the merges themselves emit nothing.
+        let advance_events = rec
+            .events()
+            .iter()
+            .filter(|e| matches!(e, obs::Event::Counter { name, .. } if name == "merge.window_advances"))
+            .count();
+        assert_eq!(advance_events, 1);
+        // The partition is sorted in place and no scratch file is left.
+        let got = spill
+            .reader(PartitionKind::Suffix, 5)
+            .unwrap()
+            .read_all()
+            .unwrap();
+        assert!(got.iter().map(|p| p.key).eq(0..100));
+        assert!(!spill.scratch_path("sfx_00005_sorted").exists());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! cargo run --release --example gpu_sort
 //! ```
 
-use lasagna_repro::gstream::{KvPair, RecordReader, RecordWriter};
+use lasagna_repro::gstream::{ExternalSorter, KvPair, RecordReader, RecordWriter};
 use lasagna_repro::prelude::*;
 
 fn main() {

@@ -382,7 +382,7 @@ fn assemble(opts: &Opts) {
                 .unwrap_or_else(die_run)
                 .with_recorder(rec.clone());
             let result = if resume {
-                pipeline.assemble_resumable(&run.reads)
+                pipeline.resume(&run.reads)
             } else {
                 pipeline.assemble(&run.reads)
             }

@@ -79,7 +79,7 @@ pub mod prelude {
     pub use dbg::DbgAssembler;
     pub use dnet::{Cluster, ClusterConfig, NetModel};
     pub use genome::{DatasetPreset, GenomeSim, PackedSeq, ReadSet, ShotgunSim};
-    pub use gstream::{DiskModel, ExternalSorter, HostMem, IoStats, SortConfig, SpillDir};
+    pub use gstream::{DiskModel, HostMem, IoStats, SortConfig, SpillDir};
     pub use lasagna::{AssemblyConfig, AssemblyReport, Pipeline, StringGraph};
     pub use qnet::{QueryClient, Server as QueryServer};
     pub use qrouter::{ClusterManifest, Router, RouterConfig};

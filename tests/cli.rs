@@ -211,6 +211,68 @@ fn trace_out_and_inspect_trace_render_partition_breakdown() {
     }
 }
 
+/// The sort rows' pairs, summed, and each reduce row's candidates, of an
+/// `inspect-trace` listing.
+fn partition_rows(listing: &str) -> (u64, Vec<u64>) {
+    let (mut pairs, mut candidates) = (0, Vec::new());
+    for line in listing.lines() {
+        let count = |unit: &str| {
+            let (head, _) = line.split_once(&format!(" {unit}, "))?;
+            head.rsplit(' ').next()?.parse::<u64>().ok()
+        };
+        pairs += count("pairs").unwrap_or(0);
+        candidates.extend(count("candidates"));
+    }
+    (pairs, candidates)
+}
+
+#[test]
+fn inspect_trace_shows_real_rank_rows_of_a_distributed_trace() {
+    let dir = workdir("dtrace");
+    let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    let reads = path("reads.fastq");
+    run_ok(&[
+        "simulate",
+        "--genome-len",
+        "3000",
+        "--coverage",
+        "8",
+        "--read-len",
+        "60",
+        "--seed",
+        "31",
+        "--out",
+        &reads,
+    ]);
+    let listing = |command: &str, extra: &[&str], root: &str| {
+        let trace = path(&format!("{command}.jsonl"));
+        let (out, work) = (path(&format!("{command}.fa")), path(command));
+        let mut args = vec![command, "--reads", &reads, "--out", &out, "--work", &work];
+        args.extend(extra);
+        args.extend(["--trace-out", &trace]);
+        run_ok(&args);
+        run_ok(&["inspect-trace", "--trace", &trace, "--root", root])
+    };
+    let single = listing("assemble", &[], "assembly");
+    let nodes = ["--nodes", "2", "--block-reads", "64"];
+    let distributed = listing("assemble-distributed", &nodes, "distributed");
+
+    let ((expect_pairs, _), (pairs, candidates)) =
+        (partition_rows(&single), partition_rows(&distributed));
+    assert!(expect_pairs > 0, "{single}");
+    assert_eq!(pairs, expect_pairs, "sort rows of:\n{distributed}");
+    assert_eq!(
+        candidates.len(),
+        2,
+        "one reduce row per rank in:\n{distributed}"
+    );
+    assert!(
+        candidates.iter().all(|&c| c > 0),
+        "a reduce row reads 0 candidates in:\n{distributed}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn exit_codes_distinguish_corrupt_oom_and_io() {
     let dir = workdir("exitcodes");

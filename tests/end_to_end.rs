@@ -184,14 +184,14 @@ fn resume_skips_completed_phases_and_reproduces_the_result() {
     // the spill directory.
     let first = Pipeline::laptop(config, dir.path())
         .unwrap()
-        .assemble_resumable(&reads)
+        .resume(&reads)
         .unwrap();
     assert!(dir.path().join("manifest.json").exists());
     assert!(dir.path().join("graph.bin").exists());
 
     // Second run in the same directory: map/sort/reduce are skipped.
     let resumed_pipeline = Pipeline::laptop(config, dir.path()).unwrap();
-    let second = resumed_pipeline.assemble_resumable(&reads).unwrap();
+    let second = resumed_pipeline.resume(&reads).unwrap();
     let names: Vec<&str> = second
         .report
         .phases
@@ -226,12 +226,12 @@ fn resume_restarts_when_the_dataset_changes() {
 
     Pipeline::laptop(config, dir.path())
         .unwrap()
-        .assemble_resumable(&reads_a)
+        .resume(&reads_a)
         .unwrap();
     // Different reads in the same directory: nothing may be reused.
     let out = Pipeline::laptop(config, dir.path())
         .unwrap()
-        .assemble_resumable(&reads_b)
+        .resume(&reads_b)
         .unwrap();
     for p in &out.report.phases {
         assert!(
@@ -250,7 +250,7 @@ fn plain_assemble_ignores_stale_manifests() {
     let config = AssemblyConfig::for_dataset(45, 70);
     Pipeline::laptop(config, dir.path())
         .unwrap()
-        .assemble_resumable(&reads)
+        .resume(&reads)
         .unwrap();
     let out = Pipeline::laptop(config, dir.path())
         .unwrap()

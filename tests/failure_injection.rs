@@ -164,7 +164,7 @@ fn crash_at_every_failpoint_then_resume_reproduces_identical_contigs() {
             let dir = stdx::tempdir().unwrap();
             let err = laptop_on(dir.path())
                 .with_faults(Faults::from_plan(&FaultPlan::new().fail_at(point, nth)))
-                .assemble_resumable(&r)
+                .resume(&r)
                 .unwrap_err();
             assert_eq!(
                 armed(&err),
@@ -198,7 +198,7 @@ fn crash_on_first_middle_and_last_map_commit_leaves_nothing_a_rerun_trusts() {
         let plan = FaultPlan::new().fail_at(faultsim::SPILL_WRITE, nth);
         let err = laptop_on(dir.path())
             .with_faults(Faults::from_plan(&plan))
-            .assemble_resumable(&r)
+            .resume(&r)
             .unwrap_err();
         assert_eq!(
             armed(&err),
@@ -260,7 +260,7 @@ fn crash_on_scratch_and_final_sort_commits_then_resume_reproduces_identical_cont
         let plan = FaultPlan::new().fail_at(faultsim::SPILL_WRITE, map_commits + nth);
         let err = multi_run_on(dir.path())
             .with_faults(Faults::from_plan(&plan))
-            .assemble_resumable(&r)
+            .resume(&r)
             .unwrap_err();
         assert_eq!(
             armed(&err),
@@ -334,7 +334,7 @@ fn resume_after_mid_sort_crash_redoes_only_unsorted_partitions() {
         .with_faults(Faults::from_plan(
             &FaultPlan::new().fail_at(faultsim::READER_OPEN, 9),
         ))
-        .assemble_resumable(&r)
+        .resume(&r)
         .unwrap_err();
     assert_eq!(armed(&err), Some((faultsim::READER_OPEN, 9)), "{err}");
     let manifest = Manifest::load(dir.path()).unwrap().unwrap();
@@ -403,7 +403,7 @@ fn crash_between_sort_checkpoints_resorts_exactly_what_the_stored_manifest_does_
         let dir = stdx::tempdir().unwrap();
         let err = host_block_on(dir.path(), host_block)
             .with_faults(Faults::from_plan(&FaultPlan::new().fail_at(point, nth)))
-            .assemble_resumable(&r)
+            .resume(&r)
             .unwrap_err();
         assert_eq!(armed(&err), Some((point, nth)), "{what}: {err}");
         let manifest = Manifest::load(dir.path()).unwrap().unwrap();
@@ -465,7 +465,7 @@ fn the_sort_phase_stores_the_manifest_once_per_host_block_of_sorted_pairs() {
 fn bit_flip_in_a_checkpointed_partition_fails_resume_loudly() {
     let r = reads(22);
     let dir = stdx::tempdir().unwrap();
-    laptop_on(dir.path()).assemble_resumable(&r).unwrap();
+    laptop_on(dir.path()).resume(&r).unwrap();
     let victim = std::fs::read_dir(dir.path())
         .unwrap()
         .filter_map(|e| e.ok())
@@ -484,7 +484,7 @@ fn bit_flip_in_a_checkpointed_partition_fails_resume_loudly() {
 fn bit_flip_in_the_checkpointed_graph_fails_resume_loudly() {
     let r = reads(23);
     let dir = stdx::tempdir().unwrap();
-    laptop_on(dir.path()).assemble_resumable(&r).unwrap();
+    laptop_on(dir.path()).resume(&r).unwrap();
     flip_bit_mid_file(&dir.path().join("graph.bin"));
     let err = laptop_on(dir.path()).resume(&r).unwrap_err();
     assert!(is_corrupt(&err), "got {err}");
@@ -494,7 +494,7 @@ fn bit_flip_in_the_checkpointed_graph_fails_resume_loudly() {
 fn garbage_manifest_fails_resume_loudly() {
     let r = reads(24);
     let dir = stdx::tempdir().unwrap();
-    laptop_on(dir.path()).assemble_resumable(&r).unwrap();
+    laptop_on(dir.path()).resume(&r).unwrap();
     std::fs::write(dir.path().join("manifest.json"), b"not a manifest").unwrap();
     let err = laptop_on(dir.path()).resume(&r).unwrap_err();
     assert!(is_corrupt(&err), "got {err}");
@@ -504,7 +504,7 @@ fn garbage_manifest_fails_resume_loudly() {
 fn completed_run_resumes_to_identical_output_without_rework() {
     let r = reads(25);
     let dir = stdx::tempdir().unwrap();
-    let first = laptop_on(dir.path()).assemble_resumable(&r).unwrap();
+    let first = laptop_on(dir.path()).resume(&r).unwrap();
     let rec = lasagna_repro::obs::Recorder::new();
     let second = laptop_on(dir.path())
         .with_recorder(rec.clone())
@@ -527,9 +527,7 @@ fn completed_run_resumes_to_identical_output_without_rework() {
 #[test]
 fn resume_restarts_from_scratch_when_the_dataset_changes() {
     let dir = stdx::tempdir().unwrap();
-    laptop_on(dir.path())
-        .assemble_resumable(&reads(26))
-        .unwrap();
+    laptop_on(dir.path()).resume(&reads(26)).unwrap();
     // Different reads, same shape: the config hash differs, so resuming is
     // silently a fresh run — never a mix of two datasets' partitions.
     let other = reads(27);
@@ -616,7 +614,7 @@ fn assert_graphs_match(got: &StringGraph, expect: &StringGraph, what: &str) {
 fn sorted_partition_truncated_mid_footer_fails_resume_loudly() {
     let r = reads(28);
     let dir = stdx::tempdir().unwrap();
-    laptop_on(dir.path()).assemble_resumable(&r).unwrap();
+    laptop_on(dir.path()).resume(&r).unwrap();
     let victim = std::fs::read_dir(dir.path())
         .unwrap()
         .filter_map(|e| e.ok())
@@ -658,7 +656,7 @@ fn tear_tail_512(path: &Path) {
 fn torn_tail_in_a_sorted_partition_fails_resume_loudly() {
     let r = reads(40);
     let dir = stdx::tempdir().unwrap();
-    laptop_on(dir.path()).assemble_resumable(&r).unwrap();
+    laptop_on(dir.path()).resume(&r).unwrap();
     let victim = std::fs::read_dir(dir.path())
         .unwrap()
         .filter_map(|e| e.ok())
@@ -718,7 +716,7 @@ fn bit_flip_in_the_tail_the_join_never_read_fails_reduce_loudly() {
 fn torn_tail_in_the_checkpointed_graph_fails_resume_loudly() {
     let r = reads(41);
     let dir = stdx::tempdir().unwrap();
-    laptop_on(dir.path()).assemble_resumable(&r).unwrap();
+    laptop_on(dir.path()).resume(&r).unwrap();
     tear_tail_512(&dir.path().join("graph.bin"));
     let err = laptop_on(dir.path()).resume(&r).unwrap_err();
     assert!(is_corrupt(&err), "got {err}");
@@ -744,7 +742,7 @@ fn torn_superstep_log_tail_never_mis_assembles_on_resume() {
     let r = dnet_reads(33);
     let expect = dnet_single_node_graph(&r);
     let dir = stdx::tempdir().unwrap();
-    dnet_cluster(2).assemble_resumable(&r, dir.path()).unwrap();
+    dnet_cluster(2).resume(&r, dir.path()).unwrap();
     // Tear the master log mid-record, as a crash during append would
     // leave it. The torn record is dropped and its superstep replayed —
     // the resumed graph must still be bit-identical, never mis-assembled.
@@ -771,7 +769,7 @@ fn distributed_kill_of_every_node_resumes_without_redoing_mapped_blocks() {
         .fail_at(faultsim::DNET_AM, 5);
     dnet_cluster(2)
         .with_faults(Faults::from_plan(&plan))
-        .assemble_resumable(&r, dir.path())
+        .resume(&r, dir.path())
         .unwrap_err();
 
     let rec = lasagna_repro::obs::Recorder::new();

@@ -109,10 +109,10 @@ fn resumed_phases_appear_as_zero_cost_spans() {
 
     let config = AssemblyConfig::for_dataset(25, 40);
     let first = Pipeline::laptop(config, &work).unwrap();
-    first.assemble_resumable(&reads).unwrap();
+    first.resume(&reads).unwrap();
 
     let second = Pipeline::laptop(config, &work).unwrap();
-    let out = second.assemble_resumable(&reads).unwrap();
+    let out = second.resume(&reads).unwrap();
 
     let rollup = obs::Rollup::from_events(&second.recorder().events());
     let root = rollup.root_named("assembly").unwrap();
