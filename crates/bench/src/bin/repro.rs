@@ -346,9 +346,11 @@ fn run_fig10(scale: u64, nodes: &[usize], out: &Path) {
         "\n=== Fig. 10: H.Genome on {:?} nodes (scale 1/{scale}) ===",
         nodes
     );
+    // The total sums the paper's four bars; load and compress, the same
+    // single-node stages at every node count, print beside them.
     println!(
-        "{:>6} {:>10} {:>10} {:>10} {:>10} {:>12} {:>16}",
-        "nodes", "map", "shuffle", "sort", "reduce", "total", "×scale"
+        "{:>6} {:>10} {:>10} {:>10} {:>10} {:>12} {:>16} {:>10} {:>10}",
+        "nodes", "map", "shuffle", "sort", "reduce", "total", "×scale", "load", "compress"
     );
     for p in &points {
         let get = |n: &str| {
@@ -358,14 +360,16 @@ fn run_fig10(scale: u64, nodes: &[usize], out: &Path) {
                 .map_or(0.0, |(_, v)| *v)
         };
         println!(
-            "{:>6} {:>9.3}s {:>9.3}s {:>9.3}s {:>9.3}s {:>11.3}s {:>16}",
+            "{:>6} {:>9.3}s {:>9.3}s {:>9.3}s {:>9.3}s {:>11.3}s {:>16} {:>9.3}s {:>9.3}s",
             p.nodes,
             get("map"),
             get("shuffle"),
             get("sort"),
             get("reduce"),
             p.total_modeled,
-            hms(p.paper_scale_seconds)
+            hms(p.paper_scale_seconds),
+            get("load"),
+            get("compress"),
         );
     }
     println!(

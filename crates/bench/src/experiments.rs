@@ -11,7 +11,7 @@ use crate::env::{ScaledEnv, Testbed};
 use crate::paper;
 use crate::Result;
 use dnet::{Cluster, ClusterConfig, ReduceStrategy};
-use genome::{DatasetPreset, ReadSet};
+use genome::DatasetPreset;
 use gstream::{ExternalSorter, HostMem, IoStats, KvPair, RecordWriter, SortConfig, SpillDir};
 use lasagna::{AssemblyConfig, AssemblyReport, Pipeline, StringGraph};
 use std::path::Path;
@@ -321,9 +321,10 @@ pub fn fig9(scale: u64, workdir: &Path) -> gstream::Result<Vec<SortPoint>> {
 pub struct Fig10Point {
     /// Node count.
     pub nodes: usize,
-    /// Per-phase modeled seconds (map, shuffle, sort, reduce).
+    /// Per-phase modeled seconds (load, map, shuffle, sort, reduce,
+    /// compress).
     pub phases: Vec<(String, f64)>,
-    /// Total modeled seconds.
+    /// Modeled seconds of the paper's four bars: map, shuffle, sort, reduce.
     pub total_modeled: f64,
     /// Total at paper scale.
     pub paper_scale_seconds: f64,
@@ -336,6 +337,16 @@ pub struct Fig10Point {
 stdx::impl_json!(struct Fig10Point {
     nodes, phases, total_modeled, paper_scale_seconds, network_bytes, edges
 });
+
+/// The modeled seconds of Fig. 10's stacked bars: map, shuffle, sort and
+/// reduce. Load and compress are the same single-node stages at every node
+/// count, and the paper's bars leave them out.
+fn fig10_total(report: &dnet::DistributedReport) -> f64 {
+    let bars = ["map", "shuffle", "sort", "reduce"].into_iter();
+    bars.filter_map(|bar| report.phase(bar))
+        .map(|p| p.modeled_seconds)
+        .sum()
+}
 
 /// Fig. 10: H.Genome on 1-8 SuperMic nodes.
 pub fn fig10(scale: u64, nodes_list: &[usize], workdir: &Path) -> Result<Vec<Fig10Point>> {
@@ -359,7 +370,7 @@ pub fn fig10(scale: u64, nodes_list: &[usize], workdir: &Path) -> Result<Vec<Fig
             .iter()
             .map(|p| (p.phase.clone(), p.modeled_seconds))
             .collect();
-        let total = result.report.total_modeled_seconds();
+        let total = fig10_total(&result.report);
         out.push(Fig10Point {
             nodes: n,
             phases,
@@ -571,7 +582,7 @@ pub struct StrategyPoint {
     pub reduce_modeled: f64,
     /// Modeled shuffle seconds (range mode reshapes the shuffle).
     pub shuffle_modeled: f64,
-    /// Total modeled seconds.
+    /// Modeled seconds of Fig. 10's four bars: map, shuffle, sort, reduce.
     pub total_modeled: f64,
     /// Edges in the merged graph (identical across strategies).
     pub edges: u64,
@@ -629,7 +640,7 @@ pub fn reduce_strategies(
                 strategy: name.to_string(),
                 reduce_modeled: phase("reduce"),
                 shuffle_modeled: phase("shuffle"),
-                total_modeled: result.report.total_modeled_seconds(),
+                total_modeled: fig10_total(&result.report),
                 edges: result.report.edges,
             });
         }
@@ -1880,17 +1891,6 @@ fn slice_queries(
             }
         })
         .collect()
-}
-
-/// Single-node graph used as a reference in tests/benches.
-pub fn reference_graph(
-    reads: &ReadSet,
-    l_min: u32,
-    workdir: &Path,
-) -> lasagna::Result<StringGraph> {
-    let config = AssemblyConfig::for_dataset(l_min, reads.read_len() as u32);
-    let pipeline = Pipeline::laptop(config, workdir)?;
-    Ok(pipeline.assemble(reads)?.graph)
 }
 
 #[cfg(test)]

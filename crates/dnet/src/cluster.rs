@@ -1,24 +1,39 @@
 //! The distributed pipeline driver.
 //!
-//! Four phases, mirroring Section III-E:
+//! Six phases, mirroring Section III-E: the single-node pipeline's five
+//! and the all-to-all shuffle. Every phase runs `lasagna`'s own step.
 //!
-//! 1. **map** — workers request input blocks from the master (rank 0) via
-//!    active messages and fingerprint them into per-block partition files
-//!    on their private disks;
-//! 2. **shuffle** — each owner fetches its work items' records from every
+//! 1. **load** — the master (rank 0) stages the reads on its disk and
+//!    loads them into its host memory, `lasagna::pipeline::load`;
+//! 2. **map** — workers request input blocks from the master via active
+//!    messages and fingerprint them into per-block partition files on their
+//!    private disks, `lasagna::map::map_block`;
+//! 3. **shuffle** — each owner fetches its work items' records from every
 //!    block's mapper and concatenates them locally (cross-node fetches are
 //!    charged to the network model). Blocks are concatenated in block
 //!    order, so the shuffled stream is byte-identical to the single-node
 //!    map output and the final graph matches the single-node graph
 //!    exactly;
-//! 3. **sort** — each node externally sorts its owned partitions with its
-//!    own GPU and disk (the aggregate-I/O win of scaling out), through the
-//!    pipeline's step, `lasagna::sortphase::sort_partition`;
-//! 4. **reduce** — overlap candidates are found in parallel, by the
-//!    pipeline's join step `lasagna::reduce::join_pair`, but edges are
-//!    applied under the out-degree bit-vector, which travels from the owner
-//!    of partition `l+1` to the owner of `l` — the serialization that
-//!    bounds scalability at `t_o·p/n + t_g·p`.
+//! 4. **sort** — each node externally sorts its owned partitions with its
+//!    own GPU and disk (the aggregate-I/O win of scaling out),
+//!    `lasagna::sortphase::sort_partition`;
+//! 5. **reduce** — overlap candidates are found in parallel,
+//!    `lasagna::reduce::join_pair`, but edges are applied under the
+//!    out-degree bit-vector, which travels from the owner of partition
+//!    `l+1` to the owner of `l` — the serialization that bounds scalability
+//!    at `t_o·p/n + t_g·p`;
+//! 6. **compress** — the master spells the contigs of the merged graph,
+//!    `lasagna::pipeline::compress`: as in the paper, a single-node stage.
+//!
+//! ## One node
+//!
+//! One node is Fig. 10's bar without a shuffle ("scaling out from a single
+//! node introduces the additional overhead of an all-to-all data
+//! transfer"), and the driver decides it in one place: the whole input is
+//! a single block, which rank 0 maps straight into its own partitions
+//! without asking the master for it, and no item is shuffled. The
+//! superstep loop, the log, the manifests and the resume are the same at
+//! any node count.
 //!
 //! ## One superstep loop
 //!
@@ -55,15 +70,17 @@ use crate::am::{AmClient, AmServer, Request, Response};
 use crate::netmodel::{NetModel, NetStats};
 use crate::superstep::{SuperstepLog, SuperstepRecord, HEADER_PHASE};
 use crate::{DnetError, Result};
+use genome::PackedSeq;
 use genome::ReadSet;
 use gstream::iostats::DiskModel;
 use gstream::spill::{Partition, SpillDir};
 use gstream::{Fnv64, HostMem, IoStats, KvPair, RecordReader, RecordWriter, StreamError};
 use lasagna::config::AssemblyConfig;
-use lasagna::{map, reduce, sortphase, LasagnaError, Manifest, PhaseMetrics, StringGraph};
+use lasagna::report::measure_phase;
+use lasagna::{map, pipeline, reduce, sortphase};
+use lasagna::{ContigStats, LasagnaError, Manifest, PhaseMetrics, StringGraph};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::path::Path;
-use std::sync::Arc;
+use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::Instant;
 use stdx::lock;
@@ -112,7 +129,8 @@ pub struct ClusterConfig {
 pub struct DistributedReport {
     /// Node count.
     pub nodes: usize,
-    /// map / shuffle / sort / reduce, each folded over its ranks: traffic
+    /// load / map / shuffle / sort / reduce / compress, each folded over
+    /// its ranks (load and compress run on the master alone): traffic
     /// adds, peaks take the maximum, wall is the master's, and modeled is
     /// the slowest rank's (network included) plus the serial part.
     pub phases: Vec<PhaseMetrics>,
@@ -126,18 +144,15 @@ pub struct DistributedReport {
     pub candidates: u64,
     /// Whether this run resumed from a predecessor's superstep log.
     pub resumed: bool,
+    /// Statistics of the spelled contigs.
+    pub contig_stats: ContigStats,
 }
 
 stdx::impl_json!(struct DistributedReport {
-    nodes, phases, network_bytes, network_messages, edges, candidates, resumed
+    nodes, phases, network_bytes, network_messages, edges, candidates, resumed, contig_stats
 });
 
 impl DistributedReport {
-    /// Total modeled seconds across phases.
-    pub fn total_modeled_seconds(&self) -> f64 {
-        self.phases.iter().map(|p| p.modeled_seconds).sum()
-    }
-
     /// Metrics for a phase by name ([`lasagna::report::find_phase`]).
     pub fn phase(&self, name: &str) -> Option<&PhaseMetrics> {
         lasagna::report::find_phase(&self.phases, name)
@@ -147,6 +162,8 @@ impl DistributedReport {
 /// The merged result of a distributed assembly.
 #[derive(Debug)]
 pub struct DistributedOutput {
+    /// The spelled contigs (identical to the single-node contigs).
+    pub contigs: Vec<PackedSeq>,
     /// Merged string graph (identical to the single-node graph).
     pub graph: StringGraph,
     /// Cluster measurements.
@@ -214,6 +231,18 @@ impl WorkItem {
 /// rebuilds from the durable map output before its own step.
 fn inherited(items: &[WorkItem]) -> Vec<WorkItem> {
     items.iter().copied().filter(|it| it.rebuild).collect()
+}
+
+/// Where `node` maps input block `b`: its own partitions when nothing is
+/// shuffled (one node), else a `block{b}` directory the shufflers fetch
+/// from.
+fn block_dir(node: &Node, b: u64, shuffled: bool) -> PathBuf {
+    let root = node.spill.root();
+    if shuffled {
+        root.join(format!("block{b}"))
+    } else {
+        root.to_path_buf()
+    }
 }
 
 /// Manifest tag of a durable candidate list (reduce-join graph delta).
@@ -349,7 +378,7 @@ fn wipe_node_dirs(nodes: &[Node]) -> Result<()> {
 /// per-rank manifests before spawning any worker.
 #[derive(Default)]
 struct ResumePlan {
-    /// Durably mapped input blocks (block ids; `{0}` on one node).
+    /// Durably mapped input blocks (block ids).
     map_done: BTreeSet<u64>,
     /// Items whose shuffled pair is durable and validated on its owner.
     shuffle_done: BTreeSet<u64>,
@@ -388,6 +417,7 @@ fn build_resume_plan(
     manifests: &[Manifest],
     nodes: &[Node],
     n_blocks: usize,
+    shuffled: bool,
     own: &mut Ownership,
     ranges: u32,
 ) -> Result<ResumePlan> {
@@ -428,22 +458,12 @@ fn build_resume_plan(
 
     // Map: a logged block counts only if some rank's manifest claims it
     // and that rank's block directory is still on disk.
-    if n_nodes == 1 {
-        if log_map.contains(&0) && manifests[0].is_done("map") {
-            plan.map_done.insert(0);
-        }
-    } else {
-        for &b in &log_map {
-            if b as usize >= n_blocks {
-                continue;
-            }
-            for (r, m) in manifests.iter().enumerate() {
-                if m.has_block(b) && nodes[r].spill.root().join(format!("block{b}")).exists() {
-                    plan.map_done.insert(b);
-                    plan.assignment_init[b as usize] = Some(r);
-                    break;
-                }
-            }
+    for &b in log_map.iter().filter(|&&b| b < n_blocks as u64) {
+        let mapper = (0..n_nodes)
+            .find(|&r| manifests[r].has_block(b) && block_dir(&nodes[r], b, shuffled).exists());
+        if let Some(r) = mapper {
+            plan.map_done.insert(b);
+            plan.assignment_init[b as usize] = Some(r);
         }
     }
 
@@ -472,8 +492,7 @@ fn build_resume_plan(
                     .into(),
                 });
             }
-        } else if n_nodes > 1
-            && log_shuffle.contains(&id)
+        } else if log_shuffle.contains(&id)
             && m.is_shuffled(&sfx_tag)
             && m.is_shuffled(&pfx_tag)
             && m.file_matches(&sfx_path)
@@ -663,10 +682,21 @@ impl Cluster {
             })
             .collect::<Result<_>>()?;
 
-        // Input blocks.
-        let blocks: Vec<(usize, usize)> = (0..reads.len())
-            .step_by(cfg.block_reads.max(1))
-            .map(|s| (s, (s + cfg.block_reads).min(reads.len())))
+        // The one place the node count shapes the run (see the module
+        // doc): one node maps its whole input as one block straight into
+        // its own partitions, and shuffles nothing. The input is at least
+        // one block, so every partition file exists even for no reads.
+        let shuffled = n_nodes > 1;
+        let block_reads = if shuffled {
+            cfg.block_reads
+        } else {
+            reads.len().max(1)
+        };
+        // Block `b` as the master hands it out: `(b, start, end)`.
+        let blocks: Vec<(usize, usize, usize)> = (0..reads.len().max(1))
+            .step_by(block_reads)
+            .enumerate()
+            .map(|(b, s)| (b, s, (s + block_reads).min(reads.len())))
             .collect();
         let n_blocks = blocks.len();
 
@@ -719,7 +749,9 @@ impl Cluster {
         let mut own = Ownership::new(key, l_min, l_max, n_nodes);
         let mut recovery = RecoveryStats::default();
         let plan = if resumed {
-            build_resume_plan(&replayed, &manifests, &nodes, n_blocks, &mut own, ranges)?
+            build_resume_plan(
+                &replayed, &manifests, &nodes, n_blocks, shuffled, &mut own, ranges,
+            )?
         } else {
             for (r, m) in manifests.iter().enumerate() {
                 m.store(nodes[r].spill.root(), &self.faults)
@@ -740,33 +772,27 @@ impl Cluster {
             preloaded,
         } = plan;
 
-        let map_total = if n_nodes == 1 { 1 } else { n_blocks };
-        let item_count = own.items().count();
-        let shuffle_total = if n_nodes == 1 { 0 } else { item_count };
-        if resumed {
-            recovery.master_rebuilds = 1;
-            recovery.superstep_replays = map_total.saturating_sub(map_done.len()) as u64
-                + shuffle_total.saturating_sub(shuffle_done.len()) as u64
-                + item_count.saturating_sub(sort_done.len()) as u64
-                + item_count.saturating_sub(join_done.len()) as u64;
-        }
-        let single_map_done = n_nodes == 1 && map_done.contains(&0);
-
         // The master's queue: only blocks not already durably mapped.
-        let queue: Arc<Mutex<VecDeque<usize>>> = Arc::new(Mutex::new(
+        let queue: Mutex<VecDeque<usize>> = Mutex::new(
             (0..n_blocks)
                 .filter(|&b| !map_done.contains(&(b as u64)))
                 .collect(),
-        ));
+        );
+        let next_block = || lock(&queue).pop_front().map(|b| blocks[b]);
         let assignment: Mutex<Vec<Option<usize>>> = Mutex::new(assignment_init);
 
-        let shuffle_todo = if n_nodes == 1 {
-            Vec::new()
-        } else {
+        let shuffle_todo = if shuffled {
             own.pending(&shuffle_done)
+        } else {
+            Vec::new()
         };
         let sort_todo = own.pending(&sort_done);
         let join_todo = own.pending(&join_done);
+        if resumed {
+            recovery.master_rebuilds = 1;
+            let todo = lock(&queue).len() + shuffle_todo.len() + sort_todo.len() + join_todo.len();
+            recovery.superstep_replays = todo as u64;
+        }
 
         // Active-message endpoints.
         let net = NetStats::new(cfg.net);
@@ -795,21 +821,21 @@ impl Cluster {
         let mut total_candidates = 0u64;
         let obs_root = self.recorder.span("distributed");
 
+        let loaded = master.on_master("load", &nodes[0], |_| {
+            pipeline::load(&nodes[0].spill, &nodes[0].host, reads)
+        })?;
+        let reads = &loaded;
+
         std::thread::scope(|scope| -> Result<()> {
             // --- AM service threads -------------------------------------
             // Servers must receive Shutdown on *every* exit path, or the
             // scope would block forever joining them; hence the inner
             // closure + unconditional shutdown below.
             for (rank, server) in servers.drain(..).enumerate() {
-                let queue = Arc::clone(&queue);
-                let blocks = blocks.clone();
                 let spill = nodes[rank].spill.clone();
                 scope.spawn(move || {
                     server.serve(move |req| match req {
-                        Request::GetBlock => {
-                            let next = lock(&queue).pop_front();
-                            Response::Block(next.map(|b| (b, blocks[b].0, blocks[b].1)))
-                        }
+                        Request::GetBlock => Response::Block(next_block()),
                         Request::FetchPartition { block, part } => {
                             let bdir = spill.root().join(format!("block{block}"));
                             let fetched = SpillDir::open(&bdir, spill.io().clone()).and_then(|b| {
@@ -835,43 +861,27 @@ impl Cluster {
             }
 
             let work = || -> Result<()> {
-                // --- Phase 1: map --------------------------------------------
-                // A single-node "cluster" writes its partitions directly, like
-                // the paper's single-node pipeline: Fig. 10's one-node bar has
-                // no shuffle component ("scaling out from a single node
-                // introduces the additional overhead of an all-to-all data
-                // transfer").
-                let map_one = |rank: usize, node: &Node, _, _: &[WorkItem]| -> RankResult<()> {
-                    let mf = &manifests[rank];
-                    if n_nodes == 1 {
-                        if !single_map_done {
-                            map::run(&node.device, &node.host, &node.spill, &assembly, reads)?;
-                            let mut m = lock(mf);
-                            m.mark_phase("map");
-                            m.store(node.spill.root(), &self.faults)?;
-                        }
-                        return Ok((0.0, ()));
-                    }
+                // --- map -----------------------------------------------------
+                // Each rank maps the blocks the master hands it until the
+                // queue is empty; one node takes its one block itself.
+                let map_one = |rank: usize, node: &Node, span, _: &[WorkItem]| -> RankResult<()> {
                     loop {
-                        let (resp, _net_s) = clients[0].try_call(rank, Request::GetBlock)?;
-                        let Response::Block(Some((b, start, end))) = resp else {
+                        let next = match shuffled {
+                            true => clients[0].try_call(rank, Request::GetBlock)?.0,
+                            false => Response::Block(next_block()),
+                        };
+                        let Response::Block(Some((b, start, end))) = next else {
                             return Ok((0.0, ()));
                         };
-                        let bdir = node.spill.root().join(format!("block{b}"));
-                        let spill = SpillDir::open(&bdir, node.spill.io().clone())?;
-                        map::run_range(
-                            &node.device,
-                            &node.host,
-                            &spill,
-                            &assembly,
-                            reads,
-                            start,
-                            end,
-                        )?;
+                        let dir = block_dir(node, b as u64, shuffled);
+                        let spill = SpillDir::open(&dir, node.spill.io().clone())?;
+                        let (device, host, rec) = (&node.device, &node.host, &self.recorder);
+                        let block = start..end;
+                        map::map_block(device, host, &spill, &assembly, reads, block, rec, span)?;
                         // The claim is durable before the master can hand
                         // the block's partitions to any shuffler.
                         {
-                            let mut m = lock(mf);
+                            let mut m = lock(&manifests[rank]);
                             m.mark_block(b as u64);
                             m.store(node.spill.root(), &self.faults)?;
                         }
@@ -888,13 +898,7 @@ impl Cluster {
                         .map(|r| (r, Vec::new()))
                         .collect();
                     let (ok, failed) = master.round(&nodes, &phase, round, &plan, &map_one)?;
-                    let done_now: Vec<u64> = if n_nodes == 1 {
-                        if ok.is_empty() {
-                            Vec::new()
-                        } else {
-                            vec![0]
-                        }
-                    } else {
+                    let done_now: Vec<u64> = {
                         let a = lock(&assignment);
                         (0..n_blocks)
                             .filter(|&b| a[b].is_some())
@@ -919,11 +923,8 @@ impl Cluster {
                 }
                 master.close(phase, ranks, 0.0);
                 // A dead mapper keeps its finished blocks, so once map ends
-                // every block has a rank to fetch it from (one node maps
-                // the whole input and never shuffles).
-                let mappers: Vec<usize> = if n_nodes == 1 {
-                    Vec::new()
-                } else {
+                // every block has a rank to fetch it from.
+                let mappers: Vec<usize> = {
                     let a = lock(&assignment);
                     (0..n_blocks)
                         .map(|block| a[block].ok_or(DnetError::Unassigned { block }))
@@ -939,7 +940,7 @@ impl Cluster {
                     ranges,
                 };
 
-                // --- Phase 2: shuffle (no-op on one node) ---------------------
+                // --- shuffle (nothing to shuffle on one node) -----------------
                 master.run_phase(
                     &nodes,
                     ("shuffle", "shuffle"),
@@ -949,7 +950,7 @@ impl Cluster {
                     |_, _, _| Ok(0.0),
                 )?;
 
-                // --- Phase 3: sort -------------------------------------------
+                // --- sort ----------------------------------------------------
                 // An item inherited from a dead owner is re-shuffled from
                 // the durable map output before it is sorted.
                 master.run_phase(
@@ -965,7 +966,7 @@ impl Cluster {
                     |_, _, _| Ok(0.0),
                 )?;
 
-                // --- Phase 4: reduce -----------------------------------------
+                // --- reduce --------------------------------------------------
                 // Stage A (parallel) finds candidates per owned item, after
                 // re-shuffling and re-sorting an inherited one; stage B
                 // (serialized) commits them under the token.
@@ -995,7 +996,7 @@ impl Cluster {
                         {
                             candidates[(len - l_min) as usize][range as usize] = cands;
                         }
-                        let (offered, serial) = master.commit(
+                        let (offered, token_net_s) = master.commit(
                             span,
                             &candidates,
                             &net,
@@ -1003,7 +1004,7 @@ impl Cluster {
                             &mut merged_graph,
                         )?;
                         total_candidates = offered;
-                        Ok(serial)
+                        Ok(token_net_s)
                     },
                 )
             };
@@ -1014,6 +1015,18 @@ impl Cluster {
                 let _ = c.call(rank, Request::Shutdown);
             }
             result
+        })?;
+
+        merged_graph
+            .check_invariants()
+            .map_err(DnetError::BrokenGraph)?;
+        let (_, contigs, contig_stats) = master.on_master("compress", &nodes[0], |span| {
+            let (device, host) = (&nodes[0].device, &nodes[0].host);
+            // The master holds the merged graph on its host, as the
+            // pipeline does through compress.
+            let _graph = host.reserve(merged_graph.memory_bytes())?;
+            let (rec, graph) = (&self.recorder, &merged_graph);
+            pipeline::compress(device, host, reads, graph, l_max, rec, span)
         })?;
 
         let (root, r) = (obs_root.id(), master.recovery);
@@ -1040,10 +1053,6 @@ impl Cluster {
         }
         drop(obs_root);
 
-        merged_graph
-            .check_invariants()
-            .map_err(DnetError::BrokenGraph)?;
-
         let report = DistributedReport {
             nodes: n_nodes,
             phases: master.phases,
@@ -1052,8 +1061,10 @@ impl Cluster {
             edges: merged_graph.edge_count(),
             candidates: total_candidates,
             resumed,
+            contig_stats,
         };
         Ok(DistributedOutput {
+            contigs,
             graph: merged_graph,
             report,
         })
@@ -1094,6 +1105,24 @@ impl Master<'_> {
                 .counter_on(span.id(), "phase.skipped_items", skipped as u64);
         }
         OpenPhase { name, span, t0 }
+    }
+
+    /// Run `f` as phase `name` on the master alone — `node`, rank 0, with
+    /// its device, host ledger and disk — measured by [`measure_phase`] on
+    /// the phase span, whose id `f` is handed, as the pipeline measures
+    /// its phases.
+    fn on_master<T>(
+        &mut self,
+        name: &'static str,
+        node: &Node,
+        f: impl FnOnce(u64) -> lasagna::Result<T>,
+    ) -> Result<T> {
+        let phase = self.open(name, 0);
+        let (id, io) = (phase.span.id(), node.spill.io());
+        let (out, m) = measure_phase(self.recorder, id, &node.device, &node.host, io, || f(id))
+            .map_err(|source| DnetError::Node { node: 0, source })?;
+        self.close(phase, vec![m], 0.0);
+        Ok(out)
     }
 
     /// Close a phase: fold its `ranks`' records into its own with
@@ -1282,7 +1311,9 @@ impl Master<'_> {
     /// same global order. Every completed length appends a `commit` record
     /// carrying the token checksum; a resumed sweep validates its
     /// recomputed bits against the `logged` checksum instead. Returns the
-    /// candidates offered and the serial modeled seconds.
+    /// candidates offered and the serial modeled seconds: the token's
+    /// network time. Applying the candidates on the host is charged
+    /// nothing, as in the pipeline.
     fn commit(
         &mut self,
         span: u64,
@@ -1303,7 +1334,6 @@ impl Master<'_> {
             })
         };
         let (mut offered, mut accepted) = (0u64, 0u64);
-        let mut apply_wall = 0.0;
         let mut token_net_s = 0.0;
         let mut bits = StringGraph::new(vertices).out_bits();
         let mut slots: Vec<StringGraph> = (0..self.own.ranges())
@@ -1314,7 +1344,6 @@ impl Master<'_> {
                 if cands.is_empty() {
                     continue;
                 }
-                let ta = Instant::now();
                 g.merge_out_bits(&bits);
                 for &(u, v) in cands {
                     if g.try_add_edge(u, v, len).is_ok() {
@@ -1324,7 +1353,6 @@ impl Master<'_> {
                 }
                 offered += cands.len() as u64;
                 bits = g.out_bits();
-                apply_wall += ta.elapsed().as_secs_f64();
             }
             // Bit-vector movement: a single token hop between length
             // owners (token mode), or an intra-length relay plus final
@@ -1388,7 +1416,7 @@ impl Master<'_> {
             .counter_on(span, "reduce.rejected", offered - accepted);
         self.recorder
             .metric_on(span, "reduce.token_net_seconds", token_net_s);
-        Ok((offered, apply_wall + token_net_s))
+        Ok((offered, token_net_s))
     }
 }
 
@@ -1540,6 +1568,8 @@ mod tests {
         .unwrap()
     }
 
+    const PHASES: [&str; 6] = ["load", "map", "shuffle", "sort", "reduce", "compress"];
+
     fn single_node_graph(reads: &ReadSet, l_min: u32) -> StringGraph {
         let dir = stdx::tempdir().unwrap();
         let config = AssemblyConfig::for_dataset(l_min, reads.read_len() as u32);
@@ -1568,12 +1598,12 @@ mod tests {
     }
 
     #[test]
-    fn report_has_four_phases_and_network_traffic_beyond_one_node() {
+    fn report_has_six_phases_and_network_traffic_beyond_one_node() {
         let reads = sample(800, 40, 6.0, 13);
         let dir = stdx::tempdir().unwrap();
         let out = cluster(2, 25, 40, 64).assemble(&reads, dir.path()).unwrap();
         let names: Vec<&str> = out.report.phases.iter().map(|p| p.phase.as_str()).collect();
-        assert_eq!(names, vec!["map", "shuffle", "sort", "reduce"]);
+        assert_eq!(names, PHASES);
         assert!(
             out.report.network_bytes > 0,
             "2 nodes must shuffle remotely"
@@ -1603,13 +1633,14 @@ mod tests {
             kway: false,
         };
         let graph_bytes = StringGraph::new(reads.vertex_count()).memory_bytes();
+        let disk = DiskModel::hdd();
         for sort in [None, Some(small)] {
             let mut assembly = AssemblyConfig::for_dataset(25, 40);
             assembly.sort = sort;
             let mut c = cluster(1, 25, 40, 64);
             c.config.assembly = assembly;
             let dir = stdx::tempdir().unwrap();
-            let distributed = c.assemble(&reads, dir.path()).unwrap().report;
+            let distributed = c.assemble(&reads, dir.path()).unwrap();
             // The records of rank 0's candidate lists, as the disk counts them.
             let candidate_bytes: u64 = std::fs::read_dir(dir.path().join("node0"))
                 .unwrap()
@@ -1621,23 +1652,25 @@ mod tests {
             let pipeline = lasagna::Pipeline::new(
                 Device::with_capacity(GpuProfile::k20x(), 1 << 20),
                 HostMem::new(8 << 20),
-                SpillDir::create(dir.path(), IoStats::new(DiskModel::hdd())).unwrap(),
+                SpillDir::create(dir.path(), IoStats::new(disk)).unwrap(),
                 assembly,
             )
             .unwrap();
-            let single = pipeline.assemble(&reads).unwrap().report;
-            for phase in ["map", "sort", "reduce"] {
-                let (expect, got) = (
-                    single.phase(phase).unwrap(),
-                    distributed.phase(phase).unwrap(),
-                );
+            let single = pipeline.assemble(&reads).unwrap();
+            assert_eq!(distributed.contigs, single.contigs, "{sort:?}");
+            assert_eq!(distributed.report.contig_stats, single.report.contig_stats);
+            let (distributed, single) = (distributed.report, single.report);
+            assert_eq!(distributed.phase("shuffle").unwrap().modeled_seconds, 0.0);
+            for expect in &single.phases {
+                let (phase, got) = (&expect.phase, distributed.phase(&expect.phase).unwrap());
                 // Every field but wall. One node maps the whole input at
                 // once, so launches match too. Seconds are equal up to
                 // the order the same charges were summed in: the
                 // pipeline's deltas subtract the load phase's I/O.
-                let ((mut got, got_device, got_rest), (expect, expect_device, expect_rest)) =
+                let ((mut got, mut got_device, mut got_rest), (expect, device, rest)) =
                     (split_seconds(got), split_seconds(expect));
-                let mut seconds = vec![(got_device, expect_device)];
+                // What was subtracted, which bounds the rounding left.
+                let mut subtracted = 0.0f64;
                 if phase == "reduce" {
                     // Where one node's reduce differs, by exactly this
                     // much: the rank writes its candidate lists, and the
@@ -1646,19 +1679,63 @@ mod tests {
                     assert!(got.host_peak_bytes > 0 && candidate_bytes > 0);
                     got.io.bytes_written -= candidate_bytes;
                     got.host_peak_bytes += graph_bytes;
-                } else {
-                    seconds.push((got_rest, expect_rest));
+                    let candidate_seconds = candidate_bytes as f64 / disk.write_bytes_per_s;
+                    // Modeled, then the disk's write seconds.
+                    got_rest[0] -= candidate_seconds;
+                    got_rest[2] -= candidate_seconds;
+                    subtracted = candidate_seconds;
                 }
                 assert_eq!(got, expect, "{sort:?} {phase}");
-                for (got, expect) in seconds.into_iter().flat_map(|(g, e)| g.into_iter().zip(e)) {
+                got_device.append(&mut got_rest);
+                for (got, expect) in got_device.into_iter().zip(device.into_iter().chain(rest)) {
                     assert!(
-                        (got - expect).abs() <= 1e-12 * expect,
+                        (got - expect).abs() <= 1e-12 * expect.max(subtracted),
                         "{sort:?} {phase}: {got} vs {expect}"
                     );
                 }
-                let bytes = expect.io.bytes_read + expect.io.bytes_written;
-                assert!(expect.device.kernel_launches > 0 && bytes > 0);
+                if phase == "compress" {
+                    assert!(expect.host_peak_bytes > graph_bytes, "{sort:?}");
+                } else {
+                    let bytes = expect.io.bytes_read + expect.io.bytes_written;
+                    let work = expect.device.kernel_launches + expect.host_peak_bytes;
+                    assert!(work > 0 && bytes > 0, "{sort:?} {phase}");
+                }
             }
+        }
+    }
+
+    #[test]
+    fn two_runs_of_one_cluster_charge_bit_identical_modeled_seconds() {
+        let reads = sample(1200, 40, 8.0, 29);
+        assert!(reads.len().is_multiple_of(2));
+        // Each phase's modeled seconds, or `None` when one rank mapped
+        // both of the two equal blocks: blocks go to whichever rank asks
+        // first, and a rank's seconds round after its earlier traffic, so
+        // runs charge alike when each rank mapped one block. Beyond one
+        // node the shuffle is left out: a fetch's block read is charged to
+        // the serving node inside whatever window its rank has open.
+        let modeled = |nodes: usize| {
+            let dir = stdx::tempdir().unwrap();
+            let c = cluster(nodes, 25, 40, reads.len() / 2);
+            let report = c.assemble(&reads, dir.path()).unwrap().report;
+            let blocks = |rank: usize| {
+                let node = std::fs::read_dir(dir.path().join(format!("node{rank}"))).unwrap();
+                let names = node.map(|e| e.unwrap().file_name().to_string_lossy().into_owned());
+                names.filter(|name| name.starts_with("block")).count()
+            };
+            if nodes > 1 && (0..nodes).any(|rank| blocks(rank) != 1) {
+                return None;
+            }
+            let phases = report.phases.into_iter();
+            let charged = phases.filter(|p| nodes == 1 || p.phase != "shuffle");
+            let bits = charged.map(|p| (p.phase, p.modeled_seconds.to_bits()));
+            Some(bits.collect::<Vec<_>>())
+        };
+        for nodes in [1usize, 2] {
+            let mut runs = std::iter::repeat_with(|| modeled(nodes)).take(20).flatten();
+            let (first, second) = (runs.next().unwrap(), runs.next().unwrap());
+            assert_eq!(first.len(), PHASES.len() - usize::from(nodes > 1));
+            assert_eq!(first, second, "{nodes} nodes");
         }
     }
 
@@ -1790,12 +1867,55 @@ mod tests {
             .iter()
             .map(|c| c.name.as_str())
             .collect();
-        assert_eq!(names, vec!["map", "shuffle", "sort", "reduce"]);
+        assert_eq!(names, PHASES);
+        // The master loads and compresses alone; the ranks run the rest.
         for phase in rollup.children(root.id) {
             let ranks = rollup.children(phase.id);
-            assert_eq!(ranks.len(), 2, "phase {} rank spans", phase.name);
+            let expect = if ["load", "compress"].contains(&phase.name.as_str()) {
+                0
+            } else {
+                2
+            };
+            assert_eq!(ranks.len(), expect, "phase {} rank spans", phase.name);
             assert!(ranks.iter().all(|r| r.name.starts_with("rank")));
         }
+        // A rank that mapped a block counts its tuples on its own span,
+        // and the ranks' counts add up to the pipeline's.
+        let tuples = |agg: &obs::SpanAgg| -> BTreeMap<String, u64> {
+            let counters = agg.counters.iter();
+            let spill = counters.filter(|(name, _)| name.starts_with("spill.tuples."));
+            spill.map(|(name, &n)| (name.clone(), n)).collect()
+        };
+        let map = rollup.child_named(root.id, "map").unwrap();
+        let mut summed = BTreeMap::new();
+        for rank in rollup.children(map.id) {
+            let counted = tuples(&rank.own);
+            let node = dir.path().join(rank.name.replace("rank", "node"));
+            let mapped = std::fs::read_dir(node).unwrap().any(|e| {
+                e.unwrap()
+                    .file_name()
+                    .to_string_lossy()
+                    .starts_with("block")
+            });
+            assert_eq!(!counted.is_empty(), mapped, "{}", rank.name);
+            assert!(!mapped || rank.own.counter("map.batches") > 0);
+            for (name, n) in counted {
+                *summed.entry(name).or_insert(0) += n;
+            }
+        }
+        let pipeline_rec = obs::Recorder::new();
+        let pipe_dir = stdx::tempdir().unwrap();
+        let config = AssemblyConfig::for_dataset(25, 40);
+        lasagna::Pipeline::laptop(config, pipe_dir.path())
+            .unwrap()
+            .with_recorder(pipeline_rec.clone())
+            .assemble(&reads)
+            .unwrap();
+        let pipeline = obs::Rollup::from_events(&pipeline_rec.events());
+        let assembly = pipeline.root_named("assembly").unwrap();
+        let pipeline_map = pipeline.child_named(assembly.id, "map").unwrap();
+        assert_eq!(summed.len(), 2 * 15);
+        assert_eq!(summed, tuples(&pipeline_map.own));
         // Each rank sorts its partitions under their own spans, as the
         // pipeline does, and every pair the map wrote is sorted once.
         let sort = rollup.child_named(root.id, "sort").unwrap();

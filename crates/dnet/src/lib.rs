@@ -11,12 +11,18 @@
 //! Here a "node" is a worker thread with its own virtual GPU, host-memory
 //! budget, I/O counters, and spill directory; [`am`] is the active-message
 //! layer (request/response over channels with a network bandwidth model);
-//! [`cluster`] drives the four distributed phases and merges the disjoint
-//! per-node edge sets into one string graph. A rank maps, sorts and joins
-//! through `lasagna`'s own steps (`map::run` / `map::run_range`,
-//! `sortphase::sort_partition`, `reduce::join_pair`), so one node and many
-//! run — and are charged for — the same partition work; only the shuffle,
-//! the token and the checkpoints are `dnet`'s.
+//! [`cluster`] drives the six distributed phases — the pipeline's load,
+//! map, sort, reduce and compress plus the all-to-all shuffle — and merges
+//! the disjoint per-node edge sets into one string graph. The master
+//! loads and compresses, and a rank maps, sorts and joins, through
+//! `lasagna`'s own steps (`pipeline::load`, `map::map_block`,
+//! `sortphase::sort_partition`, `reduce::join_pair`, `pipeline::compress`),
+//! so one node and many run — and are charged for — the same work; only
+//! the shuffle, the token and the checkpoints are `dnet`'s.
+//!
+//! One node is Fig. 10's bar without a shuffle, decided once in
+//! [`cluster`]: the whole input is one block, mapped straight into the
+//! rank's own partitions, and no item is shuffled.
 //!
 //! The simulation preserves the paper's *structure* — dynamic block
 //! assignment, an all-to-all shuffle that only appears beyond one node, a

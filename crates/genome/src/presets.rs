@@ -106,16 +106,6 @@ impl DatasetPreset {
         }
     }
 
-    /// Dataset on-disk size in bytes as reported in Table I.
-    pub fn paper_size_bytes(self) -> u64 {
-        match self {
-            DatasetPreset::HChr14 => 9_200_000_000,     // 9.2 GB
-            DatasetPreset::Bumblebee => 85_000_000_000, // 85 GB
-            DatasetPreset::Parakeet => 203_000_000_000, // 203 GB
-            DatasetPreset::HGenome => 398_000_000_000,  // 398 GB
-        }
-    }
-
     /// Shrink by `scale` (genome and read counts divided, coverage and read
     /// length preserved).
     pub fn scaled(self, scale: u64) -> ScaledDataset {

@@ -209,15 +209,6 @@ impl SpillDir {
         out.sort_unstable();
         Ok(out)
     }
-
-    /// Delete one partition file, ignoring "already gone".
-    pub fn remove(&self, kind: PartitionKind, len: u32) -> Result<()> {
-        match std::fs::remove_file(self.path(kind, len)) {
-            Ok(()) => Ok(()),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(e.into()),
-        }
-    }
 }
 
 /// Map a fingerprint to its range index out of `ranges` equal slices of
@@ -339,18 +330,22 @@ impl PartitionSet {
 
     /// Like [`PartitionSet::finish`], but also emits per-length spill
     /// counters (`spill.tuples.sfx_<len>` / `spill.tuples.pfx_<len>`) plus
-    /// the total `spill.bytes` on the recorder's current span.
-    pub fn finish_traced(self, rec: &obs::Recorder) -> Result<BTreeMap<u32, (u64, u64)>> {
+    /// the total `spill.bytes` on `span`.
+    pub fn finish_traced(
+        self,
+        rec: &obs::Recorder,
+        span: u64,
+    ) -> Result<BTreeMap<u32, (u64, u64)>> {
         let counts = self.finish()?;
         if rec.is_enabled() {
             let mut tuples = 0u64;
             for (&len, &(sfx, pfx)) in &counts {
                 for (part, n) in Partition::pair(len, 0, 1).iter().zip([sfx, pfx]) {
-                    rec.counter(&format!("spill.tuples.{}", part.name()), n);
+                    rec.counter_on(span, &format!("spill.tuples.{}", part.name()), n);
                 }
                 tuples += sfx + pfx;
             }
-            rec.counter("spill.bytes", tuples * KvPair::BYTES as u64);
+            rec.counter_on(span, "spill.bytes", tuples * KvPair::BYTES as u64);
         }
         Ok(counts)
     }
@@ -516,7 +511,7 @@ mod tests {
             .unwrap();
         set.write_rows(4, 1, &rows(4, 1, 1, 50), &rows(4, 1, 1, 60))
             .unwrap();
-        let counts = set.finish_traced(&rec).unwrap();
+        let counts = set.finish_traced(&rec, span.id()).unwrap();
         drop(span);
         assert_eq!(counts[&3], (2, 2));
         let rollup = obs::Rollup::from_events(&rec.events());
@@ -542,18 +537,6 @@ mod tests {
             .unwrap();
         assert_eq!(s.lengths(PartitionKind::Suffix).unwrap(), vec![3, 7, 9]);
         assert_eq!(s.lengths(PartitionKind::Prefix).unwrap(), vec![4]);
-    }
-
-    #[test]
-    fn remove_is_idempotent() {
-        let (_g, s) = spill();
-        s.writer(PartitionKind::Suffix, 5)
-            .unwrap()
-            .finish()
-            .unwrap();
-        s.remove(PartitionKind::Suffix, 5).unwrap();
-        s.remove(PartitionKind::Suffix, 5).unwrap();
-        assert!(s.lengths(PartitionKind::Suffix).unwrap().is_empty());
     }
 
     #[test]

@@ -27,6 +27,7 @@ use genome::ReadSet;
 use gstream::spill::{PartitionSet, SpillDir};
 use gstream::{HostMem, KvPair};
 use std::collections::BTreeMap;
+use std::ops::Range;
 use vgpu::Device;
 
 /// Reads of a device batch that the host fingerprints and writes at a
@@ -48,58 +49,36 @@ pub fn run(
     config: &AssemblyConfig,
     reads: &ReadSet,
 ) -> Result<PartitionCounts> {
-    run_range(device, host, spill, config, reads, 0, reads.len())
-}
-
-/// [`run`] with structured events: `map.batches` plus the per-length
-/// `spill.tuples.*` / `spill.bytes` counters on the current span.
-pub fn run_traced(
-    device: &Device,
-    host: &HostMem,
-    spill: &SpillDir,
-    config: &AssemblyConfig,
-    reads: &ReadSet,
-    rec: &obs::Recorder,
-) -> Result<PartitionCounts> {
-    run_range_traced(device, host, spill, config, reads, 0, reads.len(), rec)
-}
-
-/// Map a contiguous block of reads `[start, end)`. Vertex ids stay global
-/// (`2 · read-index + strand`), which is what lets the distributed map
-/// assign blocks to arbitrary nodes (Section III-E1).
-pub fn run_range(
-    device: &Device,
-    host: &HostMem,
-    spill: &SpillDir,
-    config: &AssemblyConfig,
-    reads: &ReadSet,
-    start: usize,
-    end: usize,
-) -> Result<PartitionCounts> {
-    run_range_traced(
+    let disabled = obs::Recorder::disabled();
+    map_block(
         device,
         host,
         spill,
         config,
         reads,
-        start,
-        end,
-        &obs::Recorder::disabled(),
+        0..reads.len(),
+        &disabled,
+        0,
     )
 }
 
-/// [`run_range`] with structured events.
+/// Map the reads of `block` into `spill`'s partitions, the one map step
+/// of the pipeline and of every distributed rank. Vertex ids stay global
+/// (`2 · read-index + strand`), which is what lets the distributed map
+/// assign blocks to arbitrary nodes (Section III-E1). `map.batches` and
+/// the per-length `spill.tuples.*` / `spill.bytes` counters land on `span`.
 #[allow(clippy::too_many_arguments)]
-pub fn run_range_traced(
+pub fn map_block(
     device: &Device,
     host: &HostMem,
     spill: &SpillDir,
     config: &AssemblyConfig,
     reads: &ReadSet,
-    start: usize,
-    end: usize,
+    block: Range<usize>,
     rec: &obs::Recorder,
+    span: u64,
 ) -> Result<PartitionCounts> {
+    let Range { start, end } = block;
     config.validate()?;
     let n = reads.read_len();
     if n != config.l_max as usize {
@@ -188,10 +167,10 @@ pub fn run_range_traced(
         read_idx = batch_end;
     }
 
-    if rec.is_enabled() && batches > 0 {
-        rec.counter("map.batches", batches);
+    if batches > 0 {
+        rec.counter_on(span, "map.batches", batches);
     }
-    Ok(partitions.finish_traced(rec)?)
+    Ok(partitions.finish_traced(rec, span)?)
 }
 
 #[cfg(test)]
@@ -391,14 +370,16 @@ mod tests {
         config.map_batch_reads = 7;
         for block in [0..cut, cut..reads.len()] {
             let (_g, device, host, spill) = setup();
-            let counts = run_range(
+            let disabled = obs::Recorder::disabled();
+            let counts = map_block(
                 &device,
                 &host,
                 &spill,
                 &config,
                 &reads,
-                block.start,
-                block.end,
+                block.clone(),
+                &disabled,
+                0,
             )
             .unwrap();
             assert!(counts

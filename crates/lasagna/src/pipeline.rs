@@ -5,8 +5,8 @@ use crate::contig::generate_contigs;
 use crate::graph::StringGraph;
 use crate::manifest::Manifest;
 use crate::report::{measure_phase, AssemblyReport};
-use crate::traverse::{extract_paths_traced, Path, TraverseOptions};
-use crate::{map, reduce, sortphase, Result};
+use crate::traverse::{extract_paths, Path, TraverseOptions};
+use crate::{map, reduce, sortphase, ContigStats, Result};
 use genome::{PackedSeq, ReadSet};
 use gstream::{HostMem, IoStats, SpillDir, StreamError};
 use vgpu::{Device, GpuProfile};
@@ -22,6 +22,48 @@ pub struct AssemblyOutput {
     pub paths: Vec<Path>,
     /// Per-phase measurements.
     pub report: AssemblyReport,
+}
+
+/// Load: stage the packed reads on disk (the dataset's resting place) and
+/// stream them back in, charging the read I/O to `spill`'s disk and the
+/// image to `host` — the "Load" row of Tables II/III. The first step of
+/// the pipeline and of the distributed master.
+pub fn load(spill: &SpillDir, host: &HostMem, reads: &ReadSet) -> Result<ReadSet> {
+    let staged = spill.root().join("reads.packed");
+    std::fs::write(&staged, reads.to_packed_bytes()).map_err(StreamError::from)?;
+    let bytes = std::fs::read(&staged).map_err(StreamError::from)?;
+    spill.io().add_read(bytes.len() as u64);
+    // The paper's datasets rest on disk as FASTQ (~3.2 B/base per Table I);
+    // our staging file is 2-bit packed, so charge the difference to model
+    // the real load volume.
+    spill.io().add_read(reads.total_bases() * 3);
+    let _guard = host.reserve(bytes.len() as u64)?;
+    let (read_len, count) = (reads.read_len(), reads.len());
+    Ok(ReadSet::from_packed_bytes(read_len, count, &bytes)?)
+}
+
+/// Compress: extract the unambiguous paths of `graph` and spell their
+/// contigs on `device`, the last step of the pipeline and of the
+/// distributed master (the paper's compress is a single-node stage).
+/// `traverse.paths`, `traverse.steps` and `traverse.singletons` land on
+/// `span`.
+pub fn compress(
+    device: &Device,
+    host: &HostMem,
+    reads: &ReadSet,
+    graph: &StringGraph,
+    l_max: u32,
+    rec: &obs::Recorder,
+    span: u64,
+) -> Result<(Vec<Path>, Vec<PackedSeq>, ContigStats)> {
+    let paths = extract_paths(graph, l_max, TraverseOptions::default());
+    let steps: u64 = paths.iter().map(|p| p.steps.len() as u64).sum();
+    let singletons = paths.iter().filter(|p| p.steps.len() == 1).count() as u64;
+    rec.counter_on(span, "traverse.paths", paths.len() as u64);
+    rec.counter_on(span, "traverse.steps", steps);
+    rec.counter_on(span, "traverse.singletons", singletons);
+    let (contigs, stats) = generate_contigs(device, host, reads, &paths)?;
+    Ok((paths, contigs, stats))
 }
 
 /// A configured assembler: a device, a host-memory budget, a spill
@@ -120,18 +162,13 @@ impl Pipeline {
         &self.recorder
     }
 
-    /// Run `f` under a phase span, measured by [`measure_phase`]. The
-    /// report is later rolled up from the events that leaves on the span.
-    pub(crate) fn phase<T>(&self, name: &str, f: impl FnOnce() -> Result<T>) -> Result<T> {
+    /// Run `f` under a phase span, measured by [`measure_phase`] and
+    /// handed the span's id. The report is later rolled up from the events
+    /// that leaves on the span.
+    fn phase<T>(&self, name: &str, f: impl FnOnce(u64) -> Result<T>) -> Result<T> {
         let span = self.recorder.span(name);
-        let (out, _) = measure_phase(
-            &self.recorder,
-            span.id(),
-            &self.device,
-            &self.host,
-            self.spill.io(),
-            f,
-        )?;
+        let (id, io) = (span.id(), self.spill.io());
+        let (out, _) = measure_phase(&self.recorder, id, &self.device, &self.host, io, || f(id))?;
         Ok(out)
     }
 
@@ -266,40 +303,16 @@ impl Pipeline {
 
         let root = rec.span("assembly");
 
-        // Load: stage the packed reads on disk (the dataset's resting
-        // place) and stream them back in, charging the read I/O — the
-        // "Load" row of Tables II/III.
-        let staged_path = self.spill.root().join("reads.packed");
-        std::fs::write(&staged_path, reads.to_packed_bytes())
-            .map_err(gstream::StreamError::from)?;
-        let reads = self.phase("load", || {
-            let bytes = std::fs::read(&staged_path).map_err(gstream::StreamError::from)?;
-            self.spill.io().add_read(bytes.len() as u64);
-            // The paper's datasets rest on disk as FASTQ (~3.2 B/base per
-            // Table I); our staging file is 2-bit packed, so charge the
-            // difference to model the real load volume.
-            self.spill.io().add_read(reads.total_bases() * 3);
-            let _guard = self.host.reserve(bytes.len() as u64)?;
-            Ok(ReadSet::from_packed_bytes(
-                reads.read_len(),
-                reads.len(),
-                &bytes,
-            )?)
-        })?;
+        let reads = self.phase("load", |_| load(&self.spill, &self.host, reads))?;
 
         // Map: fingerprint generation + length partitioning.
         if manifest.is_done("map") {
             drop(rec.span("map (resumed)"));
         } else {
-            self.phase("map", || {
-                map::run_traced(
-                    &self.device,
-                    &self.host,
-                    &self.spill,
-                    &self.config,
-                    &reads,
-                    rec,
-                )
+            self.phase("map", |span| {
+                let (device, host, spill) = (&self.device, &self.host, &self.spill);
+                let block = 0..reads.len();
+                map::map_block(device, host, spill, &self.config, &reads, block, rec, span)
             })?;
             manifest.mark_phase("map");
             self.record_partitions(&mut manifest)?;
@@ -323,7 +336,7 @@ impl Pipeline {
             let host_block = sortphase::sort_config(&self.config, &self.host, &self.device)
                 .host_block_pairs as u64;
             let mut unstored = 0u64;
-            self.phase("sort", || {
+            self.phase("sort", |_| {
                 sortphase::run_checkpointed(
                     &self.device,
                     &self.host,
@@ -357,7 +370,7 @@ impl Pipeline {
             graph = StringGraph::from_bytes(&bytes)?;
             drop(rec.span("reduce (resumed)"));
         } else {
-            self.phase("reduce", || {
+            self.phase("reduce", |_| {
                 reduce::run_traced(
                     &self.device,
                     &self.host,
@@ -374,12 +387,9 @@ impl Pipeline {
             manifest.store(self.spill.root(), &self.faults)?;
         }
 
-        // Compress: traverse paths and spell contigs.
-        let (paths, contigs, contig_stats) = self.phase("compress", || {
-            let paths =
-                extract_paths_traced(&graph, self.config.l_max, TraverseOptions::default(), rec);
-            let (contigs, stats) = generate_contigs(&self.device, &self.host, &reads, &paths)?;
-            Ok((paths, contigs, stats))
+        let (paths, contigs, contig_stats) = self.phase("compress", |span| {
+            let (device, host, l_max) = (&self.device, &self.host, self.config.l_max);
+            compress(device, host, &reads, &graph, l_max, rec, span)
         })?;
 
         drop(root);

@@ -32,23 +32,16 @@ pub fn run(
     spill: &SpillDir,
     config: &AssemblyConfig,
 ) -> Result<SortPhaseReport> {
-    run_traced(device, host, spill, config, &obs::Recorder::disabled())
-}
-
-/// [`run`] with structured events: each partition sorts under its own
-/// span (`sfx_00045`, `pfx_00045`, …) carrying the sorter's `sort.*`
-/// counters, so a trace shows exactly which partition paid for which
-/// merge passes.
-pub fn run_traced(
-    device: &Device,
-    host: &HostMem,
-    spill: &SpillDir,
-    config: &AssemblyConfig,
-    rec: &obs::Recorder,
-) -> Result<SortPhaseReport> {
-    run_checkpointed(device, host, spill, config, rec, |_| false, &mut |_, _| {
-        Ok(())
-    })
+    let disabled = obs::Recorder::disabled();
+    run_checkpointed(
+        device,
+        host,
+        spill,
+        config,
+        &disabled,
+        |_| false,
+        &mut |_, _| Ok(()),
+    )
 }
 
 /// The block sizes a sort phase sorts with, single-node or distributed:
@@ -103,7 +96,10 @@ pub fn sort_partition(
     Ok(report)
 }
 
-/// [`run_traced`] with per-partition resume support.
+/// [`run`] with structured events and per-partition resume support: each
+/// partition sorts under its own span (`sfx_00045`, `pfx_00045`, …)
+/// carrying the sorter's `sort.*` counters, so a trace shows exactly which
+/// partition paid for which merge passes.
 ///
 /// Partitions whose name (`sfx_00045`, …) satisfies `skip` are already
 /// durably sorted from a previous run: their footer record count still feeds

@@ -149,26 +149,6 @@ pub fn extract_paths(graph: &StringGraph, read_len: u32, opts: TraverseOptions) 
     paths
 }
 
-/// [`extract_paths`] with structured events: `traverse.paths`,
-/// `traverse.steps` and `traverse.singletons` counters on the current
-/// span.
-pub fn extract_paths_traced(
-    graph: &StringGraph,
-    read_len: u32,
-    opts: TraverseOptions,
-    rec: &obs::Recorder,
-) -> Vec<Path> {
-    let paths = extract_paths(graph, read_len, opts);
-    if rec.is_enabled() {
-        let steps: u64 = paths.iter().map(|p| p.steps.len() as u64).sum();
-        let singletons = paths.iter().filter(|p| p.steps.len() == 1).count() as u64;
-        rec.counter("traverse.paths", paths.len() as u64);
-        rec.counter("traverse.steps", steps);
-        rec.counter("traverse.singletons", singletons);
-    }
-    paths
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -45,21 +45,6 @@ pub enum Event {
     },
 }
 
-impl Event {
-    /// The span this event belongs to (the span's own id for
-    /// `SpanStart`/`SpanEnd`).
-    pub fn span_id(&self) -> u64 {
-        match self {
-            Event::SpanStart { id, .. } | Event::SpanEnd { id, .. } => *id,
-            Event::Counter { span, .. }
-            | Event::Metric { span, .. }
-            | Event::Gauge { span, .. }
-            | Event::Histogram { span, .. } => *span,
-            Event::Sched { .. } => 0,
-        }
-    }
-}
-
 /// `{"type": <tag>, <fields in declaration order>}` — the JSONL schema of
 /// OBSERVABILITY.md.
 impl ToJson for Event {

@@ -56,11 +56,6 @@ impl LiveRollup {
         }
     }
 
-    /// The fixed duration of one window.
-    pub fn window_len(&self) -> Duration {
-        self.lock().window
-    }
-
     /// Everything observed since creation, folded by name.
     pub fn totals(&self) -> SpanAgg {
         self.lock().totals.clone()

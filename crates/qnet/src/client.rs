@@ -268,11 +268,6 @@ impl QueryClient {
         self.pin = generation;
     }
 
-    /// The current generation pin (`0` = active).
-    pub fn generation_pin(&self) -> u64 {
-        self.pin
-    }
-
     /// The configuration this client was built with.
     pub fn config(&self) -> &ClientConfig {
         &self.cfg

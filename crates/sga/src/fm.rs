@@ -181,11 +181,6 @@ impl FmIndex {
         }
     }
 
-    /// Text position of the suffix at SA rank `rank`.
-    pub fn sa_position(&self, rank: u32) -> u32 {
-        self.sa[rank as usize]
-    }
-
     /// Bytes of the plain in-memory representation (for reporting; the
     /// budget *billing* uses the compressed model instead, see
     /// [`crate::baseline`]).

@@ -435,8 +435,6 @@ fn assemble(opts: &Opts) {
 /// supersteps whose artifacts are durable and validated.
 fn assemble_distributed(opts: &Opts) {
     use lasagna_repro::dnet::ReduceStrategy;
-    use lasagna_repro::lasagna::contig::generate_contigs;
-    use lasagna_repro::lasagna::traverse::{extract_paths, TraverseOptions};
 
     let nodes: usize = get(opts, "nodes", 2);
     let block_reads: usize = get(opts, "block-reads", 1024);
@@ -494,17 +492,9 @@ fn assemble_distributed(opts: &Opts) {
         println!("  {p}");
     }
     write_metrics(opts, &result.report);
-
-    // Contigs from the merged graph, on one local device (traversal is a
-    // single-node stage either way; the distributed win is upstream).
-    let device = Device::with_capacity(run.gpu.clone(), run.device_mem);
-    let host = HostMem::new(run.host_mem);
-    let read_len = run.reads.read_len() as u32;
-    let paths = extract_paths(&result.graph, read_len, TraverseOptions::default());
-    let (contigs, stats) =
-        generate_contigs(&device, &host, &run.reads, &paths).unwrap_or_else(die_run);
+    let stats = &result.report.contig_stats;
     run.write_contigs(
-        &contigs,
+        &result.contigs,
         format!("{} contigs, N50 {}", stats.count, stats.n50),
     );
 }
@@ -538,8 +528,12 @@ fn inspect_trace(opts: &Opts) {
         let agg = rollup.subtree(phase.id);
         let dev = agg.metric("device.kernel_seconds") + agg.metric("device.transfer_seconds");
         let io = agg.metric("io.read_seconds") + agg.metric("io.write_seconds");
-        println!(
-            "  {:<18} {:>9.3}s {:>9.3}s {:>9.3}s {:>12} {:>12}",
+        // A reduce's edges, wherever they were counted: on each length, or
+        // on the ranks (candidates) and the distributed commit (verdicts).
+        let edges = (phase.name == "reduce").then(|| reduce_detail(&agg, 3));
+        let edges = edges.unwrap_or_default();
+        let row = format!(
+            "  {:<18} {:>9.3}s {:>9.3}s {:>9.3}s {:>12} {:>12}  {edges}",
             phase.name,
             phase.wall_seconds,
             dev,
@@ -547,6 +541,7 @@ fn inspect_trace(opts: &Opts) {
             obs::human_bytes(agg.gauge("host.peak_bytes")),
             obs::human_bytes(agg.gauge("device.peak_bytes")),
         );
+        println!("{}", row.trim_end());
         for part in rollup.children(phase.id) {
             let p = rollup.subtree(part.id);
             let detail = match phase.name.as_str() {
@@ -557,19 +552,14 @@ fn inspect_trace(opts: &Opts) {
                     p.counter("sort.merge_passes"),
                     obs::human_bytes(p.counter("sort.spill_bytes")),
                 ),
-                "reduce" => format!(
-                    "{} candidates, {} accepted, {} rejected, {} window advances",
-                    p.counter("reduce.candidates"),
-                    p.counter("reduce.accepted"),
-                    p.counter("reduce.rejected"),
-                    p.counter("reduce.window_advances"),
-                ),
+                "reduce" => reduce_detail(&p, 4),
                 _ => String::new(),
             };
-            println!(
+            let row = format!(
                 "    {:<16} {:>9.3}s  {detail}",
                 part.name, part.wall_seconds
             );
+            println!("{}", row.trim_end());
         }
     }
 
@@ -624,6 +614,17 @@ fn inspect_trace(opts: &Opts) {
             println!("    {client}: {}", gate_counts(row));
         }
     }
+}
+
+/// `"N candidates, N accepted, …"` for each of the first `n` of these
+/// `reduce.*` counters that `agg` carries.
+fn reduce_detail(agg: &obs::SpanAgg, n: usize) -> String {
+    let names = ["candidates", "accepted", "rejected", "window_advances"];
+    let carried = names[..n].iter().filter_map(|name| {
+        let count = agg.counters.get(&format!("reduce.{name}"))?;
+        Some(format!("{count} {}", name.replace('_', " ")))
+    });
+    carried.collect::<Vec<_>>().join(", ")
 }
 
 /// Reads past each admission gate: accepted, rejected, deadline-shed

@@ -211,19 +211,30 @@ fn trace_out_and_inspect_trace_render_partition_breakdown() {
     }
 }
 
+/// The count `line` prints before `unit` (`"… 12 accepted, …"`).
+fn count_of(line: &str, unit: &str) -> Option<u64> {
+    let line = format!("{line},");
+    let (head, _) = line.split_once(&format!(" {unit},"))?;
+    head.rsplit(' ').next()?.parse::<u64>().ok()
+}
+
 /// The sort rows' pairs, summed, and each reduce row's candidates, of an
-/// `inspect-trace` listing.
+/// `inspect-trace` listing's partition (or rank) rows.
 fn partition_rows(listing: &str) -> (u64, Vec<u64>) {
     let (mut pairs, mut candidates) = (0, Vec::new());
-    for line in listing.lines() {
-        let count = |unit: &str| {
-            let (head, _) = line.split_once(&format!(" {unit}, "))?;
-            head.rsplit(' ').next()?.parse::<u64>().ok()
-        };
-        pairs += count("pairs").unwrap_or(0);
-        candidates.extend(count("candidates"));
+    for line in listing.lines().filter(|line| line.starts_with("    ")) {
+        pairs += count_of(line, "pairs").unwrap_or(0);
+        candidates.extend(count_of(line, "candidates"));
     }
     (pairs, candidates)
+}
+
+/// The reduce phase row's candidates, accepted and rejected edges.
+fn reduce_row(listing: &str) -> [u64; 3] {
+    let row = listing.lines().find(|line| line.starts_with("  reduce "));
+    let row = row.unwrap_or_else(|| panic!("no reduce row in:\n{listing}"));
+    ["candidates", "accepted", "rejected"]
+        .map(|unit| count_of(row, unit).unwrap_or_else(|| panic!("no {unit} in {row:?}")))
 }
 
 #[test]
@@ -270,6 +281,62 @@ fn inspect_trace_shows_real_rank_rows_of_a_distributed_trace() {
         candidates.iter().all(|&c| c > 0),
         "a reduce row reads 0 candidates in:\n{distributed}"
     );
+    // The guard's verdicts are the commit's, not a rank's: the phase row
+    // reads them, and they are the single-node assembly's.
+    let [offered, accepted, rejected] = reduce_row(&distributed);
+    assert_eq!(accepted + rejected, offered, "{distributed}");
+    assert_eq!(offered, candidates.iter().sum::<u64>(), "{distributed}");
+    assert_eq!(accepted, reduce_row(&single)[1], "{single}\n{distributed}");
+    assert!(
+        distributed
+            .lines()
+            .all(|line| !line.starts_with("    rank") || count_of(line, "accepted").is_none()),
+        "a rank row prints verdicts it does not carry:\n{distributed}"
+    );
+    assert!(
+        distributed
+            .lines()
+            .any(|line| line.starts_with("  compress ")),
+        "no compress row in:\n{distributed}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn assemble_distributed_writes_the_contigs_assemble_writes() {
+    let dir = workdir("dcontigs");
+    let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    let reads = path("reads.fastq");
+    run_ok(&[
+        "simulate",
+        "--genome-len",
+        "3000",
+        "--coverage",
+        "8",
+        "--read-len",
+        "60",
+        "--seed",
+        "37",
+        "--out",
+        &reads,
+    ]);
+    let contigs = |command: &str, extra: &[&str]| {
+        let tag = format!("{command}{}", extra.concat());
+        let (out, work) = (path(&format!("{tag}.fa")), path(&tag));
+        let mut args = vec![command, "--reads", &reads, "--out", &out, "--work", &work];
+        args.extend(extra);
+        run_ok(&args);
+        std::fs::read(&out).unwrap()
+    };
+    let expect = contigs("assemble", &[]);
+    assert!(!expect.is_empty());
+    for nodes in ["1", "2", "3"] {
+        for reduce in ["token", "range"] {
+            let extra = ["--nodes", nodes, "--block-reads", "64", "--reduce", reduce];
+            let got = contigs("assemble-distributed", &extra);
+            assert!(got == expect, "{nodes} nodes, {reduce} reduce");
+        }
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -427,13 +494,16 @@ fn assemble_distributed_roundtrip_resume_and_corrupt_log() {
             .iter()
             .map(|p| p.phase.as_str())
             .collect::<Vec<_>>(),
-        vec!["map", "shuffle", "sort", "reduce"]
+        vec!["load", "map", "shuffle", "sort", "reduce", "compress"]
     );
     // The same phase record as a single-node assembly's: the ranks'
     // device and disk traffic, not only their seconds.
     let map = report.phase("map").unwrap();
     assert!(map.device.kernel_launches > 0, "{map:?}");
     assert!(map.io.bytes_written > 0, "{map:?}");
+    let compress = report.phase("compress").unwrap();
+    assert!(compress.host_peak_bytes > 0, "{compress:?}");
+    assert!(report.contig_stats.count > 0, "{report:?}");
     assert!(!report.resumed);
     let first_fa = std::fs::read(&contigs).expect("no contigs written");
     assert!(!first_fa.is_empty());
