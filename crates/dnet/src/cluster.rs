@@ -10,7 +10,8 @@
 //!    private disks, `lasagna::map::map_block`;
 //! 3. **shuffle** — each owner fetches its work items' records from every
 //!    block's mapper and concatenates them locally (cross-node fetches are
-//!    charged to the network model). Blocks are concatenated in block
+//!    charged to the network model, and the mapper's disk read to the
+//!    fetching rank, which waits for it). Blocks are concatenated in block
 //!    order, so the shuffled stream is byte-identical to the single-node
 //!    map output and the final graph matches the single-node graph
 //!    exactly;
@@ -832,13 +833,19 @@ impl Cluster {
             // scope would block forever joining them; hence the inner
             // closure + unconditional shutdown below.
             for (rank, server) in servers.drain(..).enumerate() {
-                let spill = nodes[rank].spill.clone();
+                let root = nodes[rank].spill.root().to_path_buf();
+                // A fetch reads through counters no phase snapshots, so
+                // the read lands in no window the mapper's rank has open;
+                // the requester charges it to its own disk. The mapper's
+                // failpoints still fire on it.
+                let fetch_io = IoStats::new(cfg.disk);
+                fetch_io.set_faults(nodes[rank].spill.io().faults());
                 scope.spawn(move || {
                     server.serve(move |req| match req {
                         Request::GetBlock => Response::Block(next_block()),
                         Request::FetchPartition { block, part } => {
-                            let bdir = spill.root().join(format!("block{block}"));
-                            let fetched = SpillDir::open(&bdir, spill.io().clone()).and_then(|b| {
+                            let bdir = root.join(format!("block{block}"));
+                            let fetched = SpillDir::open(&bdir, fetch_io.clone()).and_then(|b| {
                                 // A block that produced nothing for this
                                 // length legitimately has no file.
                                 if !b.path_range(part).exists() {
@@ -1456,7 +1463,11 @@ impl Workers<'_> {
                         .try_call(rank, Request::FetchPartition { block, part })?;
                     net_s += secs;
                     match resp {
-                        Response::Partition(pairs) => w.write_all(&pairs)?,
+                        Response::Partition(pairs) => {
+                            // The mapper read these records for this rank.
+                            spill.io().add_read((pairs.len() * KvPair::BYTES) as u64);
+                            w.write_all(&pairs)?
+                        }
                         Response::Error(e) => return Err(e.into()),
                         other => unreachable!("a partition fetch answered {other:?}"),
                     }
@@ -1710,10 +1721,10 @@ mod tests {
         assert!(reads.len().is_multiple_of(2));
         // Each phase's modeled seconds, or `None` when one rank mapped
         // both of the two equal blocks: blocks go to whichever rank asks
-        // first, and a rank's seconds round after its earlier traffic, so
-        // runs charge alike when each rank mapped one block. Beyond one
-        // node the shuffle is left out: a fetch's block read is charged to
-        // the serving node inside whatever window its rank has open.
+        // first, so runs charge alike when each rank mapped one block. The
+        // shuffle charges alike too: a fetch's block read is charged to
+        // the rank that waits for it, not to whatever window the serving
+        // rank has open.
         let modeled = |nodes: usize| {
             let dir = stdx::tempdir().unwrap();
             let c = cluster(nodes, 25, 40, reads.len() / 2);
@@ -1727,14 +1738,16 @@ mod tests {
                 return None;
             }
             let phases = report.phases.into_iter();
-            let charged = phases.filter(|p| nodes == 1 || p.phase != "shuffle");
-            let bits = charged.map(|p| (p.phase, p.modeled_seconds.to_bits()));
-            Some(bits.collect::<Vec<_>>())
+            Some(
+                phases
+                    .map(|p| (p.phase, p.modeled_seconds.to_bits()))
+                    .collect::<Vec<_>>(),
+            )
         };
         for nodes in [1usize, 2] {
             let mut runs = std::iter::repeat_with(|| modeled(nodes)).take(20).flatten();
             let (first, second) = (runs.next().unwrap(), runs.next().unwrap());
-            assert_eq!(first.len(), PHASES.len() - usize::from(nodes > 1));
+            assert_eq!(first.len(), PHASES.len());
             assert_eq!(first, second, "{nodes} nodes");
         }
     }

@@ -40,13 +40,6 @@ impl RabinKarp {
         }
     }
 
-    /// Hasher with explicit parameter sets (tests use the Fig. 5 toys).
-    pub fn with_params(p0: HashParams, p1: HashParams, max_len: usize) -> Self {
-        RabinKarp {
-            places: [PlaceValues::new(p0, max_len), PlaceValues::new(p1, max_len)],
-        }
-    }
-
     /// Longest read this hasher supports.
     pub fn max_len(&self) -> usize {
         self.places[0].max_len()
@@ -231,8 +224,15 @@ mod tests {
         vec![3, 0, 2, 0, 1, 1, 0, 3, 2, 0]
     }
 
+    /// Hasher with explicit parameter sets, such as the Fig. 5 toys.
+    fn with_params(p0: HashParams, p1: HashParams, max_len: usize) -> RabinKarp {
+        RabinKarp {
+            places: [PlaceValues::new(p0, max_len), PlaceValues::new(p1, max_len)],
+        }
+    }
+
     fn fig5_rk() -> RabinKarp {
-        RabinKarp::with_params(HashParams::fig5(), HashParams::set1(), 16)
+        with_params(HashParams::fig5(), HashParams::set1(), 16)
     }
 
     #[test]
@@ -335,7 +335,7 @@ mod tests {
     #[test]
     fn scan_equals_both_oracles_at_every_read_length() {
         let default = RabinKarp::new(130);
-        let toy = RabinKarp::with_params(HashParams::fig5(), HashParams::set0(), 130);
+        let toy = with_params(HashParams::fig5(), HashParams::set0(), 130);
         let mut rng = stdx::SplitMix64::new(19);
         for n in 1..=130 {
             let codes: Vec<u8> = (0..n).map(|_| (rng.next_u64() >> 62) as u8).collect();

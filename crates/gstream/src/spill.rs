@@ -9,7 +9,7 @@
 use crate::iostats::IoStats;
 use crate::reader::RecordReader;
 use crate::record::KvPair;
-use crate::writer::{fsync_dir, RecordWriter};
+use crate::writer::{fsync_dir, RecordWriter, BLOCK_ALIGN, BLOCK_BYTES};
 use crate::{Result, StreamError};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -222,10 +222,29 @@ pub fn range_of(key: u128, ranges: u32) -> u32 {
     ((top * ranges as u64) >> 32) as u32
 }
 
+/// Bytes of block buffer that all writers of one [`PartitionSet`] share,
+/// however many partitions it has.
+const SET_BUFFER_BYTES: usize = 1 << 20;
+
+/// The block of each of `writers` writers sharing [`SET_BUFFER_BYTES`]: an
+/// even share rounded down to a multiple of [`BLOCK_ALIGN`], at least one
+/// `BLOCK_ALIGN` and at most [`BLOCK_BYTES`].
+fn set_block_bytes(writers: usize) -> usize {
+    let share = SET_BUFFER_BYTES / writers.max(1) / BLOCK_ALIGN * BLOCK_ALIGN;
+    share.clamp(BLOCK_ALIGN, BLOCK_BYTES)
+}
+
 /// Open writers for every partition in `[l_min, l_max)` of both kinds —
 /// the sink of the map phase. Tuples outside the range are rejected per the
 /// paper's discard rules. With `ranges > 1` each length is further split
 /// by fingerprint range (the paper's future-work partitioning).
+///
+/// The set's writers share one fixed buffer budget of
+/// [`SET_BUFFER_BYTES`], split evenly: the host bytes a map phase holds
+/// for its output do not grow with the partition count (the paper's
+/// semi-streaming bound, Section III). Only the number of `write` calls
+/// does; the files are the same bytes as 64 KiB writers would give.
+/// Below the smallest block, 160 B per writer, the budget is exceeded.
 pub struct PartitionSet {
     l_min: u32,
     l_max: u32,
@@ -254,13 +273,16 @@ impl PartitionSet {
             return Err(StreamError::BadConfig("need at least one range".into()));
         }
         let slots = ((l_max - l_min) * ranges) as usize;
+        let block = set_block_bytes(2 * slots);
+        let create =
+            |part| RecordWriter::with_block(&spill.path_range(part), spill.io().clone(), block);
         let mut suffix = Vec::with_capacity(slots);
         let mut prefix = Vec::with_capacity(slots);
         for len in l_min..l_max {
             for r in 0..ranges {
-                let [sfx, pfx] = Partition::pair(len, r, ranges).map(|part| spill.path_range(part));
-                suffix.push(RecordWriter::create(&sfx, spill.io().clone())?);
-                prefix.push(RecordWriter::create(&pfx, spill.io().clone())?);
+                let [sfx, pfx] = Partition::pair(len, r, ranges);
+                suffix.push(create(sfx)?);
+                prefix.push(create(pfx)?);
             }
         }
         Ok(PartitionSet {
@@ -496,6 +518,92 @@ mod tests {
                         .collect();
                     assert!(!expect.is_empty());
                     assert_eq!(got, expect, "{kind:?} {len} range {r}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_sets_blocks_share_one_budget_at_any_range_split() {
+        let (_g, s) = spill();
+        // The benchmark's 37 lengths, split 1, 2 and 8 ways.
+        for ranges in [1u32, 2, 8] {
+            let set = PartitionSet::create_split(&s, 25, 62, ranges).unwrap();
+            let blocks: Vec<usize> = (set.suffix.iter().chain(&set.prefix))
+                .map(RecordWriter::block_capacity)
+                .collect();
+            assert_eq!(blocks.len(), 74 * ranges as usize);
+            assert!(
+                blocks.iter().sum::<usize>() <= SET_BUFFER_BYTES,
+                "{ranges} ranges"
+            );
+            assert!(blocks
+                .iter()
+                .all(|&b| b >= BLOCK_ALIGN && b.is_multiple_of(BLOCK_ALIGN)));
+            if ranges == 1 {
+                assert_eq!(blocks[0], 14_080);
+            }
+        }
+        // A set of few writers keeps the full block a lone writer has.
+        let set = PartitionSet::create(&s, 3, 5).unwrap();
+        assert_eq!(set.suffix[0].block_capacity(), BLOCK_BYTES);
+    }
+
+    #[test]
+    fn a_sets_files_are_the_bytes_of_full_block_writers() {
+        let (_g, s) = spill();
+        let (l_min, l_max, ranges, cols) = (10u32, 30u32, 3u32, 1500u32);
+        let mut set = PartitionSet::create_split(&s, l_min, l_max, ranges).unwrap();
+        let block = set.suffix[0].block_capacity();
+        assert!(block < BLOCK_BYTES);
+        let spread = |base| -> Vec<KvPair> {
+            let pairs = rows(l_min, l_max - l_min, cols, base).into_iter();
+            pairs
+                .map(|p| KvPair::new(p.key.wrapping_mul(0x9E37_79B9_7F4A_7C15 << 64 | 1), p.val))
+                .collect()
+        };
+        // Three batches, so blocks fill across batch boundaries.
+        let batches: Vec<(Vec<KvPair>, Vec<KvPair>)> = (0..3)
+            .map(|b| (spread(7 + 100 * b), spread(11 + 100 * b)))
+            .collect();
+        for (sfx, pfx) in &batches {
+            set.write_rows(l_min, cols as usize, sfx, pfx).unwrap();
+        }
+        set.finish().unwrap();
+
+        let (_h, full) = spill();
+        for (side, kind) in [PartitionKind::Suffix, PartitionKind::Prefix]
+            .into_iter()
+            .enumerate()
+        {
+            for (row, len) in (l_min..l_max).enumerate() {
+                for range in 0..ranges {
+                    let part = Partition {
+                        kind,
+                        len,
+                        range,
+                        ranges,
+                    };
+                    let path = full.path_range(part);
+                    let mut w = RecordWriter::create(&path, full.io().clone()).unwrap();
+                    for batch in &batches {
+                        let all = if side == 0 { &batch.0 } else { &batch.1 };
+                        let row = &all[row * cols as usize..][..cols as usize];
+                        let mine = row.iter().filter(|p| range_of(p.key, ranges) == range);
+                        w.write_all(&mine.copied().collect::<Vec<_>>()).unwrap();
+                    }
+                    let records = w.finish().unwrap();
+                    // Every partition spans several of the set's blocks.
+                    assert!(records as usize * KvPair::BYTES > 2 * block, "{part:?}");
+                    let ours = s.path_range(part);
+                    assert_eq!(
+                        crate::read_footer(&ours).unwrap(),
+                        crate::read_footer(&path).unwrap()
+                    );
+                    assert!(
+                        std::fs::read(&ours).unwrap() == std::fs::read(&path).unwrap(),
+                        "{part:?}"
+                    );
                 }
             }
         }

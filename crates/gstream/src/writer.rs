@@ -74,21 +74,26 @@ pub fn fsync_parent_dir(path: &Path) -> std::io::Result<()> {
 /// record size and the checksum stripe within the 64 KiB a buffered stream
 /// holds, so full blocks are hashed without ever splitting a stripe.
 pub(crate) const BLOCK_BYTES: usize = (1 << 16) / BLOCK_ALIGN * BLOCK_ALIGN;
-/// lcm(20-byte record, 32-byte stripe).
-const BLOCK_ALIGN: usize = 160;
+/// lcm(20-byte record, 32-byte stripe): every block is a multiple of it.
+pub(crate) const BLOCK_ALIGN: usize = 160;
 const _: () =
     assert!(BLOCK_ALIGN.is_multiple_of(KvPair::BYTES) && BLOCK_ALIGN.is_multiple_of(Xxh64::STRIPE));
 
 /// Append-only writer of [`KvPair`] records.
 ///
 /// Records are encoded into one block buffer; a full block is checksummed,
-/// written and charged to [`IoStats`] in one step each.
+/// written and charged to [`IoStats`] in one step each. The block size
+/// moves only how many `write` calls the records take: the file's bytes
+/// and footer are the same at any size.
 pub struct RecordWriter {
     /// `None` once committed; a `Some` at drop time means an abandoned
     /// writer whose temp file must be deleted.
     file: Option<File>,
-    /// Encoded records not yet written; never longer than [`BLOCK_BYTES`].
+    /// Encoded records not yet written; never longer than `block_bytes`.
     block: Vec<u8>,
+    /// Bytes of a full block: a multiple of [`BLOCK_ALIGN`], at most
+    /// [`BLOCK_BYTES`].
+    block_bytes: usize,
     io: IoStats,
     written: u64,
     hasher: Xxh64,
@@ -100,10 +105,22 @@ impl RecordWriter {
     /// Start writing `path` (its temp side file, really; the final name
     /// appears atomically on [`RecordWriter::finish`]).
     pub fn create(path: &Path, io: IoStats) -> Result<Self> {
+        Self::with_block(path, io, BLOCK_BYTES)
+    }
+
+    /// [`RecordWriter::create`] with a `block_bytes` block, for writers
+    /// that share one buffer budget (a [`crate::PartitionSet`]'s).
+    pub(crate) fn with_block(path: &Path, io: IoStats, block_bytes: usize) -> Result<Self> {
+        assert!(
+            block_bytes.is_multiple_of(BLOCK_ALIGN)
+                && (BLOCK_ALIGN..=BLOCK_BYTES).contains(&block_bytes),
+            "a {block_bytes}-byte block is not a multiple of {BLOCK_ALIGN} up to {BLOCK_BYTES}"
+        );
         let tmp = tmp_path(path);
         Ok(RecordWriter {
             file: Some(File::create(&tmp)?),
-            block: Vec::with_capacity(BLOCK_BYTES),
+            block: Vec::with_capacity(block_bytes),
+            block_bytes,
             io,
             written: 0,
             hasher: Xxh64::new(),
@@ -144,7 +161,7 @@ impl RecordWriter {
     fn encode(&mut self, mut pairs: impl ExactSizeIterator<Item = (u128, u32)>) -> Result<()> {
         self.written += pairs.len() as u64;
         while pairs.len() > 0 {
-            let room = (BLOCK_BYTES - self.block.len()) / KvPair::BYTES;
+            let room = (self.block_bytes - self.block.len()) / KvPair::BYTES;
             let start = self.block.len();
             self.block
                 .resize(start + pairs.len().min(room) * KvPair::BYTES, 0);
@@ -154,7 +171,7 @@ impl RecordWriter {
             {
                 KvPair { key, val }.encode(frame);
             }
-            if self.block.len() == BLOCK_BYTES {
+            if self.block.len() == self.block_bytes {
                 self.flush_block()?;
             }
         }
@@ -164,6 +181,12 @@ impl RecordWriter {
     /// Records written so far.
     pub fn written(&self) -> u64 {
         self.written
+    }
+
+    /// Bytes the block buffer holds: what this writer keeps on the heap.
+    #[cfg(test)]
+    pub(crate) fn block_capacity(&self) -> usize {
+        self.block.capacity()
     }
 
     /// Commit durably: append the [`Footer`], `sync_all`, atomically rename

@@ -70,11 +70,6 @@ impl AssemblyConfig {
         }
         Ok(())
     }
-
-    /// Number of overlap-length partitions (`[l_min, l_max)`).
-    pub fn partition_count(&self) -> u32 {
-        self.l_max - self.l_min
-    }
 }
 
 #[cfg(test)]
@@ -85,7 +80,7 @@ mod tests {
     fn defaults_validate() {
         let c = AssemblyConfig::for_dataset(63, 101);
         c.validate().unwrap();
-        assert_eq!(c.partition_count(), 38);
+        assert_eq!(c.l_max - c.l_min, 38);
         assert_eq!(c.fingerprint_bits, 128);
     }
 

@@ -19,6 +19,10 @@
 //! tile's tuples whatever the device's size. Tiles go out in vertex
 //! order, so every partition receives the tuples, and the bytes, that the
 //! whole batch would give it.
+//!
+//! The partitions are written through one [`PartitionSet`], whose writers
+//! share a fixed buffer budget: the host holds the same block bytes
+//! whether a map writes 74 partitions or, split by fingerprint range, 592.
 
 use crate::config::AssemblyConfig;
 use crate::Result;

@@ -158,21 +158,6 @@ impl AssemblyReport {
         }
     }
 
-    /// Phase names in pipeline order, checking the uniqueness invariant:
-    /// panics if two phases share a name (case-insensitive), which means
-    /// something bypassed [`AssemblyReport::push_phase`].
-    pub fn phases_in_order(&self) -> Vec<&str> {
-        let mut seen = std::collections::HashSet::new();
-        for p in &self.phases {
-            assert!(
-                seen.insert(p.phase.to_ascii_lowercase()),
-                "duplicate phase {:?} in report — phases must be added via push_phase",
-                p.phase
-            );
-        }
-        self.phases.iter().map(|p| p.phase.as_str()).collect()
-    }
-
     /// Rebuild per-phase metrics purely from a recorded trace: each child
     /// span of the most recent root span named `root_name` becomes one
     /// phase, with device/io totals taken from the subtree's canonical
@@ -206,6 +191,21 @@ impl AssemblyReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `report`'s phase names in pipeline order, checking the uniqueness
+    /// invariant: panics if two phases share a name (case-insensitive),
+    /// which means something bypassed [`AssemblyReport::push_phase`].
+    fn phases_in_order(report: &AssemblyReport) -> Vec<&str> {
+        let mut seen = std::collections::HashSet::new();
+        for p in &report.phases {
+            assert!(
+                seen.insert(p.phase.to_ascii_lowercase()),
+                "duplicate phase {:?} in report — phases must be added via push_phase",
+                p.phase
+            );
+        }
+        report.phases.iter().map(|p| p.phase.as_str()).collect()
+    }
 
     fn phase(name: &str, wall: f64, modeled: f64) -> PhaseMetrics {
         PhaseMetrics {
@@ -275,7 +275,7 @@ mod tests {
         assert!((merged.wall_seconds - 3.0).abs() < 1e-12);
         assert_eq!(merged.io.bytes_read, 140);
         assert_eq!(merged.host_peak_bytes, 50);
-        assert_eq!(report.phases_in_order(), vec!["sort"]);
+        assert_eq!(phases_in_order(&report), vec!["sort"]);
     }
 
     #[test]
@@ -285,7 +285,7 @@ mod tests {
             phases: vec![phase("sort", 1.0, 1.0), phase("SORT", 1.0, 1.0)],
             ..Default::default()
         };
-        let _ = report.phases_in_order();
+        let _ = phases_in_order(&report);
     }
 
     #[test]
@@ -314,7 +314,7 @@ mod tests {
         }
         let rollup = obs::Rollup::from_events(&rec.events());
         let report = AssemblyReport::from_trace(&rollup, "assembly");
-        assert_eq!(report.phases_in_order(), vec!["map"]);
+        assert_eq!(phases_in_order(&report), vec!["map"]);
         let map = report.phase("map").unwrap();
         assert_eq!(map.io.bytes_read, 100);
         assert_eq!(map.io.bytes_written, 200);

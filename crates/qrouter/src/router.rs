@@ -348,14 +348,6 @@ impl Router {
         self.pinned_gen.load(Ordering::Relaxed)
     }
 
-    /// Re-pin future fan-outs to `generation` directly, without a
-    /// rollout — for operators replaying a manifest flip, and for tests.
-    /// Scatters already in flight keep the pin they captured at launch.
-    pub fn pin_generation(&self, generation: u64) {
-        self.pinned_gen.store(generation, Ordering::Relaxed);
-        self.shared.rec.counter("qrouter.gen.pinned", 1);
-    }
-
     /// Batches refused after exhausting every replica of a shard.
     pub fn dead_letters(&self) -> Vec<DeadLetter> {
         self.dead.lock().unwrap_or_else(|e| e.into_inner()).clone()
@@ -1073,8 +1065,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(r.pinned_generation(), 3);
-        r.pin_generation(5);
-        assert_eq!(r.pinned_generation(), 5);
     }
 
     #[test]

@@ -717,20 +717,6 @@ impl QueryService {
         self.shared.scavenge();
         Ok(id)
     }
-
-    /// Force the previous generation into draining (it stops being
-    /// queryable) and retire everything idle. Operators call this once a
-    /// rollout has converged and no router still pins the old id; tests
-    /// use it to assert the retire gate.
-    pub fn retire_previous(&self) {
-        {
-            let mut gens = self.shared.lock_gens();
-            if let Some(prev) = gens.previous.take() {
-                gens.draining.push(prev);
-            }
-        }
-        self.shared.scavenge();
-    }
 }
 
 impl Drop for QueryService {
@@ -1285,8 +1271,14 @@ mod tests {
             }))
         ));
 
-        // retire_previous drains the mixed-generation window explicitly.
-        svc.retire_previous();
+        // Forcing the previous generation into draining retires it once
+        // idle: the mixed-generation window closes.
+        {
+            let mut gens = svc.shared.lock_gens();
+            let prev = gens.previous.take().unwrap();
+            gens.draining.push(prev);
+        }
+        svc.shared.scavenge();
         let stats = svc.generation_stats();
         assert_eq!(stats.previous, None);
         assert_eq!(stats.retired, vec![1, 2]);

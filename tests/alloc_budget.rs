@@ -20,13 +20,16 @@ use lasagna_repro::prelude::*;
 static ALLOC: stdx::CountingAlloc = stdx::CountingAlloc::new();
 
 /// The most bytes any of the assemblies may hold live at once. Measured
-/// on x86-64 Linux: 2.76 MB at both block sizes on the 64 KiB device and
-/// 3.24 MB on the 8 MiB one, reads included. A recorder that buffers
-/// events per launch takes the two 64 KiB runs to 32 239 and 155 446
-/// events and to 6.9 and 41.6 MB; a map that holds its whole device batch
-/// on the host, as a zero-filled stand-in for the device buffer and as
-/// tuple rows, takes the 8 MiB run to 9.95 MB.
-const PEAK_BOUND_BYTES: usize = 4 << 20;
+/// on x86-64 Linux: 1.17 MB at both block sizes on the 64 KiB device and
+/// 1.64–1.66 MB on the 8 MiB one, reads included; the bound leaves
+/// 0.44 MB above the highest. Map's 40 partition writers share one 1 MiB
+/// block budget: with a 64 KiB block each they held 2.6 MB, and the runs
+/// peaked at 2.76 and 3.24 MB. A recorder that buffers events per launch
+/// takes the two 64 KiB runs to 32 239 and 155 446 events and to 6.9 and
+/// 41.6 MB; a map that holds its whole device batch on the host, as a
+/// zero-filled stand-in for the device buffer and as tuple rows, takes the
+/// 8 MiB run to 9.95 MB.
+const PEAK_BOUND_BYTES: usize = 2 << 20;
 
 /// How far the 8 MiB device's heap peak may exceed the 64 KiB one's.
 const DEVICE_SLACK_BYTES: usize = 1 << 20;
